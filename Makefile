@@ -1,6 +1,6 @@
 # Standard developer entry points; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench benchguard replication-smoke chaos-smoke crash-smoke sdk-smoke shard-smoke rebalance-smoke declog-smoke fuzz cover experiments fmt
+.PHONY: all build vet test race bench bench-test bench-e2e benchguard replication-smoke chaos-smoke crash-smoke sdk-smoke shard-smoke rebalance-smoke declog-smoke fuzz cover experiments fmt
 
 all: build vet test
 
@@ -18,6 +18,18 @@ race:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# The repository's benchmark (bench/, contract in BENCHMARK.json) is a
+# module of its own, so `go test ./...` above does not reach it:
+# bench-test runs its generator, oracle, rot-guard and compare tests,
+# bench-e2e the benchmark itself, every workload measured and traced four
+# times over; compare two such documents with
+# `go run -C bench . -compare a.json b.json`.
+bench-test:
+	cd bench && go test ./...
+
+bench-e2e:
+	go run -C bench . -repeat 4 > bench-out.json
 
 # Benchmark-regression smoke: runs the E1/E3/E11 benches and fails if the
 # cached decision path stops beating the uncached one (see the script).

@@ -638,7 +638,7 @@ func BenchmarkE11CachedMediation(b *testing.B) {
 // path against the serialized mutex-guarded path, each driven by
 // b.RunParallel across GOMAXPROCS goroutines (sweep with -cpu 1,2,4,8,16).
 // The requests rotate through distinct cache keys so the run exercises the
-// sharded cache, not a single entry.
+// cache's table, not a single entry.
 func BenchmarkE17ParallelDecide(b *testing.B) {
 	run := func(b *testing.B, opts ...grbac.Option) {
 		b.Helper()
@@ -670,7 +670,7 @@ func BenchmarkE17ParallelDecide(b *testing.B) {
 }
 
 // BenchmarkE17CheckAccessWarm measures the boolean fast path: a warm
-// cache hit answered from the sharded cache without cloning the decision.
+// cache hit answered from the shared cache entry without cloning the decision.
 // The benchguard asserts 0 allocs/op here.
 func BenchmarkE17CheckAccessWarm(b *testing.B) {
 	b.ReportAllocs()

@@ -54,7 +54,7 @@
 // bitsets, permissions pre-bucketed per transaction) that is published
 // atomically, so Decide, CheckAccess, and DecideBatch mediate without
 // taking any lock and scale linearly with concurrent callers. Decide also
-// memoizes its results in a bounded, sharded cache keyed by (subject,
+// memoizes its results in a bounded, lock-free cache keyed by (subject,
 // session, object, transaction, credential set, resolved environment
 // snapshot). Every cache entry is stamped with the snapshot's monotonic
 // generation, so one mutation invalidates all cached decisions at once and

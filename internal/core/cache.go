@@ -3,7 +3,7 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
 )
 
 // defaultDecisionCacheSize bounds the decision cache when no explicit
@@ -22,6 +22,7 @@ type Stats struct {
 	// DecisionHits counts Decide calls answered from the cache.
 	DecisionHits uint64 `json:"decision_hits"`
 	// DecisionMisses counts Decide calls that ran the full mediation rule.
+	// A request rejected with an error is neither a hit nor a miss.
 	DecisionMisses uint64 `json:"decision_misses"`
 	// DecisionEvictions counts entries displaced by the capacity bound.
 	DecisionEvictions uint64 `json:"decision_evictions"`
@@ -41,34 +42,31 @@ type Stats struct {
 	DecisionCapacity int `json:"decision_capacity"`
 }
 
-// decisionCache is the bounded memo behind System.Decide, sharded so the
-// lock-free mediation path never serializes concurrent readers on one
-// mutex: a request's hash selects a shard and only that shard's mutex is
-// taken, for a critical section of a single map operation. Entries are
-// addressed by the request hash and confirmed by full field comparison, so
-// a hash collision is just a miss, never a wrong answer. Entries are
-// stamped with the generation they were computed at and treated as absent
-// once the generation moves on, so invalidation is a single counter bump
-// with no scanning.
+// decisionCache is the bounded memo behind System.Decide: one fixed,
+// set-associative table of atomically published entries, so the lock-free
+// mediation path takes no lock and writes no shared memory on a hit. A
+// request's hash selects a set of at most four adjacent slots; a lookup
+// loads them, and an entry whose hash agrees is confirmed by full field
+// comparison, so a hash collision is just a miss, never a wrong answer.
+// Entries are immutable once published and are stamped with the generation
+// they were computed at; they are treated as absent once the generation
+// moves on, so invalidation is a single counter bump with no scanning.
 type decisionCache struct {
-	shards []cacheShard
-	mask   uint64
-	// perCap bounds each shard; the total bound is len(shards)*perCap,
-	// never above the configured capacity.
-	perCap int
+	// slots holds ways consecutive slots per set; len(slots) is the entry
+	// bound and never exceeds the configured capacity.
+	slots []atomic.Pointer[cacheEntry]
+	ways  uint64
+	mask  uint64 // number of sets - 1; the set count is a power of two
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[uint64]cacheEntry
-}
-
-// cacheEntry keeps the full key material next to the decision: subject,
-// session, object, transaction, a defensive copy of the credential set
-// (nil-ness preserved — a nil set means "fully trusted" and must not alias
-// an empty one), and the resolved environment snapshot sorted so lookups
-// are insensitive to the order the caller listed roles in.
+// cacheEntry keeps the full key material next to the decision: the request
+// hash, subject, session, object, transaction, a defensive copy of the
+// credential set (nil-ness preserved — a nil set means "fully trusted" and
+// must not alias an empty one), and the resolved environment snapshot
+// sorted so lookups are insensitive to the order the caller listed roles
+// in.
 type cacheEntry struct {
+	hash        uint64
 	gen         uint64
 	subject     SubjectID
 	session     SessionID
@@ -80,28 +78,27 @@ type cacheEntry struct {
 }
 
 func newDecisionCache(capacity int) *decisionCache {
-	shards := 1
-	for shards*2 <= capacity && shards < 64 {
-		shards *= 2
+	ways := min(4, capacity)
+	sets := 1
+	for sets*2*ways <= capacity {
+		sets *= 2
 	}
-	perCap := capacity / shards
-	if perCap < 1 {
-		perCap = 1
+	return &decisionCache{
+		slots: make([]atomic.Pointer[cacheEntry], sets*ways),
+		ways:  uint64(ways),
+		mask:  uint64(sets - 1),
 	}
-	c := &decisionCache{
-		shards: make([]cacheShard, shards),
-		mask:   uint64(shards - 1),
-		perCap: perCap,
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]cacheEntry, perCap)
-	}
-	return c
+}
+
+// set returns the slots a request hashing to h may occupy.
+func (c *decisionCache) set(h uint64) []atomic.Pointer[cacheEntry] {
+	i := (h & c.mask) * c.ways
+	return c.slots[i : i+c.ways]
 }
 
 // matches confirms that a hash hit really is this request at this
 // generation.
-func (e *cacheEntry) matches(gen uint64, req Request) bool {
+func (e *cacheEntry) matches(gen uint64, req *Request) bool {
 	return e.gen == gen &&
 		e.subject == req.Subject &&
 		e.session == req.Session &&
@@ -111,40 +108,29 @@ func (e *cacheEntry) matches(gen uint64, req Request) bool {
 		envEqual(req.Environment, e.env)
 }
 
-// get returns the decision cached under h if it was stored at gen for this
-// exact request. The returned decision shares storage with the cache; the
-// caller must clone before handing it out.
-func (c *decisionCache) get(h, gen uint64, req Request) (Decision, bool) {
-	sh := &c.shards[h&c.mask]
-	sh.mu.Lock()
-	e, ok := sh.entries[h]
-	if ok && e.matches(gen, req) {
-		sh.mu.Unlock()
-		return e.d, true
+// find returns the entry stored under h at gen for this exact request, or
+// nil. The entry is shared and immutable: callers read it and clone what
+// they hand out.
+func (c *decisionCache) find(h, gen uint64, req *Request) *cacheEntry {
+	set := c.set(h)
+	for i := range set {
+		if e := set[i].Load(); e != nil && e.hash == h && e.matches(gen, req) {
+			return e
+		}
 	}
-	sh.mu.Unlock()
-	return Decision{}, false
+	return nil
 }
 
-// allowed is the boolean fast path for CheckAccess: on a hit it returns
-// only the stored outcome, with no decision clone and no allocation.
-func (c *decisionCache) allowed(h, gen uint64, req Request) (allowed, ok bool) {
-	sh := &c.shards[h&c.mask]
-	sh.mu.Lock()
-	e, found := sh.entries[h]
-	if found && e.matches(gen, req) {
-		allowed, ok = e.d.Allowed, true
-	}
-	sh.mu.Unlock()
-	return allowed, ok
-}
-
-// put stores a decision computed at gen, evicting one arbitrary entry from
-// the shard when it is full (map iteration order makes the victim
-// pseudo-random). It reports whether an eviction happened. The entry owns
-// defensive copies of everything it keeps.
-func (c *decisionCache) put(h, gen uint64, req Request, d Decision) bool {
-	e := cacheEntry{
+// put publishes a decision computed at gen. One digest keeps one slot: the
+// way already holding h is replaced first, then an empty way is taken, then
+// one left over from an older generation; only when every way holds a live
+// entry is one displaced, picked by the hash's high bits, and put reports
+// that eviction. Racing puts into one set may overwrite each other, which
+// loses a memo and nothing else. The entry owns defensive copies of
+// everything it keeps.
+func (c *decisionCache) put(h, gen uint64, req *Request, d Decision) (evicted bool) {
+	e := &cacheEntry{
+		hash:        h,
 		gen:         gen,
 		subject:     req.Subject,
 		session:     req.Session,
@@ -154,28 +140,34 @@ func (c *decisionCache) put(h, gen uint64, req Request, d Decision) bool {
 		env:         sortedEnv(req.Environment),
 		d:           d.clone(),
 	}
-	sh := &c.shards[h&c.mask]
-	sh.mu.Lock()
-	evicted := false
-	if _, ok := sh.entries[h]; !ok && len(sh.entries) >= c.perCap {
-		for k := range sh.entries {
-			delete(sh.entries, k)
-			evicted = true
-			break
+	const live, older, empty, same = 0, 1, 2, 3
+	set := c.set(h)
+	victim, best := &set[(h>>32)%c.ways], live
+	for i := range set {
+		rank := live
+		switch old := set[i].Load(); {
+		case old == nil:
+			rank = empty
+		case old.hash == h:
+			rank = same
+		case old.gen < gen:
+			rank = older
+		}
+		if rank > best {
+			victim, best = &set[i], rank
 		}
 	}
-	sh.entries[h] = e
-	sh.mu.Unlock()
-	return evicted
+	victim.Store(e)
+	return best == live
 }
 
+// size counts occupied slots; only Stats pays for the scan.
 func (c *decisionCache) size() int {
 	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
+	for i := range c.slots {
+		if c.slots[i].Load() != nil {
+			n++
+		}
 	}
 	return n
 }
@@ -214,7 +206,7 @@ func hashUint64(h, v uint64) uint64 {
 // snapshot it is checked against — is insensitive to the order the caller
 // listed the active roles in. A nil credential set (identity fully
 // trusted) digests differently from an empty one.
-func hashRequest(req Request) uint64 {
+func hashRequest(req *Request) uint64 {
 	h := hashString(fnvOffset, req.Subject)
 	h = hashString(h, req.Session)
 	h = hashString(h, req.Object)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -164,49 +165,68 @@ func TestMutationInvalidatesCachedDecision(t *testing.T) {
 	}
 }
 
-// TestDecisionCacheBounded proves the capacity bound holds and evictions
-// are counted.
+// TestDecisionCacheBounded proves the capacity bound holds for small and
+// non-power-of-two capacities (the table rounds its slot count down, never
+// up) and that every displaced live entry is counted: with distinct
+// requests at one generation an insert either fills a slot or evicts.
 func TestDecisionCacheBounded(t *testing.T) {
-	s := NewSystem(WithDecisionCacheSize(2))
-	mustOK(s.AddRole(Role{ID: "sr", Kind: SubjectRole}))
-	mustOK(s.AddSubject("u"))
-	mustOK(s.AssignSubjectRole("u", "sr"))
-	mustOK(s.AddTransaction(SimpleTransaction("use")))
-	for _, obj := range []ObjectID{"o0", "o1", "o2", "o3"} {
-		mustOK(s.AddObject(obj))
-	}
-	for _, obj := range []ObjectID{"o0", "o1", "o2", "o3"} {
-		if _, err := s.Decide(Request{Subject: "u", Object: obj, Transaction: "use",
-			Environment: []RoleID{}}); err != nil {
-			t.Fatal(err)
+	const subjects, objects = 128, 128
+	for _, capacity := range []int{1, 2, 3, 5, 16, 8191} {
+		s := NewSystem(WithDecisionCacheSize(capacity))
+		mustOK(s.AddTransaction(SimpleTransaction("use")))
+		for i := 0; i < subjects; i++ {
+			mustOK(s.AddSubject(SubjectID(fmt.Sprintf("u%d", i))))
 		}
-	}
-	st := s.Stats()
-	if st.DecisionEntries > 2 {
-		t.Fatalf("DecisionEntries = %d, want <= capacity 2", st.DecisionEntries)
-	}
-	if st.DecisionEvictions < 2 {
-		t.Fatalf("DecisionEvictions = %d, want >= 2 after 4 inserts into 2 slots", st.DecisionEvictions)
+		for i := 0; i < objects; i++ {
+			mustOK(s.AddObject(ObjectID(fmt.Sprintf("o%d", i))))
+		}
+		inserts := min(2*capacity+2, subjects*objects)
+		for i := 0; i < inserts; i++ {
+			if _, err := s.Decide(Request{
+				Subject:     SubjectID(fmt.Sprintf("u%d", i/objects)),
+				Object:      ObjectID(fmt.Sprintf("o%d", i%objects)),
+				Transaction: "use", Environment: []RoleID{},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Stats()
+		if st.DecisionCapacity != capacity {
+			t.Fatalf("capacity %d: DecisionCapacity = %d", capacity, st.DecisionCapacity)
+		}
+		if st.DecisionEntries < 1 || st.DecisionEntries > capacity {
+			t.Fatalf("capacity %d: DecisionEntries = %d, want 1..%d", capacity, st.DecisionEntries, capacity)
+		}
+		if want := uint64(inserts - st.DecisionEntries); st.DecisionEvictions != want {
+			t.Fatalf("capacity %d: DecisionEvictions = %d after %d inserts leaving %d entries, want %d",
+				capacity, st.DecisionEvictions, inserts, st.DecisionEntries, want)
+		}
+		if st.DecisionMisses != uint64(inserts) || st.DecisionHits != 0 {
+			t.Fatalf("capacity %d: hits/misses = %d/%d, want 0/%d",
+				capacity, st.DecisionHits, st.DecisionMisses, inserts)
+		}
 	}
 }
 
 // TestWithoutDecisionCache verifies the opt-out: no entries, no hits, and a
 // zero capacity reported by Stats.
 func TestWithoutDecisionCache(t *testing.T) {
-	s := NewSystem(WithoutDecisionCache())
-	mustOK(s.AddRole(Role{ID: "sr", Kind: SubjectRole}))
-	mustOK(s.AddSubject("u"))
-	mustOK(s.AddObject("o"))
-	mustOK(s.AddTransaction(SimpleTransaction("use")))
-	req := Request{Subject: "u", Object: "o", Transaction: "use", Environment: []RoleID{}}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Decide(req); err != nil {
-			t.Fatal(err)
+	for _, opt := range []Option{WithoutDecisionCache(), WithDecisionCacheSize(0), WithDecisionCacheSize(-1)} {
+		s := NewSystem(opt)
+		mustOK(s.AddRole(Role{ID: "sr", Kind: SubjectRole}))
+		mustOK(s.AddSubject("u"))
+		mustOK(s.AddObject("o"))
+		mustOK(s.AddTransaction(SimpleTransaction("use")))
+		req := Request{Subject: "u", Object: "o", Transaction: "use", Environment: []RoleID{}}
+		for i := 0; i < 3; i++ {
+			if _, err := s.Decide(req); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	st := s.Stats()
-	if st.DecisionCapacity != 0 || st.DecisionEntries != 0 || st.DecisionHits != 0 {
-		t.Fatalf("Stats() = %+v, want caching fully disabled", st)
+		st := s.Stats()
+		if st.DecisionCapacity != 0 || st.DecisionEntries != 0 || st.DecisionHits != 0 {
+			t.Fatalf("Stats() = %+v, want caching fully disabled", st)
+		}
 	}
 }
 
@@ -308,7 +328,7 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 		Environment: []RoleID{"weekdays"},
 	}
 	dA := Decision{Allowed: true, Effect: Permit, Reason: "A's decision"}
-	c.put(h, gen, reqA, dA)
+	c.put(h, gen, &reqA, dA)
 
 	// Same digest, different request fields — each variant differs from
 	// reqA in exactly one key component.
@@ -337,21 +357,18 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 			Credentials: CredentialSet{},
 			Environment: []RoleID{"weekdays"}},
 	}
-	for i, reqB := range variants {
-		if d, ok := c.get(h, gen, reqB); ok {
-			t.Fatalf("variant %d: collision served request A's decision %+v", i, d)
-		}
-		if _, ok := c.allowed(h, gen, reqB); ok {
-			t.Fatalf("variant %d: allowed() served the aliased entry", i)
+	for i := range variants {
+		if e := c.find(h, gen, &variants[i]); e != nil {
+			t.Fatalf("variant %d: collision served request A's decision %+v", i, e.d)
 		}
 	}
 
 	// A itself still hits — under the same digest and generation.
-	if d, ok := c.get(h, gen, reqA); !ok || d.Reason != "A's decision" {
-		t.Fatalf("request A no longer hits its own entry: %+v, %v", d, ok)
+	if e := c.find(h, gen, &reqA); e == nil || e.d.Reason != "A's decision" {
+		t.Fatalf("request A no longer hits its own entry: %+v", e)
 	}
 	// ... but not at a different generation.
-	if _, ok := c.get(h, gen+1, reqA); ok {
+	if c.find(h, gen+1, &reqA) != nil {
 		t.Fatal("stale-generation entry served")
 	}
 
@@ -359,12 +376,15 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 	// the aliased entry (one digest, one slot) and B then hits correctly.
 	reqB := variants[0]
 	dB := Decision{Allowed: false, Effect: Deny, Reason: "B's decision"}
-	c.put(h, gen, reqB, dB)
-	if d, ok := c.get(h, gen, reqB); !ok || d.Reason != "B's decision" {
-		t.Fatalf("request B after put: %+v, %v", d, ok)
+	c.put(h, gen, &reqB, dB)
+	if e := c.find(h, gen, &reqB); e == nil || e.d.Reason != "B's decision" {
+		t.Fatalf("request B after put: %+v", e)
 	}
-	if _, ok := c.get(h, gen, reqA); ok {
+	if c.find(h, gen, &reqA) != nil {
 		t.Fatal("displaced entry A still served after B overwrote the slot")
+	}
+	if n := c.size(); n != 1 {
+		t.Fatalf("size() = %d after two puts under one digest, want 1", n)
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -291,5 +293,189 @@ func TestConcurrentCacheInvalidationStress(t *testing.T) {
 	}
 	if st.Invalidations == 0 {
 		t.Error("writers ran but Invalidations is zero")
+	}
+}
+
+// TestConcurrentCacheCollisionStress races lookups and stores on the slot
+// table under forced digest collisions (the cache API takes the digest
+// explicitly, as in TestHashCollisionFallsBackToMiss): every goroutine
+// works a request of its own, but all of them share three digests that
+// select one set, so they fight over the same slots while the generation
+// moves. Run with -race. A lookup may miss at any time; what it may never
+// do is return a decision stored for another request or another generation.
+func TestConcurrentCacheCollisionStress(t *testing.T) {
+	const (
+		workers = 6
+		rounds  = 4000
+	)
+	c := newDecisionCache(8) // two sets of four ways
+	digests := []uint64{0xdecade, 0xdecade | 1<<40, 0xdecade | 2<<40}
+	var gen atomic.Uint64
+	gen.Store(1)
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			req := Request{
+				Subject: SubjectID(fmt.Sprintf("u%d", w)), Object: "tv", Transaction: "use",
+				Environment: []RoleID{"weekdays"},
+			}
+			hits := 0
+			for i := 0; i < rounds; i++ {
+				h, g := digests[(w+i)%len(digests)], gen.Load()
+				want := fmt.Sprintf("u%d@%d", w, g)
+				if e := c.find(h, g, &req); e != nil {
+					hits++
+					if e.d.Reason != want || e.d.Allowed != (w%2 == 0) {
+						t.Errorf("worker %d: lookup at generation %d returned %q (allowed %v), want %q",
+							w, g, e.d.Reason, e.d.Allowed, want)
+						return
+					}
+					continue
+				}
+				c.put(h, g, &req, Decision{Allowed: w%2 == 0, Reason: want})
+				if i%64 == 0 {
+					gen.Add(1)
+				}
+			}
+			if hits == 0 {
+				t.Errorf("worker %d never hit its own entries; the test exercised nothing", w)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := c.size(); n > 8 {
+		t.Fatalf("size() = %d, capacity 8", n)
+	}
+}
+
+// TestConcurrentDecideMatchesUncachedTwin runs Decide and CheckAccess from
+// several goroutines while a writer flips the role behind some of the
+// answers and bumps the generation besides. Every answer taken in a window
+// no flip overlapped must equal what an uncached twin answers in that
+// policy state. It runs once with a one-set cache, where every store
+// displaces a neighbour, and once with the default table. Run with -race.
+func TestConcurrentDecideMatchesUncachedTwin(t *testing.T) {
+	home := newHomeSystem(t)
+	grantEntertainment(t, home)
+
+	var reqs []Request
+	for _, sub := range []SubjectID{"alice", "bobby", "mom", "dad"} {
+		for _, obj := range []ObjectID{"tv", "vcr", "stereo", "oven"} {
+			for _, env := range [][]RoleID{{"weekday-free-time"}, {}} {
+				reqs = append(reqs, Request{Subject: sub, Object: obj, Transaction: "use", Environment: env})
+			}
+		}
+	}
+	// want[state][i]: the twin's answer to reqs[i] with alice a child
+	// (state 0) and with the assignment revoked (state 1).
+	twin := NewSystem(WithoutDecisionCache())
+	mustOK(twin.Import(home.Export()))
+	var want [2][]bool
+	for state := range want {
+		for _, req := range reqs {
+			ok, err := twin.CheckAccess(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[state] = append(want[state], ok)
+		}
+		if state == 0 {
+			mustOK(twin.RevokeSubjectRole("alice", "child"))
+		}
+	}
+
+	for _, capacity := range []int{4, defaultDecisionCacheSize} {
+		s := NewSystem(WithDecisionCacheSize(capacity))
+		mustOK(s.Import(home.Export()))
+
+		// seq is odd while a flip is in flight; seq/2 counts finished flips.
+		var seq atomic.Uint64
+		var checked atomic.Uint64
+		stop := make(chan struct{})
+		var readers, writer sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				for i := r; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					k := i % len(reqs)
+					before := seq.Load()
+					var got bool
+					var err error
+					if r%2 == 0 {
+						got, err = s.CheckAccess(reqs[k])
+					} else {
+						var d Decision
+						d, err = s.Decide(reqs[k])
+						got = d.Allowed
+						if err == nil && d.Allowed != (d.Effect == Permit) {
+							t.Errorf("torn decision %+v", d)
+							return
+						}
+					}
+					if err != nil {
+						t.Errorf("reader %d: %v", r, err)
+						return
+					}
+					if seq.Load() != before || before%2 != 0 {
+						continue // a flip overlapped: either state's answer is right
+					}
+					checked.Add(1)
+					if state := before / 2 % 2; got != want[state][k] {
+						t.Errorf("capacity %d, state %d: %+v answered %v, uncached twin says %v",
+							capacity, state, reqs[k], got, want[state][k])
+						return
+					}
+				}
+			}(r)
+		}
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			defer close(stop)
+			for i := 0; i < 200; i++ {
+				seq.Add(1)
+				var err error
+				if i%2 == 0 {
+					err = s.RevokeSubjectRole("alice", "child")
+				} else {
+					err = s.AssignSubjectRole("alice", "child")
+				}
+				seq.Add(1)
+				if err != nil {
+					t.Errorf("flip %d: %v", i, err)
+					return
+				}
+				// Bump the generation with no answer changing, then let the
+				// readers refill the cache before the next flip.
+				id := RoleID(fmt.Sprintf("bump-%d", i))
+				if err := s.AddRole(Role{ID: id, Kind: ObjectRole}); err != nil {
+					t.Errorf("AddRole: %v", err)
+					return
+				}
+				for before := checked.Load(); checked.Load() < before+64 && !t.Failed(); {
+					runtime.Gosched()
+				}
+			}
+		}()
+		writer.Wait()
+		readers.Wait()
+
+		st := s.Stats()
+		if checked.Load() == 0 || st.DecisionHits == 0 {
+			t.Errorf("capacity %d: %d answers checked, %d hits; the test exercised nothing",
+				capacity, checked.Load(), st.DecisionHits)
+		}
+		if st.DecisionEntries > capacity {
+			t.Errorf("capacity %d: DecisionEntries = %d", capacity, st.DecisionEntries)
+		}
 	}
 }

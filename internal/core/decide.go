@@ -71,7 +71,7 @@ type Decision struct {
 // The ablation options (WithSerializedDecide, WithoutPermissionIndex)
 // force the pre-snapshot read-locked path instead.
 //
-// Decisions are memoized in a bounded, generation-stamped, sharded cache
+// Decisions are memoized in a bounded, generation-stamped, lock-free cache
 // keyed by (subject, session, object, transaction, credential set,
 // resolved environment snapshot); any mutating call invalidates every
 // entry by bumping the generation. Errors are never cached.
@@ -153,7 +153,7 @@ func (s *System) noteFailSafe(annotated bool) {
 }
 
 // decideOn mediates one request against a compiled snapshot, consulting
-// the sharded decision cache keyed by the snapshot's generation.
+// the decision cache keyed by the snapshot's generation.
 func (s *System) decideOn(sn *snapshot, req Request) (Decision, error) {
 	// live records whether this request consults the system's environment
 	// source: only then can a deny be the fail-safe product of expired
@@ -177,12 +177,10 @@ func (s *System) decideOn(sn *snapshot, req Request) (Decision, error) {
 		resolved = emptyEnv
 	}
 	req.Environment = resolved
-	h := hashRequest(req)
-	if d, ok := s.cache.get(h, sn.gen, req); ok {
-		s.decHits.Add(1)
-		return d.clone(), nil
+	h := hashRequest(&req)
+	if e := s.cached(h, sn.gen, &req); e != nil {
+		return e.d.clone(), nil
 	}
-	s.decMisses.Add(1)
 	d, err := sn.decide(req)
 	if err != nil {
 		return d, err
@@ -190,10 +188,28 @@ func (s *System) decideOn(sn *snapshot, req Request) (Decision, error) {
 	if live {
 		s.noteFailSafe(annotateFailSafe(&d, sn.envSource))
 	}
-	if s.cache.put(h, sn.gen, req, d) {
+	s.memoize(h, sn.gen, &req, d)
+	return d, nil
+}
+
+// cached returns the cache's entry for the request, counting the hit on
+// the stripe its hash selects. The entry is shared: read, never written.
+func (s *System) cached(h, gen uint64, req *Request) *cacheEntry {
+	e := s.cache.find(h, gen, req)
+	if e != nil {
+		s.stripe(h).hits.Add(1)
+	}
+	return e
+}
+
+// memoize counts a miss that mediation answered and stores its decision,
+// counting a displaced live entry as an eviction. A request rejected with
+// an error reaches neither counter.
+func (s *System) memoize(h, gen uint64, req *Request, d Decision) {
+	s.stripe(h).misses.Add(1)
+	if s.cache.put(h, gen, req, d) {
 		s.decEvictions.Add(1)
 	}
-	return d, nil
 }
 
 // decideSerialized is the pre-snapshot mediation path: the full rule
@@ -219,12 +235,10 @@ func (s *System) decideSerialized(req Request) (Decision, error) {
 		resolved = emptyEnv
 	}
 	req.Environment = resolved
-	h := hashRequest(req)
-	if d, ok := s.cache.get(h, s.gen, req); ok {
-		s.decHits.Add(1)
-		return d.clone(), nil
+	h := hashRequest(&req)
+	if e := s.cached(h, s.gen, &req); e != nil {
+		return e.d.clone(), nil
 	}
-	s.decMisses.Add(1)
 	d, err := s.decideLocked(req)
 	if err != nil {
 		return d, err
@@ -232,9 +246,7 @@ func (s *System) decideSerialized(req Request) (Decision, error) {
 	if live {
 		s.noteFailSafe(annotateFailSafe(&d, s.envSource))
 	}
-	if s.cache.put(h, s.gen, req, d) {
-		s.decEvictions.Add(1)
-	}
+	s.memoize(h, s.gen, &req, d)
 	return d, nil
 }
 
@@ -509,12 +521,10 @@ func (s *System) CheckAccess(req Request) (bool, error) {
 		resolved = emptyEnv
 	}
 	req.Environment = resolved
-	h := hashRequest(req)
-	if allowed, ok := s.cache.allowed(h, sn.gen, req); ok {
-		s.decHits.Add(1)
-		return allowed, nil
+	h := hashRequest(&req)
+	if e := s.cached(h, sn.gen, &req); e != nil {
+		return e.d.Allowed, nil
 	}
-	s.decMisses.Add(1)
 	d, err := sn.decide(req)
 	if err != nil {
 		return false, err
@@ -524,9 +534,7 @@ func (s *System) CheckAccess(req Request) (bool, error) {
 	if live {
 		s.noteFailSafe(annotateFailSafe(&d, sn.envSource))
 	}
-	if s.cache.put(h, sn.gen, req, d) {
-		s.decEvictions.Add(1)
-	}
+	s.memoize(h, sn.gen, &req, d)
 	return d.Allowed, nil
 }
 

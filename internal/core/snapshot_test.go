@@ -397,7 +397,7 @@ func TestCheckAccessWarmHitZeroAllocs(t *testing.T) {
 }
 
 // TestShardedCacheStaysBounded inserts far more distinct requests than the
-// configured capacity and checks the sharded bound holds in aggregate.
+// configured capacity and checks the bound holds in aggregate.
 func TestShardedCacheStaysBounded(t *testing.T) {
 	s := NewSystem(WithDecisionCacheSize(16))
 	mustOK(s.AddRole(Role{ID: "things", Kind: ObjectRole}))
@@ -434,7 +434,7 @@ func TestHashRequestEnvOrderInsensitive(t *testing.T) {
 		Environment: []RoleID{"x", "y", "z"}}
 	b := a
 	b.Environment = []RoleID{"z", "x", "y"}
-	if hashRequest(a) != hashRequest(b) {
+	if hashRequest(&a) != hashRequest(&b) {
 		t.Fatal("permuted environments hash differently")
 	}
 	if !envEqual(b.Environment, sortedEnv(a.Environment)) {

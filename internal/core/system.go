@@ -99,14 +99,34 @@ type System struct {
 	// cache memoizes Decide results; nil when caching is disabled.
 	cache    *decisionCache
 	cacheCap int
-	// Cache counters are atomics because hits and misses are recorded
-	// while only the read lock is held.
-	decHits        atomic.Uint64
-	decMisses      atomic.Uint64
+	// decStripes counts cache hits and misses. Every Decide bumps one of
+	// them with no lock held, so the counts are striped by the request
+	// hash: concurrent deciders add to different cache lines instead of
+	// passing one between cores. Stats sums the stripes; totals are exact.
+	// The pad keeps stripe 0 off the line of the read-mostly fields above.
+	_              [64]byte
+	decStripes     [1 << decisionStripeBits]decisionStripe
 	decEvictions   atomic.Uint64
 	invalidations  atomic.Uint64
 	snapCompiles   atomic.Uint64
 	failSafeDenies atomic.Uint64
+}
+
+// decisionStripeBits sizes System.decStripes; a stripe is picked by that
+// many top bits of the request hash (the cache's set index uses the low
+// ones).
+const decisionStripeBits = 4
+
+// decisionStripe is one cache line of the hit/miss counters. A decision
+// bumps exactly one of the two, so they share the line.
+type decisionStripe struct {
+	hits, misses atomic.Uint64
+	_            [48]byte
+}
+
+// stripe returns the counters for a request hashing to h.
+func (s *System) stripe(h uint64) *decisionStripe {
+	return &s.decStripes[h>>(64-decisionStripeBits)]
 }
 
 // Option configures a System at construction time.
@@ -257,13 +277,15 @@ func (s *System) Stats() Stats {
 	defer s.mu.RUnlock()
 	st := Stats{
 		Generation:        s.gen,
-		DecisionHits:      s.decHits.Load(),
-		DecisionMisses:    s.decMisses.Load(),
 		DecisionEvictions: s.decEvictions.Load(),
 		Invalidations:     s.invalidations.Load(),
 		SnapshotCompiles:  s.snapCompiles.Load(),
 		FailSafeDenies:    s.failSafeDenies.Load(),
 		DecisionCapacity:  s.cacheCap,
+	}
+	for i := range s.decStripes {
+		st.DecisionHits += s.decStripes[i].hits.Load()
+		st.DecisionMisses += s.decStripes[i].misses.Load()
 	}
 	if s.cache != nil {
 		st.DecisionEntries = s.cache.size()

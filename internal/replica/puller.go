@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
@@ -123,9 +124,20 @@ type Puller struct {
 	fetchTimeout time.Duration
 	watchTimeout time.Duration
 	now          func() time.Time
-	logger       *log.Logger
+	// since is now().Sub(t). With the real clock it is time.Since, which
+	// reads the monotonic clock alone: half the cost of time.Now on the
+	// path every mediated request takes through Stale.
+	since  func(t time.Time) time.Duration
+	logger *log.Logger
 
 	syncedCh chan struct{} // closed on the first successful sync
+
+	// start is the clock's reading at construction and staleAfter the
+	// staleness deadline as an offset from it: lastContact + maxStaleness,
+	// 0 until the first sync. Writers publish it under mu with every
+	// contact; Stale reads it with no lock, once per mediated request.
+	start      time.Time
+	staleAfter atomic.Int64
 
 	mu          sync.Mutex
 	epoch       string
@@ -186,7 +198,10 @@ func WithFollowerLogger(l *log.Logger) PullerOption {
 
 // WithFollowerClock overrides the staleness clock, for tests.
 func WithFollowerClock(now func() time.Time) PullerOption {
-	return func(p *Puller) { p.now = now }
+	return func(p *Puller) {
+		p.now = now
+		p.since = func(t time.Time) time.Duration { return now().Sub(t) }
+	}
 }
 
 // NewPuller builds a puller that replicates primaryURL's feed into
@@ -202,6 +217,7 @@ func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Pulle
 		fetchTimeout: defaultFetchTimeout,
 		watchTimeout: defaultWatchTimeout,
 		now:          time.Now,
+		since:        time.Since,
 		logger:       log.Default(),
 		syncedCh:     make(chan struct{}),
 	}
@@ -236,6 +252,7 @@ func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Pulle
 	if df, ok := p.fetch.(DeltaFetcher); ok {
 		p.deltaFetch = df
 	}
+	p.start = p.now()
 	return p
 }
 
@@ -343,7 +360,7 @@ func (p *Puller) syncOnce(ctx context.Context) error {
 	p.appliedGen = snap.Generation
 	p.markSyncedLocked()
 	p.lastSync = now
-	p.lastContact = now
+	p.contactLocked(now)
 	p.syncs++
 	p.mu.Unlock()
 	return nil
@@ -378,7 +395,7 @@ func (p *Puller) deltaOnce(ctx context.Context, epoch string, after uint64) erro
 	p.appliedGen = delta.Generation
 	p.markSyncedLocked()
 	p.lastSync = now
-	p.lastContact = now
+	p.contactLocked(now)
 	p.deltaSyncs++
 	p.deltaMuts += uint64(len(delta.Mutations))
 	p.mu.Unlock()
@@ -422,6 +439,16 @@ func (p *Puller) watchLoop(ctx context.Context) error {
 	}
 }
 
+// contactLocked records a successful exchange with the primary at now and,
+// once synced, publishes the staleness deadline it implies. Caller holds
+// p.mu.
+func (p *Puller) contactLocked(now time.Time) {
+	p.lastContact = now
+	if p.synced {
+		p.staleAfter.Store(int64(now.Sub(p.start) + p.maxStaleness))
+	}
+}
+
 func (p *Puller) position() (string, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -431,7 +458,7 @@ func (p *Puller) position() (string, uint64) {
 func (p *Puller) noteContact(resp WatchResponse) {
 	now := p.now()
 	p.mu.Lock()
-	p.lastContact = now
+	p.contactLocked(now)
 	if resp.Epoch == p.epoch && resp.Generation > p.primaryGen {
 		p.primaryGen = resp.Generation
 	}
@@ -448,19 +475,23 @@ func (p *Puller) noteError() {
 // bound without hearing from the primary (or has never synced at all).
 // A stale puller still serves decisions; the consuming layer marks them.
 func (p *Puller) Stale() bool {
-	if p.maxStaleness <= 0 {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.synced || p.now().Sub(p.lastContact) > p.maxStaleness
+	return p.maxStaleness > 0 && p.staleAt(p.since(p.start))
+}
+
+// staleAt is the staleness rule for an enabled bound, elapsed being the
+// clock's offset from start: never synced, or past the deadline the last
+// contact published.
+func (p *Puller) staleAt(elapsed time.Duration) bool {
+	deadline := p.staleAfter.Load()
+	return deadline == 0 || int64(elapsed) > deadline
 }
 
 // Stats reports replication health.
 func (p *Puller) Stats() Stats {
-	now := p.now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// Read under the lock, so no contact recorded here postdates now.
+	now := p.now()
 	st := Stats{
 		PrimaryURL:            p.primaryURL,
 		Epoch:                 p.epoch,
@@ -483,9 +514,7 @@ func (p *Puller) Stats() Stats {
 	if !p.lastContact.IsZero() {
 		st.LastContactAgeSeconds = now.Sub(p.lastContact).Seconds()
 	}
-	if p.maxStaleness > 0 {
-		st.Stale = !p.synced || now.Sub(p.lastContact) > p.maxStaleness
-	}
+	st.Stale = p.maxStaleness > 0 && p.staleAt(now.Sub(p.start))
 	return st
 }
 

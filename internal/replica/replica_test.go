@@ -342,6 +342,60 @@ func TestFollowerStaleness(t *testing.T) {
 	}
 }
 
+// TestStalenessDeadline pins the rule behind the lock-free Stale to the one
+// it replaced — stale iff now - lastContact > bound, strictly — at the
+// boundary, and holds Stats().Stale to the same deadline while many
+// goroutines read both beside the sync loop's contacts (run with -race).
+func TestStalenessDeadline(t *testing.T) {
+	fetch := &localFetcher{}
+	fetch.setSource(NewSource(primarySystem(t)))
+
+	var fakeNow atomic.Int64
+	base := time.Unix(1_700_000_000, 0)
+	now := func() time.Time { return base.Add(time.Duration(fakeNow.Load())) }
+	f := NewFollower(core.NewSystem(), "", WithFetcher(fetch),
+		WithMaxStaleness(time.Second), WithFollowerClock(now))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = f.Run(ctx) }()
+	waitFor(t, "initial sync", func() bool { return f.Stats().Syncs >= 1 })
+
+	// The clock stands still, so however many keepalives land, no reader
+	// may see a stale follower.
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 2000; i++ {
+				if f.Stale() || f.Stats().Stale {
+					t.Error("follower in contact at a standing clock reported stale")
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	cancel()
+	<-done
+
+	for _, tc := range []struct {
+		at    time.Duration
+		stale bool
+	}{{time.Second, false}, {time.Second + 1, true}} {
+		fakeNow.Store(int64(tc.at))
+		st := f.Stats()
+		if f.Stale() != tc.stale || st.Stale != tc.stale {
+			t.Fatalf("%v after the last contact: Stale() = %v, Stats().Stale = %v, want %v",
+				tc.at, f.Stale(), st.Stale, tc.stale)
+		}
+		if st.LastContactAgeSeconds != tc.at.Seconds() {
+			t.Fatalf("LastContactAgeSeconds = %v, want %v", st.LastContactAgeSeconds, tc.at.Seconds())
+		}
+	}
+}
+
 // TestFollowerOptionClamps proves degenerate tuning cannot produce a
 // hot retry loop or panic the jitter: zero and negative backoff bounds
 // fall back to defaults, an inverted max is raised to min, and

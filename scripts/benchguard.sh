@@ -12,8 +12,9 @@
 #   4. at 8 goroutines, lock-free Decide must beat the serialized path by
 #      BENCHGUARD_PAR_SPEEDUP x (adaptive default: 3 on 8+ cores, 0.7 below);
 #   5. warm CheckAccess must allocate nothing;
-#   6. the lock-free Decide path must show no sync.RWMutex contention
-#      under the mutex profiler;
+#   6. warm mediation must show no sync.Mutex or sync.RWMutex contention
+#      under the mutex profiler, at 2 and at 8 goroutines, anywhere below
+#      System.Decide, System.CheckAccess or Puller.Stale;
 #   7. a disabled fault-injection hook (faults.Inject with no active plan)
 #      must allocate nothing and cost at most BENCHGUARD_MAX_FAULT_NS
 #      (default 100ns) — the hooks are compiled into the hot paths that
@@ -141,20 +142,26 @@ if [ "$warm_check" -ne 0 ]; then
 	exit 1
 fi
 
-# Guard 6: the lock-free Decide path must take no read-write lock. Run
-# the lockfree bench alone under the mutex profiler and assert no
-# sync.(*RWMutex) contention appears; the sharded cache's plain Mutexes
-# are expected and allowed.
+# Guard 6: warm mediation takes no lock. Run the lock-free Decide bench
+# and the embedded SDK's parallel CheckAccess under the mutex profiler, at
+# 2 and at 8 goroutines, and fail on any sync.(*Mutex) or sync.(*RWMutex)
+# contention sample whose stack passes through System.CheckAccess,
+# System.Decide or Puller.Stale.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-go test -run '^$' -bench 'E17ParallelDecide/lockfree' -benchtime 5000x -cpu 8 \
-	-mutexprofile "$tmpdir/mutex.out" -o "$tmpdir/bench.bin" . >/dev/null
-mtop=$(go tool pprof -top "$tmpdir/bench.bin" "$tmpdir/mutex.out" 2>&1)
-if echo "$mtop" | grep -F 'sync.(*RWMutex)'; then
-	echo "benchguard: FAIL: lock-free Decide contended a RWMutex (see pprof -top above)" >&2
-	exit 1
-fi
-echo "benchguard: mutex profile clean (no RWMutex contention on the lock-free path)"
+hot='core\.\(\*System\)\.(CheckAccess|Decide)$|replica\.\(\*Puller\)\.Stale$'
+mutex_guard() { # package, bench pattern
+	go test -run '^$' -bench "$2" -benchtime 50000x -cpu 2,8 \
+		-mutexprofile "$tmpdir/mutex.out" -o "$tmpdir/bench.bin" "$1" >/dev/null
+	mtop=$(go tool pprof -top -focus "$hot" "$tmpdir/bench.bin" "$tmpdir/mutex.out" 2>&1)
+	if echo "$mtop" | grep -E 'sync\.\(\*(RW)?Mutex\)'; then
+		echo "benchguard: FAIL: $2 contended a lock on the warm mediation path (see pprof -top above)" >&2
+		exit 1
+	fi
+}
+mutex_guard . 'E17ParallelDecide/lockfree'
+mutex_guard ./sdk 'E21EmbeddedMediation/parallel'
+echo "benchguard: mutex profile clean (no Mutex or RWMutex contention below Decide, CheckAccess or Stale)"
 
 # Guard 7: the disabled fault-injection hook. Every guard above already
 # runs with the hooks compiled in (Decide's handlers, the event bus, the

@@ -34,6 +34,21 @@ func BenchmarkE21EmbeddedMediation(b *testing.B) {
 		}
 	})
 
+	// The same hit from GOMAXPROCS goroutines at once: benchguard guard 6
+	// runs it under the mutex profiler, where Puller.Stale, the decision
+	// cache and the counters must show no lock.
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if ok, err := c.CheckAccess(ctx, req); err != nil || !ok {
+					b.Errorf("CheckAccess = %v, %v", ok, err)
+					return
+				}
+			}
+		})
+	})
+
 	b.Run("remote", func(b *testing.B) {
 		rc := pdp.NewClient(srv.URL, srv.Client())
 		wreq := pdp.FromCoreRequest(req)

@@ -13,7 +13,7 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	}
 	reg.NewCounterFunc("grbac_sdk_local_decisions_total",
 		"Requests mediated in-process against the replicated snapshot.",
-		func() float64 { return float64(c.localDecisions.Load()) })
+		func() float64 { return float64(localDecisions(c.sys.Stats())) })
 	reg.NewCounterFunc("grbac_sdk_remote_fallbacks_total",
 		"Requests routed to the primary (session/live-environment flows, stale snapshot).",
 		func() float64 { return float64(c.remoteFallbacks.Load()) })

@@ -5,11 +5,10 @@
 // replication snapshot, rides the watch long-poll (delta-first, with
 // 410-Gone → full-snapshot fallback) to keep a local copy-on-write
 // compiled policy current, and answers Decide/CheckAccess/DecideBatch
-// in-process with the same lock-free snapshot and sharded
-// generation-stamped decision cache the server uses. A policy mutation on
-// the primary bumps the generation, the watch delivers it, and the local
-// cache invalidates in O(1) — push-invalidated caching with no polling
-// and no TTL guesswork.
+// in-process with the same lock-free snapshot and generation-stamped
+// decision cache the server uses. A policy mutation on the primary bumps
+// the generation, the watch delivers it, and the local cache invalidates
+// in O(1) — push-invalidated caching with no polling and no TTL guesswork.
 //
 // Not every flow can be mediated locally. Sessions are ephemeral primary
 // state (never replicated), and a request with a nil Environment asks for
@@ -112,7 +111,10 @@ type BatchResult struct {
 // Stats is a point-in-time report of an embedded client's mediation
 // traffic and replication health.
 type Stats struct {
-	// LocalDecisions counts requests answered in-process.
+	// LocalDecisions counts requests answered in-process: every decision
+	// the local system mediated, read off its own hit and miss counters so
+	// the hot path keeps no count of its own. Direct use of System()
+	// counts too.
 	LocalDecisions uint64 `json:"local_decisions"`
 	// RemoteFallbacks counts requests routed to the primary.
 	RemoteFallbacks uint64 `json:"remote_fallbacks"`
@@ -160,7 +162,6 @@ type Client struct {
 	done      chan struct{}
 	watchDone chan struct{}
 
-	localDecisions  atomic.Uint64
 	remoteFallbacks atomic.Uint64
 	failSafeDenies  atomic.Uint64
 	staleServed     atomic.Uint64
@@ -279,8 +280,8 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 		opt(c)
 	}
 	// The local system mirrors the server's mediation stack: compiled
-	// snapshot, sharded decision cache, deny-overrides — Replace installs
-	// the primary's exported policy wholesale on every sync.
+	// snapshot, decision cache, deny-overrides — Replace installs the
+	// primary's exported policy wholesale on every sync.
 	c.sys = grbac.NewSystem()
 
 	feedURL := primaryURL
@@ -414,7 +415,6 @@ func (c *Client) Decide(ctx context.Context, req grbac.Request) (Decision, error
 	if err != nil {
 		return Decision{}, err
 	}
-	c.localDecisions.Add(1)
 	return Decision{Decision: d, Source: SourceLocal}, nil
 }
 
@@ -422,12 +422,7 @@ func (c *Client) Decide(ctx context.Context, req grbac.Request) (Decision, error
 // against the compiled snapshot — no Decision clone, zero allocations.
 func (c *Client) CheckAccess(ctx context.Context, req grbac.Request) (bool, error) {
 	if localEvaluable(req) && c.locallyOwned(req) && !c.puller.Stale() {
-		ok, err := c.sys.CheckAccess(req)
-		if err != nil {
-			return false, err
-		}
-		c.localDecisions.Add(1)
-		return ok, nil
+		return c.sys.CheckAccess(req)
 	}
 	d, err := c.Decide(ctx, req)
 	if err != nil {
@@ -472,7 +467,6 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []grbac.Request) []BatchR
 					out[i].Err = results[j].Err
 					continue
 				}
-				c.localDecisions.Add(1)
 				out[i].Decision = Decision{Decision: results[j].Decision, Source: SourceLocal}
 				if stale {
 					c.markStaleServed(reqs[i], &out[i].Decision)
@@ -587,7 +581,6 @@ func (c *Client) decideStale(ctx context.Context, req grbac.Request) (Decision, 
 		if err != nil {
 			return Decision{}, err
 		}
-		c.localDecisions.Add(1)
 		out := Decision{Decision: d, Source: SourceLocal}
 		c.markStaleServed(req, &out)
 		return out, nil
@@ -693,15 +686,23 @@ func (c *Client) ActivateBundle(raw []byte) (uint64, error) {
 // without WithBundleVerifier).
 func (c *Client) BundleStatus() bundle.Status { return c.bundles.Status() }
 
+// localDecisions is Stats.LocalDecisions as the local system counts it: a
+// mediated request is a cache hit or a miss, and one rejected with an error
+// is neither.
+func localDecisions(core grbac.Stats) uint64 {
+	return core.DecisionHits + core.DecisionMisses
+}
+
 // Stats reports mediation traffic and replication health.
 func (c *Client) Stats() Stats {
+	core := c.sys.Stats()
 	return Stats{
-		LocalDecisions:  c.localDecisions.Load(),
+		LocalDecisions:  localDecisions(core),
 		RemoteFallbacks: c.remoteFallbacks.Load(),
 		FailSafeDenies:  c.failSafeDenies.Load(),
 		StaleServed:     c.staleServed.Load(),
-		Generation:      c.sys.Generation(),
+		Generation:      core.Generation,
 		Replication:     c.puller.Stats(),
-		Core:            c.sys.Stats(),
+		Core:            core,
 	}
 }

@@ -116,6 +116,29 @@ func TestLocalDecideAfterBootstrap(t *testing.T) {
 	}
 }
 
+// TestWarmCheckAccessZeroAllocs holds the embedded hot path to the core's
+// own promise (TestCheckAccessWarmHitZeroAllocs there): a warm local
+// CheckAccess is a staleness read and a cache hit, and allocates nothing.
+func TestWarmCheckAccessZeroAllocs(t *testing.T) {
+	_, srv := newPrimary(t)
+	c := newEmbedded(t, srv.URL)
+	ctx, req := context.Background(), permitReq()
+	if ok, err := c.CheckAccess(ctx, req); err != nil || !ok {
+		t.Fatalf("warmup = %v, %v; want permit", ok, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if ok, err := c.CheckAccess(ctx, req); err != nil || !ok {
+			t.Fatalf("CheckAccess = %v, %v; want permit", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm CheckAccess allocated %.1f objects/op, want 0", allocs)
+	}
+	if st := c.Stats(); st.LocalDecisions != 202 || st.Core.DecisionHits != 201 {
+		t.Fatalf("stats = %+v, want 202 local decisions of which 201 hits", st)
+	}
+}
+
 // TestWatchInvalidationFlipsDecision is the push-invalidation contract:
 // a mutation on the primary must reach the embedded node's next decision
 // through the watch feed — the test waits on the policy-change signal,
