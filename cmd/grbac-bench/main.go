@@ -1,6 +1,6 @@
 // Command grbac-bench runs the paper-reproduction experiment suite
-// (DESIGN.md §4, E1–E15 and E17; E16 lives in internal/replica's
-// benchmarks) and prints one report block per experiment. The output is
+// (DESIGN.md §4, E1–E15, E21 and E22; E16–E20 live in their packages'
+// benchmarks and drills) and prints one report block per experiment. The output is
 // what EXPERIMENTS.md records.
 //
 // Usage:

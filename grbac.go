@@ -60,11 +60,14 @@
 // generation, so one mutation invalidates all cached decisions at once and
 // a warm hit is always byte-identical to what a fresh computation would
 // return. DecideBatch answers many requests against one snapshot, making
-// each batch internally consistent even under concurrent mutation.
+// each batch internally consistent even under concurrent mutation, and the
+// review queries WhoCan and WhatCan evaluate every candidate against one
+// snapshot the same way, with no lock held. The snapshot is the only
+// evaluator: the map-based interpreter it replaced is kept in the test
+// suite alone, as the reference the snapshot is checked against.
 // System.Stats reports hit/miss/eviction/invalidation counters; tune or
-// disable the cache with WithDecisionCacheSize and WithoutDecisionCache,
-// and force the classic mutex-guarded path with WithSerializedDecide. See
-// DESIGN.md for the consistency argument.
+// disable the cache with WithDecisionCacheSize and WithoutDecisionCache.
+// See DESIGN.md for the consistency argument.
 package grbac
 
 import (
@@ -197,11 +200,6 @@ func WithDecisionCacheSize(n int) Option { return core.WithDecisionCacheSize(n) 
 // WithoutDecisionCache disables decision memoization; every Decide call
 // runs the full mediation rule.
 func WithoutDecisionCache() Option { return core.WithoutDecisionCache() }
-
-// WithSerializedDecide forces the classic mutex-guarded decision path
-// instead of lock-free compiled snapshots — a debugging and benchmarking
-// aid, not a production configuration.
-func WithSerializedDecide() Option { return core.WithSerializedDecide() }
 
 // Conflict strategies.
 type (

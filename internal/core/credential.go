@@ -68,17 +68,3 @@ func (cs CredentialSet) identityConfidence(s SubjectID) float64 {
 	}
 	return best
 }
-
-// roleConfidences returns the strongest direct role assertions in the set.
-func (cs CredentialSet) roleConfidences() map[RoleID]float64 {
-	out := make(map[RoleID]float64, len(cs))
-	for _, c := range cs {
-		if c.Role == "" {
-			continue
-		}
-		if c.Confidence > out[c.Role] {
-			out[c.Role] = c.Confidence
-		}
-	}
-	return out
-}

@@ -68,17 +68,12 @@ type Decision struct {
 // (recompiling it under the read lock only on the first call after a
 // mutation) and evaluates bitset closures against it, so concurrent
 // mediation scales with cores instead of serializing on the policy mutex.
-// The ablation options (WithSerializedDecide, WithoutPermissionIndex)
-// force the pre-snapshot read-locked path instead.
 //
 // Decisions are memoized in a bounded, generation-stamped, lock-free cache
 // keyed by (subject, session, object, transaction, credential set,
 // resolved environment snapshot); any mutating call invalidates every
 // entry by bumping the generation. Errors are never cached.
 func (s *System) Decide(req Request) (Decision, error) {
-	if s.usesSerializedPath() {
-		return s.decideSerialized(req)
-	}
 	return s.decideOn(s.currentSnapshot(), req)
 }
 
@@ -95,24 +90,11 @@ type BatchResult struct {
 // reported in place; the result slice is index-aligned with reqs.
 func (s *System) DecideBatch(reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
-	if s.usesSerializedPath() {
-		for i, r := range reqs {
-			out[i].Decision, out[i].Err = s.decideSerialized(r)
-		}
-		return out
-	}
 	sn := s.currentSnapshot()
 	for i, r := range reqs {
 		out[i].Decision, out[i].Err = s.decideOn(sn, r)
 	}
 	return out
-}
-
-// usesSerializedPath reports whether mediation must run under the read
-// lock. Both flags are set only by construction-time options, so reading
-// them without the lock is race-free.
-func (s *System) usesSerializedPath() bool {
-	return s.serialized || s.indexDisabled
 }
 
 // emptyEnv is the shared resolved form of "no environment roles active";
@@ -212,299 +194,11 @@ func (s *System) memoize(h, gen uint64, req *Request, d Decision) {
 	}
 }
 
-// decideSerialized is the pre-snapshot mediation path: the full rule
-// evaluated by decideLocked under the read lock. It is kept for the
-// ablation benchmarks and as the differential oracle the snapshot path is
-// tested against.
-func (s *System) decideSerialized(req Request) (Decision, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	live := req.Environment == nil && s.envSource != nil
-	if s.cache == nil {
-		d, err := s.decideLocked(req)
-		if err == nil && live {
-			s.noteFailSafe(annotateFailSafe(&d, s.envSource))
-		}
-		return d, err
-	}
-	resolved := req.Environment
-	if live {
-		resolved = s.envSource.ActiveEnvironmentRoles()
-	}
-	if resolved == nil {
-		resolved = emptyEnv
-	}
-	req.Environment = resolved
-	h := hashRequest(&req)
-	if e := s.cached(h, s.gen, &req); e != nil {
-		return e.d.clone(), nil
-	}
-	d, err := s.decideLocked(req)
-	if err != nil {
-		return d, err
-	}
-	if live {
-		s.noteFailSafe(annotateFailSafe(&d, s.envSource))
-	}
-	s.memoize(h, s.gen, &req, d)
-	return d, nil
-}
-
-func (s *System) decideLocked(req Request) (Decision, error) {
-	if err := req.Credentials.Validate(); err != nil {
-		return Decision{}, err
-	}
-	if req.Transaction == "" {
-		return Decision{}, fmt.Errorf("%w: request must name a transaction", ErrInvalid)
-	}
-	if _, ok := s.transactions[req.Transaction]; !ok {
-		return Decision{}, fmt.Errorf("%w: transaction %q", ErrNotFound, req.Transaction)
-	}
-	if req.Object == "" {
-		return Decision{}, fmt.Errorf("%w: request must name an object", ErrInvalid)
-	}
-	obj, ok := s.objects[req.Object]
-	if !ok {
-		return Decision{}, fmt.Errorf("%w: object %q", ErrNotFound, req.Object)
-	}
-	if req.Subject == "" && len(req.Credentials) == 0 {
-		return Decision{}, fmt.Errorf("%w: request must carry a subject or credentials", ErrInvalid)
-	}
-
-	subjRoles, err := s.effectiveSubjectRoles(req)
-	if err != nil {
-		return Decision{}, err
-	}
-	subjRoles[AnySubject] = 1
-
-	objRoles := s.objectRoles.closure(setToSlice(obj.roles))
-	objRoles[AnyObject] = true
-
-	envRoles, err := s.effectiveEnvironmentRoles(req)
-	if err != nil {
-		return Decision{}, err
-	}
-	envRoles[AnyEnvironment] = true
-
-	matches := s.collectMatches(req.Transaction, subjRoles, objRoles, envRoles)
-
-	d := Decision{
-		Effect:           Deny,
-		Matches:          matches,
-		Strategy:         s.strategy.Name(),
-		SubjectRoles:     subjRoles,
-		ObjectRoles:      sortedRoleIDs(objRoles),
-		EnvironmentRoles: sortedRoleIDs(envRoles),
-	}
-	if len(matches) == 0 {
-		d.DefaultDeny = true
-		d.Reason = fmt.Sprintf("no permission matches transaction %q on object %q: default deny",
-			req.Transaction, req.Object)
-		return d, nil
-	}
-	d.Effect = s.strategy.Resolve(matches)
-	d.Allowed = d.Effect == Permit
-	d.Reason = fmt.Sprintf("%d matching permission(s) resolved to %s by %s",
-		len(matches), d.Effect, d.Strategy)
-	return d, nil
-}
-
-// effectiveSubjectRoles computes the subject-role confidence map for a
-// request: assigned (or session-active) roles seeded with the identity
-// confidence, plus direct role credentials, closed upward through the
-// hierarchy.
-func (s *System) effectiveSubjectRoles(req Request) (map[RoleID]float64, error) {
-	seeds := make(map[RoleID]float64)
-
-	identityConf := 0.0
-	if req.Subject != "" {
-		rec, ok := s.subjects[req.Subject]
-		if !ok {
-			return nil, fmt.Errorf("%w: subject %q", ErrNotFound, req.Subject)
-		}
-		if req.Credentials == nil {
-			identityConf = 1
-		} else {
-			identityConf = req.Credentials.identityConfidence(req.Subject)
-		}
-		var usable map[RoleID]bool
-		if req.Session != "" {
-			sess, ok := s.sessions[req.Session]
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrNoSession, req.Session)
-			}
-			if sess.subject != req.Subject {
-				return nil, fmt.Errorf("%w: session %q belongs to %q, not %q",
-					ErrInvalid, req.Session, sess.subject, req.Subject)
-			}
-			usable = sess.active
-		} else {
-			usable = rec.roles
-		}
-		if identityConf > 0 {
-			for r := range usable {
-				if identityConf > seeds[r] {
-					seeds[r] = identityConf
-				}
-			}
-		}
-	} else if req.Session != "" {
-		return nil, fmt.Errorf("%w: session requires a subject", ErrInvalid)
-	}
-
-	for r, conf := range req.Credentials.roleConfidences() {
-		if _, ok := s.subjectRoles.get(r); !ok {
-			continue // unknown asserted roles confer nothing (deny-safe)
-		}
-		if conf > seeds[r] {
-			seeds[r] = conf
-		}
-	}
-	return s.subjectRoles.weightedClosure(seeds), nil
-}
-
-// effectiveEnvironmentRoles resolves the active environment role set for a
-// request and closes it upward.
-func (s *System) effectiveEnvironmentRoles(req Request) (map[RoleID]bool, error) {
-	var active []RoleID
-	switch {
-	case req.Environment != nil:
-		active = req.Environment
-	case s.envSource != nil:
-		active = s.envSource.ActiveEnvironmentRoles()
-	}
-	known := active[:0:0]
-	for _, r := range active {
-		if _, ok := s.envRoles.get(r); ok || isWildcard(r) {
-			known = append(known, r)
-		}
-	}
-	return s.envRoles.closure(known), nil
-}
-
-// collectMatches finds the permissions satisfied by the three effective
-// role sets and the requested transaction. With the transaction index
-// enabled (the default) only the requested transaction's bucket and the
-// wildcard bucket are visited, merged back into grant order; the ablation
-// path scans the whole list.
-func (s *System) collectMatches(
-	tx TransactionID,
-	subjRoles map[RoleID]float64,
-	objRoles, envRoles map[RoleID]bool,
-) []Match {
-	var matches []Match
-	consider := func(p Permission) {
-		conf, ok := subjRoles[p.Subject]
-		if !ok || conf <= 0 {
-			return
-		}
-		threshold := p.MinConfidence
-		if s.threshold > threshold {
-			threshold = s.threshold
-		}
-		if conf < threshold {
-			return
-		}
-		if !objRoles[p.Object] {
-			return
-		}
-		if !envRoles[p.Environment] {
-			return
-		}
-		depth := -1
-		if p.Subject != AnySubject {
-			depth = s.subjectRoles.depth(p.Subject)
-		}
-		matches = append(matches, Match{
-			Permission:      p,
-			SubjectRole:     p.Subject,
-			ObjectRole:      p.Object,
-			EnvironmentRole: p.Environment,
-			Confidence:      conf,
-			SubjectDepth:    depth,
-		})
-	}
-
-	if s.indexDisabled {
-		for _, p := range s.perms {
-			if p.Transaction != AnyTransaction && p.Transaction != tx {
-				continue
-			}
-			consider(p)
-		}
-		return matches
-	}
-	// Merge the two index buckets in ascending (grant) order so match
-	// order is identical to the scan path.
-	exact := s.permIndex[tx]
-	wild := s.permIndex[AnyTransaction]
-	if tx == AnyTransaction {
-		wild = nil
-	}
-	i, j := 0, 0
-	for i < len(exact) || j < len(wild) {
-		switch {
-		case j >= len(wild) || (i < len(exact) && exact[i] < wild[j]):
-			consider(s.perms[exact[i]])
-			i++
-		default:
-			consider(s.perms[wild[j]])
-			j++
-		}
-	}
-	return matches
-}
-
-// collectMatchesScan is retained for reference by tests that cross-check
-// index and scan results; it is the pre-index implementation.
-func (s *System) collectMatchesScan(
-	tx TransactionID,
-	subjRoles map[RoleID]float64,
-	objRoles, envRoles map[RoleID]bool,
-) []Match {
-	var matches []Match
-	for _, p := range s.perms {
-		if p.Transaction != AnyTransaction && p.Transaction != tx {
-			continue
-		}
-		conf, ok := subjRoles[p.Subject]
-		if !ok || conf <= 0 {
-			continue
-		}
-		threshold := p.MinConfidence
-		if s.threshold > threshold {
-			threshold = s.threshold
-		}
-		if conf < threshold {
-			continue
-		}
-		if !objRoles[p.Object] {
-			continue
-		}
-		if !envRoles[p.Environment] {
-			continue
-		}
-		depth := -1
-		if p.Subject != AnySubject {
-			depth = s.subjectRoles.depth(p.Subject)
-		}
-		matches = append(matches, Match{
-			Permission:      p,
-			SubjectRole:     p.Subject,
-			ObjectRole:      p.Object,
-			EnvironmentRole: p.Environment,
-			Confidence:      conf,
-			SubjectDepth:    depth,
-		})
-	}
-	return matches
-}
-
 // CheckAccess is the boolean convenience form of Decide. Warm cache hits
 // take a fast path that reads only the stored outcome — no Decision clone,
 // no key construction, zero allocations.
 func (s *System) CheckAccess(req Request) (bool, error) {
-	if s.usesSerializedPath() || s.cache == nil {
+	if s.cache == nil {
 		d, err := s.Decide(req)
 		if err != nil {
 			return false, err

@@ -40,8 +40,8 @@ func failSafeSystem(t *testing.T, src EnvironmentSource, opts ...Option) *System
 	return sys
 }
 
-// TestFailSafeDenyAnnotation drives the full fail-safe chain on both
-// mediation paths: expired context deactivates the environment role, the
+// TestFailSafeDenyAnnotation drives the full fail-safe chain with and
+// without the decision cache: expired context deactivates the environment role, the
 // decision falls to default deny, and the reason (hence Explain and the
 // audit trail) names the stale context.
 func TestFailSafeDenyAnnotation(t *testing.T) {
@@ -50,7 +50,6 @@ func TestFailSafeDenyAnnotation(t *testing.T) {
 		opts []Option
 	}{
 		{"snapshot", nil},
-		{"serialized", []Option{WithSerializedDecide()}},
 		{"uncached", []Option{WithoutDecisionCache()}},
 	}
 	for _, path := range paths {

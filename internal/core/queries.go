@@ -16,26 +16,26 @@ type Entitlement struct {
 // environment roles are active?" — the reverse of Decide. It evaluates the
 // full mediation rule (hierarchy, wildcards, effects, conflict strategy)
 // for every registered subject with fully trusted identity, so the answer
-// reflects exactly what Decide would grant.
+// reflects exactly what Decide would grant. Like Decide it takes no lock:
+// every subject is evaluated against one compiled snapshot, so the answer
+// is that of a single policy generation and a scan blocks no mutation.
 //
 // The paper's usability requirement (§3: the homeowner must get feedback
 // she can trust) is what this serves: "who can view the nursery camera
 // right now?" is a single call.
 func (s *System) WhoCan(tx TransactionID, obj ObjectID, env []RoleID) ([]SubjectID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if env == nil {
-		env = []RoleID{}
+	sn := s.currentSnapshot()
+	bucket, ob, err := sn.target(tx, obj)
+	if err != nil {
+		return nil, fmt.Errorf("grbac: WhoCan: %w", err)
 	}
+	if env == nil {
+		env = emptyEnv // a review query never consults the live source
+	}
+	envBits := sn.effectiveEnvBits(env)
 	var out []SubjectID
-	for sub := range s.subjects {
-		d, err := s.decideLocked(Request{
-			Subject: sub, Object: obj, Transaction: tx, Environment: env,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("grbac: WhoCan(%q): %w", sub, err)
-		}
-		if d.Allowed {
+	for sub, sb := range sn.subjects {
+		if _, effect := sn.mediate(bucket, sb.bits, nil, ob.bits, envBits); effect == Permit {
 			out = append(out, sub)
 		}
 	}
@@ -44,27 +44,22 @@ func (s *System) WhoCan(tx TransactionID, obj ObjectID, env []RoleID) ([]Subject
 }
 
 // WhatCan answers "what may this subject do while these environment roles
-// are active?": every (object, transaction) pair Decide would permit. The
-// result is sorted by object, then transaction.
+// are active?": every (object, transaction) pair Decide would permit, on
+// one snapshot as WhoCan. The result is sorted by object, then transaction.
 func (s *System) WhatCan(sub SubjectID, env []RoleID) ([]Entitlement, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.subjects[sub]; !ok {
+	sn := s.currentSnapshot()
+	sb, ok := sn.subjects[sub]
+	if !ok {
 		return nil, fmt.Errorf("%w: subject %q", ErrNotFound, sub)
 	}
 	if env == nil {
-		env = []RoleID{}
+		env = emptyEnv // a review query never consults the live source
 	}
+	envBits := sn.effectiveEnvBits(env)
 	var out []Entitlement
-	for obj := range s.objects {
-		for tx := range s.transactions {
-			d, err := s.decideLocked(Request{
-				Subject: sub, Object: obj, Transaction: tx, Environment: env,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("grbac: WhatCan(%q, %q): %w", obj, tx, err)
-			}
-			if d.Allowed {
+	for obj, ob := range sn.objects {
+		for tx, bucket := range sn.buckets {
+			if _, effect := sn.mediate(bucket, sb.bits, nil, ob.bits, envBits); effect == Permit {
 				out = append(out, Entitlement{Object: obj, Transaction: tx})
 			}
 		}

@@ -187,29 +187,6 @@ func (g *roleGraph) closure(seeds []RoleID) map[RoleID]bool {
 	return out
 }
 
-// weightedClosure propagates per-role confidences upward: possessing a role
-// with confidence c implies possessing each ancestor with at least c. When
-// several paths reach the same ancestor, the maximum confidence wins. Each
-// seed's ancestor set comes from the per-role closure cache.
-func (g *roleGraph) weightedClosure(seeds map[RoleID]float64) map[RoleID]float64 {
-	out := make(map[RoleID]float64, len(seeds)*2)
-	for id, c := range seeds {
-		cl, ok := g.closures[id]
-		if !ok {
-			if prev, seen := out[id]; !seen || c > prev {
-				out[id] = c
-			}
-			continue
-		}
-		for r := range cl {
-			if prev, seen := out[r]; !seen || c > prev {
-				out[r] = c
-			}
-		}
-	}
-	return out
-}
-
 // closureContains reports whether target lies in the upward closure of any
 // seed, without materializing the closure. It is the allocation-free form
 // of closure(...)[target] used by the membership queries.

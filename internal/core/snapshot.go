@@ -6,13 +6,13 @@ import (
 	"sort"
 )
 
-// This file is the compiled, immutable form of the policy store that the
-// lock-free Decide path runs against. Mutations invalidate the published
-// snapshot (see invalidateLocked); the first Decide after an invalidation
+// This file is the compiled, immutable form of the policy store and the
+// one evaluator of the mediation rule: Decide, CheckAccess, DecideBatch and
+// the review queries all run against it. Mutations invalidate the published
+// snapshot (see invalidateLocked); the first reader after an invalidation
 // recompiles under the read lock and republishes via System.snap, so the
-// read path never takes s.mu. The snapshot evaluates the exact mediation
-// rule of decideLocked — which stays behind as the serialized oracle — with
-// the per-request map work replaced by precomputed bitset operations:
+// read path never takes s.mu. The rule's per-request set work is
+// precomputed bitset operations:
 //
 //   - every role ID of each kind is interned to a dense uint32 index over
 //     the sorted role list, so a role set is a bitset and set union is a
@@ -185,9 +185,8 @@ func (s *System) compileSnapshotLocked() *snapshot {
 		envSource:    s.envSource,
 		subjU:        newRoleUniverse(s.subjectRoles, AnySubject),
 		objU:         newRoleUniverse(s.objectRoles, AnyObject),
-		// The environment leg admits any wildcard verbatim (decideLocked
-		// keeps unknown-but-wildcard request roles), so the environment
-		// universe interns all three.
+		// The environment leg admits any wildcard a request names
+		// verbatim, so the environment universe interns all three.
 		envU: newRoleUniverse(s.envRoles, AnySubject, AnyObject, AnyEnvironment),
 	}
 	sn.anySubj = sn.subjU.index[AnySubject]
@@ -234,8 +233,7 @@ func (s *System) compileSnapshotLocked() *snapshot {
 // compileBucketLocked collects the compiled permissions applying to tx in
 // grant order. Permissions whose legs name roles that exist in no universe
 // (possible via Import, which validates shape but not leg existence) can
-// never match and are dropped here — exactly the requests decideLocked
-// would reject them on.
+// never match and are dropped here.
 func (s *System) compileBucketLocked(sn *snapshot, tx TransactionID) []compiledPerm {
 	var out []compiledPerm
 	for _, p := range s.perms {
@@ -270,67 +268,31 @@ func (s *System) compileBucketLocked(sn *snapshot, tx TransactionID) []compiledP
 	return out
 }
 
-// decide evaluates the mediation rule against the compiled snapshot. It is
-// the lock-free mirror of decideLocked: same validation order, same error
-// and reason strings, byte-identical decisions (the differential tests in
-// snapshot_test.go hold it to that).
+// decide evaluates the mediation rule (paper §4.2.4) against the compiled
+// snapshot. The differential test in snapshot_test.go holds its validation
+// order, error and reason strings, and decisions byte-identical to the
+// test-only reference interpreter (interp_test.go).
 func (sn *snapshot) decide(req Request) (Decision, error) {
 	if err := req.Credentials.Validate(); err != nil {
 		return Decision{}, err
 	}
-	if req.Transaction == "" {
-		return Decision{}, fmt.Errorf("%w: request must name a transaction", ErrInvalid)
-	}
-	bucket, ok := sn.buckets[req.Transaction]
-	if !ok {
-		return Decision{}, fmt.Errorf("%w: transaction %q", ErrNotFound, req.Transaction)
-	}
-	if req.Object == "" {
-		return Decision{}, fmt.Errorf("%w: request must name an object", ErrInvalid)
-	}
-	obj, ok := sn.objects[req.Object]
-	if !ok {
-		return Decision{}, fmt.Errorf("%w: object %q", ErrNotFound, req.Object)
+	bucket, obj, err := sn.target(req.Transaction, req.Object)
+	if err != nil {
+		return Decision{}, err
 	}
 	if req.Subject == "" && len(req.Credentials) == 0 {
 		return Decision{}, fmt.Errorf("%w: request must carry a subject or credentials", ErrInvalid)
 	}
-
 	uniform, confs, err := sn.effectiveSubjectConfs(req)
 	if err != nil {
 		return Decision{}, err
 	}
-	envBits := sn.effectiveEnvBits(req)
-
-	var matches []Match
-	for _, cp := range bucket {
-		var conf float64
-		if confs != nil {
-			conf = confs[cp.subj]
-		} else if uniform.has(cp.subj) {
-			conf = 1
-		}
-		if conf <= 0 || conf < cp.threshold {
-			continue
-		}
-		if !obj.bits.has(cp.obj) {
-			continue
-		}
-		if !envBits.has(cp.env) {
-			continue
-		}
-		matches = append(matches, Match{
-			Permission:      cp.p,
-			SubjectRole:     cp.p.Subject,
-			ObjectRole:      cp.p.Object,
-			EnvironmentRole: cp.p.Environment,
-			Confidence:      conf,
-			SubjectDepth:    cp.depth,
-		})
-	}
+	envBits := sn.effectiveEnvBits(req.Environment)
+	matches, effect := sn.mediate(bucket, uniform, confs, obj.bits, envBits)
 
 	d := Decision{
-		Effect:           Deny,
+		Allowed:          effect == Permit,
+		Effect:           effect,
 		Matches:          matches,
 		Strategy:         sn.strategyName,
 		SubjectRoles:     sn.subjectRoleMap(uniform, confs),
@@ -343,11 +305,65 @@ func (sn *snapshot) decide(req Request) (Decision, error) {
 			req.Transaction, req.Object)
 		return d, nil
 	}
-	d.Effect = sn.strategy.Resolve(matches)
-	d.Allowed = d.Effect == Permit
 	d.Reason = fmt.Sprintf("%d matching permission(s) resolved to %s by %s",
 		len(matches), d.Effect, d.Strategy)
 	return d, nil
+}
+
+// target resolves the permission bucket of a transaction and the role bits
+// of an object, rejecting an unnamed or unknown one of either.
+func (sn *snapshot) target(tx TransactionID, obj ObjectID) ([]compiledPerm, objectBits, error) {
+	if tx == "" {
+		return nil, objectBits{}, fmt.Errorf("%w: request must name a transaction", ErrInvalid)
+	}
+	bucket, ok := sn.buckets[tx]
+	if !ok {
+		return nil, objectBits{}, fmt.Errorf("%w: transaction %q", ErrNotFound, tx)
+	}
+	if obj == "" {
+		return nil, objectBits{}, fmt.Errorf("%w: request must name an object", ErrInvalid)
+	}
+	ob, ok := sn.objects[obj]
+	if !ok {
+		return nil, objectBits{}, fmt.Errorf("%w: object %q", ErrNotFound, obj)
+	}
+	return bucket, ob, nil
+}
+
+// mediate is the match-and-resolve step of the rule, shared by decide and
+// the review queries: it collects, in grant order, the bucket's permissions
+// the three effective role sets satisfy and resolves them with the conflict
+// strategy. No match is Deny. The subject leg is either uniform (confidence
+// 1 on every set bit) or a dense confidence vector, as effectiveSubjectConfs
+// returns it.
+func (sn *snapshot) mediate(bucket []compiledPerm, uniform bitset, confs []float64, obj, env bitset) ([]Match, Effect) {
+	var matches []Match
+	for _, cp := range bucket {
+		var conf float64
+		if confs != nil {
+			conf = confs[cp.subj]
+		} else if uniform.has(cp.subj) {
+			conf = 1
+		}
+		if conf <= 0 || conf < cp.threshold {
+			continue
+		}
+		if !obj.has(cp.obj) || !env.has(cp.env) {
+			continue
+		}
+		matches = append(matches, Match{
+			Permission:      cp.p,
+			SubjectRole:     cp.p.Subject,
+			ObjectRole:      cp.p.Object,
+			EnvironmentRole: cp.p.Environment,
+			Confidence:      conf,
+			SubjectDepth:    cp.depth,
+		})
+	}
+	if len(matches) == 0 {
+		return nil, Deny
+	}
+	return matches, sn.strategy.Resolve(matches)
 }
 
 // effectiveSubjectConfs computes the effective subject role set. The fully
@@ -395,8 +411,7 @@ func (sn *snapshot) effectiveSubjectConfs(req Request) (bitset, []float64, error
 
 // addRoleCredentials folds direct role assertions into the confidence
 // vector, spreading each over the asserted role's upward closure with
-// max-confidence merge. Unknown asserted roles confer nothing (deny-safe),
-// mirroring effectiveSubjectRoles.
+// max-confidence merge. Unknown asserted roles confer nothing (deny-safe).
 func (sn *snapshot) addRoleCredentials(confs []float64, creds CredentialSet) {
 	for _, c := range creds {
 		if c.Role == "" || c.Confidence <= 0 {
@@ -415,12 +430,11 @@ func (sn *snapshot) addRoleCredentials(confs []float64, creds CredentialSet) {
 	}
 }
 
-// effectiveEnvBits resolves the active environment role set for a request:
-// explicit environment, else the snapshot's environment source. Known roles
-// contribute their upward closure, wildcards pass verbatim, unknown roles
-// are dropped (deny-safe), and AnyEnvironment is always active.
-func (sn *snapshot) effectiveEnvBits(req Request) bitset {
-	active := req.Environment
+// effectiveEnvBits resolves the active environment role set: the explicit
+// environment, or the snapshot's environment source when that is nil. Known
+// roles contribute their upward closure, wildcards pass verbatim, unknown
+// roles are dropped (deny-safe), and AnyEnvironment is always active.
+func (sn *snapshot) effectiveEnvBits(active []RoleID) bitset {
 	if active == nil && sn.envSource != nil {
 		active = sn.envSource.ActiveEnvironmentRoles()
 	}

@@ -64,10 +64,11 @@ func expandProbes(probes []Request, sid SessionID) []Request {
 }
 
 // TestSnapshotDecideMatchesSerializedOracle is the differential harness for
-// the lock-free path: across randomized policies, strategies, and request
-// shapes, the compiled snapshot's decisions — raw, through a cache miss,
-// and through a cache hit — must be byte-identical (reflect.DeepEqual) to
-// decideLocked, the serialized oracle, including error identity and text.
+// the one production evaluator: across randomized policies, strategies, and
+// request shapes, the compiled snapshot's decisions — raw, through a cache
+// miss, and through a cache hit — must be byte-identical (reflect.DeepEqual)
+// to decideLocked, the reference interpreter of interp_test.go, including
+// error identity and text.
 func TestSnapshotDecideMatchesSerializedOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -129,37 +130,6 @@ func TestSnapshotDecideMatchesSerializedOracle(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSerializedOptionMatchesLockFree pins WithSerializedDecide (and the
-// index-ablation flag, which shares the serialized path) to the same
-// decisions as the default lock-free configuration.
-func TestSerializedOptionMatchesLockFree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s, probes := buildRandomPolicy(rng)
-		st := s.Export()
-		serialized := NewSystem(WithSerializedDecide())
-		mustOK(serialized.Import(st))
-		scan := NewSystem(WithoutPermissionIndex(), WithoutDecisionCache())
-		mustOK(scan.Import(st))
-		for _, req := range probes {
-			want, err := s.Decide(req)
-			if err != nil {
-				return false
-			}
-			for _, twin := range []*System{serialized, scan} {
-				got, err := twin.Decide(req)
-				if err != nil || !reflect.DeepEqual(want, got) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -146,7 +146,6 @@ func (s *System) Import(st State) (err error) {
 		}
 		s.perms = append(s.perms, p)
 	}
-	s.rebuildIndexLocked()
 	for _, c := range st.SoDConstraints {
 		if err := validateSoD(c); err != nil {
 			return err
@@ -189,7 +188,6 @@ func (s *System) Replace(st State) (err error) {
 	s.objects = tmp.objects
 	s.transactions = tmp.transactions
 	s.perms = tmp.perms
-	s.permIndex = tmp.permIndex
 	s.sods = tmp.sods
 	s.threshold = st.MinConfidence
 	for sid, sess := range s.sessions {

@@ -42,8 +42,9 @@ type objectRec struct {
 }
 
 // System is a complete GRBAC policy store and decision engine. It is safe
-// for concurrent use: administration methods take the write lock, queries
-// and Decide take the read lock.
+// for concurrent use: administration methods take the write lock and
+// membership queries the read lock, while Decide, CheckAccess, DecideBatch,
+// WhoCan and WhatCan take none — they run against the compiled snapshot.
 //
 // The zero value is not usable; construct with NewSystem.
 type System struct {
@@ -57,14 +58,9 @@ type System struct {
 	objects      map[ObjectID]*objectRec
 	transactions map[TransactionID]Transaction
 	perms        []Permission
-	// permIndex maps a transaction ID (or AnyTransaction) to the indices
-	// into perms of permissions naming it, in grant order. Decide scans
-	// only the requested transaction's bucket plus the wildcard bucket.
-	permIndex     map[TransactionID][]int
-	indexDisabled bool
-	sods          []SoDConstraint
-	sessions      map[SessionID]*session
-	sessionSeq    uint64
+	sods         []SoDConstraint
+	sessions     map[SessionID]*session
+	sessionSeq   uint64
 
 	strategy  ConflictStrategy
 	threshold float64
@@ -93,9 +89,6 @@ type System struct {
 	// compileMu serializes snapshot recompilation so a stampede of cold
 	// readers builds the snapshot once.
 	compileMu sync.Mutex
-	// serialized forces Decide onto the pre-snapshot read-locked path. Set
-	// only at construction time (WithSerializedDecide), for ablation.
-	serialized bool
 	// cache memoizes Decide results; nil when caching is disabled.
 	cache    *decisionCache
 	cacheCap int
@@ -155,23 +148,6 @@ func WithClock(now func() time.Time) Option {
 	return func(s *System) { s.now = now }
 }
 
-// WithoutPermissionIndex disables the per-transaction permission index so
-// Decide falls back to a full linear scan of the permission list. It
-// exists only for the ablation benchmarks quantifying what the index buys;
-// production systems should never set it.
-func WithoutPermissionIndex() Option {
-	return func(s *System) { s.indexDisabled = true }
-}
-
-// WithSerializedDecide forces Decide back onto the serialized path that
-// takes the read lock and evaluates the mediation rule directly, instead
-// of running lock-free against a compiled policy snapshot. It exists only
-// for the ablation benchmarks quantifying what copy-on-write snapshots buy
-// and for the differential tests; production systems should never set it.
-func WithSerializedDecide() Option {
-	return func(s *System) { s.serialized = true }
-}
-
 // WithDecisionCacheSize bounds the decision cache to n entries. n <= 0
 // disables decision caching entirely (role-closure caching stays on).
 func WithDecisionCacheSize(n int) Option {
@@ -195,7 +171,6 @@ func NewSystem(opts ...Option) *System {
 		subjects:     make(map[SubjectID]*subjectRec),
 		objects:      make(map[ObjectID]*objectRec),
 		transactions: make(map[TransactionID]Transaction),
-		permIndex:    make(map[TransactionID][]int),
 		sessions:     make(map[SessionID]*session),
 		strategy:     DenyOverrides{},
 		now:          time.Now,
@@ -513,18 +488,8 @@ func (s *System) RemoveRole(kind RoleKind, id RoleID) (err error) {
 		kept = append(kept, p)
 	}
 	s.perms = kept
-	s.rebuildIndexLocked()
 	s.invalidateLocked()
 	return s.recordLocked(&commit, Mutation{Op: OpRemoveRole, Kind: kind, RoleID: id})
-}
-
-// rebuildIndexLocked reconstructs the transaction index from the
-// permission list. The caller must hold the write lock.
-func (s *System) rebuildIndexLocked() {
-	s.permIndex = make(map[TransactionID][]int, len(s.permIndex))
-	for i, p := range s.perms {
-		s.permIndex[p.Transaction] = append(s.permIndex[p.Transaction], i)
-	}
 }
 
 func references(p Permission, kind RoleKind, id RoleID) bool {
@@ -842,7 +807,6 @@ func (s *System) Grant(p Permission) (err error) {
 		}
 	}
 	s.perms = append(s.perms, p)
-	s.permIndex[p.Transaction] = append(s.permIndex[p.Transaction], len(s.perms)-1)
 	s.invalidateLocked()
 	pc := p
 	return s.recordLocked(&commit, Mutation{Op: OpGrant, Permission: &pc})
@@ -857,7 +821,6 @@ func (s *System) Revoke(p Permission) (err error) {
 	for i, q := range s.perms {
 		if q == p {
 			s.perms = append(s.perms[:i], s.perms[i+1:]...)
-			s.rebuildIndexLocked()
 			s.invalidateLocked()
 			pc := p
 			return s.recordLocked(&commit, Mutation{Op: OpRevoke, Permission: &pc})

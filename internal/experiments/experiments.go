@@ -1,5 +1,5 @@
 // Package experiments implements the paper-reproduction experiment suite
-// indexed in DESIGN.md §4 (E1–E17): both of the paper's figures, its worked
+// indexed in DESIGN.md §4 (E1–E15, E21, E22): both of the paper's figures, its worked
 // scenarios, the §6 subsumption claims, and the complexity measurements the
 // paper acknowledges but never quantifies. cmd/grbac-bench renders the
 // reports recorded in EXPERIMENTS.md; the root bench_test.go reuses the
@@ -46,9 +46,9 @@ func All() []Experiment {
 		{ID: "E13", Title: "Policy size vs household growth", Source: "§5.1 usability claim", Run: RunE13},
 		{ID: "E14", Title: "Separation of duty and activation", Source: "§4.1.2", Run: RunE14},
 		{ID: "E15", Title: "Household daily rhythm (derived)", Source: "§2/§5.1 workloads", Run: RunE15},
-		// E16 (replication cost) lives in internal/replica's benchmarks;
-		// see EXPERIMENTS.md §E16.
-		{ID: "E17", Title: "Parallel mediation scaling (derived)", Source: "§1 connected-home deployment", Run: RunE17},
+		// E16 (replication cost) lives in internal/replica's benchmarks and
+		// E17 (parallel mediation) in BenchmarkE17ParallelDecide and bench/'s
+		// embedded-warm workload; see EXPERIMENTS.md §E16–§E17.
 		// E18 (fault-injection drill) lives in internal/faults' chaos
 		// tests, E19 (observability overhead) in internal/obs' benchmarks,
 		// and E20 (durable restart) in internal/store's recovery harness;

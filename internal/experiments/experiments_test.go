@@ -13,8 +13,8 @@ import (
 
 func TestAllRegistryIsComplete(t *testing.T) {
 	all := All()
-	if len(all) != 18 {
-		t.Fatalf("experiments = %d, want 18", len(all))
+	if len(all) != 17 {
+		t.Fatalf("experiments = %d, want 17", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, e := range all {
@@ -200,27 +200,6 @@ func TestE15RhythmShape(t *testing.T) {
 	if rate("19:00") <= rate("16:00") {
 		t.Fatalf("evening (%d%%) not above after-school trough (%d%%)",
 			rate("19:00"), rate("16:00"))
-	}
-}
-
-func TestE17TableShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel sweep is slow")
-	}
-	out := runCapture(t, "E17")
-	for _, want := range []string{
-		"goroutines", "lock-free dec/s", "serialized dec/s",
-		"lock-free scaling 1->8 goroutines",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("E17 missing %q:\n%s", want, out)
-		}
-	}
-	// One row per goroutine count.
-	for _, g := range []string{"1 ", "2 ", "4 ", "8 ", "16 "} {
-		if !strings.Contains(out, "\n"+g) {
-			t.Fatalf("E17 missing row for %s goroutines:\n%s", strings.TrimSpace(g), out)
-		}
 	}
 }
 

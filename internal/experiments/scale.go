@@ -108,54 +108,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// BuildMultiTxGRBAC builds a system whose nRules permissions are spread
-// evenly across nTx distinct transactions, with the probe request naming
-// one of them. It is the workload where the per-transaction permission
-// index pays off: only ~nRules/nTx rules are relevant to any request.
-func BuildMultiTxGRBAC(nRules, nTx int, opts ...core.Option) (*core.System, core.Request, error) {
-	s := core.NewSystem(opts...)
-	if err := s.AddRole(core.Role{ID: "users", Kind: core.SubjectRole}); err != nil {
-		return nil, core.Request{}, err
-	}
-	if err := s.AddRole(core.Role{ID: "things", Kind: core.ObjectRole}); err != nil {
-		return nil, core.Request{}, err
-	}
-	if err := s.AddSubject("probe"); err != nil {
-		return nil, core.Request{}, err
-	}
-	if err := s.AssignSubjectRole("probe", "users"); err != nil {
-		return nil, core.Request{}, err
-	}
-	if err := s.AddObject("target"); err != nil {
-		return nil, core.Request{}, err
-	}
-	if err := s.AssignObjectRole("target", "things"); err != nil {
-		return nil, core.Request{}, err
-	}
-	txName := func(i int) core.TransactionID { return core.TransactionID(fmt.Sprintf("tx-%d", i)) }
-	for i := 0; i < nTx; i++ {
-		if err := s.AddTransaction(core.SimpleTransaction(string(txName(i)))); err != nil {
-			return nil, core.Request{}, err
-		}
-	}
-	for i := 0; i < nRules; i++ {
-		if err := s.Grant(core.Permission{
-			Subject:     "users",
-			Object:      "things",
-			Environment: core.AnyEnvironment,
-			Transaction: txName(i % nTx),
-			Effect:      core.Permit,
-		}); err != nil {
-			return nil, core.Request{}, err
-		}
-	}
-	req := core.Request{
-		Subject: "probe", Object: "target", Transaction: txName(0),
-		Environment: []core.RoleID{},
-	}
-	return s, req, nil
-}
-
 // RunE12 quantifies the paper's acknowledged complexity cost ("GRBAC
 // clearly is a more complex model than RBAC"): decision latency for the
 // same effective policy under ACL, traditional RBAC, and GRBAC, plus GRBAC
@@ -212,22 +164,6 @@ func RunE12(w io.Writer) error {
 	}, []int{1, 8, 64, 256}); err != nil {
 		return err
 	}
-
-	// Ablation: the per-transaction permission index. 4096 rules spread
-	// over 64 transactions; a request touches only its own bucket.
-	fmt.Fprintln(w, "ablation: per-transaction permission index (4096 rules / 64 transactions):")
-	indexed, reqI, err := BuildMultiTxGRBAC(4096, 64)
-	if err != nil {
-		return err
-	}
-	scanning, reqS, err := BuildMultiTxGRBAC(4096, 64, core.WithoutPermissionIndex())
-	if err != nil {
-		return err
-	}
-	_, idxPer := Throughput(20000, func() { _, _ = indexed.Decide(reqI) })
-	_, scanPer := Throughput(2000, func() { _, _ = scanning.Decide(reqS) })
-	fmt.Fprintf(w, "  indexed %8s/op, linear scan %8s/op (index speedup x%.1f)\n",
-		idxPer, scanPer, float64(scanPer)/float64(idxPer))
 	return nil
 }
 

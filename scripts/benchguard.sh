@@ -3,14 +3,14 @@
 # E17) with -benchmem and fail if the decision cache or the lock-free
 # mediation path has regressed.
 #
-# Guards (allocation counts are stable across CI hardware, unlike ns/op):
+# Guards (allocation counts are stable across CI hardware, unlike ns/op;
+# the numbers are identifiers other documents cite, so 4, retired, leaves a
+# gap):
 #   1. the warm cached path must allocate strictly less than the uncached
 #      path on the same workload;
 #   2. the warm cached path must stay under an absolute allocation budget,
 #      so a key- or clone-heavy change cannot hide behind guard 1;
 #   3. a replicated follower must not allocate more than its primary;
-#   4. at 8 goroutines, lock-free Decide must beat the serialized path by
-#      BENCHGUARD_PAR_SPEEDUP x (adaptive default: 3 on 8+ cores, 0.7 below);
 #   5. warm CheckAccess must allocate nothing;
 #   6. warm mediation must show no sync.Mutex or sync.RWMutex contention
 #      under the mutex profiler, at 2 and at 8 goroutines, anywhere below
@@ -99,43 +99,15 @@ if [ "$follower" -gt "$primary" ]; then
 	exit 1
 fi
 
-# Guard 4: lock-free parallel mediation (E17). At 8 goroutines the
-# snapshot path must beat the serialized mutex path by
-# BENCHGUARD_PAR_SPEEDUP x in throughput. The default is adaptive: on
-# hosts with 8+ cores lock contention is real and we demand 3x; on
-# smaller CI machines the goroutines share a core and contention cannot
-# materialize, so the guard degrades to "not slower than 0.7x".
-cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-if [ "$cores" -ge 8 ]; then
-	speedup=${BENCHGUARD_PAR_SPEEDUP:-3}
-else
-	speedup=${BENCHGUARD_PAR_SPEEDUP:-0.7}
-fi
-
-pout=$(go test -run '^$' -bench 'E17' -benchtime 50000x -cpu 8 -benchmem .)
-echo "$pout"
-
-pfield_of() {
-	echo "$pout" | awk -v pat="$1" -v f="$2" '$1 ~ pat { print $f; exit }'
-}
-
-lockfree_ns=$(pfield_of 'E17ParallelDecide/lockfree' 3)
-serial_ns=$(pfield_of 'E17ParallelDecide/serialized' 3)
-warm_check=$(pfield_of 'E17CheckAccessWarm' 7)
-if [ -z "$lockfree_ns" ] || [ -z "$serial_ns" ] || [ -z "$warm_check" ]; then
-	echo "benchguard: missing E17 results" >&2
-	exit 1
-fi
-
-echo "benchguard: cores=$cores lockfree=${lockfree_ns}ns/op serialized=${serial_ns}ns/op required=x$speedup"
-if ! awk -v lf="$lockfree_ns" -v ser="$serial_ns" -v need="$speedup" \
-	'BEGIN { exit !(ser / lf >= need) }'; then
-	echo "benchguard: FAIL: parallel lock-free throughput only x$(awk -v lf="$lockfree_ns" -v ser="$serial_ns" 'BEGIN { printf "%.2f", ser / lf }') of serialized (need x$speedup)" >&2
-	exit 1
-fi
-
 # Guard 5: the warm CheckAccess fast path answers from the cache without
 # cloning the decision — zero allocations, exactly.
+pout=$(go test -run '^$' -bench 'E17CheckAccessWarm' -benchtime 50000x -benchmem .)
+echo "$pout"
+warm_check=$(echo "$pout" | awk '$1 ~ /E17CheckAccessWarm/ { print $7; exit }')
+if [ -z "$warm_check" ]; then
+	echo "benchguard: missing E17CheckAccessWarm result" >&2
+	exit 1
+fi
 echo "benchguard: warm CheckAccess=$warm_check allocs/op"
 if [ "$warm_check" -ne 0 ]; then
 	echo "benchguard: FAIL: warm CheckAccess allocates ($warm_check allocs/op, want 0)" >&2
