@@ -78,12 +78,16 @@ rebalance-smoke:
 declog-smoke:
 	./scripts/declog_smoke.sh
 
-# Run every native fuzz target for a short budget each.
+# Run every native fuzz target for a short budget each. The two pdp
+# targets are differential: whatever the decide wire codec accepts must
+# decode exactly as encoding/json decodes it.
 fuzz:
 	go test -run '^$$' -fuzz FuzzDecide -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/temporal
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/policy
 	go test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/store
+	go test -run '^$$' -fuzz FuzzDecideRequestCodec -fuzztime 10s ./internal/pdp
+	go test -run '^$$' -fuzz FuzzDecideResponseCodec -fuzztime 10s ./internal/pdp
 
 cover:
 	go test -cover ./...

@@ -9,11 +9,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
+	"github.com/aware-home/grbac/internal/jsonw"
 )
 
 // Record is one audited decision.
@@ -372,12 +374,56 @@ func (a *AuditedSystem) DecideBatch(reqs []core.Request) []core.BatchResult {
 	return out
 }
 
+// AppendJSON appends the record's JSON, byte for byte what json.Marshal
+// produces, without reflection: it is the one encoder behind both
+// WriteJSON and the decision log's chunks. A Time that MarshalJSON rejects
+// fails with encoding/json's error.
+func (r Record) AppendJSON(dst []byte) ([]byte, error) {
+	n0 := len(dst)
+	b := append(dst, `{"seq":`...)
+	b = strconv.AppendUint(b, r.Seq, 10)
+	b = append(b, `,"time":`...)
+	b, ok := jsonw.AppendTime(b, r.Time)
+	if !ok {
+		raw, err := json.Marshal(r)
+		return append(dst[:n0], raw...), err
+	}
+	b = append(b, `,"subject":`...)
+	b = jsonw.AppendString(b, string(r.Subject))
+	b = append(b, `,"object":`...)
+	b = jsonw.AppendString(b, string(r.Object))
+	b = append(b, `,"transaction":`...)
+	b = jsonw.AppendString(b, string(r.Transaction))
+	b = append(b, `,"allowed":`...)
+	b = jsonw.AppendBool(b, r.Allowed)
+	b = append(b, `,"effect":`...)
+	b = jsonw.AppendString(b, r.Effect)
+	if r.DefaultDeny {
+		b = append(b, `,"default_deny":true`...)
+	}
+	b = append(b, `,"strategy":`...)
+	b = jsonw.AppendString(b, r.Strategy)
+	b = append(b, `,"reason":`...)
+	b = jsonw.AppendString(b, r.Reason)
+	b = append(b, `,"matched_rules":`...)
+	b = strconv.AppendInt(b, int64(r.MatchedRules), 10)
+	if r.CorrelationID != "" {
+		b = append(b, `,"correlation_id":`...)
+		b = jsonw.AppendString(b, r.CorrelationID)
+	}
+	return append(b, '}'), nil
+}
+
 // WriteJSON streams records to w as JSON lines (one record per line), the
 // interchange format for external log collectors.
 func WriteJSON(w io.Writer, records []Record) error {
-	enc := json.NewEncoder(w)
+	var line []byte
 	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
+		var err error
+		if line, err = r.AppendJSON(line[:0]); err == nil {
+			_, err = w.Write(append(line, '\n'))
+		}
+		if err != nil {
 			return fmt.Errorf("audit: encode record %d: %w", r.Seq, err)
 		}
 	}

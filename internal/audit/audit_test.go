@@ -1,6 +1,9 @@
 package audit
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -437,5 +440,49 @@ func TestRender(t *testing.T) {
 	den.Allowed = false
 	if !strings.Contains(Render([]Record{den}), "DENY") {
 		t.Error("deny not rendered")
+	}
+}
+
+// recordStrings are the string values random records draw from, including
+// every class of byte the encoder escapes or repairs.
+var recordStrings = []string{"", "alice", "front-door", "unlock", "permit", "deny-overrides",
+	`say "hi"`, `back\slash`, "<b>&", "tab\tnl\n", "\x00\x1f", "é\U0001F600",
+	string(rune(0x2028)), "bad\xffutf8"}
+
+// TestAppendJSONMatchesMarshal holds the one record encoder to
+// json.Marshal: the same bytes for random records, and the same error for
+// the timestamps time.Time's MarshalJSON rejects.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func() string { return recordStrings[rng.Intn(len(recordStrings))] }
+	zones := []*time.Location{time.UTC, time.Local, time.FixedZone("x", -(3*3600 + 1800)), time.FixedZone("far", 30*3600)}
+	for i := 0; i < 5000; i++ {
+		rec := Record{
+			Seq:         rng.Uint64() >> uint(rng.Intn(64)),
+			Time:        time.Unix(rng.Int63n(1<<36)-1<<35, rng.Int63n(1e9)).In(zones[rng.Intn(len(zones))]),
+			Subject:     core.SubjectID(pick()),
+			Object:      core.ObjectID(pick()),
+			Transaction: core.TransactionID(pick()),
+			Allowed:     rng.Intn(2) == 0, Effect: pick(), DefaultDeny: rng.Intn(2) == 0,
+			Strategy: pick(), Reason: pick(), MatchedRules: rng.Intn(5) - 1, CorrelationID: pick(),
+		}
+		want, wantErr := json.Marshal(rec)
+		got, err := rec.AppendJSON([]byte("x"))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("AppendJSON(%+v) error %v, encoding/json %v", rec, err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got[1:], want) {
+			t.Fatalf("AppendJSON:\n got %s\nwant %s", got[1:], want)
+		}
+	}
+}
+
+func TestAppendJSONZeroAllocs(t *testing.T) {
+	rec := Record{Seq: 42, Time: auditTime, Subject: "alice", Object: "ball", Transaction: "use",
+		Allowed: true, Effect: "permit", Strategy: "deny-overrides",
+		Reason: "1 matching permission(s) resolved to permit by deny-overrides", MatchedRules: 1, CorrelationID: "c0ffee"}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = rec.AppendJSON(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendJSON into a reused buffer made %v allocations, want 0", n)
 	}
 }

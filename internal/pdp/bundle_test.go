@@ -166,6 +166,11 @@ func TestBundleOnFollower(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() { _ = f.Run(ctx) }()
+	// Push only after the first sync: a snapshot landing after activation
+	// would replace the bundle's policy with the primary's.
+	if err := f.WaitSynced(ctx); err != nil {
+		t.Fatal(err)
+	}
 	fsrv := newHTTPServer(t, NewServer(followerSys, WithFollower(f), WithBundleVerifier(mkVerifier())))
 	client := NewClient(fsrv.URL, fsrv.Client())
 

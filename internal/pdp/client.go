@@ -174,7 +174,9 @@ func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) *C
 // Decide requests a full decision.
 func (c *Client) Decide(ctx context.Context, req DecideRequest) (DecideResponse, error) {
 	var resp DecideResponse
-	err := c.post(ctx, "/v1/decide", req, &resp)
+	err := c.postDecide(ctx, "/v1/decide", &req, &resp, func(data []byte) bool {
+		return decodeDecideResponse(data, &resp)
+	})
 	return resp, err
 }
 
@@ -189,11 +191,17 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []DecideRequest) (BatchDe
 
 // Check requests a boolean decision.
 func (c *Client) Check(ctx context.Context, req DecideRequest) (bool, error) {
+	resp, err := c.check(ctx, req)
+	return resp.Allowed, err
+}
+
+// check requests a boolean decision and returns the whole reply.
+func (c *Client) check(ctx context.Context, req DecideRequest) (CheckResponse, error) {
 	var resp CheckResponse
-	if err := c.post(ctx, "/v1/check", req, &resp); err != nil {
-		return false, err
-	}
-	return resp.Allowed, nil
+	err := c.postDecide(ctx, "/v1/check", &req, &resp, func(data []byte) bool {
+		return decodeCheckResponse(data, &resp)
+	})
+	return resp, err
 }
 
 // State fetches the server's policy snapshot.
@@ -266,7 +274,7 @@ func (c *Client) Call(ctx context.Context, method, path string, in, out any) err
 				return nil, fmt.Errorf("pdp: build request: %w", err)
 			}
 			return req, nil
-		}, out)
+		}, decodeJSON(out))
 	}
 	return c.request(ctx, method, path, in, out)
 }
@@ -280,14 +288,61 @@ func (c *Client) request(ctx context.Context, method, path string, in, out any) 
 	if err != nil {
 		return fmt.Errorf("pdp: encode request: %w", err)
 	}
+	return c.send(ctx, method, path, raw, decodeJSON(out))
+}
+
+// postDecide posts a decide-shaped request through the wire codec: the
+// request is encoded by hand, and a 2xx reply is read into a pooled buffer
+// and decoded by fast, or by encoding/json into out when fast declines.
+// A correlation ID on ctx (see withCorrelation) rides along as the
+// CorrelationHeader.
+func (c *Client) postDecide(ctx context.Context, path string, in *DecideRequest, out any, fast func([]byte) bool) error {
+	raw, err := appendDecideRequest(nil, in)
+	if err != nil {
+		return fmt.Errorf("pdp: encode request: %w", err)
+	}
+	return c.send(ctx, http.MethodPost, path, raw, func(body io.Reader) error {
+		buf := getBuf()
+		defer putBuf(buf)
+		data, rerr := readAll(buf, body)
+		if fast(data) {
+			return nil
+		}
+		return decodeDeclined(data, rerr, out, false)
+	})
+}
+
+// send posts raw as a JSON body, rebuilt per attempt so retries replay it.
+func (c *Client) send(ctx context.Context, method, path string, raw []byte, decode func(io.Reader) error) error {
 	return c.do(ctx, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(raw))
 		if err != nil {
 			return nil, fmt.Errorf("pdp: build request: %w", err)
 		}
 		req.Header.Set("Content-Type", "application/json")
+		if id, _ := ctx.Value(correlationKey{}).(string); id != "" {
+			req.Header.Set(CorrelationHeader, id)
+		}
 		return req, nil
-	}, out)
+	}, decode)
+}
+
+// correlationKey carries a correlation ID on a context; see withCorrelation.
+type correlationKey struct{}
+
+// withCorrelation makes requests sent under ctx carry id as their
+// CorrelationHeader: how the router forwards its caller's ID to a shard.
+func withCorrelation(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, correlationKey{}, id)
+}
+
+// decodeJSON decodes a reply body into out with encoding/json; a nil out
+// discards the body.
+func decodeJSON(out any) func(io.Reader) error {
+	if out == nil {
+		return nil
+	}
+	return func(body io.Reader) error { return json.NewDecoder(body).Decode(out) }
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
@@ -297,14 +352,14 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 			return nil, fmt.Errorf("pdp: build request: %w", err)
 		}
 		return req, nil
-	}, out)
+	}, decodeJSON(out))
 }
 
 // do runs one request, retrying transient failures when the client was
 // built WithRetry. The request is rebuilt per attempt so bodies replay.
 // Every attempt consults the circuit breaker (when one is configured) and
 // feeds its outcome back, so sustained failure degrades to fail-fast.
-func (c *Client) do(ctx context.Context, build func() (*http.Request, error), out any) error {
+func (c *Client) do(ctx context.Context, build func() (*http.Request, error), decode func(io.Reader) error) error {
 	// The shared policy: exponential doubling from retryBase, capped at
 	// maxRetryDelay (unbounded growth would overflow time.Duration and
 	// produce pointlessly huge sleeps long before that), with full jitter
@@ -318,7 +373,7 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error), ou
 		if err != nil {
 			return err
 		}
-		err = c.doOnce(req, out)
+		err = c.doOnce(req, decode)
 		c.observe(err)
 		if err == nil || attempt >= c.attempts || !transient(err) || ctx.Err() != nil {
 			return err
@@ -386,7 +441,8 @@ func transient(err error) bool {
 	return errors.Is(err, ErrTransport)
 }
 
-func (c *Client) doOnce(req *http.Request, out any) error {
+// doOnce sends one attempt; decode reads a 2xx reply body (nil discards it).
+func (c *Client) doOnce(req *http.Request, decode func(io.Reader) error) error {
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrTransport, err)
@@ -409,10 +465,10 @@ func (c *Client) doOnce(req *http.Request, out any) error {
 		}
 		return remote
 	}
-	if out == nil {
+	if decode == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decode(resp.Body); err != nil {
 		return fmt.Errorf("pdp: decode response: %w", err)
 	}
 	return nil

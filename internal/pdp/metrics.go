@@ -223,7 +223,7 @@ func (rt *reqTrace) markStale(stale bool) {
 // correlate resolves the request's correlation ID — the caller's
 // CorrelationHeader when present, a fresh random one otherwise — and
 // stamps it on the response headers before any body is written.
-func (s *Server) correlate(w http.ResponseWriter, r *http.Request) string {
+func correlate(w http.ResponseWriter, r *http.Request) string {
 	id := r.Header.Get(CorrelationHeader)
 	if id == "" {
 		id = newCorrelationID()

@@ -70,9 +70,9 @@ func TestDecideRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Note: an explicitly empty environment serializes as absent (omitempty),
-	// which the server reads as nil; with no environment source configured
-	// that also evaluates to "no env roles active", so the decision matches.
+	// The explicit empty environment travels as [] and means "no
+	// environment roles active" (TestExplicitEmptyEnvironmentOnWire pins it
+	// against a server whose live source would activate the grant).
 	if resp.Allowed || !resp.DefaultDeny {
 		t.Fatalf("response = %+v", resp)
 	}

@@ -487,7 +487,7 @@ func (rt *Router) movedClient(v *routerView, err error) (*Client, string, bool) 
 // one jittered retry when the call is an idempotent read that failed
 // transiently, and one follow of a 421 migration redirect. Returns the
 // ID of the shard that ultimately answered, for error attribution.
-func (rt *Router) callShard(r *http.Request, v *routerView, sh shard.Info, method, path string, in, out any, idempotent bool) (string, error) {
+func (rt *Router) callShard(r *http.Request, v *routerView, sh shard.Info, idempotent bool, call func(context.Context, *Client) error) (string, error) {
 	c, ok := v.client(sh.ID)
 	if !ok {
 		c = rt.mkClient(sh.Addr)
@@ -498,21 +498,48 @@ func (rt *Router) callShard(r *http.Request, v *routerView, sh shard.Info, metho
 	var err error
 	if idempotent {
 		_, err = retryRead(rt, ctx, sh.ID, func(ctx context.Context) (struct{}, error) {
-			return struct{}{}, c.Call(ctx, method, path, in, out)
+			return struct{}{}, call(ctx, c)
 		})
 	} else {
-		err = c.Call(ctx, method, path, in, out)
+		err = call(ctx, c)
 	}
 	if mc, movedID, moved := rt.movedClient(v, err); moved {
 		rt.metrics.route(movedID)
-		return movedID, mc.Call(ctx, method, path, in, out)
+		return movedID, call(ctx, mc)
 	}
 	return sh.ID, err
 }
 
-func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
+// callJSON is the call for callShard that forwards a JSON request through
+// Client.Call.
+func callJSON(method, path string, in, out any) func(context.Context, *Client) error {
+	return func(ctx context.Context, c *Client) error { return c.Call(ctx, method, path, in, out) }
+}
+
+// readRoutedDecide reads a decide or check body for forwarding. Unlike a
+// shard, the router has always ignored unknown fields.
+func readRoutedDecide(w http.ResponseWriter, r *http.Request, buf *[]byte) (DecideRequest, bool) {
 	var req DecideRequest
-	if !readJSONBody(w, r, &req, http.MethodPost) {
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "method not allowed"})
+		return req, false
+	}
+	if err := readDecide(w, r, buf, &req, false); err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request: " + err.Error()})
+		return req, false
+	}
+	return req, true
+}
+
+// handleDecide forwards a decision to the subject's shard under the
+// caller's correlation ID (minted here when the caller sent none), so the
+// shard's audit, declog and trace records and both replies carry it.
+func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
+	corr := correlate(w, r)
+	buf := getBuf()
+	defer putBuf(buf)
+	req, ok := readRoutedDecide(w, r, buf)
+	if !ok {
 		return
 	}
 	v := rt.view.Load()
@@ -522,16 +549,26 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp DecideResponse
-	if id, err := rt.callShard(r, v, sh, http.MethodPost, "/v1/decide", req, &resp, true); err != nil {
+	id, err := rt.callShard(r, v, sh, true, func(ctx context.Context, c *Client) (err error) {
+		resp, err = c.Decide(withCorrelation(ctx, corr), req)
+		return err
+	})
+	if err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out, err := appendDecideResponse((*buf)[:0], &resp)
+	*buf = out
+	writeEncoded(w, out, err)
 }
 
+// handleCheck is handleDecide for boolean decisions.
 func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req DecideRequest
-	if !readJSONBody(w, r, &req, http.MethodPost) {
+	corr := correlate(w, r)
+	buf := getBuf()
+	defer putBuf(buf)
+	req, ok := readRoutedDecide(w, r, buf)
+	if !ok {
 		return
 	}
 	v := rt.view.Load()
@@ -541,11 +578,16 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp CheckResponse
-	if id, err := rt.callShard(r, v, sh, http.MethodPost, "/v1/check", req, &resp, true); err != nil {
+	id, err := rt.callShard(r, v, sh, true, func(ctx context.Context, c *Client) (err error) {
+		resp, err = c.check(withCorrelation(ctx, corr), req)
+		return err
+	})
+	if err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	*buf = appendCheckResponse((*buf)[:0], &resp)
+	writeEncoded(w, *buf, nil)
 }
 
 // handleBatch splits the batch by owning shard, dispatches the per-shard
@@ -649,7 +691,7 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 		}
 		sh := v.m.Owner(req.Subject)
 		var resp SessionResponse
-		id, err := rt.callShard(r, v, sh, http.MethodPost, "/v1/sessions", req, &resp, false)
+		id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodPost, "/v1/sessions", req, &resp))
 		if err != nil {
 			rt.relayShardError(w, id, err)
 			return
@@ -664,7 +706,7 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Session = sid
 		var out map[string]string
-		if id, err := rt.callShard(r, v, sh, http.MethodDelete, "/v1/sessions", req, &out, false); err != nil {
+		if id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodDelete, "/v1/sessions", req, &out)); err != nil {
 			rt.relayShardError(w, id, err)
 			return
 		}
@@ -685,7 +727,7 @@ func (rt *Router) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Session = sid
 	var out map[string]string
-	if id, err := rt.callShard(r, v, sh, http.MethodPost, "/v1/sessions/roles", req, &out, false); err != nil {
+	if id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodPost, "/v1/sessions/roles", req, &out)); err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
@@ -706,7 +748,7 @@ func (rt *Router) handleSubjectAdmin(w http.ResponseWriter, r *http.Request) {
 	v := rt.view.Load()
 	sh := v.m.Owner(req.ID)
 	var out map[string]string
-	if id, err := rt.callShard(r, v, sh, http.MethodPost, "/v1/admin/subjects", req, &out, false); err != nil {
+	if id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodPost, "/v1/admin/subjects", req, &out)); err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
@@ -920,7 +962,7 @@ func (rt *Router) handleWhatCan(w http.ResponseWriter, r *http.Request) {
 	v := rt.view.Load()
 	sh := v.m.Owner(subject)
 	var resp WhatCanResponse
-	if id, err := rt.callShard(r, v, sh, http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp, true); err != nil {
+	if id, err := rt.callShard(r, v, sh, true, callJSON(http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp)); err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}

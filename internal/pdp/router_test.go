@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aware-home/grbac/internal/audit"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/policy"
 	"github.com/aware-home/grbac/internal/shard"
@@ -38,6 +39,7 @@ type routerCluster struct {
 	front  *httptest.Server // the router's HTTP face
 	m      *shard.Map
 	sys    map[string]*core.System     // shard ID → policy system
+	trails map[string]*audit.Logger    // shard ID → shard audit trail
 	shards map[string]*httptest.Server // shard ID → shard server
 	client *Client                     // client pointed at the router
 }
@@ -50,6 +52,7 @@ func newRouterCluster(t *testing.T, n int, opts ...RouterOption) *routerCluster 
 	}
 	c := &routerCluster{
 		sys:    make(map[string]*core.System, n),
+		trails: make(map[string]*audit.Logger, n),
 		shards: make(map[string]*httptest.Server, n),
 	}
 	infos := make([]shard.Info, n)
@@ -59,7 +62,8 @@ func newRouterCluster(t *testing.T, n int, opts ...RouterOption) *routerCluster 
 		if err := compiled.Apply(sys, nil); err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewServer(sys, WithAdmin()))
+		c.trails[id] = audit.NewLogger()
+		srv := httptest.NewServer(NewServer(sys, WithAdmin(), WithAuditLogger(c.trails[id])))
 		t.Cleanup(srv.Close)
 		c.sys[id] = sys
 		c.shards[id] = srv

@@ -161,10 +161,12 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	corr := s.correlate(w, r)
+	corr := correlate(w, r)
 	rt := traceOf(r)
 	t := time.Now()
-	req, ok := s.readDecideRequest(w, r)
+	buf := getBuf()
+	defer putBuf(buf)
+	req, ok := s.readDecideRequest(w, r, buf)
 	rt.step("decode", t)
 	if !ok {
 		return
@@ -189,7 +191,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	resp.Stale = s.stale()
 	resp.CorrelationID = corr
 	rt.decision(d.Allowed, resp.Stale)
-	s.writeJSON(w, http.StatusOK, resp)
+	out, err := appendDecideResponse((*buf)[:0], &resp)
+	*buf = out
+	s.writeEncoded(w, out, err)
 }
 
 // batchDecider is the optional batch interface a decider may provide;
@@ -200,7 +204,7 @@ type batchDecider interface {
 }
 
 func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
-	corr := s.correlate(w, r)
+	corr := correlate(w, r)
 	rt := traceOf(r)
 	t := time.Now()
 	var req BatchDecideRequest
@@ -271,10 +275,12 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	corr := s.correlate(w, r)
+	corr := correlate(w, r)
 	rt := traceOf(r)
 	t := time.Now()
-	req, ok := s.readDecideRequest(w, r)
+	buf := getBuf()
+	defer putBuf(buf)
+	req, ok := s.readDecideRequest(w, r, buf)
 	rt.step("decode", t)
 	if !ok {
 		return
@@ -295,7 +301,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := CheckResponse{Allowed: d.Allowed, Stale: s.stale(), CorrelationID: corr}
 	rt.decision(d.Allowed, resp.Stale)
-	s.writeJSON(w, http.StatusOK, resp)
+	*buf = appendCheckResponse((*buf)[:0], &resp)
+	s.writeEncoded(w, *buf, nil)
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
@@ -404,24 +411,24 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, records)
 }
 
-func (s *Server) readDecideRequest(w http.ResponseWriter, r *http.Request) (DecideRequest, bool) {
+// readDecideRequest reads a decide or check body into buf and decodes it
+// as strictly as readBody does.
+func (s *Server) readDecideRequest(w http.ResponseWriter, r *http.Request, buf *[]byte) (DecideRequest, bool) {
 	var req DecideRequest
-	ok := s.readBody(w, r, &req, http.MethodPost)
-	return req, ok
+	if !s.allowMethods(w, r, http.MethodPost) {
+		return req, false
+	}
+	if err := readDecide(w, r, buf, &req, true); err != nil {
+		s.writeStatus(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		return req, false
+	}
+	return req, true
 }
 
 // readBody enforces the allowed methods, bounds the body, and decodes
 // strict JSON into out.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, out any, methods ...string) bool {
-	allowed := false
-	for _, m := range methods {
-		if r.Method == m {
-			allowed = true
-			break
-		}
-	}
-	if !allowed {
-		s.writeStatus(w, http.StatusMethodNotAllowed, strings.Join(methods, " or ")+" only")
+	if !s.allowMethods(w, r, methods...) {
 		return false
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -437,6 +444,17 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, out any, metho
 	return true
 }
 
+// allowMethods answers 405 unless the request uses one of methods.
+func (s *Server) allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) bool {
+	for _, m := range methods {
+		if r.Method == m {
+			return true
+		}
+	}
+	s.writeStatus(w, http.StatusMethodNotAllowed, strings.Join(methods, " or ")+" only")
+	return false
+}
+
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	if errors.Is(err, core.ErrNotFound) || errors.Is(err, core.ErrNoSession) {
@@ -447,6 +465,15 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 func (s *Server) writeStatus(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, ErrorResponse{Error: msg})
+}
+
+// writeEncoded sends a 200 reply a codec encoder produced, logging an
+// encode error as writeJSON does.
+func (s *Server) writeEncoded(w http.ResponseWriter, b []byte, err error) {
+	writeEncoded(w, b, err)
+	if err != nil {
+		s.logger.Printf("pdp: encode response: %v", err)
+	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

@@ -35,16 +35,18 @@ type Credential struct {
 	Source     string  `json:"source,omitempty"`
 }
 
-// DecideRequest is the wire form of core.Request. A null (absent)
+// DecideRequest is the wire form of core.Request. A null (or absent)
 // environment asks the server to consult its live environment source; an
-// explicit array (possibly empty) is used verbatim.
+// explicit array (possibly empty) is used verbatim. Environment is
+// therefore not omitempty: a nil slice is sent as null and an empty one as
+// [], so "no environment roles active" survives the wire.
 type DecideRequest struct {
 	Subject     string       `json:"subject,omitempty"`
 	Session     string       `json:"session,omitempty"`
 	Object      string       `json:"object"`
 	Transaction string       `json:"transaction"`
 	Credentials []Credential `json:"credentials,omitempty"`
-	Environment []string     `json:"environment,omitempty"`
+	Environment []string     `json:"environment"`
 }
 
 // Match is the wire form of core.Match.

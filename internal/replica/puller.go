@@ -358,9 +358,8 @@ func (p *Puller) syncOnce(ctx context.Context) error {
 	p.epoch = snap.Epoch
 	p.primaryGen = snap.Generation
 	p.appliedGen = snap.Generation
-	p.markSyncedLocked()
 	p.lastSync = now
-	p.contactLocked(now)
+	p.markSyncedLocked(now)
 	p.syncs++
 	p.mu.Unlock()
 	return nil
@@ -393,20 +392,23 @@ func (p *Puller) deltaOnce(ctx context.Context, epoch string, after uint64) erro
 		p.primaryGen = delta.Generation
 	}
 	p.appliedGen = delta.Generation
-	p.markSyncedLocked()
 	p.lastSync = now
-	p.contactLocked(now)
+	p.markSyncedLocked(now)
 	p.deltaSyncs++
 	p.deltaMuts += uint64(len(delta.Mutations))
 	p.mu.Unlock()
 	return nil
 }
 
-// markSyncedLocked flips the synced flag and releases WaitSynced waiters
-// exactly once. Caller holds p.mu.
-func (p *Puller) markSyncedLocked() {
-	if !p.synced {
-		p.synced = true
+// markSyncedLocked records a successful sync at now. It publishes the
+// staleness deadline before it releases WaitSynced waiters (exactly once),
+// so a caller woken by the first sync never reads the puller as stale.
+// Caller holds p.mu.
+func (p *Puller) markSyncedLocked(now time.Time) {
+	first := !p.synced
+	p.synced = true
+	p.contactLocked(now)
+	if first {
 		close(p.syncedCh)
 	}
 }
