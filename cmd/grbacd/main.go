@@ -408,10 +408,10 @@ func serve(ctx context.Context, stop context.CancelFunc, addr string, handler ht
 	httpServer := &http.Server{
 		Addr:    addr,
 		Handler: handler,
-		// Defense against slow or stuck clients. The replication watch
-		// handler outlives WriteTimeout by design: it extends its own
-		// per-request write deadline (http.ResponseController) to cover
-		// the long-poll window.
+		// Defense against slow or stuck clients. The long-poll watches
+		// (replica feed, shard map; internal/watch) outlive WriteTimeout
+		// by design: each extends its own per-request write deadline
+		// (http.ResponseController) to cover the long-poll window.
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
 		WriteTimeout:      15 * time.Second,

@@ -171,8 +171,7 @@ func (s *System) AdvanceGeneration(gen uint64) {
 	}
 	s.gen = gen
 	s.snap.Store(nil)
-	close(s.genCh)
-	s.genCh = make(chan struct{})
+	s.gens.Publish(s.gen)
 	s.observeLocked()
 }
 

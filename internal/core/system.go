@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/aware-home/grbac/internal/watch"
 )
 
 // EnvironmentSource supplies the set of currently active environment roles.
@@ -77,10 +80,9 @@ type System struct {
 	// decisions (entries are stamped with the generation they were
 	// computed at). Readers access it under the read lock.
 	gen uint64
-	// genCh is closed (and replaced) on every generation bump, waking
-	// anyone blocked in a generation watch. It is the broadcast primitive
-	// behind the replication feed's long-poll.
-	genCh chan struct{}
+	// gens publishes gen on every bump, waking anyone parked on the
+	// generation: the replication feed's long-poll and PolicyChanged.
+	gens watch.Notifier
 	// snap is the published compiled policy snapshot the lock-free Decide
 	// path runs against, or nil after a mutation has invalidated it. It is
 	// recompiled lazily by the first post-mutation Decide (see
@@ -175,7 +177,6 @@ func NewSystem(opts ...Option) *System {
 		strategy:     DenyOverrides{},
 		now:          time.Now,
 		cacheCap:     defaultDecisionCacheSize,
-		genCh:        make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -196,8 +197,7 @@ func (s *System) invalidateLocked() {
 	s.gen++
 	s.invalidations.Add(1)
 	s.snap.Store(nil)
-	close(s.genCh)
-	s.genCh = make(chan struct{})
+	s.gens.Publish(s.gen)
 }
 
 // currentSnapshot returns the newest compiled policy snapshot, compiling
@@ -238,10 +238,12 @@ func (s *System) Generation() uint64 {
 // FIRST, then read Generation(): a bump between the two calls is visible
 // in the generation, and a bump after the read closes the channel already
 // held.
-func (s *System) GenerationChange() <-chan struct{} {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.genCh
+func (s *System) GenerationChange() <-chan struct{} { return s.gens.Changed() }
+
+// WaitGeneration blocks until the policy generation exceeds after or ctx
+// is done, and returns the generation it ends at.
+func (s *System) WaitGeneration(ctx context.Context, after uint64) uint64 {
+	return s.gens.Wait(ctx, after)
 }
 
 // Stats reports the memoization layer's counters: decision-cache hits,

@@ -47,8 +47,7 @@ func RunE21(w io.Writer) error {
 		return err
 	}
 	srv := httptest.NewServer(pdp.NewServer(sys,
-		pdp.WithReplicaSource(replica.NewSource(sys)),
-		pdp.WithWatchMaxWait(50*time.Millisecond)))
+		pdp.WithReplicaSource(replica.NewSource(sys))))
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

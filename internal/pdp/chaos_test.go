@@ -113,7 +113,6 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 		WithAuditLogger(audit.NewLogger()),
 		WithMaxInflight(2, 20*time.Millisecond),
 		WithReplicaSource(replica.NewSource(primarySys)),
-		WithWatchMaxWait(100*time.Millisecond),
 		WithErrorLog(quiet),
 	))
 
@@ -121,7 +120,6 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 	followerSys := core.NewSystem()
 	follower := replica.NewFollower(followerSys, primarySrv.URL,
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
-		replica.WithWatchTimeout(200*time.Millisecond),
 		replica.WithMaxStaleness(5*time.Second),
 		replica.WithFollowerLogger(quiet),
 	)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
-	"github.com/aware-home/grbac/internal/replica"
 	"github.com/aware-home/grbac/internal/retry"
 )
 
@@ -224,25 +223,6 @@ func (c *Client) Statsz(ctx context.Context) (StatszResponse, error) {
 	var st StatszResponse
 	err := c.get(ctx, "/v1/statsz", &st)
 	return st, err
-}
-
-// ReplicaSnapshot fetches the primary's generation-stamped policy export.
-func (c *Client) ReplicaSnapshot(ctx context.Context) (replica.Snapshot, error) {
-	var snap replica.Snapshot
-	err := c.get(ctx, replica.SnapshotPath, &snap)
-	return snap, err
-}
-
-// ReplicaWatch long-polls the replication feed until the server's
-// generation exceeds after (under epoch), its long-poll cap elapses, or
-// ctx is done; it returns the feed position either way. Callers should
-// not combine this with an http.Client whose Timeout undercuts the
-// server's poll cap.
-func (c *Client) ReplicaWatch(ctx context.Context, epoch string, after uint64) (replica.WatchResponse, error) {
-	q := "?epoch=" + epoch + "&after=" + strconv.FormatUint(after, 10)
-	var resp replica.WatchResponse
-	err := c.get(ctx, replica.WatchPath+q, &resp)
-	return resp, err
 }
 
 // Healthy reports whether the server answers its liveness probe. A

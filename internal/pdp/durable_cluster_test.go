@@ -44,8 +44,7 @@ func openDurablePrimary(t *testing.T, dir string) (*store.Durable, *Server) {
 		WithReplicaSource(replica.NewSource(sys,
 			replica.WithSourceEpoch(dur.Epoch()),
 			replica.WithDeltaProvider(dur))),
-		WithDurableStore(dur),
-		WithWatchMaxWait(100*time.Millisecond))
+		WithDurableStore(dur))
 	return dur, srv
 }
 
@@ -181,7 +180,12 @@ func TestDurableClusterPrimaryRestartDeltaSync(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
+	// A short poll: the watch parked on the dead incarnation ends at its
+	// next keepalive, not at the default cap.
+	feed := replica.NewClient(ts.URL, ts.Client())
+	feed.MaxWait = 100 * time.Millisecond
 	f := replica.NewFollower(core.NewSystem(), ts.URL,
+		replica.WithFetcher(feed),
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
 		replica.WithWatchTimeout(time.Second))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -247,78 +247,37 @@ func TestRebalanceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardMapWatch pins the live map push: a watch at the current
-// version parks until SetMap commits a newer map, then returns it; a
-// stale `after` returns immediately; an expiring wait returns the
-// current map unchanged.
+// TestShardMapWatch pins what the shard-map watch adds to the shared
+// long-poll contract (TestWatchContract): its reply is the router's whole
+// current wire map, shards and all, which the SDK installs as it stands.
 func TestShardMapWatch(t *testing.T) {
 	c := newRouterCluster(t, 2)
-
-	get := func(query string) shard.Wire {
-		t.Helper()
-		resp, err := http.Get(c.front.URL + ShardMapWatchPath + "?" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("watch %q = %d", query, resp.StatusCode)
-		}
-		var w shard.Wire
-		if err := json.NewDecoder(resp.Body).Decode(&w); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-
-	// Stale after: immediate reply with the current map.
-	start := time.Now()
-	if w := get("after=0"); w.Version != c.m.Version() {
-		t.Fatalf("watch(after=0) = v%d, want v%d", w.Version, c.m.Version())
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("stale watch did not return immediately")
-	}
-
-	// Expiring wait: current map comes back after the timeout.
-	start = time.Now()
-	if w := get(fmt.Sprintf("after=%d&wait=100ms", c.m.Version())); w.Version != c.m.Version() {
-		t.Fatalf("timed-out watch = v%d, want current v%d", w.Version, c.m.Version())
-	}
-	if d := time.Since(start); d < 80*time.Millisecond || d > 2*time.Second {
-		t.Fatalf("timed-out watch took %v, want ~100ms", d)
-	}
-
-	// Parked watch wakes on SetMap.
 	grown, err := c.m.Add(shard.Info{ID: "s9", Addr: c.shards["s0"].URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan shard.Wire, 1)
-	go func() { done <- get(fmt.Sprintf("after=%d&wait=10s", c.m.Version())) }()
-	time.Sleep(100 * time.Millisecond) // let the watch park
 	if err := c.rt.SetMap(grown); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case w := <-done:
-		if w.Version != grown.Version() || len(w.Shards) != 3 {
-			t.Fatalf("woken watch = v%d/%d shards, want v%d/3", w.Version, len(w.Shards), grown.Version())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch did not wake on SetMap")
-	}
 
-	// Bad parameters are 400s.
-	for _, q := range []string{"after=notanumber", "wait=bogus", "wait=-1s"} {
-		resp, err := http.Get(c.front.URL + ShardMapWatchPath + "?" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("watch %q = %d, want 400", q, resp.StatusCode)
-		}
+	resp, err := http.Get(fmt.Sprintf("%s%s?after=%d", c.front.URL, ShardMapWatchPath, c.m.Version()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var w shard.Wire
+	if err := json.NewDecoder(resp.Body).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	m, err := shard.FromWire(w)
+	if err != nil {
+		t.Fatalf("watch reply is not a valid wire map: %v", err)
+	}
+	if m.Version() != grown.Version() || m.Len() != 3 {
+		t.Fatalf("watch reply = v%d/%d shards, want v%d/3", m.Version(), m.Len(), grown.Version())
+	}
+	if s9, ok := m.Get("s9"); !ok || s9.Addr != c.shards["s0"].URL {
+		t.Fatalf("watch reply lost the new shard: %+v", w.Shards)
 	}
 }
 

@@ -1,10 +1,8 @@
 package pdp
 
 import (
-	"context"
 	"net/http"
 	"strconv"
-	"time"
 
 	"github.com/aware-home/grbac/internal/audit"
 	"github.com/aware-home/grbac/internal/bundle"
@@ -13,11 +11,6 @@ import (
 	"github.com/aware-home/grbac/internal/replica"
 	"github.com/aware-home/grbac/internal/store"
 )
-
-// defaultWatchMaxWait caps one replication long-poll: a quiet primary
-// answers a watch with "no change" after this long, which doubles as the
-// follower's liveness signal.
-const defaultWatchMaxWait = 25 * time.Second
 
 // WithReplicaSource exposes the policy replication feed —
 // GET /v1/replica/snapshot and GET /v1/replica/watch — turning this
@@ -35,16 +28,6 @@ func WithReplicaSource(src *replica.Source) ServerOption {
 // only.
 func WithDurableStore(d *store.Durable) ServerOption {
 	return func(s *Server) { s.durable = d }
-}
-
-// WithWatchMaxWait bounds one replication long-poll (default 25s). Tests
-// shrink it; production rarely needs to change it.
-func WithWatchMaxWait(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.watchMaxWait = d
-		}
-	}
 }
 
 // WithFollower puts the server in follower mode, serving decisions from
@@ -92,55 +75,11 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.replicaSrc.Snapshot())
 }
 
-// handleReplicaWatch blocks until the policy generation passes ?after=
-// (under ?epoch=), the long-poll cap elapses, or the client goes away,
-// then reports the feed position. The write deadline is extended past the
-// server-wide WriteTimeout so hardened deployments don't sever quiet
-// polls; the request context still bounds the wait.
-func (s *Server) handleReplicaWatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	q := r.URL.Query()
-	var after uint64
-	if raw := q.Get("after"); raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			s.writeStatus(w, http.StatusBadRequest, "bad after: want unsigned integer")
-			return
-		}
-		after = n
-	}
-	// ?wait= lets the poller shorten the cap below the server's: followers
-	// ask for keepalives inside their staleness bound, so an idle (but
-	// reachable) primary never reads as stale.
-	wait := s.watchMaxWait
-	if raw := q.Get("wait"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			s.writeStatus(w, http.StatusBadRequest, "bad wait: want positive Go duration")
-			return
-		}
-		if d < wait {
-			wait = d
-		}
-	}
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Now().Add(wait + 10*time.Second))
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	gen := s.replicaSrc.Wait(ctx, q.Get("epoch"), after)
-	s.writeJSON(w, http.StatusOK, replica.WatchResponse{
-		Epoch: s.replicaSrc.Epoch(), Generation: gen,
-	})
-}
-
 // handleReplicaDelta serves the journaled mutation tail after ?after=
 // (under ?epoch=). 410 Gone means the tail cannot answer — wrong epoch,
 // or the position predates the retained window — and the follower should
-// take a full snapshot. Mounted only when the source has a delta
-// provider attached (a durable primary).
+// take a full snapshot; a source without a delta provider (an in-memory
+// primary) answers 410 to every position.
 func (s *Server) handleReplicaDelta(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,8 +28,7 @@ func newTestServerWithSource(t *testing.T) (*httptest.Server, *core.System) {
 	}
 	srv := httptest.NewServer(NewServer(sys,
 		WithAdmin(),
-		WithReplicaSource(replica.NewSource(sys)),
-		WithWatchMaxWait(500*time.Millisecond)))
+		WithReplicaSource(replica.NewSource(sys))))
 	t.Cleanup(srv.Close)
 	return srv, sys
 }
@@ -44,10 +42,9 @@ func newHTTPServer(t *testing.T, h http.Handler) *httptest.Server {
 
 func TestReplicaSnapshotEndpoint(t *testing.T) {
 	srv, sys := newTestServerWithSource(t)
-	client := NewClient(srv.URL, srv.Client())
-	snap, err := client.ReplicaSnapshot(context.Background())
+	snap, err := replica.NewClient(srv.URL, srv.Client()).Snapshot(context.Background())
 	if err != nil {
-		t.Fatalf("ReplicaSnapshot: %v", err)
+		t.Fatalf("Snapshot: %v", err)
 	}
 	if snap.Epoch == "" {
 		t.Fatal("snapshot missing epoch")
@@ -60,124 +57,27 @@ func TestReplicaSnapshotEndpoint(t *testing.T) {
 	}
 }
 
+// TestReplicaWatchLongPoll pins what the replica feed adds to the shared
+// long-poll contract (TestWatchContract): the reply carries the feed's
+// epoch, and a poll under a foreign epoch never parks, however large its
+// generation claim.
 func TestReplicaWatchLongPoll(t *testing.T) {
-	srv, sys := newTestServerWithSource(t)
-	client := NewClient(srv.URL, srv.Client())
-	ctx := context.Background()
-
-	snap, err := client.ReplicaSnapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A watch behind the current generation returns immediately.
-	resp, err := client.ReplicaWatch(ctx, snap.Epoch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Generation != snap.Generation || resp.Epoch != snap.Epoch {
-		t.Fatalf("watch behind = %+v, want generation %d", resp, snap.Generation)
-	}
-
-	// A watch at the current generation blocks until a mutation lands.
-	type result struct {
-		resp replica.WatchResponse
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		r, err := client.ReplicaWatch(ctx, snap.Epoch, snap.Generation)
-		done <- result{r, err}
-	}()
-	select {
-	case r := <-done:
-		t.Fatalf("watch returned %+v before any mutation", r)
-	case <-time.After(100 * time.Millisecond):
-	}
-	if err := sys.AddSubject("newcomer"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.resp.Generation <= snap.Generation {
-			t.Fatalf("watch woke at stale generation %d", r.resp.Generation)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch did not wake on mutation")
-	}
-
-	// A foreign epoch never blocks, however large its generation claim.
-	resp, err = client.ReplicaWatch(ctx, "some-old-epoch", 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Epoch != snap.Epoch {
-		t.Fatalf("watch under foreign epoch reported epoch %q", resp.Epoch)
-	}
-}
-
-// TestReplicaWatchHonorsClientWait: ?wait= shortens the poll below the
-// server's cap, so followers can get keepalives inside a tight staleness
-// bound even from a primary configured with a long cap.
-func TestReplicaWatchHonorsClientWait(t *testing.T) {
-	compiled, err := policy.Compile(serverPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := core.NewSystem()
-	if err := compiled.Apply(sys, nil); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(sys,
-		WithReplicaSource(replica.NewSource(sys)),
-		WithWatchMaxWait(time.Minute)))
-	t.Cleanup(srv.Close)
-
-	snap, err := NewClient(srv.URL, srv.Client()).ReplicaSnapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	resp, err := srv.Client().Get(srv.URL + replica.WatchPath +
-		"?epoch=" + snap.Epoch +
-		"&after=" + strconv.FormatUint(snap.Generation, 10) +
-		"&wait=100ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("watch with wait=100ms held for %v under a 1m server cap", elapsed)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-}
-
-func TestReplicaWatchBadWait(t *testing.T) {
 	srv, _ := newTestServerWithSource(t)
-	resp, err := srv.Client().Get(srv.URL + replica.WatchPath + "?wait=-3s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-}
+	client := replica.NewClient(srv.URL, srv.Client())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 
-func TestReplicaWatchBadAfter(t *testing.T) {
-	srv, _ := newTestServerWithSource(t)
-	resp, err := srv.Client().Get(srv.URL + replica.WatchPath + "?after=banana")
+	snap, err := client.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	resp, err := client.Watch(ctx, "some-old-epoch", 1<<40)
+	if err != nil {
+		t.Fatalf("watch under a foreign epoch: %v", err)
+	}
+	if resp.Epoch != snap.Epoch || resp.Generation != snap.Generation {
+		t.Fatalf("watch under foreign epoch = %+v, want epoch %q generation %d",
+			resp, snap.Epoch, snap.Generation)
 	}
 }
 

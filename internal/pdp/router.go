@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"github.com/aware-home/grbac/internal/bundle"
 	"github.com/aware-home/grbac/internal/obs"
 	"github.com/aware-home/grbac/internal/shard"
+	"github.com/aware-home/grbac/internal/watch"
 )
 
 // Router is the sharded cluster's routing tier: a stateless HTTP front
@@ -49,9 +49,9 @@ import (
 // with the new owner's coordinates; the router follows the redirect once
 // within the same request, so clients never observe the handoff.
 type Router struct {
-	mu    sync.Mutex // serializes SetMap and guards watch
-	view  atomic.Pointer[routerView]
-	watch chan struct{} // closed and replaced under mu on every map change
+	mu   sync.Mutex // serializes SetMap
+	view atomic.Pointer[routerView]
+	maps watch.Notifier // publishes the active map's version
 
 	mux      *http.ServeMux
 	fanout   int
@@ -105,13 +105,10 @@ const ShardMapPath = "/v1/shard/map"
 
 // ShardMapWatchPath long-polls for shard map changes: the request parks
 // until the map version exceeds ?after (or the wait expires), then
-// returns the current wire map. Routers push rebalance commits to SDK
+// returns the current wire map. It is internal/watch's long-poll, the
+// one the replica feed runs too. Routers push rebalance commits to SDK
 // clients through this edge so the fleet flips atomically.
 const ShardMapWatchPath = "/v1/shard/map/watch"
-
-// defaultMapWatchMaxWait caps how long one map watch may park. Below
-// typical LB idle timeouts so parked watches don't die mid-flight.
-const defaultMapWatchMaxWait = 25 * time.Second
 
 // ErrStaleShardMap is returned by SetMap when the candidate map's
 // version is not strictly newer than the active map's.
@@ -215,7 +212,6 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 		timeout:      DefaultShardTimeout,
 		retryBackoff: DefaultReadRetryBackoff,
 		logger:       log.Default(),
-		watch:        make(chan struct{}),
 		stop:         make(chan struct{}),
 		health:       newHealthTracker(),
 	}
@@ -265,7 +261,9 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 	mux.HandleFunc("/v1/query/subjects-in-role", rt.handleSubjectsInRole)
 	mux.HandleFunc("/v1/query/what-can", rt.handleWhatCan)
 	mux.HandleFunc(ShardMapPath, rt.handleShardMap)
-	mux.HandleFunc(ShardMapWatchPath, rt.handleShardMapWatch)
+	mux.HandleFunc(ShardMapWatchPath, watch.Handler(
+		func(ctx context.Context, _ *http.Request, after uint64) uint64 { return rt.maps.Wait(ctx, after) },
+		func(uint64) any { return rt.Map().Wire() }))
 	mux.HandleFunc("/v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("/v1/statsz", rt.handleStatsz)
 	if rt.bundles != nil {
@@ -291,9 +289,9 @@ func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 }
 
-// install swaps in a map and (re)builds the per-shard client table.
-// Callers must hold rt.mu (or be the constructor, before the router is
-// shared).
+// install swaps in a map, (re)builds the per-shard client table and
+// wakes every parked map watch. Callers must hold rt.mu (or be the
+// constructor, before the router is shared).
 func (rt *Router) install(m *shard.Map) {
 	clients := make(map[string]*Client, m.Len())
 	prev := rt.view.Load()
@@ -310,6 +308,7 @@ func (rt *Router) install(m *shard.Map) {
 	}
 	rt.view.Store(&routerView{m: m, clients: clients})
 	rt.health.prune(m)
+	rt.maps.Publish(m.Version())
 }
 
 // SetMap atomically replaces the shard map and wakes every parked map
@@ -327,8 +326,6 @@ func (rt *Router) SetMap(m *shard.Map) error {
 			ErrStaleShardMap, m.Version(), cur.m.Version())
 	}
 	rt.install(m)
-	close(rt.watch)
-	rt.watch = make(chan struct{})
 	return nil
 }
 
@@ -975,60 +972,6 @@ func (rt *Router) handleShardMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rt.Map().Wire())
-}
-
-// handleShardMapWatch long-polls for a shard map newer than ?after=N:
-// it parks until SetMap commits a newer version or the wait expires,
-// then replies with the current wire map either way (the caller
-// compares versions). ?wait=DUR shortens the park below the server cap.
-func (rt *Router) handleShardMapWatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
-	q := r.URL.Query()
-	var after uint64
-	if raw := q.Get("after"); raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad after parameter: " + err.Error()})
-			return
-		}
-		after = n
-	}
-	wait := defaultMapWatchMaxWait
-	if raw := q.Get("wait"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad wait parameter"})
-			return
-		}
-		if d < wait {
-			wait = d
-		}
-	}
-	// Keep the connection's write deadline ahead of the park so the
-	// response can still be written after a full wait.
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Now().Add(wait + 10*time.Second))
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	for {
-		rt.mu.Lock()
-		ch := rt.watch
-		rt.mu.Unlock()
-		wire := rt.Map().Wire()
-		if wire.Version > after {
-			writeJSON(w, http.StatusOK, wire)
-			return
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			writeJSON(w, http.StatusOK, rt.Map().Wire())
-			return
-		}
-	}
 }
 
 // RouterHealthResponse aggregates per-shard liveness.

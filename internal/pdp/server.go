@@ -43,7 +43,6 @@ type Server struct {
 	durable      *store.Durable
 	bundles      *bundle.Verifier
 	declog       *declog.Exporter
-	watchMaxWait time.Duration
 	limiter      *limiter
 	migration    migrationState
 	recovered    atomic.Uint64
@@ -80,7 +79,7 @@ func WithErrorLog(l *log.Logger) ServerOption {
 
 // NewServer builds a PDP server over the given system.
 func NewServer(sys *core.System, opts ...ServerOption) *Server {
-	s := &Server{sys: sys, decider: sys, logger: log.Default(), watchMaxWait: defaultWatchMaxWait}
+	s := &Server{sys: sys, decider: sys, logger: log.Default()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -118,7 +117,7 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 	}
 	if s.replicaSrc != nil {
 		mux.HandleFunc(replica.SnapshotPath, s.handleReplicaSnapshot)
-		mux.HandleFunc(replica.WatchPath, s.handleReplicaWatch)
+		mux.HandleFunc(replica.WatchPath, s.replicaSrc.WatchHandler())
 		mux.HandleFunc(replica.DeltaPath, s.handleReplicaDelta)
 	}
 	s.mux = mux

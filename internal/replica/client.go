@@ -35,8 +35,21 @@ type Client struct {
 	// MaxWait, when positive, is sent with every Watch as the longest the
 	// primary should hold the poll before answering "no change". The
 	// primary uses the smaller of this and its own cap. Followers derive
-	// it from their staleness bound so keepalives always arrive inside it.
+	// it from their staleness bound (KeepaliveWait) so keepalives always
+	// arrive inside it.
 	MaxWait time.Duration
+}
+
+// KeepaliveWait is the MaxWait a feed client asks for under a staleness
+// bound: a third of it, so a quiet primary's "no change" replies arrive
+// well inside the bound, floored at 100ms so a tight bound does not turn
+// the watch into a busy poll. A bound <= 0 (staleness off) returns 0,
+// leaving the primary's cap in charge.
+func KeepaliveWait(maxStaleness time.Duration) time.Duration {
+	if maxStaleness <= 0 {
+		return 0
+	}
+	return max(maxStaleness/3, 100*time.Millisecond)
 }
 
 // pooledFeedClient is the default transport for feed clients. The stock

@@ -69,8 +69,7 @@ func startPrimary(t testing.TB, addr string) (*core.System, string, func()) {
 	}
 	srv := &http.Server{Handler: pdp.NewServer(sys,
 		pdp.WithAdmin(),
-		pdp.WithReplicaSource(replica.NewSource(sys)),
-		pdp.WithWatchMaxWait(200*time.Millisecond))}
+		pdp.WithReplicaSource(replica.NewSource(sys)))}
 	go func() { _ = srv.Serve(ln) }()
 	stopped := false
 	stop := func() {
@@ -131,8 +130,7 @@ func rawDecide(t *testing.T, baseURL string, req pdp.DecideRequest) (int, []byte
 func TestFollowerFreshAgainstQuietSlowCappedPrimary(t *testing.T) {
 	sys := homeSystem(t)
 	slow := httptest.NewServer(pdp.NewServer(sys,
-		pdp.WithReplicaSource(replica.NewSource(sys)),
-		pdp.WithWatchMaxWait(time.Minute)))
+		pdp.WithReplicaSource(replica.NewSource(sys))))
 	defer slow.Close()
 
 	followerSys := core.NewSystem()

@@ -238,15 +238,8 @@ func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Pulle
 	if p.fetch == nil {
 		cl := NewClient(primaryURL, nil)
 		// Keepalives must arrive well inside the staleness bound, or an
-		// idle-but-reachable primary reads as stale: ask the primary to
-		// answer "no change" at a third of the bound (it may answer
-		// sooner if its own cap is tighter).
-		if p.maxStaleness > 0 {
-			cl.MaxWait = p.maxStaleness / 3
-			if cl.MaxWait < 100*time.Millisecond {
-				cl.MaxWait = 100 * time.Millisecond
-			}
-		}
+		// idle-but-reachable primary reads as stale.
+		cl.MaxWait = KeepaliveWait(p.maxStaleness)
 		p.fetch = cl
 	}
 	if df, ok := p.fetch.(DeltaFetcher); ok {
@@ -294,7 +287,7 @@ func (p *Puller) Run(ctx context.Context) error {
 			p.noteError()
 			p.logger.Printf("replica: sync from %s failed (retrying in ~%v): %v",
 				p.primaryURL, bo.Current(), err)
-			if !sleepCtx(ctx, bo.Delay()) {
+			if !bo.Sleep(ctx) {
 				return ctx.Err()
 			}
 			continue
@@ -317,7 +310,7 @@ func (p *Puller) Run(ctx context.Context) error {
 			p.mu.Unlock()
 			p.logger.Printf("replica: watch on %s failed (re-syncing in ~%v): %v",
 				p.primaryURL, bo.Current(), err)
-			if !sleepCtx(ctx, bo.Delay()) {
+			if !bo.Sleep(ctx) {
 				return ctx.Err()
 			}
 		}
@@ -518,17 +511,4 @@ func (p *Puller) Stats() Stats {
 	}
 	st.Stale = p.maxStaleness > 0 && p.staleAt(now.Sub(p.start))
 	return st
-}
-
-// sleepCtx sleeps for d or until ctx is done, reporting whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -11,18 +11,24 @@
 // follower then answers Decide traffic locally, at local speed, from
 // byte-identical policy.
 //
-// The protocol is two read-only HTTP endpoints on the primary:
+// The protocol is three read-only HTTP endpoints on the primary:
 //
 //	GET /v1/replica/snapshot
 //	    → {"epoch": e, "generation": g, "state": {...}}
 //	GET /v1/replica/watch?epoch=e&after=g[&wait=d]
-//	    → {"epoch": e', "generation": g'}   (blocks until g' > g,
-//	      epoch changes, or the poll cap — the smaller of the server's
-//	      and the optional ?wait= duration — elapses)
+//	    → {"epoch": e', "generation": g'}   (blocks until g' > g or the
+//	      poll cap — the smaller of internal/watch's MaxWait and the
+//	      optional ?wait= duration — elapses; a foreign epoch answers at
+//	      once)
+//	GET /v1/replica/delta?epoch=e&after=g
+//	    → {"epoch": e, "after": g, "generation": g', "mutations": [...]}
+//	      or 410 Gone when no journal tail can answer (see DeltaPath)
 //
-// The capped "no change" reply doubles as a liveness keepalive: followers
-// request a ?wait= inside their staleness bound, so a quiet primary keeps
-// proving it is reachable.
+// The watch is internal/watch's long-poll, the same one the router's
+// shard-map watch runs. Its capped "no change" reply doubles as a
+// liveness keepalive: followers request a ?wait= inside their staleness
+// bound (KeepaliveWait), so a quiet primary keeps proving it is
+// reachable.
 //
 // Generations are the monotonic mutation counter PR 1 introduced for
 // decision-cache invalidation; they totally order policy versions within
@@ -46,9 +52,9 @@ const (
 	// DeltaPath serves the journaled mutation tail:
 	//   GET /v1/replica/delta?epoch=e&after=g
 	//     → {"epoch": e, "after": g, "generation": g', "mutations": [...]}
-	// or 410 Gone when the tail no longer reaches back to g (or the epoch
-	// changed), telling the follower to take a full snapshot. Mounted only
-	// when the primary runs a durable store (the delta source is its WAL).
+	// or 410 Gone when the tail no longer reaches back to g, the epoch
+	// changed, or the primary keeps no tail at all, telling the follower
+	// to take a full snapshot. Only a durable store keeps a tail (its WAL).
 	DeltaPath = "/v1/replica/delta"
 )
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"net/http"
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
+	"github.com/aware-home/grbac/internal/watch"
 )
 
 // DeltaProvider hands the Source a journaled mutation tail to serve as
@@ -101,19 +103,15 @@ func (s *Source) Wait(ctx context.Context, epoch string, after uint64) uint64 {
 	if epoch != s.epoch {
 		return s.sys.Generation()
 	}
-	for {
-		// Channel first, generation second: a bump between the two reads
-		// shows up in the generation; a bump after closes the channel we
-		// already hold. Either way no wakeup is lost.
-		ch := s.sys.GenerationChange()
-		gen := s.sys.Generation()
-		if gen > after {
-			return gen
-		}
-		select {
-		case <-ctx.Done():
-			return gen
-		case <-ch:
-		}
-	}
+	return s.sys.WaitGeneration(ctx, after)
+}
+
+// WatchHandler serves WatchPath: the long-poll on the policy generation
+// under ?epoch=, answered with the feed's position.
+func (s *Source) WatchHandler() http.HandlerFunc {
+	return watch.Handler(
+		func(ctx context.Context, r *http.Request, after uint64) uint64 {
+			return s.Wait(ctx, r.URL.Query().Get("epoch"), after)
+		},
+		func(gen uint64) any { return WatchResponse{Epoch: s.epoch, Generation: gen} })
 }

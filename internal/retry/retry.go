@@ -12,6 +12,7 @@
 package retry
 
 import (
+	"context"
 	"math/rand"
 	"time"
 )
@@ -94,3 +95,16 @@ func (b *Backoff) Current() time.Duration {
 
 // Reset rewinds the schedule to Min after a successful exchange.
 func (b *Backoff) Reset() { b.cur = 0 }
+
+// Sleep sleeps for the next Delay or until ctx is done, reporting whether
+// the full sleep elapsed.
+func (b *Backoff) Sleep(ctx context.Context) bool {
+	t := time.NewTimer(b.Delay())
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
+}

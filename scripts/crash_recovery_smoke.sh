@@ -12,21 +12,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workdir=$(mktemp -d)
+smoke=crash_smoke
+smoke_pids="server_pid"
+. scripts/lib.sh
+
 port=${SMOKE_CRASH_PORT:-18137}
 server="http://127.0.0.1:$port"
 datadir="$workdir/data"
-
-cleanup() {
-	# Wait for the exit: shutdown writes a final checkpoint into the data
-	# directory, and removing it mid-write leaves the rm half done.
-	if [ -n "${server_pid:-}" ]; then
-		kill "$server_pid" 2>/dev/null || true
-		wait "$server_pid" 2>/dev/null || true
-	fi
-	rm -rf "$workdir"
-}
-trap cleanup EXIT INT TERM
 
 go build -o "$workdir/grbacd" ./cmd/grbacd
 go build -o "$workdir/grbacctl" ./cmd/grbacctl
@@ -50,23 +42,6 @@ start_server() {
 		-data-dir "$datadir" -wal-checkpoint-every 100000 \
 		>>"$workdir/server.log" 2>&1 &
 	server_pid=$!
-}
-
-# wait_until <description> <command...>: poll for up to ~10s.
-wait_until() {
-	desc=$1
-	shift
-	i=0
-	until "$@" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "crash_smoke: FAIL: timed out waiting for $desc" >&2
-			echo "--- server.log ---" >&2
-			cat "$workdir/server.log" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
 }
 
 # store_field <name>: pull one numeric/string field out of the "store"

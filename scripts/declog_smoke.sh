@@ -18,17 +18,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workdir=$(mktemp -d)
+smoke=declog_smoke
+smoke_pids="flood_pids server_pid"
+wait_tries=150
+. scripts/lib.sh
+
 port=${SMOKE_DECLOG_PORT:-18129}
 server="http://127.0.0.1:$port"
 chunks="$workdir/chunks"
-
-cleanup() {
-	for pid in ${flood_pids:-}; do kill "$pid" 2>/dev/null || true; done
-	[ -n "${server_pid:-}" ] && kill "$server_pid" 2>/dev/null || true
-	rm -rf "$workdir"
-}
-trap cleanup EXIT INT TERM
 
 go build -o "$workdir/grbacd" ./cmd/grbacd
 go build -o "$workdir/grbacctl" ./cmd/grbacctl
@@ -63,23 +60,6 @@ sed 's/subject alice is child;/subject alice is child;\nsubject bob is child;/' 
 	-faults 'declog.upload:error=stalled-collector,limit=1;declog.upload:delay=5s,after=1,limit=1' \
 	>"$workdir/server.log" 2>&1 &
 server_pid=$!
-
-# wait_until <description> <command...>: poll for up to ~15s.
-wait_until() {
-	desc=$1
-	shift
-	i=0
-	until "$@" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 150 ]; then
-			echo "declog_smoke: FAIL: timed out waiting for $desc" >&2
-			echo "--- server.log ---" >&2
-			cat "$workdir/server.log" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
 
 wait_until "server healthz" curl -sf "$server/v1/healthz"
 

@@ -19,7 +19,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workdir=$(mktemp -d)
+smoke=rebalance_smoke
+smoke_pids="pid_a pid_b pid_c pid_r pid_load pid_watch"
+wait_tries=150
+. scripts/lib.sh
+
 port_a=${SMOKE_REBAL_PORT_A:-18141}
 port_b=${SMOKE_REBAL_PORT_B:-18142}
 port_c=${SMOKE_REBAL_PORT_C:-18143}
@@ -28,15 +32,6 @@ shard_a="http://127.0.0.1:$port_a"
 shard_b="http://127.0.0.1:$port_b"
 shard_c="http://127.0.0.1:$port_c"
 router="http://127.0.0.1:$port_r"
-
-cleanup() {
-	rm -f "$workdir/load_on"
-	for pid in "${pid_a:-}" "${pid_b:-}" "${pid_c:-}" "${pid_r:-}" "${pid_load:-}" "${pid_watch:-}"; do
-		[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-	done
-	rm -rf "$workdir"
-}
-trap cleanup EXIT INT TERM
 
 go build -o "$workdir/grbacd" ./cmd/grbacd
 go build -o "$workdir/grbacctl" ./cmd/grbacctl
@@ -51,26 +46,6 @@ pid_b=$!
 	-data-dir "$workdir/router-data" -shard-probe-interval 250ms \
 	>"$workdir/router.log" 2>&1 &
 pid_r=$!
-
-# wait_until <description> <command...>: poll for up to ~15s.
-wait_until() {
-	desc=$1
-	shift
-	i=0
-	until "$@" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 150 ]; then
-			echo "rebalance_smoke: FAIL: timed out waiting for $desc" >&2
-			for f in shard_a.log shard_b.log shard_c.log router.log watch.log; do
-				[ -f "$workdir/$f" ] || continue
-				echo "--- $f ---" >&2
-				cat "$workdir/$f" >&2
-			done
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
 
 wait_until "shard A healthz" curl -sf "$shard_a/v1/healthz"
 wait_until "shard B healthz" curl -sf "$shard_b/v1/healthz"

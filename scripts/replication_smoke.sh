@@ -8,18 +8,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workdir=$(mktemp -d)
+smoke=replication_smoke
+smoke_pids="primary_pid follower_pid"
+. scripts/lib.sh
+
 primary_port=${SMOKE_PRIMARY_PORT:-18125}
 follower_port=${SMOKE_FOLLOWER_PORT:-18126}
 primary="http://127.0.0.1:$primary_port"
 follower="http://127.0.0.1:$follower_port"
-
-cleanup() {
-	[ -n "${primary_pid:-}" ] && kill "$primary_pid" 2>/dev/null || true
-	[ -n "${follower_pid:-}" ] && kill "$follower_pid" 2>/dev/null || true
-	rm -rf "$workdir"
-}
-trap cleanup EXIT INT TERM
 
 go build -o "$workdir/grbacd" ./cmd/grbacd
 go build -o "$workdir/grbacctl" ./cmd/grbacctl
@@ -30,25 +26,6 @@ primary_pid=$!
 "$workdir/grbacd" -addr "127.0.0.1:$follower_port" -follow "$primary" \
 	>"$workdir/follower.log" 2>&1 &
 follower_pid=$!
-
-# wait_until <description> <command...>: poll for up to ~10s.
-wait_until() {
-	desc=$1
-	shift
-	i=0
-	until "$@" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "replication_smoke: FAIL: timed out waiting for $desc" >&2
-			echo "--- primary.log ---" >&2
-			cat "$workdir/primary.log" >&2
-			echo "--- follower.log ---" >&2
-			cat "$workdir/follower.log" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
 
 wait_until "primary healthz" "$workdir/grbacctl" -server "$primary" health
 wait_until "follower healthz" "$workdir/grbacctl" -server "$follower" health

@@ -13,16 +13,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workdir=$(mktemp -d)
+smoke=sdk_smoke
+smoke_pids="primary_pid wait_pid"
+. scripts/lib.sh
+
 port=${SMOKE_SDK_PORT:-18127}
 primary="http://127.0.0.1:$port"
-
-cleanup() {
-	[ -n "${primary_pid:-}" ] && kill "$primary_pid" 2>/dev/null || true
-	[ -n "${wait_pid:-}" ] && kill "$wait_pid" 2>/dev/null || true
-	rm -rf "$workdir"
-}
-trap cleanup EXIT INT TERM
 
 go build -o "$workdir/grbacd" ./cmd/grbacd
 go build -o "$workdir/embedded" ./examples/embedded
@@ -30,28 +26,6 @@ go build -o "$workdir/embedded" ./examples/embedded
 "$workdir/grbacd" -addr "127.0.0.1:$port" -admin \
 	>"$workdir/primary.log" 2>&1 &
 primary_pid=$!
-
-# wait_until <description> <command...>: poll for up to ~10s.
-wait_until() {
-	desc=$1
-	shift
-	i=0
-	until "$@" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "sdk_smoke: FAIL: timed out waiting for $desc" >&2
-			echo "--- primary.log ---" >&2
-			cat "$workdir/primary.log" >&2
-			for f in oneshot.log wait.log; do
-				[ -f "$workdir/$f" ] || continue
-				echo "--- $f ---" >&2
-				cat "$workdir/$f" >&2
-			done
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
 
 wait_until "primary healthz" curl -sf "$primary/v1/healthz"
 

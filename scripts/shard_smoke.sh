@@ -18,7 +18,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workdir=$(mktemp -d)
+smoke=shard_smoke
+smoke_pids="pid_a pid_b pid_r pid_f"
+. scripts/lib.sh
+
 port_a=${SMOKE_SHARD_PORT_A:-18131}
 port_b=${SMOKE_SHARD_PORT_B:-18132}
 port_r=${SMOKE_SHARD_PORT_R:-18133}
@@ -27,14 +30,6 @@ shard_a="http://127.0.0.1:$port_a"
 shard_b="http://127.0.0.1:$port_b"
 router="http://127.0.0.1:$port_r"
 follower="http://127.0.0.1:$port_f"
-
-cleanup() {
-	for pid in "${pid_a:-}" "${pid_b:-}" "${pid_r:-}" "${pid_f:-}"; do
-		[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-	done
-	rm -rf "$workdir"
-}
-trap cleanup EXIT INT TERM
 
 go build -o "$workdir/grbacd" ./cmd/grbacd
 go build -o "$workdir/grbacctl" ./cmd/grbacctl
@@ -50,26 +45,6 @@ pid_r=$!
 "$workdir/grbacd" -addr "127.0.0.1:$port_f" -follow "$shard_a" \
 	>"$workdir/follower.log" 2>&1 &
 pid_f=$!
-
-# wait_until <description> <command...>: poll for up to ~10s.
-wait_until() {
-	desc=$1
-	shift
-	i=0
-	until "$@" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "shard_smoke: FAIL: timed out waiting for $desc" >&2
-			for f in shard_a.log shard_b.log router.log follower.log; do
-				[ -f "$workdir/$f" ] || continue
-				echo "--- $f ---" >&2
-				cat "$workdir/$f" >&2
-			done
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
 
 wait_until "shard A healthz" curl -sf "$shard_a/v1/healthz"
 wait_until "shard B healthz" curl -sf "$shard_b/v1/healthz"

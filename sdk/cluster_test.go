@@ -38,8 +38,7 @@ func openDurablePrimary(t *testing.T, dir string) (*store.Durable, *pdp.Server) 
 		pdp.WithReplicaSource(replica.NewSource(sys,
 			replica.WithSourceEpoch(dur.Epoch()),
 			replica.WithDeltaProvider(dur))),
-		pdp.WithDurableStore(dur),
-		pdp.WithWatchMaxWait(100*time.Millisecond))
+		pdp.WithDurableStore(dur))
 	return dur, srv
 }
 
@@ -63,7 +62,11 @@ func TestSDKClusterRidesPrimaryRestart(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	c := newEmbedded(t, ts.URL)
+	// A short poll: the watch parked on the dead incarnation ends at its
+	// next keepalive, not at the default cap.
+	feed := replica.NewClient(ts.URL, ts.Client())
+	feed.MaxWait = 100 * time.Millisecond
+	c := newEmbedded(t, ts.URL, WithFetcher(feed))
 	if ok, err := c.CheckAccess(context.Background(), permitReq()); err != nil || !ok {
 		t.Fatalf("bootstrap CheckAccess = %v, %v; want permit", ok, err)
 	}

@@ -303,12 +303,7 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 		pullerOpts = append(pullerOpts, replica.WithFetcher(c.fetcher))
 	} else if c.httpClient != nil {
 		cl := replica.NewClient(feedURL, c.httpClient)
-		if c.maxStaleness > 0 {
-			cl.MaxWait = c.maxStaleness / 3
-			if cl.MaxWait < 100*time.Millisecond {
-				cl.MaxWait = 100 * time.Millisecond
-			}
-		}
+		cl.MaxWait = replica.KeepaliveWait(c.maxStaleness)
 		pullerOpts = append(pullerOpts, replica.WithFetcher(cl))
 	}
 	pullerOpts = append(pullerOpts, c.pullerOpts...)

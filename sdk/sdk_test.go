@@ -66,8 +66,7 @@ func newPrimary(t testing.TB) (*grbac.System, *httptest.Server) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(pdp.NewServer(sys,
-		pdp.WithReplicaSource(replica.NewSource(sys)),
-		pdp.WithWatchMaxWait(50*time.Millisecond)))
+		pdp.WithReplicaSource(replica.NewSource(sys))))
 	t.Cleanup(srv.Close)
 	return sys, srv
 }
@@ -78,9 +77,7 @@ func newEmbedded(t testing.TB, url string, opts ...Option) *Client {
 	t.Helper()
 	opts = append([]Option{
 		WithLogger(quiet),
-		WithPullerOptions(
-			replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
-			replica.WithWatchTimeout(time.Second)),
+		WithPullerOptions(replica.WithBackoff(time.Millisecond, 10*time.Millisecond)),
 	}, opts...)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -10,6 +10,7 @@ import (
 
 	grbac "github.com/aware-home/grbac"
 	"github.com/aware-home/grbac/internal/pdp"
+	"github.com/aware-home/grbac/internal/retry"
 	"github.com/aware-home/grbac/internal/shard"
 )
 
@@ -96,43 +97,46 @@ func (c *Client) bootstrapShardMap(ctx context.Context, routerURL string) (shard
 
 // watchShardMap is the background map watcher: it long-polls the
 // router for a map newer than the installed one and swaps the view the
-// moment a rebalance commits. Transient router failures back off and
-// re-poll; the loop exits with ctx.
+// moment a rebalance commits. Router failures back off with jitter on
+// the shared retry policy and re-poll; the loop exits with ctx.
 func (c *Client) watchShardMap(ctx context.Context) {
-	backoff := 100 * time.Millisecond
-	const maxBackoff = 5 * time.Second
-	for ctx.Err() == nil {
-		after := c.shardView.Load().m.Version()
-		path := pdp.ShardMapWatchPath + "?after=" + strconv.FormatUint(after, 10) +
-			"&wait=" + sdkMapWatchWait.String()
-		wctx, cancel := context.WithTimeout(ctx, sdkMapWatchWait+10*time.Second)
-		var w shard.Wire
-		err := c.router.Call(wctx, http.MethodGet, path, nil, &w)
-		cancel()
-		if err == nil {
-			if m, merr := shard.FromWire(w); merr == nil {
-				if c.installShardMap(m) {
-					c.logger.Printf("sdk: shard map v%d installed (%d shards)", m.Version(), m.Len())
-				}
-				backoff = 100 * time.Millisecond
-				continue
-			} else {
-				err = merr
-			}
-		}
+	bo := retry.Backoff{Min: 100 * time.Millisecond, Max: 5 * time.Second}
+	for {
+		err := c.pollShardMap(ctx)
 		if ctx.Err() != nil {
 			return
 		}
-		c.logger.Printf("sdk: shard map watch: %v (retrying in %s)", err, backoff)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
+		if err == nil {
+			bo.Reset()
+			continue
+		}
+		c.logger.Printf("sdk: shard map watch: %v (retrying in ~%v)", err, bo.Current())
+		if !bo.Sleep(ctx) {
 			return
 		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
 	}
+}
+
+// pollShardMap parks one map watch on the router and installs the map it
+// answers with, if that map is newer than the installed one.
+func (c *Client) pollShardMap(ctx context.Context) error {
+	after := c.shardView.Load().m.Version()
+	path := pdp.ShardMapWatchPath + "?after=" + strconv.FormatUint(after, 10) +
+		"&wait=" + sdkMapWatchWait.String()
+	wctx, cancel := context.WithTimeout(ctx, sdkMapWatchWait+10*time.Second)
+	defer cancel()
+	var w shard.Wire
+	if err := c.router.Call(wctx, http.MethodGet, path, nil, &w); err != nil {
+		return err
+	}
+	m, err := shard.FromWire(w)
+	if err != nil {
+		return err
+	}
+	if c.installShardMap(m) {
+		c.logger.Printf("sdk: shard map v%d installed (%d shards)", m.Version(), m.Len())
+	}
+	return nil
 }
 
 // ShardMap returns the currently installed shard map (nil without

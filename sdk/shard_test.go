@@ -3,8 +3,13 @@ package sdk
 import (
 	"context"
 	"fmt"
+	"log"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,6 +315,74 @@ func TestSDKShardMapWatchConvergence(t *testing.T) {
 	if locals == 0 || remotes == 0 {
 		t.Fatalf("locals=%d remotes=%d — post-rebalance sweep must exercise both paths", locals, remotes)
 	}
+}
+
+// TestSDKShardMapWatchRidesRouterOutage takes the router down for
+// several map-watch backoffs, commits a newer map while it is gone, and
+// brings it back on the same address: the watcher must keep retrying
+// through the outage and install the newer map once the router answers.
+func TestSDKShardMapWatchRidesRouterOutage(t *testing.T) {
+	cl := bootShardedCluster(t, 2, 4)
+	serve := func(addr string) (*http.Server, string) {
+		t.Helper()
+		// A restart races the old listener's teardown.
+		var ln net.Listener
+		var err error
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if ln, err = net.Listen("tcp", addr); err == nil || time.Now().After(deadline) {
+				break
+			}
+		}
+		if err != nil {
+			t.Fatalf("listen %s: %v", addr, err)
+		}
+		srv := &http.Server{Handler: cl.rt}
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv, ln.Addr().String()
+	}
+	front, addr := serve("127.0.0.1:0")
+
+	watchErrs := &lineCounter{substr: "shard map watch:"}
+	c := newEmbedded(t, "http://"+addr, WithShardRouting("s0"), WithLogger(log.New(watchErrs, "", 0)))
+
+	_ = front.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for watchErrs.n.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("watcher logged %d failed polls against a down router, want 3", watchErrs.n.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	grown, err := cl.m.Add(shard.Info{ID: "s9", Addr: cl.newShard(t, "s9").Addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.rt.SetMap(grown); err != nil {
+		t.Fatal(err)
+	}
+	serve(addr)
+
+	deadline = time.Now().Add(10 * time.Second)
+	for c.ShardMap().Version() != grown.Version() {
+		if time.Now().After(deadline) {
+			t.Fatalf("SDK map v%d after the router came back, want v%d", c.ShardMap().Version(), grown.Version())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// lineCounter counts the log lines containing substr.
+type lineCounter struct {
+	substr string
+	n      atomic.Int64
+}
+
+func (l *lineCounter) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), l.substr) {
+		l.n.Add(1)
+	}
+	return len(p), nil
 }
 
 // TestSDKFollowsMovedRedirect pins the 421 handoff path: a subject
