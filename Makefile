@@ -31,10 +31,11 @@ bench-test:
 bench-e2e:
 	go run -C bench . -repeat 4 > bench-out.json
 
-# Benchmark-regression smoke: runs the E1/E3/E11 benches and fails if the
-# cached decision path stops beating the uncached one (see the script).
+# The TestGuard… family: allocation, zero-cost-hook and lock-contention
+# guards that sit beside the code they pin. They skip under -race, so this
+# is their one run.
 benchguard:
-	./scripts/benchguard.sh
+	go test -count=1 -run '^TestGuard' ./...
 
 # End-to-end replication drill: boots a primary/follower grbacd pair on
 # loopback and asserts convergence with the shipped binaries.

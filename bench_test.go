@@ -21,6 +21,7 @@ import (
 	"github.com/aware-home/grbac/internal/baseline/tbac"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/experiments"
+	"github.com/aware-home/grbac/internal/guardtest"
 	"github.com/aware-home/grbac/internal/home"
 	"github.com/aware-home/grbac/internal/temporal"
 )
@@ -604,8 +605,8 @@ func BenchmarkE11CachedMediation(b *testing.B) {
 // concurrent callers (EXPERIMENTS.md E17): the compiled-snapshot path
 // driven by b.RunParallel across GOMAXPROCS goroutines (sweep with
 // -cpu 1,2,4,8,16). The requests rotate through distinct cache keys so the
-// run exercises the cache's table, not a single entry. Benchguard's guard 6
-// takes this run's mutex profile.
+// run exercises the cache's table, not a single entry.
+// TestGuardNoLockOnWarmDecide holds the same workload to no lock.
 func BenchmarkE17ParallelDecide(b *testing.B) {
 	b.Run("lockfree", func(b *testing.B) {
 		b.ReportAllocs()
@@ -635,7 +636,7 @@ func BenchmarkE17ParallelDecide(b *testing.B) {
 
 // BenchmarkE17CheckAccessWarm measures the boolean fast path: a warm
 // cache hit answered from the shared cache entry without cloning the decision.
-// The benchguard asserts 0 allocs/op here.
+// core.TestGuardCheckAccessWarmHitZeroAllocs holds it to 0 allocs/op.
 func BenchmarkE17CheckAccessWarm(b *testing.B) {
 	b.ReportAllocs()
 	s, req, err := experiments.BuildScaledGRBAC(256, 16, 8, 4)
@@ -651,4 +652,64 @@ func BenchmarkE17CheckAccessWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestGuardWarmDecideAllocs is guards 1 and 2, on the scaled policy of
+// BenchmarkE11CachedMediation: a warm cached Decide must allocate strictly
+// less than an uncached one, and at most maxWarmAllocs, so a key- or
+// clone-heavy change cannot hide behind the comparison.
+func TestGuardWarmDecideAllocs(t *testing.T) {
+	guardtest.SkipUnderRace(t)
+	const maxWarmAllocs = 64
+	allocs := func(opts ...grbac.Option) float64 {
+		s, req, err := experiments.BuildScaledGRBAC(256, 16, 8, 4, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Decide(req); err != nil { // prime the cache
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := s.Decide(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	warm, uncached := allocs(), allocs(core.WithoutDecisionCache())
+	t.Logf("warm Decide %.0f allocs/op, uncached %.0f allocs/op", warm, uncached)
+	if warm >= uncached {
+		t.Errorf("warm cached Decide allocates as much as uncached (%.0f >= %.0f)", warm, uncached)
+	}
+	if warm > maxWarmAllocs {
+		t.Errorf("warm cached Decide allocates %.0f objects/op, over the budget of %d", warm, maxWarmAllocs)
+	}
+}
+
+// TestGuardNoLockOnWarmDecide is guard 6 for the core: the warm workload
+// of BenchmarkE17ParallelDecide, run under the mutex profiler at 2 and at
+// 8 goroutines, must show no sync.Mutex or sync.RWMutex contention below
+// System.Decide or System.CheckAccess.
+// sdk.TestGuardNoLockOnEmbeddedCheckAccess extends it through the
+// embedded SDK.
+func TestGuardNoLockOnWarmDecide(t *testing.T) {
+	s, req, err := experiments.BuildScaledGRBAC(256, 16, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := [][]core.RoleID{req.Environment, {}, {req.Environment[0]}}
+	if _, err := s.Decide(req); err != nil { // compile the snapshot
+		t.Fatal(err)
+	}
+	guardtest.NoLockContention(t, `core\.\(\*System\)\.(CheckAccess|Decide)$`, func() {
+		for _, env := range envs {
+			r := req
+			r.Environment = env
+			if _, err := s.Decide(r); err != nil {
+				t.Error(err)
+			}
+			if _, err := s.CheckAccess(r); err != nil {
+				t.Error(err)
+			}
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // Command grbac-bench runs the paper-reproduction experiment suite
-// (DESIGN.md §4, E1–E15, E21 and E22; E16–E20 live in their packages'
-// benchmarks and drills) and prints one report block per experiment. The output is
+// (DESIGN.md §4, E1–E15; E16–E20 live in their packages' benchmarks and
+// drills) and prints one report block per experiment. The output is
 // what EXPERIMENTS.md records.
 //
 // Usage:
@@ -22,7 +22,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("grbac-bench: ")
-	runID := flag.String("run", "", "run a single experiment (E1..E22)")
+	runID := flag.String("run", "", "run a single experiment (E1..E15)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 

@@ -4,21 +4,19 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"github.com/aware-home/grbac/internal/guardtest"
 )
 
-// BenchmarkDisabledDeclogHook measures the cost the pipeline adds to the
-// audit hot path when declog is NOT configured: a nil *Exporter receiver.
-// This is the shape grbacd compiles into every mediation when -declog is
-// unset, so it must stay at nanoseconds with zero allocations — CI guard
-// 13 enforces ≤100ns/op and 0 allocs/op.
-func BenchmarkDisabledDeclogHook(b *testing.B) {
+// TestGuardDisabledDeclogHook is guard 13: the cost the pipeline adds to
+// the audit hot path when declog is NOT configured, a nil *Exporter
+// receiver. This is the shape grbacd compiles into every mediation when
+// -declog is unset, so it must allocate nothing and cost at most 100 ns.
+// Run with -v for the ns/op.
+func TestGuardDisabledDeclogHook(t *testing.T) {
 	var exp *Exporter
 	rec := testRecord(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exp.Offer(rec)
-	}
+	guardtest.ZeroCost(t, 100, func() { exp.Offer(rec) })
 }
 
 // BenchmarkOffer measures the enabled hot-path handoff with a draining

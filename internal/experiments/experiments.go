@@ -1,5 +1,5 @@
 // Package experiments implements the paper-reproduction experiment suite
-// indexed in DESIGN.md §4 (E1–E15, E21, E22): both of the paper's figures, its worked
+// indexed in DESIGN.md §4 (E1–E15): both of the paper's figures, its worked
 // scenarios, the §6 subsumption claims, and the complexity measurements the
 // paper acknowledges but never quantifies. cmd/grbac-bench renders the
 // reports recorded in EXPERIMENTS.md; the root bench_test.go reuses the
@@ -18,7 +18,7 @@ import (
 
 // Experiment is one runnable reproduction experiment.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E14).
+	// ID is the experiment identifier (E1..E15).
 	ID string
 	// Title summarizes what is reproduced.
 	Title string
@@ -52,9 +52,8 @@ func All() []Experiment {
 		// E18 (fault-injection drill) lives in internal/faults' chaos
 		// tests, E19 (observability overhead) in internal/obs' benchmarks,
 		// and E20 (durable restart) in internal/store's recovery harness;
-		// see EXPERIMENTS.md §E18–§E20.
-		{ID: "E21", Title: "Embedded PEP SDK mediation (derived)", Source: "§1 enforcement-point cost", Run: RunE21},
-		{ID: "E22", Title: "Sharded subject-space scaling (derived)", Source: "ROADMAP scale-out target", Run: RunE22},
+		// see EXPERIMENTS.md §E18–§E20. Embedded-vs-remote mediation and
+		// the sharded cluster are measured as bench/'s topology workloads.
 	}
 }
 

@@ -2,19 +2,17 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 )
 
 func TestAllRegistryIsComplete(t *testing.T) {
 	all := All()
-	if len(all) != 17 {
-		t.Fatalf("experiments = %d, want 17", len(all))
+	if len(all) != 15 {
+		t.Fatalf("experiments = %d, want 15", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, e := range all {
@@ -203,65 +201,10 @@ func TestE15RhythmShape(t *testing.T) {
 	}
 }
 
-func TestE21TableShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("embedded-vs-remote sweep is slow")
-	}
-	out := runCapture(t, "E21")
-	for _, want := range []string{
-		"embedded SDK vs remote PDP", "embedded ", "remote ",
-		"embedded speedup over HTTP round trip: x",
-		"remote fallbacks: 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("E21 missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestE22ScalingShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shard sweep is slow")
-	}
-	t.Chdir(t.TempDir()) // E22 writes BENCH_SHARD.json into the cwd
-	out := runCapture(t, "E22")
-	for _, want := range []string{
-		"decide throughput vs shard count",
-		"\n1 ", "\n2 ", "\n4 ", "\n8 ",
-		"wrote BENCH_SHARD.json",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("E22 missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(BenchShardFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep BenchShardReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_SHARD.json does not parse: %v", err)
-	}
-	if len(rep.Rows) != 4 || rep.Rows[0].Shards != 1 || rep.Rows[3].Shards != 8 {
-		t.Fatalf("rows = %+v, want the 1/2/4/8 sweep", rep.Rows)
-	}
-	// The shape claim, not the CI-enforced magnitude (benchguard guard
-	// 11 holds the ×3-at-4 line): more shards must never be slower.
-	for i := 1; i < len(rep.Rows); i++ {
-		if rep.Rows[i].SpeedupOver1 <= rep.Rows[i-1].SpeedupOver1 {
-			t.Fatalf("speedup not monotonic: %+v", rep.Rows)
-		}
-	}
-	if rep.SpeedupAt4 != rep.Rows[2].SpeedupOver1 {
-		t.Fatalf("speedup_at_4_shards %v != row value %v", rep.SpeedupAt4, rep.Rows[2].SpeedupOver1)
-	}
-}
-
 func TestRunAllSucceeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite is slow")
 	}
-	t.Chdir(t.TempDir()) // E22 writes BENCH_SHARD.json into the cwd
 	if err := RunAll(io.Discard); err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,23 @@
 package faults
 
-import "testing"
+import (
+	"testing"
 
-// BenchmarkDisabledInject measures the cost every instrumented hot path
-// pays when no fault plan is active: one atomic load and a nil check.
-// scripts/benchguard.sh asserts this stays allocation-free and within a
-// few nanoseconds, so the hooks can remain compiled into production
-// builds (and into BenchmarkE17ParallelDecide's mediation path) at no
-// measurable overhead.
-func BenchmarkDisabledInject(b *testing.B) {
+	"github.com/aware-home/grbac/internal/guardtest"
+)
+
+// TestGuardDisabledInject is guard 7: with no fault plan active, the hook
+// every instrumented hot path calls is one atomic load and a nil check. It
+// must allocate nothing and cost at most 100 ns, so the hooks can stay
+// compiled into production builds (and into BenchmarkE17ParallelDecide's
+// mediation path) at no measurable overhead. Run with -v for the ns/op.
+func TestGuardDisabledInject(t *testing.T) {
 	Deactivate()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	guardtest.ZeroCost(t, 100, func() {
 		if err := Inject(PDPDecide); err != nil {
-			b.Fatal(err)
+			t.Error(err)
 		}
-	}
+	})
 }
 
 // BenchmarkDisabledInjectParallel is the contended variant: the disabled

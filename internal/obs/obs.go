@@ -8,7 +8,7 @@
 // pointer is a no-op costing one predictable branch, so instrumented hot
 // paths pay ~1ns and zero allocations when observability is disabled —
 // the same discipline internal/faults applies to its injection hooks
-// (benchguard guard 8 enforces it).
+// (TestGuardDisabledObsHook, guard 8, enforces it).
 package obs
 
 import (

@@ -305,10 +305,11 @@ func (r *latencyRing) quantile(q float64) (time.Duration, bool) {
 
 // hedgedFetch runs one scatter call with optional hedging. With hedging
 // off (the default) it is a single nil check around fn — the disabled
-// path must stay allocation-free (benchguard pins it). With hedging on,
-// a call that outlives the shard's latency quantile gets one duplicate
-// in flight; the first success wins and the loser's result is dropped
-// into the buffered channel, so no goroutine leaks past its context.
+// path must stay allocation-free (TestGuardDisabledHedgeHook pins it).
+// With hedging on, a call that outlives the shard's latency quantile gets
+// one duplicate in flight; the first success wins and the loser's result
+// is dropped into the buffered channel, so no goroutine leaks past its
+// context.
 func hedgedFetch[T any](rt *Router, ctx context.Context, shardID string, fn func(context.Context) (T, error)) (T, error) {
 	h := rt.hedge
 	if h == nil {

@@ -18,44 +18,46 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
+	"github.com/aware-home/grbac/internal/guardtest"
 	"github.com/aware-home/grbac/internal/replica"
 )
 
 // startBenchFollower replicates a running primary into a fresh local
 // system and waits for convergence.
-func startBenchFollower(b *testing.B, primarySys *core.System, addr string) (*core.System, *replica.Follower) {
-	b.Helper()
+func startBenchFollower(t testing.TB, primarySys *core.System, addr string) (*core.System, *replica.Follower) {
+	t.Helper()
 	followerSys := core.NewSystem()
 	f := replica.NewFollower(followerSys, "http://"+addr,
 		replica.WithBackoff(time.Millisecond, 50*time.Millisecond),
 		replica.WithFetchTimeout(5*time.Second),
 		replica.WithWatchTimeout(5*time.Second))
 	ctx, cancel := context.WithCancel(context.Background())
-	b.Cleanup(cancel)
+	t.Cleanup(cancel)
 	go func() { _ = f.Run(ctx) }()
-	waitFor(b, "follower convergence", func() bool {
+	waitFor(t, "follower convergence", func() bool {
 		st := f.Stats()
 		return st.Syncs > 0 && st.AppliedGeneration == primarySys.Generation()
 	})
 	return followerSys, f
 }
 
+// e16Request is the warm request both E16 read-path measurements decide.
+var e16Request = core.Request{
+	Subject:     "alice",
+	Object:      "tv",
+	Transaction: "use",
+	Environment: []core.RoleID{"weekday-free-time"},
+}
+
 // BenchmarkE16ReplicatedMediation compares the warm Decide path on a
 // primary and on a follower replicated from it over real HTTP. The two
-// sub-benchmarks must report identical allocation counts — the follower's
-// System came out of Replace, not out of the policy compiler, and any
-// divergence means replication changed the decision structures
-// (scripts/benchguard.sh asserts this).
+// sub-benchmarks report the same allocation counts, which
+// TestGuardFollowerAllocs holds.
 func BenchmarkE16ReplicatedMediation(b *testing.B) {
 	primarySys, addr, _ := startPrimary(b, "")
 	followerSys, _ := startBenchFollower(b, primarySys, addr)
 
-	req := core.Request{
-		Subject:     "alice",
-		Object:      "tv",
-		Transaction: "use",
-		Environment: []core.RoleID{"weekday-free-time"},
-	}
+	req := e16Request
 	bench := func(sys *core.System) func(*testing.B) {
 		return func(b *testing.B) {
 			if _, err := sys.Decide(req); err != nil {
@@ -72,6 +74,31 @@ func BenchmarkE16ReplicatedMediation(b *testing.B) {
 	}
 	b.Run("primary", bench(primarySys))
 	b.Run("follower", bench(followerSys))
+}
+
+// TestGuardFollowerAllocs is guard 3: a follower's warm Decide must not
+// allocate more than its primary's on the same request. The follower's
+// System came out of Replace, not out of the policy compiler, and any
+// divergence means replication changed the decision structures.
+func TestGuardFollowerAllocs(t *testing.T) {
+	guardtest.SkipUnderRace(t)
+	primarySys, addr, _ := startPrimary(t, "")
+	followerSys, _ := startBenchFollower(t, primarySys, addr)
+	allocs := func(sys *core.System) float64 {
+		if _, err := sys.Decide(e16Request); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := sys.Decide(e16Request); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	primary, follower := allocs(primarySys), allocs(followerSys)
+	t.Logf("warm Decide: primary %.0f allocs/op, follower %.0f allocs/op", primary, follower)
+	if follower > primary {
+		t.Fatalf("follower allocates more than its primary (%.0f > %.0f allocs/op)", follower, primary)
+	}
 }
 
 // BenchmarkE16SyncLatency measures wall-clock convergence: each iteration

@@ -16,6 +16,7 @@ import (
 	"github.com/aware-home/grbac/internal/audit"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/faults"
+	"github.com/aware-home/grbac/internal/guardtest"
 	"github.com/aware-home/grbac/internal/obs"
 	"github.com/aware-home/grbac/internal/pdp"
 	"github.com/aware-home/grbac/internal/policy"
@@ -113,10 +114,13 @@ func TestLocalDecideAfterBootstrap(t *testing.T) {
 	}
 }
 
-// TestWarmCheckAccessZeroAllocs holds the embedded hot path to the core's
-// own promise (TestCheckAccessWarmHitZeroAllocs there): a warm local
-// CheckAccess is a staleness read and a cache hit, and allocates nothing.
-func TestWarmCheckAccessZeroAllocs(t *testing.T) {
+// TestGuardWarmCheckAccessZeroAllocs is guard 5 for the embedded SDK: it
+// holds the embedded hot path to the core's own promise
+// (TestGuardCheckAccessWarmHitZeroAllocs there). A warm local CheckAccess
+// is a staleness read and a cache hit, and allocates nothing. Unlike the
+// other guards it also runs under the race detector, where this path
+// allocates nothing either.
+func TestGuardWarmCheckAccessZeroAllocs(t *testing.T) {
 	_, srv := newPrimary(t)
 	c := newEmbedded(t, srv.URL)
 	ctx, req := context.Background(), permitReq()
@@ -134,6 +138,26 @@ func TestWarmCheckAccessZeroAllocs(t *testing.T) {
 	if st := c.Stats(); st.LocalDecisions != 202 || st.Core.DecisionHits != 201 {
 		t.Fatalf("stats = %+v, want 202 local decisions of which 201 hits", st)
 	}
+}
+
+// TestGuardNoLockOnEmbeddedCheckAccess is guard 6 through the embedded
+// SDK: warm CheckAccess from 2 and from 8 goroutines at once must show no
+// sync.Mutex or sync.RWMutex contention below the SDK wrapper itself
+// (shard view, fallback, stats), Puller.Stale, or the core's Decide and
+// CheckAccess.
+func TestGuardNoLockOnEmbeddedCheckAccess(t *testing.T) {
+	_, srv := newPrimary(t)
+	c := newEmbedded(t, srv.URL)
+	ctx, req := context.Background(), permitReq()
+	if ok, err := c.CheckAccess(ctx, req); err != nil || !ok {
+		t.Fatalf("warmup = %v, %v; want permit", ok, err)
+	}
+	const focus = `sdk\.\(\*Client\)\.CheckAccess$|replica\.\(\*Puller\)\.Stale$|core\.\(\*System\)\.(CheckAccess|Decide)$`
+	guardtest.NoLockContention(t, focus, func() {
+		if ok, err := c.CheckAccess(ctx, req); err != nil || !ok {
+			t.Errorf("CheckAccess = %v, %v; want permit", ok, err)
+		}
+	})
 }
 
 // TestWatchInvalidationFlipsDecision is the push-invalidation contract:
