@@ -80,11 +80,9 @@ func main() {
 	walCheckpointEvery := flag.Int("wal-checkpoint-every", store.DefaultCheckpointEvery, "WAL records between checkpoint snapshots in -data-dir")
 	walGroupCommit := flag.Bool("wal-group-commit", false, "coalesce concurrent WAL fsyncs in -data-dir: one disk flush acknowledges every mutation appended before it (same durability, far fewer fsyncs under bursts)")
 	route := flag.String("route", "", "router mode: comma-separated shard list 'id=url,id=url' (or bare URLs for auto IDs); this node forwards requests to the shard owning each subject instead of deciding itself")
-	routeFanout := flag.Int("route-fanout", pdp.DefaultRouterFanout, "router mode: max concurrent per-shard calls in scatter-gather fan-outs")
 	shardTimeout := flag.Duration("shard-timeout", pdp.DefaultShardTimeout, "router mode: per-shard call deadline — a down shard costs one deadline, not a hang")
 	vnodes := flag.Int("vnodes", shard.DefaultVNodes, "router mode: virtual nodes per shard on the consistent-hash ring")
 	probeInterval := flag.Duration("shard-probe-interval", 0, "router mode: background shard health-probe interval feeding /v1/healthz and grbac_shard_health (0 probes inline on /v1/healthz only)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0, "router mode: hedge scatter reads that outlive this latency quantile of the shard's recent calls, e.g. 0.95 (0 disables hedging)")
 	follow := flag.String("follow", "", "primary PDP base URL to replicate from (follower mode: read-only, policy comes from the primary)")
 	maxStaleness := flag.Duration("max-staleness", 30*time.Second, "follower mode: degrade health and mark decisions stale after this long without primary contact (0 disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "how long to let in-flight requests drain on SIGINT/SIGTERM")
@@ -162,17 +160,10 @@ func main() {
 				m = persisted
 			}
 		}
-		routerOpts := []pdp.RouterOption{
-			pdp.WithRouterFanout(*routeFanout),
-			pdp.WithShardTimeout(*shardTimeout),
-		}
+		routerOpts := []pdp.RouterOption{pdp.WithShardTimeout(*shardTimeout)}
 		if *probeInterval > 0 {
 			routerOpts = append(routerOpts, pdp.WithHealthProbes(*probeInterval))
 			log.Printf("shard health probes every %v", *probeInterval)
-		}
-		if *hedgeQuantile > 0 {
-			routerOpts = append(routerOpts, pdp.WithHedgedScatter(*hedgeQuantile))
-			log.Printf("scatter hedging at p%.0f", *hedgeQuantile*100)
 		}
 		if verifier != nil {
 			routerOpts = append(routerOpts, pdp.WithRouterBundleVerifier(verifier))
@@ -217,8 +208,8 @@ func main() {
 		for _, s := range rt.Map().Shards() {
 			log.Printf("shard %s -> %s", s.ID, s.Addr)
 		}
-		log.Printf("serving GRBAC routing tier on %s (%d shards, %d vnodes, fan-out %d, shard timeout %v)",
-			*addr, rt.Map().Len(), rt.Map().VNodes(), *routeFanout, *shardTimeout)
+		log.Printf("serving GRBAC routing tier on %s (%d shards, %d vnodes, shard timeout %v)",
+			*addr, rt.Map().Len(), rt.Map().VNodes(), *shardTimeout)
 		serve(ctx, stop, *addr, handler, *shutdownGrace, rt.Close)
 		return
 	}

@@ -32,10 +32,9 @@ type RemoteError struct {
 	Message string
 	// RetryAfter is the server's parsed Retry-After hint (zero when the
 	// reply carried none). Overloaded PDPs send it on 429/503 sheds; the
-	// retry policy and circuit breaker honor it. Hints beyond
-	// MaxRetryAfter are clamped to it — a misconfigured (or hostile)
-	// server must not be able to wedge the breaker open for hours with one
-	// far-future HTTP date.
+	// retry policy honors it. Hints beyond MaxRetryAfter are clamped to
+	// it — a misconfigured (or hostile) server must not be able to stall
+	// a retrying client for hours with one far-future HTTP date.
 	RetryAfter time.Duration
 	// RetryAfterClamped reports that the server's hint exceeded
 	// MaxRetryAfter and RetryAfter carries the clamped value, not the
@@ -48,7 +47,7 @@ type RemoteError struct {
 }
 
 // MaxRetryAfter caps how far a server Retry-After hint can push out the
-// retry sleep floor and the breaker's open window.
+// retry sleep floor.
 const MaxRetryAfter = 5 * time.Minute
 
 // Error renders the same strings the pre-typed errors produced, noting a
@@ -75,7 +74,6 @@ type Client struct {
 	// default); retryBase seeds the exponential backoff between tries.
 	attempts  int
 	retryBase time.Duration
-	breaker   *breaker
 }
 
 // ClientOption configures a Client.
@@ -96,30 +94,6 @@ func WithRetry(maxAttempts int, baseDelay time.Duration) ClientOption {
 		if baseDelay > 0 {
 			c.retryBase = baseDelay
 		}
-	}
-}
-
-// WithCircuitBreaker makes the client fail fast with ErrCircuitOpen after
-// `failures` consecutive transient failures, instead of hammering a down
-// or overloaded PDP. The circuit stays open for a jittered cooldown
-// (floored at any server Retry-After hint), then lets one probe through:
-// probe success closes it, probe failure re-opens it. Composes under
-// WithRetry — each retry attempt consults the breaker.
-//
-// Degenerate settings are clamped rather than ignored: failures < 1
-// becomes 1 (trip on the first transient failure) and cooldown <= 0
-// becomes defaultBreakerCooldown, so asking for a breaker always yields a
-// working one — never a zero-width open window, and never a negative
-// cooldown reaching the jitter's rand.Int63n (which panics on n <= 0).
-func WithCircuitBreaker(failures int, cooldown time.Duration) ClientOption {
-	return func(c *Client) {
-		if failures < 1 {
-			failures = 1
-		}
-		if cooldown <= 0 {
-			cooldown = defaultBreakerCooldown
-		}
-		c.breaker = newBreaker(failures, cooldown)
 	}
 }
 
@@ -335,10 +309,11 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	}, decodeJSON(out))
 }
 
+// maxRetryDelay caps the retry loop's exponential doubling.
+const maxRetryDelay = 30 * time.Second
+
 // do runs one request, retrying transient failures when the client was
 // built WithRetry. The request is rebuilt per attempt so bodies replay.
-// Every attempt consults the circuit breaker (when one is configured) and
-// feeds its outcome back, so sustained failure degrades to fail-fast.
 func (c *Client) do(ctx context.Context, build func() (*http.Request, error), decode func(io.Reader) error) error {
 	// The shared policy: exponential doubling from retryBase, capped at
 	// maxRetryDelay (unbounded growth would overflow time.Duration and
@@ -346,15 +321,11 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error), de
 	// decorrelating a fleet of retrying clients.
 	bo := retry.New(c.retryBase, maxRetryDelay, 100*time.Millisecond)
 	for attempt := 1; ; attempt++ {
-		if c.breaker != nil && !c.breaker.allow(time.Now()) {
-			return ErrCircuitOpen
-		}
 		req, err := build()
 		if err != nil {
 			return err
 		}
 		err = c.doOnce(req, decode)
-		c.observe(err)
 		if err == nil || attempt >= c.attempts || !transient(err) || ctx.Err() != nil {
 			return err
 		}
@@ -372,26 +343,6 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error), de
 			return err
 		case <-t.C:
 		}
-	}
-}
-
-// observe classifies one attempt's outcome for the circuit breaker. A
-// definitive reply — success, 4xx, or a decode error on a 2xx — proves the
-// server responsive and closes the circuit; a transient failure counts
-// against it; the caller's own context ending says nothing either way.
-func (c *Client) observe(err error) {
-	if c.breaker == nil {
-		return
-	}
-	switch {
-	case err == nil:
-		c.breaker.success()
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		c.breaker.neutral()
-	case transient(err):
-		c.breaker.failure(time.Now(), retryAfterOf(err))
-	default:
-		c.breaker.success()
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
-	"github.com/aware-home/grbac/internal/guardtest"
 	"github.com/aware-home/grbac/internal/policy"
 	"github.com/aware-home/grbac/internal/shard"
 )
@@ -404,7 +403,7 @@ func TestRouterRetriesTransientReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(m, WithReadRetryBackoff(time.Millisecond))
+	rt, err := NewRouter(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,105 +461,6 @@ func TestRouterHealthProbes(t *testing.T) {
 	if health.Shards["s1"] != "unreachable" || health.Shards["s0"] != "ok" {
 		t.Fatalf("healthz shards = %v, want s1 unreachable, s0 ok", health.Shards)
 	}
-}
-
-// TestHedgedFetch pins the hedging mechanics: with a seeded latency
-// ring, a call that outlives the quantile gets one duplicate and the
-// first answer wins.
-func TestHedgedFetch(t *testing.T) {
-	rt := &Router{timeout: 5 * time.Second, hedge: newHedger(0.9)}
-	for i := 0; i < 16; i++ {
-		rt.hedge.observe("s0", time.Millisecond)
-	}
-	var calls atomic.Int64
-	start := time.Now()
-	got, err := hedgedFetch(rt, context.Background(), "s0", func(ctx context.Context) (string, error) {
-		if calls.Add(1) == 1 {
-			// The primary stalls well past the ~1ms hedge delay.
-			select {
-			case <-time.After(2 * time.Second):
-			case <-ctx.Done():
-			}
-			return "primary", nil
-		}
-		return "hedge", nil
-	})
-	if err != nil || got != "hedge" {
-		t.Fatalf("hedgedFetch = %q, %v; want hedge to win", got, err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("hedged call took %v — hedge never fired", d)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("fn called %d times, want 2", n)
-	}
-
-	// An erroring primary falls back to the hedge's answer too.
-	calls.Store(0)
-	got, err = hedgedFetch(rt, context.Background(), "s0", func(ctx context.Context) (string, error) {
-		if calls.Add(1) == 1 {
-			time.Sleep(20 * time.Millisecond)
-			return "", errors.New("primary died")
-		}
-		return "hedge", nil
-	})
-	if err != nil || got != "hedge" {
-		t.Fatalf("hedgedFetch with failing primary = %q, %v; want hedge", got, err)
-	}
-
-	// Both failing: the first error surfaces.
-	if _, err := hedgedFetch(rt, context.Background(), "s0", func(ctx context.Context) (string, error) {
-		time.Sleep(5 * time.Millisecond)
-		return "", errors.New("boom")
-	}); err == nil {
-		t.Fatal("hedgedFetch with two failures returned nil error")
-	}
-}
-
-// TestHedgerWarmup pins that hedging stays off until a shard has enough
-// latency samples for the quantile to mean something.
-func TestHedgerWarmup(t *testing.T) {
-	h := newHedger(0.95)
-	if _, ok := h.delay("s0", time.Second); ok {
-		t.Fatal("hedger armed with zero samples")
-	}
-	for i := 0; i < hedgeMinSamples-1; i++ {
-		h.observe("s0", time.Millisecond)
-	}
-	if _, ok := h.delay("s0", time.Second); ok {
-		t.Fatal("hedger armed below the sample floor")
-	}
-	h.observe("s0", time.Millisecond)
-	d, ok := h.delay("s0", time.Second)
-	if !ok || d < time.Millisecond {
-		t.Fatalf("hedge delay = %v, %v; want >= 1ms once warm", d, ok)
-	}
-	// The delay is clamped to the cap.
-	for i := 0; i < 64; i++ {
-		h.observe("s0", time.Minute)
-	}
-	if d, _ := h.delay("s0", 2*time.Second); d != 2*time.Second {
-		t.Fatalf("hedge delay = %v, want clamped to 2s", d)
-	}
-}
-
-// nopFetch is package-level so the disabled-hook guard measures the hook,
-// not closure construction.
-func nopFetch(context.Context) (int, error) { return 0, nil }
-
-// TestGuardDisabledHedgeHook is guard 12: with hedging off, the hedging
-// hook on the router's scatter fan-out path collapses to a nil check. It
-// must allocate nothing and cost at most 100 ns, so routers that never
-// opt into hedging do not pay for it per shard call. Run with -v for the
-// ns/op.
-func TestGuardDisabledHedgeHook(t *testing.T) {
-	rt := &Router{}
-	ctx := context.Background()
-	guardtest.ZeroCost(t, 100, func() {
-		if _, err := hedgedFetch(rt, ctx, "s0", nopFetch); err != nil {
-			t.Error(err)
-		}
-	})
 }
 
 // TestRebalanceHandlerAPI pins the operator surface: POST starts a

@@ -86,17 +86,28 @@ func TestReplicaWatchLongPoll(t *testing.T) {
 func newFollowerServer(t *testing.T, opts ...replica.FollowerOption) (primary *core.System, follower *replica.Follower, followerURL string, hc *http.Client) {
 	t.Helper()
 	primarySrv, primarySys := newTestServerWithSource(t)
+	f, fsrv := startFollower(t, primarySrv.URL, opts...)
+	return primarySys, f, fsrv.URL, fsrv.Client()
+}
 
+// startFollower runs a follower of upstreamURL behind a PDP server that
+// also exposes its own replica feed, as grbacd wires every node, so
+// further followers can chain off it. It returns once the first sync
+// has landed.
+func startFollower(t *testing.T, upstreamURL string, opts ...replica.FollowerOption) (*replica.Follower, *httptest.Server) {
+	t.Helper()
 	followerSys := core.NewSystem()
 	base := []replica.FollowerOption{
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
 	}
-	f := replica.NewFollower(followerSys, primarySrv.URL, append(base, opts...)...)
+	f := replica.NewFollower(followerSys, upstreamURL, append(base, opts...)...)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() { _ = f.Run(ctx) }()
 
-	fsrv := newHTTPServer(t, NewServer(followerSys, WithFollower(f)))
+	fsrv := newHTTPServer(t, NewServer(followerSys,
+		WithFollower(f),
+		WithReplicaSource(replica.NewSource(followerSys))))
 	deadline := time.Now().Add(5 * time.Second)
 	for f.Stats().Syncs == 0 {
 		if time.Now().After(deadline) {
@@ -104,7 +115,52 @@ func newFollowerServer(t *testing.T, opts ...replica.FollowerOption) (primary *c
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return primarySys, f, fsrv.URL, fsrv.Client()
+	return f, fsrv
+}
+
+// TestFollowerChaining pins the primary → follower → follower topology:
+// a mutation on the primary reaches the second hop through the first
+// hop's feed, and the second hop serves the result as fresh, not stale.
+func TestFollowerChaining(t *testing.T) {
+	primarySrv, _ := newTestServerWithSource(t)
+	_, mid := startFollower(t, primarySrv.URL)
+	leaf, leafSrv := startFollower(t, mid.URL)
+	ctx := context.Background()
+	req := DecideRequest{
+		Subject: "alice", Object: "tv", Transaction: "use",
+		Environment: []string{"weekday-free-time"},
+	}
+	client := NewClient(leafSrv.URL, leafSrv.Client())
+	if resp, err := client.Decide(ctx, req); err != nil || !resp.Allowed {
+		t.Fatalf("second-hop follower before the revoke = %+v, %v; want permit", resp, err)
+	}
+
+	if err := NewClient(primarySrv.URL, primarySrv.Client()).RevokePermission(ctx, PermissionRequest{
+		Subject: "child", Object: "entertainment-devices", Environment: "weekday-free-time",
+		Transaction: "use", Effect: "permit",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := client.Decide(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Allowed {
+			if resp.Stale {
+				t.Fatal("second-hop follower marked a fresh decision stale")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("primary's revoke never reached the second-hop follower")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if leaf.Stale() {
+		t.Fatal("second-hop follower reports itself stale")
+	}
 }
 
 func TestFollowerServerRedirectsMutations(t *testing.T) {

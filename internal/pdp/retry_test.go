@@ -37,9 +37,8 @@ func newFlakyServer(t *testing.T) *flakyServer {
 	return f
 }
 
-// TestRetryOn429 exercises satellite (b): a 429 shed is transient, so a
-// retrying client rides out a shedding server and succeeds once capacity
-// returns.
+// TestRetryOn429: a 429 shed is transient, so a retrying client rides
+// out a shedding server and succeeds once capacity returns.
 func TestRetryOn429(t *testing.T) {
 	f := newFlakyServer(t)
 	f.mode.Store(http.StatusTooManyRequests)
@@ -126,57 +125,6 @@ func TestRetrySleepHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestCircuitBreakerLifecycle drives closed → open → half-open → open →
-// half-open → closed against a flaking server, checking fail-fast behavior
-// and request counts at every step.
-func TestCircuitBreakerLifecycle(t *testing.T) {
-	f := newFlakyServer(t)
-	f.mode.Store(http.StatusInternalServerError)
-	const cooldown = 50 * time.Millisecond
-	client := NewClient(f.srv.URL, f.srv.Client(), WithCircuitBreaker(2, cooldown))
-	ctx := context.Background()
-	req := DecideRequest{Subject: "alice", Object: "tv", Transaction: "use"}
-
-	// Two transient failures trip the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := client.Decide(ctx, req); !errors.Is(err, ErrRemote) {
-			t.Fatalf("attempt %d: err = %v, want remote error", i, err)
-		}
-	}
-	if _, err := client.Decide(ctx, req); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open circuit: err = %v, want ErrCircuitOpen", err)
-	}
-	if n := f.hits.Load(); n != 2 {
-		t.Fatalf("open circuit leaked a request: server saw %d, want 2", n)
-	}
-
-	// The window is jittered on [cooldown/2, 3*cooldown/2); wait it out.
-	time.Sleep(cooldown*2 + 10*time.Millisecond)
-
-	// Half-open probe against a still-failing server re-opens immediately.
-	if _, err := client.Decide(ctx, req); !errors.Is(err, ErrRemote) {
-		t.Fatalf("probe: err = %v, want remote error", err)
-	}
-	if _, err := client.Decide(ctx, req); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("after failed probe: err = %v, want ErrCircuitOpen", err)
-	}
-	if n := f.hits.Load(); n != 3 {
-		t.Fatalf("server saw %d requests, want 3 (one probe)", n)
-	}
-
-	// Server recovers; the next probe closes the circuit for good.
-	time.Sleep(cooldown*2 + 10*time.Millisecond)
-	f.mode.Store(0)
-	for i := 0; i < 2; i++ {
-		if _, err := client.Decide(ctx, req); err != nil {
-			t.Fatalf("recovered call %d: %v", i, err)
-		}
-	}
-	if n := f.hits.Load(); n != 5 {
-		t.Fatalf("server saw %d requests, want 5", n)
-	}
-}
-
 // TestRetryAfterClamped proves a hostile or misconfigured Retry-After —
 // an enormous delay-seconds value or an HTTP date years out — cannot push
 // the hint past MaxRetryAfter, and that the clamp is surfaced on the
@@ -221,55 +169,5 @@ func TestRetryAfterClamped(t *testing.T) {
 	}
 	if d, clamped := parseRetryAfter("-3"); d != 0 || clamped {
 		t.Fatalf("parseRetryAfter(-3) = %v, %v", d, clamped)
-	}
-}
-
-// TestBreakerOptionClamps proves degenerate breaker settings are clamped
-// into a working breaker instead of silently dropped or a rand.Int63n
-// panic in trip: a zero/negative cooldown opens for the default window,
-// and failures < 1 trips on the first transient failure.
-func TestBreakerOptionClamps(t *testing.T) {
-	c := NewClient("http://unused", nil, WithCircuitBreaker(0, -time.Second))
-	if c.breaker == nil {
-		t.Fatal("degenerate settings must still install a breaker")
-	}
-	if c.breaker.threshold != 1 || c.breaker.cooldown != defaultBreakerCooldown {
-		t.Fatalf("breaker = threshold %d cooldown %v, want 1/%v",
-			c.breaker.threshold, c.breaker.cooldown, defaultBreakerCooldown)
-	}
-	// trip must not panic even on a directly constructed degenerate
-	// breaker, and the window must be positive.
-	b := newBreaker(-5, 0)
-	now := time.Now()
-	b.failure(now, 0)
-	if b.state != breakerOpen {
-		t.Fatalf("state = %v after one failure with clamped threshold", b.state)
-	}
-	if !b.openUntil.After(now) {
-		t.Fatal("open window is not in the future")
-	}
-	// The server hint still floors the window.
-	b2 := newBreaker(1, time.Millisecond)
-	b2.failure(now, 10*time.Second)
-	if got := b2.openUntil.Sub(now); got < 10*time.Second {
-		t.Fatalf("open window %v undercuts the 10s Retry-After floor", got)
-	}
-}
-
-// TestRetryDelayCapped drives the backoff doubling far past maxRetryDelay
-// and checks it saturates instead of overflowing into a negative delay
-// (which would reach rand.Int63n as n <= 0 and panic).
-func TestRetryDelayCapped(t *testing.T) {
-	d := 100 * time.Millisecond
-	for i := 0; i < 200; i++ {
-		if d < maxRetryDelay {
-			d *= 2
-			if d > maxRetryDelay {
-				d = maxRetryDelay
-			}
-		}
-	}
-	if d != maxRetryDelay {
-		t.Fatalf("delay = %v after 200 doublings, want saturated at %v", d, maxRetryDelay)
 	}
 }

@@ -54,18 +54,15 @@ type Router struct {
 	maps watch.Notifier // publishes the active map's version
 
 	mux      *http.ServeMux
-	fanout   int
 	timeout  time.Duration
 	logger   *log.Logger
 	mkClient func(addr string) *Client
 
-	// Resilience knobs (see router_resilience.go).
-	retryBackoff time.Duration
-	probeEvery   time.Duration
-	hedge        *hedger
-	health       *healthTracker
-	stop         chan struct{}
-	stopOnce     sync.Once
+	// Health probes (see router_resilience.go).
+	probeEvery time.Duration
+	health     *healthTracker
+	stop       chan struct{}
+	stopOnce   sync.Once
 
 	metrics *routerMetrics
 	reg     *obs.Registry
@@ -87,17 +84,18 @@ func (v *routerView) client(id string) (*Client, bool) {
 	return c, ok
 }
 
-// DefaultRouterFanout bounds how many shard calls one scatter request
-// may have in flight at once.
-const DefaultRouterFanout = 8
+// routerFanout bounds how many shard calls one scatter request (a
+// broadcast, query, batch split or inline health check) may have in
+// flight at once.
+const routerFanout = 8
 
 // DefaultShardTimeout is the per-shard deadline for forwarded calls: a
 // slow shard costs one deadline, not an unbounded hang.
 const DefaultShardTimeout = 5 * time.Second
 
-// DefaultReadRetryBackoff is the base backoff before the single retry of
-// an idempotent read (jittered to 0.5x–1.5x).
-const DefaultReadRetryBackoff = 25 * time.Millisecond
+// readRetryBackoff is the base backoff before the single retry of an
+// idempotent read (jittered to 0.5x–1.5x).
+const readRetryBackoff = 25 * time.Millisecond
 
 // ShardMapPath serves the router's current shard map, consumed by
 // grbacctl and by SDK clients that route shard-direct.
@@ -116,16 +114,6 @@ var ErrStaleShardMap = errors.New("pdp: shard map version not newer than active"
 
 // RouterOption configures NewRouter.
 type RouterOption func(*Router)
-
-// WithRouterFanout bounds concurrent per-shard calls in scatter paths
-// (broadcasts, queries, batch splits); n < 1 keeps the default.
-func WithRouterFanout(n int) RouterOption {
-	return func(rt *Router) {
-		if n >= 1 {
-			rt.fanout = n
-		}
-	}
-}
 
 // WithShardTimeout sets the per-shard call deadline (d <= 0 keeps the
 // default). Scatter latency is bounded by this, not by the slowest
@@ -150,8 +138,8 @@ func WithRouterMetrics(reg *obs.Registry) RouterOption {
 }
 
 // WithRouterClientFactory overrides how the router builds the per-shard
-// client for an address — tests inject clients bound to httptest
-// servers; production tunes retry/breaker policy.
+// client for an address. Tests and bench/ inject clients bound to their
+// own servers or transports; grbacd keeps the default pooled client.
 func WithRouterClientFactory(mk func(addr string) *Client) RouterOption {
 	return func(rt *Router) { rt.mkClient = mk }
 }
@@ -163,7 +151,6 @@ type routerMetrics struct {
 	scatter *obs.Histogram
 	health  *obs.GaugeVec
 	retries *obs.CounterVec
-	hedges  *obs.CounterVec
 }
 
 func (m *routerMetrics) route(shardID string) {
@@ -190,12 +177,6 @@ func (m *routerMetrics) retry(shardID string) {
 	}
 }
 
-func (m *routerMetrics) hedged(shardID string) {
-	if m != nil {
-		m.hedges.With(shardID).Inc()
-	}
-}
-
 func (m *routerMetrics) setHealth(shardID string, v float64) {
 	if m != nil {
 		m.health.With(shardID).Set(v)
@@ -208,12 +189,10 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 		return nil, fmt.Errorf("pdp: router needs a non-empty shard map")
 	}
 	rt := &Router{
-		fanout:       DefaultRouterFanout,
-		timeout:      DefaultShardTimeout,
-		retryBackoff: DefaultReadRetryBackoff,
-		logger:       log.Default(),
-		stop:         make(chan struct{}),
-		health:       newHealthTracker(),
+		timeout: DefaultShardTimeout,
+		logger:  log.Default(),
+		stop:    make(chan struct{}),
+		health:  newHealthTracker(),
 	}
 	for _, opt := range opts {
 		opt(rt)
@@ -234,8 +213,6 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 				"Probed shard health: 1 healthy, 0.5 suspect, 0 down.", "shard"),
 			retries: rt.reg.NewCounterVec("grbac_shard_retry_total",
 				"Bounded retries of idempotent reads against a shard.", "shard"),
-			hedges: rt.reg.NewCounterVec("grbac_shard_hedge_total",
-				"Hedged second requests launched against a shard.", "shard"),
 		}
 		rt.reg.NewGaugeFunc("grbac_shard_map_version",
 			"Version of the active shard map.",
@@ -297,7 +274,7 @@ func (rt *Router) install(m *shard.Map) {
 	prev := rt.view.Load()
 	for _, s := range m.Shards() {
 		// Reuse the existing client when the address is unchanged, so a map
-		// bump does not drop warm connection pools or breaker state.
+		// bump does not drop warm connection pools.
 		if prev != nil {
 			if p, ok := prev.m.Get(s.ID); ok && p.Addr == s.Addr {
 				clients[s.ID] = prev.clients[s.ID]
@@ -617,7 +594,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards merged + stale across shard goroutines
 	stale := false
-	sem := make(chan struct{}, rt.fanout)
+	sem := make(chan struct{}, routerFanout)
 	for shardID, idxs := range groups {
 		wg.Add(1)
 		go func(shardID string, idxs []int) {
@@ -636,10 +613,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			rt.metrics.route(shardID)
 			ctx, cancel := rt.shardCtx(r)
 			defer cancel()
-			resp, err := hedgedFetch(rt, ctx, shardID, func(ctx context.Context) (BatchDecideResponse, error) {
-				return retryRead(rt, ctx, shardID, func(ctx context.Context) (BatchDecideResponse, error) {
-					return c.DecideBatch(ctx, sub)
-				})
+			resp, err := retryRead(rt, ctx, shardID, func(ctx context.Context) (BatchDecideResponse, error) {
+				return c.DecideBatch(ctx, sub)
 			})
 			if err != nil {
 				rt.fillBatchError(merged, &mu, idxs, shardID, err)
@@ -785,7 +760,7 @@ func (rt *Router) broadcast(r *http.Request, v *routerView, method, path string,
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	errs := make(map[string]string)
-	sem := make(chan struct{}, rt.fanout)
+	sem := make(chan struct{}, routerFanout)
 	for _, s := range shards {
 		wg.Add(1)
 		go func(s shard.Info) {
@@ -815,16 +790,15 @@ func (rt *Router) broadcast(r *http.Request, v *routerView, method, path string,
 }
 
 // scatterStrings fans a per-shard string-list query out to every shard
-// in the view and merges: the sorted union plus per-shard errors. Reads
-// get one bounded retry on transient failure and, when hedging is on, a
-// hedged second request after the shard's latency quantile.
+// in the view and merges: the sorted union plus per-shard errors. Each
+// shard's read gets one bounded retry on transient failure.
 func (rt *Router) scatterStrings(r *http.Request, v *routerView, fetch func(ctx context.Context, c *Client) ([]string, error)) (union []string, errs map[string]string) {
 	shards := v.m.Shards()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	errs = make(map[string]string)
 	seen := make(map[string]bool)
-	sem := make(chan struct{}, rt.fanout)
+	sem := make(chan struct{}, routerFanout)
 	for _, s := range shards {
 		wg.Add(1)
 		go func(s shard.Info) {
@@ -841,10 +815,8 @@ func (rt *Router) scatterStrings(r *http.Request, v *routerView, fetch func(ctx 
 			rt.metrics.route(s.ID)
 			ctx, cancel := rt.shardCtx(r)
 			defer cancel()
-			items, err := hedgedFetch(rt, ctx, s.ID, func(ctx context.Context) ([]string, error) {
-				return retryRead(rt, ctx, s.ID, func(ctx context.Context) ([]string, error) {
-					return fetch(ctx, c)
-				})
+			items, err := retryRead(rt, ctx, s.ID, func(ctx context.Context) ([]string, error) {
+				return fetch(ctx, c)
 			})
 			mu.Lock()
 			defer mu.Unlock()
@@ -997,7 +969,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var wg sync.WaitGroup
 		var mu sync.Mutex
-		sem := make(chan struct{}, rt.fanout)
+		sem := make(chan struct{}, routerFanout)
 		for _, s := range shards {
 			wg.Add(1)
 			go func(s shard.Info) {
@@ -1036,7 +1008,6 @@ type RouterStatszResponse struct {
 	Fanout          int          `json:"fanout"`
 	ShardTimeoutMS  int64        `json:"shard_timeout_ms"`
 	ProbeIntervalMS int64        `json:"probe_interval_ms,omitempty"`
-	HedgeQuantile   float64      `json:"hedge_quantile,omitempty"`
 	Shards          []shard.Info `json:"shards"`
 }
 
@@ -1046,13 +1017,10 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Mode:            "router",
 		ShardMapVersion: m.Version(),
 		VNodes:          m.VNodes(),
-		Fanout:          rt.fanout,
+		Fanout:          routerFanout,
 		ShardTimeoutMS:  rt.timeout.Milliseconds(),
 		ProbeIntervalMS: rt.probeEvery.Milliseconds(),
 		Shards:          m.Shards(),
-	}
-	if rt.hedge != nil {
-		resp.HedgeQuantile = rt.hedge.quantile
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

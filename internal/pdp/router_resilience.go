@@ -2,7 +2,6 @@ package pdp
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -10,11 +9,9 @@ import (
 	"github.com/aware-home/grbac/internal/shard"
 )
 
-// Router resilience: background health probes feeding a per-shard
-// suspect/down state machine, one bounded retry on idempotent reads,
-// and optional request hedging on scatter paths after a latency
-// quantile. All three are opt-in knobs on an otherwise unchanged hot
-// path — with hedging off, the fan-out path pays one nil check.
+// Router resilience: one bounded retry on idempotent reads, and opt-in
+// background health probes feeding a per-shard suspect/down state
+// machine. DESIGN.md's feature ledger records what each one earns.
 
 // WithHealthProbes starts a background prober that checks every shard's
 // /v1/healthz each interval, driving the suspect/down state machine and
@@ -24,30 +21,6 @@ func WithHealthProbes(interval time.Duration) RouterOption {
 	return func(rt *Router) {
 		if interval > 0 {
 			rt.probeEvery = interval
-		}
-	}
-}
-
-// WithHedgedScatter turns on request hedging for scatter-gather reads:
-// when a shard's call outlives its recent latency at quantile q (e.g.
-// 0.95), the router launches one duplicate request and takes the first
-// answer. Caps tail latency from a slow-but-alive shard at the cost of
-// bounded duplicate read load.
-func WithHedgedScatter(q float64) RouterOption {
-	return func(rt *Router) {
-		if q > 0 && q < 1 {
-			rt.hedge = newHedger(q)
-		}
-	}
-}
-
-// WithReadRetryBackoff sets the base delay before the single retry of a
-// failed idempotent read (jittered to 0.5x–1.5x; d <= 0 keeps the
-// default).
-func WithReadRetryBackoff(d time.Duration) RouterOption {
-	return func(rt *Router) {
-		if d > 0 {
-			rt.retryBackoff = d
 		}
 	}
 }
@@ -63,7 +36,7 @@ func retryRead[T any](rt *Router, ctx context.Context, shardID string, fn func(c
 		return v, err
 	}
 	rt.metrics.retry(shardID)
-	t := time.NewTimer(retry.Jitter(rt.retryBackoff))
+	t := time.NewTimer(retry.Jitter(readRetryBackoff))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -193,7 +166,7 @@ func (rt *Router) prober() {
 func (rt *Router) probeOnce() {
 	v := rt.view.Load()
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, rt.fanout)
+	sem := make(chan struct{}, routerFanout)
 	for _, s := range v.m.Shards() {
 		wg.Add(1)
 		go func(s shard.Info) {
@@ -212,162 +185,4 @@ func (rt *Router) probeOnce() {
 		}(s)
 	}
 	wg.Wait()
-}
-
-// hedger decides when a scatter call has run long enough to launch a
-// duplicate: it keeps a small ring of recent per-shard latencies and
-// hedges once a call outlives the configured quantile of that ring.
-type hedger struct {
-	quantile float64
-	minDelay time.Duration
-	mu       sync.Mutex
-	rings    map[string]*latencyRing
-}
-
-// hedgeMinSamples is how many latency observations a shard needs before
-// hedging kicks in — with fewer, the quantile is noise.
-const hedgeMinSamples = 8
-
-func newHedger(q float64) *hedger {
-	return &hedger{
-		quantile: q,
-		minDelay: time.Millisecond,
-		rings:    make(map[string]*latencyRing),
-	}
-}
-
-func (h *hedger) ring(id string) *latencyRing {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	r := h.rings[id]
-	if r == nil {
-		r = &latencyRing{}
-		h.rings[id] = r
-	}
-	return r
-}
-
-func (h *hedger) observe(id string, d time.Duration) {
-	h.ring(id).observe(d)
-}
-
-// delay returns how long to wait before hedging a call to the shard,
-// clamped to [minDelay, max]. ok is false while the shard lacks enough
-// samples.
-func (h *hedger) delay(id string, max time.Duration) (time.Duration, bool) {
-	d, ok := h.ring(id).quantile(h.quantile)
-	if !ok {
-		return 0, false
-	}
-	if d < h.minDelay {
-		d = h.minDelay
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d, true
-}
-
-// latencyRing is a fixed-size ring of recent call latencies.
-type latencyRing struct {
-	mu      sync.Mutex
-	samples [64]time.Duration
-	n       int // total observed, saturating at len(samples)
-	idx     int
-}
-
-func (r *latencyRing) observe(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples[r.idx] = d
-	r.idx = (r.idx + 1) % len(r.samples)
-	if r.n < len(r.samples) {
-		r.n++
-	}
-}
-
-// quantile returns the q-quantile of the ring's contents; ok is false
-// below hedgeMinSamples observations.
-func (r *latencyRing) quantile(q float64) (time.Duration, bool) {
-	r.mu.Lock()
-	n := r.n
-	if n < hedgeMinSamples {
-		r.mu.Unlock()
-		return 0, false
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, r.samples[:n])
-	r.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	i := int(float64(n-1) * q)
-	return buf[i], true
-}
-
-// hedgedFetch runs one scatter call with optional hedging. With hedging
-// off (the default) it is a single nil check around fn — the disabled
-// path must stay allocation-free (TestGuardDisabledHedgeHook pins it).
-// With hedging on, a call that outlives the shard's latency quantile gets
-// one duplicate in flight; the first success wins and the loser's result
-// is dropped into the buffered channel, so no goroutine leaks past its
-// context.
-func hedgedFetch[T any](rt *Router, ctx context.Context, shardID string, fn func(context.Context) (T, error)) (T, error) {
-	h := rt.hedge
-	if h == nil {
-		return fn(ctx)
-	}
-	start := time.Now()
-	delay, ok := h.delay(shardID, rt.timeout/2)
-	if !ok {
-		v, err := fn(ctx)
-		if err == nil {
-			h.observe(shardID, time.Since(start))
-		}
-		return v, err
-	}
-	type result struct {
-		v   T
-		err error
-	}
-	ch := make(chan result, 2)
-	launch := func() {
-		go func() {
-			t0 := time.Now()
-			v, err := fn(ctx)
-			if err == nil {
-				h.observe(shardID, time.Since(t0))
-			}
-			ch <- result{v, err}
-		}()
-	}
-	launch()
-	launched := 1
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var firstErr error
-	got := 0
-	for {
-		select {
-		case res := <-ch:
-			got++
-			if res.err == nil {
-				return res.v, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if got == launched {
-				var zero T
-				return zero, firstErr
-			}
-		case <-timer.C:
-			if launched == 1 {
-				rt.metrics.hedged(shardID)
-				launch()
-				launched = 2
-			}
-		case <-ctx.Done():
-			var zero T
-			return zero, ctx.Err()
-		}
-	}
 }

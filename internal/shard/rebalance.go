@@ -1,11 +1,12 @@
 package shard
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -419,14 +420,31 @@ type journal struct {
 	begin *journalRecord
 }
 
+// openJournal opens the journal for appending. A torn tail left by a
+// crash mid-append is truncated (and the cut fsynced) first, as the
+// store WAL's replay does: appending after the fragment would glue the
+// next record onto it and hide that record, and every later one, from
+// the next Resume.
 func openJournal(path string) (*journal, error) {
-	recs, err := readJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("shard: open rebalance journal: %w", err)
+	}
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("shard: read rebalance journal: %w", err)
+	}
+	recs, clean := parseJournal(raw)
+	if clean < len(raw) {
+		if err := f.Truncate(int64(clean)); err != nil {
+			_ = f.Close()
+			return nil, fmt.Errorf("shard: repair journal tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			_ = f.Close()
+			return nil, fmt.Errorf("shard: sync repaired journal: %w", err)
+		}
 	}
 	j := &journal{f: f}
 	for i := range recs {
@@ -473,35 +491,40 @@ func (j *journal) reset() error {
 func (j *journal) close() { _ = j.f.Close() }
 
 // readJournal parses the journal, tolerating a torn final line (the
-// crash-mid-append case): parsing stops at the first record that does
-// not decode, exactly like the store WAL's longest-clean-prefix rule.
+// crash-mid-append case); see parseJournal.
 func readJournal(path string) ([]journalRecord, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("shard: read rebalance journal: %w", err)
 	}
-	defer f.Close()
-	var recs []journalRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+	recs, _ := parseJournal(raw)
+	return recs, nil
+}
+
+// parseJournal decodes the longest clean prefix of raw, exactly like the
+// store WAL's rule: parsing stops at a final line without its newline
+// (append writes record and newline together, so such a line was never
+// acknowledged) or at the first line that does not decode. clean is the
+// prefix's length in bytes.
+func parseJournal(raw []byte) (recs []journalRecord, clean int) {
+	for clean < len(raw) {
+		nl := bytes.IndexByte(raw[clean:], '\n')
+		if nl < 0 {
 			break
 		}
-		recs = append(recs, rec)
+		if line := raw[clean : clean+nl]; len(line) > 0 {
+			var rec journalRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				break
+			}
+			recs = append(recs, rec)
+		}
+		clean += nl + 1
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("shard: scan rebalance journal: %w", err)
-	}
-	return recs, nil
+	return recs, clean
 }
 
 // foldJournal reduces a record sequence to the resume inputs: the last

@@ -420,7 +420,8 @@ func TestRebalanceResumeAfterDone(t *testing.T) {
 
 // TestRebalanceJournalTornTail pins the durability discipline shared
 // with the store WAL: a torn final line (crash mid-append) parses as
-// the longest clean prefix.
+// the longest clean prefix, and reopening the journal cuts the torn
+// tail off so the next append lands on a line of its own.
 func TestRebalanceJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rebalance.journal")
 	clean := `{"op":"begin"}` + "\n" + `{"op":"moved","subject":"u1"}` + "\n"
@@ -433,6 +434,22 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 	}
 	if len(recs) != 2 || recs[1].Subject != "u1" {
 		t.Fatalf("torn journal parsed to %+v, want 2 clean records", recs)
+	}
+
+	j, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.append(journalRecord{Op: "moved", Subject: "u2"}); err != nil {
+		t.Fatal(err)
+	}
+	j.close()
+	recs, err = readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[2].Subject != "u2" {
+		t.Fatalf("journal after resumed append parsed to %+v, want 3 records ending in u2", recs)
 	}
 }
 
