@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -62,9 +61,9 @@ type decisionCache struct {
 // cacheEntry keeps the full key material next to the decision: the request
 // hash, subject, session, object, transaction, a defensive copy of the
 // credential set (nil-ness preserved — a nil set means "fully trusted" and
-// must not alias an empty one), and the resolved environment snapshot
-// sorted so lookups are insensitive to the order the caller listed roles
-// in.
+// must not alias an empty one), and a copy of the resolved environment in
+// the order the caller listed it, so a caller repeating its order is
+// confirmed element by element.
 type cacheEntry struct {
 	hash        uint64
 	gen         uint64
@@ -137,7 +136,7 @@ func (c *decisionCache) put(h, gen uint64, req *Request, d Decision) (evicted bo
 		object:      req.Object,
 		transaction: req.Transaction,
 		creds:       cloneCreds(req.Credentials),
-		env:         sortedEnv(req.Environment),
+		env:         cloneRoleIDs(req.Environment),
 		d:           d.clone(),
 	}
 	const live, older, empty, same = 0, 1, 2, 3
@@ -202,10 +201,10 @@ func hashUint64(h, v uint64) uint64 {
 // hashRequest digests everything a decision depends on besides the policy
 // store itself. It never allocates — that keeps warm CheckAccess hits at
 // zero allocs/op. The environment roles are each hashed independently and
-// combined commutatively (summed), so the digest — like the stored sorted
-// snapshot it is checked against — is insensitive to the order the caller
-// listed the active roles in. A nil credential set (identity fully
-// trusted) digests differently from an empty one.
+// combined commutatively (summed), so the digest — like envEqual, which
+// confirms it — is insensitive to the order the caller listed the active
+// roles in. A nil credential set (identity fully trusted) digests
+// differently from an empty one.
 func hashRequest(req *Request) uint64 {
 	h := hashString(fnvOffset, req.Subject)
 	h = hashString(h, req.Session)
@@ -247,9 +246,9 @@ func credsEqual(a, b CredentialSet) bool {
 }
 
 // envEqual reports whether the request's environment roles are the same
-// multiset as the stored (sorted) snapshot, without allocating: the sorted
-// fast path compares element-wise, and permuted inputs fall back to an
-// in-place count comparison.
+// multiset as the stored ones, without allocating: a request listing them
+// in the stored order is answered element-wise, and a permuted one falls
+// back to an in-place count comparison.
 func envEqual(req, stored []RoleID) bool {
 	if len(req) != len(stored) {
 		return false
@@ -299,14 +298,6 @@ func cloneCreds(cs CredentialSet) CredentialSet {
 	}
 	out := make(CredentialSet, len(cs))
 	copy(out, cs)
-	return out
-}
-
-// sortedEnv returns a sorted copy of env so stored cache entries admit the
-// order-insensitive lookup above.
-func sortedEnv(env []RoleID) []RoleID {
-	out := append([]RoleID(nil), env...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

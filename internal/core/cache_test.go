@@ -40,25 +40,35 @@ func TestDecisionCacheHitIsByteIdentical(t *testing.T) {
 }
 
 // TestEnvironmentOrderInsensitiveKey checks that listing the same active
-// environment roles in a different order hits the same cache entry.
+// environment roles in a different order hits the same cache entry: a
+// request cached as [b, a] and asked as [a, b] is a hit, and the hit is
+// byte-identical to what a cold system decides for [a, b].
 func TestEnvironmentOrderInsensitiveKey(t *testing.T) {
-	s := newHomeSystem(t)
+	s, cold := newHomeSystem(t), newHomeSystem(t)
 	grantEntertainment(t, s)
+	grantEntertainment(t, cold)
 
-	if _, err := s.Decide(Request{
-		Subject: "alice", Object: "tv", Transaction: "use",
-		Environment: []RoleID{"weekday-free-time", "weekdays"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Decide(Request{
+	req := Request{
 		Subject: "alice", Object: "tv", Transaction: "use",
 		Environment: []RoleID{"weekdays", "weekday-free-time"},
-	}); err != nil {
+	}
+	if _, err := s.Decide(req); err != nil {
+		t.Fatal(err)
+	}
+	req.Environment = []RoleID{"weekday-free-time", "weekdays"}
+	warm, err := s.Decide(req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.DecisionHits != 1 {
 		t.Fatalf("Stats() = %+v, want a hit for the permuted environment", st)
+	}
+	want, err := cold.Decide(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, want) {
+		t.Fatalf("permuted hit differs from a cold decision:\nhit  %+v\ncold %+v", warm, want)
 	}
 }
 

@@ -175,11 +175,11 @@ func (s *System) decideOn(sn *snapshot, req Request) (Decision, error) {
 }
 
 // cached returns the cache's entry for the request, counting the hit on
-// the stripe its hash selects. The entry is shared: read, never written.
+// the calling goroutine's stripe. The entry is shared: read, never written.
 func (s *System) cached(h, gen uint64, req *Request) *cacheEntry {
 	e := s.cache.find(h, gen, req)
 	if e != nil {
-		s.stripe(h).hits.Add(1)
+		s.stripe().hits.Add(1)
 	}
 	return e
 }
@@ -188,7 +188,7 @@ func (s *System) cached(h, gen uint64, req *Request) *cacheEntry {
 // counting a displaced live entry as an eviction. A request rejected with
 // an error reaches neither counter.
 func (s *System) memoize(h, gen uint64, req *Request, d Decision) {
-	s.stripe(h).misses.Add(1)
+	s.stripe().misses.Add(1)
 	if s.cache.put(h, gen, req, d) {
 		s.decEvictions.Add(1)
 	}

@@ -399,7 +399,8 @@ func TestShardedCacheStaysBounded(t *testing.T) {
 // TestHashRequestEnvOrderInsensitive pins the commutative environment
 // digest: permuted environments must land on the same hash (and therefore
 // the same cache entry), while different multisets must not be equal under
-// the verification comparison.
+// the verification comparison. Entries store the environment in the order
+// their caller listed it, so the stored side may be unsorted too.
 func TestHashRequestEnvOrderInsensitive(t *testing.T) {
 	a := Request{Subject: "u", Object: "o", Transaction: "t",
 		Environment: []RoleID{"x", "y", "z"}}
@@ -408,13 +409,19 @@ func TestHashRequestEnvOrderInsensitive(t *testing.T) {
 	if hashRequest(&a) != hashRequest(&b) {
 		t.Fatal("permuted environments hash differently")
 	}
-	if !envEqual(b.Environment, sortedEnv(a.Environment)) {
+	if !envEqual(b.Environment, a.Environment) {
 		t.Fatal("permuted environments compare unequal")
 	}
-	if envEqual([]RoleID{"x", "x", "y"}, sortedEnv([]RoleID{"x", "y", "y"})) {
+	if !envEqual(a.Environment, b.Environment) || !envEqual([]RoleID{"y", "z", "x"}, b.Environment) {
+		t.Fatal("permuted environments compare unequal against an unsorted stored side")
+	}
+	if envEqual([]RoleID{"x", "x", "y"}, []RoleID{"x", "y", "y"}) {
 		t.Fatal("different multisets compared equal")
 	}
-	if envEqual([]RoleID{"x"}, sortedEnv([]RoleID{"x", "x"})) {
+	if envEqual([]RoleID{"y", "x", "x"}, []RoleID{"y", "y", "x"}) {
+		t.Fatal("different multisets compared equal against an unsorted stored side")
+	}
+	if envEqual([]RoleID{"x"}, []RoleID{"x", "x"}) {
 		t.Fatal("different lengths compared equal")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/aware-home/grbac/internal/watch"
 )
@@ -95,9 +96,10 @@ type System struct {
 	cache    *decisionCache
 	cacheCap int
 	// decStripes counts cache hits and misses. Every Decide bumps one of
-	// them with no lock held, so the counts are striped by the request
-	// hash: concurrent deciders add to different cache lines instead of
-	// passing one between cores. Stats sums the stripes; totals are exact.
+	// them with no lock held, on the stripe of the calling goroutine (see
+	// stripe): a decider keeps adding to a line its own core already holds
+	// instead of passing one back and forth with the others, however hot
+	// the request they share. Stats sums the stripes; totals are exact.
 	// The pad keeps stripe 0 off the line of the read-mostly fields above.
 	_              [64]byte
 	decStripes     [1 << decisionStripeBits]decisionStripe
@@ -107,10 +109,9 @@ type System struct {
 	failSafeDenies atomic.Uint64
 }
 
-// decisionStripeBits sizes System.decStripes; a stripe is picked by that
-// many top bits of the request hash (the cache's set index uses the low
-// ones).
-const decisionStripeBits = 4
+// decisionStripeBits sizes System.decStripes: with 64 stripes, two
+// deciding goroutines share one 1 time in 64.
+const decisionStripeBits = 6
 
 // decisionStripe is one cache line of the hit/miss counters. A decision
 // bumps exactly one of the two, so they share the line.
@@ -119,9 +120,16 @@ type decisionStripe struct {
 	_            [48]byte
 }
 
-// stripe returns the counters for a request hashing to h.
-func (s *System) stripe(h uint64) *decisionStripe {
-	return &s.decStripes[h>>(64-decisionStripeBits)]
+// stripe returns the calling goroutine's counters. Goroutine stacks do not
+// overlap and each spans whole 2 KiB blocks, so the block a stack local
+// sits in names the goroutine for as long as its stack stays put; a
+// Fibonacci hash of the block number spreads neighbouring stacks over the
+// stripes. A goroutine whose stack grows or moves just lands on another
+// stripe, which costs a shared line and never a count.
+func (s *System) stripe() *decisionStripe {
+	var local byte
+	block := uint64(uintptr(unsafe.Pointer(&local))) >> 11
+	return &s.decStripes[(block*0x9e3779b97f4a7c15)>>(64-decisionStripeBits)]
 }
 
 // Option configures a System at construction time.

@@ -32,8 +32,8 @@ const (
 	StoreSave = "store.save"
 	StoreLoad = "store.load"
 	// StoreDirSync wraps the parent-directory fsync that makes a renamed
-	// snapshot's directory entry durable; a panic here is a crash after
-	// rename but before the entry is on disk.
+	// snapshot's or shard map's directory entry durable; a panic here is
+	// a crash after rename but before the entry is on disk.
 	StoreDirSync = "store.dirsync"
 	// WALAppend and WALFsync bracket one write-ahead-log append: a panic at
 	// WALAppend is a crash before the record reaches the file, a panic at

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"github.com/aware-home/grbac/internal/faults"
 )
 
 // Durable shard map: the routing tier persists each committed map so a
@@ -41,11 +43,26 @@ func SaveMap(path string, m *Map) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("shard: save map: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	// The rename updated the directory, not the file: until the directory
+	// is synced a crash can lose the new entry, and with it a map the
+	// router already treats as committed.
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("shard: save map: sync dir: %w", err)
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	if err := faults.Inject(faults.StoreDirSync); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // LoadMap reads a map persisted by SaveMap. A missing file returns

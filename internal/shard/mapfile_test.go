@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/aware-home/grbac/internal/faults"
 )
 
 func TestMapFileRoundTrip(t *testing.T) {
@@ -46,5 +49,32 @@ func TestMapFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadMap(path); err == nil {
 		t.Fatal("LoadMap(corrupt) must error")
+	}
+}
+
+// TestSaveMapSyncsDir pins the durability of the rename: SaveMap must fsync
+// the directory after renaming the map into place and report a failed
+// sync, since a map whose directory entry is not on disk can vanish in a
+// crash while the router believes it committed.
+func TestSaveMapSyncsDir(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shardmap.json")
+	m, err := New(8, Info{ID: "a", Addr: "http://a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.NewPlan(1, faults.Rule{
+		Point: faults.StoreDirSync, Limit: 1,
+		Action: faults.Action{Err: errors.New("simulated dir fsync failure")},
+	})
+	faults.Activate(plan)
+	defer faults.Deactivate()
+	if err := SaveMap(path, m); err == nil {
+		t.Fatal("SaveMap succeeded despite a failed directory fsync")
+	}
+	if got := plan.Fired(faults.StoreDirSync); got != 1 {
+		t.Fatalf("directory fsync point fired %d times, want 1", got)
+	}
+	if err := SaveMap(path, m); err != nil {
+		t.Fatalf("save after the one injected failure: %v", err)
 	}
 }

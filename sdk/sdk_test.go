@@ -140,6 +140,39 @@ func TestGuardWarmCheckAccessZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLocalDecisionsExactUnderConcurrentCheckAccess pins Stats.LocalDecisions
+// as an exact count while 8 goroutines check at once: half of each
+// goroutine's calls share one hot request, the other half carry an
+// identity credential only that goroutine sends.
+func TestLocalDecisionsExactUnderConcurrentCheckAccess(t *testing.T) {
+	_, srv := newPrimary(t)
+	c := newEmbedded(t, srv.URL)
+	const goroutines, perGoroutine = 8, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := permitReq()
+			own.Credentials = grbac.CredentialSet{grbac.IdentityCredential("alice", 0.5+float64(g)/100, "test")}
+			for i := 0; i < perGoroutine; i++ {
+				req := permitReq()
+				if i%2 == 1 {
+					req = own
+				}
+				if _, err := c.CheckAccess(context.Background(), req); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.LocalDecisions != goroutines*perGoroutine || st.RemoteFallbacks != 0 {
+		t.Fatalf("stats = %+v, want %d local decisions and no fallback", st, goroutines*perGoroutine)
+	}
+}
+
 // TestGuardNoLockOnEmbeddedCheckAccess is guard 6 through the embedded
 // SDK: warm CheckAccess from 2 and from 8 goroutines at once must show no
 // sync.Mutex or sync.RWMutex contention below the SDK wrapper itself
