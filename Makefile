@@ -79,7 +79,8 @@ rebalance-smoke:
 declog-smoke:
 	./scripts/declog_smoke.sh
 
-# Run every native fuzz target for a short budget each. The two pdp
+# Run every native fuzz target for a short budget each. FuzzOpenLog checks
+# the shared line log under the WAL and the rebalance journal. The two pdp
 # targets are differential: whatever the decide wire codec accepts must
 # decode exactly as encoding/json decodes it.
 fuzz:
@@ -87,6 +88,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/temporal
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/policy
 	go test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/store
+	go test -run '^$$' -fuzz FuzzOpenLog -fuzztime 10s ./internal/disk
 	go test -run '^$$' -fuzz FuzzDecideRequestCodec -fuzztime 10s ./internal/pdp
 	go test -run '^$$' -fuzz FuzzDecideResponseCodec -fuzztime 10s ./internal/pdp
 

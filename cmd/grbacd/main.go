@@ -91,7 +91,7 @@ func main() {
 	faultSpec := flag.String("faults", "", "chaos drills: fault-injection spec, e.g. 'pdp.decide:delay=50ms,prob=0.5;replica.watch:error=dropped,every=3'")
 	faultSeed := flag.Int64("faults-seed", 1, "seed for the fault plan's probability draws, for reproducible chaos runs")
 	auditCapacity := flag.Int("audit-capacity", 10000, "audit-trail ring capacity; older records are evicted (and counted in grbac_audit_evicted_total) beyond it")
-	declogSink := flag.String("declog", "", "decision-log export sink: an http(s):// collector URL or a directory for rotating gzip JSONL chunks (empty disables export)")
+	declogSink := flag.String("declog", "", "decision-log export sink: an http(s):// collector URL or a directory for numbered gzip JSONL chunks (empty disables export)")
 	declogBuffer := flag.Int("declog-buffer", 0, "decision-log intake buffer in records; overflow is dropped and counted, never blocking Decide (0 = default)")
 	declogFlush := flag.Duration("declog-flush", 0, "decision-log flush interval: a partial chunk is sealed and queued for upload after this much quiet time (0 = default 1s)")
 	bundlePub := flag.String("bundle-pub", "", "trusted bundle public key file (hex ed25519): enables POST /v1/bundle, verified before activation")

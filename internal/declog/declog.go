@@ -4,7 +4,7 @@
 // each audit record to Offer, which never blocks — records flow through a
 // bounded intake channel into a gzip-chunked JSONL encoder with adaptive
 // chunk sizing, and sealed chunks are uploaded in batches to a configurable
-// sink (an HTTP collector or local rotating files) with shared
+// sink (an HTTP collector or local numbered files) with shared
 // retry backoff. Under sustained pressure the pipeline sheds load by
 // dropping — first at the intake channel, then the oldest sealed chunk —
 // and every dropped record is counted (grbac_declog_dropped_total), so

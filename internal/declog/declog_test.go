@@ -337,45 +337,6 @@ func TestHTTPSinkRejectsNon2xx(t *testing.T) {
 	}
 }
 
-func TestFileSinkRotation(t *testing.T) {
-	dir := t.TempDir()
-	sink, err := NewFileSink(dir, WithMaxFiles(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce := newChunkEncoder(1 << 20)
-	for i := 0; i < 6; i++ {
-		ce.Write(testRecord(uint64(i)))
-		c, ok := ce.Flush()
-		if !ok {
-			t.Fatal("no chunk sealed")
-		}
-		if err := sink.Upload(context.Background(), c); err != nil {
-			t.Fatalf("upload %d: %v", i, err)
-		}
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "chunk-*.jsonl.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 3 {
-		t.Fatalf("rotation kept %d files, want 3", len(files))
-	}
-	// The survivors are the newest three (004..006).
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeChunk(data); err != nil {
-			t.Fatalf("retained chunk %s corrupt: %v", f, err)
-		}
-	}
-	if base := filepath.Base(files[0]); base != "chunk-000004.jsonl.gz" {
-		t.Fatalf("oldest retained file %s, want chunk-000004.jsonl.gz", base)
-	}
-}
-
 func TestFileSinkResumesNumbering(t *testing.T) {
 	dir := t.TempDir()
 	sink, err := NewFileSink(dir)
@@ -395,6 +356,31 @@ func TestFileSinkResumesNumbering(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(dir, "chunk-*.jsonl.gz"))
 	if len(files) != 2 {
 		t.Fatalf("restart overwrote chunks: %v", files)
+	}
+}
+
+// TestFileSinkNumbersPastPadding pins resume numbering once the six-digit
+// padding runs out: chunk-1000000 sorts before chunk-999999, and a sink
+// that resumed from the lexically last name would rename over
+// chunk-1000000.
+func TestFileSinkNumbersPastPadding(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string]string{"chunk-999999.jsonl.gz": "old", "chunk-1000000.jsonl.gz": "newest"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink, err := NewFileSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Upload(context.Background(), Chunk{Data: []byte("next"), Records: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"chunk-1000000.jsonl.gz": "newest", "chunk-1000001.jsonl.gz": "next"} {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != want {
+			t.Fatalf("%s = %q, %v; want %q", name, got, err, want)
+		}
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/aware-home/grbac/internal/disk"
 )
 
 // Sink is where sealed chunks go. Upload must be safe for sequential reuse
@@ -25,7 +27,7 @@ type Sink interface {
 //
 //	http://collector:9000/logs   POST each chunk (gzip body)
 //	https://collector/logs       same, over TLS
-//	file:///var/log/grbac        rotating chunk files in the directory
+//	file:///var/log/grbac        numbered chunk files in the directory
 //	/var/log/grbac               same (bare paths mean a directory)
 func ParseSink(spec string) (Sink, error) {
 	switch {
@@ -79,100 +81,59 @@ func (s *HTTPSink) Upload(ctx context.Context, c Chunk) error {
 }
 
 // FileSink writes each chunk as a numbered file in a directory —
-// chunk-000001.jsonl.gz, chunk-000002.jsonl.gz, … — with optional
-// rotation pruning the oldest files past a bound. It is the air-gapped /
+// chunk-000001.jsonl.gz, chunk-000002.jsonl.gz, … It is the air-gapped /
 // development sink; a collector is just `declog.DecodeChunk` over the
-// directory in order.
+// directory in numeric order.
 type FileSink struct {
-	mu       sync.Mutex
-	dir      string
-	next     int
-	maxFiles int
-}
-
-// FileSinkOption configures a FileSink.
-type FileSinkOption func(*FileSink)
-
-// WithMaxFiles bounds retained chunk files; the oldest are removed beyond
-// it (0 = unbounded, the default).
-func WithMaxFiles(n int) FileSinkOption {
-	return func(s *FileSink) {
-		if n > 0 {
-			s.maxFiles = n
-		}
-	}
+	mu   sync.Mutex
+	dir  string
+	next int
 }
 
 const chunkFilePattern = "chunk-%06d.jsonl.gz"
 
 // NewFileSink builds a file sink rooted at dir (created if missing). It
-// resumes numbering after any chunk files already present, so a restarted
-// grbacd appends rather than overwrites.
-func NewFileSink(dir string, opts ...FileSinkOption) (*FileSink, error) {
+// resumes numbering after the highest-numbered chunk file already
+// present, so a restarted grbacd appends rather than overwrites.
+func NewFileSink(dir string) (*FileSink, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("declog: empty sink directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("declog: create sink directory: %w", err)
 	}
-	s := &FileSink{dir: dir}
-	for _, opt := range opts {
-		opt(s)
-	}
-	existing, err := s.chunkFiles()
+	files, err := filepath.Glob(filepath.Join(dir, "chunk-*.jsonl.gz"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("declog: list chunks: %w", err)
 	}
-	if len(existing) > 0 {
-		last := existing[len(existing)-1]
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(last), chunkFilePattern, &n); err == nil {
+	s := &FileSink{dir: dir}
+	// Parse every name: past 999999 the padding runs out, and
+	// chunk-1000000 sorts before chunk-999999.
+	for _, f := range files {
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "chunk-"), ".jsonl.gz")
+		if n, err := strconv.Atoi(num); err == nil && n > s.next {
 			s.next = n
 		}
 	}
 	return s, nil
 }
 
-// Upload writes one chunk file atomically (temp file + rename), then
-// prunes past the rotation bound.
+// Upload writes one chunk file through disk.WriteFile's temp file and
+// rename, so a reader never sees a partial chunk. It skips the fsyncs:
+// chunks written shortly before a power loss may be lost.
 func (s *FileSink) Upload(ctx context.Context, c Chunk) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.next++
-	name := filepath.Join(s.dir, fmt.Sprintf(chunkFilePattern, s.next))
-	tmp := name + ".tmp"
-	if err := os.WriteFile(tmp, c.Data, 0o644); err != nil {
-		s.next--
+	name := filepath.Join(s.dir, fmt.Sprintf(chunkFilePattern, s.next+1))
+	if err := disk.WriteFile(name, c.Data, false); err != nil {
 		return fmt.Errorf("declog: write chunk: %w", err)
 	}
-	if err := os.Rename(tmp, name); err != nil {
-		os.Remove(tmp)
-		s.next--
-		return fmt.Errorf("declog: publish chunk: %w", err)
-	}
-	if s.maxFiles > 0 {
-		if files, err := s.chunkFiles(); err == nil && len(files) > s.maxFiles {
-			for _, old := range files[:len(files)-s.maxFiles] {
-				os.Remove(old)
-			}
-		}
-	}
+	s.next++
 	return nil
 }
 
 // Dir returns the sink's directory.
 func (s *FileSink) Dir() string { return s.dir }
-
-// chunkFiles lists the sink's chunk files sorted by name (which is also
-// numeric order, thanks to the zero-padded pattern).
-func (s *FileSink) chunkFiles() ([]string, error) {
-	files, err := filepath.Glob(filepath.Join(s.dir, "chunk-*.jsonl.gz"))
-	if err != nil {
-		return nil, fmt.Errorf("declog: list chunks: %w", err)
-	}
-	sort.Strings(files)
-	return files, nil
-}

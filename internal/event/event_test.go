@@ -172,7 +172,12 @@ func TestLogDetectsTampering(t *testing.T) {
 			return es
 		}},
 		{"mac edit", func(es []Entry) []Entry {
-			es[1].MAC = "00" + es[1].MAC[2:]
+			// Always a change: a MAC may already start with "0".
+			first := "0"
+			if es[1].MAC[0] == '0' {
+				first = "1"
+			}
+			es[1].MAC = first + es[1].MAC[1:]
 			return es
 		}},
 		{"entry removal", func(es []Entry) []Entry {

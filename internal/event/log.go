@@ -13,23 +13,13 @@ import (
 // was altered, inserted, or removed.
 var ErrChainBroken = errors.New("event: MAC chain broken")
 
-// ErrSegmentGap reports that a segment sequence does not link: a segment's
-// anchor is not the MAC of the previous segment's last entry, or the seal
-// indices are not contiguous.
-var ErrSegmentGap = errors.New("event: segment chain broken")
-
-// Default retention geometry. A PDP serving millions of decisions appends
-// to this log on every policy mutation and environment change; the
-// defaults bound it at MaxSegments x SegmentSize sealed entries plus one
-// open segment, and every entry beyond the bound is dropped from memory
-// only after its segment was sealed (and offered to the seal hook for
-// export).
+// Retention bounds the log at retainEntries entries and drops the oldest
+// dropEntries at a time once the bound is passed. A PDP serving millions
+// of decisions appends to this log on every policy mutation and
+// environment change; the bound keeps its memory flat.
 const (
-	// DefaultSegmentSize is how many entries a segment holds when sealed.
-	DefaultSegmentSize = 1024
-	// DefaultMaxSegments bounds retained sealed segments; the oldest is
-	// dropped beyond it.
-	DefaultMaxSegments = 64
+	retainEntries = 64 * 1024
+	dropEntries   = 1024
 )
 
 // Entry is one logged event together with its chained MAC.
@@ -39,24 +29,6 @@ type Entry struct {
 	MAC string
 }
 
-// Segment is a sealed, exportable run of chain entries. Its Anchor is the
-// hex MAC of the entry immediately before the segment ("" for the genesis
-// segment), so a verifier holding only this segment — or any suffix of the
-// segment sequence — can check its chain without the full history:
-// anchor-rooted verification is what keeps the log bounded in memory while
-// staying tamper-evident end to end.
-type Segment struct {
-	// Index is the seal order, starting at 0.
-	Index uint64 `json:"index"`
-	// First is the absolute position (0-based append order) of the
-	// segment's first entry.
-	First uint64 `json:"first"`
-	// Anchor is the hex MAC preceding the segment; "" for genesis.
-	Anchor string `json:"anchor"`
-	// Entries is the sealed run, in append order.
-	Entries []Entry `json:"entries"`
-}
-
 // Log is a tamper-evident append-only event record. Every entry's MAC
 // covers the previous entry's MAC, so any modification of a prefix
 // invalidates every subsequent MAC. This is the minimal realization of the
@@ -64,255 +36,92 @@ type Segment struct {
 // collected: a verifier holding the key can detect tampering with the
 // recorded state history.
 //
-// The log is bounded: entries accumulate in an open segment that is sealed
-// at SegmentSize, and at most MaxSegments sealed segments are retained —
-// the oldest is dropped (after the seal hook had its chance to export it)
-// so memory stays flat no matter how many events a long-lived PDP
-// publishes. Verification of the retained window starts from the oldest
-// retained segment's anchor MAC, and exported segments re-verify anywhere
-// via VerifySegments / VerifyEntriesFrom.
+// The log is bounded: past retainEntries it drops its oldest dropEntries
+// entries, keeping the MAC of the last dropped one as the anchor that
+// roots verification of the retained window.
 type Log struct {
-	mu     sync.Mutex
-	key    []byte
-	sealed []Segment
-	active []Entry
-	// activeAnchor is the MAC of the entry preceding the open segment
-	// (nil at genesis); lastMAC is the newest entry's MAC.
-	activeAnchor []byte
-	lastMAC      []byte
-	// appended counts entries ever appended; base is the absolute position
-	// of the oldest retained entry, so appended-base is the retained count.
-	appended uint64
-	base     uint64
-	// sealedCount counts segments ever sealed (the next segment index).
-	sealedCount     uint64
-	droppedEntries  uint64
-	droppedSegments uint64
-	segmentSize     int
-	maxSegments     int
-	sealHook        func(Segment)
-}
-
-// LogOption configures a Log.
-type LogOption func(*Log)
-
-// WithSegmentSize sets how many entries a segment holds before it is
-// sealed (default DefaultSegmentSize); n < 1 keeps the default.
-func WithSegmentSize(n int) LogOption {
-	return func(l *Log) {
-		if n >= 1 {
-			l.segmentSize = n
-		}
-	}
-}
-
-// WithMaxSegments bounds retained sealed segments (default
-// DefaultMaxSegments); n < 1 keeps the default.
-func WithMaxSegments(n int) LogOption {
-	return func(l *Log) {
-		if n >= 1 {
-			l.maxSegments = n
-		}
-	}
-}
-
-// WithSealHook registers a function called with each segment as it is
-// sealed, outside the log's lock — the export path: ship the segment (its
-// anchor makes it independently verifiable) before retention drops it.
-// The hook receives its own copy and must not block for long; it runs on
-// the appender's goroutine.
-func WithSealHook(fn func(Segment)) LogOption {
-	return func(l *Log) { l.sealHook = fn }
+	mu      sync.Mutex
+	key     []byte
+	entries []Entry
+	// anchor is the MAC of the entry before entries[0] (nil at genesis);
+	// lastMAC is the newest entry's MAC.
+	anchor  []byte
+	lastMAC []byte
+	dropped uint64
+	// retain and drop are the retention bound (the package constants,
+	// smaller in tests).
+	retain, drop int
 }
 
 // NewLog constructs a log keyed with the given MAC key. The key must be
 // non-empty; it is copied.
-func NewLog(key []byte, opts ...LogOption) (*Log, error) {
+func NewLog(key []byte) (*Log, error) {
 	if len(key) == 0 {
 		return nil, errors.New("event: empty MAC key")
 	}
-	l := &Log{
-		key:         append([]byte(nil), key...),
-		segmentSize: DefaultSegmentSize,
-		maxSegments: DefaultMaxSegments,
-	}
-	for _, opt := range opts {
-		opt(l)
-	}
-	return l, nil
+	return &Log{key: append([]byte(nil), key...), retain: retainEntries, drop: dropEntries}, nil
 }
 
 // Append records the event and returns its entry. Appending is O(1)
-// amortized regardless of how many entries the log has ever seen: sealing
-// moves the open slice wholesale and retention drops one segment at a
-// time.
+// amortized regardless of how many entries the log has ever seen.
 func (l *Log) Append(e Event) Entry {
 	l.mu.Lock()
-	mac := l.mac(l.lastMAC, e)
+	defer l.mu.Unlock()
+	mac := chainMAC(l.key, l.lastMAC, e)
 	entry := Entry{Event: e.clone(), MAC: hex.EncodeToString(mac)}
-	l.active = append(l.active, entry)
+	l.entries = append(l.entries, entry)
 	l.lastMAC = mac
-	l.appended++
-	var sealedCopy *Segment
-	if len(l.active) >= l.segmentSize {
-		seg := l.sealLocked()
-		if l.sealHook != nil {
-			cp := cloneSegment(seg)
-			sealedCopy = &cp
-		}
-	}
-	l.mu.Unlock()
-	if sealedCopy != nil {
-		l.sealHook(*sealedCopy)
+	if len(l.entries) > l.retain {
+		// The anchor is a MAC this log computed, so it always decodes.
+		l.anchor, _ = hex.DecodeString(l.entries[l.drop-1].MAC)
+		// Zero the dropped entries so their events are collectable before
+		// append next reallocates the backing array.
+		clear(l.entries[:l.drop])
+		l.entries = l.entries[l.drop:]
+		l.dropped += uint64(l.drop)
 	}
 	return entry
 }
 
-// sealLocked closes the open segment, enforces retention, and returns the
-// sealed segment (shared storage; callers copy before leaking it). The
-// caller holds the lock.
-func (l *Log) sealLocked() Segment {
-	seg := Segment{
-		Index:   l.sealedCount,
-		First:   l.appended - uint64(len(l.active)),
-		Anchor:  hex.EncodeToString(l.activeAnchor),
-		Entries: l.active,
-	}
-	l.sealedCount++
-	l.sealed = append(l.sealed, seg)
-	l.activeAnchor = l.lastMAC
-	l.active = nil
-	if len(l.sealed) > l.maxSegments {
-		dropped := l.sealed[0]
-		l.base += uint64(len(dropped.Entries))
-		l.droppedEntries += uint64(len(dropped.Entries))
-		l.droppedSegments++
-		// Reslice into a fresh backing array so the dropped segment's
-		// entries are actually collectable.
-		l.sealed = append([]Segment(nil), l.sealed[1:]...)
-	}
-	return seg
-}
-
-// Len returns the number of retained entries (sealed segments plus the
-// open segment).
+// Len returns the number of retained entries.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return int(l.appended - l.base)
+	return len(l.entries)
 }
 
 // Appended returns how many entries the log has ever recorded.
 func (l *Log) Appended() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appended
+	return l.dropped + uint64(len(l.entries))
 }
 
-// Dropped returns how many entries retention has discarded, and how many
-// whole segments that was.
-func (l *Log) Dropped() (entries, segments uint64) {
+// Dropped returns how many entries retention has discarded.
+func (l *Log) Dropped() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.droppedEntries, l.droppedSegments
+	return l.dropped
 }
 
-// Entries returns a copy of all retained entries in append order. For
-// incremental consumers EntriesSince is the right call — it copies only
-// the tail past a position instead of the whole window.
+// Entries returns a copy of all retained entries in append order.
 func (l *Log) Entries() []Entry {
-	entries, _ := l.EntriesSince(0)
-	return entries
-}
-
-// EntriesSince returns copies of the retained entries at absolute
-// positions >= since (0-based append order) and the position to pass next
-// time. Positions already dropped by retention are skipped — compare the
-// returned first entry against your expectation, or track drops via
-// Dropped, to detect a gap. Unlike a full Entries copy, the cost is
-// proportional to the tail requested, so pollers no longer stall
-// appenders by holding the lock for the whole history.
-func (l *Log) EntriesSince(since uint64) ([]Entry, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if since < l.base {
-		since = l.base
-	}
-	if since >= l.appended {
-		return nil, l.appended
-	}
-	out := make([]Entry, 0, l.appended-since)
-	for _, seg := range l.sealed {
-		if seg.First+uint64(len(seg.Entries)) <= since {
-			continue
-		}
-		start := 0
-		if since > seg.First {
-			start = int(since - seg.First)
-		}
-		for _, e := range seg.Entries[start:] {
-			out = append(out, Entry{Event: e.Event.clone(), MAC: e.MAC})
-		}
-	}
-	activeFirst := l.appended - uint64(len(l.active))
-	start := 0
-	if since > activeFirst {
-		start = int(since - activeFirst)
-	}
-	for _, e := range l.active[start:] {
-		out = append(out, Entry{Event: e.Event.clone(), MAC: e.MAC})
-	}
-	return out, l.appended
-}
-
-// Segments returns copies of the retained sealed segments in order, each
-// independently verifiable from its anchor.
-func (l *Log) Segments() []Segment {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Segment, len(l.sealed))
-	for i, seg := range l.sealed {
-		out[i] = cloneSegment(seg)
+	out := make([]Entry, len(l.entries))
+	for i, e := range l.entries {
+		out[i] = Entry{Event: e.Event.clone(), MAC: e.MAC}
 	}
 	return out
 }
 
-// Verify walks the retained chain — from the oldest retained segment's
-// anchor through the open segment — and returns ErrChainBroken (with the
-// position of the first bad entry) if any MAC fails.
+// Verify walks the retained chain from its anchor and returns
+// ErrChainBroken (with the position of the first bad entry) if any MAC
+// fails.
 func (l *Log) Verify() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	prev := anchorBytes(l.sealed, l.activeAnchor)
-	pos := l.base
-	for _, seg := range l.sealed {
-		var err error
-		prev, err = verifyFrom(l.key, prev, seg.Entries, pos)
-		if err != nil {
-			return err
-		}
-		pos += uint64(len(seg.Entries))
-	}
-	_, err := verifyFrom(l.key, prev, l.active, pos)
-	return err
-}
-
-// anchorBytes picks the verification root: the oldest retained segment's
-// anchor, or the open segment's anchor when nothing is sealed.
-func anchorBytes(sealed []Segment, activeAnchor []byte) []byte {
-	if len(sealed) == 0 {
-		return activeAnchor
-	}
-	if sealed[0].Anchor == "" {
-		return nil
-	}
-	b, err := hex.DecodeString(sealed[0].Anchor)
-	if err != nil {
-		// An undecodable anchor can only mean in-memory corruption; let
-		// verification fail on the first entry rather than panic.
-		return []byte("invalid-anchor")
-	}
-	return b
+	return verifyFrom(l.key, l.anchor, l.entries, l.dropped)
 }
 
 // VerifyEntries checks an exported entry slice that starts at the chain
@@ -325,8 +134,8 @@ func VerifyEntries(key []byte, entries []Entry) error {
 
 // VerifyEntriesFrom checks an exported entry slice whose first entry was
 // chained onto anchor (hex MAC; "" means the slice starts at genesis).
-// This is what keeps exported segments verifiable across segment
-// boundaries after the live log has dropped their predecessors.
+// It verifies any suffix of an exported copy, anchored on the MAC of the
+// entry before it.
 func VerifyEntriesFrom(key []byte, anchor string, entries []Entry) error {
 	var prev []byte
 	if anchor != "" {
@@ -336,59 +145,21 @@ func VerifyEntriesFrom(key []byte, anchor string, entries []Entry) error {
 		}
 		prev = b
 	}
-	_, err := verifyFrom(key, prev, entries, 0)
-	return err
+	return verifyFrom(key, prev, entries, 0)
 }
 
-// VerifySegments checks a sequence of exported segments: each segment's
-// chain from its own anchor, plus the cross-segment links (contiguous
-// indices and positions, and each anchor equal to the previous segment's
-// last MAC). A verified sequence is exactly as tamper-evident as the
-// monolithic chain it was cut from.
-func VerifySegments(key []byte, segs []Segment) error {
-	for i, seg := range segs {
-		if i > 0 {
-			prev := segs[i-1]
-			if seg.Index != prev.Index+1 ||
-				seg.First != prev.First+uint64(len(prev.Entries)) {
-				return fmt.Errorf("%w: segment %d does not follow segment %d", ErrSegmentGap, seg.Index, prev.Index)
-			}
-			if len(prev.Entries) > 0 && seg.Anchor != prev.Entries[len(prev.Entries)-1].MAC {
-				return fmt.Errorf("%w: segment %d anchor does not match segment %d tail", ErrSegmentGap, seg.Index, prev.Index)
-			}
-		}
-		if err := VerifyEntriesFrom(key, seg.Anchor, seg.Entries); err != nil {
-			return fmt.Errorf("segment %d: %w", seg.Index, err)
-		}
-	}
-	return nil
-}
-
-// verifyFrom walks entries chained onto prev, returning the final MAC.
-// pos is the absolute position of entries[0], for error messages.
-func verifyFrom(key, prev []byte, entries []Entry, pos uint64) ([]byte, error) {
+// verifyFrom walks entries chained onto prev. pos is the absolute
+// position of entries[0], for error messages.
+func verifyFrom(key, prev []byte, entries []Entry, pos uint64) error {
 	for i, entry := range entries {
 		want := chainMAC(key, prev, entry.Event)
 		got, err := hex.DecodeString(entry.MAC)
 		if err != nil || !hmac.Equal(want, got) {
-			return nil, fmt.Errorf("%w: entry %d", ErrChainBroken, pos+uint64(i))
+			return fmt.Errorf("%w: entry %d", ErrChainBroken, pos+uint64(i))
 		}
 		prev = want
 	}
-	return prev, nil
-}
-
-func cloneSegment(seg Segment) Segment {
-	cp := seg
-	cp.Entries = make([]Entry, len(seg.Entries))
-	for i, e := range seg.Entries {
-		cp.Entries[i] = Entry{Event: e.Event.clone(), MAC: e.MAC}
-	}
-	return cp
-}
-
-func (l *Log) mac(prev []byte, e Event) []byte {
-	return chainMAC(l.key, prev, e)
+	return nil
 }
 
 func chainMAC(key, prev []byte, e Event) []byte {

@@ -31,9 +31,10 @@ const (
 	// StoreSave and StoreLoad wrap policy snapshot persistence.
 	StoreSave = "store.save"
 	StoreLoad = "store.load"
-	// StoreDirSync wraps the parent-directory fsync that makes a renamed
-	// snapshot's or shard map's directory entry durable; a panic here is
-	// a crash after rename but before the entry is on disk.
+	// StoreDirSync wraps the parent-directory fsync of every synced atomic
+	// replace (disk.WriteFile): store snapshots, the epoch file and the
+	// shard map. A panic here is a crash after rename but before the entry
+	// is on disk. Decision-log chunk files skip the fsyncs, and this point.
 	StoreDirSync = "store.dirsync"
 	// WALAppend and WALFsync bracket one write-ahead-log append: a panic at
 	// WALAppend is a crash before the record reaches the file, a panic at

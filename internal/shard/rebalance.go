@@ -1,16 +1,14 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
+	"github.com/aware-home/grbac/internal/disk"
 	"github.com/aware-home/grbac/internal/faults"
 )
 
@@ -38,8 +36,8 @@ import (
 // re-apply, the commit callback version-gates), so a coordinator crash
 // at ANY point resumes by replaying the journal: finished moves are
 // skipped, the in-flight one re-runs, and the run converges to the
-// committed map version. The journal is a plain fsynced JSONL file —
-// the same durability discipline as the store WAL, one record per
+// committed map version. The journal is JSONL on disk.Log, the line
+// log the store WAL also uses, fsynced per record, one record per
 // transition.
 
 // Move relocates one subject between shards.
@@ -131,22 +129,30 @@ func (c *Coordinator) setStatus(mutate func(*Status)) {
 	mutate(&c.status)
 }
 
-// acquire marks the coordinator busy for one run.
-func (c *Coordinator) acquire(from, to *Map, total int) error {
+// claim takes the coordinator's single-flight slot.
+func (c *Coordinator) claim() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.running {
 		return ErrRebalanceActive
 	}
 	c.running = true
-	c.status = Status{
-		Active:      true,
-		Phase:       "copy",
-		FromVersion: from.Version(),
-		ToVersion:   to.Version(),
-		TotalMoves:  total,
-	}
 	return nil
+}
+
+// acquire claims the slot for one run and resets its progress.
+func (c *Coordinator) acquire(from, to *Map, total int) error {
+	if err := c.claim(); err != nil {
+		return err
+	}
+	c.resetStatus(from, to, total)
+	return nil
+}
+
+func (c *Coordinator) resetStatus(from, to *Map, total int) {
+	c.setStatus(func(s *Status) {
+		*s = Status{Active: true, Phase: "copy", FromVersion: from.Version(), ToVersion: to.Version(), TotalMoves: total}
+	})
 }
 
 func (c *Coordinator) release(err error) {
@@ -246,7 +252,7 @@ func (c *Coordinator) Start(ctx context.Context, cur, next *Map) (Status, error)
 // execute journals and runs one already-planned, already-acquired
 // cur→next migration. Callers own acquire/release.
 func (c *Coordinator) execute(ctx context.Context, cur, next *Map, moves []Move) error {
-	j, err := openJournal(c.path)
+	j, _, err := c.openJournal()
 	if err != nil {
 		return err
 	}
@@ -261,11 +267,26 @@ func (c *Coordinator) execute(ctx context.Context, cur, next *Map, moves []Move)
 
 // Resume replays an interrupted run from the journal, if one is
 // pending. It reports whether anything was resumed.
-func (c *Coordinator) Resume(ctx context.Context) (bool, error) {
-	recs, err := readJournal(c.path)
+func (c *Coordinator) Resume(ctx context.Context) (resumed bool, err error) {
+	// Claim the slot before opening the journal: the open may cut a torn
+	// tail, which must never race a live run's append.
+	if err := c.claim(); err != nil {
+		return false, err
+	}
+	defer func() {
+		if resumed {
+			c.release(err)
+			return
+		}
+		c.mu.Lock()
+		c.running = false
+		c.mu.Unlock()
+	}()
+	j, recs, err := c.openJournal()
 	if err != nil {
 		return false, err
 	}
+	defer j.close()
 	begin, movedSet, committed, done := foldJournal(recs)
 	if begin == nil {
 		return false, nil
@@ -273,7 +294,7 @@ func (c *Coordinator) Resume(ctx context.Context) (bool, error) {
 	if done {
 		// Crash landed between the done record and the journal reset:
 		// the run finished, only the cleanup is owed.
-		return false, os.Truncate(c.path, 0)
+		return false, j.reset()
 	}
 	cur, err := FromWire(*begin.Old)
 	if err != nil {
@@ -289,23 +310,11 @@ func (c *Coordinator) Resume(ctx context.Context) (bool, error) {
 			remaining = append(remaining, mv)
 		}
 	}
-	if err := c.acquire(cur, next, len(begin.Moves)); err != nil {
-		return false, err
-	}
-	var runErr error
-	defer func() { c.release(runErr) }()
+	c.resetStatus(cur, next, len(begin.Moves))
 	c.setStatus(func(s *Status) { s.Moved = len(begin.Moves) - len(remaining) })
-
-	j, err := openJournal(c.path)
-	if err != nil {
-		runErr = err
-		return true, err
-	}
-	defer j.close()
 	c.logf("rebalance: resuming v%d → v%d, %d of %d moves left (committed=%v)",
 		cur.Version(), next.Version(), len(remaining), len(begin.Moves), committed)
-	runErr = c.run(ctx, j, next, remaining, committed)
-	return true, runErr
+	return true, c.run(ctx, j, next, remaining, committed)
 }
 
 // run executes the copy/handoff/delta loop for the given moves, then
@@ -414,45 +423,40 @@ func movesFromJournal(j *journal, fallback []Move) []Move {
 
 // --- journal --------------------------------------------------------------
 
-// journal is the fsynced JSONL run log.
+// journal is the rebalance run log: one JSON record per line on the
+// shared crash-safe line log, fsynced per record.
 type journal struct {
-	f     *os.File
+	log   *disk.Log
 	begin *journalRecord
 }
 
-// openJournal opens the journal for appending. A torn tail left by a
-// crash mid-append is truncated (and the cut fsynced) first, as the
-// store WAL's replay does: appending after the fragment would glue the
-// next record onto it and hide that record, and every later one, from
-// the next Resume.
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+// openJournal opens the coordinator's journal and returns its records. A
+// torn tail left by a crash mid-append, or a line that does not decode,
+// ends the clean prefix; the rest is cut off (and the cut fsynced) before
+// anything is appended, since appending after the fragment would glue the
+// next record onto it and hide that record, and every later one, from the
+// next Resume. The repair is logged.
+func (c *Coordinator) openJournal() (*journal, []journalRecord, error) {
+	var recs []journalRecord
+	l, rep, err := disk.OpenLog(c.path, true, func(line []byte) error {
+		if len(line) == 0 {
+			return nil
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("shard: open rebalance journal: %w", err)
+		return nil, nil, fmt.Errorf("shard: rebalance journal: %w", err)
 	}
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("shard: read rebalance journal: %w", err)
+	if rep.TruncatedBytes > 0 {
+		c.logf("rebalance: journal repair dropped %d-byte tail: %s", rep.TruncatedBytes, rep.Reason)
 	}
-	recs, clean := parseJournal(raw)
-	if clean < len(raw) {
-		if err := f.Truncate(int64(clean)); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("shard: repair journal tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("shard: sync repaired journal: %w", err)
-		}
-	}
-	j := &journal{f: f}
-	for i := range recs {
-		if recs[i].Op == "begin" {
-			j.begin = &recs[i]
-		}
-	}
-	return j, nil
+	begin, _, _, _ := foldJournal(recs)
+	return &journal{log: l, begin: begin}, recs, nil
 }
 
 // append writes one record and fsyncs it — a record the coordinator
@@ -465,67 +469,28 @@ func (j *journal) append(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("shard: encode journal record: %w", err)
 	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
+	if err := j.log.Append(append(b, '\n')); err != nil {
 		return fmt.Errorf("shard: append journal record: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("shard: fsync journal: %w", err)
+	if err := j.log.Sync(); err != nil {
+		return fmt.Errorf("shard: journal: %w", err)
 	}
 	if rec.Op == "begin" {
-		cp := rec
-		j.begin = &cp
+		j.begin = &rec
 	}
 	return nil
 }
 
-// reset truncates the journal after a durable done record.
+// reset empties the journal after a durable done record.
 func (j *journal) reset() error {
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("shard: reset journal: %w", err)
-	}
 	j.begin = nil
-	return j.f.Sync()
-}
-
-func (j *journal) close() { _ = j.f.Close() }
-
-// readJournal parses the journal, tolerating a torn final line (the
-// crash-mid-append case); see parseJournal.
-func readJournal(path string) ([]journalRecord, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("shard: read rebalance journal: %w", err)
+	if err := j.log.Reset(); err != nil {
+		return fmt.Errorf("shard: journal: %w", err)
 	}
-	recs, _ := parseJournal(raw)
-	return recs, nil
+	return nil
 }
 
-// parseJournal decodes the longest clean prefix of raw, exactly like the
-// store WAL's rule: parsing stops at a final line without its newline
-// (append writes record and newline together, so such a line was never
-// acknowledged) or at the first line that does not decode. clean is the
-// prefix's length in bytes.
-func parseJournal(raw []byte) (recs []journalRecord, clean int) {
-	for clean < len(raw) {
-		nl := bytes.IndexByte(raw[clean:], '\n')
-		if nl < 0 {
-			break
-		}
-		if line := raw[clean : clean+nl]; len(line) > 0 {
-			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break
-			}
-			recs = append(recs, rec)
-		}
-		clean += nl + 1
-	}
-	return recs, clean
-}
+func (j *journal) close() { _ = j.log.Close() }
 
 // foldJournal reduces a record sequence to the resume inputs: the last
 // begin, the subjects moved since it, and whether committed/done were

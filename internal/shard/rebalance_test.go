@@ -390,7 +390,7 @@ func TestRebalanceResumeAfterDone(t *testing.T) {
 	}
 	w := base.Wire()
 	path := filepath.Join(t.TempDir(), "rebalance.journal")
-	j, err := openJournal(path)
+	j, _, err := NewCoordinator(path, nil, nil, nil).openJournal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,38 +418,85 @@ func TestRebalanceResumeAfterDone(t *testing.T) {
 	}
 }
 
-// TestRebalanceJournalTornTail pins the durability discipline shared
-// with the store WAL: a torn final line (crash mid-append) parses as
-// the longest clean prefix, and reopening the journal cuts the torn
-// tail off so the next append lands on a line of its own.
+// TestRebalanceJournalTornTail cuts a begin+moved+moved journal, left by
+// a coordinator killed at its fourth append, at every byte offset. The
+// open keeps the longest clean prefix, cuts the torn tail so the next
+// append lands on a line of its own, and logs the repair; Resume (or, with
+// no begin left, a re-run) then finishes the migration.
 func TestRebalanceJournalTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rebalance.journal")
-	clean := `{"op":"begin"}` + "\n" + `{"op":"moved","subject":"u1"}` + "\n"
-	if err := os.WriteFile(path, []byte(clean+`{"op":"mov`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := readJournal(path)
+	base, err := New(0, Info{ID: "a", Addr: "addr-a"}, Info{ID: "b", Addr: "addr-b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[1].Subject != "u1" {
-		t.Fatalf("torn journal parsed to %+v, want 2 clean records", recs)
+	grow := Info{ID: "c", Addr: "addr-c"}
+	subs := testSubjects(12)
+	// crashed returns a cluster and journal as the kill left them.
+	crashed := func(path string) *fakeCluster {
+		cl := newFakeCluster(base)
+		cl.seed(base, subs)
+		faults.Activate(faults.NewPlan(1, faults.Rule{
+			Point: faults.RebalanceJournal, After: 3, Limit: 1,
+			Action: faults.Action{Panic: "kill"},
+		}))
+		defer faults.Deactivate()
+		func() {
+			defer func() { _ = recover() }()
+			_, err := NewCoordinator(path, cl.dial, cl.commit, nil).AddShard(context.Background(), base, grow)
+			t.Fatalf("coordinator survived its kill point: %v", err)
+		}()
+		return cl
+	}
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.journal")
+	crashed(ref)
+	full, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(full), "\n"); n != 3 {
+		t.Fatalf("killed run left %d journal records, want begin+moved+moved", n)
 	}
 
-	j, err := openJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.append(journalRecord{Op: "moved", Subject: "u2"}); err != nil {
-		t.Fatal(err)
-	}
-	j.close()
-	recs, err = readJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || recs[2].Subject != "u2" {
-		t.Fatalf("journal after resumed append parsed to %+v, want 3 records ending in u2", recs)
+	path := filepath.Join(dir, "rebalance.journal")
+	for off := 0; off <= len(full); off++ {
+		cl := crashed(path)
+		if err := os.WriteFile(path, full[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged []string
+		logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		coord := NewCoordinator(path, cl.dial, cl.commit, logf)
+		didResume, err := coord.Resume(context.Background())
+		if err != nil {
+			t.Fatalf("cut %d: Resume: %v", off, err)
+		}
+		if !didResume {
+			if _, err := coord.AddShard(context.Background(), base, grow); err != nil {
+				t.Fatalf("cut %d: re-run: %v", off, err)
+			}
+		}
+
+		clean := strings.LastIndexByte(string(full[:off]), '\n') + 1
+		want := fmt.Sprintf("rebalance: journal repair dropped %d-byte tail: torn final record (no newline)", off-clean)
+		repaired := len(logged) > 0 && logged[0] == want
+		if torn := off > clean; repaired != torn {
+			t.Fatalf("cut %d: torn=%v but log = %q", off, torn, logged)
+		}
+		if want := base.Version() + 1; cl.active.Version() != want {
+			t.Fatalf("cut %d: active map v%d, want v%d", off, cl.active.Version(), want)
+		}
+		for _, sub := range subs {
+			owner, err := cl.resolve(sub)
+			if err != nil {
+				t.Fatalf("cut %d: resolve(%s): %v", off, sub, err)
+			}
+			if want := cl.active.Owner(sub).ID; owner != want {
+				t.Fatalf("cut %d: subject %s resolves to %s, want %s", off, sub, owner, want)
+			}
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+			t.Fatalf("cut %d: journal not reset: err=%v", off, err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
+	"github.com/aware-home/grbac/internal/disk"
 	"github.com/aware-home/grbac/internal/faults"
 	"github.com/aware-home/grbac/internal/obs"
 )
@@ -116,8 +117,7 @@ type Durable struct {
 	// always taken before mu (Record/ObserveGeneration run under it), so
 	// nothing here may call back into sys while holding mu.
 	mu          sync.Mutex
-	wal         *os.File
-	walSize     int64
+	wal         *disk.Log
 	walRecords  int
 	epoch       string
 	reserved    uint64
@@ -130,7 +130,6 @@ type Durable struct {
 	fsyncs      uint64
 	checkpoints uint64
 	replay      ReplayStats
-	failed      error
 	closed      bool
 
 	// gc is the group-commit engine; non-nil only under WithGroupCommit.
@@ -241,20 +240,10 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 	} else {
 		sys = core.NewSystem(d.sysOpts...)
 	}
-	d.replay.Snapshot = snapLoaded
 
 	// WAL replay with tail repair.
-	walPath := filepath.Join(dir, WALFile)
-	walExisted := false
-	if fi, err := os.Stat(walPath); err == nil && fi.Size() > 0 {
-		walExisted = true
-	}
-	rw, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open wal: %w", err)
-	}
 	lastGen := d.baseGen
-	stats, size, err := replayWAL(rw, d.baseGen, d.fsync, func(m core.Mutation) error {
+	wal, stats, err := openWAL(filepath.Join(dir, WALFile), d.baseGen, d.fsync, func(m core.Mutation) error {
 		if err := sys.Apply(m); err != nil {
 			return err
 		}
@@ -263,26 +252,19 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 		return nil
 	})
 	if err != nil {
-		_ = rw.Close()
 		return nil, err
 	}
+	walExisted := wal.Size()+stats.TruncatedBytes > 0
 	stats.Snapshot = snapLoaded
 	d.replay = stats
 	if stats.TruncatedBytes > 0 {
 		d.logger.Printf("store: wal replay dropped %d-byte tail: %s", stats.TruncatedBytes, stats.Reason)
 	}
-	if err := rw.Close(); err != nil {
-		return nil, fmt.Errorf("store: close wal after replay: %w", err)
-	}
-	d.wal, err = os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: reopen wal: %w", err)
-	}
-	d.walSize = size
+	d.wal = wal
 	d.walRecords = stats.Records + stats.Skipped
 	d.lastGen = lastGen
 	if d.group {
-		d.gc = newCommitter(d.wal, d.fsync)
+		d.gc = newCommitter(d.wal)
 	}
 
 	// Seed only a genuinely empty directory: durable state, even an empty
@@ -368,7 +350,7 @@ func (d *Durable) writeEpochLocked() error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(filepath.Join(d.dir, EpochFile), append(raw, '\n'), d.fsync)
+	return disk.WriteFile(filepath.Join(d.dir, EpochFile), append(raw, '\n'), d.fsync)
 }
 
 // System returns the recovered decision engine the store journals for.
@@ -383,13 +365,8 @@ func (d *Durable) Epoch() string { return d.epoch }
 func (d *Durable) Record(m core.Mutation, export func() core.State) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed != nil {
-		return d.failed
-	}
-	if d.gc != nil {
-		if err := d.gc.sticky(); err != nil {
-			return err
-		}
+	if err := d.wal.Err(); err != nil {
+		return fmt.Errorf("store: wal: %w", err)
 	}
 	if d.closed {
 		return fmt.Errorf("store: durable store closed")
@@ -401,17 +378,9 @@ func (d *Durable) Record(m core.Mutation, export func() core.State) error {
 	if err != nil {
 		return err
 	}
-	if _, err := d.wal.Write(line); err != nil {
-		// Roll the partial line back so later appends don't land after
-		// garbage mid-file. If even that fails, the log's integrity is
-		// unknown: fail sticky.
-		if terr := d.wal.Truncate(d.walSize); terr != nil {
-			d.failed = fmt.Errorf("store: wal unrecoverable: write: %v, rollback: %v", err, terr)
-			return d.failed
-		}
-		return fmt.Errorf("store: wal write: %w", err)
+	if err := d.wal.Append(line); err != nil {
+		return fmt.Errorf("store: wal: %w", err)
 	}
-	d.walSize += int64(len(line))
 	if d.gc != nil {
 		// Group commit: the fsync is owed, not issued. The mutator settles
 		// it via WaitDurable after releasing the System write lock, where
@@ -422,15 +391,11 @@ func (d *Durable) Record(m core.Mutation, export func() core.State) error {
 		if err := faults.Inject(faults.WALFsync); err != nil {
 			return fmt.Errorf("store: wal fsync: %w", err)
 		}
+		start := time.Now()
+		if err := d.wal.Sync(); err != nil {
+			return fmt.Errorf("store: wal: %w", err)
+		}
 		if d.fsync {
-			start := time.Now()
-			if err := d.wal.Sync(); err != nil {
-				// A failed fsync leaves the page cache in an unknown state;
-				// acknowledging further writes would be lying about
-				// durability. Fail sticky (the PostgreSQL fsync lesson).
-				d.failed = fmt.Errorf("store: wal fsync failed, store is read-only: %w", err)
-				return d.failed
-			}
 			d.fsyncHist.ObserveSince(start)
 			d.fsyncs++
 		}
@@ -501,19 +466,13 @@ func (d *Durable) checkpointLocked(st core.State, gen uint64) error {
 		// at or below gen are durable without a WAL fsync of their own.
 		d.gc.noteDurable(gen)
 	}
-	// From here the snapshot covers every logged record: a failed truncate
+	// From here the snapshot covers every logged record: a failed reset
 	// leaves stale records that replay will skip (gen <= baseGen), so it
 	// degrades space, not correctness.
-	if err := d.wal.Truncate(0); err != nil {
-		d.logger.Printf("store: truncate wal after checkpoint: %v", err)
+	if err := d.wal.Reset(); err != nil {
+		d.logger.Printf("store: reset wal after checkpoint: %v", err)
 		return nil
 	}
-	if d.fsync {
-		if err := d.wal.Sync(); err != nil {
-			d.logger.Printf("store: sync truncated wal: %v", err)
-		}
-	}
-	d.walSize = 0
 	d.walRecords = 0
 	return nil
 }
@@ -563,15 +522,15 @@ func (d *Durable) Stats() DurableStats {
 		CheckpointGeneration: d.baseGen,
 		ReservedGeneration:   d.reserved,
 		WALRecords:           d.walRecords,
-		WALBytes:             d.walSize,
+		WALBytes:             d.wal.Size(),
 		WALAppends:           d.appends,
 		WALFsyncs:            d.fsyncs,
 		Checkpoints:          d.checkpoints,
 		DeltaTailLen:         len(d.tail),
 		Replay:               d.replay,
 	}
-	if d.failed != nil {
-		st.Failed = d.failed.Error()
+	if err := d.wal.Err(); err != nil {
+		st.Failed = err.Error()
 	}
 	if d.gc != nil {
 		st.GroupCommit = true
@@ -579,9 +538,6 @@ func (d *Durable) Stats() DurableStats {
 		st.DurableGeneration = durable
 		st.WALFsyncs += fsyncs
 		st.WALCommitWaits = waits
-		if err := d.gc.sticky(); err != nil && st.Failed == "" {
-			st.Failed = err.Error()
-		}
 	}
 	return st
 }
@@ -664,7 +620,7 @@ func (d *Durable) Close() error {
 	}
 	d.closed = true
 	var firstErr error
-	if d.failed == nil {
+	if d.wal.Err() == nil {
 		if err := d.checkpointLocked(st, gen); err != nil {
 			firstErr = err
 		}

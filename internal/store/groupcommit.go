@@ -2,10 +2,10 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
+	"github.com/aware-home/grbac/internal/disk"
 	"github.com/aware-home/grbac/internal/faults"
 	"github.com/aware-home/grbac/internal/obs"
 )
@@ -35,8 +35,7 @@ func WithGroupCommit() DurableOption {
 // while calling noteAppend, establishing the d.mu → committer.mu order;
 // wait never takes d.mu).
 type committer struct {
-	wal   *os.File
-	fsync bool
+	wal *disk.Log
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -44,7 +43,6 @@ type committer struct {
 	durable uint64 // highest generation covered by an fsync or checkpoint
 	syncing bool   // a leader's fsync is in flight
 	closed  bool
-	err     error // sticky fsync failure — the store is read-only
 
 	fsyncs uint64 // group fsyncs issued
 	waits  uint64 // WaitDurable calls that actually had to wait
@@ -52,8 +50,8 @@ type committer struct {
 	hist *obs.Histogram // nil until RegisterMetrics; nil-safe
 }
 
-func newCommitter(wal *os.File, fsync bool) *committer {
-	g := &committer{wal: wal, fsync: fsync}
+func newCommitter(wal *disk.Log) *committer {
+	g := &committer{wal: wal}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -78,13 +76,6 @@ func (g *committer) noteDurable(gen uint64) {
 	g.mu.Unlock()
 }
 
-// sticky returns the sticky fsync failure, if any.
-func (g *committer) sticky() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
 // shutdown releases all waiters; called by Close after its final
 // checkpoint has advanced the durable watermark past every real append.
 func (g *committer) shutdown() {
@@ -104,8 +95,9 @@ func (g *committer) wait(gen uint64) error {
 	defer g.mu.Unlock()
 	waited := false
 	for {
-		if g.err != nil {
-			return g.err
+		if err := g.wal.Err(); err != nil {
+			// The log's sticky failure: the store is read-only.
+			return fmt.Errorf("store: wal: %w", err)
 		}
 		if g.durable >= gen {
 			return nil
@@ -127,19 +119,14 @@ func (g *committer) wait(gen uint64) error {
 		ferr := faults.Inject(faults.WALFsync)
 		var serr error
 		var took time.Duration
-		if ferr == nil && g.fsync {
+		if ferr == nil {
 			start := time.Now()
-			serr = g.wal.Sync()
+			serr = g.wal.Sync() // sticky on failure; the loop top reports it
 			took = time.Since(start)
 		}
 		g.mu.Lock()
 		g.syncing = false
-		switch {
-		case ferr == nil && serr != nil:
-			// A failed fsync leaves the page cache unknowable; fail sticky
-			// exactly like the default mode (the PostgreSQL fsync lesson).
-			g.err = fmt.Errorf("store: wal fsync failed, store is read-only: %w", serr)
-		case ferr == nil:
+		if ferr == nil && serr == nil {
 			g.fsyncs++
 			g.hist.Observe(took.Seconds())
 			if target > g.durable {

@@ -1,7 +1,7 @@
 // Package store persists GRBAC policy. Two layers:
 //
-//   - Save/Load: one-shot snapshot files (versioned JSON, atomic
-//     temp+fsync+rename+dirsync writes), used by grbac-policy and for
+//   - Save/Load: one-shot snapshot files (versioned JSON, written with
+//     disk.WriteFile's atomic replace), used by grbac-policy and for
 //     boot-time policy distribution.
 //   - Durable: a write-ahead-logged store (durable.go) that journals every
 //     core.System mutation, checkpoints snapshots, and replays
@@ -14,10 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
+	"github.com/aware-home/grbac/internal/disk"
 	"github.com/aware-home/grbac/internal/faults"
 )
 
@@ -48,11 +48,9 @@ func Save(path string, sys *core.System, at time.Time) error {
 	return writeSnapshot(path, Snapshot{Version: Version, SavedAt: at, Generation: gen, State: st}, true)
 }
 
-// writeSnapshot writes snap to path with full crash safety: the bytes are
-// fsynced in a temp file, renamed over path, and then the parent directory
-// is fsynced so the rename itself survives a crash. A reader at any moment
-// sees either the old complete file or the new complete file. sync=false
-// keeps the atomic rename but skips both fsyncs (WithoutFsync stores).
+// writeSnapshot writes snap to path with disk.WriteFile's atomic replace.
+// sync=false keeps the atomic rename but skips the fsyncs (WithoutFsync
+// stores).
 func writeSnapshot(path string, snap Snapshot, sync bool) error {
 	if err := faults.Inject(faults.StoreSave); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -61,60 +59,10 @@ func writeSnapshot(path string, snap Snapshot, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("store: encode: %w", err)
 	}
-	return atomicWriteFile(path, raw, sync)
-}
-
-// atomicWriteFile is the temp+fsync+rename+dirsync envelope shared by
-// snapshot checkpoints and the durable store's epoch file.
-func atomicWriteFile(path string, raw []byte, sync bool) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".grbac-snapshot-*")
-	if err != nil {
-		return fmt.Errorf("store: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		// Best effort cleanup if we bail before the rename.
-		_ = os.Remove(tmpName)
-	}()
-	if _, err := tmp.Write(raw); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("store: write: %w", err)
-	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			_ = tmp.Close()
-			return fmt.Errorf("store: sync: %w", err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: close: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("store: rename: %w", err)
-	}
-	// The rename updated the directory, not the file: without syncing the
-	// directory a crash here can lose the new entry (and with it the whole
-	// snapshot) even though the data blocks were fsynced.
-	if sync {
-		if err := syncDir(dir); err != nil {
-			return fmt.Errorf("store: sync dir: %w", err)
-		}
+	if err := disk.WriteFile(path, raw, sync); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so renames inside it are durable.
-func syncDir(dir string) error {
-	if err := faults.Inject(faults.StoreDirSync); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Load reads a snapshot file and reconstructs a fresh system from it. On

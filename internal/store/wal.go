@@ -1,14 +1,12 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
 
 	"github.com/aware-home/grbac/internal/core"
+	"github.com/aware-home/grbac/internal/disk"
 )
 
 // walRecord frames one mutation in the write-ahead log: one JSON document
@@ -73,72 +71,38 @@ type ReplayStats struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// replayWAL scans the log in f from the start, applying every record with
-// generation above baseGen. The first structurally invalid record — a torn
-// final line, corrupt JSON, failed checksum — or the first record the
-// system refuses to apply marks the end of the trusted prefix: the file is
-// truncated there (repairing the log for subsequent appends) and the scan
-// stops. This is the prefix-consistency rule: recovery applies the longest
-// clean prefix and never a partial or out-of-order suffix.
-//
-// It returns the replay report and the size of the repaired log. sync
-// gates the fsync after a tail repair (false only for WithoutFsync
-// stores).
-func replayWAL(f *os.File, baseGen uint64, sync bool, apply func(core.Mutation) error) (ReplayStats, int64, error) {
+// openWAL opens the log at path and replays it through the shared line
+// log's longest-clean-prefix rule, applying every record with generation
+// above baseGen. A record that does not decode, regresses the generation
+// order, or that the system refuses to apply ends the trusted prefix;
+// records the checkpoint already covers (a failed post-checkpoint reset
+// can leave them behind) are skipped. sync gates the fsync after a tail
+// repair (false only for WithoutFsync stores).
+func openWAL(path string, baseGen uint64, sync bool, apply func(core.Mutation) error) (*disk.Log, ReplayStats, error) {
 	var stats ReplayStats
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		return stats, 0, fmt.Errorf("store: read wal: %w", err)
-	}
-	size := int64(len(raw))
-	var offset int64
 	lastGen := baseGen
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			// Final line without a newline: a torn append. Expected after a
-			// crash mid-write; drop it.
-			stats.Reason = "torn final record (no newline)"
-			break
-		}
-		line := raw[:nl]
+	wal, rep, err := disk.OpenLog(path, sync, func(line []byte) error {
 		m, err := decodeWALRecord(line)
 		if err != nil {
-			stats.Reason = err.Error()
-			break
+			return err
 		}
 		if m.Gen <= lastGen {
 			if m.Gen <= baseGen {
-				// Covered by the checkpoint (a failed post-checkpoint
-				// truncate can leave these behind); skip silently.
 				stats.Skipped++
-				raw = raw[nl+1:]
-				offset += int64(nl + 1)
-				continue
+				return nil
 			}
-			stats.Reason = fmt.Sprintf("generation regression: record gen %d after gen %d", m.Gen, lastGen)
-			break
+			return fmt.Errorf("generation regression: record gen %d after gen %d", m.Gen, lastGen)
 		}
 		if err := apply(m); err != nil {
-			stats.Reason = fmt.Sprintf("apply gen %d (%s): %v", m.Gen, m.Op, err)
-			break
+			return fmt.Errorf("apply gen %d (%s): %v", m.Gen, m.Op, err)
 		}
 		lastGen = m.Gen
 		stats.Records++
-		raw = raw[nl+1:]
-		offset += int64(nl + 1)
+		return nil
+	})
+	if err != nil {
+		return nil, stats, fmt.Errorf("store: wal: %w", err)
 	}
-	if offset < size {
-		stats.TruncatedBytes = size - offset
-		if err := f.Truncate(offset); err != nil {
-			return stats, 0, fmt.Errorf("store: repair wal tail: %w", err)
-		}
-		if sync {
-			if err := f.Sync(); err != nil {
-				return stats, 0, fmt.Errorf("store: sync repaired wal: %w", err)
-			}
-		}
-		size = offset
-	}
-	return stats, size, nil
+	stats.TruncatedBytes, stats.Reason = rep.TruncatedBytes, rep.Reason
+	return wal, stats, nil
 }
