@@ -30,9 +30,10 @@ type Stats struct {
 	// SnapshotCompiles counts lazy policy-snapshot recompilations: the
 	// first post-mutation Decide pays one compile and publishes it.
 	SnapshotCompiles uint64 `json:"snapshot_compiles"`
-	// FailSafeDenies counts denials issued because no mediation rule
-	// matched at all (the fail-safe default), as opposed to an explicit
-	// negative permission winning.
+	// FailSafeDenies counts Decide results (DecideBatch's included)
+	// annotated as fail-safe denies: denials mediated against the live
+	// environment source while it reported expired context. A cache hit
+	// counts like a miss; CheckAccess returns no reason and counts none.
 	FailSafeDenies uint64 `json:"fail_safe_denies"`
 	// DecisionEntries is the number of entries currently cached.
 	DecisionEntries int `json:"decision_entries"`
@@ -58,12 +59,13 @@ type decisionCache struct {
 	mask  uint64 // number of sets - 1; the set count is a power of two
 }
 
-// cacheEntry keeps the full key material next to the decision: the request
+// cacheEntry keeps the full key material next to the verdict: the request
 // hash, subject, session, object, transaction, a defensive copy of the
 // credential set (nil-ness preserved — a nil set means "fully trusted" and
 // must not alias an empty one), and a copy of the resolved environment in
 // the order the caller listed it, so a caller repeating its order is
-// confirmed element by element.
+// confirmed element by element. The verdict's reason and matched positions
+// are never handed out, so the entry shares them with nobody who writes.
 type cacheEntry struct {
 	hash        uint64
 	gen         uint64
@@ -73,7 +75,7 @@ type cacheEntry struct {
 	transaction TransactionID
 	creds       CredentialSet
 	env         []RoleID
-	d           Decision
+	v           verdict
 }
 
 func newDecisionCache(capacity int) *decisionCache {
@@ -108,8 +110,7 @@ func (e *cacheEntry) matches(gen uint64, req *Request) bool {
 }
 
 // find returns the entry stored under h at gen for this exact request, or
-// nil. The entry is shared and immutable: callers read it and clone what
-// they hand out.
+// nil. The entry is shared and immutable: callers only read it.
 func (c *decisionCache) find(h, gen uint64, req *Request) *cacheEntry {
 	set := c.set(h)
 	for i := range set {
@@ -120,14 +121,14 @@ func (c *decisionCache) find(h, gen uint64, req *Request) *cacheEntry {
 	return nil
 }
 
-// put publishes a decision computed at gen. One digest keeps one slot: the
+// put publishes a verdict judged at gen. One digest keeps one slot: the
 // way already holding h is replaced first, then an empty way is taken, then
 // one left over from an older generation; only when every way holds a live
 // entry is one displaced, picked by the hash's high bits, and put reports
 // that eviction. Racing puts into one set may overwrite each other, which
-// loses a memo and nothing else. The entry owns defensive copies of
-// everything it keeps.
-func (c *decisionCache) put(h, gen uint64, req *Request, d Decision) (evicted bool) {
+// loses a memo and nothing else. The entry owns defensive copies of the
+// request fields it keeps.
+func (c *decisionCache) put(h, gen uint64, req *Request, v verdict) (evicted bool) {
 	e := &cacheEntry{
 		hash:        h,
 		gen:         gen,
@@ -137,7 +138,7 @@ func (c *decisionCache) put(h, gen uint64, req *Request, d Decision) (evicted bo
 		transaction: req.Transaction,
 		creds:       cloneCreds(req.Credentials),
 		env:         cloneRoleIDs(req.Environment),
-		d:           d.clone(),
+		v:           v,
 	}
 	const live, older, empty, same = 0, 1, 2, 3
 	set := c.set(h)
@@ -299,26 +300,6 @@ func cloneCreds(cs CredentialSet) CredentialSet {
 	out := make(CredentialSet, len(cs))
 	copy(out, cs)
 	return out
-}
-
-// clone deep-copies a decision so cached entries are never aliased by
-// callers. The nil-ness of every slice and map is preserved so a cache hit
-// is byte-identical to the freshly computed decision it memoized.
-func (d Decision) clone() Decision {
-	cp := d
-	if d.Matches != nil {
-		cp.Matches = make([]Match, len(d.Matches))
-		copy(cp.Matches, d.Matches)
-	}
-	if d.SubjectRoles != nil {
-		cp.SubjectRoles = make(map[RoleID]float64, len(d.SubjectRoles))
-		for k, v := range d.SubjectRoles {
-			cp.SubjectRoles[k] = v
-		}
-	}
-	cp.ObjectRoles = cloneRoleIDs(d.ObjectRoles)
-	cp.EnvironmentRoles = cloneRoleIDs(d.EnvironmentRoles)
-	return cp
 }
 
 func cloneRoleIDs(in []RoleID) []RoleID {

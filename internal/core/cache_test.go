@@ -337,7 +337,7 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 		Subject: "alice", Object: "tv", Transaction: "use",
 		Environment: []RoleID{"weekdays"},
 	}
-	dA := Decision{Allowed: true, Effect: Permit, Reason: "A's decision"}
+	dA := verdict{allowed: true, effect: Permit, reason: "A's decision"}
 	c.put(h, gen, &reqA, dA)
 
 	// Same digest, different request fields — each variant differs from
@@ -369,12 +369,12 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 	}
 	for i := range variants {
 		if e := c.find(h, gen, &variants[i]); e != nil {
-			t.Fatalf("variant %d: collision served request A's decision %+v", i, e.d)
+			t.Fatalf("variant %d: collision served request A's decision %+v", i, e.v)
 		}
 	}
 
 	// A itself still hits — under the same digest and generation.
-	if e := c.find(h, gen, &reqA); e == nil || e.d.Reason != "A's decision" {
+	if e := c.find(h, gen, &reqA); e == nil || e.v.reason != "A's decision" {
 		t.Fatalf("request A no longer hits its own entry: %+v", e)
 	}
 	// ... but not at a different generation.
@@ -385,9 +385,9 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 	// After the collision miss, the colliding request's own put displaces
 	// the aliased entry (one digest, one slot) and B then hits correctly.
 	reqB := variants[0]
-	dB := Decision{Allowed: false, Effect: Deny, Reason: "B's decision"}
+	dB := verdict{allowed: false, effect: Deny, reason: "B's decision"}
 	c.put(h, gen, &reqB, dB)
-	if e := c.find(h, gen, &reqB); e == nil || e.d.Reason != "B's decision" {
+	if e := c.find(h, gen, &reqB); e == nil || e.v.reason != "B's decision" {
 		t.Fatalf("request B after put: %+v", e)
 	}
 	if c.find(h, gen, &reqA) != nil {

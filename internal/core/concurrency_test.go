@@ -328,14 +328,14 @@ func TestConcurrentCacheCollisionStress(t *testing.T) {
 				want := fmt.Sprintf("u%d@%d", w, g)
 				if e := c.find(h, g, &req); e != nil {
 					hits++
-					if e.d.Reason != want || e.d.Allowed != (w%2 == 0) {
+					if e.v.reason != want || e.v.allowed != (w%2 == 0) {
 						t.Errorf("worker %d: lookup at generation %d returned %q (allowed %v), want %q",
-							w, g, e.d.Reason, e.d.Allowed, want)
+							w, g, e.v.reason, e.v.allowed, want)
 						return
 					}
 					continue
 				}
-				c.put(h, g, &req, Decision{Allowed: w%2 == 0, Reason: want})
+				c.put(h, g, &req, verdict{allowed: w%2 == 0, reason: want})
 				if i%64 == 0 {
 					gen.Add(1)
 				}

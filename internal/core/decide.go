@@ -69,10 +69,11 @@ type Decision struct {
 // mutation) and evaluates bitset closures against it, so concurrent
 // mediation scales with cores instead of serializing on the policy mutex.
 //
-// Decisions are memoized in a bounded, generation-stamped, lock-free cache
+// Verdicts are memoized in a bounded, generation-stamped, lock-free cache
 // keyed by (subject, session, object, transaction, credential set,
-// resolved environment snapshot); any mutating call invalidates every
-// entry by bumping the generation. Errors are never cached.
+// resolved environment snapshot), and a hit rebuilds its Decision from the
+// compiled snapshot; any mutating call invalidates every entry by bumping
+// the generation. Errors are never cached.
 func (s *System) Decide(req Request) (Decision, error) {
 	return s.decideOn(s.currentSnapshot(), req)
 }
@@ -126,110 +127,89 @@ func annotateFailSafe(d *Decision, src EnvironmentSource) bool {
 	return true
 }
 
-// noteFailSafe records one fail-safe-annotated deny in the stats counter
-// when annotateFailSafe reports it fired.
-func (s *System) noteFailSafe(annotated bool) {
-	if annotated {
-		s.failSafeDenies.Add(1)
-	}
-}
+// envBufWords sizes the stack buffer a decision's environment bitset lives
+// in: environment universes of up to 256 roles need no allocation.
+const envBufWords = 4
 
-// decideOn mediates one request against a compiled snapshot, consulting
-// the decision cache keyed by the snapshot's generation.
+// decideOn mediates one request against a compiled snapshot. A cache hit
+// keeps the walk's verdict and reads every role set back from the
+// snapshot, which has the generation that stamped the entry; a miss walks
+// and memoizes its verdict. Either way the fail-safe annotation is made
+// (and counted) for this call, against the context as it is now.
 func (s *System) decideOn(sn *snapshot, req Request) (Decision, error) {
 	// live records whether this request consults the system's environment
 	// source: only then can a deny be the fail-safe product of expired
 	// context rather than of the caller's explicit environment.
 	live := req.Environment == nil && sn.envSource != nil
-	if s.cache == nil {
-		d, err := sn.decide(req)
-		if err == nil && live {
-			s.noteFailSafe(annotateFailSafe(&d, sn.envSource))
-		}
-		return d, err
-	}
-	// Resolve the environment snapshot up front: the cache key must be a
-	// pure function of everything the decision depends on, and the live
-	// EnvironmentSource sits outside the generation counter's reach.
-	resolved := req.Environment
-	if live {
-		resolved = sn.envSource.ActiveEnvironmentRoles()
-	}
-	if resolved == nil {
-		resolved = emptyEnv
-	}
-	req.Environment = resolved
-	h := hashRequest(&req)
-	if e := s.cached(h, sn.gen, &req); e != nil {
-		return e.d.clone(), nil
-	}
-	d, err := sn.decide(req)
+	req.Environment = sn.activeEnv(req.Environment)
+	var envBuf [envBufWords]uint64
+	bucket, rs, err := sn.roles(req, envBuf[:])
 	if err != nil {
-		return d, err
+		return Decision{}, err
 	}
-	if live {
-		s.noteFailSafe(annotateFailSafe(&d, sn.envSource))
+	var v verdict
+	var matches []Match
+	h, e := s.cached(sn.gen, &req)
+	if e != nil {
+		v, matches = e.v, matchesOf(bucket, e.v.matched, &rs)
+	} else {
+		v, matches = sn.judge(&req, bucket, &rs)
+		s.memoize(h, sn.gen, &req, v)
 	}
-	s.memoize(h, sn.gen, &req, d)
+	d := sn.decision(v, matches, &rs)
+	if live && annotateFailSafe(&d, sn.envSource) {
+		s.failSafeDenies.Add(1)
+	}
 	return d, nil
 }
 
-// cached returns the cache's entry for the request, counting the hit on
-// the calling goroutine's stripe. The entry is shared: read, never written.
-func (s *System) cached(h, gen uint64, req *Request) *cacheEntry {
+// cached hashes a request whose environment is resolved and returns the
+// cache's entry for it, counting the hit on the calling goroutine's
+// stripe. The entry is shared: read, never written. Without a cache there
+// is nothing to hash.
+func (s *System) cached(gen uint64, req *Request) (uint64, *cacheEntry) {
+	if s.cache == nil {
+		return 0, nil
+	}
+	h := hashRequest(req)
 	e := s.cache.find(h, gen, req)
 	if e != nil {
 		s.stripe().hits.Add(1)
 	}
-	return e
+	return h, e
 }
 
-// memoize counts a miss that mediation answered and stores its decision,
+// memoize counts a miss that mediation answered and stores its verdict,
 // counting a displaced live entry as an eviction. A request rejected with
 // an error reaches neither counter.
-func (s *System) memoize(h, gen uint64, req *Request, d Decision) {
+func (s *System) memoize(h, gen uint64, req *Request, v verdict) {
+	if s.cache == nil {
+		return
+	}
 	s.stripe().misses.Add(1)
-	if s.cache.put(h, gen, req, d) {
+	if s.cache.put(h, gen, req, v) {
 		s.decEvictions.Add(1)
 	}
 }
 
-// CheckAccess is the boolean convenience form of Decide. Warm cache hits
-// take a fast path that reads only the stored outcome — no Decision clone,
-// no key construction, zero allocations.
+// CheckAccess is the boolean form of Decide. A warm cache hit reads only
+// the stored outcome: no role set, no Decision, zero allocations. It
+// returns no reason, so it neither annotates nor counts a fail-safe deny.
 func (s *System) CheckAccess(req Request) (bool, error) {
-	if s.cache == nil {
-		d, err := s.Decide(req)
-		if err != nil {
-			return false, err
-		}
-		return d.Allowed, nil
-	}
 	sn := s.currentSnapshot()
-	live := req.Environment == nil && sn.envSource != nil
-	resolved := req.Environment
-	if live {
-		resolved = sn.envSource.ActiveEnvironmentRoles()
+	req.Environment = sn.activeEnv(req.Environment)
+	h, e := s.cached(sn.gen, &req)
+	if e != nil {
+		return e.v.allowed, nil
 	}
-	if resolved == nil {
-		resolved = emptyEnv
-	}
-	req.Environment = resolved
-	h := hashRequest(&req)
-	if e := s.cached(h, sn.gen, &req); e != nil {
-		return e.d.Allowed, nil
-	}
-	d, err := sn.decide(req)
+	var envBuf [envBufWords]uint64
+	bucket, rs, err := sn.roles(req, envBuf[:])
 	if err != nil {
 		return false, err
 	}
-	// Annotate before caching so a later Decide hitting this entry reads
-	// the same fail-safe reason a cold Decide would have produced.
-	if live {
-		s.noteFailSafe(annotateFailSafe(&d, sn.envSource))
-	}
-	s.memoize(h, sn.gen, &req, d)
-	return d.Allowed, nil
+	v, _ := sn.judge(&req, bucket, &rs)
+	s.memoize(h, sn.gen, &req, v)
+	return v.allowed, nil
 }
 
 // Explain renders a multi-line, human-readable account of a decision,

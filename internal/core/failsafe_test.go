@@ -150,3 +150,37 @@ func TestFailSafeNeverAnnotatesAllows(t *testing.T) {
 		t.Fatalf("allow annotated with fail-safe: %q", d.Reason)
 	}
 }
+
+// TestFailSafeAnnotatedPerCall: the cache keeps the unannotated verdict, so
+// every Decide annotates (and counts) against the context as it is at that
+// call. A deny cached while context was expired loses the annotation once
+// the context is fresh again, even though the same roles stay inactive, and
+// a hit on an expired-context deny counts like the miss did.
+func TestFailSafeAnnotatedPerCall(t *testing.T) {
+	src := &fakeExpiringSource{expired: []string{"motion.kitchen"}}
+	sys := failSafeSystem(t, src)
+	req := Request{Subject: "alice", Object: "tv", Transaction: "use"}
+	for i, want := range []uint64{1, 2} {
+		d, err := sys.Decide(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Allowed || !strings.Contains(d.Reason, "fail-safe: environment context expired (motion.kitchen)") {
+			t.Fatalf("decide %d over expired context: %+v", i, d)
+		}
+		if got := sys.Stats().FailSafeDenies; got != want {
+			t.Fatalf("after decide %d FailSafeDenies = %d, want %d", i, got, want)
+		}
+	}
+	src.expired = nil // refreshed, and still no environment role is active
+	d, err := sys.Decide(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.Stats(); st.DecisionHits != 2 || st.FailSafeDenies != 2 {
+		t.Fatalf("Stats() = %+v, want 2 hits and 2 fail-safe denies", st)
+	}
+	if d.Allowed || strings.Contains(d.Reason, "fail-safe") {
+		t.Fatalf("deny over fresh context still annotated: %q", d.Reason)
+	}
+}

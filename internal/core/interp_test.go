@@ -5,7 +5,7 @@ import "fmt"
 // This file is the map-based interpreter of the mediation rule (paper
 // §4.2.4): the engine every tier served before the compiled snapshot
 // replaced it. It lives on in the test binary only, as the reference
-// TestSnapshotDecideMatchesSerializedOracle holds snapshot.decide
+// TestSnapshotDecideMatchesSerializedOracle holds the snapshot's walk
 // byte-identical to — same decisions, same error text.
 
 // decideLocked evaluates the rule directly over the policy maps. The caller

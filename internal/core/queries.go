@@ -32,10 +32,11 @@ func (s *System) WhoCan(tx TransactionID, obj ObjectID, env []RoleID) ([]Subject
 	if env == nil {
 		env = emptyEnv // a review query never consults the live source
 	}
-	envBits := sn.effectiveEnvBits(env)
+	rs := roleSets{obj: ob, env: sn.effectiveEnvBits(env, nil)}
 	var out []SubjectID
 	for sub, sb := range sn.subjects {
-		if _, effect := sn.mediate(bucket, sb.bits, nil, ob.bits, envBits); effect == Permit {
+		rs.uniform = sb.bits
+		if _, _, effect := sn.mediate(bucket, &rs); effect == Permit {
 			out = append(out, sub)
 		}
 	}
@@ -55,11 +56,12 @@ func (s *System) WhatCan(sub SubjectID, env []RoleID) ([]Entitlement, error) {
 	if env == nil {
 		env = emptyEnv // a review query never consults the live source
 	}
-	envBits := sn.effectiveEnvBits(env)
+	rs := roleSets{uniform: sb.bits, env: sn.effectiveEnvBits(env, nil)}
 	var out []Entitlement
 	for obj, ob := range sn.objects {
+		rs.obj = ob
 		for tx, bucket := range sn.buckets {
-			if _, effect := sn.mediate(bucket, sb.bits, nil, ob.bits, envBits); effect == Permit {
+			if _, _, effect := sn.mediate(bucket, &rs); effect == Permit {
 				out = append(out, Entitlement{Object: obj, Transaction: tx})
 			}
 		}

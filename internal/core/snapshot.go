@@ -268,46 +268,92 @@ func (s *System) compileBucketLocked(sn *snapshot, tx TransactionID) []compiledP
 	return out
 }
 
-// decide evaluates the mediation rule (paper §4.2.4) against the compiled
-// snapshot. The differential test in snapshot_test.go holds its validation
-// order, error and reason strings, and decisions byte-identical to the
-// test-only reference interpreter (interp_test.go).
-func (sn *snapshot) decide(req Request) (Decision, error) {
+// roleSets is one request's effective role sets against a snapshot: the
+// subject leg as effectiveSubjectConfs returns it, the object's closure and
+// the active environment's.
+type roleSets struct {
+	uniform bitset
+	confs   []float64
+	obj     objectBits
+	env     bitset
+}
+
+// conf is the confidence the subject leg establishes for subject role i.
+func (rs *roleSets) conf(i uint32) float64 {
+	if rs.confs != nil {
+		return rs.confs[i]
+	}
+	if rs.uniform.has(i) {
+		return 1
+	}
+	return 0
+}
+
+// roles validates a request and resolves the transaction's bucket and the
+// request's effective role sets, in the order the differential test in
+// snapshot_test.go holds against the reference interpreter. The
+// environment bitset lives in envBuf when it is wide enough.
+func (sn *snapshot) roles(req Request, envBuf bitset) ([]compiledPerm, roleSets, error) {
 	if err := req.Credentials.Validate(); err != nil {
-		return Decision{}, err
+		return nil, roleSets{}, err
 	}
 	bucket, obj, err := sn.target(req.Transaction, req.Object)
 	if err != nil {
-		return Decision{}, err
+		return nil, roleSets{}, err
 	}
 	if req.Subject == "" && len(req.Credentials) == 0 {
-		return Decision{}, fmt.Errorf("%w: request must carry a subject or credentials", ErrInvalid)
+		return nil, roleSets{}, fmt.Errorf("%w: request must carry a subject or credentials", ErrInvalid)
 	}
 	uniform, confs, err := sn.effectiveSubjectConfs(req)
 	if err != nil {
-		return Decision{}, err
+		return nil, roleSets{}, err
 	}
-	envBits := sn.effectiveEnvBits(req.Environment)
-	matches, effect := sn.mediate(bucket, uniform, confs, obj.bits, envBits)
+	return bucket, roleSets{uniform, confs, obj, sn.effectiveEnvBits(req.Environment, envBuf)}, nil
+}
 
-	d := Decision{
-		Allowed:          effect == Permit,
-		Effect:           effect,
+// verdict is what the mediation rule (paper §4.2.4) concluded for one
+// request at one snapshot: the outcome, the reason before any fail-safe
+// annotation, and the positions of the matched permissions in the
+// transaction's bucket. It holds no role set, since the snapshot that
+// judged it can give those back, so it is what the decision cache keeps.
+type verdict struct {
+	allowed     bool
+	defaultDeny bool
+	effect      Effect
+	reason      string
+	matched     []uint32
+}
+
+// judge walks the bucket for one request's role sets and renders the
+// verdict, with the matches the conflict strategy resolved.
+func (sn *snapshot) judge(req *Request, bucket []compiledPerm, rs *roleSets) (verdict, []Match) {
+	matched, matches, effect := sn.mediate(bucket, rs)
+	v := verdict{allowed: effect == Permit, defaultDeny: len(matched) == 0, effect: effect, matched: matched}
+	if v.defaultDeny {
+		v.reason = fmt.Sprintf("no permission matches transaction %q on object %q: default deny",
+			req.Transaction, req.Object)
+	} else {
+		v.reason = fmt.Sprintf("%d matching permission(s) resolved to %s by %s",
+			len(matched), effect, sn.strategyName)
+	}
+	return v, matches
+}
+
+// decision builds the Decision a verdict of this snapshot stands for. A
+// walk and a cache hit both end here, so a hit is built exactly as the
+// miss it memoized was.
+func (sn *snapshot) decision(v verdict, matches []Match, rs *roleSets) Decision {
+	return Decision{
+		Allowed:          v.allowed,
+		Effect:           v.effect,
+		DefaultDeny:      v.defaultDeny,
 		Matches:          matches,
 		Strategy:         sn.strategyName,
-		SubjectRoles:     sn.subjectRoleMap(uniform, confs),
-		ObjectRoles:      append([]RoleID(nil), obj.sorted...),
-		EnvironmentRoles: sn.envU.namesOf(envBits),
+		Reason:           v.reason,
+		SubjectRoles:     sn.subjectRoleMap(rs.uniform, rs.confs),
+		ObjectRoles:      append([]RoleID(nil), rs.obj.sorted...),
+		EnvironmentRoles: sn.envU.namesOf(rs.env),
 	}
-	if len(matches) == 0 {
-		d.DefaultDeny = true
-		d.Reason = fmt.Sprintf("no permission matches transaction %q on object %q: default deny",
-			req.Transaction, req.Object)
-		return d, nil
-	}
-	d.Reason = fmt.Sprintf("%d matching permission(s) resolved to %s by %s",
-		len(matches), d.Effect, d.Strategy)
-	return d, nil
 }
 
 // target resolves the permission bucket of a transaction and the role bits
@@ -330,40 +376,48 @@ func (sn *snapshot) target(tx TransactionID, obj ObjectID) ([]compiledPerm, obje
 	return bucket, ob, nil
 }
 
-// mediate is the match-and-resolve step of the rule, shared by decide and
-// the review queries: it collects, in grant order, the bucket's permissions
-// the three effective role sets satisfy and resolves them with the conflict
-// strategy. No match is Deny. The subject leg is either uniform (confidence
-// 1 on every set bit) or a dense confidence vector, as effectiveSubjectConfs
-// returns it.
-func (sn *snapshot) mediate(bucket []compiledPerm, uniform bitset, confs []float64, obj, env bitset) ([]Match, Effect) {
-	var matches []Match
-	for _, cp := range bucket {
-		var conf float64
-		if confs != nil {
-			conf = confs[cp.subj]
-		} else if uniform.has(cp.subj) {
-			conf = 1
-		}
-		if conf <= 0 || conf < cp.threshold {
+// mediate is the match-and-resolve step of the rule, shared by Decide and
+// the review queries: it collects, in grant order, the positions in bucket
+// of the permissions the three effective role sets satisfy, materializes
+// them as matches and resolves those with the conflict strategy. No match
+// is Deny.
+func (sn *snapshot) mediate(bucket []compiledPerm, rs *roleSets) ([]uint32, []Match, Effect) {
+	var matched []uint32
+	for i := range bucket {
+		cp := &bucket[i]
+		if conf := rs.conf(cp.subj); conf <= 0 || conf < cp.threshold {
 			continue
 		}
-		if !obj.has(cp.obj) || !env.has(cp.env) {
-			continue
+		if rs.obj.bits.has(cp.obj) && rs.env.has(cp.env) {
+			matched = append(matched, uint32(i))
 		}
-		matches = append(matches, Match{
+	}
+	if len(matched) == 0 {
+		return nil, nil, Deny
+	}
+	matches := matchesOf(bucket, matched, rs)
+	return matched, matches, sn.strategy.Resolve(matches)
+}
+
+// matchesOf materializes the bucket's permissions at the given positions,
+// each at the confidence the subject leg establishes for its role.
+func matchesOf(bucket []compiledPerm, matched []uint32, rs *roleSets) []Match {
+	if len(matched) == 0 {
+		return nil
+	}
+	out := make([]Match, len(matched))
+	for k, i := range matched {
+		cp := &bucket[i]
+		out[k] = Match{
 			Permission:      cp.p,
 			SubjectRole:     cp.p.Subject,
 			ObjectRole:      cp.p.Object,
 			EnvironmentRole: cp.p.Environment,
-			Confidence:      conf,
+			Confidence:      rs.conf(cp.subj),
 			SubjectDepth:    cp.depth,
-		})
+		}
 	}
-	if len(matches) == 0 {
-		return nil, Deny
-	}
-	return matches, sn.strategy.Resolve(matches)
+	return out
 }
 
 // effectiveSubjectConfs computes the effective subject role set. The fully
@@ -430,15 +484,32 @@ func (sn *snapshot) addRoleCredentials(confs []float64, creds CredentialSet) {
 	}
 }
 
-// effectiveEnvBits resolves the active environment role set: the explicit
-// environment, or the snapshot's environment source when that is nil. Known
-// roles contribute their upward closure, wildcards pass verbatim, unknown
-// roles are dropped (deny-safe), and AnyEnvironment is always active.
-func (sn *snapshot) effectiveEnvBits(active []RoleID) bitset {
-	if active == nil && sn.envSource != nil {
-		active = sn.envSource.ActiveEnvironmentRoles()
+// activeEnv is the environment a request is mediated against: its own,
+// else the snapshot's environment source's, else the shared empty set. A
+// cache key carries it resolved, because the live source sits outside the
+// generation counter's reach.
+func (sn *snapshot) activeEnv(env []RoleID) []RoleID {
+	if env == nil && sn.envSource != nil {
+		env = sn.envSource.ActiveEnvironmentRoles()
 	}
-	b := newBitset(len(sn.envU.names))
+	if env == nil {
+		return emptyEnv
+	}
+	return env
+}
+
+// effectiveEnvBits resolves the closure of the active environment roles,
+// in buf when it is wide enough. Known roles contribute their upward
+// closure, wildcards pass verbatim, unknown roles are dropped (deny-safe),
+// and AnyEnvironment is always active.
+func (sn *snapshot) effectiveEnvBits(active []RoleID, buf bitset) bitset {
+	var b bitset
+	if n := (len(sn.envU.names) + 63) >> 6; n <= cap(buf) {
+		b = buf[:n]
+		clear(b)
+	} else {
+		b = newBitset(len(sn.envU.names))
+	}
 	for _, r := range active {
 		idx, ok := sn.envU.index[r]
 		if !ok {

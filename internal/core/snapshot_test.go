@@ -12,6 +12,18 @@ import (
 	"github.com/aware-home/grbac/internal/guardtest"
 )
 
+// walk decides req against sn with no cache in the way: the steps of a
+// Decide miss, without the memo.
+func walk(sn *snapshot, req Request) (Decision, error) {
+	req.Environment = sn.activeEnv(req.Environment)
+	bucket, rs, err := sn.roles(req, nil)
+	if err != nil {
+		return Decision{}, err
+	}
+	v, matches := sn.judge(&req, bucket, &rs)
+	return sn.decision(v, matches, &rs), nil
+}
+
 // expandProbes widens the base probe set with the request shapes the
 // snapshot path special-cases: identity and role credentials (including
 // unknown and wildcard asserted roles), subjectless credential-only
@@ -110,7 +122,7 @@ func TestSnapshotDecideMatchesSerializedOracle(t *testing.T) {
 		sn := s.currentSnapshot()
 		for _, req := range all {
 			want, werr := oracle(req)
-			raw, rerr := sn.decide(req)
+			raw, rerr := walk(sn, req)
 			if !sameErr(werr, rerr) || !reflect.DeepEqual(want, raw) {
 				t.Logf("seed %d: raw snapshot diverged on %+v:\n oracle: %+v (%v)\n snap:   %+v (%v)",
 					seed, req, want, werr, raw, rerr)

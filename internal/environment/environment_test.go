@@ -499,22 +499,6 @@ func TestStoreTTLRefreshOnEqualSet(t *testing.T) {
 	}
 }
 
-func TestStoreFailOpen(t *testing.T) {
-	clk := &mutableClock{t: time.Unix(1000, 0)}
-	s := NewStore(WithStoreClock(clk.Now), WithDefaultTTL(time.Minute), WithFailOpen())
-	s.Set("k", Number(7))
-	clk.Advance(time.Hour)
-	if v, ok := s.Get("k"); !ok || v.Num != 7 {
-		t.Fatalf("fail-open store hid expired value: %v %v", v, ok)
-	}
-	if got := s.ExpiredKeys(); len(got) != 1 {
-		t.Fatalf("fail-open ExpiredKeys = %v", got)
-	}
-	if s.StaleReads() == 0 {
-		t.Fatal("fail-open stale read not counted")
-	}
-}
-
 // TestFreshnessFailSafeEndToEnd wires the real pipeline: a TTL'd
 // attribute store behind an engine behind a core.System. When the sensor
 // feed goes quiet past the TTL, the environment role deactivates and the

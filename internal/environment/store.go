@@ -27,16 +27,14 @@ type entry struct {
 // while the sensors feeding them are live; once a value outlives its TTL
 // the store fails safe: Get reports the attribute as absent, so conditions
 // over it evaluate false, environment roles defined on it deactivate, and
-// permissions requiring those roles deny. WithFailOpen flips that
-// per-system policy to availability-first: expired values keep serving,
-// but remain reported by ExpiredKeys so decisions can still be annotated.
+// permissions requiring those roles deny. ExpiredKeys names the expired
+// values so those denials can be annotated.
 type Store struct {
 	mu         sync.RWMutex
 	attrs      map[string]entry
 	bus        *event.Bus
 	now        func() time.Time
 	defaultTTL time.Duration
-	failOpen   bool
 	staleReads atomic.Uint64
 }
 
@@ -58,14 +56,6 @@ func WithStoreClock(now func() time.Time) StoreOption {
 // another. Zero (the default) means values never expire.
 func WithDefaultTTL(d time.Duration) StoreOption {
 	return func(s *Store) { s.defaultTTL = d }
-}
-
-// WithFailOpen makes expired values keep serving from Get instead of
-// disappearing — availability over safety. ExpiredKeys still reports
-// them, so the PDP's fail-safe annotation remains visible even when a
-// deployment chooses not to deny on stale context.
-func WithFailOpen() StoreOption {
-	return func(s *Store) { s.failOpen = true }
 }
 
 // NewStore builds an empty attribute store.
@@ -132,22 +122,18 @@ func (e entry) expired(t time.Time) bool {
 }
 
 // Get returns the attribute value, if set and fresh. An expired value is
-// reported as absent (fail-safe) unless the store was built WithFailOpen;
-// either way the stale read is counted.
+// reported as absent (fail-safe) and the stale read is counted.
 func (s *Store) Get(key string) (Value, bool) {
 	s.mu.RLock()
 	e, ok := s.attrs[key]
 	now := s.now
-	failOpen := s.failOpen
 	s.mu.RUnlock()
 	if !ok {
 		return Value{}, false
 	}
 	if e.expired(now()) {
 		s.staleReads.Add(1)
-		if !failOpen {
-			return Value{}, false
-		}
+		return Value{}, false
 	}
 	return e.val, true
 }
@@ -172,15 +158,14 @@ func (s *Store) ExpiredKeys() []string {
 	return out
 }
 
-// Keys returns all fresh attribute keys in sorted order (all keys under
-// WithFailOpen).
+// Keys returns all fresh attribute keys in sorted order.
 func (s *Store) Keys() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t := s.now()
 	out := make([]string, 0, len(s.attrs))
 	for k, e := range s.attrs {
-		if e.expired(t) && !s.failOpen {
+		if e.expired(t) {
 			continue
 		}
 		out = append(out, k)
@@ -189,15 +174,14 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// Snapshot returns a copy of the fresh attribute map (including expired
-// values under WithFailOpen).
+// Snapshot returns a copy of the fresh attribute map.
 func (s *Store) Snapshot() map[string]Value {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t := s.now()
 	out := make(map[string]Value, len(s.attrs))
 	for k, e := range s.attrs {
-		if e.expired(t) && !s.failOpen {
+		if e.expired(t) {
 			continue
 		}
 		out[k] = e.val

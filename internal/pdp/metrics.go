@@ -74,7 +74,7 @@ func (s *Server) registerMetrics() {
 		"Lazy policy-snapshot recompilations after mutations.",
 		stat(func(st core.Stats) float64 { return float64(st.SnapshotCompiles) }))
 	reg.NewCounterFunc("grbac_fail_safe_denies_total",
-		"Denials issued because no mediation rule matched (fail-safe default).",
+		"Decide results annotated as fail-safe denies: denied while the environment source reported expired context.",
 		stat(func(st core.Stats) float64 { return float64(st.FailSafeDenies) }))
 	reg.NewGaugeFunc("grbac_decision_cache_entries",
 		"Decisions currently cached.",
