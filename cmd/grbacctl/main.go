@@ -9,7 +9,7 @@
 //	grbacctl health
 //	grbacctl stats
 //	grbacctl top
-//	grbacctl traces -limit 10
+//	grbacctl audit -correlation-id 4f3c2a1b9e8d7c6a
 //	grbacctl -server http://follower:8126 replication
 //	grbacctl -server http://router:8120 rebalance add -id s2 -addr http://localhost:8127 -wait 2m
 package main
@@ -37,7 +37,7 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() < 1 {
-		log.Fatal("usage: grbacctl [flags] check|decide|state|health|shards|rebalance|bundle|stats|top|traces|replication|audit|who-can|what-can [subcommand flags]")
+		log.Fatal("usage: grbacctl [flags] check|decide|state|health|shards|rebalance|bundle|stats|top|replication|audit|who-can|what-can [subcommand flags]")
 	}
 	client := pdp.NewClient(*server, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -96,13 +96,16 @@ func main() {
 		fs := flag.NewFlagSet("audit", flag.ExitOnError)
 		subject := fs.String("subject", "", "filter by subject")
 		object := fs.String("object", "", "filter by object")
+		tx := fs.String("transaction", "", "filter by transaction")
+		corr := fs.String("correlation-id", "", "the records of one request, by its X-Correlation-ID")
 		denies := fs.Bool("denies", false, "denied requests only")
 		limit := fs.Int("limit", 50, "most recent N records")
 		if err := fs.Parse(flag.Args()[1:]); err != nil {
 			log.Fatal(err)
 		}
 		records, err := client.Audit(ctx, pdp.AuditQuery{
-			Subject: *subject, Object: *object, DeniesOnly: *denies, Limit: *limit,
+			Subject: *subject, Object: *object, Transaction: *tx, CorrelationID: *corr,
+			DeniesOnly: *denies, Limit: *limit,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -131,17 +134,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(renderTop(samples))
-	case "traces":
-		fs := flag.NewFlagSet("traces", flag.ExitOnError)
-		limit := fs.Int("limit", 20, "most recent N traces")
-		if err := fs.Parse(flag.Args()[1:]); err != nil {
-			log.Fatal(err)
-		}
-		traces, err := client.Traces(ctx, *limit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printJSON(traces)
 	case "replication":
 		st, err := client.Statsz(ctx)
 		if err != nil {

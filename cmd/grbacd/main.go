@@ -97,7 +97,6 @@ func main() {
 	bundlePub := flag.String("bundle-pub", "", "trusted bundle public key file (hex ed25519): enables POST /v1/bundle, verified before activation")
 	bundlePath := flag.String("bundle", "", "signed policy bundle to verify and activate at boot (requires -bundle-pub)")
 	metricsOn := flag.Bool("metrics", true, "expose Prometheus metrics at GET /metrics")
-	traceBuffer := flag.Int("trace-buffer", obs.DefaultTraceCapacity, "decision traces retained for GET /v1/traces (0 disables tracing)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in; CPU profiles longer than the write timeout are truncated)")
 	flag.Parse()
 
@@ -252,9 +251,6 @@ func main() {
 	if *metricsOn {
 		reg = obs.NewRegistry()
 		serverOpts = append(serverOpts, pdp.WithMetrics(reg))
-	}
-	if *traceBuffer > 0 {
-		serverOpts = append(serverOpts, pdp.WithTracer(obs.NewTracer(*traceBuffer)))
 	}
 
 	if *follow != "" {

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,6 +35,8 @@ type Record struct {
 	Effect string `json:"effect"`
 	// DefaultDeny reports whether no rule matched.
 	DefaultDeny bool `json:"default_deny,omitempty"`
+	// Stale marks a decision a follower served past its staleness bound.
+	Stale bool `json:"stale,omitempty"`
 	// Strategy names the conflict strategy consulted.
 	Strategy string `json:"strategy"`
 	// Reason is the engine's one-line explanation.
@@ -42,9 +45,16 @@ type Record struct {
 	MatchedRules int `json:"matched_rules"`
 	// CorrelationID ties the record to the PDP request that produced it:
 	// the server stores the X-Correlation-ID it answered with, so an audit
-	// line, a decision trace, and a wire reply can be joined. Empty for
-	// decisions logged outside a request context.
+	// line and a wire reply can be joined. Empty for decisions logged
+	// outside a request context, as are the fields below.
 	CorrelationID string `json:"correlation_id,omitempty"`
+	// Route is the endpoint that served the decision ("/v1/decide",
+	// "/v1/check", "/v1/decide/batch").
+	Route string `json:"route,omitempty"`
+	// DecodeNS and MediateNS time the request's decode and mediation; a
+	// batch item carries its whole batch's.
+	DecodeNS  int64 `json:"decode_ns,omitempty"`
+	MediateNS int64 `json:"mediate_ns,omitempty"`
 }
 
 // String renders the record as a log line.
@@ -55,7 +65,20 @@ func (r Record) String() string {
 	}
 	return fmt.Sprintf("#%d %s %s %s %q on %q: %s (%s)",
 		r.Seq, r.Time.Format(time.RFC3339), outcome,
-		r.Subject, r.Transaction, r.Object, r.Reason, r.Strategy)
+		r.Subject, r.Transaction, r.Object, r.Reason, r.Strategy) + r.servedSuffix()
+}
+
+// servedSuffix renders what the serving tier stamped on the record, or
+// nothing for a record logged outside a request.
+func (r Record) servedSuffix() string {
+	if r.Route == "" && r.CorrelationID == "" {
+		return ""
+	}
+	stale := ""
+	if r.Stale {
+		stale = " stale"
+	}
+	return fmt.Sprintf(" [%s %s%s]", r.Route, r.CorrelationID, stale)
 }
 
 // Logger is a bounded in-memory audit trail backed by a ring buffer, so
@@ -116,14 +139,30 @@ func NewLogger(opts ...LoggerOption) *Logger {
 	return l
 }
 
+// Served is what the serving tier knows about a decision besides the
+// request and its outcome. The zero value is a decision logged outside a
+// request, as audit.Wrap and the SDK log theirs.
+type Served struct {
+	CorrelationID   string
+	Route           string
+	Stale           bool
+	Decode, Mediate time.Duration
+}
+
 // Log records one decision and returns the stored record.
 func (l *Logger) Log(req core.Request, d core.Decision) Record {
-	return l.LogWith(req, d, "")
+	return l.LogServed(req, d, Served{})
 }
 
 // LogWith records one decision stamped with the correlation ID of the
 // request that carried it, and returns the stored record.
 func (l *Logger) LogWith(req core.Request, d core.Decision, correlationID string) Record {
+	return l.LogServed(req, d, Served{CorrelationID: correlationID})
+}
+
+// LogServed records one decision with what the serving tier knew about
+// it, and returns the stored record. Log and LogWith are wrappers over it.
+func (l *Logger) LogServed(req core.Request, d core.Decision, sv Served) Record {
 	l.mu.Lock()
 	l.seq++
 	rec := Record{
@@ -135,10 +174,14 @@ func (l *Logger) LogWith(req core.Request, d core.Decision, correlationID string
 		Allowed:       d.Allowed,
 		Effect:        d.Effect.String(),
 		DefaultDeny:   d.DefaultDeny,
+		Stale:         sv.Stale,
 		Strategy:      d.Strategy,
 		Reason:        d.Reason,
 		MatchedRules:  len(d.Matches),
-		CorrelationID: correlationID,
+		CorrelationID: sv.CorrelationID,
+		Route:         sv.Route,
+		DecodeNS:      int64(sv.Decode),
+		MediateNS:     int64(sv.Mediate),
 	}
 	if len(l.buf) < l.max {
 		l.buf = append(l.buf, rec)
@@ -182,20 +225,9 @@ func (l *Logger) Len() int {
 	return len(l.buf)
 }
 
-// snapshotLocked returns the retained records oldest-first; the caller
-// must hold the lock.
-func (l *Logger) snapshotLocked() []Record {
-	out := make([]Record, 0, len(l.buf))
-	out = append(out, l.buf[l.head:]...)
-	out = append(out, l.buf[:l.head]...)
-	return out
-}
-
 // Records returns a copy of the retained trail, oldest first.
 func (l *Logger) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapshotLocked()
+	return l.Query(Filter{})
 }
 
 // Filter selects audit records. Zero-valued fields match everything.
@@ -209,9 +241,13 @@ type Filter struct {
 	Since time.Time
 	// Until keeps records strictly before this instant (zero = unbounded).
 	Until time.Time
+	// CorrelationID keeps the records of one PDP request.
+	CorrelationID string
+	// Limit keeps only the newest Limit matches (0 = all).
+	Limit int
 }
 
-func (f Filter) matches(r Record) bool {
+func (f *Filter) matches(r *Record) bool {
 	if f.Subject != "" && r.Subject != f.Subject {
 		return false
 	}
@@ -230,19 +266,31 @@ func (f Filter) matches(r Record) bool {
 	if !f.Until.IsZero() && !r.Time.Before(f.Until) {
 		return false
 	}
+	if f.CorrelationID != "" && r.CorrelationID != f.CorrelationID {
+		return false
+	}
 	return true
 }
 
-// Query returns the records matching the filter, oldest first.
+// Query returns the records matching the filter, oldest first. It walks
+// the ring in place, newest first, and stops at the filter's limit, so it
+// holds the lock that every audited decision takes only as long as it
+// must and copies only the matches.
 func (l *Logger) Query(f Filter) []Record {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []Record
-	for _, r := range l.snapshotLocked() {
-		if f.matches(r) {
-			out = append(out, r)
+	for i := len(l.buf) - 1; i >= 0; i-- {
+		r := &l.buf[(l.head+i)%len(l.buf)]
+		if !f.matches(r) {
+			continue
+		}
+		out = append(out, *r)
+		if len(out) == f.Limit {
+			break
 		}
 	}
+	l.mu.Unlock()
+	slices.Reverse(out)
 	return out
 }
 
@@ -401,6 +449,9 @@ func (r Record) AppendJSON(dst []byte) ([]byte, error) {
 	if r.DefaultDeny {
 		b = append(b, `,"default_deny":true`...)
 	}
+	if r.Stale {
+		b = append(b, `,"stale":true`...)
+	}
 	b = append(b, `,"strategy":`...)
 	b = jsonw.AppendString(b, r.Strategy)
 	b = append(b, `,"reason":`...)
@@ -410,6 +461,18 @@ func (r Record) AppendJSON(dst []byte) ([]byte, error) {
 	if r.CorrelationID != "" {
 		b = append(b, `,"correlation_id":`...)
 		b = jsonw.AppendString(b, r.CorrelationID)
+	}
+	if r.Route != "" {
+		b = append(b, `,"route":`...)
+		b = jsonw.AppendString(b, r.Route)
+	}
+	if r.DecodeNS != 0 {
+		b = append(b, `,"decode_ns":`...)
+		b = strconv.AppendInt(b, r.DecodeNS, 10)
+	}
+	if r.MediateNS != 0 {
+		b = append(b, `,"mediate_ns":`...)
+		b = strconv.AppendInt(b, r.MediateNS, 10)
 	}
 	return append(b, '}'), nil
 }

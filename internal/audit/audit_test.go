@@ -3,7 +3,9 @@ package audit
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +92,17 @@ func TestWrapLogsDecisions(t *testing.T) {
 	if recs[0].MatchedRules != 1 || recs[0].Strategy != "deny-overrides" {
 		t.Fatalf("record detail = %+v", recs[0])
 	}
+	// A record logged outside a request carries none of the serving
+	// tier's fields, so its JSON line is the one decision logs have
+	// always held.
+	line, err := recs[1].AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"seq":2,"time":"2000-01-17T12:00:00Z","subject":"alice","object":"ball","transaction":"use","allowed":false,"effect":"deny","default_deny":true,"strategy":"deny-overrides","reason":"no permission matches transaction \"use\" on object \"ball\": default deny","matched_rules":0}`
+	if string(line) != want {
+		t.Fatalf("wrapped record JSON:\n got %s\nwant %s", line, want)
+	}
 }
 
 // decideOnly hides core.System's DecideBatch so the wrapper's per-item
@@ -175,6 +188,38 @@ func TestQueryAndStats(t *testing.T) {
 	}
 	if stats.DefaultDeny != 2 {
 		t.Fatalf("default-deny count = %d, want 2", stats.DefaultDeny)
+	}
+}
+
+// TestQueryWalksRingInPlace pins that a query copies only its matches:
+// a one-match query on a full ring allocates one record, not the ring,
+// and a limit keeps the newest matches, oldest first.
+func TestQueryWalksRingInPlace(t *testing.T) {
+	logger := NewLogger()
+	req := core.Request{Subject: "alice", Object: "ball", Transaction: "use"}
+	d := core.Decision{Allowed: true, Reason: "granted"}
+	for i := 0; i < logger.Capacity(); i++ {
+		logger.LogWith(req, d, fmt.Sprintf("c%d", i))
+	}
+	var before, after runtime.MemStats
+	const runs = 20
+	var got []Record
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		got = logger.Query(Filter{CorrelationID: "c4242"})
+	}
+	runtime.ReadMemStats(&after)
+	if len(got) != 1 || got[0].CorrelationID != "c4242" {
+		t.Fatalf("one-match query = %+v", got)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4096 {
+		t.Fatalf("one-match query on a full ring allocated %d B, want < 4 KB", per)
+	}
+
+	got = logger.Query(Filter{Subject: "alice", Limit: 2})
+	n := logger.Capacity()
+	if len(got) != 2 || got[0].CorrelationID != fmt.Sprintf("c%d", n-2) || got[1].CorrelationID != fmt.Sprintf("c%d", n-1) {
+		t.Fatalf("limit 2 = %+v, want the newest two, oldest first", got)
 	}
 }
 
@@ -465,6 +510,8 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 			Transaction: core.TransactionID(pick()),
 			Allowed:     rng.Intn(2) == 0, Effect: pick(), DefaultDeny: rng.Intn(2) == 0,
 			Strategy: pick(), Reason: pick(), MatchedRules: rng.Intn(5) - 1, CorrelationID: pick(),
+			Stale: rng.Intn(2) == 0, Route: pick(),
+			DecodeNS: rng.Int63n(1e6) - 1e3, MediateNS: rng.Int63() >> uint(rng.Intn(63)),
 		}
 		want, wantErr := json.Marshal(rec)
 		got, err := rec.AppendJSON([]byte("x"))

@@ -27,7 +27,8 @@ import (
 
 // Defaults. Buffer sizes bound worst-case memory: the intake channel holds
 // DefaultBufferSize records and the chunk queue holds DefaultMaxPendingChunks
-// compressed chunks of roughly the upload size limit each.
+// compressed chunks of roughly DefaultUploadSizeLimit each. Only the buffer
+// size and the flush interval are settable; the rest are fixed.
 const (
 	// DefaultBufferSize is the intake channel capacity in records.
 	DefaultBufferSize = 4096
@@ -93,27 +94,6 @@ func WithBufferSize(n int) Option {
 	}
 }
 
-// WithMaxPendingChunks bounds sealed chunks awaiting upload (default
-// DefaultMaxPendingChunks); n < 1 keeps the default.
-func WithMaxPendingChunks(n int) Option {
-	return func(e *Exporter) {
-		if n >= 1 {
-			e.maxPending = n
-		}
-	}
-}
-
-// WithUploadSizeLimit sets the target compressed chunk size in bytes
-// (default DefaultUploadSizeLimit). The adaptive encoder converges its
-// uncompressed threshold so sealed chunks land near this size.
-func WithUploadSizeLimit(n int64) Option {
-	return func(e *Exporter) {
-		if n >= minChunkSize {
-			e.uploadLimit = n
-		}
-	}
-}
-
 // WithFlushInterval sets how long a partial chunk may sit before being
 // sealed and queued anyway (default DefaultFlushInterval).
 func WithFlushInterval(d time.Duration) Option {
@@ -124,31 +104,9 @@ func WithFlushInterval(d time.Duration) Option {
 	}
 }
 
-// WithBackoff bounds the upload retry schedule.
-func WithBackoff(min, max time.Duration) Option {
-	return func(e *Exporter) {
-		if min > 0 {
-			e.boMin = min
-		}
-		if max > 0 {
-			e.boMax = max
-		}
-	}
-}
-
 // WithLogger sets the exporter's logger (default log.Default()).
 func WithLogger(l *log.Logger) Option {
 	return func(e *Exporter) { e.logger = l }
-}
-
-// WithCloseTimeout caps how long Close waits for the final flush and
-// upload drain (default DefaultCloseTimeout).
-func WithCloseTimeout(d time.Duration) Option {
-	return func(e *Exporter) {
-		if d > 0 {
-			e.closeTimeout = d
-		}
-	}
 }
 
 // New builds an exporter over sink and starts its encoder and uploader

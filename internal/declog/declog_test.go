@@ -135,10 +135,11 @@ func TestStalledSinkShedsWithCounter(t *testing.T) {
 	sink.fail.Store(true)
 	exp := New(sink,
 		WithBufferSize(32),
-		WithMaxPendingChunks(2),
-		WithUploadSizeLimit(1024),
 		WithFlushInterval(5*time.Millisecond),
-		WithBackoff(5*time.Millisecond, 20*time.Millisecond),
+		func(e *Exporter) {
+			e.maxPending, e.uploadLimit = 2, 1024
+			e.boMin, e.boMax = 5*time.Millisecond, 20*time.Millisecond
+		},
 	)
 	defer exp.Close()
 
@@ -198,9 +199,8 @@ func TestOfferNeverBlocksWithoutConsumer(t *testing.T) {
 	})
 	exp := New(hang,
 		WithBufferSize(8),
-		WithMaxPendingChunks(1),
-		WithUploadSizeLimit(1024),
 		WithFlushInterval(time.Millisecond),
+		func(e *Exporter) { e.maxPending, e.uploadLimit = 1, 1024 },
 	)
 	defer exp.Close()
 	done := make(chan struct{})

@@ -9,22 +9,20 @@ import (
 
 // TestGuardDisabledObsHook is guard 8: the cost instrumented hot paths pay
 // when observability is off. Every obs instrument is nil-safe, so one op —
-// a nil-counter Inc, a nil-histogram ObserveSince and a nil-tracer Record,
-// the three hooks a disabled hot path pays per decision — must allocate
-// nothing and cost at most 100 ns combined: compiling the hooks into the
-// warm CheckAccess and PDP handler paths is ~free when nothing is
-// scraping. Run with -v for the ns/op.
+// a nil-counter Inc and a nil-histogram ObserveSince, the two hooks a
+// disabled hot path pays per decision — must allocate nothing and cost at
+// most 100 ns combined: compiling the hooks into the warm CheckAccess and
+// PDP handler paths is ~free when nothing is scraping. Run with -v for the
+// ns/op.
 func TestGuardDisabledObsHook(t *testing.T) {
 	var (
-		c  *Counter
-		h  *Histogram
-		tr *Tracer
+		c *Counter
+		h *Histogram
 	)
 	start := time.Now()
 	guardtest.ZeroCost(t, 100, func() {
 		c.Inc()
 		h.ObserveSince(start)
-		tr.Record(DecisionTrace{})
 	})
 }
 

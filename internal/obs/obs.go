@@ -1,10 +1,11 @@
 // Package obs is the repository's zero-dependency observability layer: a
 // Prometheus-text metrics registry (counters, gauges, function-backed
-// collectors, and fixed-bucket histograms) plus a bounded per-request
-// decision tracer. The PDP server exposes the registry at GET /metrics
-// and the tracer at GET /v1/traces; `grbacctl top` renders a scrape.
+// collectors, and fixed-bucket histograms). The PDP server exposes it at
+// GET /metrics; `grbacctl top` renders a scrape. A decision's own record,
+// with its correlation ID, route and stage timings, is the audit record
+// (internal/audit), not an obs instrument.
 //
-// Every instrument is nil-safe: calling Inc, Observe, or Record on a nil
+// Every instrument is nil-safe: calling Inc or Observe on a nil
 // pointer is a no-op costing one predictable branch, so instrumented hot
 // paths pay ~1ns and zero allocations when observability is disabled —
 // the same discipline internal/faults applies to its injection hooks

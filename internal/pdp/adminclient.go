@@ -94,8 +94,10 @@ type AuditQuery struct {
 	Subject     string
 	Object      string
 	Transaction string
-	DeniesOnly  bool
-	Limit       int
+	// CorrelationID selects the records of one PDP request.
+	CorrelationID string
+	DeniesOnly    bool
+	Limit         int
 	// Since and Until bound record timestamps (zero = unbounded).
 	Since time.Time
 	Until time.Time
@@ -113,6 +115,9 @@ func (c *Client) Audit(ctx context.Context, query AuditQuery) ([]audit.Record, e
 	}
 	if query.Transaction != "" {
 		q.Set("transaction", query.Transaction)
+	}
+	if query.CorrelationID != "" {
+		q.Set("correlation_id", query.CorrelationID)
 	}
 	if query.DeniesOnly {
 		q.Set("denies", "true")

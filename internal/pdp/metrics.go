@@ -18,8 +18,8 @@ import (
 
 // CorrelationHeader carries the request correlation ID. A caller may send
 // one; otherwise the server generates one. Either way the response echoes
-// it, the audit record stores it, and the decision trace is keyed by it,
-// so all three views of one request can be joined after the fact.
+// it and the audit record stores it, so GET /v1/audit?correlation_id=ID
+// joins the reply to the decision's record after the fact.
 const CorrelationHeader = "X-Correlation-ID"
 
 // WithMetrics exports the server's operational state on reg in the
@@ -31,14 +31,6 @@ const CorrelationHeader = "X-Correlation-ID"
 // decision hot path carries no new instrumentation.
 func WithMetrics(reg *obs.Registry) ServerOption {
 	return func(s *Server) { s.metrics = reg }
-}
-
-// WithTracer records one DecisionTrace per decision request — route,
-// correlation ID, timed steps, status, outcome — into tr's bounded ring,
-// served at GET /v1/traces. Tracing is per-request plumbing on the HTTP
-// handlers only; a server built without a tracer pays nothing.
-func WithTracer(tr *obs.Tracer) ServerOption {
-	return func(s *Server) { s.tracer = tr }
 }
 
 // registerMetrics populates the registry. Called once from NewServer when
@@ -114,110 +106,34 @@ func (s *Server) registerMetrics() {
 			"Policy bundles rejected: unsigned, tampered, or stale.",
 			func() float64 { return float64(s.bundles.Status().Rejected) })
 	}
-	if s.tracer != nil {
-		reg.NewCounterFunc("grbac_decision_traces_total",
-			"Decision traces recorded (the ring retains only the newest).",
-			func() float64 { return float64(s.tracer.Recorded()) })
-	}
 	if s.follower != nil {
 		s.follower.RegisterMetrics(reg)
 	}
 }
 
 // instrument wraps a handler with the route's latency histogram and
-// status counter and, for decision routes (traced), the per-request
-// decision tracer. With neither configured the handler is returned
-// untouched, so an uninstrumented server serves exactly the old path.
-func (s *Server) instrument(route string, traced bool, h http.HandlerFunc) http.HandlerFunc {
-	traced = traced && s.tracer != nil
-	var dur *obs.Histogram
-	if s.metrics != nil {
-		// Resolve the child once; the per-request work is one Observe.
-		dur = s.httpDur.With(route)
-	}
-	if dur == nil && !traced {
+// status counter. Without metrics the handler is returned untouched, so
+// an uninstrumented server serves exactly the old path.
+func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	if s.metrics == nil {
 		return h
 	}
+	// Resolve the child once; the per-request work is one Observe.
+	dur := s.httpDur.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		var rt *reqTrace
-		if traced {
-			rt = &reqTrace{}
-			r = r.WithContext(context.WithValue(r.Context(), reqTraceKey{}, rt))
-		}
 		h(w, r)
 		status := http.StatusOK
 		if tw, ok := w.(*trackingWriter); ok && tw.status != 0 {
 			status = tw.status
 		}
-		if dur != nil {
-			dur.ObserveSince(start)
-			s.httpReqs.With(route, statusClass(status)).Inc()
-		}
-		if rt != nil {
-			s.tracer.Record(obs.DecisionTrace{
-				CorrelationID:   w.Header().Get(CorrelationHeader),
-				Route:           route,
-				Start:           start,
-				DurationSeconds: time.Since(start).Seconds(),
-				Status:          status,
-				Allowed:         rt.allowed,
-				Stale:           rt.stale,
-				Steps:           rt.steps,
-			})
-		}
+		dur.ObserveSince(start)
+		s.httpReqs.With(route, statusClass(status)).Inc()
 	}
 }
 
 func statusClass(code int) string {
 	return strconv.Itoa(code/100) + "xx"
-}
-
-// reqTrace accumulates the decision-specific trace fields while a handler
-// runs; the instrument middleware stores one in the request context and
-// records the finished trace afterwards. Methods are nil-safe so handlers
-// call them unconditionally and an untraced request costs nothing extra.
-type reqTrace struct {
-	allowed *bool
-	stale   bool
-	steps   []obs.TraceStep
-}
-
-type reqTraceKey struct{}
-
-// traceOf returns the request's trace carrier, or nil when untraced.
-func traceOf(r *http.Request) *reqTrace {
-	rt, _ := r.Context().Value(reqTraceKey{}).(*reqTrace)
-	return rt
-}
-
-// step appends one timed phase, measured from start to now.
-func (rt *reqTrace) step(name string, start time.Time) {
-	if rt == nil {
-		return
-	}
-	rt.steps = append(rt.steps, obs.TraceStep{
-		Name:            name,
-		DurationSeconds: time.Since(start).Seconds(),
-	})
-}
-
-// decision records the request's outcome.
-func (rt *reqTrace) decision(allowed, stale bool) {
-	if rt == nil {
-		return
-	}
-	rt.allowed = &allowed
-	rt.stale = stale
-}
-
-// markStale records staleness for replies without a single boolean
-// outcome (batches).
-func (rt *reqTrace) markStale(stale bool) {
-	if rt == nil {
-		return
-	}
-	rt.stale = stale
 }
 
 // correlate resolves the request's correlation ID — the caller's
@@ -256,35 +172,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTraces serves the decision-trace ring:
-// GET /v1/traces?limit=N&correlation_id=ID (newest first).
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	q := r.URL.Query()
-	if id := q.Get("correlation_id"); id != "" {
-		tr, ok := s.tracer.Find(id)
-		if !ok {
-			s.writeStatus(w, http.StatusNotFound, "no retained trace for correlation id "+id)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, []obs.DecisionTrace{tr})
-		return
-	}
-	n := 0
-	if lim := q.Get("limit"); lim != "" {
-		v, err := strconv.Atoi(lim)
-		if err != nil || v < 0 {
-			s.writeStatus(w, http.StatusBadRequest, "bad limit")
-			return
-		}
-		n = v
-	}
-	s.writeJSON(w, http.StatusOK, s.tracer.Recent(n))
-}
-
 // Metrics scrapes the server's GET /metrics exposition and parses it into
 // samples; `grbacctl top` renders them.
 func (c *Client) Metrics(ctx context.Context) ([]obs.Sample, error) {
@@ -304,16 +191,4 @@ func (c *Client) Metrics(ctx context.Context) ([]obs.Sample, error) {
 		return nil, &RemoteError{Status: resp.StatusCode}
 	}
 	return obs.ParseText(resp.Body)
-}
-
-// Traces fetches the server's recent decision traces, newest first
-// (limit <= 0 fetches all retained).
-func (c *Client) Traces(ctx context.Context, limit int) ([]obs.DecisionTrace, error) {
-	path := "/v1/traces"
-	if limit > 0 {
-		path += "?limit=" + strconv.Itoa(limit)
-	}
-	var out []obs.DecisionTrace
-	err := c.get(ctx, path, &out)
-	return out, err
 }

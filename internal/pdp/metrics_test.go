@@ -12,20 +12,39 @@ import (
 )
 
 // obsServer builds an instrumented PDP over the family-TV fixture with
-// metrics, tracing, and an audit trail all enabled.
-func obsServer(t *testing.T) (*httptest.Server, *Client, *audit.Logger, *obs.Tracer) {
+// metrics and an audit trail enabled.
+func obsServer(t *testing.T) (*httptest.Server, *Client, *audit.Logger) {
 	t.Helper()
 	trail := audit.NewLogger()
-	tracer := obs.NewTracer(16)
 	ts, _ := newTestServer(t,
 		WithMetrics(obs.NewRegistry()),
-		WithTracer(tracer),
 		WithAuditLogger(trail))
-	return ts, NewClient(ts.URL, nil), trail, tracer
+	return ts, NewClient(ts.URL, nil), trail
+}
+
+// sampleValue returns the value of the first sample of family name whose
+// labels include every given label.
+func sampleValue(samples []obs.Sample, name string, labels map[string]string) (float64, bool) {
+	for _, s := range samples {
+		if s.Name != name {
+			continue
+		}
+		match := true
+		for k, v := range labels {
+			if s.Label(k) != v {
+				match = false
+				break
+			}
+		}
+		if match {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, client, _, _ := obsServer(t)
+	_, client, _ := obsServer(t)
 	ctx := context.Background()
 
 	req := DecideRequest{Subject: "alice", Object: "tv", Transaction: "use",
@@ -44,22 +63,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	find := func(name string, labels map[string]string) (float64, bool) {
-		for _, s := range samples {
-			if s.Name != name {
-				continue
-			}
-			match := true
-			for k, v := range labels {
-				if s.Label(k) != v {
-					match = false
-					break
-				}
-			}
-			if match {
-				return s.Value, true
-			}
-		}
-		return 0, false
+		return sampleValue(samples, name, labels)
 	}
 
 	if v, ok := find("grbac_http_request_duration_seconds_count", map[string]string{"route": "/v1/decide"}); !ok || v != 3 {
@@ -86,7 +90,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"grbac_http_inflight",
 		"grbac_http_shed_total",
 		"grbac_http_recovered_panics_total",
-		"grbac_decision_traces_total",
 	} {
 		if _, ok := find(name, nil); !ok {
 			t.Errorf("family %s missing from /metrics", name)
@@ -108,73 +111,59 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/metrics on an uninstrumented server = %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/v1/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/v1/traces on an untraced server = %d, want 404", resp.StatusCode)
-	}
 }
 
-func TestCorrelationIDJoinsAuditAndTrace(t *testing.T) {
-	ts, client, trail, tracer := obsServer(t)
+func TestCorrelationIDJoinsAuditRecord(t *testing.T) {
+	ts, client, trail := obsServer(t)
 
-	body := []byte(`{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"]}`)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/decide", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	decide := func(corr string) *http.Response {
+		t.Helper()
+		body := []byte(`{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"]}`)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/decide", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(CorrelationHeader, corr)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("decide = %d", resp.StatusCode)
+		}
+		return resp
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(CorrelationHeader, "corr-join-1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("decide = %d", resp.StatusCode)
-	}
+	resp := decide("corr-join-1")
 	if got := resp.Header.Get(CorrelationHeader); got != "corr-join-1" {
 		t.Fatalf("response header %s = %q, want corr-join-1", CorrelationHeader, got)
 	}
-
-	// Audit record carries the same ID.
-	recs := trail.Records()
-	if len(recs) != 1 {
-		t.Fatalf("audit records = %d, want 1", len(recs))
-	}
-	if recs[0].CorrelationID != "corr-join-1" {
-		t.Fatalf("audit correlation id = %q, want corr-join-1", recs[0].CorrelationID)
+	decide("corr-join-2")
+	if n := len(trail.Records()); n != 2 {
+		t.Fatalf("audit records = %d, want 2", n)
 	}
 
-	// The trace is retained and findable by the same ID — server side...
-	tr, ok := tracer.Find("corr-join-1")
-	if !ok {
-		t.Fatal("no trace recorded for corr-join-1")
-	}
-	if tr.Route != "/v1/decide" || tr.Status != http.StatusOK {
-		t.Fatalf("trace route/status = %s/%d", tr.Route, tr.Status)
-	}
-	if tr.Allowed == nil || !*tr.Allowed {
-		t.Fatalf("trace allowed = %v, want true", tr.Allowed)
-	}
-	if len(tr.Steps) == 0 {
-		t.Fatal("trace has no timed steps")
-	}
-	// ...and over the wire.
-	traces, err := client.Traces(context.Background(), 0)
+	// Over the wire, the ID selects exactly its request's record, and the
+	// record carries what the serving tier knew about the decision.
+	recs, err := client.Audit(context.Background(), AuditQuery{CorrelationID: "corr-join-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != 1 || traces[0].CorrelationID != "corr-join-1" {
-		t.Fatalf("GET /v1/traces = %+v, want one trace for corr-join-1", traces)
+	if len(recs) != 1 {
+		t.Fatalf("GET /v1/audit?correlation_id=corr-join-1 = %+v, want one record", recs)
+	}
+	r := recs[0]
+	if r.CorrelationID != "corr-join-1" || r.Route != "/v1/decide" || !r.Allowed || r.Stale {
+		t.Fatalf("record = %+v, want an allowed, fresh /v1/decide record for corr-join-1", r)
+	}
+	if r.DecodeNS <= 0 || r.MediateNS <= 0 {
+		t.Fatalf("record timings decode_ns=%d mediate_ns=%d, want both > 0", r.DecodeNS, r.MediateNS)
 	}
 }
 
 func TestCorrelationIDGeneratedWhenAbsent(t *testing.T) {
-	_, client, trail, _ := obsServer(t)
+	_, client, trail := obsServer(t)
 
 	d, err := client.Decide(context.Background(), DecideRequest{
 		Subject: "alice", Object: "tv", Transaction: "use",
@@ -193,7 +182,7 @@ func TestCorrelationIDGeneratedWhenAbsent(t *testing.T) {
 }
 
 func TestBatchCorrelationCoversEveryItem(t *testing.T) {
-	_, client, trail, _ := obsServer(t)
+	_, client, trail := obsServer(t)
 	reqs := []DecideRequest{
 		{Subject: "alice", Object: "tv", Transaction: "use", Environment: []string{"weekday-free-time"}},
 		{Subject: "alice", Object: "tv", Transaction: "use", Environment: []string{}},
@@ -216,41 +205,29 @@ func TestBatchCorrelationCoversEveryItem(t *testing.T) {
 	}
 }
 
-func TestTracesEndpointLimitAndOrder(t *testing.T) {
-	_, client, _, _ := obsServer(t)
+// TestMalformedDecideCountedAs4xx pins where a request that never reached
+// a decision is seen: it leaves no audit record, and the route's status
+// counter moves.
+func TestMalformedDecideCountedAs4xx(t *testing.T) {
+	_, client, trail := obsServer(t)
 	ctx := context.Background()
-	req := DecideRequest{Subject: "alice", Object: "tv", Transaction: "use",
-		Environment: []string{"weekday-free-time"}}
-	for i := 0; i < 4; i++ {
-		if _, err := client.Check(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	traces, err := client.Traces(ctx, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 2 {
-		t.Fatalf("limit=2 returned %d traces", len(traces))
-	}
-	if traces[0].Seq <= traces[1].Seq {
-		t.Fatalf("traces not newest-first: seqs %d, %d", traces[0].Seq, traces[1].Seq)
-	}
-	// A malformed request is traced too, with its error status.
 	resp, err := http.Post(client.base+"/v1/decide", "application/json",
 		bytes.NewReader([]byte(`{nope`)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	traces, err = client.Traces(ctx, 1)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed decide = %d, want 400", resp.StatusCode)
+	}
+	if n := len(trail.Records()); n != 0 {
+		t.Fatalf("malformed request left %d audit records, want 0", n)
+	}
+	samples, err := client.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != 1 || traces[0].Status != http.StatusBadRequest {
-		t.Fatalf("newest trace = %+v, want status 400", traces)
-	}
-	if traces[0].Allowed != nil {
-		t.Fatal("malformed request must not carry a decision outcome")
+	if v, ok := sampleValue(samples, "grbac_http_requests_total", map[string]string{"route": "/v1/decide", "code": "4xx"}); !ok || v != 1 {
+		t.Fatalf("decide 4xx counter = %v, %v; want 1", v, ok)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aware-home/grbac/internal/audit"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/policy"
 	"github.com/aware-home/grbac/internal/replica"
@@ -91,9 +92,9 @@ func newFollowerServer(t *testing.T, opts ...replica.FollowerOption) (primary *c
 }
 
 // startFollower runs a follower of upstreamURL behind a PDP server that
-// also exposes its own replica feed, as grbacd wires every node, so
-// further followers can chain off it. It returns once the first sync
-// has landed.
+// also exposes its own replica feed and audit trail, as grbacd wires
+// every node, so further followers can chain off it. It returns once the
+// first sync has landed.
 func startFollower(t *testing.T, upstreamURL string, opts ...replica.FollowerOption) (*replica.Follower, *httptest.Server) {
 	t.Helper()
 	followerSys := core.NewSystem()
@@ -107,7 +108,8 @@ func startFollower(t *testing.T, upstreamURL string, opts ...replica.FollowerOpt
 
 	fsrv := newHTTPServer(t, NewServer(followerSys,
 		WithFollower(f),
-		WithReplicaSource(replica.NewSource(followerSys))))
+		WithReplicaSource(replica.NewSource(followerSys)),
+		WithAuditLogger(audit.NewLogger())))
 	deadline := time.Now().Add(5 * time.Second)
 	for f.Stats().Syncs == 0 {
 		if time.Now().After(deadline) {
@@ -270,5 +272,13 @@ func TestFollowerServerDegradesWhenStale(t *testing.T) {
 	}
 	if !resp.Allowed {
 		t.Fatalf("stale follower changed the decision: %+v", resp)
+	}
+	// The decision's audit record says it was served stale.
+	recs, err := client.Audit(ctx, AuditQuery{CorrelationID: resp.CorrelationID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || !recs[0].Stale || recs[0].Route != "/v1/decide" {
+		t.Fatalf("audit records for the stale decision = %+v, want one stale /v1/decide record", recs)
 	}
 }

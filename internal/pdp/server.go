@@ -47,7 +47,6 @@ type Server struct {
 	migration    migrationState
 	recovered    atomic.Uint64
 	metrics      *obs.Registry
-	tracer       *obs.Tracer
 	httpDur      *obs.HistogramVec
 	httpReqs     *obs.CounterVec
 }
@@ -58,7 +57,8 @@ type ServerOption func(*Server)
 // WithAuditLogger wires decisions through an audit trail and exposes it at
 // GET /v1/audit. The decision handlers log each successful decision
 // themselves (rather than through audit.Wrap) so the record carries the
-// request's correlation ID and can be joined to the wire reply and trace.
+// request's correlation ID, route, staleness and stage timings, and can be
+// joined to the wire reply.
 func WithAuditLogger(l *audit.Logger) ServerOption {
 	return func(s *Server) { s.trail = l }
 }
@@ -87,17 +87,14 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 		s.registerMetrics()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/decide", s.instrument("/v1/decide", true, s.limited(s.handleDecide)))
-	mux.HandleFunc("/v1/decide/batch", s.instrument("/v1/decide/batch", true, s.limited(s.handleDecideBatch)))
-	mux.HandleFunc("/v1/check", s.instrument("/v1/check", true, s.limited(s.handleCheck)))
-	mux.HandleFunc("/v1/state", s.instrument("/v1/state", false, s.handleState))
-	mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", false, s.handleHealthz))
-	mux.HandleFunc("/v1/statsz", s.instrument("/v1/statsz", false, s.handleStatsz))
+	mux.HandleFunc(decidePath, s.instrument(decidePath, s.limited(s.handleDecide)))
+	mux.HandleFunc(batchPath, s.instrument(batchPath, s.limited(s.handleDecideBatch)))
+	mux.HandleFunc(checkPath, s.instrument(checkPath, s.limited(s.handleCheck)))
+	mux.HandleFunc("/v1/state", s.instrument("/v1/state", s.handleState))
+	mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
+	mux.HandleFunc("/v1/statsz", s.instrument("/v1/statsz", s.handleStatsz))
 	if s.metrics != nil {
 		mux.HandleFunc("/metrics", s.handleMetrics)
-	}
-	if s.tracer != nil {
-		mux.HandleFunc("/v1/traces", s.handleTraces)
 	}
 	if s.trail != nil {
 		mux.HandleFunc("/v1/audit", s.handleAudit)
@@ -159,14 +156,27 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// The decision routes, as served and as stamped on their audit records.
+const (
+	decidePath = "/v1/decide"
+	checkPath  = "/v1/check"
+	batchPath  = "/v1/decide/batch"
+)
+
+// logDecision records one served decision, when the server keeps a trail.
+func (s *Server) logDecision(req core.Request, d core.Decision, sv *audit.Served) {
+	if s.trail != nil {
+		s.trail.LogServed(req, d, *sv)
+	}
+}
+
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	corr := correlate(w, r)
-	rt := traceOf(r)
+	sv := audit.Served{CorrelationID: correlate(w, r), Route: decidePath}
 	t := time.Now()
 	buf := getBuf()
 	defer putBuf(buf)
 	req, ok := s.readDecideRequest(w, r, buf)
-	rt.step("decode", t)
+	sv.Decode = time.Since(t)
 	if !ok {
 		return
 	}
@@ -176,20 +186,16 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	coreReq := req.toCore()
 	t = time.Now()
 	d, err := s.decider.Decide(coreReq)
-	rt.step("mediate", t)
+	sv.Mediate = time.Since(t)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if s.trail != nil {
-		t = time.Now()
-		s.trail.LogWith(coreReq, d, corr)
-		rt.step("audit", t)
-	}
+	sv.Stale = s.stale()
+	s.logDecision(coreReq, d, &sv)
 	resp := fromDecision(d)
-	resp.Stale = s.stale()
-	resp.CorrelationID = corr
-	rt.decision(d.Allowed, resp.Stale)
+	resp.Stale = sv.Stale
+	resp.CorrelationID = sv.CorrelationID
 	out, err := appendDecideResponse((*buf)[:0], &resp)
 	*buf = out
 	s.writeEncoded(w, out, err)
@@ -203,12 +209,11 @@ type batchDecider interface {
 }
 
 func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
-	corr := correlate(w, r)
-	rt := traceOf(r)
+	sv := audit.Served{CorrelationID: correlate(w, r), Route: batchPath}
 	t := time.Now()
 	var req BatchDecideRequest
 	ok := s.readBody(w, r, &req, http.MethodPost)
-	rt.step("decode", t)
+	sv.Decode = time.Since(t)
 	if !ok {
 		return
 	}
@@ -239,25 +244,21 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 			results[i].Decision, results[i].Err = s.decider.Decide(cr)
 		}
 	}
-	rt.step("mediate", t)
-	if s.trail != nil {
-		t = time.Now()
-		for i, res := range results {
-			if forwarded != nil && forwarded[i] != nil {
-				continue // audited by the new owner that mediated it
-			}
-			if res.Err == nil {
-				s.trail.LogWith(coreReqs[i], res.Decision, corr)
-			}
+	sv.Mediate = time.Since(t)
+	sv.Stale = s.stale()
+	for i, res := range results {
+		if forwarded != nil && forwarded[i] != nil {
+			continue // audited by the new owner that mediated it
 		}
-		rt.step("audit", t)
+		if res.Err == nil {
+			s.logDecision(coreReqs[i], res.Decision, &sv)
+		}
 	}
 	resp := BatchDecideResponse{
 		Results:       make([]BatchItem, len(results)),
-		Stale:         s.stale(),
-		CorrelationID: corr,
+		Stale:         sv.Stale,
+		CorrelationID: sv.CorrelationID,
 	}
-	rt.markStale(resp.Stale)
 	for i, res := range results {
 		if forwarded != nil && forwarded[i] != nil {
 			resp.Results[i] = *forwarded[i]
@@ -274,13 +275,12 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	corr := correlate(w, r)
-	rt := traceOf(r)
+	sv := audit.Served{CorrelationID: correlate(w, r), Route: checkPath}
 	t := time.Now()
 	buf := getBuf()
 	defer putBuf(buf)
 	req, ok := s.readDecideRequest(w, r, buf)
-	rt.step("decode", t)
+	sv.Decode = time.Since(t)
 	if !ok {
 		return
 	}
@@ -290,16 +290,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	coreReq := req.toCore()
 	t = time.Now()
 	d, err := s.decider.Decide(coreReq)
-	rt.step("mediate", t)
+	sv.Mediate = time.Since(t)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if s.trail != nil {
-		s.trail.LogWith(coreReq, d, corr)
-	}
-	resp := CheckResponse{Allowed: d.Allowed, Stale: s.stale(), CorrelationID: corr}
-	rt.decision(d.Allowed, resp.Stale)
+	sv.Stale = s.stale()
+	s.logDecision(coreReq, d, &sv)
+	resp := CheckResponse{Allowed: d.Allowed, Stale: sv.Stale, CorrelationID: sv.CorrelationID}
 	*buf = appendCheckResponse((*buf)[:0], &resp)
 	s.writeEncoded(w, *buf, nil)
 }
@@ -366,8 +364,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleAudit serves the decision trail:
-// GET /v1/audit?subject=&object=&transaction=&denies=true&limit=N.
+// handleAudit serves the decision trail, oldest first:
+// GET /v1/audit?subject=&object=&transaction=&correlation_id=&denies=true&since=&until=&limit=N.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
@@ -375,10 +373,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	f := audit.Filter{
-		Subject:     core.SubjectID(q.Get("subject")),
-		Object:      core.ObjectID(q.Get("object")),
-		Transaction: core.TransactionID(q.Get("transaction")),
-		DeniesOnly:  q.Get("denies") == "true",
+		Subject:       core.SubjectID(q.Get("subject")),
+		Object:        core.ObjectID(q.Get("object")),
+		Transaction:   core.TransactionID(q.Get("transaction")),
+		CorrelationID: q.Get("correlation_id"),
+		DeniesOnly:    q.Get("denies") == "true",
 	}
 	for _, bound := range []struct {
 		param string
@@ -396,18 +395,15 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 			*bound.dst = ts
 		}
 	}
-	records := s.trail.Query(f)
 	if lim := q.Get("limit"); lim != "" {
 		n, err := strconv.Atoi(lim)
 		if err != nil || n < 0 {
 			s.writeStatus(w, http.StatusBadRequest, "bad limit")
 			return
 		}
-		if len(records) > n {
-			records = records[len(records)-n:]
-		}
+		f.Limit = n
 	}
-	s.writeJSON(w, http.StatusOK, records)
+	s.writeJSON(w, http.StatusOK, s.trail.Query(f))
 }
 
 // readDecideRequest reads a decide or check body into buf and decodes it

@@ -16,7 +16,7 @@
 //	GET  /v1/replica/snapshot — generation-stamped policy export (WithReplicaSource)
 //	GET  /v1/replica/watch    — long-poll on the policy generation (WithReplicaSource)
 //	GET  /metrics             — Prometheus text exposition (WithMetrics)
-//	GET  /v1/traces           — recent decision traces, newest first (WithTracer)
+//	GET  /v1/audit            — decision records, filterable by correlation_id (WithAuditLogger)
 //
 // A server built WithFollower serves decisions from a policy replicated
 // off a primary (see internal/replica) and answers mutation endpoints

@@ -47,15 +47,34 @@ wait_until "follower convergence" converged
 echo "replication_smoke: follower state after convergence:"
 "$workdir/grbacctl" -server "$follower" replication
 
-# Observability smoke: a decision against each node, then assert the
-# /metrics expositions carry the decide histogram, the cache counters,
-# and (on the follower) replication lag.
+# Observability smoke: a decision against each node, each under its own
+# correlation ID; assert the ID finds exactly that decision's audit
+# record, fresh and stamped with its route, and that the /metrics
+# expositions carry the decide histogram, the cache counters, and (on the
+# follower) replication lag.
 curl -sf -X POST "$primary/v1/check" -H 'Content-Type: application/json' \
+	-H 'X-Correlation-ID: smoke-join-1' \
 	-d '{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"]}' \
 	>/dev/null
 curl -sf -X POST "$follower/v1/check" -H 'Content-Type: application/json' \
+	-H 'X-Correlation-ID: smoke-join-2' \
 	-d '{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"]}' \
 	>/dev/null
+
+audit_joins() {
+	url=$1
+	id=$2
+	out=$("$workdir/grbacctl" -server "$url" audit -correlation-id "$id")
+	n=$(printf '%s\n' "$out" | grep -c . || true)
+	if [ "$n" -ne 1 ] || ! printf '%s\n' "$out" | grep -q "\[/v1/check $id\]\$"; then
+		echo "replication_smoke: FAIL: $url audit -correlation-id $id, want one fresh /v1/check record:" >&2
+		echo "$out" >&2
+		exit 1
+	fi
+	echo "replication_smoke: $id -> $out"
+}
+audit_joins "$primary" smoke-join-1
+audit_joins "$follower" smoke-join-2
 
 metrics_have() {
 	url=$1
