@@ -16,7 +16,8 @@ const defaultDecisionCacheSize = 8192
 type Stats struct {
 	// Generation is the monotonic policy version. Every mutating call
 	// (role edits, grants, assignments, session changes, configuration)
-	// bumps it, instantly invalidating all cached decisions.
+	// bumps it. A session change retires only the cached decisions of
+	// requests that name a session; any other mutation retires them all.
 	Generation uint64 `json:"generation"`
 	// DecisionHits counts Decide calls answered from the cache.
 	DecisionHits uint64 `json:"decision_hits"`
@@ -49,8 +50,9 @@ type Stats struct {
 // loads them, and an entry whose hash agrees is confirmed by full field
 // comparison, so a hash collision is just a miss, never a wrong answer.
 // Entries are immutable once published and are stamped with the generation
-// they were computed at; they are treated as absent once the generation
-// moves on, so invalidation is a single counter bump with no scanning.
+// they were computed at (see stamps); they are treated as absent once that
+// generation moves on, so invalidation is a single counter bump with no
+// scanning.
 type decisionCache struct {
 	// slots holds ways consecutive slots per set; len(slots) is the entry
 	// bound and never exceeds the configured capacity.
@@ -78,6 +80,26 @@ type cacheEntry struct {
 	v           verdict
 }
 
+// stamps are the two generations a compiled snapshot was judged at: gen,
+// which every mutation bumps, and policyGen, the generation of the last
+// mutation that was not a session change. A request naming a session reads
+// that session's active roles, so its entry is stamped with gen; a
+// sessionless request reads no session, so its entry is stamped with
+// policyGen and stays live across session churn.
+type stamps struct {
+	gen       uint64
+	policyGen uint64
+}
+
+// stamp is the generation an entry for a request naming session is stored
+// and looked up at.
+func (st stamps) stamp(session SessionID) uint64 {
+	if session == "" {
+		return st.policyGen
+	}
+	return st.gen
+}
+
 func newDecisionCache(capacity int) *decisionCache {
 	ways := min(4, capacity)
 	sets := 1
@@ -97,8 +119,7 @@ func (c *decisionCache) set(h uint64) []atomic.Pointer[cacheEntry] {
 	return c.slots[i : i+c.ways]
 }
 
-// matches confirms that a hash hit really is this request at this
-// generation.
+// matches confirms that a hash hit really is this request at this stamp.
 func (e *cacheEntry) matches(gen uint64, req *Request) bool {
 	return e.gen == gen &&
 		e.subject == req.Subject &&
@@ -109,8 +130,8 @@ func (e *cacheEntry) matches(gen uint64, req *Request) bool {
 		envEqual(req.Environment, e.env)
 }
 
-// find returns the entry stored under h at gen for this exact request, or
-// nil. The entry is shared and immutable: callers only read it.
+// find returns the entry stored under h at stamp gen for this exact
+// request, or nil. The entry is shared and immutable: callers only read it.
 func (c *decisionCache) find(h, gen uint64, req *Request) *cacheEntry {
 	set := c.set(h)
 	for i := range set {
@@ -121,17 +142,18 @@ func (c *decisionCache) find(h, gen uint64, req *Request) *cacheEntry {
 	return nil
 }
 
-// put publishes a verdict judged at gen. One digest keeps one slot: the
-// way already holding h is replaced first, then an empty way is taken, then
-// one left over from an older generation; only when every way holds a live
-// entry is one displaced, picked by the hash's high bits, and put reports
-// that eviction. Racing puts into one set may overwrite each other, which
-// loses a memo and nothing else. The entry owns defensive copies of the
-// request fields it keeps.
-func (c *decisionCache) put(h, gen uint64, req *Request, v verdict) (evicted bool) {
+// put publishes a verdict judged at st, stamped as st.stamp(req.Session).
+// One digest keeps one slot: the way already holding h is replaced first,
+// then an empty way is taken, then one whose entry is dead at st (stamped
+// below what a lookup of its own kind would use); only when every way holds
+// a live entry is one displaced, picked by the hash's high bits, and put
+// reports that eviction. Racing puts into one set may overwrite each other,
+// which loses a memo and nothing else. The entry owns defensive copies of
+// the request fields it keeps.
+func (c *decisionCache) put(h uint64, st stamps, req *Request, v verdict) (evicted bool) {
 	e := &cacheEntry{
 		hash:        h,
-		gen:         gen,
+		gen:         st.stamp(req.Session),
 		subject:     req.Subject,
 		session:     req.Session,
 		object:      req.Object,
@@ -140,7 +162,7 @@ func (c *decisionCache) put(h, gen uint64, req *Request, v verdict) (evicted boo
 		env:         cloneRoleIDs(req.Environment),
 		v:           v,
 	}
-	const live, older, empty, same = 0, 1, 2, 3
+	const live, dead, empty, same = 0, 1, 2, 3
 	set := c.set(h)
 	victim, best := &set[(h>>32)%c.ways], live
 	for i := range set {
@@ -150,8 +172,8 @@ func (c *decisionCache) put(h, gen uint64, req *Request, v verdict) (evicted boo
 			rank = empty
 		case old.hash == h:
 			rank = same
-		case old.gen < gen:
-			rank = older
+		case old.gen < st.stamp(old.session):
+			rank = dead
 		}
 		if rank > best {
 			victim, best = &set[i], rank

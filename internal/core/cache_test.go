@@ -338,7 +338,7 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 		Environment: []RoleID{"weekdays"},
 	}
 	dA := verdict{allowed: true, effect: Permit, reason: "A's decision"}
-	c.put(h, gen, &reqA, dA)
+	c.put(h, stamps{gen, gen}, &reqA, dA)
 
 	// Same digest, different request fields — each variant differs from
 	// reqA in exactly one key component.
@@ -386,7 +386,7 @@ func TestHashCollisionFallsBackToMiss(t *testing.T) {
 	// the aliased entry (one digest, one slot) and B then hits correctly.
 	reqB := variants[0]
 	dB := verdict{allowed: false, effect: Deny, reason: "B's decision"}
-	c.put(h, gen, &reqB, dB)
+	c.put(h, stamps{gen, gen}, &reqB, dB)
 	if e := c.find(h, gen, &reqB); e == nil || e.v.reason != "B's decision" {
 		t.Fatalf("request B after put: %+v", e)
 	}
@@ -426,5 +426,187 @@ func TestSnapshotCompileCounter(t *testing.T) {
 	}
 	if got := s.Stats().SnapshotCompiles; got != base+2 {
 		t.Fatalf("SnapshotCompiles = %d, want %d after one mutation", got, base+2)
+	}
+}
+
+// TestPutReclaimsOnlyEntriesDeadAtTheSnapshot fills the one set of a
+// capacity-4 cache and checks which way a put takes under two stamps: an
+// entry is reclaimable exactly when it is stamped below what a lookup of
+// its own kind uses at the caller's snapshot. A sessionless entry below gen
+// but at policyGen is live, and a session entry above policyGen but below
+// gen is dead.
+func TestPutReclaimsOnlyEntriesDeadAtTheSnapshot(t *testing.T) {
+	req := func(sub SubjectID, session SessionID) *Request {
+		return &Request{Subject: sub, Session: session, Object: "tv", Transaction: "use",
+			Environment: []RoleID{}}
+	}
+	type slot struct {
+		h   uint64
+		req *Request
+		at  stamps
+	}
+	for _, tc := range []struct {
+		name    string
+		fill    []slot
+		put     slot
+		now     stamps
+		dead    int // index into fill of the one dead entry, or -1
+		evicted bool
+	}{
+		{
+			name: "sessionless entries below gen stay, session entries below gen go",
+			fill: []slot{
+				{1, req("a", ""), stamps{1, 1}},
+				{2, req("b", "s-b"), stamps{2, 1}},
+				{3, req("c", ""), stamps{3, 1}},
+				{4, req("d", "s-d"), stamps{4, 1}},
+			},
+			put:  slot{5, req("e", "s-e"), stamps{6, 1}},
+			dead: 1, // the first dead way is taken; the entry at 4 is dead too
+		},
+		{
+			name: "a session entry above policyGen is dead to a sessionless put",
+			fill: []slot{
+				{1, req("a", ""), stamps{1, 2}},
+				{2, req("b", ""), stamps{3, 2}},
+				{3, req("c", "s-c"), stamps{4, 2}},
+				{4, req("d", ""), stamps{4, 2}},
+			},
+			put:  slot{5, req("e", ""), stamps{6, 2}},
+			dead: 2,
+		},
+		{
+			name: "every way live: one is displaced and put reports it",
+			fill: []slot{
+				{1, req("a", ""), stamps{1, 1}},
+				{2, req("b", "s-b"), stamps{4, 1}},
+				{3, req("c", ""), stamps{2, 1}},
+				{4, req("d", "s-d"), stamps{4, 1}},
+			},
+			put:     slot{5, req("e", ""), stamps{4, 1}},
+			dead:    -1,
+			evicted: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newDecisionCache(4)
+			if len(c.slots) != 4 || c.mask != 0 {
+				t.Fatalf("capacity 4 built %d slots with mask %d, want one set of four", len(c.slots), c.mask)
+			}
+			for _, f := range tc.fill {
+				if c.put(f.h, f.at, f.req, verdict{}) {
+					t.Fatalf("filling an empty way reported an eviction")
+				}
+			}
+			if got := c.put(tc.put.h, tc.put.at, tc.put.req, verdict{allowed: true}); got != tc.evicted {
+				t.Fatalf("put reported eviction %v, want %v", got, tc.evicted)
+			}
+			if e := c.find(tc.put.h, tc.put.at.stamp(tc.put.req.Session), tc.put.req); e == nil || !e.v.allowed {
+				t.Fatal("the new entry is not found")
+			}
+			if tc.dead < 0 {
+				return
+			}
+			for i, f := range tc.fill {
+				found := c.find(f.h, f.at.stamp(f.req.Session), f.req) != nil
+				if i == tc.dead && found {
+					t.Errorf("dead entry %d survived while live ones were displaceable", i)
+				}
+				if i != tc.dead && f.at.stamp(f.req.Session) == tc.put.at.stamp(f.req.Session) && !found {
+					t.Errorf("live entry %d was displaced instead of dead entry %d", i, tc.dead)
+				}
+			}
+		})
+	}
+}
+
+// TestGuardSessionChurnKeepsSessionlessWarm is guard 15: a session change
+// retires only the cached decisions of requests that name a session. After
+// every session create, activate, deactivate and close, a warm sessionless
+// Decide and CheckAccess are still hits, while a request naming a session
+// misses once and is then a hit with the session's new answer. Every bump
+// is still counted in Generation and Invalidations, and a policy mutation
+// still retires the sessionless entries too.
+func TestGuardSessionChurnKeepsSessionlessWarm(t *testing.T) {
+	s := newHomeSystem(t)
+	grantEntertainment(t, s)
+	plain := Request{Subject: "alice", Object: "tv", Transaction: "use",
+		Environment: []RoleID{"weekday-free-time"}}
+
+	// decide answers req through Decide or CheckAccess and reports whether
+	// the answer was a cache hit.
+	decide := func(req Request, check bool) (allowed, hit bool) {
+		t.Helper()
+		before := s.Stats().DecisionHits
+		var err error
+		if check {
+			allowed, err = s.CheckAccess(req)
+		} else {
+			var d Decision
+			d, err = s.Decide(req)
+			allowed = d.Allowed
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		return allowed, s.Stats().DecisionHits > before
+	}
+	warm := func(step string) {
+		t.Helper()
+		for _, check := range []bool{false, true} {
+			if allowed, hit := decide(plain, check); !hit || !allowed {
+				t.Errorf("after %s: sessionless (CheckAccess %v) hit %v allowed %v, want a permitting hit",
+					step, check, hit, allowed)
+			}
+		}
+	}
+	decide(plain, false)
+	warm("warming")
+
+	st0 := s.Stats()
+	inSession := plain
+	var bumps uint64
+	for _, step := range []struct {
+		name   string
+		change func() error
+		want   bool
+	}{
+		{"create", func() (err error) { inSession.Session, err = s.CreateSession("alice"); return err }, false},
+		{"activate", func() error { return s.ActivateRole(inSession.Session, "child") }, true},
+		{"create another", func() error { _, err := s.CreateSession("bobby"); return err }, true},
+		{"deactivate", func() error { return s.DeactivateRole(inSession.Session, "child") }, false},
+	} {
+		if err := step.change(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		bumps++
+		warm(step.name)
+		if allowed, hit := decide(inSession, false); hit || allowed != step.want {
+			t.Errorf("after %s: session-naming request hit %v allowed %v, want a miss allowing %v",
+				step.name, hit, allowed, step.want)
+		}
+		if allowed, hit := decide(inSession, true); !hit || allowed != step.want {
+			t.Errorf("after %s: repeated session-naming request hit %v allowed %v, want a hit allowing %v",
+				step.name, hit, allowed, step.want)
+		}
+	}
+	if err := s.CloseSession(inSession.Session); err != nil {
+		t.Fatal(err)
+	}
+	bumps++
+	warm("close")
+
+	st := s.Stats()
+	if st.Generation != st0.Generation+bumps || st.Invalidations != st0.Invalidations+bumps {
+		t.Errorf("%d session changes moved Generation %d → %d and Invalidations %d → %d",
+			bumps, st0.Generation, st.Generation, st0.Invalidations, st.Invalidations)
+	}
+	if st.SnapshotCompiles <= st0.SnapshotCompiles {
+		t.Error("session changes did not recompile the snapshot")
+	}
+
+	mustOK(s.AddRole(Role{ID: "unrelated", Kind: ObjectRole}))
+	if _, hit := decide(plain, false); hit {
+		t.Error("a policy mutation left the sessionless entry live")
 	}
 }

@@ -335,7 +335,7 @@ func TestConcurrentCacheCollisionStress(t *testing.T) {
 					}
 					continue
 				}
-				c.put(h, g, &req, verdict{allowed: w%2 == 0, reason: want})
+				c.put(h, stamps{g, g}, &req, verdict{allowed: w%2 == 0, reason: want})
 				if i%64 == 0 {
 					gen.Add(1)
 				}
@@ -353,10 +353,13 @@ func TestConcurrentCacheCollisionStress(t *testing.T) {
 
 // TestConcurrentDecideMatchesUncachedTwin runs Decide and CheckAccess from
 // several goroutines while a writer flips the role behind some of the
-// answers and bumps the generation besides. Every answer taken in a window
-// no flip overlapped must equal what an uncached twin answers in that
-// policy state. It runs once with a one-set cache, where every store
-// displaces a neighbour, and once with the default table. Run with -race.
+// answers and, between flips, bumps the generation and opens, activates
+// and closes a session. No answer here names a session, so the session
+// changes leave the sessionless entries live: every answer taken in a
+// window no flip overlapped, served across session bumps or not, must
+// equal what an uncached twin answers in that policy state. It runs once
+// with a one-set cache, where every store displaces a neighbour, and once
+// with the default table. Run with -race.
 func TestConcurrentDecideMatchesUncachedTwin(t *testing.T) {
 	home := newHomeSystem(t)
 	grantEntertainment(t, home)
@@ -437,6 +440,12 @@ func TestConcurrentDecideMatchesUncachedTwin(t *testing.T) {
 				}
 			}(r)
 		}
+		// refill lets the readers check a few more answers.
+		refill := func() {
+			for before := checked.Load(); checked.Load() < before+32 && !t.Failed(); {
+				runtime.Gosched()
+			}
+		}
 		writer.Add(1)
 		go func() {
 			defer writer.Done()
@@ -454,16 +463,28 @@ func TestConcurrentDecideMatchesUncachedTwin(t *testing.T) {
 					t.Errorf("flip %d: %v", i, err)
 					return
 				}
-				// Bump the generation with no answer changing, then let the
-				// readers refill the cache before the next flip.
+				// Bump the generation with no answer changing, then open a
+				// session and close it again while the readers refill the
+				// cache before the next flip.
 				id := RoleID(fmt.Sprintf("bump-%d", i))
 				if err := s.AddRole(Role{ID: id, Kind: ObjectRole}); err != nil {
 					t.Errorf("AddRole: %v", err)
 					return
 				}
-				for before := checked.Load(); checked.Load() < before+64 && !t.Failed(); {
-					runtime.Gosched()
+				sid, err := s.CreateSession("bobby")
+				if err == nil {
+					err = s.ActivateRole(sid, "child")
 				}
+				if err != nil {
+					t.Errorf("session %d: %v", i, err)
+					return
+				}
+				refill()
+				if err := s.CloseSession(sid); err != nil {
+					t.Errorf("CloseSession: %v", err)
+					return
+				}
+				refill()
 			}
 		}()
 		writer.Wait()

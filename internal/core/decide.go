@@ -72,8 +72,12 @@ type Decision struct {
 // Verdicts are memoized in a bounded, generation-stamped, lock-free cache
 // keyed by (subject, session, object, transaction, credential set,
 // resolved environment snapshot), and a hit rebuilds its Decision from the
-// compiled snapshot; any mutating call invalidates every entry by bumping
-// the generation. Errors are never cached.
+// compiled snapshot. An entry is stamped with one of two generations: a
+// request naming a session with the generation every mutating call bumps,
+// a sessionless one with the generation of the last mutation that was not
+// a session change, since it never reads a session. So a session change
+// retires only entries that name a session, and any other mutation
+// retires every entry. Errors are never cached.
 func (s *System) Decide(req Request) (Decision, error) {
 	return s.decideOn(s.currentSnapshot(), req)
 }
@@ -133,9 +137,12 @@ const envBufWords = 4
 
 // decideOn mediates one request against a compiled snapshot. A cache hit
 // keeps the walk's verdict and reads every role set back from the
-// snapshot, which has the generation that stamped the entry; a miss walks
-// and memoizes its verdict. Either way the fail-safe annotation is made
-// (and counted) for this call, against the context as it is now.
+// snapshot, which has the stamp of the entry; a sessionless entry may come
+// from an earlier snapshot with the same policy generation, whose buckets
+// were compiled from the same permissions, so its matched positions still
+// hold. A miss walks and memoizes its verdict. Either way the fail-safe
+// annotation is made (and counted) for this call, against the context as
+// it is now.
 func (s *System) decideOn(sn *snapshot, req Request) (Decision, error) {
 	// live records whether this request consults the system's environment
 	// source: only then can a deny be the fail-safe product of expired
@@ -149,12 +156,12 @@ func (s *System) decideOn(sn *snapshot, req Request) (Decision, error) {
 	}
 	var v verdict
 	var matches []Match
-	h, e := s.cached(sn.gen, &req)
+	h, e := s.cached(sn.stamp(req.Session), &req)
 	if e != nil {
 		v, matches = e.v, matchesOf(bucket, e.v.matched, &rs)
 	} else {
 		v, matches = sn.judge(&req, bucket, &rs)
-		s.memoize(h, sn.gen, &req, v)
+		s.memoize(h, sn.stamps, &req, v)
 	}
 	d := sn.decision(v, matches, &rs)
 	if live && annotateFailSafe(&d, sn.envSource) {
@@ -182,12 +189,12 @@ func (s *System) cached(gen uint64, req *Request) (uint64, *cacheEntry) {
 // memoize counts a miss that mediation answered and stores its verdict,
 // counting a displaced live entry as an eviction. A request rejected with
 // an error reaches neither counter.
-func (s *System) memoize(h, gen uint64, req *Request, v verdict) {
+func (s *System) memoize(h uint64, st stamps, req *Request, v verdict) {
 	if s.cache == nil {
 		return
 	}
 	s.stripe().misses.Add(1)
-	if s.cache.put(h, gen, req, v) {
+	if s.cache.put(h, st, req, v) {
 		s.decEvictions.Add(1)
 	}
 }
@@ -198,7 +205,7 @@ func (s *System) memoize(h, gen uint64, req *Request, v verdict) {
 func (s *System) CheckAccess(req Request) (bool, error) {
 	sn := s.currentSnapshot()
 	req.Environment = sn.activeEnv(req.Environment)
-	h, e := s.cached(sn.gen, &req)
+	h, e := s.cached(sn.stamp(req.Session), &req)
 	if e != nil {
 		return e.v.allowed, nil
 	}
@@ -208,7 +215,7 @@ func (s *System) CheckAccess(req Request) (bool, error) {
 		return false, err
 	}
 	v, _ := sn.judge(&req, bucket, &rs)
-	s.memoize(h, sn.gen, &req, v)
+	s.memoize(h, sn.stamps, &req, v)
 	return v.allowed, nil
 }
 

@@ -143,8 +143,8 @@ func (s *System) RestoreSubject(b SubjectBundle) (err error) {
 		}
 	}
 
-	// Replace the subject's session set with the bundle's. Sessions are
-	// ephemeral: the generation bump is observed, never journaled.
+	// Replace the subject's session set with the bundle's: a session
+	// change, observed and never journaled.
 	changed := false
 	for sid, sess := range s.sessions {
 		if sess.subject == id {
@@ -176,8 +176,7 @@ func (s *System) RestoreSubject(b SubjectBundle) (err error) {
 		changed = true
 	}
 	if changed {
-		s.invalidateLocked()
-		s.observeLocked()
+		s.sessionChangedLocked()
 	}
 	return nil
 }

@@ -169,7 +169,7 @@ func (s *System) AdvanceGeneration(gen uint64) {
 	if gen <= s.gen {
 		return
 	}
-	s.gen = gen
+	s.gen, s.policyGen = gen, gen
 	s.snap.Store(nil)
 	s.gens.Publish(s.gen)
 	s.observeLocked()

@@ -206,6 +206,9 @@ func TestDecideAgreesWithOracle(t *testing.T) {
 // both the miss and the hit path are checked. This is the differential
 // guard against stale-cache bugs: a mutator that forgets to bump the
 // generation, or a key that under-discriminates, shows up as a divergence.
+// Session changes are on the menu and every open session is probed, so
+// both stamps are checked: sessionless entries that outlive a session
+// change, and session-naming entries that must not.
 func TestCachedDecideMatchesUncachedTwinAcrossMutations(t *testing.T) {
 	strategies := []ConflictStrategy{DenyOverrides{}, PermitOverrides{}, MostSpecificWins{}}
 	f := func(seed int64) bool {
@@ -219,9 +222,20 @@ func TestCachedDecideMatchesUncachedTwinAcrossMutations(t *testing.T) {
 		envRoles := []RoleID{"er0", "er1"}
 		txs := []TransactionID{"use", "read"}
 		subjects := []SubjectID{"u0", "u1", "u2"}
+		objects := []ObjectID{"o0", "o1"}
 		extraRoles := 0
+		// session picks an open session at random, or reports none.
+		session := func() (SessionInfo, bool) {
+			open := s.Sessions()
+			if len(open) == 0 {
+				return SessionInfo{}, false
+			}
+			return open[rng.Intn(len(open))], true
+		}
 
-		// agree compares cached (miss then hit) against a fresh uncached twin.
+		// agree compares cached (miss then hit) against a fresh uncached
+		// twin. Export carries no sessions, so each subject's open sessions
+		// are mirrored into the twin under their exact IDs and probed.
 		agree := func() bool {
 			twin := NewSystem(WithoutDecisionCache())
 			if err := twin.Import(s.Export()); err != nil {
@@ -229,7 +243,29 @@ func TestCachedDecideMatchesUncachedTwinAcrossMutations(t *testing.T) {
 				return false
 			}
 			twin.SetConflictStrategy(strategy)
-			for _, req := range probes {
+			reqs := append([]Request(nil), probes...)
+			for _, sub := range subjects {
+				b, err := s.ExportSubject(sub)
+				if err != nil {
+					t.Logf("ExportSubject: %v", err)
+					return false
+				}
+				if err := twin.RestoreSubject(b); err != nil {
+					t.Logf("RestoreSubject: %v", err)
+					return false
+				}
+				for i, si := range b.Sessions {
+					for _, tx := range txs {
+						env := []RoleID{}
+						if i%2 == 0 {
+							env = append(env, envRoles[0])
+						}
+						reqs = append(reqs, Request{Subject: sub, Session: si.ID,
+							Object: objects[i%len(objects)], Transaction: tx, Environment: env})
+					}
+				}
+			}
+			for _, req := range reqs {
 				d1, err1 := s.Decide(req)
 				d2, err2 := s.Decide(req)
 				ref, errRef := twin.Decide(req)
@@ -257,10 +293,11 @@ func TestCachedDecideMatchesUncachedTwinAcrossMutations(t *testing.T) {
 		}
 		// Interleave random mutations with full differential checks. The
 		// mutation menu deliberately covers grants, revocations, hierarchy
-		// edits, assignment churn, and threshold changes; errors from
-		// redundant or cyclic edits are expected and ignored.
+		// edits, assignment churn, threshold changes and session churn;
+		// errors from redundant, cyclic or unauthorized edits are expected
+		// and ignored.
 		for step := 0; step < 10; step++ {
-			switch rng.Intn(7) {
+			switch rng.Intn(11) {
 			case 0:
 				_ = s.Grant(Permission{
 					Subject:     roles[rng.Intn(len(roles))],
@@ -288,6 +325,20 @@ func TestCachedDecideMatchesUncachedTwinAcrossMutations(t *testing.T) {
 				_ = s.AddRoleParent(SubjectRole, roles[rng.Intn(len(roles))], roles[rng.Intn(len(roles))])
 			case 6:
 				_ = s.SetMinConfidence(float64(rng.Intn(100)) / 100)
+			case 7:
+				_, _ = s.CreateSession(subjects[rng.Intn(len(subjects))])
+			case 8:
+				if si, ok := session(); ok {
+					_ = s.ActivateRole(si.ID, roles[rng.Intn(len(roles))])
+				}
+			case 9:
+				if si, ok := session(); ok && len(si.Active) > 0 {
+					_ = s.DeactivateRole(si.ID, si.Active[rng.Intn(len(si.Active))])
+				}
+			case 10:
+				if si, ok := session(); ok {
+					_ = s.CloseSession(si.ID)
+				}
 			}
 			if !agree() {
 				return false

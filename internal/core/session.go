@@ -45,9 +45,7 @@ func (s *System) CreateSession(subject SubjectID) (SessionID, error) {
 		active:  make(map[RoleID]bool),
 		created: s.now(),
 	}
-	s.invalidateLocked()
-	// Sessions are ephemeral: the bump is observed, never journaled.
-	s.observeLocked()
+	s.sessionChangedLocked()
 	return id, nil
 }
 
@@ -59,8 +57,7 @@ func (s *System) CloseSession(id SessionID) error {
 		return fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
 	delete(s.sessions, id)
-	s.invalidateLocked()
-	s.observeLocked()
+	s.sessionChangedLocked()
 	return nil
 }
 
@@ -104,8 +101,7 @@ func (s *System) ActivateRole(id SessionID, role RoleID) error {
 		}
 	}
 	sess.active[role] = true
-	s.invalidateLocked()
-	s.observeLocked()
+	s.sessionChangedLocked()
 	return nil
 }
 
@@ -121,8 +117,7 @@ func (s *System) DeactivateRole(id SessionID, role RoleID) error {
 		return fmt.Errorf("%w: role %q not active in session %q", ErrNotFound, role, id)
 	}
 	delete(sess.active, role)
-	s.invalidateLocked()
-	s.observeLocked()
+	s.sessionChangedLocked()
 	return nil
 }
 

@@ -151,7 +151,7 @@ type objectBits struct {
 // from it is written once at compile time and read-only afterwards, so any
 // number of goroutines can decide against it without synchronization.
 type snapshot struct {
-	gen          uint64
+	stamps
 	strategy     ConflictStrategy
 	strategyName string
 	threshold    float64
@@ -178,7 +178,7 @@ type snapshot struct {
 // caller must hold s.mu (read or write).
 func (s *System) compileSnapshotLocked() *snapshot {
 	sn := &snapshot{
-		gen:          s.gen,
+		stamps:       stamps{gen: s.gen, policyGen: s.policyGen},
 		strategy:     s.strategy,
 		strategyName: s.strategy.Name(),
 		threshold:    s.threshold,

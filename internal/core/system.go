@@ -77,10 +77,13 @@ type System struct {
 	journal Journal
 
 	// gen is the monotonic policy generation. Every mutating call bumps
-	// it under the write lock, instantly invalidating all cached
-	// decisions (entries are stamped with the generation they were
-	// computed at). Readers access it under the read lock.
-	gen uint64
+	// it under the write lock. policyGen is the generation of the last
+	// mutation that was not a session change. A cached decision for a
+	// request naming a session is stamped with gen, a sessionless one with
+	// policyGen, so session churn leaves sessionless entries live (see
+	// stamps). Readers access both under the read lock.
+	gen       uint64
+	policyGen uint64
 	// gens publishes gen on every bump, waking anyone parked on the
 	// generation: the replication feed's long-poll and PolicyChanged.
 	gens watch.Notifier
@@ -197,11 +200,28 @@ func NewSystem(opts ...Option) *System {
 	return s
 }
 
-// invalidateLocked bumps the policy generation, invalidating every cached
-// decision, retiring the published compiled snapshot, and waking every
-// generation watcher. Callers hold the write lock and have just mutated
-// state.
+// invalidateLocked bumps the generation and sets the policy generation to
+// it, invalidating every cached decision, retiring the published compiled
+// snapshot, and waking every generation watcher. Callers hold the write
+// lock and have just mutated policy state.
 func (s *System) invalidateLocked() {
+	s.bumpLocked()
+	s.policyGen = s.gen
+}
+
+// sessionChangedLocked bumps the generation for a change to sessions only:
+// the cached decisions of requests naming a session are retired and the
+// snapshot recompiles, but sessionless entries stay live. Sessions are
+// ephemeral, so the bump is observed, never journaled. Callers hold the
+// write lock.
+func (s *System) sessionChangedLocked() {
+	s.bumpLocked()
+	s.observeLocked()
+}
+
+// bumpLocked moves the generation on, retires the compiled snapshot and
+// wakes every generation watcher.
+func (s *System) bumpLocked() {
 	s.gen++
 	s.invalidations.Add(1)
 	s.snap.Store(nil)
