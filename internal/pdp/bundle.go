@@ -138,8 +138,8 @@ func (rt *Router) handleBundlePush(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, bundleErrorStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
-	v := rt.view.Load()
-	errs := rt.broadcast(r, v, http.MethodPost, BundlePath, raw)
+	t := rt.table.Load()
+	errs := rt.broadcast(r, t, http.MethodPost, BundlePath, raw)
 	if len(errs) > 0 {
 		writeJSON(w, http.StatusBadGateway, ShardErrorsResponse{
 			Error:       "bundle verified but activation failed on some shards",
@@ -147,7 +147,7 @@ func (rt *Router) handleBundlePush(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	rt.logger.Printf("pdp: router activated policy bundle revision %d on %d shards", b.Manifest.Revision, v.m.Len())
+	rt.logger.Printf("pdp: router activated policy bundle revision %d on %d shards", b.Manifest.Revision, t.Map().Len())
 	writeJSON(w, http.StatusOK, BundleActivateResponse{
 		Status: "activated", Revision: b.Manifest.Revision, KeyID: b.Manifest.KeyID,
 	})

@@ -255,52 +255,32 @@ func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subjec
 }
 
 // migrateBatch mediates the batch items that belong to migrated subjects
-// on their new owners, grouped into one proxied sub-batch per owner. The
-// returned slice aligns with reqs: nil entries stay locally mediated. A
-// shard with no forwarding table returns nil outright (one atomic load).
+// on their new owners, as one proxied sub-batch per owner. The returned
+// slice aligns with reqs: nil entries stay locally mediated. A shard with
+// no forwarding table returns nil outright (one atomic load).
 func (s *Server) migrateBatch(ctx context.Context, reqs []DecideRequest) []*BatchItem {
 	t := s.migration.table.Load()
 	if t == nil || len(t.entries) == 0 {
 		return nil
 	}
-	groups := make(map[string][]int)
-	for i, dr := range reqs {
-		if _, e, ok := s.migrateFor(dr.Subject, dr.Session); ok {
-			groups[e.target.Addr] = append(groups[e.target.Addr], i)
-		}
-	}
-	if len(groups) == 0 {
-		return nil
-	}
 	out := make([]*BatchItem, len(reqs))
-	for addr, idxs := range groups {
-		sub := make([]DecideRequest, len(idxs))
-		for j, i := range idxs {
-			sub[j] = reqs[i]
-		}
-		fill := func(msg string) {
-			for _, i := range idxs {
-				out[i] = &BatchItem{Error: msg}
-			}
-		}
+	SplitBatch(reqs, func(_ int, dr *DecideRequest) (string, bool) {
+		_, e, ok := s.migrateFor(dr.Subject, dr.Session)
+		return e.target.Addr, ok
+	}, func(addr string, sub []DecideRequest) (BatchDecideResponse, error) {
 		if err := faults.Inject(faults.MigrateForward); err != nil {
-			fill("handoff forward failed: " + err.Error())
-			continue
+			return BatchDecideResponse{}, err
 		}
-		resp, err := s.migration.clientFor(addr).DecideBatch(ctx, sub)
-		if err != nil {
-			fill("handoff forward failed: " + err.Error())
-			continue
+		return s.migration.clientFor(addr).DecideBatch(ctx, sub)
+	}, func(_ string, idx []int, resp BatchDecideResponse, err error) {
+		for j, i := range idx {
+			if err != nil {
+				out[i] = &BatchItem{Error: "handoff forward failed: " + err.Error()}
+				continue
+			}
+			out[i] = &resp.Results[j]
 		}
-		if len(resp.Results) != len(idxs) {
-			fill("handoff forward failed: new owner returned a misaligned batch")
-			continue
-		}
-		for j, i := range idxs {
-			item := resp.Results[j]
-			out[i] = &item
-		}
-	}
+	})
 	return out
 }
 

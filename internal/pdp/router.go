@@ -24,15 +24,18 @@ import (
 // hash over the versioned shard map) and scatter-gathers the requests
 // that span subjects. It holds no policy and makes no decisions itself —
 // every byte of mediation happens on the shards — so routers scale out
-// independently and restart freely.
+// independently and restart freely. The owner rule, the client table and
+// the 421 follow are the ShardTable's, shared with the SDK's shard-direct
+// routing; every scatter below runs on the one bounded fanOut.
 //
 // Routing rules:
 //   - Decide/Check/what-can: forwarded to the owner of the request's
 //     subject. Session-scoped requests route by the shard qualifier the
 //     router stamped into the session ID at creation.
-//   - DecideBatch: split by owning shard, dispatched concurrently under
-//     the fan-out bound, merged back in request order. A failed shard
-//     fails only its own items (typed per-item errors), never the batch.
+//   - DecideBatch: split by owning shard with SplitBatch, merged back in
+//     request order. A failed shard, or one whose reply has the wrong
+//     length, fails only its own items (typed per-item errors), never the
+//     batch.
 //   - Subject admin (/v1/admin/subjects) and sessions: owner shard;
 //     session IDs come back qualified as "<shard>/<local-id>".
 //   - Shared-policy admin (roles, objects, transactions, permissions,
@@ -49,9 +52,9 @@ import (
 // with the new owner's coordinates; the router follows the redirect once
 // within the same request, so clients never observe the handoff.
 type Router struct {
-	mu   sync.Mutex // serializes SetMap
-	view atomic.Pointer[routerView]
-	maps watch.Notifier // publishes the active map's version
+	mu    sync.Mutex // serializes SetMap
+	table atomic.Pointer[ShardTable]
+	maps  watch.Notifier // publishes the active map's version
 
 	mux      *http.ServeMux
 	timeout  time.Duration
@@ -68,26 +71,6 @@ type Router struct {
 	reg     *obs.Registry
 	bundles *bundle.Verifier
 }
-
-// routerView is one immutable snapshot of the routing state: the shard
-// map and the client table built for exactly that map. Handlers capture
-// a view once per request, so a concurrent SetMap can never tear the
-// map away from its clients mid-scatter — in-flight fan-outs drain
-// against the table they started with.
-type routerView struct {
-	m       *shard.Map
-	clients map[string]*Client
-}
-
-func (v *routerView) client(id string) (*Client, bool) {
-	c, ok := v.clients[id]
-	return c, ok
-}
-
-// routerFanout bounds how many shard calls one scatter request (a
-// broadcast, query, batch split or inline health check) may have in
-// flight at once.
-const routerFanout = 8
 
 // DefaultShardTimeout is the per-shard deadline for forwarded calls: a
 // slow shard costs one deadline, not an unbounded hang.
@@ -185,9 +168,6 @@ func (m *routerMetrics) setHealth(shardID string, v float64) {
 
 // NewRouter builds a routing tier over the shard map.
 func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
-	if m == nil || m.Len() == 0 {
-		return nil, fmt.Errorf("pdp: router needs a non-empty shard map")
-	}
 	rt := &Router{
 		timeout: DefaultShardTimeout,
 		logger:  log.Default(),
@@ -199,6 +179,10 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 	}
 	if rt.mkClient == nil {
 		rt.mkClient = func(addr string) *Client { return NewClient(addr, nil) }
+	}
+	t, err := NewShardTable(nil, m, rt.mkClient)
+	if err != nil {
+		return nil, err
 	}
 	if rt.reg != nil {
 		rt.metrics = &routerMetrics{
@@ -221,7 +205,7 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 			"Shards in the active map.",
 			func() float64 { return float64(rt.Map().Len()) })
 	}
-	rt.install(m)
+	rt.install(t)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/decide", rt.handleDecide)
@@ -266,26 +250,13 @@ func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 }
 
-// install swaps in a map, (re)builds the per-shard client table and
-// wakes every parked map watch. Callers must hold rt.mu (or be the
-// constructor, before the router is shared).
-func (rt *Router) install(m *shard.Map) {
-	clients := make(map[string]*Client, m.Len())
-	prev := rt.view.Load()
-	for _, s := range m.Shards() {
-		// Reuse the existing client when the address is unchanged, so a map
-		// bump does not drop warm connection pools.
-		if prev != nil {
-			if p, ok := prev.m.Get(s.ID); ok && p.Addr == s.Addr {
-				clients[s.ID] = prev.clients[s.ID]
-				continue
-			}
-		}
-		clients[s.ID] = rt.mkClient(s.Addr)
-	}
-	rt.view.Store(&routerView{m: m, clients: clients})
-	rt.health.prune(m)
-	rt.maps.Publish(m.Version())
+// install swaps in a routing table and wakes every parked map watch.
+// Callers must hold rt.mu (or be the constructor, before the router is
+// shared).
+func (rt *Router) install(t *ShardTable) {
+	rt.table.Store(t)
+	rt.health.prune(t.Map())
+	rt.maps.Publish(t.Map().Version())
 }
 
 // SetMap atomically replaces the shard map and wakes every parked map
@@ -293,21 +264,18 @@ func (rt *Router) install(m *shard.Map) {
 // (ErrStaleShardMap otherwise), so concurrent updaters cannot roll the
 // router back.
 func (rt *Router) SetMap(m *shard.Map) error {
-	if m == nil || m.Len() == 0 {
-		return fmt.Errorf("pdp: refusing empty shard map")
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if cur := rt.view.Load(); cur != nil && m.Version() <= cur.m.Version() {
-		return fmt.Errorf("%w: candidate %d, active %d",
-			ErrStaleShardMap, m.Version(), cur.m.Version())
+	t, err := NewShardTable(rt.table.Load(), m, rt.mkClient)
+	if err != nil {
+		return err
 	}
-	rt.install(m)
+	rt.install(t)
 	return nil
 }
 
 // Map returns the active shard map.
-func (rt *Router) Map() *shard.Map { return rt.view.Load().m }
+func (rt *Router) Map() *shard.Map { return rt.table.Load().Map() }
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -378,94 +346,16 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, out any, methods ...st
 	return true
 }
 
-// routeError is a routing failure with the HTTP status it should map
-// to: 400 for requests that cannot name a shard at all, 404 for session
-// qualifiers that name a shard the map doesn't have.
-type routeError struct {
-	status int
-	msg    string
-}
-
-func (e *routeError) Error() string { return e.msg }
-
-func writeRouteError(w http.ResponseWriter, e *routeError) {
-	writeJSON(w, e.status, ErrorResponse{Error: e.msg})
-}
-
-// resolveSessionShard maps a shard-qualified session ID onto its owning
-// shard and the shard-local ID. An ID with no qualifier at all is the
-// caller's malformed request (400); an ID whose qualifier is empty
-// ("/sid") or names a shard absent from the map refers to something
-// that does not exist here (404) — it must never fall through to hash
-// routing, which would silently ask an arbitrary shard.
-func resolveSessionShard(m *shard.Map, qualified string) (shard.Info, string, *routeError) {
-	if !strings.Contains(qualified, shard.SessionSep) {
-		return shard.Info{}, "", &routeError{http.StatusBadRequest,
-			fmt.Sprintf("session %q is not shard-qualified (want <shard>%s<id>)", qualified, shard.SessionSep)}
-	}
-	shardID, sid, ok := shard.SplitSession(qualified)
-	if !ok {
-		return shard.Info{}, "", &routeError{http.StatusNotFound,
-			fmt.Sprintf("session %q has an empty shard qualifier", qualified)}
-	}
-	info, found := m.Get(shardID)
-	if !found {
-		return shard.Info{}, "", &routeError{http.StatusNotFound,
-			fmt.Sprintf("session %q names unknown shard %q", qualified, shardID)}
-	}
-	return info, sid, nil
-}
-
-// route resolves the owning shard for a decision-style request: the
-// session qualifier when a session is named (sessions live where they
-// were created, surviving map changes), else the subject hash. It
-// rewrites a qualified session ID to the shard-local form in place.
-func route(v *routerView, req *DecideRequest) (shard.Info, *routeError) {
-	if req.Session != "" {
-		info, sid, rerr := resolveSessionShard(v.m, req.Session)
-		if rerr != nil {
-			return shard.Info{}, rerr
-		}
-		req.Session = sid
-		return info, nil
-	}
-	if req.Subject == "" {
-		return shard.Info{}, &routeError{http.StatusBadRequest,
-			"request names neither subject nor session"}
-	}
-	return v.m.Owner(req.Subject), nil
-}
-
-// movedClient resolves the client to follow a 421 migration redirect
-// with: the view's own client when the redirect names a shard we know
-// at that address, else a fresh client for the redirect's address (the
-// redirect can be ahead of our map during a rebalance).
-func (rt *Router) movedClient(v *routerView, err error) (*Client, string, bool) {
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest || re.Moved == nil {
-		return nil, "", false
-	}
-	mv := re.Moved
-	if info, ok := v.m.Get(mv.Shard); ok && info.Addr == mv.Addr {
-		if c, ok := v.client(mv.Shard); ok {
-			return c, mv.Shard, true
-		}
-	}
-	if mv.Addr == "" {
-		return nil, "", false
-	}
-	return rt.mkClient(mv.Addr), mv.Shard, true
+func writeRouteError(w http.ResponseWriter, e *RouteError) {
+	writeJSON(w, e.Status, ErrorResponse{Error: e.Msg})
 }
 
 // callShard performs one single-shard call: bounded per-shard deadline,
 // one jittered retry when the call is an idempotent read that failed
 // transiently, and one follow of a 421 migration redirect. Returns the
 // ID of the shard that ultimately answered, for error attribution.
-func (rt *Router) callShard(r *http.Request, v *routerView, sh shard.Info, idempotent bool, call func(context.Context, *Client) error) (string, error) {
-	c, ok := v.client(sh.ID)
-	if !ok {
-		c = rt.mkClient(sh.Addr)
-	}
+func (rt *Router) callShard(r *http.Request, t *ShardTable, sh shard.Info, idempotent bool, call func(context.Context, *Client) error) (string, error) {
+	c := t.Client(sh.ID)
 	rt.metrics.route(sh.ID)
 	ctx, cancel := rt.shardCtx(r)
 	defer cancel()
@@ -477,7 +367,7 @@ func (rt *Router) callShard(r *http.Request, v *routerView, sh shard.Info, idemp
 	} else {
 		err = call(ctx, c)
 	}
-	if mc, movedID, moved := rt.movedClient(v, err); moved {
+	if mc, movedID, moved := t.Moved(err); moved {
 		rt.metrics.route(movedID)
 		return movedID, call(ctx, mc)
 	}
@@ -516,14 +406,14 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	v := rt.view.Load()
-	sh, rerr := route(v, &req)
+	t := rt.table.Load()
+	sh, rerr := t.Route(&req)
 	if rerr != nil {
 		writeRouteError(w, rerr)
 		return
 	}
 	var resp DecideResponse
-	id, err := rt.callShard(r, v, sh, true, func(ctx context.Context, c *Client) (err error) {
+	id, err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) (err error) {
 		resp, err = c.Decide(withCorrelation(ctx, corr), req)
 		return err
 	})
@@ -545,14 +435,14 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	v := rt.view.Load()
-	sh, rerr := route(v, &req)
+	t := rt.table.Load()
+	sh, rerr := t.Route(&req)
 	if rerr != nil {
 		writeRouteError(w, rerr)
 		return
 	}
 	var resp CheckResponse
-	id, err := rt.callShard(r, v, sh, true, func(ctx context.Context, c *Client) (err error) {
+	id, err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) (err error) {
 		resp, err = c.check(withCorrelation(ctx, corr), req)
 		return err
 	})
@@ -578,75 +468,42 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ErrorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), maxBatchSize)})
 		return
 	}
-	v := rt.view.Load()
+	t := rt.table.Load()
 	merged := make([]BatchItem, len(req.Requests))
-	groups := make(map[string][]int) // shard ID → indices into req.Requests
-	for i := range req.Requests {
-		sh, rerr := route(v, &req.Requests[i])
-		if rerr != nil {
-			merged[i] = BatchItem{Error: rerr.msg}
-			continue
-		}
-		groups[sh.ID] = append(groups[sh.ID], i)
-	}
-
+	var stale atomic.Bool
 	start := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards merged + stale across shard goroutines
-	stale := false
-	sem := make(chan struct{}, routerFanout)
-	for shardID, idxs := range groups {
-		wg.Add(1)
-		go func(shardID string, idxs []int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sub := make([]DecideRequest, len(idxs))
-			for j, i := range idxs {
-				sub[j] = req.Requests[i]
+	SplitBatch(req.Requests, func(i int, dr *DecideRequest) (string, bool) {
+		sh, rerr := t.Route(dr)
+		if rerr != nil {
+			merged[i] = BatchItem{Error: rerr.Msg}
+			return "", false
+		}
+		return sh.ID, true
+	}, func(id string, sub []DecideRequest) (BatchDecideResponse, error) {
+		rt.metrics.route(id)
+		ctx, cancel := rt.shardCtx(r)
+		defer cancel()
+		return retryRead(rt, ctx, id, func(ctx context.Context) (BatchDecideResponse, error) {
+			return t.Client(id).DecideBatch(ctx, sub)
+		})
+	}, func(id string, idx []int, resp BatchDecideResponse, err error) {
+		if err != nil {
+			rt.metrics.err(id)
+			msg := fmt.Sprintf("shard %s: %v", id, err)
+			for _, i := range idx {
+				merged[i] = BatchItem{Error: msg}
 			}
-			c, ok := v.client(shardID)
-			if !ok {
-				rt.fillBatchError(merged, &mu, idxs, shardID, fmt.Errorf("shard %s: not in map", shardID))
-				return
-			}
-			rt.metrics.route(shardID)
-			ctx, cancel := rt.shardCtx(r)
-			defer cancel()
-			resp, err := retryRead(rt, ctx, shardID, func(ctx context.Context) (BatchDecideResponse, error) {
-				return c.DecideBatch(ctx, sub)
-			})
-			if err != nil {
-				rt.fillBatchError(merged, &mu, idxs, shardID, err)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if resp.Stale {
-				stale = true
-			}
-			for j, i := range idxs {
-				if j < len(resp.Results) {
-					merged[i] = resp.Results[j]
-				} else {
-					merged[i] = BatchItem{Error: fmt.Sprintf("shard %s: truncated batch reply", shardID)}
-				}
-			}
-		}(shardID, idxs)
-	}
-	wg.Wait()
+			return
+		}
+		if resp.Stale {
+			stale.Store(true)
+		}
+		for j, i := range idx {
+			merged[i] = resp.Results[j]
+		}
+	})
 	rt.metrics.observeScatter(start)
-	writeJSON(w, http.StatusOK, BatchDecideResponse{Results: merged, Stale: stale})
-}
-
-func (rt *Router) fillBatchError(merged []BatchItem, mu *sync.Mutex, idxs []int, shardID string, err error) {
-	rt.metrics.err(shardID)
-	msg := fmt.Sprintf("shard %s: %v", shardID, err)
-	mu.Lock()
-	defer mu.Unlock()
-	for _, i := range idxs {
-		merged[i] = BatchItem{Error: msg}
-	}
+	writeJSON(w, http.StatusOK, BatchDecideResponse{Results: merged, Stale: stale.Load()})
 }
 
 func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
@@ -654,16 +511,16 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if !readJSONBody(w, r, &req, http.MethodPost, http.MethodDelete) {
 		return
 	}
-	v := rt.view.Load()
+	t := rt.table.Load()
 	switch r.Method {
 	case http.MethodPost:
 		if req.Subject == "" {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject"})
 			return
 		}
-		sh := v.m.Owner(req.Subject)
+		sh := t.Map().Owner(req.Subject)
 		var resp SessionResponse
-		id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodPost, "/v1/sessions", req, &resp))
+		id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions", req, &resp))
 		if err != nil {
 			rt.relayShardError(w, id, err)
 			return
@@ -671,14 +528,14 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 		resp.Session = shard.QualifySession(id, resp.Session)
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodDelete:
-		sh, sid, rerr := resolveSessionShard(v.m, req.Session)
+		sh, sid, rerr := t.SessionOwner(req.Session)
 		if rerr != nil {
 			writeRouteError(w, rerr)
 			return
 		}
 		req.Session = sid
 		var out map[string]string
-		if id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodDelete, "/v1/sessions", req, &out)); err != nil {
+		if id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodDelete, "/v1/sessions", req, &out)); err != nil {
 			rt.relayShardError(w, id, err)
 			return
 		}
@@ -691,15 +548,15 @@ func (rt *Router) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	if !readJSONBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	v := rt.view.Load()
-	sh, sid, rerr := resolveSessionShard(v.m, req.Session)
+	t := rt.table.Load()
+	sh, sid, rerr := t.SessionOwner(req.Session)
 	if rerr != nil {
 		writeRouteError(w, rerr)
 		return
 	}
 	req.Session = sid
 	var out map[string]string
-	if id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodPost, "/v1/sessions/roles", req, &out)); err != nil {
+	if id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions/roles", req, &out)); err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
@@ -717,10 +574,10 @@ func (rt *Router) handleSubjectAdmin(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject id"})
 		return
 	}
-	v := rt.view.Load()
-	sh := v.m.Owner(req.ID)
+	t := rt.table.Load()
+	sh := t.Map().Owner(req.ID)
 	var out map[string]string
-	if id, err := rt.callShard(r, v, sh, false, callJSON(http.MethodPost, "/v1/admin/subjects", req, &out)); err != nil {
+	if id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/admin/subjects", req, &out)); err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
@@ -738,13 +595,13 @@ func (rt *Router) handleBroadcastAdmin(w http.ResponseWriter, r *http.Request) {
 	if !readJSONBody(w, r, &body, http.MethodPost, http.MethodDelete) {
 		return
 	}
-	v := rt.view.Load()
+	t := rt.table.Load()
 	start := time.Now()
-	errs := rt.broadcast(r, v, r.Method, r.URL.Path, body)
+	errs := rt.broadcast(r, t, r.Method, r.URL.Path, body)
 	rt.metrics.observeScatter(start)
 	if len(errs) > 0 {
 		writeJSON(w, http.StatusBadGateway, ShardErrorsResponse{
-			Error:       fmt.Sprintf("broadcast %s %s failed on %d/%d shards", r.Method, r.URL.Path, len(errs), v.m.Len()),
+			Error:       fmt.Sprintf("broadcast %s %s failed on %d/%d shards", r.Method, r.URL.Path, len(errs), t.Map().Len()),
 			ShardErrors: errs,
 		})
 		return
@@ -752,106 +609,71 @@ func (rt *Router) handleBroadcastAdmin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// broadcast fans one call out to every shard in the view under the
-// fan-out bound, returning per-shard error strings (empty when all
-// succeeded).
-func (rt *Router) broadcast(r *http.Request, v *routerView, method, path string, body json.RawMessage) map[string]string {
-	shards := v.m.Shards()
-	var wg sync.WaitGroup
+// scatter calls call on every shard of t under the fan-out bound, each
+// with its own per-shard deadline, and returns the failures by shard ID.
+func (rt *Router) scatter(r *http.Request, t *ShardTable, call func(ctx context.Context, id string, c *Client) error) map[string]string {
 	var mu sync.Mutex
 	errs := make(map[string]string)
-	sem := make(chan struct{}, routerFanout)
-	for _, s := range shards {
-		wg.Add(1)
-		go func(s shard.Info) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c, ok := v.client(s.ID)
-			if !ok {
-				mu.Lock()
-				errs[s.ID] = "not in client table"
-				mu.Unlock()
-				return
-			}
-			rt.metrics.route(s.ID)
-			ctx, cancel := rt.shardCtx(r)
-			defer cancel()
-			if err := c.Call(ctx, method, path, body, nil); err != nil {
-				rt.metrics.err(s.ID)
-				mu.Lock()
-				errs[s.ID] = err.Error()
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
+	fanOut(t.Map().Shards(), func(s shard.Info) {
+		rt.metrics.route(s.ID)
+		ctx, cancel := rt.shardCtx(r)
+		defer cancel()
+		if err := call(ctx, s.ID, t.Client(s.ID)); err != nil {
+			rt.metrics.err(s.ID)
+			mu.Lock()
+			errs[s.ID] = err.Error()
+			mu.Unlock()
+		}
+	})
 	return errs
 }
 
-// scatterStrings fans a per-shard string-list query out to every shard
-// in the view and merges: the sorted union plus per-shard errors. Each
-// shard's read gets one bounded retry on transient failure.
-func (rt *Router) scatterStrings(r *http.Request, v *routerView, fetch func(ctx context.Context, c *Client) ([]string, error)) (union []string, errs map[string]string) {
-	shards := v.m.Shards()
-	var wg sync.WaitGroup
+// broadcast sends one call to every shard of t, returning per-shard error
+// strings (empty when all succeeded).
+func (rt *Router) broadcast(r *http.Request, t *ShardTable, method, path string, body json.RawMessage) map[string]string {
+	return rt.scatter(r, t, func(ctx context.Context, _ string, c *Client) error {
+		return c.Call(ctx, method, path, body, nil)
+	})
+}
+
+// scatterSubjects answers a cross-subject query: fetch runs on every
+// shard (one bounded retry each on transient failure) and the reply is
+// the sorted union. It is strict by default, a down shard failing the
+// query; ?allow_partial=1 degrades to a 200 with the reachable union and
+// the per-shard errors, as long as one shard answered.
+func (rt *Router) scatterSubjects(w http.ResponseWriter, r *http.Request, what string, fetch func(ctx context.Context, c *Client) ([]string, error)) {
+	t := rt.table.Load()
+	start := time.Now()
 	var mu sync.Mutex
-	errs = make(map[string]string)
 	seen := make(map[string]bool)
-	sem := make(chan struct{}, routerFanout)
-	for _, s := range shards {
-		wg.Add(1)
-		go func(s shard.Info) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c, ok := v.client(s.ID)
-			if !ok {
-				mu.Lock()
-				errs[s.ID] = "not in client table"
-				mu.Unlock()
-				return
-			}
-			rt.metrics.route(s.ID)
-			ctx, cancel := rt.shardCtx(r)
-			defer cancel()
-			items, err := retryRead(rt, ctx, s.ID, func(ctx context.Context) ([]string, error) {
-				return fetch(ctx, c)
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rt.metrics.err(s.ID)
-				errs[s.ID] = err.Error()
-				return
-			}
-			for _, it := range items {
-				seen[it] = true
-			}
-		}(s)
-	}
-	wg.Wait()
-	union = make([]string, 0, len(seen))
+	errs := rt.scatter(r, t, func(ctx context.Context, id string, c *Client) error {
+		items, err := retryRead(rt, ctx, id, func(ctx context.Context) ([]string, error) {
+			return fetch(ctx, c)
+		})
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, it := range items {
+			seen[it] = true
+		}
+		return nil
+	})
+	rt.metrics.observeScatter(start)
+	union := make([]string, 0, len(seen))
 	for it := range seen {
 		union = append(union, it)
 	}
 	sort.Strings(union)
-	return union, errs
-}
-
-// writeScatterResult applies the strict/partial contract shared by the
-// cross-subject queries.
-func (rt *Router) writeScatterResult(w http.ResponseWriter, r *http.Request, v *routerView, what string, union []string, errs map[string]string, respond func(subjects []string, partial bool) any) {
-	allowPartial := r.URL.Query().Get("allow_partial") == "1"
 	switch {
 	case len(errs) == 0:
-		writeJSON(w, http.StatusOK, respond(union, false))
-	case allowPartial && len(errs) < v.m.Len():
-		resp := respond(union, true)
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, ScatterSubjectsResponse{Subjects: union})
+	case r.URL.Query().Get("allow_partial") == "1" && len(errs) < t.Map().Len():
+		writeJSON(w, http.StatusOK, ScatterSubjectsResponse{Subjects: union, Partial: true, ShardErrors: errs})
 	default:
 		writeJSON(w, http.StatusBadGateway, ShardErrorsResponse{
-			Error:       fmt.Sprintf("%s failed on %d/%d shards", what, len(errs), v.m.Len()),
+			Error:       fmt.Sprintf("%s failed on %d/%d shards", what, len(errs), t.Map().Len()),
 			ShardErrors: errs,
 		})
 	}
@@ -875,20 +697,10 @@ func (rt *Router) handleWhoCan(w http.ResponseWriter, r *http.Request) {
 	transaction, object := q.Get("transaction"), q.Get("object")
 	var env []string
 	if raw := q.Get("env"); raw != "" {
-		env = append(env, splitList(raw)...)
+		env = strings.Split(raw, ",")
 	}
-	v := rt.view.Load()
-	start := time.Now()
-	union, errs := rt.scatterStrings(r, v, func(ctx context.Context, c *Client) ([]string, error) {
+	rt.scatterSubjects(w, r, "who-can scatter", func(ctx context.Context, c *Client) ([]string, error) {
 		return c.WhoCan(ctx, transaction, object, env)
-	})
-	rt.metrics.observeScatter(start)
-	rt.writeScatterResult(w, r, v, "who-can scatter", union, errs, func(subjects []string, partial bool) any {
-		out := ScatterSubjectsResponse{Subjects: subjects, Partial: partial}
-		if partial {
-			out.ShardErrors = errs
-		}
-		return out
 	})
 }
 
@@ -902,19 +714,9 @@ func (rt *Router) handleSubjectsInRole(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing role parameter"})
 		return
 	}
-	v := rt.view.Load()
-	start := time.Now()
-	union, errs := rt.scatterStrings(r, v, func(ctx context.Context, c *Client) ([]string, error) {
+	rt.scatterSubjects(w, r, "subjects-in-role scatter", func(ctx context.Context, c *Client) ([]string, error) {
 		resp, err := c.SubjectsInRole(ctx, role)
 		return resp.Subjects, err
-	})
-	rt.metrics.observeScatter(start)
-	rt.writeScatterResult(w, r, v, "subjects-in-role scatter", union, errs, func(subjects []string, partial bool) any {
-		out := ScatterSubjectsResponse{Subjects: subjects, Partial: partial}
-		if partial {
-			out.ShardErrors = errs
-		}
-		return out
 	})
 }
 
@@ -928,10 +730,10 @@ func (rt *Router) handleWhatCan(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject parameter"})
 		return
 	}
-	v := rt.view.Load()
-	sh := v.m.Owner(subject)
+	t := rt.table.Load()
+	sh := t.Map().Owner(subject)
 	var resp WhatCanResponse
-	if id, err := rt.callShard(r, v, sh, true, callJSON(http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp)); err != nil {
+	if id, err := rt.callShard(r, t, sh, true, callJSON(http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp)); err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
@@ -953,45 +755,27 @@ type RouterHealthResponse struct {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	v := rt.view.Load()
-	shards := v.m.Shards()
-	resp := RouterHealthResponse{Status: "ok", Shards: make(map[string]string, len(shards))}
+	t := rt.table.Load()
+	resp := RouterHealthResponse{Status: "ok", Shards: make(map[string]string, t.Map().Len())}
 	if rt.probeEvery > 0 {
 		// Background probes are running: answer from their state machine
 		// instead of re-probing inline on every health check.
-		for _, s := range shards {
-			state := rt.health.stateOf(s.ID)
-			resp.Shards[s.ID] = state.String()
-			if state == healthDown {
-				resp.Status = "degraded"
-			}
+		for _, s := range t.Map().Shards() {
+			resp.Shards[s.ID] = rt.health.stateOf(s.ID).String()
 		}
 	} else {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		sem := make(chan struct{}, routerFanout)
-		for _, s := range shards {
-			wg.Add(1)
-			go func(s shard.Info) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				c, ok := v.client(s.ID)
-				ctx, cancel := rt.shardCtx(r)
-				defer cancel()
-				state := "ok"
-				if !ok || !c.Healthy(ctx) {
-					state = "unreachable"
-				}
-				mu.Lock()
-				resp.Shards[s.ID] = state
-				if state != "ok" {
-					resp.Status = "degraded"
-				}
-				mu.Unlock()
-			}(s)
+		for id, alive := range rt.probe(r.Context(), t) {
+			state := healthOK
+			if !alive {
+				state = healthDown
+			}
+			resp.Shards[id] = state.String()
 		}
-		wg.Wait()
+	}
+	for _, state := range resp.Shards {
+		if state == healthDown.String() {
+			resp.Status = "degraded"
+		}
 	}
 	status := http.StatusOK
 	if resp.Status != "ok" {
@@ -1023,24 +807,4 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Shards:          m.Shards(),
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// splitList splits a comma-separated query value, dropping empties.
-func splitList(raw string) []string {
-	var out []string
-	cur := ""
-	for _, ch := range raw {
-		if ch == ',' {
-			if cur != "" {
-				out = append(out, cur)
-			}
-			cur = ""
-			continue
-		}
-		cur += string(ch)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
 }

@@ -160,29 +160,27 @@ func (rt *Router) prober() {
 	}
 }
 
-// probeOnce checks every shard in the current view concurrently under
-// the fan-out bound and folds the results into the state machine and
-// the health gauge.
+// probeOnce probes every shard in the current table and folds the
+// results into the state machine and the health gauge.
 func (rt *Router) probeOnce() {
-	v := rt.view.Load()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, routerFanout)
-	for _, s := range v.m.Shards() {
-		wg.Add(1)
-		go func(s shard.Info) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c, ok := v.client(s.ID)
-			alive := false
-			if ok {
-				ctx, cancel := context.WithTimeout(context.Background(), rt.timeout)
-				alive = c.Healthy(ctx)
-				cancel()
-			}
-			state := rt.health.observe(s.ID, alive)
-			rt.metrics.setHealth(s.ID, state.gaugeValue())
-		}(s)
+	for id, alive := range rt.probe(context.Background(), rt.table.Load()) {
+		state := rt.health.observe(id, alive)
+		rt.metrics.setHealth(id, state.gaugeValue())
 	}
-	wg.Wait()
+}
+
+// probe checks every shard of t under the fan-out bound, each within the
+// per-shard deadline, and reports which answered healthy.
+func (rt *Router) probe(ctx context.Context, t *ShardTable) map[string]bool {
+	var mu sync.Mutex
+	alive := make(map[string]bool, t.Map().Len())
+	fanOut(t.Map().Shards(), func(s shard.Info) {
+		ctx, cancel := context.WithTimeout(ctx, rt.timeout)
+		defer cancel()
+		ok := t.Client(s.ID).Healthy(ctx)
+		mu.Lock()
+		alive[s.ID] = ok
+		mu.Unlock()
+	})
+	return alive
 }

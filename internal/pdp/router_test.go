@@ -287,13 +287,16 @@ func TestRouterScatterSubjectsInRole(t *testing.T) {
 		}
 	}
 
-	// who-can unions the same way.
-	got, err := c.client.WhoCan(context.Background(), "use", "tv", []string{"weekday-free-time"})
-	if err != nil {
-		t.Fatalf("WhoCan through router: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("who-can union = %d subjects, want %d", len(got), len(want))
+	// who-can unions the same way, and an env value with an empty item
+	// ("a,,b") reaches the shards, which drop the empty item.
+	for _, env := range [][]string{{"weekday-free-time"}, {"weekday-free-time", "", "weekday-free-time"}} {
+		got, err := c.client.WhoCan(context.Background(), "use", "tv", env)
+		if err != nil {
+			t.Fatalf("WhoCan(env %q) through router: %v", env, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("who-can(env %q) union = %d subjects, want %d", env, len(got), len(want))
+		}
 	}
 }
 
@@ -563,5 +566,79 @@ func TestRouterSetMapVersioning(t *testing.T) {
 	}
 	if w.Version != grown.Version() || len(w.Shards) != 3 {
 		t.Fatalf("served map = v%d/%d shards, want v%d/3", w.Version, len(w.Shards), grown.Version())
+	}
+
+	// A newer map keeps the client of every shard whose address is
+	// unchanged and builds a new one for a changed address.
+	before := c.rt.table.Load()
+	readdressed, err := grown.Remove("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readdressed, err = readdressed.Add(shard.Info{ID: "s1", Addr: c.shards["s0"].URL}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.rt.SetMap(readdressed); err != nil {
+		t.Fatalf("SetMap(v%d): %v", readdressed.Version(), err)
+	}
+	after := c.rt.table.Load()
+	for _, id := range []string{"s0", "s9"} {
+		if after.Client(id) != before.Client(id) {
+			t.Fatalf("shard %s kept its address but got a new client", id)
+		}
+	}
+	if after.Client("s1") == before.Client("s1") {
+		t.Fatal("shard s1 changed address but kept its old client")
+	}
+}
+
+// misalignedShard is a shard whose batch endpoint answers every
+// sub-batch of n requests with n+delta permits.
+func misalignedShard(t *testing.T, delta int) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req BatchDecideRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp := BatchDecideResponse{Results: make([]BatchItem, len(req.Requests)+delta)}
+		for i := range resp.Results {
+			resp.Results[i].Decision = &DecideResponse{Allowed: true, Effect: "permit"}
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestRouterBatchMisalignedReply pins the one rule for a sub-batch reply
+// of the wrong length: one result too many or too few fails every item
+// of that shard's group, never a prefix of it.
+func TestRouterBatchMisalignedReply(t *testing.T) {
+	for _, delta := range []int{+1, -1} {
+		m, err := shard.New(0, shard.Info{ID: "s0", Addr: misalignedShard(t, delta).URL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewRouter(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(rt)
+		t.Cleanup(front.Close)
+		reqs := []DecideRequest{permitReq("a"), permitReq("b"), {Object: "tv"}}
+		resp, err := NewClient(front.URL, nil).DecideBatch(context.Background(), reqs)
+		if err != nil {
+			t.Fatalf("delta %+d: DecideBatch: %v", delta, err)
+		}
+		for i, it := range resp.Results[:2] {
+			if it.Decision != nil || !strings.Contains(it.Error, "shard s0: misaligned batch reply") {
+				t.Fatalf("delta %+d: item %d = %+v, want the group's misalignment error", delta, i, it)
+			}
+		}
+		if !strings.Contains(resp.Results[2].Error, "neither subject nor session") {
+			t.Fatalf("delta %+d: unroutable item = %+v, want its own route error", delta, resp.Results[2])
+		}
 	}
 }

@@ -156,7 +156,7 @@ type Client struct {
 	homeShard    string
 	router       *pdp.Client
 	shardMu      sync.Mutex
-	shardView    atomic.Pointer[shardView]
+	shards       atomic.Pointer[pdp.ShardTable]
 
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -476,95 +476,49 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []grbac.Request) []BatchR
 	return out
 }
 
-// remoteBatch sends the remote-routed indices out as batch round trips —
+// remoteBatch sends the remote-routed indices out as batch round trips,
 // one per owning remote (a single primary call normally; one sub-batch
-// per shard under WithShardRouting, dispatched concurrently) — falling
-// back to per-request fail-safe denies when a remote is unreachable.
+// per shard under WithShardRouting) under pdp.SplitBatch's fan-out bound.
+// A group whose remote fails, or answers with the wrong number of
+// results, gets per-request fail-safe denies; a group the remote rejects
+// outright gets the rejection.
 func (c *Client) remoteBatch(ctx context.Context, reqs []grbac.Request, idx []int, out []BatchResult) {
-	type group struct {
-		cl   *pdp.Client
-		idx  []int
-		wire []pdp.DecideRequest
+	t := c.shards.Load()
+	wire := make([]pdp.DecideRequest, len(idx))
+	for j, i := range idx {
+		wire[j] = pdp.FromCoreRequest(reqs[i])
 	}
-	groups := make(map[*pdp.Client]*group)
-	for _, i := range idx {
-		wire := pdp.FromCoreRequest(reqs[i])
-		cl := c.remoteClientFor(&wire)
+	pdp.SplitBatch(wire, func(j int, req *pdp.DecideRequest) (*pdp.Client, bool) {
+		cl := c.remoteClientFor(t, req)
 		if cl == nil {
-			out[i].Decision = c.failSafe(reqs[i], "no remote fallback configured")
-			continue
+			out[idx[j]].Decision = c.failSafe(reqs[idx[j]], "no remote fallback configured")
 		}
-		g := groups[cl]
-		if g == nil {
-			g = &group{cl: cl}
-			groups[cl] = g
+		return cl, cl != nil
+	}, func(cl *pdp.Client, sub []pdp.DecideRequest) (pdp.BatchDecideResponse, error) {
+		if err := faults.Inject(faults.SDKFallback); err != nil {
+			return pdp.BatchDecideResponse{}, err
 		}
-		g.idx = append(g.idx, i)
-		g.wire = append(g.wire, wire)
-	}
-	if len(groups) == 0 {
-		return
-	}
-	if err := faults.Inject(faults.SDKFallback); err != nil {
-		for _, g := range groups {
-			for _, i := range g.idx {
+		return cl.DecideBatch(ctx, sub)
+	}, func(_ *pdp.Client, js []int, resp pdp.BatchDecideResponse, err error) {
+		for k, j := range js {
+			i := idx[j]
+			switch {
+			case err != nil && definitive(err):
+				out[i].Err = err
+			case err != nil:
 				out[i].Decision = c.failSafe(reqs[i], "remote fallback failed: "+err.Error())
+			case resp.Results[k].Error != "":
+				out[i].Err = fmt.Errorf("sdk: remote decide: %s", resp.Results[k].Error)
+			default:
+				c.remoteFallbacks.Add(1)
+				out[i].Decision = Decision{
+					Decision: resp.Results[k].Decision.ToCore(),
+					Stale:    resp.Stale,
+					Source:   SourceRemote,
+				}
 			}
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			// Groups own disjoint indices, so writes to out never collide.
-			c.dispatchRemoteBatch(ctx, reqs, g.cl, g.idx, g.wire, out)
-		}(g)
-	}
-	wg.Wait()
-}
-
-// dispatchRemoteBatch sends one remote's sub-batch and maps the reply
-// back onto the caller's index-aligned results.
-func (c *Client) dispatchRemoteBatch(ctx context.Context, reqs []grbac.Request, cl *pdp.Client, idx []int, wire []pdp.DecideRequest, out []BatchResult) {
-	resp, err := cl.DecideBatch(ctx, wire)
-	if err != nil {
-		// Mid-rebalance handoff: the whole sub-batch chased subjects that
-		// migrated owners — follow the typed redirect once.
-		if moved, ok := c.movedClient(err); ok {
-			resp, err = moved.DecideBatch(ctx, wire)
-		}
-	}
-	if err != nil && definitive(err) {
-		for _, i := range idx {
-			out[i].Err = err
-		}
-		return
-	}
-	if err != nil || len(resp.Results) != len(idx) {
-		if err == nil {
-			err = fmt.Errorf("sdk: remote batch returned %d results for %d requests",
-				len(resp.Results), len(idx))
-		}
-		for _, i := range idx {
-			out[i].Decision = c.failSafe(reqs[i], "remote fallback failed: "+err.Error())
-		}
-		return
-	}
-	for j, i := range idx {
-		item := resp.Results[j]
-		if item.Error != "" {
-			out[i].Err = fmt.Errorf("sdk: remote decide: %s", item.Error)
-			continue
-		}
-		c.remoteFallbacks.Add(1)
-		out[i].Decision = Decision{
-			Decision: item.Decision.ToCore(),
-			Stale:    resp.Stale,
-			Source:   SourceRemote,
-		}
-	}
+	})
 }
 
 // decideStale handles a locally-evaluable request whose snapshot is past
@@ -590,7 +544,8 @@ func (c *Client) decideStale(ctx context.Context, req grbac.Request) (Decision, 
 // fail-safe deny when no remote path exists or the call fails.
 func (c *Client) remoteDecide(ctx context.Context, req grbac.Request, why string) (Decision, error) {
 	wire := pdp.FromCoreRequest(req)
-	target := c.remoteClientFor(&wire)
+	t := c.shards.Load()
+	target := c.remoteClientFor(t, &wire)
 	if target == nil {
 		return c.failSafe(req, why+"; no remote fallback configured"), nil
 	}
@@ -598,10 +553,10 @@ func (c *Client) remoteDecide(ctx context.Context, req grbac.Request, why string
 		return c.failSafe(req, why+"; remote fallback failed: "+err.Error()), nil
 	}
 	resp, err := target.Decide(ctx, wire)
-	if err != nil {
+	if t != nil {
 		// A 421 means the subject migrated owners under us: follow the
 		// redirect once. The installed map converges via the watcher.
-		if moved, ok := c.movedClient(err); ok {
+		if moved, _, ok := t.Moved(err); ok {
 			resp, err = moved.Decide(ctx, wire)
 		}
 	}

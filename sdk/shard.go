@@ -2,7 +2,6 @@ package sdk
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -14,21 +13,14 @@ import (
 	"github.com/aware-home/grbac/internal/shard"
 )
 
-// Shard-aware routing state. The map and the per-shard client table
-// live together in one immutable shardView behind an atomic pointer:
-// every request captures the view once, so a concurrent map swap (a
-// rebalance commit pushed through the watch) can never tear the map
-// away from the clients built for it. A background watcher long-polls
-// the router's /v1/shard/map/watch and installs newer maps atomically;
-// a 421 redirect from a shard that just handed a subject off is
-// followed once without waiting for the watch to catch up.
-
-// shardView pairs a shard map with the client table built for exactly
-// that map. Immutable once installed.
-type shardView struct {
-	m       *shard.Map
-	clients map[string]*pdp.Client
-}
+// Shard-aware routing state: a pdp.ShardTable, the type the router
+// routes with (one shard map and the client table built for it, the
+// owner rule and the 421 follow), behind an atomic pointer. Every request captures the table once, so a
+// concurrent map swap (a rebalance commit pushed through the watch) can
+// never tear the map away from the clients built for it. A background
+// watcher long-polls the router's /v1/shard/map/watch and installs newer
+// maps atomically; a 421 redirect from a shard that just handed a subject
+// off is followed once without waiting for the watch to catch up.
 
 // sdkMapWatchWait is how long one SDK map watch parks on the router.
 // The router wakes parked watches on every map commit, so this bounds
@@ -40,28 +32,17 @@ func (c *Client) newShardClient(addr string) *pdp.Client {
 	return pdp.NewClient(addr, c.httpClient, pdp.WithRetry(3, 100*time.Millisecond))
 }
 
-// installShardMap swaps in a strictly newer shard map, rebuilding the
-// client table but reusing clients whose shard address is unchanged so
-// a map bump does not drop warm connection pools. Returns whether the
-// map was installed.
+// installShardMap swaps in a strictly newer shard map; the new table
+// reuses the clients of shards whose address is unchanged. Returns
+// whether the map was installed.
 func (c *Client) installShardMap(m *shard.Map) bool {
 	c.shardMu.Lock()
 	defer c.shardMu.Unlock()
-	prev := c.shardView.Load()
-	if prev != nil && m.Version() <= prev.m.Version() {
+	t, err := pdp.NewShardTable(c.shards.Load(), m, c.newShardClient)
+	if err != nil {
 		return false
 	}
-	clients := make(map[string]*pdp.Client, m.Len())
-	for _, s := range m.Shards() {
-		if prev != nil {
-			if old, ok := prev.m.Get(s.ID); ok && old.Addr == s.Addr {
-				clients[s.ID] = prev.clients[s.ID]
-				continue
-			}
-		}
-		clients[s.ID] = c.newShardClient(s.Addr)
-	}
-	c.shardView.Store(&shardView{m: m, clients: clients})
+	c.shards.Store(t)
 	return true
 }
 
@@ -120,7 +101,7 @@ func (c *Client) watchShardMap(ctx context.Context) {
 // pollShardMap parks one map watch on the router and installs the map it
 // answers with, if that map is newer than the installed one.
 func (c *Client) pollShardMap(ctx context.Context) error {
-	after := c.shardView.Load().m.Version()
+	after := c.shards.Load().Map().Version()
 	path := pdp.ShardMapWatchPath + "?after=" + strconv.FormatUint(after, 10) +
 		"&wait=" + sdkMapWatchWait.String()
 	wctx, cancel := context.WithTimeout(ctx, sdkMapWatchWait+10*time.Second)
@@ -143,8 +124,8 @@ func (c *Client) pollShardMap(ctx context.Context) error {
 // WithShardRouting). The map advances as the watcher applies rebalance
 // commits pushed by the router.
 func (c *Client) ShardMap() *shard.Map {
-	if v := c.shardView.Load(); v != nil {
-		return v.m
+	if t := c.shards.Load(); t != nil {
+		return t.Map()
 	}
 	return nil
 }
@@ -156,57 +137,24 @@ func (c *Client) ShardMap() *shard.Map {
 // that moves a subject off the home shard flips this answer the moment
 // the watcher installs the committed map.
 func (c *Client) locallyOwned(req grbac.Request) bool {
-	v := c.shardView.Load()
-	if v == nil {
+	t := c.shards.Load()
+	if t == nil {
 		return true
 	}
-	return v.m.Owner(string(req.Subject)).ID == c.homeShard
+	return t.Map().Owner(string(req.Subject)).ID == c.homeShard
 }
 
-// remoteClientFor resolves which remote PDP serves the wire request and
-// rewrites shard-qualified session IDs to their shard-local form. Without
-// a shard map (or for anything it cannot place) the configured remote —
-// the primary, or the router in sharded mode — is the answer.
-func (c *Client) remoteClientFor(req *pdp.DecideRequest) *pdp.Client {
-	v := c.shardView.Load()
-	if c.noRemote || v == nil {
+// remoteClientFor resolves which remote PDP serves the wire request under
+// the shard table t (nil without shard routing): the owning shard's
+// client, with a shard-qualified session ID rewritten to its shard-local
+// form, or the configured remote (the primary, or the router in sharded
+// mode) without a table or for anything the table cannot place.
+func (c *Client) remoteClientFor(t *pdp.ShardTable, req *pdp.DecideRequest) *pdp.Client {
+	if c.noRemote || t == nil {
 		return c.remote
 	}
-	if req.Session != "" {
-		if shardID, local, ok := shard.SplitSession(req.Session); ok {
-			if cl := v.clients[shardID]; cl != nil {
-				req.Session = local
-				return cl
-			}
-		}
-		return c.remote
-	}
-	if req.Subject != "" {
-		if cl := v.clients[v.m.Owner(req.Subject).ID]; cl != nil {
-			return cl
-		}
+	if sh, err := t.Route(req); err == nil {
+		return t.Client(sh.ID)
 	}
 	return c.remote
-}
-
-// movedClient inspects a shard-direct call's error for the typed 421
-// handoff redirect and, when present, resolves a client for the
-// subject's new owner — from the installed view when it already knows
-// the address, otherwise a fresh client straight to the redirect
-// target. The map itself converges via the watcher (the router commits
-// before old owners start redirecting), so the redirect is followed
-// without blocking on a map fetch.
-func (c *Client) movedClient(err error) (*pdp.Client, bool) {
-	var re *pdp.RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest || re.Moved == nil {
-		return nil, false
-	}
-	if v := c.shardView.Load(); v != nil {
-		if s, ok := v.m.Get(re.Moved.Shard); ok && s.Addr == re.Moved.Addr {
-			if cl := v.clients[re.Moved.Shard]; cl != nil {
-				return cl, true
-			}
-		}
-	}
-	return c.newShardClient(re.Moved.Addr), true
 }

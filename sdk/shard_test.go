@@ -2,6 +2,7 @@ package sdk
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -436,10 +437,91 @@ func TestSDKFollowsMovedRedirect(t *testing.T) {
 		t.Fatalf("Decide after handoff = %+v, want remote permit via 421 follow", d)
 	}
 
-	// The batch path follows the same redirect.
+	// No tier answers a batch with 421: the old owner proxies the batch
+	// item to the new one.
 	out := c.DecideBatch(ctx, []grbac.Request{shardPermitReq(sub)})
 	if out[0].Err != nil || !out[0].Decision.Allowed {
-		t.Fatalf("batch after handoff = %+v, want permit via 421 follow", out[0])
+		t.Fatalf("batch after handoff = %+v, want permit proxied by the old owner", out[0])
+	}
+}
+
+// TestSDKShardBatchMisalignedReply pins the one rule for a sub-batch
+// reply of the wrong length on the shard-direct batch: one result too
+// many or too few fails every item of that shard's group safe.
+func TestSDKShardBatchMisalignedReply(t *testing.T) {
+	for _, delta := range []int{+1, -1} {
+		bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req pdp.BatchDecideRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			resp := pdp.BatchDecideResponse{Results: make([]pdp.BatchItem, len(req.Requests)+delta)}
+			for i := range resp.Results {
+				resp.Results[i].Decision = &pdp.DecideResponse{Allowed: true, Effect: "permit"}
+			}
+			_ = json.NewEncoder(w).Encode(resp)
+		}))
+		t.Cleanup(bad.Close)
+		home := (&shardedCluster{}).newShard(t, "s0")
+		m, err := shard.New(0, home, shard.Info{ID: "s1", Addr: bad.URL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := pdp.NewRouter(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(rt)
+		t.Cleanup(front.Close)
+		c := newEmbedded(t, front.URL, WithShardRouting("s0"))
+
+		var reqs []grbac.Request
+		for i := 0; len(reqs) < 2; i++ {
+			if sub := fmt.Sprintf("member-%03d", i); m.Owner(sub).ID == "s1" {
+				reqs = append(reqs, shardPermitReq(sub))
+			}
+		}
+		for i, r := range c.DecideBatch(context.Background(), reqs) {
+			if r.Err != nil || r.Decision.Allowed || r.Decision.Source != SourceFailSafe ||
+				!strings.Contains(r.Decision.Reason, "misaligned batch reply") {
+				t.Fatalf("delta %+d: item %d = %+v, want a fail-safe deny for the misaligned group", delta, i, r)
+			}
+		}
+	}
+}
+
+// TestSDKShardRemoteClientFor pins what the SDK does with the owner
+// rule's answers: a placed request goes to its shard's client, with a
+// qualified session made local; every request the table cannot place
+// goes to the configured remote with its session ID unchanged.
+func TestSDKShardRemoteClientFor(t *testing.T) {
+	m, err := shard.New(0, shard.Info{ID: "s0", Addr: "http://s0"}, shard.Info{ID: "s1", Addr: "http://s1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{remote: pdp.NewClient("http://router", nil)}
+	tab, err := pdp.NewShardTable(nil, m, c.newShardClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		req         pdp.DecideRequest
+		want        *pdp.Client
+		wantSession string
+	}{
+		{pdp.DecideRequest{Subject: "alice"}, tab.Client(m.Owner("alice").ID), ""},
+		{pdp.DecideRequest{Session: "s1/abc"}, tab.Client("s1"), "abc"},
+		{pdp.DecideRequest{Session: "abc"}, c.remote, "abc"},
+		{pdp.DecideRequest{Session: "/abc"}, c.remote, "/abc"},
+		{pdp.DecideRequest{Session: "zz/abc"}, c.remote, "zz/abc"},
+		{pdp.DecideRequest{Object: "tv"}, c.remote, ""},
+	} {
+		req := tc.req
+		if got := c.remoteClientFor(tab, &req); got != tc.want || req.Session != tc.wantSession {
+			t.Errorf("remoteClientFor(%+v) = %p with session %q, want %p with %q",
+				tc.req, got, req.Session, tc.want, tc.wantSession)
+		}
 	}
 }
 
