@@ -162,7 +162,7 @@ func (s *System) RestoreSubject(b SubjectBundle) (err error) {
 		}
 		created := si.Created
 		if created.IsZero() {
-			created = s.now()
+			created = s.Now()
 		}
 		s.sessions[si.ID] = &session{
 			id:      si.ID,

@@ -43,7 +43,7 @@ func (s *System) CreateSession(subject SubjectID) (SessionID, error) {
 		id:      id,
 		subject: subject,
 		active:  make(map[RoleID]bool),
-		created: s.now(),
+		created: s.Now(),
 	}
 	s.sessionChangedLocked()
 	return id, nil

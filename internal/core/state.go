@@ -239,9 +239,9 @@ func (s *System) Clone() *System {
 	s.mu.RLock()
 	strategy := s.strategy
 	src := s.envSource
-	now := s.now
+	clock := s.clock
 	s.mu.RUnlock()
-	out := NewSystem(WithConflictStrategy(strategy), WithClock(now))
+	out := NewSystem(WithConflictStrategy(strategy), WithClock(clock))
 	if src != nil {
 		out.envSource = src
 	}

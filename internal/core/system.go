@@ -69,7 +69,8 @@ type System struct {
 	strategy  ConflictStrategy
 	threshold float64
 	envSource EnvironmentSource
-	now       func() time.Time
+	// clock is the time source WithClock installed; nil is the real clock.
+	clock func() time.Time
 
 	// journal, when set, observes every generation bump under the write
 	// lock: serializable mutations through Record, ephemeral bumps through
@@ -155,10 +156,11 @@ func WithEnvironmentSource(src EnvironmentSource) Option {
 	return func(s *System) { s.envSource = src }
 }
 
-// WithClock overrides the time source used for session timestamps. Tests
+// WithClock overrides the System's clock (see Now): session timestamps
+// and the staleness clock of a replica.Puller replicating into it. Tests
 // and the home simulator use it for deterministic time.
 func WithClock(now func() time.Time) Option {
-	return func(s *System) { s.now = now }
+	return func(s *System) { s.clock = now }
 }
 
 // WithDecisionCacheSize bounds the decision cache to n entries. n <= 0
@@ -174,6 +176,23 @@ func WithoutDecisionCache() Option {
 	return func(s *System) { s.cacheCap = 0 }
 }
 
+// Now reads the System's clock: time.Now unless WithClock replaced it.
+func (s *System) Now() time.Time {
+	if s.clock == nil {
+		return time.Now()
+	}
+	return s.clock()
+}
+
+// Since is the time elapsed on the System's clock since t. On the real
+// clock it is time.Since, which reads the monotonic clock alone.
+func (s *System) Since(t time.Time) time.Duration {
+	if s.clock == nil {
+		return time.Since(t)
+	}
+	return s.clock().Sub(t)
+}
+
 // NewSystem returns an empty GRBAC system with deny-overrides conflict
 // resolution and no confidence threshold.
 func NewSystem(opts ...Option) *System {
@@ -186,7 +205,6 @@ func NewSystem(opts ...Option) *System {
 		transactions: make(map[TransactionID]Transaction),
 		sessions:     make(map[SessionID]*session),
 		strategy:     DenyOverrides{},
-		now:          time.Now,
 		cacheCap:     defaultDecisionCacheSize,
 	}
 	for _, opt := range opts {

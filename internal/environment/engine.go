@@ -36,9 +36,18 @@ type Engine struct {
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
 
-// WithClock overrides the engine's time source.
+// WithClock overrides the engine's time source. It becomes the freshness
+// clock of the engine's store too, so a TTL and a time-of-day condition
+// read one clock.
 func WithClock(now func() time.Time) EngineOption {
-	return func(e *Engine) { e.now = now }
+	return func(e *Engine) {
+		e.now = now
+		if e.store != nil {
+			e.store.mu.Lock()
+			e.store.now = now
+			e.store.mu.Unlock()
+		}
+	}
 }
 
 // WithBus attaches a bus: the engine subscribes to state changes and clock

@@ -433,8 +433,9 @@ func (c *mutableClock) Advance(d time.Duration) {
 
 func TestStoreTTLFailSafe(t *testing.T) {
 	clk := &mutableClock{t: time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)}
-	s := NewStore(WithStoreClock(clk.Now), WithDefaultTTL(time.Minute))
-	s.Set("motion.kitchen", Bool(true))
+	s := NewStore()
+	s.now = clk.Now
+	s.SetTTL("motion.kitchen", Bool(true), time.Minute)
 	s.SetTTL("temperature", Number(21), 10*time.Minute)
 	s.SetTTL("address", String("home"), 0) // never expires
 
@@ -471,7 +472,7 @@ func TestStoreTTLFailSafe(t *testing.T) {
 	}
 
 	// Re-setting an expired key makes it fresh again.
-	s.Set("motion.kitchen", Bool(true))
+	s.SetTTL("motion.kitchen", Bool(true), time.Minute)
 	if _, ok := s.Get("motion.kitchen"); !ok {
 		t.Fatal("re-set value absent")
 	}
@@ -485,11 +486,12 @@ func TestStoreTTLRefreshOnEqualSet(t *testing.T) {
 	var events int
 	bus := event.NewBus()
 	bus.Subscribe(func(event.Event) { events++ }, event.TypeStateChanged)
-	s := NewStore(WithStoreClock(clk.Now), WithDefaultTTL(time.Minute), WithStoreBus(bus))
+	s := NewStore(WithStoreBus(bus))
+	s.now = clk.Now
 
-	s.Set("k", Bool(true))
+	s.SetTTL("k", Bool(true), time.Minute)
 	clk.Advance(45 * time.Second)
-	s.Set("k", Bool(true)) // same value: refresh freshness, no event
+	s.SetTTL("k", Bool(true), time.Minute) // same value: refresh freshness, no event
 	clk.Advance(45 * time.Second)
 	if _, ok := s.Get("k"); !ok {
 		t.Fatal("re-confirmed value expired: equal Set did not refresh TTL")
@@ -505,7 +507,7 @@ func TestStoreTTLRefreshOnEqualSet(t *testing.T) {
 // system denies with the fail-safe annotation.
 func TestFreshnessFailSafeEndToEnd(t *testing.T) {
 	clk := &mutableClock{t: time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)}
-	store := NewStore(WithStoreClock(clk.Now), WithDefaultTTL(30*time.Second))
+	store := NewStore()
 	engine := NewEngine(store, WithClock(clk.Now))
 	if err := engine.Define("kitchen-occupied", AttrEquals{Key: "motion.kitchen", Value: Bool(true)}); err != nil {
 		t.Fatal(err)
@@ -532,7 +534,7 @@ func TestFreshnessFailSafeEndToEnd(t *testing.T) {
 		}
 	}
 
-	store.Set("motion.kitchen", Bool(true))
+	store.SetTTL("motion.kitchen", Bool(true), 30*time.Second)
 	req := core.Request{Subject: "alice", Object: "stove", Transaction: "use"}
 	if d, err := sys.Decide(req); err != nil || !d.Allowed {
 		t.Fatalf("fresh sensor: %+v, %v", d, err)
@@ -550,7 +552,7 @@ func TestFreshnessFailSafeEndToEnd(t *testing.T) {
 		t.Fatalf("deny not annotated with stale context: %q", d.Reason)
 	}
 
-	store.Set("motion.kitchen", Bool(true)) // the sensor comes back
+	store.SetTTL("motion.kitchen", Bool(true), 30*time.Second) // the sensor comes back
 	if d, err := sys.Decide(req); err != nil || !d.Allowed {
 		t.Fatalf("refreshed sensor: %+v, %v", d, err)
 	}

@@ -22,8 +22,9 @@ type entry struct {
 // values. Updates optionally publish event.TypeStateChanged on a bus so the
 // Engine (and auditors) can observe every change.
 //
-// Values may carry a freshness TTL (per-Set, or store-wide via
-// WithDefaultTTL). The paper's environment roles are only trustworthy
+// Values may carry a freshness TTL (SetTTL), measured on the store's
+// clock: time.Now, or the clock of an Engine built over it with WithClock.
+// The paper's environment roles are only trustworthy
 // while the sensors feeding them are live; once a value outlives its TTL
 // the store fails safe: Get reports the attribute as absent, so conditions
 // over it evaluate false, environment roles defined on it deactivate, and
@@ -34,7 +35,6 @@ type Store struct {
 	attrs      map[string]entry
 	bus        *event.Bus
 	now        func() time.Time
-	defaultTTL time.Duration
 	staleReads atomic.Uint64
 }
 
@@ -47,17 +47,6 @@ func WithStoreBus(b *event.Bus) StoreOption {
 	return func(s *Store) { s.bus = b }
 }
 
-// WithStoreClock overrides the freshness clock (simulation, tests).
-func WithStoreClock(now func() time.Time) StoreOption {
-	return func(s *Store) { s.now = now }
-}
-
-// WithDefaultTTL gives every Set this freshness TTL unless SetTTL names
-// another. Zero (the default) means values never expire.
-func WithDefaultTTL(d time.Duration) StoreOption {
-	return func(s *Store) { s.defaultTTL = d }
-}
-
 // NewStore builds an empty attribute store.
 func NewStore(opts ...StoreOption) *Store {
 	s := &Store{attrs: make(map[string]entry), now: time.Now}
@@ -67,16 +56,15 @@ func NewStore(opts ...StoreOption) *Store {
 	return s
 }
 
-// Set updates one attribute with the store's default TTL and publishes the
-// change. Setting an attribute to its current value refreshes its
-// freshness silently (the environment did not change; the sensor merely
-// re-confirmed it) and publishes nothing.
+// Set updates one attribute, with no TTL, and publishes the change.
 func (s *Store) Set(key string, v Value) {
-	s.SetTTL(key, v, s.defaultTTL)
+	s.SetTTL(key, v, 0)
 }
 
-// SetTTL updates one attribute with an explicit freshness TTL (0 = never
-// expires), overriding the store default for this key.
+// SetTTL updates one attribute with a freshness TTL (0 = never expires)
+// and publishes the change. Setting an attribute to its current value
+// refreshes its freshness silently (the environment did not change; the
+// sensor merely re-confirmed it) and publishes nothing.
 func (s *Store) SetTTL(key string, v Value, ttl time.Duration) {
 	_ = faults.Inject(faults.EnvironmentSet) // delay = stalled sensor feed
 	var expires time.Time

@@ -41,20 +41,9 @@ type subscription struct {
 // BusOption configures a Bus.
 type BusOption func(*Bus)
 
-// WithBusClock overrides the time source (simulation, tests).
-func WithBusClock(now func() time.Time) BusOption {
-	return func(b *Bus) { b.now = now }
-}
-
 // WithLog attaches a tamper-evident log that records every published event.
 func WithLog(l *Log) BusOption {
 	return func(b *Bus) { b.log = l }
-}
-
-// WithBusLogger sets where recovered subscriber panics are reported
-// (default log.Default()).
-func WithBusLogger(l *log.Logger) BusOption {
-	return func(b *Bus) { b.logger = l }
 }
 
 // NewBus constructs an empty bus.

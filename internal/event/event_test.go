@@ -18,7 +18,8 @@ func fixedClock(t time.Time) func() time.Time {
 
 func TestPublishAssignsSequenceAndTime(t *testing.T) {
 	now := time.Date(2000, 1, 17, 8, 0, 0, 0, time.UTC)
-	b := NewBus(WithBusClock(fixedClock(now)))
+	b := NewBus()
+	b.now = fixedClock(now)
 	e1 := b.Publish(Event{Type: TypeStateChanged, Source: "test"})
 	e2 := b.Publish(Event{Type: TypeStateChanged, Source: "test"})
 	if e1.Seq != 1 || e2.Seq != 2 {
@@ -256,7 +257,8 @@ func TestPanickingSubscriberIsContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBus(WithLog(l), WithBusLogger(log.New(io.Discard, "", 0)))
+	b := NewBus(WithLog(l))
+	b.logger = log.New(io.Discard, "", 0)
 
 	seen := map[string]int{}
 	b.Subscribe(func(Event) { seen["first"]++ })

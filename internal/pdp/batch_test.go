@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/audit"
+	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/replica"
 )
 
@@ -128,9 +129,8 @@ func TestDecideBatchAudited(t *testing.T) {
 func TestFollowerBatchMarksStale(t *testing.T) {
 	var offset atomic.Int64
 	clock := func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
-	_, f, followerURL, hc := newFollowerServer(t,
-		replica.WithMaxStaleness(50*time.Millisecond),
-		replica.WithFollowerClock(clock))
+	_, f, followerURL, hc := newFollowerServer(t, core.NewSystem(core.WithClock(clock)),
+		replica.WithMaxStaleness(50*time.Millisecond))
 	client := NewClient(followerURL, hc)
 	ctx := context.Background()
 

@@ -73,14 +73,10 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus := event.NewBus(event.WithLog(hmacLog), event.WithBusLogger(quiet), event.WithBusClock(clock))
+	bus := event.NewBus(event.WithLog(hmacLog))
 	bus.Subscribe(func(event.Event) { panic("crashing subscriber") }, event.TypeStateChanged)
 
-	store := environment.NewStore(
-		environment.WithStoreBus(bus),
-		environment.WithStoreClock(clock),
-		environment.WithDefaultTTL(30*time.Second),
-	)
+	store := environment.NewStore(environment.WithStoreBus(bus))
 	engine := environment.NewEngine(store, environment.WithClock(clock), environment.WithBus(bus))
 	if err := engine.Define("kitchen-occupied", environment.AttrEquals{
 		Key: "motion.kitchen", Value: environment.Bool(true),
@@ -107,7 +103,7 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	store.Set("motion.kitchen", environment.Bool(true))
+	store.SetTTL("motion.kitchen", environment.Bool(true), 30*time.Second)
 
 	primarySrv := httptest.NewServer(NewServer(primarySys,
 		WithAuditLogger(audit.NewLogger()),
@@ -196,7 +192,7 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 	// (each one panics the subscriber), the bus recovers every time, and
 	// the tamper-evident log still verifies.
 	for i := 0; i < 3; i++ {
-		store.Set("motion.kitchen", environment.Bool(i%2 == 0))
+		store.SetTTL("motion.kitchen", environment.Bool(i%2 == 0), 30*time.Second)
 	}
 	if got := bus.RecoveredPanics(); got == 0 {
 		t.Error("bus recovered no subscriber panics")
@@ -207,21 +203,28 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 
 	// --- phase 4: the sensor feed goes quiet past the TTL; decisions must
 	// fail safe to deny and the audit trail must say why.
-	store.Set("motion.kitchen", environment.Bool(true))
+	decide := func() DecideResponse {
+		t.Helper()
+		resp, err := http.Post(primarySrv.URL+"/v1/decide", "application/json",
+			strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var d DecideResponse
+		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	store.SetTTL("motion.kitchen", environment.Bool(true), 30*time.Second)
+	if d := decide(); !d.Allowed {
+		t.Fatalf("fresh context decision: %+v", d)
+	}
 	clockMu.Lock()
 	now = now.Add(time.Minute)
 	clockMu.Unlock()
-	resp, err := http.Post(primarySrv.URL+"/v1/decide", "application/json",
-		strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d DecideResponse
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if d.Allowed || !strings.Contains(d.Reason, "fail-safe") {
+	if d := decide(); d.Allowed || !strings.Contains(d.Reason, "fail-safe") {
 		t.Fatalf("stale context decision: %+v", d)
 	}
 	auditResp, err := http.Get(primarySrv.URL + "/v1/audit?denies=true")

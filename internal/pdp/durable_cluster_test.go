@@ -186,8 +186,7 @@ func TestDurableClusterPrimaryRestartDeltaSync(t *testing.T) {
 	feed.MaxWait = 100 * time.Millisecond
 	f := replica.NewFollower(core.NewSystem(), ts.URL,
 		replica.WithFetcher(feed),
-		replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
-		replica.WithWatchTimeout(time.Second))
+		replica.WithBackoff(time.Millisecond, 10*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() { _ = f.Run(ctx) }()

@@ -157,10 +157,7 @@ func TestFailSafeDenyReachesAuditTrail(t *testing.T) {
 		defer mu.Unlock()
 		return now
 	}
-	store := environment.NewStore(
-		environment.WithStoreClock(clock),
-		environment.WithDefaultTTL(30*time.Second),
-	)
+	store := environment.NewStore()
 	engine := environment.NewEngine(store, environment.WithClock(clock))
 	if err := engine.Define("kitchen-occupied", environment.AttrEquals{
 		Key: "motion.kitchen", Value: environment.Bool(true),
@@ -187,7 +184,7 @@ func TestFailSafeDenyReachesAuditTrail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	store.Set("motion.kitchen", environment.Bool(true))
+	store.SetTTL("motion.kitchen", environment.Bool(true), 30*time.Second)
 
 	srv := httptest.NewServer(NewServer(sys, WithAuditLogger(audit.NewLogger())))
 	t.Cleanup(srv.Close)

@@ -82,22 +82,22 @@ func TestReplicaWatchLongPoll(t *testing.T) {
 	}
 }
 
-// newFollowerServer builds a primary+follower pair over httptest and
-// returns the follower's test server plus its Follower.
-func newFollowerServer(t *testing.T, opts ...replica.FollowerOption) (primary *core.System, follower *replica.Follower, followerURL string, hc *http.Client) {
+// newFollowerServer builds a primary+follower pair over httptest, the
+// follower replicating into followerSys, and returns the follower's test
+// server plus its Follower.
+func newFollowerServer(t *testing.T, followerSys *core.System, opts ...replica.FollowerOption) (primary *core.System, follower *replica.Follower, followerURL string, hc *http.Client) {
 	t.Helper()
 	primarySrv, primarySys := newTestServerWithSource(t)
-	f, fsrv := startFollower(t, primarySrv.URL, opts...)
+	f, fsrv := startFollower(t, primarySrv.URL, followerSys, opts...)
 	return primarySys, f, fsrv.URL, fsrv.Client()
 }
 
-// startFollower runs a follower of upstreamURL behind a PDP server that
-// also exposes its own replica feed and audit trail, as grbacd wires
-// every node, so further followers can chain off it. It returns once the
-// first sync has landed.
-func startFollower(t *testing.T, upstreamURL string, opts ...replica.FollowerOption) (*replica.Follower, *httptest.Server) {
+// startFollower runs a follower of upstreamURL, replicating into
+// followerSys, behind a PDP server that also exposes its own replica feed
+// and audit trail, as grbacd wires every node, so further followers can
+// chain off it. It returns once the first sync has landed.
+func startFollower(t *testing.T, upstreamURL string, followerSys *core.System, opts ...replica.FollowerOption) (*replica.Follower, *httptest.Server) {
 	t.Helper()
-	followerSys := core.NewSystem()
 	base := []replica.FollowerOption{
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
 	}
@@ -125,8 +125,8 @@ func startFollower(t *testing.T, upstreamURL string, opts ...replica.FollowerOpt
 // hop's feed, and the second hop serves the result as fresh, not stale.
 func TestFollowerChaining(t *testing.T) {
 	primarySrv, _ := newTestServerWithSource(t)
-	_, mid := startFollower(t, primarySrv.URL)
-	leaf, leafSrv := startFollower(t, mid.URL)
+	_, mid := startFollower(t, primarySrv.URL, core.NewSystem())
+	leaf, leafSrv := startFollower(t, mid.URL, core.NewSystem())
 	ctx := context.Background()
 	req := DecideRequest{
 		Subject: "alice", Object: "tv", Transaction: "use",
@@ -166,7 +166,7 @@ func TestFollowerChaining(t *testing.T) {
 }
 
 func TestFollowerServerRedirectsMutations(t *testing.T) {
-	primarySys, _, followerURL, hc := newFollowerServer(t)
+	primarySys, _, followerURL, hc := newFollowerServer(t, core.NewSystem())
 
 	// A no-redirect client sees the 307 + error envelope.
 	noRedirect := &http.Client{
@@ -200,7 +200,7 @@ func TestFollowerServerRedirectsMutations(t *testing.T) {
 }
 
 func TestFollowerServerServesDecisionsAndStats(t *testing.T) {
-	primarySys, f, followerURL, hc := newFollowerServer(t)
+	primarySys, f, followerURL, hc := newFollowerServer(t, core.NewSystem())
 	client := NewClient(followerURL, hc)
 	ctx := context.Background()
 
@@ -247,9 +247,8 @@ func TestFollowerServerDegradesWhenStale(t *testing.T) {
 	// reads it concurrently.
 	var offset atomic.Int64
 	clock := func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
-	_, f, followerURL, hc := newFollowerServer(t,
-		replica.WithMaxStaleness(50*time.Millisecond),
-		replica.WithFollowerClock(clock))
+	_, f, followerURL, hc := newFollowerServer(t, core.NewSystem(core.WithClock(clock)),
+		replica.WithMaxStaleness(50*time.Millisecond))
 	client := NewClient(followerURL, hc)
 	ctx := context.Background()
 

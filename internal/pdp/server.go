@@ -33,7 +33,6 @@ const maxBatchSize = 512
 // http.Handler and can be mounted under any mux.
 type Server struct {
 	sys          *core.System
-	decider      audit.Decider
 	trail        *audit.Logger
 	logger       *log.Logger
 	mux          *http.ServeMux
@@ -79,7 +78,7 @@ func WithErrorLog(l *log.Logger) ServerOption {
 
 // NewServer builds a PDP server over the given system.
 func NewServer(sys *core.System, opts ...ServerOption) *Server {
-	s := &Server{sys: sys, decider: sys, logger: log.Default()}
+	s := &Server{sys: sys, logger: log.Default()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -185,7 +184,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	coreReq := req.toCore()
 	t = time.Now()
-	d, err := s.decider.Decide(coreReq)
+	d, err := s.sys.Decide(coreReq)
 	sv.Mediate = time.Since(t)
 	if err != nil {
 		s.writeError(w, err)
@@ -199,13 +198,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	out, err := appendDecideResponse((*buf)[:0], &resp)
 	*buf = out
 	s.writeEncoded(w, out, err)
-}
-
-// batchDecider is the optional batch interface a decider may provide;
-// core.System and audit.AuditedSystem both do. When present it is used so
-// the whole batch is mediated against one policy snapshot.
-type batchDecider interface {
-	DecideBatch([]core.Request) []core.BatchResult
 }
 
 func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
@@ -235,15 +227,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		coreReqs[i] = dr.toCore()
 	}
 	t = time.Now()
-	var results []core.BatchResult
-	if bd, ok := s.decider.(batchDecider); ok {
-		results = bd.DecideBatch(coreReqs)
-	} else {
-		results = make([]core.BatchResult, len(coreReqs))
-		for i, cr := range coreReqs {
-			results[i].Decision, results[i].Err = s.decider.Decide(cr)
-		}
-	}
+	results := s.sys.DecideBatch(coreReqs)
 	sv.Mediate = time.Since(t)
 	sv.Stale = s.stale()
 	for i, res := range results {
@@ -289,7 +273,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	coreReq := req.toCore()
 	t = time.Now()
-	d, err := s.decider.Decide(coreReq)
+	d, err := s.sys.Decide(coreReq)
 	sv.Mediate = time.Since(t)
 	if err != nil {
 		s.writeError(w, err)

@@ -28,9 +28,7 @@ func startBenchFollower(t testing.TB, primarySys *core.System, addr string) (*co
 	t.Helper()
 	followerSys := core.NewSystem()
 	f := replica.NewFollower(followerSys, "http://"+addr,
-		replica.WithBackoff(time.Millisecond, 50*time.Millisecond),
-		replica.WithFetchTimeout(5*time.Second),
-		replica.WithWatchTimeout(5*time.Second))
+		replica.WithBackoff(time.Millisecond, 50*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() { _ = f.Run(ctx) }()

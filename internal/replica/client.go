@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/faults"
+	"github.com/aware-home/grbac/internal/watch"
 )
 
 // ErrFeed reports a non-2xx reply from the primary's replication feed.
@@ -98,7 +99,10 @@ func (c *Client) Snapshot(ctx context.Context) (Snapshot, error) {
 // Watch long-polls the primary until its generation exceeds after (or its
 // epoch differs from epoch, or the server's poll cap elapses) and returns
 // the primary's position. An unchanged position is a normal return: it is
-// the primary saying "still here, nothing new".
+// the primary saying "still here, nothing new". The call's deadline is the
+// poll the primary may hold, the smaller of MaxWait and watch.MaxWait,
+// plus the 10s slack the primary adds to its reply's write deadline, so a
+// quiet poll never reads as a failed primary.
 func (c *Client) Watch(ctx context.Context, epoch string, after uint64) (WatchResponse, error) {
 	// Injected errors model a dropped long-poll (partition, lost reply).
 	if err := faults.Inject(faults.ReplicaWatch); err != nil {
@@ -107,11 +111,15 @@ func (c *Client) Watch(ctx context.Context, epoch string, after uint64) (WatchRe
 	q := url.Values{}
 	q.Set("epoch", epoch)
 	q.Set("after", strconv.FormatUint(after, 10))
+	wait := watch.MaxWait
 	if c.MaxWait > 0 {
 		q.Set("wait", c.MaxWait.String())
+		wait = min(wait, c.MaxWait)
 	}
+	wctx, cancel := context.WithTimeout(ctx, wait+10*time.Second)
+	defer cancel()
 	var resp WatchResponse
-	err := c.get(ctx, WatchPath+"?"+q.Encode(), &resp)
+	err := c.get(wctx, WatchPath+"?"+q.Encode(), &resp)
 	return resp, err
 }
 

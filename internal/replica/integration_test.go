@@ -165,8 +165,6 @@ func TestClusterReplicationEndToEnd(t *testing.T) {
 	followerSys := core.NewSystem()
 	f := replica.NewFollower(followerSys, primaryURL,
 		replica.WithBackoff(5*time.Millisecond, 100*time.Millisecond),
-		replica.WithFetchTimeout(2*time.Second),
-		replica.WithWatchTimeout(2*time.Second),
 		replica.WithMaxStaleness(time.Second))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

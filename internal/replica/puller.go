@@ -17,13 +17,16 @@ import (
 const (
 	defaultBackoffMin   = 100 * time.Millisecond
 	defaultBackoffMax   = 5 * time.Second
-	defaultFetchTimeout = 30 * time.Second
-	defaultWatchTimeout = 60 * time.Second
 	defaultMaxStaleness = 30 * time.Second
 )
 
+// fetchTimeout is the deadline on one snapshot or delta fetch. A watch
+// bounds itself by the wait it asks for (Client.Watch).
+const fetchTimeout = 30 * time.Second
+
 // Fetcher is the transport the Puller pulls from. Client implements it
-// over HTTP; tests implement it in-process.
+// over HTTP; tests implement it in-process. Watch bounds its own long-poll:
+// the puller passes its run context, not a deadline.
 type Fetcher interface {
 	Snapshot(ctx context.Context) (Snapshot, error)
 	Watch(ctx context.Context, epoch string, after uint64) (WatchResponse, error)
@@ -121,18 +124,11 @@ type Puller struct {
 	maxStaleness time.Duration
 	backoffMin   time.Duration
 	backoffMax   time.Duration
-	fetchTimeout time.Duration
-	watchTimeout time.Duration
-	now          func() time.Time
-	// since is now().Sub(t). With the real clock it is time.Since, which
-	// reads the monotonic clock alone: half the cost of time.Now on the
-	// path every mediated request takes through Stale.
-	since  func(t time.Time) time.Duration
-	logger *log.Logger
+	logger       *log.Logger
 
 	syncedCh chan struct{} // closed on the first successful sync
 
-	// start is the clock's reading at construction and staleAfter the
+	// start is sys's clock reading at construction and staleAfter the
 	// staleness deadline as an offset from it: lastContact + maxStaleness,
 	// 0 until the first sync. Writers publish it under mu with every
 	// contact; Stale reads it with no lock, once per mediated request.
@@ -174,18 +170,6 @@ func WithBackoff(min, max time.Duration) PullerOption {
 	return func(p *Puller) { p.backoffMin, p.backoffMax = min, max }
 }
 
-// WithWatchTimeout sets the client-side deadline on one watch long-poll
-// (default 60s). It must exceed the primary's long-poll cap, or quiet
-// watches will be misread as primary failures.
-func WithWatchTimeout(d time.Duration) PullerOption {
-	return func(p *Puller) { p.watchTimeout = d }
-}
-
-// WithFetchTimeout sets the deadline on one snapshot fetch (default 30s).
-func WithFetchTimeout(d time.Duration) PullerOption {
-	return func(p *Puller) { p.fetchTimeout = d }
-}
-
 // WithFetcher substitutes the transport (tests, in-process replication).
 func WithFetcher(fetch Fetcher) PullerOption {
 	return func(p *Puller) { p.fetch = fetch }
@@ -196,17 +180,10 @@ func WithFollowerLogger(l *log.Logger) PullerOption {
 	return func(p *Puller) { p.logger = l }
 }
 
-// WithFollowerClock overrides the staleness clock, for tests.
-func WithFollowerClock(now func() time.Time) PullerOption {
-	return func(p *Puller) {
-		p.now = now
-		p.since = func(t time.Time) time.Duration { return now().Sub(t) }
-	}
-}
-
 // NewPuller builds a puller that replicates primaryURL's feed into
 // sys. sys should be freshly constructed and not administered locally:
-// every sync replaces its policy wholesale.
+// every sync replaces its policy wholesale. The staleness clock is sys's
+// (core.WithClock).
 func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Puller {
 	p := &Puller{
 		sys:          sys,
@@ -214,27 +191,17 @@ func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Pulle
 		maxStaleness: defaultMaxStaleness,
 		backoffMin:   defaultBackoffMin,
 		backoffMax:   defaultBackoffMax,
-		fetchTimeout: defaultFetchTimeout,
-		watchTimeout: defaultWatchTimeout,
-		now:          time.Now,
-		since:        time.Since,
 		logger:       log.Default(),
 		syncedCh:     make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(p)
 	}
-	// Clamp tuning that would otherwise produce a hot retry loop or
-	// immediately-expiring request contexts. retry.New owns the backoff
-	// clamping rules (min <= 0 falls back, max raised to min).
+	// Clamp backoff that would otherwise produce a hot retry loop.
+	// retry.New owns the clamping rules (min <= 0 falls back, max raised
+	// to min).
 	b := retry.New(p.backoffMin, p.backoffMax, defaultBackoffMin)
 	p.backoffMin, p.backoffMax = b.Min, b.Max
-	if p.fetchTimeout <= 0 {
-		p.fetchTimeout = defaultFetchTimeout
-	}
-	if p.watchTimeout <= 0 {
-		p.watchTimeout = defaultWatchTimeout
-	}
 	if p.fetch == nil {
 		cl := NewClient(primaryURL, nil)
 		// Keepalives must arrive well inside the staleness bound, or an
@@ -245,7 +212,7 @@ func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Pulle
 	if df, ok := p.fetch.(DeltaFetcher); ok {
 		p.deltaFetch = df
 	}
-	p.start = p.now()
+	p.start = sys.Now()
 	return p
 }
 
@@ -337,7 +304,7 @@ func (p *Puller) syncOnce(ctx context.Context) error {
 			}
 		}
 	}
-	fctx, cancel := context.WithTimeout(ctx, p.fetchTimeout)
+	fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	snap, err := p.fetch.Snapshot(fctx)
 	if err != nil {
@@ -346,7 +313,7 @@ func (p *Puller) syncOnce(ctx context.Context) error {
 	if err := p.sys.Replace(snap.State); err != nil {
 		return err
 	}
-	now := p.now()
+	now := p.sys.Now()
 	p.mu.Lock()
 	p.epoch = snap.Epoch
 	p.primaryGen = snap.Generation
@@ -363,7 +330,7 @@ func (p *Puller) syncOnce(ctx context.Context) error {
 // delta.Generation even when Mutations is shorter (ephemeral bumps), so
 // the applied position jumps to Generation, not the last mutation.
 func (p *Puller) deltaOnce(ctx context.Context, epoch string, after uint64) error {
-	fctx, cancel := context.WithTimeout(ctx, p.fetchTimeout)
+	fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	delta, err := p.deltaFetch.Delta(fctx, epoch, after)
 	if err != nil {
@@ -379,7 +346,7 @@ func (p *Puller) deltaOnce(ctx context.Context, epoch string, after uint64) erro
 			return fmt.Errorf("apply delta mutation %s: %w", delta.Mutations[i].Op, err)
 		}
 	}
-	now := p.now()
+	now := p.sys.Now()
 	p.mu.Lock()
 	if delta.Generation > p.primaryGen {
 		p.primaryGen = delta.Generation
@@ -416,9 +383,7 @@ func (p *Puller) watchLoop(ctx context.Context) error {
 			return err
 		}
 		epoch, after := p.position()
-		wctx, cancel := context.WithTimeout(ctx, p.watchTimeout)
-		resp, err := p.fetch.Watch(wctx, epoch, after)
-		cancel()
+		resp, err := p.fetch.Watch(ctx, epoch, after)
 		if err != nil {
 			return err
 		}
@@ -451,7 +416,7 @@ func (p *Puller) position() (string, uint64) {
 }
 
 func (p *Puller) noteContact(resp WatchResponse) {
-	now := p.now()
+	now := p.sys.Now()
 	p.mu.Lock()
 	p.contactLocked(now)
 	if resp.Epoch == p.epoch && resp.Generation > p.primaryGen {
@@ -470,7 +435,7 @@ func (p *Puller) noteError() {
 // bound without hearing from the primary (or has never synced at all).
 // A stale puller still serves decisions; the consuming layer marks them.
 func (p *Puller) Stale() bool {
-	return p.maxStaleness > 0 && p.staleAt(p.since(p.start))
+	return p.maxStaleness > 0 && p.staleAt(p.sys.Since(p.start))
 }
 
 // staleAt is the staleness rule for an enabled bound, elapsed being the
@@ -486,7 +451,7 @@ func (p *Puller) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Read under the lock, so no contact recorded here postdates now.
-	now := p.now()
+	now := p.sys.Now()
 	st := Stats{
 		PrimaryURL:            p.primaryURL,
 		Epoch:                 p.epoch,

@@ -3,6 +3,9 @@ package replica
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +13,7 @@ import (
 
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/retry"
+	"github.com/aware-home/grbac/internal/watch"
 )
 
 // primarySystem builds a small policy with one permit rule.
@@ -308,8 +312,8 @@ func TestFollowerStaleness(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	now := func() time.Time { return base.Add(time.Duration(fakeNow.Load())) }
 
-	f := NewFollower(core.NewSystem(), "", WithFetcher(fetch),
-		WithMaxStaleness(time.Second), WithFollowerClock(now))
+	f := NewFollower(core.NewSystem(core.WithClock(now)), "", WithFetcher(fetch),
+		WithMaxStaleness(time.Second))
 	if !f.Stale() {
 		t.Fatal("never-synced follower should be stale")
 	}
@@ -353,8 +357,8 @@ func TestStalenessDeadline(t *testing.T) {
 	var fakeNow atomic.Int64
 	base := time.Unix(1_700_000_000, 0)
 	now := func() time.Time { return base.Add(time.Duration(fakeNow.Load())) }
-	f := NewFollower(core.NewSystem(), "", WithFetcher(fetch),
-		WithMaxStaleness(time.Second), WithFollowerClock(now))
+	f := NewFollower(core.NewSystem(core.WithClock(now)), "", WithFetcher(fetch),
+		WithMaxStaleness(time.Second))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -398,22 +402,16 @@ func TestStalenessDeadline(t *testing.T) {
 
 // TestFollowerOptionClamps proves degenerate tuning cannot produce a
 // hot retry loop or panic the jitter: zero and negative backoff bounds
-// fall back to defaults, an inverted max is raised to min, and
-// non-positive timeouts revert to defaults.
+// fall back to defaults, and an inverted max is raised to min.
 func TestFollowerOptionClamps(t *testing.T) {
 	f := NewFollower(core.NewSystem(), "",
 		WithFetcher(&localFetcher{}),
-		WithBackoff(0, -time.Second),
-		WithFetchTimeout(-1),
-		WithWatchTimeout(0))
+		WithBackoff(0, -time.Second))
 	if f.backoffMin != defaultBackoffMin {
 		t.Fatalf("backoffMin = %v, want default %v", f.backoffMin, defaultBackoffMin)
 	}
 	if f.backoffMax != defaultBackoffMin {
 		t.Fatalf("backoffMax = %v, want raised to min %v", f.backoffMax, defaultBackoffMin)
-	}
-	if f.fetchTimeout != defaultFetchTimeout || f.watchTimeout != defaultWatchTimeout {
-		t.Fatalf("timeouts = %v/%v, want defaults", f.fetchTimeout, f.watchTimeout)
 	}
 	// Inverted but positive bounds: max raised to min, min kept.
 	f2 := NewFollower(core.NewSystem(), "",
@@ -429,6 +427,40 @@ func TestFollowerOptionClamps(t *testing.T) {
 	}
 	if got := retry.Jitter(0); got != 0 {
 		t.Fatalf("retry.Jitter(0) = %v", got)
+	}
+}
+
+// roundTripFunc answers a feed request in-process.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestClientWatchDeadline pins a watch's deadline to the poll it asks the
+// primary to hold, the smaller of MaxWait and watch.MaxWait, plus the 10s
+// slack the primary adds to its reply's write deadline.
+func TestClientWatchDeadline(t *testing.T) {
+	for _, tc := range []struct{ maxWait, want time.Duration }{
+		{0, watch.MaxWait + 10*time.Second},
+		{100 * time.Millisecond, 100*time.Millisecond + 10*time.Second},
+		{time.Hour, watch.MaxWait + 10*time.Second},
+	} {
+		var left time.Duration
+		c := NewClient("http://primary", &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			deadline, ok := r.Context().Deadline()
+			if !ok {
+				t.Errorf("MaxWait %v: watch sent without a deadline", tc.maxWait)
+			}
+			left = time.Until(deadline)
+			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+				Body: io.NopCloser(strings.NewReader(`{"epoch":"e","generation":1}`))}, nil
+		})})
+		c.MaxWait = tc.maxWait
+		if _, err := c.Watch(context.Background(), "e", 0); err != nil {
+			t.Fatal(err)
+		}
+		if left > tc.want || left < tc.want-time.Second {
+			t.Errorf("MaxWait %v: watch deadline %v away, want %v", tc.maxWait, left, tc.want)
+		}
 	}
 }
 

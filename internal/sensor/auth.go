@@ -15,10 +15,11 @@ import (
 // are "identified implicitly by sensors throughout the home" rather than
 // logging in.
 //
-// Observations expire after Window; within the window, observations about
-// the same hypothesis from *different* sensors fuse as independent evidence
-// (Fuse), while repeated observations from the same sensor only keep the
-// strongest (a sensor re-confirming itself is not new evidence).
+// Observations expire after five minutes; within that window,
+// observations about the same hypothesis from *different* sensors fuse as
+// independent evidence (Fuse), while repeated observations from the same
+// sensor only keep the strongest (a sensor re-confirming itself is not new
+// evidence).
 type Authenticator struct {
 	mu     sync.Mutex
 	window time.Duration
@@ -28,11 +29,6 @@ type Authenticator struct {
 
 // AuthOption configures an Authenticator.
 type AuthOption func(*Authenticator)
-
-// WithWindow sets the evidence validity window (default 5 minutes).
-func WithWindow(d time.Duration) AuthOption {
-	return func(a *Authenticator) { a.window = d }
-}
 
 // WithAuthBus attaches a bus; every recorded observation is published as a
 // sensor.observation event.

@@ -270,7 +270,8 @@ func TestAuthenticatorSameSensorNotIndependent(t *testing.T) {
 }
 
 func TestAuthenticatorWindowExpiry(t *testing.T) {
-	a := NewAuthenticator(WithWindow(time.Minute))
+	a := NewAuthenticator()
+	a.window = time.Minute
 	if err := a.Record(
 		Observation{Sensor: "badge", Subject: "dad", Confidence: 1, Time: testTime},
 	); err != nil {

@@ -104,12 +104,9 @@ type Durable struct {
 	dir             string
 	checkpointEvery int
 	deltaLogSize    int
-	fsync           bool
 	group           bool
 	seed            *core.State
-	sysOpts         []core.Option
 	logger          *log.Logger
-	now             func() time.Time
 
 	sys *core.System
 
@@ -155,34 +152,9 @@ func WithSeedState(st *core.State) DurableOption {
 	return func(d *Durable) { d.seed = st }
 }
 
-// WithSystemOptions passes construction options to the recovered
-// core.System (conflict strategy, cache sizing, clock).
-func WithSystemOptions(opts ...core.Option) DurableOption {
-	return func(d *Durable) { d.sysOpts = opts }
-}
-
-// WithDeltaLogSize bounds the in-memory mutation tail kept for follower
-// delta sync (default 1024; n < 0 disables the tail entirely).
-func WithDeltaLogSize(n int) DurableOption {
-	return func(d *Durable) { d.deltaLogSize = n }
-}
-
-// WithoutFsync disables every fsync the store would issue (WAL appends,
-// checkpoint snapshots, epoch writes), trading crash durability for
-// throughput. Writes stay atomic via temp+rename. Meant for benchmarks
-// and tests; production keeps the default.
-func WithoutFsync() DurableOption {
-	return func(d *Durable) { d.fsync = false }
-}
-
 // WithDurableLogger sets the store's logger (default log.Default()).
 func WithDurableLogger(l *log.Logger) DurableOption {
 	return func(d *Durable) { d.logger = l }
-}
-
-// WithDurableClock overrides the checkpoint timestamp source, for tests.
-func WithDurableClock(now func() time.Time) DurableOption {
-	return func(d *Durable) { d.now = now }
 }
 
 // Open recovers (or initializes) the durable store in dir and returns it
@@ -196,18 +168,13 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 		dir:             dir,
 		checkpointEvery: DefaultCheckpointEvery,
 		deltaLogSize:    defaultDeltaLogSize,
-		fsync:           true,
 		logger:          log.Default(),
-		now:             time.Now,
 	}
 	for _, opt := range opts {
 		opt(d)
 	}
 	if d.checkpointEvery < 1 {
 		d.checkpointEvery = 1
-	}
-	if d.deltaLogSize < 0 {
-		d.deltaLogSize = 0
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: data dir: %w", err)
@@ -230,7 +197,7 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 	var sys *core.System
 	snapLoaded := false
 	if _, err := os.Stat(snapPath); err == nil {
-		loaded, snap, err := Load(snapPath, d.sysOpts...)
+		loaded, snap, err := Load(snapPath)
 		if err != nil {
 			return nil, fmt.Errorf("store: recover checkpoint: %w", err)
 		}
@@ -238,12 +205,12 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 		d.baseGen = snap.Generation
 		snapLoaded = true
 	} else {
-		sys = core.NewSystem(d.sysOpts...)
+		sys = core.NewSystem()
 	}
 
 	// WAL replay with tail repair.
 	lastGen := d.baseGen
-	wal, stats, err := openWAL(filepath.Join(dir, WALFile), d.baseGen, d.fsync, func(m core.Mutation) error {
+	wal, stats, err := openWAL(filepath.Join(dir, WALFile), d.baseGen, func(m core.Mutation) error {
 		if err := sys.Apply(m); err != nil {
 			return err
 		}
@@ -350,7 +317,7 @@ func (d *Durable) writeEpochLocked() error {
 	if err != nil {
 		return err
 	}
-	return disk.WriteFile(filepath.Join(d.dir, EpochFile), append(raw, '\n'), d.fsync)
+	return disk.WriteFile(filepath.Join(d.dir, EpochFile), append(raw, '\n'), true)
 }
 
 // System returns the recovered decision engine the store journals for.
@@ -395,10 +362,8 @@ func (d *Durable) Record(m core.Mutation, export func() core.State) error {
 		if err := d.wal.Sync(); err != nil {
 			return fmt.Errorf("store: wal: %w", err)
 		}
-		if d.fsync {
-			d.fsyncHist.ObserveSince(start)
-			d.fsyncs++
-		}
+		d.fsyncHist.ObserveSince(start)
+		d.fsyncs++
 	}
 	d.appends++
 	d.walRecords++
@@ -455,8 +420,8 @@ func (d *Durable) checkpointLocked(st core.State, gen uint64) error {
 	if err := faults.Inject(faults.Checkpoint); err != nil {
 		return fmt.Errorf("store: checkpoint: %w", err)
 	}
-	snap := Snapshot{Version: Version, SavedAt: d.now().UTC(), Generation: gen, State: st}
-	if err := writeSnapshot(filepath.Join(d.dir, SnapshotFile), snap, d.fsync); err != nil {
+	snap := Snapshot{Version: Version, SavedAt: time.Now().UTC(), Generation: gen, State: st}
+	if err := writeSnapshot(filepath.Join(d.dir, SnapshotFile), snap); err != nil {
 		return err
 	}
 	d.baseGen = gen
@@ -479,10 +444,6 @@ func (d *Durable) checkpointLocked(st core.State, gen uint64) error {
 
 // pushTailLocked appends m to the bounded delta tail.
 func (d *Durable) pushTailLocked(m core.Mutation) {
-	if d.deltaLogSize == 0 {
-		d.coveredFrom = m.Gen
-		return
-	}
 	d.tail = append(d.tail, m)
 	for len(d.tail) > d.deltaLogSize {
 		d.coveredFrom = d.tail[0].Gen

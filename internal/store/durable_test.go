@@ -253,7 +253,8 @@ func TestDurableMutationsSince(t *testing.T) {
 // and old positions fall off into full-sync territory.
 func TestDurableDeltaTailBounded(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, WithDeltaLogSize(4), WithCheckpointEvery(1<<20), quiet)
+	tail4 := func(d *Durable) { d.deltaLogSize = 4 }
+	d, err := Open(dir, tail4, WithCheckpointEvery(1<<20), quiet)
 	if err != nil {
 		t.Fatal(err)
 	}

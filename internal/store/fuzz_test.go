@@ -16,7 +16,7 @@ func FuzzWALReplay(f *testing.F) {
 	// Seed with a real WAL so the fuzzer starts from structurally valid
 	// records and mutates outward from there.
 	refDir := f.TempDir()
-	ref, err := Open(refDir, WithCheckpointEvery(1<<20), WithoutFsync(), quiet)
+	ref, err := Open(refDir, WithCheckpointEvery(1<<20), quiet)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, WALFile), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d1, err := Open(dir, WithCheckpointEvery(1<<20), WithoutFsync(), quiet)
+		d1, err := Open(dir, WithCheckpointEvery(1<<20), quiet)
 		if err != nil {
 			t.Fatalf("Open on fuzzed WAL: %v", err)
 		}
@@ -57,7 +57,7 @@ func FuzzWALReplay(f *testing.F) {
 		gen := d1.System().Generation()
 		epoch := d1.Epoch()
 
-		d2, err := Open(dir, WithCheckpointEvery(1<<20), WithoutFsync(), quiet)
+		d2, err := Open(dir, WithCheckpointEvery(1<<20), quiet)
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}

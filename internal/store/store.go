@@ -45,13 +45,11 @@ type Snapshot struct {
 // Save writes the system's current policy state to path atomically.
 func Save(path string, sys *core.System, at time.Time) error {
 	st, gen := sys.Snapshot()
-	return writeSnapshot(path, Snapshot{Version: Version, SavedAt: at, Generation: gen, State: st}, true)
+	return writeSnapshot(path, Snapshot{Version: Version, SavedAt: at, Generation: gen, State: st})
 }
 
 // writeSnapshot writes snap to path with disk.WriteFile's atomic replace.
-// sync=false keeps the atomic rename but skips the fsyncs (WithoutFsync
-// stores).
-func writeSnapshot(path string, snap Snapshot, sync bool) error {
+func writeSnapshot(path string, snap Snapshot) error {
 	if err := faults.Inject(faults.StoreSave); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -59,7 +57,7 @@ func writeSnapshot(path string, snap Snapshot, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("store: encode: %w", err)
 	}
-	if err := disk.WriteFile(path, raw, sync); err != nil {
+	if err := disk.WriteFile(path, raw, true); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
@@ -68,7 +66,7 @@ func writeSnapshot(path string, snap Snapshot, sync bool) error {
 // Load reads a snapshot file and reconstructs a fresh system from it. On
 // any decode failure the error wraps ErrCorrupt (or ErrVersion for a clean
 // version skew) and no system is returned.
-func Load(path string, opts ...core.Option) (*core.System, Snapshot, error) {
+func Load(path string) (*core.System, Snapshot, error) {
 	if err := faults.Inject(faults.StoreLoad); err != nil {
 		return nil, Snapshot{}, fmt.Errorf("store: %w", err)
 	}
@@ -92,7 +90,7 @@ func Load(path string, opts ...core.Option) (*core.System, Snapshot, error) {
 	if snap.Version != Version {
 		return nil, Snapshot{}, fmt.Errorf("%w: got %d, want %d", ErrVersion, snap.Version, Version)
 	}
-	sys := core.NewSystem(opts...)
+	sys := core.NewSystem()
 	if err := sys.Import(snap.State); err != nil {
 		return nil, Snapshot{}, fmt.Errorf("store: import: %w", err)
 	}

@@ -76,12 +76,11 @@ type ReplayStats struct {
 // above baseGen. A record that does not decode, regresses the generation
 // order, or that the system refuses to apply ends the trusted prefix;
 // records the checkpoint already covers (a failed post-checkpoint reset
-// can leave them behind) are skipped. sync gates the fsync after a tail
-// repair (false only for WithoutFsync stores).
-func openWAL(path string, baseGen uint64, sync bool, apply func(core.Mutation) error) (*disk.Log, ReplayStats, error) {
+// can leave them behind) are skipped.
+func openWAL(path string, baseGen uint64, apply func(core.Mutation) error) (*disk.Log, ReplayStats, error) {
 	var stats ReplayStats
 	lastGen := baseGen
-	wal, rep, err := disk.OpenLog(path, sync, func(line []byte) error {
+	wal, rep, err := disk.OpenLog(path, true, func(line []byte) error {
 		m, err := decodeWALRecord(line)
 		if err != nil {
 			return err

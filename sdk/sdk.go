@@ -150,7 +150,6 @@ type Client struct {
 	offlineStart     bool
 	noRemote         bool
 	fetcher          replica.Fetcher
-	pullerOpts       []replica.PullerOption
 
 	shardRouting bool
 	homeShard    string
@@ -243,12 +242,6 @@ func WithFetcher(f replica.Fetcher) Option {
 	return func(c *Client) { c.fetcher = f }
 }
 
-// WithPullerOptions appends extra tuning for the underlying replication
-// puller (backoff bounds, timeouts, clock).
-func WithPullerOptions(opts ...replica.PullerOption) Option {
-	return func(c *Client) { c.pullerOpts = append(c.pullerOpts, opts...) }
-}
-
 // WithShardRouting makes the Client shard-aware: primaryURL must point at
 // a grbacd -route node, whose shard map New fetches at bootstrap. The
 // Client then replicates policy from one "home" shard (homeShard by ID,
@@ -281,8 +274,12 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 	}
 	// The local system mirrors the server's mediation stack: compiled
 	// snapshot, decision cache, deny-overrides — Replace installs the
-	// primary's exported policy wholesale on every sync.
-	c.sys = grbac.NewSystem()
+	// primary's exported policy wholesale on every sync. Its clock is the
+	// puller's staleness clock; only in-package tests build it themselves,
+	// on a clock they can step.
+	if c.sys == nil {
+		c.sys = grbac.NewSystem()
+	}
 
 	feedURL := primaryURL
 	if c.shardRouting {
@@ -306,7 +303,6 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 		cl.MaxWait = replica.KeepaliveWait(c.maxStaleness)
 		pullerOpts = append(pullerOpts, replica.WithFetcher(cl))
 	}
-	pullerOpts = append(pullerOpts, c.pullerOpts...)
 	c.puller = replica.NewPuller(c.sys, feedURL, pullerOpts...)
 
 	if c.noRemote {

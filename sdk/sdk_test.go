@@ -72,14 +72,11 @@ func newPrimary(t testing.TB) (*grbac.System, *httptest.Server) {
 	return sys, srv
 }
 
-// newEmbedded builds an embedded client against the primary with fast
-// test tuning.
+// newEmbedded builds an embedded client against the primary with a quiet
+// logger.
 func newEmbedded(t testing.TB, url string, opts ...Option) *Client {
 	t.Helper()
-	opts = append([]Option{
-		WithLogger(quiet),
-		WithPullerOptions(replica.WithBackoff(time.Millisecond, 10*time.Millisecond)),
-	}, opts...)
+	opts = append([]Option{WithLogger(quiet)}, opts...)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	c, err := New(ctx, url, opts...)
@@ -375,6 +372,12 @@ func compileSystem(t testing.TB) *core.System {
 	return sys
 }
 
+// withClock builds the client's local System on now, which the puller
+// then reads as its staleness clock.
+func withClock(now func() time.Time) Option {
+	return func(c *Client) { c.sys = grbac.NewSystem(grbac.WithClock(now)) }
+}
+
 // staleClient builds an embedded client over an in-process feed, then
 // partitions it from the primary and advances a fake clock past the
 // staleness bound, returning the stale client.
@@ -388,9 +391,7 @@ func staleClient(t *testing.T, opts ...Option) *Client {
 	opts = append([]Option{
 		WithFetcher(fetch),
 		WithMaxStaleness(time.Second),
-		WithPullerOptions(
-			replica.WithBackoff(time.Millisecond, 5*time.Millisecond),
-			replica.WithFollowerClock(now)),
+		withClock(now),
 	}, opts...)
 	c := newEmbedded(t, "", opts...)
 
