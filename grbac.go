@@ -73,6 +73,7 @@ package grbac
 import (
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/environment"
 	"github.com/aware-home/grbac/internal/home"
@@ -134,6 +135,9 @@ type (
 	Option = core.Option
 	// EnvironmentSource supplies active environment roles to a System.
 	EnvironmentSource = core.EnvironmentSource
+	// Clock is a System's time source: it reads the time and arms the
+	// timers of a replica puller replicating into the System.
+	Clock = clock.Clock
 	// Stats is a snapshot of the decision-cache counters.
 	Stats = core.Stats
 )
@@ -190,8 +194,8 @@ func WithMinConfidence(t float64) Option { return core.WithMinConfidence(t) }
 // WithEnvironmentSource installs the provider of active environment roles.
 func WithEnvironmentSource(src EnvironmentSource) Option { return core.WithEnvironmentSource(src) }
 
-// WithClock overrides the system's time source.
-func WithClock(now func() time.Time) Option { return core.WithClock(now) }
+// WithClock overrides the system's time source (nil keeps the real clock).
+func WithClock(c Clock) Option { return core.WithClock(c) }
 
 // WithDecisionCacheSize bounds the decision cache to n entries; n <= 0
 // disables caching entirely.

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/jsonw"
 )
@@ -116,9 +117,9 @@ func WithCapacity(n int) LoggerOption {
 	}
 }
 
-// WithClock overrides the time source.
-func WithClock(now func() time.Time) LoggerOption {
-	return func(l *Logger) { l.now = now }
+// WithClock overrides the time source that stamps records.
+func WithClock(c clock.Clock) LoggerOption {
+	return func(l *Logger) { l.now = c.Now }
 }
 
 // WithExportHook attaches a per-record export hook, called with each

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 )
 
@@ -52,7 +53,7 @@ var auditTime = time.Date(2000, 1, 17, 12, 0, 0, 0, time.UTC)
 
 func TestWrapLogsDecisions(t *testing.T) {
 	sys := testSystem(t)
-	logger := NewLogger(WithClock(func() time.Time { return auditTime }))
+	logger := NewLogger(WithClock(clock.NewFake(auditTime)))
 	audited := Wrap(sys, logger)
 
 	d, err := audited.Decide(core.Request{Subject: "alice", Object: "ball",
@@ -316,13 +317,13 @@ func TestRingWrapBoundaries(t *testing.T) {
 	mkLogger := func(t *testing.T, n int) (*Logger, []time.Time) {
 		t.Helper()
 		sys := testSystem(t)
-		now := auditTime
-		logger := NewLogger(WithCapacity(cap), WithClock(func() time.Time { return now }))
+		clk := clock.NewFake(auditTime)
+		logger := NewLogger(WithCapacity(cap), WithClock(clk))
 		audited := Wrap(sys, logger)
 		times := make([]time.Time, n)
 		for i := 0; i < n; i++ {
-			now = auditTime.Add(time.Duration(i) * time.Hour)
-			times[i] = now
+			times[i] = auditTime.Add(time.Duration(i) * time.Hour)
+			clk.Set(times[i])
 			if _, err := audited.Decide(core.Request{Subject: "alice", Object: "ball",
 				Transaction: "use", Environment: []core.RoleID{}}); err != nil {
 				t.Fatal(err)
@@ -401,8 +402,8 @@ func TestRingWrapBoundaries(t *testing.T) {
 
 func TestQueryTimeBounds(t *testing.T) {
 	sys := testSystem(t)
-	now := auditTime
-	logger := NewLogger(WithClock(func() time.Time { return now }))
+	clk := clock.NewFake(auditTime)
+	logger := NewLogger(WithClock(clk))
 	audited := Wrap(sys, logger)
 	times := []time.Time{
 		auditTime,
@@ -410,7 +411,7 @@ func TestQueryTimeBounds(t *testing.T) {
 		auditTime.Add(2 * time.Hour),
 	}
 	for _, ts := range times {
-		now = ts
+		clk.Set(ts)
 		if _, err := audited.Decide(core.Request{Subject: "alice", Object: "ball",
 			Transaction: "use", Environment: []core.RoleID{}}); err != nil {
 			t.Fatal(err)
@@ -438,7 +439,7 @@ func TestQueryTimeBounds(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	sys := testSystem(t)
-	logger := NewLogger(WithClock(func() time.Time { return auditTime }))
+	logger := NewLogger(WithClock(clock.NewFake(auditTime)))
 	audited := Wrap(sys, logger)
 	for i := 0; i < 3; i++ {
 		if _, err := audited.Decide(core.Request{Subject: "alice", Object: "ball",

@@ -239,9 +239,9 @@ func (s *System) Clone() *System {
 	s.mu.RLock()
 	strategy := s.strategy
 	src := s.envSource
-	clock := s.clock
+	clk := s.clock
 	s.mu.RUnlock()
-	out := NewSystem(WithConflictStrategy(strategy), WithClock(clock))
+	out := NewSystem(WithConflictStrategy(strategy), WithClock(clk))
 	if src != nil {
 		out.envSource = src
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/watch"
 )
 
@@ -69,8 +70,9 @@ type System struct {
 	strategy  ConflictStrategy
 	threshold float64
 	envSource EnvironmentSource
-	// clock is the time source WithClock installed; nil is the real clock.
-	clock func() time.Time
+	// clock is the System's time source: clock.Real unless WithClock
+	// replaced it.
+	clock clock.Clock
 
 	// journal, when set, observes every generation bump under the write
 	// lock: serializable mutations through Record, ephemeral bumps through
@@ -157,10 +159,15 @@ func WithEnvironmentSource(src EnvironmentSource) Option {
 }
 
 // WithClock overrides the System's clock (see Now): session timestamps
-// and the staleness clock of a replica.Puller replicating into it. Tests
-// and the home simulator use it for deterministic time.
-func WithClock(now func() time.Time) Option {
-	return func(s *System) { s.clock = now }
+// and the staleness clock and timer of a replica.Puller replicating into
+// it. Tests and the home simulator use it for deterministic time. A nil
+// c keeps the real clock.
+func WithClock(c clock.Clock) Option {
+	return func(s *System) {
+		if c != nil {
+			s.clock = c
+		}
+	}
 }
 
 // WithDecisionCacheSize bounds the decision cache to n entries. n <= 0
@@ -176,22 +183,11 @@ func WithoutDecisionCache() Option {
 	return func(s *System) { s.cacheCap = 0 }
 }
 
-// Now reads the System's clock: time.Now unless WithClock replaced it.
-func (s *System) Now() time.Time {
-	if s.clock == nil {
-		return time.Now()
-	}
-	return s.clock()
-}
+// Now reads the System's clock.
+func (s *System) Now() time.Time { return s.clock.Now() }
 
-// Since is the time elapsed on the System's clock since t. On the real
-// clock it is time.Since, which reads the monotonic clock alone.
-func (s *System) Since(t time.Time) time.Duration {
-	if s.clock == nil {
-		return time.Since(t)
-	}
-	return s.clock().Sub(t)
-}
+// Clock returns the System's clock.
+func (s *System) Clock() clock.Clock { return s.clock }
 
 // NewSystem returns an empty GRBAC system with deny-overrides conflict
 // resolution and no confidence threshold.
@@ -205,6 +201,7 @@ func NewSystem(opts ...Option) *System {
 		transactions: make(map[TransactionID]Transaction),
 		sessions:     make(map[SessionID]*session),
 		strategy:     DenyOverrides{},
+		clock:        clock.Real{},
 		cacheCap:     defaultDecisionCacheSize,
 	}
 	for _, opt := range opts {

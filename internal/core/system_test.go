@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/aware-home/grbac/internal/clock"
 )
 
 // newHomeSystem builds the paper's running example: the Figure 2 subject
@@ -527,7 +529,7 @@ func TestSetMinConfidence(t *testing.T) {
 
 func TestWithClock(t *testing.T) {
 	fixed := time.Date(2000, 1, 17, 8, 0, 0, 0, time.UTC)
-	s := NewSystem(WithClock(func() time.Time { return fixed }))
+	s := NewSystem(WithClock(clock.NewFake(fixed)))
 	if err := s.AddSubject("alice"); err != nil {
 		t.Fatal(err)
 	}

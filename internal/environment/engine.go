@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/event"
 )
@@ -39,12 +40,12 @@ type EngineOption func(*Engine)
 // WithClock overrides the engine's time source. It becomes the freshness
 // clock of the engine's store too, so a TTL and a time-of-day condition
 // read one clock.
-func WithClock(now func() time.Time) EngineOption {
+func WithClock(c clock.Clock) EngineOption {
 	return func(e *Engine) {
-		e.now = now
+		e.now = c.Now
 		if e.store != nil {
 			e.store.mu.Lock()
-			e.store.now = now
+			e.store.now = c.Now
 			e.store.mu.Unlock()
 		}
 	}

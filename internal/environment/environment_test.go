@@ -4,10 +4,10 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/event"
 	"github.com/aware-home/grbac/internal/temporal"
@@ -185,8 +185,7 @@ func TestConditionStrings(t *testing.T) {
 
 func TestEngineDefineAndQuery(t *testing.T) {
 	store := NewStore()
-	clock := time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC) // Monday 8pm
-	e := NewEngine(store, WithClock(func() time.Time { return clock }))
+	e := NewEngine(store, WithClock(clock.NewFake(time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC)))) // Monday 8pm
 
 	if err := e.Define("", TimeIn{temporal.Always{}}); !errors.Is(err, core.ErrInvalid) {
 		t.Fatalf("Define(empty) error = %v, want ErrInvalid", err)
@@ -263,9 +262,8 @@ func TestEngineDefineAndQuery(t *testing.T) {
 func TestEnginePublishesTransitions(t *testing.T) {
 	bus := event.NewBus()
 	store := NewStore(WithStoreBus(bus))
-	clock := time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC)
 	e := NewEngine(store,
-		WithClock(func() time.Time { return clock }),
+		WithClock(clock.NewFake(time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC))),
 		WithBus(bus))
 	if err := e.Define("low-load", AttrCompare{Key: "system.load", Op: OpLt, Threshold: 0.5}); err != nil {
 		t.Fatal(err)
@@ -292,10 +290,8 @@ func TestEnginePublishesTransitions(t *testing.T) {
 func TestEngineTickPublishesTimeTransitions(t *testing.T) {
 	bus := event.NewBus()
 	store := NewStore()
-	clock := time.Date(2000, 1, 17, 18, 0, 0, 0, time.UTC)
-	e := NewEngine(store,
-		WithClock(func() time.Time { return clock }),
-		WithBus(bus))
+	clk := clock.NewFake(time.Date(2000, 1, 17, 18, 0, 0, 0, time.UTC))
+	e := NewEngine(store, WithClock(clk), WithBus(bus))
 	if err := e.Define("free-time", TimeIn{temporal.MustParse("daily 19:00-22:00")}); err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +302,9 @@ func TestEngineTickPublishesTimeTransitions(t *testing.T) {
 	}, event.TypeRoleActivated, event.TypeRoleDeactivated)
 
 	e.Tick() // 18:00, inactive, no change from initial false
-	clock = clock.Add(90 * time.Minute)
+	clk.Advance(90 * time.Minute)
 	e.Tick() // 19:30, active
-	clock = clock.Add(3 * time.Hour)
+	clk.Advance(3 * time.Hour)
 	e.Tick() // 22:30, inactive
 
 	want := []string{"role.activated", "role.deactivated"}
@@ -321,8 +317,8 @@ func TestEngineAsCoreEnvironmentSource(t *testing.T) {
 	// Wire the engine into a core.System and check the §5.1 policy fires
 	// only when the environment roles are genuinely active.
 	store := NewStore()
-	clock := time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC) // Monday 8pm
-	engine := NewEngine(store, WithClock(func() time.Time { return clock }))
+	clk := clock.NewFake(time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC)) // Monday 8pm
+	engine := NewEngine(store, WithClock(clk))
 	if err := engine.Define("weekday-free-time", All{
 		TimeIn{temporal.WorkWeek()},
 		TimeIn{temporal.MustParse("daily 19:00-22:00")},
@@ -370,7 +366,7 @@ func TestEngineAsCoreEnvironmentSource(t *testing.T) {
 	if !ok {
 		t.Fatal("Monday 8pm denied")
 	}
-	clock = time.Date(2000, 1, 22, 20, 0, 0, 0, time.UTC) // Saturday 8pm
+	clk.Set(time.Date(2000, 1, 22, 20, 0, 0, 0, time.UTC)) // Saturday 8pm
 	ok, err = sys.CheckAccess(req)
 	if err != nil {
 		t.Fatal(err)
@@ -382,8 +378,7 @@ func TestEngineAsCoreEnvironmentSource(t *testing.T) {
 
 func TestSubjectSource(t *testing.T) {
 	store := NewStore()
-	clock := time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC)
-	engine := NewEngine(store, WithClock(func() time.Time { return clock }))
+	engine := NewEngine(store, WithClock(clock.NewFake(time.Date(2000, 1, 17, 20, 0, 0, 0, time.UTC))))
 	if err := engine.Define("in-kitchen",
 		SubjectAttrEquals{Prefix: "location", Value: String("kitchen")}); err != nil {
 		t.Fatal(err)
@@ -413,26 +408,8 @@ func TestConditionStringsContainSubparts(t *testing.T) {
 	}
 }
 
-// mutableClock is a settable time source for freshness tests.
-type mutableClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *mutableClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *mutableClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 func TestStoreTTLFailSafe(t *testing.T) {
-	clk := &mutableClock{t: time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
 	s := NewStore()
 	s.now = clk.Now
 	s.SetTTL("motion.kitchen", Bool(true), time.Minute)
@@ -482,7 +459,7 @@ func TestStoreTTLFailSafe(t *testing.T) {
 }
 
 func TestStoreTTLRefreshOnEqualSet(t *testing.T) {
-	clk := &mutableClock{t: time.Unix(1000, 0)}
+	clk := clock.NewFake(time.Unix(1000, 0))
 	var events int
 	bus := event.NewBus()
 	bus.Subscribe(func(event.Event) { events++ }, event.TypeStateChanged)
@@ -506,9 +483,9 @@ func TestStoreTTLRefreshOnEqualSet(t *testing.T) {
 // feed goes quiet past the TTL, the environment role deactivates and the
 // system denies with the fail-safe annotation.
 func TestFreshnessFailSafeEndToEnd(t *testing.T) {
-	clk := &mutableClock{t: time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
 	store := NewStore()
-	engine := NewEngine(store, WithClock(clk.Now))
+	engine := NewEngine(store, WithClock(clk))
 	if err := engine.Define("kitchen-occupied", AttrEquals{Key: "motion.kitchen", Value: Bool(true)}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/faults"
 )
 
@@ -44,6 +45,12 @@ type BusOption func(*Bus)
 // WithLog attaches a tamper-evident log that records every published event.
 func WithLog(l *Log) BusOption {
 	return func(b *Bus) { b.log = l }
+}
+
+// WithClock sets the clock that stamps each published event's Time
+// (default the real clock).
+func WithClock(c clock.Clock) BusOption {
+	return func(b *Bus) { b.now = c.Now }
 }
 
 // NewBus constructs an empty bus.

@@ -7,67 +7,48 @@
 package home
 
 import (
-	"sync"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/event"
 )
 
-// Clock is a controllable simulation clock. Advancing it publishes
-// clock.tick events so the environment engine re-evaluates time-based
-// roles. Clock implements the func() time.Time contract used by every
-// other package via the Now method.
+// Clock is the simulation clock: a clock.Fake whose every step also
+// publishes one clock.tick event, so the environment engine re-evaluates
+// time-based roles. A Household gives this one clock to its event bus,
+// environment engine, System and audit logger, so every timestamp they
+// take is simulated time and a step fires the timers armed on it.
 type Clock struct {
-	mu  sync.RWMutex
-	now time.Time
+	*clock.Fake
 	bus *event.Bus
 }
 
 // NewClock starts a clock at the given instant, optionally attached to a
 // bus (nil is allowed).
 func NewClock(start time.Time, bus *event.Bus) *Clock {
-	return &Clock{now: start, bus: bus}
+	return &Clock{Fake: clock.NewFake(start), bus: bus}
 }
 
-// Now returns the current simulated time.
-func (c *Clock) Now() time.Time {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d (negative d is ignored) and
-// publishes one clock.tick event.
+// Advance moves the clock forward by d (negative d is ignored), firing the
+// timers it passes, and publishes one clock.tick event.
 func (c *Clock) Advance(d time.Duration) time.Time {
-	if d < 0 {
-		d = 0
-	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	now := c.now
-	bus := c.bus
-	c.mu.Unlock()
-	if bus != nil {
-		bus.Publish(event.Event{
-			Type:   event.TypeClockTick,
-			Source: "home.clock",
-			Attrs:  map[string]string{"now": now.Format(time.RFC3339)},
-		})
-	}
+	now := c.Fake.Advance(d)
+	c.tick(now)
 	return now
 }
 
 // Set jumps the clock to an absolute instant and publishes one tick.
 func (c *Clock) Set(t time.Time) {
-	c.mu.Lock()
-	c.now = t
-	bus := c.bus
-	c.mu.Unlock()
-	if bus != nil {
-		bus.Publish(event.Event{
+	c.Fake.Set(t)
+	c.tick(t)
+}
+
+func (c *Clock) tick(now time.Time) {
+	if c.bus != nil {
+		c.bus.Publish(event.Event{
 			Type:   event.TypeClockTick,
 			Source: "home.clock",
-			Attrs:  map[string]string{"now": t.Format(time.RFC3339)},
+			Attrs:  map[string]string{"now": now.Format(time.RFC3339)},
 		})
 	}
 }

@@ -349,6 +349,38 @@ func TestTrustedLogRecordsActivity(t *testing.T) {
 	}
 }
 
+// TestHouseholdLogStampsSimulatedTime: the household's one clock stamps
+// its tamper-evident log, and a step of it fires the timers armed on it.
+func TestHouseholdLogStampsSimulatedTime(t *testing.T) {
+	start := time.Date(2000, 1, 17, 8, 0, 0, 0, time.UTC)
+	hh := newHH(t, start)
+	var firedAt time.Time
+	hh.Clock.AfterFunc(time.Hour, func() { firedAt = hh.Clock.Now() })
+	if err := hh.House.MoveTo("alice", "kitchen"); err != nil {
+		t.Fatal(err)
+	}
+	hh.Clock.Advance(3 * time.Hour)
+	if !firedAt.Equal(start.Add(time.Hour)) {
+		t.Fatalf("timer fired at %v, want %v", firedAt, start.Add(time.Hour))
+	}
+	entries := hh.Log.Entries()
+	var activated int
+	for _, e := range entries {
+		if e.Event.Time.Before(start) || e.Event.Time.After(start.Add(3*time.Hour)) {
+			t.Fatalf("%s logged at %v, outside the simulated %v..+3h", e.Event.Type, e.Event.Time, start)
+		}
+		if e.Event.Type == event.TypeRoleActivated {
+			activated++
+		}
+	}
+	if activated == 0 {
+		t.Fatalf("no role.activated among %d log entries", len(entries))
+	}
+	if err := hh.Log.Verify(); err != nil {
+		t.Fatalf("log verification failed: %v", err)
+	}
+}
+
 func TestHouseholdDevicesMatchPolicyObjects(t *testing.T) {
 	// Guard against drift between standardDevices and DefaultPolicy.
 	hh := newHH(t, monday8pm)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/audit"
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/environment"
 	"github.com/aware-home/grbac/internal/event"
@@ -176,17 +177,20 @@ func NewHousehold(start time.Time) (*Household, error) {
 	if err != nil {
 		return nil, err
 	}
-	bus := event.NewBus(event.WithLog(log))
-	clock := NewClock(start, bus)
+	// One simulated clock stamps the log, drives the engine and the
+	// System, and times the audit trail.
+	fake := clock.NewFake(start)
+	bus := event.NewBus(event.WithLog(log), event.WithClock(fake))
+	clk := &Clock{Fake: fake, bus: bus}
 	store := environment.NewStore(environment.WithStoreBus(bus))
 	engine := environment.NewEngine(store,
-		environment.WithClock(clock.Now),
+		environment.WithClock(clk),
 		environment.WithBus(bus))
 	house := NewHouse(WithHouseStore(store), WithHouseBus(bus))
 	auth := sensor.NewAuthenticator(sensor.WithAuthBus(bus))
 
 	sys := core.NewSystem(
-		core.WithClock(clock.Now),
+		core.WithClock(clk),
 		core.WithEnvironmentSource(engine),
 	)
 	compiled, err := policy.Compile(DefaultPolicy)
@@ -225,14 +229,14 @@ func NewHousehold(start time.Time) (*Household, error) {
 	return &Household{
 		Bus:    bus,
 		Log:    log,
-		Clock:  clock,
+		Clock:  clk,
 		Store:  store,
 		Engine: engine,
 		House:  house,
 		System: sys,
 		Auth:   auth,
 		Floor:  floor,
-		Audit:  audit.NewLogger(audit.WithClock(clock.Now)),
+		Audit:  audit.NewLogger(audit.WithClock(clk)),
 	}, nil
 }
 

@@ -4,11 +4,11 @@ import (
 	"context"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/aware-home/grbac/internal/audit"
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/replica"
 )
@@ -127,9 +127,8 @@ func TestDecideBatchAudited(t *testing.T) {
 }
 
 func TestFollowerBatchMarksStale(t *testing.T) {
-	var offset atomic.Int64
-	clock := func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
-	_, f, followerURL, hc := newFollowerServer(t, core.NewSystem(core.WithClock(clock)),
+	clk := clock.NewFake(time.Now())
+	_, f, followerURL, hc := newFollowerServer(t, core.NewSystem(core.WithClock(clk)),
 		replica.WithMaxStaleness(50*time.Millisecond))
 	client := NewClient(followerURL, hc)
 	ctx := context.Background()
@@ -146,7 +145,7 @@ func TestFollowerBatchMarksStale(t *testing.T) {
 		t.Fatal("healthy follower marked its batch stale")
 	}
 
-	offset.Store(int64(time.Hour))
+	clk.Advance(time.Hour)
 	if !f.Stale() {
 		t.Fatal("follower not stale after clock jump")
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/audit"
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/environment"
 	"github.com/aware-home/grbac/internal/event"
@@ -62,13 +63,7 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 
 	// --- primary: sensors → TTL'd store → engine → system, with a
 	// tamper-evident bus log and a subscriber that always crashes.
-	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	var clockMu sync.Mutex
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
+	clk := clock.NewFake(time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
 	hmacLog, err := event.NewLog([]byte("chaos-drill-key"))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +72,7 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 	bus.Subscribe(func(event.Event) { panic("crashing subscriber") }, event.TypeStateChanged)
 
 	store := environment.NewStore(environment.WithStoreBus(bus))
-	engine := environment.NewEngine(store, environment.WithClock(clock), environment.WithBus(bus))
+	engine := environment.NewEngine(store, environment.WithClock(clk), environment.WithBus(bus))
 	if err := engine.Define("kitchen-occupied", environment.AttrEquals{
 		Key: "motion.kitchen", Value: environment.Bool(true),
 	}); err != nil {
@@ -221,9 +216,7 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 	if d := decide(); !d.Allowed {
 		t.Fatalf("fresh context decision: %+v", d)
 	}
-	clockMu.Lock()
-	now = now.Add(time.Minute)
-	clockMu.Unlock()
+	clk.Advance(time.Minute)
 	if d := decide(); d.Allowed || !strings.Contains(d.Reason, "fail-safe") {
 		t.Fatalf("stale context decision: %+v", d)
 	}

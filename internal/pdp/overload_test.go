@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/audit"
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/environment"
 	"github.com/aware-home/grbac/internal/faults"
@@ -150,15 +151,9 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // to inactive, the PDP denies with the fail-safe reason, and the audit
 // trail records that reason distinguishably.
 func TestFailSafeDenyReachesAuditTrail(t *testing.T) {
-	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
+	clk := clock.NewFake(time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
 	store := environment.NewStore()
-	engine := environment.NewEngine(store, environment.WithClock(clock))
+	engine := environment.NewEngine(store, environment.WithClock(clk))
 	if err := engine.Define("kitchen-occupied", environment.AttrEquals{
 		Key: "motion.kitchen", Value: environment.Bool(true),
 	}); err != nil {
@@ -208,9 +203,7 @@ func TestFailSafeDenyReachesAuditTrail(t *testing.T) {
 		t.Fatalf("fresh sensor: %+v", d)
 	}
 
-	mu.Lock()
-	now = now.Add(time.Minute) // sensor goes quiet past the TTL
-	mu.Unlock()
+	clk.Advance(time.Minute) // sensor goes quiet past the TTL
 	if d := decide(); d.Allowed || !strings.Contains(d.Reason, "fail-safe") {
 		t.Fatalf("stale sensor: %+v", d)
 	}

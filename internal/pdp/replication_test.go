@@ -5,11 +5,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/aware-home/grbac/internal/audit"
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/policy"
 	"github.com/aware-home/grbac/internal/replica"
@@ -243,16 +243,14 @@ func TestFollowerServerServesDecisionsAndStats(t *testing.T) {
 }
 
 func TestFollowerServerDegradesWhenStale(t *testing.T) {
-	// A clock we can push past the staleness bound. Atomic: the sync loop
-	// reads it concurrently.
-	var offset atomic.Int64
-	clock := func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
-	_, f, followerURL, hc := newFollowerServer(t, core.NewSystem(core.WithClock(clock)),
+	// A clock we can push past the staleness bound.
+	clk := clock.NewFake(time.Now())
+	_, f, followerURL, hc := newFollowerServer(t, core.NewSystem(core.WithClock(clk)),
 		replica.WithMaxStaleness(50*time.Millisecond))
 	client := NewClient(followerURL, hc)
 	ctx := context.Background()
 
-	offset.Store(int64(time.Hour)) // everything recorded is now ancient
+	clk.Advance(time.Hour) // everything recorded is now ancient
 	if !f.Stale() {
 		t.Fatal("follower not stale after clock jump")
 	}

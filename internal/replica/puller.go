@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/retry"
 )
@@ -128,12 +129,9 @@ type Puller struct {
 
 	syncedCh chan struct{} // closed on the first successful sync
 
-	// start is sys's clock reading at construction and staleAfter the
-	// staleness deadline as an offset from it: lastContact + maxStaleness,
-	// 0 until the first sync. Writers publish it under mu with every
-	// contact; Stale reads it with no lock, once per mediated request.
-	start      time.Time
-	staleAfter atomic.Int64
+	// stale answers Stale and Stats().Stale. Every contact resets it under
+	// mu.
+	stale *staleness
 
 	mu          sync.Mutex
 	epoch       string
@@ -182,8 +180,8 @@ func WithFollowerLogger(l *log.Logger) PullerOption {
 
 // NewPuller builds a puller that replicates primaryURL's feed into
 // sys. sys should be freshly constructed and not administered locally:
-// every sync replaces its policy wholesale. The staleness clock is sys's
-// (core.WithClock).
+// every sync replaces its policy wholesale. The staleness clock and its
+// timer are sys's (core.WithClock).
 func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Puller {
 	p := &Puller{
 		sys:          sys,
@@ -212,7 +210,7 @@ func NewPuller(sys *core.System, primaryURL string, opts ...PullerOption) *Pulle
 	if df, ok := p.fetch.(DeltaFetcher); ok {
 		p.deltaFetch = df
 	}
-	p.start = sys.Now()
+	p.stale = newStaleness(sys.Clock(), p.maxStaleness)
 	return p
 }
 
@@ -400,12 +398,12 @@ func (p *Puller) watchLoop(ctx context.Context) error {
 }
 
 // contactLocked records a successful exchange with the primary at now and,
-// once synced, publishes the staleness deadline it implies. Caller holds
-// p.mu.
+// once synced, resets the staleness to fresh against the deadline the
+// contact implies. Caller holds p.mu.
 func (p *Puller) contactLocked(now time.Time) {
 	p.lastContact = now
 	if p.synced {
-		p.staleAfter.Store(int64(now.Sub(p.start) + p.maxStaleness))
+		p.stale.contact(now)
 	}
 }
 
@@ -434,16 +432,101 @@ func (p *Puller) noteError() {
 // Stale reports whether the puller has gone longer than the staleness
 // bound without hearing from the primary (or has never synced at all).
 // A stale puller still serves decisions; the consuming layer marks them.
-func (p *Puller) Stale() bool {
-	return p.maxStaleness > 0 && p.staleAt(p.sys.Since(p.start))
+// In the first half of the bound after a contact it is one atomic load;
+// only in the second half does it read the System's clock.
+func (p *Puller) Stale() bool { return p.stale.read() }
+
+// The states of a staleness: the answer is fixed (fresh, stale) or, near
+// the deadline, the clock's.
+const (
+	stateFresh uint32 = iota
+	stateNear
+	stateStale
+)
+
+// staleness answers Stale with no clock read while the answer cannot
+// change soon. A contact sets it fresh and arms one timer on the System's
+// clock for half the bound; the timer moves it to near, where reads
+// compare the clock with the deadline, and to stale once the deadline has
+// passed. A Go timer fires late when every P is busy — by tens of
+// milliseconds under embedded-warm (BenchmarkStaleFlipLateness, DESIGN
+// §6) — so the timer only opens the window in which the clock decides,
+// and its lateness costs no exactness while it stays under half the
+// bound.
+//
+// It is its own allocation, and the timer's callback holds nothing else:
+// an armed deadline keeps neither the Puller nor its System reachable, so
+// a closed, dropped SDK client is collectable while its timer still runs
+// it stale on schedule.
+type staleness struct {
+	state    atomic.Uint32
+	deadline atomic.Int64 // last contact + bound, as an offset from start
+	clock    clock.Clock
+	start    time.Time
+	bound    time.Duration // <= 0: staleness disabled, the state stays fresh
+	window   time.Duration // the near window: the bound's second half
+
+	mu    sync.Mutex // orders contacts and timer callbacks
+	timer clock.Timer
 }
 
-// staleAt is the staleness rule for an enabled bound, elapsed being the
-// clock's offset from start: never synced, or past the deadline the last
-// contact published.
-func (p *Puller) staleAt(elapsed time.Duration) bool {
-	deadline := p.staleAfter.Load()
-	return deadline == 0 || int64(elapsed) > deadline
+// newStaleness starts stale when the bound is enabled: a never-synced
+// puller is stale.
+func newStaleness(c clock.Clock, bound time.Duration) *staleness {
+	s := &staleness{clock: c, start: c.Now(), bound: bound, window: bound / 2}
+	if bound > 0 {
+		s.state.Store(stateStale)
+	}
+	return s
+}
+
+func (s *staleness) read() bool {
+	switch s.state.Load() {
+	case stateFresh:
+		return false
+	case stateNear:
+		return s.left() < 0
+	}
+	return true
+}
+
+// left is the time to the deadline; the rule is stale iff it is negative,
+// that is, strictly past the deadline of the last contact.
+func (s *staleness) left() time.Duration {
+	return time.Duration(s.deadline.Load()) - s.clock.Since(s.start)
+}
+
+// contact records a successful exchange with the primary at now.
+func (s *staleness) contact(now time.Time) {
+	if s.bound <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.deadline.Store(int64(now.Sub(s.start) + s.bound))
+	s.state.Store(stateFresh)
+	if s.timer == nil {
+		s.timer = s.clock.AfterFunc(s.bound-s.window, s.fire)
+	} else {
+		s.timer.Reset(s.bound - s.window)
+	}
+}
+
+// fire is the timer's callback. It moves the state on by where the clock
+// stands against the deadline and arms the next step; when a contact has
+// moved the deadline since the timer was set, it only re-arms.
+func (s *staleness) fire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch left := s.left(); {
+	case left < 0:
+		s.state.Store(stateStale)
+	case left > s.window:
+		s.timer.Reset(left - s.window)
+	default:
+		s.state.Store(stateNear)
+		s.timer.Reset(left + 1)
+	}
 }
 
 // Stats reports replication health.
@@ -474,6 +557,6 @@ func (p *Puller) Stats() Stats {
 	if !p.lastContact.IsZero() {
 		st.LastContactAgeSeconds = now.Sub(p.lastContact).Seconds()
 	}
-	st.Stale = p.maxStaleness > 0 && p.staleAt(now.Sub(p.start))
+	st.Stale = p.Stale()
 	return st
 }

@@ -5,19 +5,21 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/retry"
 	"github.com/aware-home/grbac/internal/watch"
 )
 
 // primarySystem builds a small policy with one permit rule.
-func primarySystem(t *testing.T) *core.System {
+func primarySystem(t testing.TB) *core.System {
 	t.Helper()
 	sys := core.NewSystem()
 	for _, step := range []func() error{
@@ -308,11 +310,8 @@ func TestFollowerStaleness(t *testing.T) {
 	fetch := &localFetcher{}
 	fetch.setSource(NewSource(primary))
 
-	var fakeNow atomic.Int64
-	base := time.Unix(1_700_000_000, 0)
-	now := func() time.Time { return base.Add(time.Duration(fakeNow.Load())) }
-
-	f := NewFollower(core.NewSystem(core.WithClock(now)), "", WithFetcher(fetch),
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	f := NewFollower(core.NewSystem(core.WithClock(clk)), "", WithFetcher(fetch),
 		WithMaxStaleness(time.Second))
 	if !f.Stale() {
 		t.Fatal("never-synced follower should be stale")
@@ -330,7 +329,7 @@ func TestFollowerStaleness(t *testing.T) {
 
 	// Cut the primary off and advance the clock past the bound: stale.
 	cancel()
-	fakeNow.Store(int64(10 * time.Second))
+	clk.Advance(10 * time.Second)
 	if !f.Stale() {
 		t.Fatal("follower not stale after max-staleness elapsed")
 	}
@@ -354,10 +353,9 @@ func TestStalenessDeadline(t *testing.T) {
 	fetch := &localFetcher{}
 	fetch.setSource(NewSource(primarySystem(t)))
 
-	var fakeNow atomic.Int64
 	base := time.Unix(1_700_000_000, 0)
-	now := func() time.Time { return base.Add(time.Duration(fakeNow.Load())) }
-	f := NewFollower(core.NewSystem(core.WithClock(now)), "", WithFetcher(fetch),
+	clk := clock.NewFake(base)
+	f := NewFollower(core.NewSystem(core.WithClock(clk)), "", WithFetcher(fetch),
 		WithMaxStaleness(time.Second))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -388,7 +386,7 @@ func TestStalenessDeadline(t *testing.T) {
 		at    time.Duration
 		stale bool
 	}{{time.Second, false}, {time.Second + 1, true}} {
-		fakeNow.Store(int64(tc.at))
+		clk.Set(base.Add(tc.at))
 		st := f.Stats()
 		if f.Stale() != tc.stale || st.Stale != tc.stale {
 			t.Fatalf("%v after the last contact: Stale() = %v, Stats().Stale = %v, want %v",
@@ -396,6 +394,93 @@ func TestStalenessDeadline(t *testing.T) {
 		}
 		if st.LastContactAgeSeconds != tc.at.Seconds() {
 			t.Fatalf("LastContactAgeSeconds = %v, want %v", st.LastContactAgeSeconds, tc.at.Seconds())
+		}
+	}
+}
+
+// flipClock is the real clock whose timers report the time each
+// callback returned.
+type flipClock struct {
+	clock.Real
+	fired chan time.Time
+}
+
+func (c flipClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	return time.AfterFunc(d, func() { f(); c.fired <- time.Now() })
+}
+
+// BenchmarkStaleFlipLateness measures the slack of the staleness bound
+// while 2 goroutines run the warm embedded check (Stale, then a cache hit)
+// as embedded-warm does. Each iteration is one contact under a 100 ms
+// bound, followed by the timer opening the near window and then flipping
+// the state to stale. It reports, at p50, p99 and p99.9:
+//   - timer_*: how late the stale flip fires after the deadline, the
+//     timer's own firing latency;
+//   - slack_*: how long after the deadline a reader can still be told
+//     fresh, which is how late the near window opened, if after the
+//     deadline. DESIGN §6 quotes its p99.9.
+func BenchmarkStaleFlipLateness(b *testing.B) {
+	fetch := &localFetcher{}
+	fetch.setSource(NewSource(primarySystem(b)))
+	clk := flipClock{fired: make(chan time.Time)}
+	p := NewPuller(core.NewSystem(core.WithClock(clk)), "", WithFetcher(fetch),
+		WithMaxStaleness(100*time.Millisecond))
+	// untilStale returns when the first timer callback after a contact
+	// returned, and when the one that flipped the state to stale did.
+	untilStale := func() (first, flip time.Time) {
+		for {
+			t := <-clk.fired
+			if first.IsZero() {
+				first = t
+			}
+			if p.stale.state.Load() == stateStale {
+				return first, t
+			}
+		}
+	}
+	if err := p.syncOnce(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	untilStale()
+
+	req := core.Request{Subject: "alice", Object: "tv", Transaction: "use", Environment: []core.RoleID{}}
+	var stop atomic.Bool
+	var checkers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		checkers.Add(1)
+		go func() {
+			defer checkers.Done()
+			for !stop.Load() {
+				if ok, err := p.sys.CheckAccess(req); !p.Stale() && (err != nil || !ok) {
+					b.Errorf("warm check = %v, %v; want permit", ok, err)
+					return
+				}
+			}
+		}()
+	}
+	timer := make([]time.Duration, b.N)
+	slack := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range timer {
+		p.noteContact(WatchResponse{})
+		deadline := p.stale.start.Add(time.Duration(p.stale.deadline.Load()))
+		opened, flipped := untilStale()
+		timer[i] = flipped.Sub(deadline)
+		slack[i] = max(0, opened.Sub(deadline))
+	}
+	b.StopTimer()
+	stop.Store(true)
+	checkers.Wait()
+	for _, m := range []struct {
+		name string
+		d    []time.Duration
+	}{{"timer", timer}, {"slack", slack}} {
+		slices.Sort(m.d)
+		for _, q := range []struct {
+			name string
+			at   float64
+		}{{"p50", 0.5}, {"p99", 0.99}, {"p99.9", 0.999}} {
+			b.ReportMetric(float64(m.d[int(q.at*float64(len(m.d)-1))])/1e3, m.name+"_"+q.name+"_us")
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	grbac "github.com/aware-home/grbac"
 	"github.com/aware-home/grbac/internal/audit"
+	"github.com/aware-home/grbac/internal/clock"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/faults"
 	"github.com/aware-home/grbac/internal/guardtest"
@@ -134,6 +136,85 @@ func TestGuardWarmCheckAccessZeroAllocs(t *testing.T) {
 	}
 	if st := c.Stats(); st.LocalDecisions != 202 || st.Core.DecisionHits != 201 {
 		t.Fatalf("stats = %+v, want 202 local decisions of which 201 hits", st)
+	}
+}
+
+// countingClock is the real clock, counting the reads made of it.
+type countingClock struct {
+	clock.Real
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time { c.reads.Add(1); return c.Real.Now() }
+
+func (c *countingClock) Since(t time.Time) time.Duration { c.reads.Add(1); return c.Real.Since(t) }
+
+// quietFeed serves its source's snapshot and parks every watch until the
+// puller stops: an unchanging primary that sends no keepalive, so once
+// synced nothing but the test's own calls reads the replica's clock.
+type quietFeed struct{ src *replica.Source }
+
+func (q quietFeed) Snapshot(context.Context) (replica.Snapshot, error) {
+	return q.src.Snapshot(), nil
+}
+
+func (q quietFeed) Watch(ctx context.Context, _ string, _ uint64) (replica.WatchResponse, error) {
+	<-ctx.Done()
+	return replica.WatchResponse{}, ctx.Err()
+}
+
+// TestGuardWarmEmbeddedCheckReadsNoClock is guard 17: while the last
+// contact with the primary is recent, the staleness check is a state load,
+// not a clock read. A warm embedded CheckAccess makes 0 reads of its
+// System's clock and 0 allocs, and a follower pdp.Server's /v1/check makes
+// 0 reads of its System's clock either.
+func TestGuardWarmEmbeddedCheckReadsNoClock(t *testing.T) {
+	src := replica.NewSource(compileSystem(t))
+	clk := &countingClock{}
+	c := newEmbedded(t, "", WithFetcher(quietFeed{src}), withClock(clk))
+	ctx, req := context.Background(), permitReq()
+	if ok, err := c.CheckAccess(ctx, req); err != nil || !ok {
+		t.Fatalf("warmup = %v, %v; want permit", ok, err)
+	}
+	before := clk.reads.Load()
+	allocs := testing.AllocsPerRun(200, func() {
+		if ok, err := c.CheckAccess(ctx, req); err != nil || !ok {
+			t.Fatalf("CheckAccess = %v, %v; want permit", ok, err)
+		}
+	})
+	if reads := clk.reads.Load() - before; reads != 0 || allocs != 0 {
+		t.Fatalf("warm CheckAccess: %d clock reads in 201 calls and %.1f allocs/op, want 0 and 0", reads, allocs)
+	}
+
+	fclk := &countingClock{}
+	fsys := grbac.NewSystem(grbac.WithClock(fclk))
+	f := replica.NewFollower(fsys, "", replica.WithFetcher(quietFeed{src}),
+		replica.WithFollowerLogger(quiet))
+	runCtx, stop := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() { defer close(done); _ = f.Run(runCtx) }()
+	t.Cleanup(func() { stop(); <-done })
+	syncCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := f.WaitSynced(syncCtx); err != nil {
+		t.Fatal(err)
+	}
+	srv := pdp.NewServer(fsys, pdp.WithFollower(f))
+	check := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(
+			`{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"]}`)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"allowed":true`) {
+			t.Fatalf("follower /v1/check = %d %s, want a permit", rec.Code, rec.Body)
+		}
+	}
+	check()
+	before = fclk.reads.Load()
+	for i := 0; i < 100; i++ {
+		check()
+	}
+	if reads := fclk.reads.Load() - before; reads != 0 {
+		t.Fatalf("follower /v1/check: %d reads of its System's clock in 100 checks, want 0", reads)
 	}
 }
 
@@ -372,10 +453,10 @@ func compileSystem(t testing.TB) *core.System {
 	return sys
 }
 
-// withClock builds the client's local System on now, which the puller
-// then reads as its staleness clock.
-func withClock(now func() time.Time) Option {
-	return func(c *Client) { c.sys = grbac.NewSystem(grbac.WithClock(now)) }
+// withClock builds the client's local System on clk, which the puller
+// then reads and arms as its staleness clock.
+func withClock(clk grbac.Clock) Option {
+	return func(c *Client) { c.sys = grbac.NewSystem(grbac.WithClock(clk)) }
 }
 
 // staleClient builds an embedded client over an in-process feed, then
@@ -384,14 +465,11 @@ func withClock(now func() time.Time) Option {
 func staleClient(t *testing.T, opts ...Option) *Client {
 	t.Helper()
 	fetch := &localSource{src: replica.NewSource(compileSystem(t))}
-	var offset atomic.Int64
-	base := time.Unix(1_700_000_000, 0)
-	now := func() time.Time { return base.Add(time.Duration(offset.Load())) }
-
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	opts = append([]Option{
 		WithFetcher(fetch),
 		WithMaxStaleness(time.Second),
-		withClock(now),
+		withClock(clk),
 	}, opts...)
 	c := newEmbedded(t, "", opts...)
 
@@ -399,11 +477,33 @@ func staleClient(t *testing.T, opts ...Option) *Client {
 		t.Fatalf("fresh CheckAccess = %v, %v; want permit", ok, err)
 	}
 	fetch.setFail(errors.New("partitioned"))
-	offset.Store(int64(5 * time.Second))
+	clk.Advance(5 * time.Second)
 	if !c.Stale() {
 		t.Fatal("client not stale after partition + clock advance")
 	}
 	return c
+}
+
+// TestStaleAfterCloseOnSchedule: Close stops the puller, not the
+// staleness deadline, so a closed client's decisions still degrade along
+// the stale path once the bound has passed.
+func TestStaleAfterCloseOnSchedule(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	c := newEmbedded(t, "", WithFetcher(&localSource{src: replica.NewSource(compileSystem(t))}),
+		WithMaxStaleness(time.Second), withClock(clk))
+	c.Close()
+	clk.Advance(time.Second)
+	if c.Stale() {
+		t.Fatal("closed client stale at the bound, before it has passed")
+	}
+	clk.Advance(1)
+	if !c.Stale() || c.Stats().Replication.Stale != c.Stale() {
+		t.Fatalf("closed client past the bound: Stale() = %v, Stats().Replication.Stale = %v, want both true",
+			c.Stale(), c.Stats().Replication.Stale)
+	}
+	if ok, err := c.CheckAccess(context.Background(), permitReq()); err != nil || ok {
+		t.Fatalf("stale closed client CheckAccess = %v, %v; want a fail-safe deny", ok, err)
+	}
 }
 
 func TestStaleFallbackDeny(t *testing.T) {
