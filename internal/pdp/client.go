@@ -69,6 +69,9 @@ func (e *RemoteError) Is(target error) bool { return target == ErrRemote }
 // Client talks to a PDP server.
 type Client struct {
 	base string
+	// url is base parsed once, copied by every request newRequest builds;
+	// nil when base is not one reusableBase can extend exactly.
+	url  *url.URL
 	http *http.Client
 	// attempts is the total tries per request (1 = single-shot, the
 	// default); retryBase seeds the exponential backoff between tries.
@@ -132,8 +135,10 @@ func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) *C
 	if httpClient == nil {
 		httpClient = pooledHTTPClient
 	}
+	base := strings.TrimRight(baseURL, "/")
 	c := &Client{
-		base:      strings.TrimRight(baseURL, "/"),
+		base:      base,
+		url:       reusableBase(base),
 		http:      httpClient,
 		attempts:  1,
 		retryBase: 100 * time.Millisecond,
@@ -147,9 +152,9 @@ func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) *C
 // Decide requests a full decision.
 func (c *Client) Decide(ctx context.Context, req DecideRequest) (DecideResponse, error) {
 	var resp DecideResponse
-	err := c.postDecide(ctx, "/v1/decide", &req, &resp, func(data []byte) bool {
+	err := c.postDecide(ctx, "/v1/decide", &req, decodeReply(&resp, func(data []byte) bool {
 		return decodeDecideResponse(data, &resp)
-	})
+	}))
 	return resp, err
 }
 
@@ -164,17 +169,42 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []DecideRequest) (BatchDe
 
 // Check requests a boolean decision.
 func (c *Client) Check(ctx context.Context, req DecideRequest) (bool, error) {
-	resp, err := c.check(ctx, req)
+	var resp CheckResponse
+	err := c.postDecide(ctx, "/v1/check", &req, decodeReply(&resp, func(data []byte) bool {
+		return decodeCheckResponse(data, &resp)
+	}))
 	return resp.Allowed, err
 }
 
-// check requests a boolean decision and returns the whole reply.
-func (c *Client) check(ctx context.Context, req DecideRequest) (CheckResponse, error) {
-	var resp CheckResponse
-	err := c.postDecide(ctx, "/v1/check", &req, &resp, func(data []byte) bool {
-		return decodeCheckResponse(data, &resp)
+// decideRaw posts a decide-shaped request to path and reads a 2xx reply
+// into *buf as it came, undecoded: the router's forward. A reply cut short,
+// or not framed as one JSON object (see framedObject), is an error, so
+// the router never forwards a body its caller could not read as a reply.
+func (c *Client) decideRaw(ctx context.Context, path string, in *DecideRequest, buf *[]byte) error {
+	return c.postDecide(ctx, path, in, func(resp *http.Response) error {
+		data, err := readAll(buf, resp.Body)
+		if err != nil {
+			return err
+		}
+		if !framedObject(resp.Header, data) {
+			return errors.New("reply is not one JSON object")
+		}
+		return nil
 	})
-	return resp, err
+}
+
+// framedObject is the router's O(1) check on a reply it forwards unread:
+// a JSON Content-Type, and a body that opens with '{' and closes with '}'
+// before an optional trailing newline. It is not encoding/json.Valid,
+// which would cost a full scan of every reply.
+func framedObject(h http.Header, body []byte) bool {
+	ct, _, _ := strings.Cut(h.Get("Content-Type"), ";")
+	n := len(body)
+	if n > 0 && body[n-1] == '\n' {
+		n--
+	}
+	return strings.EqualFold(strings.TrimSpace(ct), "application/json") &&
+		n >= 2 && body[0] == '{' && body[n-1] == '}'
 }
 
 // State fetches the server's policy snapshot.
@@ -222,13 +252,7 @@ func (c *Client) SubjectsInRole(ctx context.Context, role string) (SubjectsInRol
 // body; a nil `out` discards the reply body.
 func (c *Client) Call(ctx context.Context, method, path string, in, out any) error {
 	if in == nil {
-		return c.do(ctx, func() (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
-			if err != nil {
-				return nil, fmt.Errorf("pdp: build request: %w", err)
-			}
-			return req, nil
-		}, decodeJSON(out))
+		return c.do(ctx, method, path, nil, decodeJSON(out))
 	}
 	return c.request(ctx, method, path, in, out)
 }
@@ -242,43 +266,32 @@ func (c *Client) request(ctx context.Context, method, path string, in, out any) 
 	if err != nil {
 		return fmt.Errorf("pdp: encode request: %w", err)
 	}
-	return c.send(ctx, method, path, raw, decodeJSON(out))
+	return c.do(ctx, method, path, raw, decodeJSON(out))
 }
 
-// postDecide posts a decide-shaped request through the wire codec: the
-// request is encoded by hand, and a 2xx reply is read into a pooled buffer
-// and decoded by fast, or by encoding/json into out when fast declines.
-// A correlation ID on ctx (see withCorrelation) rides along as the
-// CorrelationHeader.
-func (c *Client) postDecide(ctx context.Context, path string, in *DecideRequest, out any, fast func([]byte) bool) error {
+// postDecide posts a decide-shaped request, encoded by the wire codec,
+// and hands a 2xx reply to read. A correlation ID on ctx (see
+// withCorrelation) rides along as the CorrelationHeader.
+func (c *Client) postDecide(ctx context.Context, path string, in *DecideRequest, read func(*http.Response) error) error {
 	raw, err := appendDecideRequest(nil, in)
 	if err != nil {
 		return fmt.Errorf("pdp: encode request: %w", err)
 	}
-	return c.send(ctx, http.MethodPost, path, raw, func(body io.Reader) error {
+	return c.do(ctx, http.MethodPost, path, raw, read)
+}
+
+// decodeReply reads a 2xx decide or check reply into a pooled buffer and
+// decodes it by fast, or by encoding/json into out when fast declines.
+func decodeReply(out any, fast func([]byte) bool) func(*http.Response) error {
+	return func(resp *http.Response) error {
 		buf := getBuf()
 		defer putBuf(buf)
-		data, rerr := readAll(buf, body)
+		data, rerr := readAll(buf, resp.Body)
 		if fast(data) {
 			return nil
 		}
 		return decodeDeclined(data, rerr, out, false)
-	})
-}
-
-// send posts raw as a JSON body, rebuilt per attempt so retries replay it.
-func (c *Client) send(ctx context.Context, method, path string, raw []byte, decode func(io.Reader) error) error {
-	return c.do(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(raw))
-		if err != nil {
-			return nil, fmt.Errorf("pdp: build request: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if id, _ := ctx.Value(correlationKey{}).(string); id != "" {
-			req.Header.Set(CorrelationHeader, id)
-		}
-		return req, nil
-	}, decode)
+	}
 }
 
 // correlationKey carries a correlation ID on a context; see withCorrelation.
@@ -292,21 +305,106 @@ func withCorrelation(ctx context.Context, id string) context.Context {
 
 // decodeJSON decodes a reply body into out with encoding/json; a nil out
 // discards the body.
-func decodeJSON(out any) func(io.Reader) error {
+func decodeJSON(out any) func(*http.Response) error {
 	if out == nil {
 		return nil
 	}
-	return func(body io.Reader) error { return json.NewDecoder(body).Decode(out) }
+	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(out) }
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	return c.do(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	return c.do(ctx, http.MethodGet, path, nil, decodeJSON(out))
+}
+
+// reusableBase parses base for newRequest, or returns nil when a path
+// appended to base's text might not parse to base's path plus that path:
+// a base that does not parse, or that carries a query, a fragment, an
+// escaped path or an empty port.
+func reusableBase(base string) *url.URL {
+	u, err := url.Parse(base)
+	if err != nil || u.Scheme == "" || u.Host == "" || u.Opaque != "" || u.RawPath != "" ||
+		u.RawQuery != "" || u.ForceQuery || u.Fragment != "" || strings.HasSuffix(u.Host, ":") {
+		return nil
+	}
+	return u
+}
+
+// newRequest builds one attempt of method on base+path (path may end in a
+// ?query), with raw as its JSON body when raw is non-nil. It builds what
+// http.NewRequestWithContext on base+path and Header.Set would, from a
+// copy of the base URL parsed once and a header-map literal; a base or a
+// path the copy cannot represent exactly takes that parsing route.
+func (c *Client) newRequest(ctx context.Context, method, path string, raw []byte) (*http.Request, error) {
+	var h http.Header
+	id, _ := ctx.Value(correlationKey{}).(string)
+	switch {
+	case raw == nil:
+		h = http.Header{}
+	case id == "":
+		h = http.Header{"Content-Type": {"application/json"}}
+	default:
+		h = http.Header{"Content-Type": {"application/json"}, CorrelationHeader: {id}}
+	}
+	p, q, hasQ := strings.Cut(path, "?")
+	if c.url == nil || !plainPath(p) || !plainQuery(q) {
+		var body io.Reader
+		if raw != nil {
+			body = bytes.NewReader(raw)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 		if err != nil {
 			return nil, fmt.Errorf("pdp: build request: %w", err)
 		}
+		req.Header = h
 		return req, nil
-	}, decodeJSON(out))
+	}
+	u := *c.url
+	u.Path += p
+	u.RawQuery = q
+	u.ForceQuery = hasQ && q == ""
+	req := http.Request{
+		Method:     method,
+		URL:        &u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+		Host:       u.Host,
+	}
+	if raw != nil {
+		req.Body = io.NopCloser(bytes.NewReader(raw))
+		req.ContentLength = int64(len(raw))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(raw)), nil }
+	}
+	return req.WithContext(ctx), nil
+}
+
+// plainPath reports whether p is a path url.Parse leaves as written: a
+// leading slash and only unreserved bytes, none of which it unescapes.
+func plainPath(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	for i := 0; i < len(p); i++ {
+		switch b := p[i]; {
+		case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9',
+			b == '/', b == '-', b == '.', b == '_', b == '~':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// plainQuery reports whether q is a raw query url.Parse keeps as written:
+// printable ASCII with no space and no fragment mark.
+func plainQuery(q string) bool {
+	for i := 0; i < len(q); i++ {
+		if b := q[i]; b <= ' ' || b >= 0x7f || b == '#' {
+			return false
+		}
+	}
+	return true
 }
 
 // maxRetryDelay caps the retry loop's exponential doubling.
@@ -314,14 +412,14 @@ const maxRetryDelay = 30 * time.Second
 
 // do runs one request, retrying transient failures when the client was
 // built WithRetry. The request is rebuilt per attempt so bodies replay.
-func (c *Client) do(ctx context.Context, build func() (*http.Request, error), decode func(io.Reader) error) error {
+func (c *Client) do(ctx context.Context, method, path string, raw []byte, decode func(*http.Response) error) error {
 	// The shared policy: exponential doubling from retryBase, capped at
 	// maxRetryDelay (unbounded growth would overflow time.Duration and
 	// produce pointlessly huge sleeps long before that), with full jitter
 	// decorrelating a fleet of retrying clients.
 	bo := retry.New(c.retryBase, maxRetryDelay, 100*time.Millisecond)
 	for attempt := 1; ; attempt++ {
-		req, err := build()
+		req, err := c.newRequest(ctx, method, path, raw)
 		if err != nil {
 			return err
 		}
@@ -372,8 +470,8 @@ func transient(err error) bool {
 	return errors.Is(err, ErrTransport)
 }
 
-// doOnce sends one attempt; decode reads a 2xx reply body (nil discards it).
-func (c *Client) doOnce(req *http.Request, decode func(io.Reader) error) error {
+// doOnce sends one attempt; decode reads a 2xx reply (nil discards its body).
+func (c *Client) doOnce(req *http.Request, decode func(*http.Response) error) error {
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrTransport, err)
@@ -399,7 +497,7 @@ func (c *Client) doOnce(req *http.Request, decode func(io.Reader) error) error {
 	if decode == nil {
 		return nil
 	}
-	if err := decode(resp.Body); err != nil {
+	if err := decode(resp); err != nil {
 		return fmt.Errorf("pdp: decode response: %w", err)
 	}
 	return nil

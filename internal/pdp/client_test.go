@@ -1,10 +1,14 @@
 package pdp
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -216,4 +220,115 @@ func TestClientSingleShotByDefault(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("calls = %d, want 1", calls.Load())
 	}
+}
+
+// TestClientRequestBuilderMatchesNewRequest: every request shape the
+// client sends is built as http.NewRequestWithContext on base+path plus
+// Header.Set built it: method, URL, Host, headers, body, Content-Length,
+// GetBody replay and context. Bases the parsed-once URL cannot extend
+// exactly, and paths it cannot hold as written, take that parsing route
+// themselves.
+func TestClientRequestBuilderMatchesNewRequest(t *testing.T) {
+	decide, err := appendDecideRequest(nil, &DecideRequest{Subject: "alice", Object: "tv", Transaction: "use"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrCtx := withCorrelation(context.Background(), "corr-1")
+	shapes := []struct {
+		name         string
+		ctx          context.Context
+		method, path string
+		raw          []byte
+	}{
+		{"decide", context.Background(), http.MethodPost, "/v1/decide", decide},
+		{"decide with correlation", corrCtx, http.MethodPost, "/v1/decide", decide},
+		{"subjects-in-role", context.Background(), http.MethodGet, "/v1/query/subjects-in-role?role=" + url.QueryEscape("a b&c/é#"), nil},
+		{"Call with a nil body", corrCtx, http.MethodGet, ShardMapPath, nil},
+		{"empty query", context.Background(), http.MethodGet, "/v1/statsz?", nil},
+		{"escaped path", context.Background(), http.MethodGet, "/v1/a%2Fb", nil},
+		{"query with a space", context.Background(), http.MethodGet, "/v1/query/what-can?subject=a b", nil},
+		{"query with a fragment", context.Background(), http.MethodGet, "/v1/query/what-can?subject=a#b", nil},
+	}
+	for _, base := range []struct {
+		url      string
+		reusable bool
+	}{
+		{"http://127.0.0.1:8125", true},
+		{"http://127.0.0.1:8125/", true},
+		{"http://user:pw@localhost:8125/prefix/", true},
+		{"https://pdp.example/a%2Fb", false},
+		{"http://localhost:", false},
+		{"http://localhost:8125/?x=1", false},
+		{"localhost:8125", false},
+		{"http://localhost:8125/%zz", false},
+	} {
+		c := NewClient(base.url, nil)
+		if (c.url != nil) != base.reusable {
+			t.Fatalf("%s: parsed base %v, want reusable %v", base.url, c.url, base.reusable)
+		}
+		for _, sh := range shapes {
+			name := base.url + " " + sh.name
+			got, gotErr := c.newRequest(sh.ctx, sh.method, sh.path, sh.raw)
+			want, wantErr := referenceRequest(sh.ctx, c.base+sh.path, sh.method, sh.raw)
+			if (gotErr != nil) != (wantErr != nil) {
+				t.Fatalf("%s: error %v, want %v", name, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if got.Method != want.Method || !reflect.DeepEqual(got.URL, want.URL) || got.Host != want.Host ||
+				got.Proto != want.Proto || got.ProtoMajor != want.ProtoMajor || got.ProtoMinor != want.ProtoMinor ||
+				!reflect.DeepEqual(got.Header, want.Header) || got.ContentLength != want.ContentLength ||
+				got.Context() != want.Context() {
+				t.Fatalf("%s:\n got %s %#v host %q %v len %d\nwant %s %#v host %q %v len %d", name,
+					got.Method, got.URL, got.Host, got.Header, got.ContentLength,
+					want.Method, want.URL, want.Host, want.Header, want.ContentLength)
+			}
+			if (got.Body == nil) != (want.Body == nil) || (got.GetBody == nil) != (want.GetBody == nil) {
+				t.Fatalf("%s: body %v getBody %v, want body %v getBody %v", name,
+					got.Body != nil, got.GetBody != nil, want.Body != nil, want.GetBody != nil)
+			}
+			if got.Body == nil {
+				continue
+			}
+			// The body, then a replay after it was read.
+			for _, r := range []*http.Request{got, got} {
+				body := readBody(t, r.Body)
+				if body != string(sh.raw) {
+					t.Fatalf("%s: body %q, want %q", name, body, sh.raw)
+				}
+				if r.Body, err = r.GetBody(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// referenceRequest is the request as http.NewRequestWithContext and
+// Header.Set build it.
+func referenceRequest(ctx context.Context, rawURL, method string, raw []byte) (*http.Request, error) {
+	var body io.Reader
+	if raw != nil {
+		body = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rawURL, body)
+	if err != nil || raw == nil {
+		return req, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if id, _ := ctx.Value(correlationKey{}).(string); id != "" {
+		req.Header.Set(CorrelationHeader, id)
+	}
+	return req, nil
+}
+
+func readBody(t *testing.T, rc io.ReadCloser) string {
+	t.Helper()
+	defer rc.Close()
+	b, err := io.ReadAll(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

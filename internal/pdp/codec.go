@@ -387,9 +387,17 @@ func readDecide(w http.ResponseWriter, r *http.Request, buf *[]byte, req *Decide
 // trailing newline json.Encoder writes. On an encode error the status goes
 // out with an empty body, as it did from json.Encoder.
 func writeEncoded(w http.ResponseWriter, b []byte, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if err == nil {
-		_, _ = w.Write(append(b, '\n'))
+	if err != nil {
+		b = nil
+	} else {
+		b = append(b, '\n')
 	}
+	writeReply(w, b)
+}
+
+// writeReply sends a 200 JSON reply whose body is b as it stands.
+func writeReply(w http.ResponseWriter, b []byte) {
+	w.Header()["Content-Type"] = []string{"application/json"}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }

@@ -19,8 +19,9 @@ import (
 // CorrelationHeader carries the request correlation ID. A caller may send
 // one; otherwise the server generates one. Either way the response echoes
 // it and the audit record stores it, so GET /v1/audit?correlation_id=ID
-// joins the reply to the decision's record after the fact.
-const CorrelationHeader = "X-Correlation-ID"
+// joins the reply to the decision's record after the fact. It is in
+// canonical form, so it can key an http.Header map directly.
+const CorrelationHeader = "X-Correlation-Id"
 
 // WithMetrics exports the server's operational state on reg in the
 // Prometheus text format at GET /metrics: per-route request latency
@@ -144,7 +145,7 @@ func correlate(w http.ResponseWriter, r *http.Request) string {
 	if id == "" {
 		id = newCorrelationID()
 	}
-	w.Header().Set(CorrelationHeader, id)
+	w.Header()[CorrelationHeader] = []string{id}
 	return id
 }
 

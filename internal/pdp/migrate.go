@@ -201,9 +201,7 @@ func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, e migrat
 		s.relayMigrateError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
+	writeReply(w, raw)
 }
 
 // relayMigrateError maps a forwarding failure onto the reply: the new

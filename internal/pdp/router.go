@@ -208,8 +208,8 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 	rt.install(t)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/decide", rt.handleDecide)
-	mux.HandleFunc("/v1/check", rt.handleCheck)
+	mux.HandleFunc("/v1/decide", rt.forwardDecide)
+	mux.HandleFunc("/v1/check", rt.forwardDecide)
 	mux.HandleFunc("/v1/decide/batch", rt.handleBatch)
 	mux.HandleFunc("/v1/sessions", rt.handleSessions)
 	mux.HandleFunc("/v1/sessions/roles", rt.handleSessionRoles)
@@ -395,10 +395,13 @@ func readRoutedDecide(w http.ResponseWriter, r *http.Request, buf *[]byte) (Deci
 	return req, true
 }
 
-// handleDecide forwards a decision to the subject's shard under the
-// caller's correlation ID (minted here when the caller sent none), so the
-// shard's audit, declog and trace records and both replies carry it.
-func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
+// forwardDecide serves /v1/decide and /v1/check: it forwards the decision
+// to the same path on the subject's shard under the caller's correlation
+// ID (minted here when the caller sent none), so the shard's audit, declog
+// and trace records and both replies carry it. The request is decoded to
+// route it and re-encoded strictly for the shard; the shard's 2xx reply
+// goes back byte for byte, never decoded.
+func (rt *Router) forwardDecide(w http.ResponseWriter, r *http.Request) {
 	corr := correlate(w, r)
 	buf := getBuf()
 	defer putBuf(buf)
@@ -412,46 +415,14 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeRouteError(w, rerr)
 		return
 	}
-	var resp DecideResponse
-	id, err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) (err error) {
-		resp, err = c.Decide(withCorrelation(ctx, corr), req)
-		return err
+	id, err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) error {
+		return c.decideRaw(withCorrelation(ctx, corr), r.URL.Path, &req, buf)
 	})
 	if err != nil {
 		rt.relayShardError(w, id, err)
 		return
 	}
-	out, err := appendDecideResponse((*buf)[:0], &resp)
-	*buf = out
-	writeEncoded(w, out, err)
-}
-
-// handleCheck is handleDecide for boolean decisions.
-func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
-	corr := correlate(w, r)
-	buf := getBuf()
-	defer putBuf(buf)
-	req, ok := readRoutedDecide(w, r, buf)
-	if !ok {
-		return
-	}
-	t := rt.table.Load()
-	sh, rerr := t.Route(&req)
-	if rerr != nil {
-		writeRouteError(w, rerr)
-		return
-	}
-	var resp CheckResponse
-	id, err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) (err error) {
-		resp, err = c.check(withCorrelation(ctx, corr), req)
-		return err
-	})
-	if err != nil {
-		rt.relayShardError(w, id, err)
-		return
-	}
-	*buf = appendCheckResponse((*buf)[:0], &resp)
-	writeEncoded(w, *buf, nil)
+	writeReply(w, *buf)
 }
 
 // handleBatch splits the batch by owning shard, dispatches the per-shard

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -639,6 +641,157 @@ func TestRouterBatchMisalignedReply(t *testing.T) {
 		}
 		if !strings.Contains(resp.Results[2].Error, "neither subject nor session") {
 			t.Fatalf("delta %+d: unroutable item = %+v, want its own route error", delta, resp.Results[2])
+		}
+	}
+}
+
+// fakeShardRouter fronts a one-shard map whose shard is handler, and
+// returns a function that posts body to path on the router.
+func fakeShardRouter(t *testing.T, handler http.HandlerFunc) func(path, body string) (*http.Response, []byte) {
+	t.Helper()
+	srv := httptest.NewServer(handler)
+	t.Cleanup(srv.Close)
+	m, err := shard.New(0, shard.Info{ID: "s0", Addr: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	return func(path, body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, got
+	}
+}
+
+// routedDecideBody is a decide body with a field the router ignores.
+const routedDecideBody = `{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"],"bogus":1}`
+
+// TestRouterForwardsShardReplyVerbatim: a shard's 2xx decide or check
+// reply reaches the caller byte for byte, a field the router's codec does
+// not know and the shard's spacing included, so the router did not
+// decode and re-encode it. The shard sees the strict re-encoded request
+// under the caller's correlation ID.
+func TestRouterForwardsShardReplyVerbatim(t *testing.T) {
+	const reply = `{"allowed":true, "effect":"permit","from_a_newer_shard":{"x":[1,2]},"correlation_id":"corr-7"}` + "\n"
+	var gotBody, gotCorr atomic.Value
+	post := fakeShardRouter(t, func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		gotBody.Store(string(b))
+		gotCorr.Store(r.Header.Get(CorrelationHeader))
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, reply)
+	})
+	for _, path := range []string{"/v1/decide", "/v1/check"} {
+		resp, body := post(path, routedDecideBody)
+		if resp.StatusCode != http.StatusOK || string(body) != reply {
+			t.Fatalf("%s: %d %q, want 200 %q", path, resp.StatusCode, body, reply)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: Content-Type %q", path, ct)
+		}
+		want := `{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"]}`
+		if gotBody.Load() != want {
+			t.Fatalf("%s: shard got %q, want the strict re-encode %q", path, gotBody.Load(), want)
+		}
+		if corr := resp.Header.Get(CorrelationHeader); corr == "" || gotCorr.Load() != corr {
+			t.Fatalf("%s: shard saw correlation %q, caller got %q", path, gotCorr.Load(), corr)
+		}
+	}
+}
+
+// TestRouterUnframedShardReply: a 2xx reply that is not framed as one
+// JSON object answers 502 naming the shard, never a forwarded 200.
+func TestRouterUnframedShardReply(t *testing.T) {
+	for name, c := range map[string]struct{ ct, body string }{
+		"text content type": {"text/plain", `{"allowed":true}` + "\n"},
+		"no content type":   {"", `{"allowed":true}`},
+		"array":             {"application/json", "[true]\n"},
+		"string":            {"application/json", `"permit"`},
+		"unclosed object":   {"application/json", `{"allowed":true` + "\n"},
+		"trailing garbage":  {"application/json", `{"allowed":true}x`},
+		"empty":             {"application/json", ""},
+	} {
+		post := fakeShardRouter(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Header()["Content-Type"] = []string{c.ct}
+			_, _ = io.WriteString(w, c.body)
+		})
+		for _, path := range []string{"/v1/decide", "/v1/check"} {
+			resp, body := post(path, routedDecideBody)
+			if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), "shard s0") {
+				t.Fatalf("%s %s: %d %s, want 502 naming shard s0", name, path, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
+// TestRouterShardReplyCutShort: a reply whose body read fails mid-way
+// answers 502, never a truncated 200.
+func TestRouterShardReplyCutShort(t *testing.T) {
+	post := fakeShardRouter(t, func(w http.ResponseWriter, r *http.Request) {
+		conn, rw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		_, _ = rw.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"allowed\":true}\n")
+		_ = rw.Flush()
+	})
+	for _, path := range []string{"/v1/decide", "/v1/check"} {
+		resp, body := post(path, routedDecideBody)
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), "shard s0") {
+			t.Fatalf("%s: %d %s, want 502 naming shard s0", path, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestRouterForwardRetriesAndFollows421: the forwarder keeps callShard's
+// transient retry and its 421 follow, and relays the answering shard's
+// reply verbatim either way.
+func TestRouterForwardRetriesAndFollows421(t *testing.T) {
+	const reply = `{"allowed":false,"effect":"deny","strategy":"x"}` + "\n"
+	var calls atomic.Int32
+	post := fakeShardRouter(t, func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1)%2 == 1 {
+			http.Error(w, "briefly down", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, reply)
+	})
+	resp, body := post("/v1/decide", routedDecideBody)
+	if resp.StatusCode != http.StatusOK || string(body) != reply || calls.Load() != 2 {
+		t.Fatalf("retried read: %d %q after %d calls, want 200 %q after 2", resp.StatusCode, body, calls.Load(), reply)
+	}
+
+	newOwner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, reply)
+	}))
+	t.Cleanup(newOwner.Close)
+	post = fakeShardRouter(t, func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusMisdirectedRequest, ErrorResponse{
+			Error: "moved",
+			Moved: &MovedInfo{Subject: "alice", Shard: "s1", Addr: newOwner.URL, MapVersion: 1},
+		})
+	})
+	for _, path := range []string{"/v1/decide", "/v1/check"} {
+		resp, body := post(path, routedDecideBody)
+		if resp.StatusCode != http.StatusOK || string(body) != reply {
+			t.Fatalf("%s after 421: %d %q, want the new owner's 200 %q", path, resp.StatusCode, body, reply)
 		}
 	}
 }
