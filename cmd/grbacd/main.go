@@ -78,7 +78,6 @@ func main() {
 	admin := flag.Bool("admin", false, "enable the policy administration and session endpoints")
 	dataDir := flag.String("data-dir", "", "durable policy store directory (WAL + checkpoints): mutations survive restarts and followers resume via delta sync")
 	walCheckpointEvery := flag.Int("wal-checkpoint-every", store.DefaultCheckpointEvery, "WAL records between checkpoint snapshots in -data-dir")
-	walGroupCommit := flag.Bool("wal-group-commit", false, "coalesce concurrent WAL fsyncs in -data-dir: one disk flush acknowledges every mutation appended before it (same durability, far fewer fsyncs under bursts)")
 	route := flag.String("route", "", "router mode: comma-separated shard list 'id=url,id=url' (or bare URLs for auto IDs); this node forwards requests to the shard owning each subject instead of deciding itself")
 	shardTimeout := flag.Duration("shard-timeout", pdp.DefaultShardTimeout, "router mode: per-shard call deadline — a down shard costs one deadline, not a hang")
 	vnodes := flag.Int("vnodes", shard.DefaultVNodes, "router mode: virtual nodes per shard on the consistent-hash ring")
@@ -280,15 +279,9 @@ func main() {
 			// store holds state, the recovered policy wins and -policy /
 			// -snapshot are ignored for content (still fine as defaults).
 			seedState, _ := sys.Snapshot()
-			storeOpts := []store.DurableOption{
+			dur, err = store.Open(*dataDir,
 				store.WithCheckpointEvery(*walCheckpointEvery),
-				store.WithSeedState(&seedState),
-			}
-			if *walGroupCommit {
-				storeOpts = append(storeOpts, store.WithGroupCommit())
-				log.Print("WAL group commit ENABLED")
-			}
-			dur, err = store.Open(*dataDir, storeOpts...)
+				store.WithSeedState(&seedState))
 			if err != nil {
 				log.Fatal(err)
 			}

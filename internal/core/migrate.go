@@ -65,9 +65,7 @@ func (s *System) ExportSubject(id SubjectID) (SubjectBundle, error) {
 // this shard can never mint a colliding ID. Active roles no longer
 // authorized under the restored role set are dropped, mirroring
 // RevokeSubjectRole's pruning.
-func (s *System) RestoreSubject(b SubjectBundle) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RestoreSubject(b SubjectBundle) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -94,7 +92,7 @@ func (s *System) RestoreSubject(b SubjectBundle) (err error) {
 		rec = &subjectRec{roles: make(map[RoleID]bool)}
 		s.subjects[id] = rec
 		s.invalidateLocked()
-		if err := s.recordLocked(&commit, Mutation{Op: OpAddSubject, Subject: id}); err != nil {
+		if err := s.recordLocked(Mutation{Op: OpAddSubject, Subject: id}); err != nil {
 			return err
 		}
 	}
@@ -122,7 +120,7 @@ func (s *System) RestoreSubject(b SubjectBundle) (err error) {
 		}
 		rec.roles[r] = true
 		s.invalidateLocked()
-		if err := s.recordLocked(&commit, Mutation{Op: OpAssignSubjectRole, Subject: id, RoleID: r}); err != nil {
+		if err := s.recordLocked(Mutation{Op: OpAssignSubjectRole, Subject: id, RoleID: r}); err != nil {
 			return err
 		}
 	}
@@ -138,7 +136,7 @@ func (s *System) RestoreSubject(b SubjectBundle) (err error) {
 	for _, r := range stray {
 		delete(rec.roles, r)
 		s.invalidateLocked()
-		if err := s.recordLocked(&commit, Mutation{Op: OpRevokeSubjectRole, Subject: id, RoleID: r}); err != nil {
+		if err := s.recordLocked(Mutation{Op: OpRevokeSubjectRole, Subject: id, RoleID: r}); err != nil {
 			return err
 		}
 	}

@@ -83,7 +83,8 @@ type Journal interface {
 	// its generation assigned (m.Gen). export returns the post-mutation
 	// State without acquiring locks. An error is propagated to the
 	// mutator's caller wrapped in ErrJournal; the in-memory mutation
-	// remains applied.
+	// remains applied. Readers see the mutation once the write lock is
+	// released, so a durable journal makes it durable before returning.
 	Record(m Mutation, export func() State) error
 	// ObserveGeneration is called for generation bumps with no record.
 	ObserveGeneration(gen uint64)
@@ -98,54 +99,16 @@ func (s *System) SetJournal(j Journal) {
 	s.journal = j
 }
 
-// CommitWaiter is an optional Journal extension for group-commit stores:
-// Record may return before the mutation is durable, and the mutator then
-// calls WaitDurable(gen) AFTER releasing the System write lock, blocking
-// until every journal record up to gen has been made durable (or the
-// store has failed). Moving the durability wait outside the lock is what
-// lets concurrent mutators share one fsync: they serialize through the
-// write lock for the in-memory apply + append, then wait side by side.
-//
-// A journal that is always durable by the time Record returns (the
-// default fsync-per-record store) simply returns nil immediately.
-type CommitWaiter interface {
-	Journal
-	WaitDurable(gen uint64) error
-}
-
-// commitTicket carries a pending durability wait out of the write lock.
-// Mutators declare one and defer its settle BEFORE deferring the unlock,
-// so (defer LIFO) the wait runs after the lock is released.
-type commitTicket struct {
-	waiter CommitWaiter
-	gen    uint64
-}
-
-// settle blocks until the armed generation is durable, folding a wait
-// failure into the mutator's return error unless one is already set.
-func (t *commitTicket) settle(errp *error) {
-	if t.waiter == nil {
-		return
-	}
-	if err := t.waiter.WaitDurable(t.gen); err != nil && *errp == nil {
-		*errp = fmt.Errorf("%w: commit wait: %v", ErrJournal, err)
-	}
-}
-
 // recordLocked hands a just-applied mutation to the journal. The caller
 // holds the write lock and has called invalidateLocked, so s.gen is the
-// mutation's generation. When the journal defers durability (CommitWaiter)
-// the ticket is armed so the caller's deferred settle blocks post-unlock.
-func (s *System) recordLocked(c *commitTicket, m Mutation) error {
+// mutation's generation.
+func (s *System) recordLocked(m Mutation) error {
 	if s.journal == nil {
 		return nil
 	}
 	m.Gen = s.gen
 	if err := s.journal.Record(m, s.exportLocked); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrJournal, m.Op, err)
-	}
-	if w, ok := s.journal.(CommitWaiter); ok {
-		c.waiter, c.gen = w, s.gen
 	}
 	return nil
 }

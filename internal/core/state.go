@@ -79,9 +79,7 @@ func (s *System) exportLocked() State {
 
 // Import rebuilds a System from a snapshot. The system must be freshly
 // constructed (empty); importing into a populated system returns ErrInvalid.
-func (s *System) Import(st State) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) Import(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.subjects) != 0 || len(s.objects) != 0 ||
@@ -158,7 +156,7 @@ func (s *System) Import(st State) (err error) {
 	// (not the caller's State value) so the journal's copy shares no slices
 	// with memory the caller may later mutate.
 	exp := s.exportLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpReplace, State: &exp})
+	return s.recordLocked(Mutation{Op: OpReplace, State: &exp})
 }
 
 // Replace swaps the policy store for the snapshot, atomically from the
@@ -172,9 +170,7 @@ func (s *System) Import(st State) (err error) {
 // pruned against the new policy: sessions whose subject vanished are
 // closed, and active roles no longer in the subject's authorized closure
 // are deactivated, mirroring RevokeSubjectRole semantics.
-func (s *System) Replace(st State) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) Replace(st State) error {
 	tmp := NewSystem()
 	if err := tmp.Import(st); err != nil {
 		return err
@@ -205,7 +201,7 @@ func (s *System) Replace(st State) (err error) {
 	}
 	s.invalidateLocked()
 	exp := s.exportLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpReplace, State: &exp})
+	return s.recordLocked(Mutation{Op: OpReplace, State: &exp})
 }
 
 // importRoles inserts roles into an empty graph, deferring parent edges so

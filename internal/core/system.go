@@ -330,9 +330,7 @@ func (s *System) graph(kind RoleKind) (*roleGraph, error) {
 // --- Entities -------------------------------------------------------------
 
 // AddSubject registers a user.
-func (s *System) AddSubject(id SubjectID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AddSubject(id SubjectID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id == "" {
@@ -343,14 +341,12 @@ func (s *System) AddSubject(id SubjectID) (err error) {
 	}
 	s.subjects[id] = &subjectRec{roles: make(map[RoleID]bool)}
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpAddSubject, Subject: id})
+	return s.recordLocked(Mutation{Op: OpAddSubject, Subject: id})
 }
 
 // RemoveSubject deletes a subject and its role assignments. Sessions owned
 // by the subject are closed.
-func (s *System) RemoveSubject(id SubjectID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RemoveSubject(id SubjectID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.subjects[id]; !ok {
@@ -363,7 +359,7 @@ func (s *System) RemoveSubject(id SubjectID) (err error) {
 		}
 	}
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpRemoveSubject, Subject: id})
+	return s.recordLocked(Mutation{Op: OpRemoveSubject, Subject: id})
 }
 
 // Subjects returns all subject IDs in sorted order.
@@ -387,9 +383,7 @@ func (s *System) HasSubject(id SubjectID) bool {
 }
 
 // AddObject registers a resource.
-func (s *System) AddObject(id ObjectID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AddObject(id ObjectID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id == "" {
@@ -400,13 +394,11 @@ func (s *System) AddObject(id ObjectID) (err error) {
 	}
 	s.objects[id] = &objectRec{roles: make(map[RoleID]bool)}
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpAddObject, Object: id})
+	return s.recordLocked(Mutation{Op: OpAddObject, Object: id})
 }
 
 // RemoveObject deletes an object and its role assignments.
-func (s *System) RemoveObject(id ObjectID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RemoveObject(id ObjectID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.objects[id]; !ok {
@@ -414,7 +406,7 @@ func (s *System) RemoveObject(id ObjectID) (err error) {
 	}
 	delete(s.objects, id)
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpRemoveObject, Object: id})
+	return s.recordLocked(Mutation{Op: OpRemoveObject, Object: id})
 }
 
 // Objects returns all object IDs in sorted order.
@@ -440,9 +432,7 @@ func (s *System) HasObject(id ObjectID) bool {
 // --- Roles ----------------------------------------------------------------
 
 // AddRole defines a role of any kind. Parents must already exist.
-func (s *System) AddRole(r Role) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AddRole(r Role) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !r.Kind.Valid() {
@@ -460,14 +450,12 @@ func (s *System) AddRole(r Role) (err error) {
 	}
 	s.invalidateLocked()
 	rc := r.clone()
-	return s.recordLocked(&commit, Mutation{Op: OpAddRole, Role: &rc})
+	return s.recordLocked(Mutation{Op: OpAddRole, Role: &rc})
 }
 
 // AddRoleParent adds a hierarchy edge making parent a generalization of
 // child, rejecting cycles.
-func (s *System) AddRoleParent(kind RoleKind, child, parent RoleID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AddRoleParent(kind RoleKind, child, parent RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g, err := s.graph(kind)
@@ -478,13 +466,11 @@ func (s *System) AddRoleParent(kind RoleKind, child, parent RoleID) (err error) 
 		return err
 	}
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpAddRoleParent, Kind: kind, RoleID: child, Parent: parent})
+	return s.recordLocked(Mutation{Op: OpAddRoleParent, Kind: kind, RoleID: child, Parent: parent})
 }
 
 // RemoveRoleParent removes a hierarchy edge.
-func (s *System) RemoveRoleParent(kind RoleKind, child, parent RoleID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RemoveRoleParent(kind RoleKind, child, parent RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g, err := s.graph(kind)
@@ -495,14 +481,12 @@ func (s *System) RemoveRoleParent(kind RoleKind, child, parent RoleID) (err erro
 		return err
 	}
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpRemoveRoleParent, Kind: kind, RoleID: child, Parent: parent})
+	return s.recordLocked(Mutation{Op: OpRemoveRoleParent, Kind: kind, RoleID: child, Parent: parent})
 }
 
 // RemoveRole deletes a role, its hierarchy edges, every assignment of it,
 // and every permission that references it.
-func (s *System) RemoveRole(kind RoleKind, id RoleID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RemoveRole(kind RoleKind, id RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g, err := s.graph(kind)
@@ -534,7 +518,7 @@ func (s *System) RemoveRole(kind RoleKind, id RoleID) (err error) {
 	}
 	s.perms = kept
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpRemoveRole, Kind: kind, RoleID: id})
+	return s.recordLocked(Mutation{Op: OpRemoveRole, Kind: kind, RoleID: id})
 }
 
 func references(p Permission, kind RoleKind, id RoleID) bool {
@@ -615,9 +599,7 @@ func (s *System) RoleDepth(kind RoleKind, id RoleID) int {
 // checking every static separation-of-duty constraint against the upward
 // closure of the would-be role set (§4.1.2: "if roles R1 and R2 exhibit
 // static SoD and subject S has acted in role R1, he may never act in R2").
-func (s *System) AssignSubjectRole(sub SubjectID, role RoleID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AssignSubjectRole(sub SubjectID, role RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.subjects[sub]
@@ -643,14 +625,12 @@ func (s *System) AssignSubjectRole(sub SubjectID, role RoleID) (err error) {
 	}
 	rec.roles[role] = true
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpAssignSubjectRole, Subject: sub, RoleID: role})
+	return s.recordLocked(Mutation{Op: OpAssignSubjectRole, Subject: sub, RoleID: role})
 }
 
 // RevokeSubjectRole removes a direct role assignment. Active sessions keep
 // activated roles only if still authorized; otherwise they are deactivated.
-func (s *System) RevokeSubjectRole(sub SubjectID, role RoleID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RevokeSubjectRole(sub SubjectID, role RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.subjects[sub]
@@ -673,7 +653,7 @@ func (s *System) RevokeSubjectRole(sub SubjectID, role RoleID) (err error) {
 		}
 	}
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpRevokeSubjectRole, Subject: sub, RoleID: role})
+	return s.recordLocked(Mutation{Op: OpRevokeSubjectRole, Subject: sub, RoleID: role})
 }
 
 // AuthorizedRoles returns the subject's directly assigned roles, sorted.
@@ -700,9 +680,7 @@ func (s *System) EffectiveSubjectRoles(sub SubjectID) ([]RoleID, error) {
 }
 
 // AssignObjectRole classifies an object into an object role.
-func (s *System) AssignObjectRole(obj ObjectID, role RoleID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AssignObjectRole(obj ObjectID, role RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.objects[obj]
@@ -714,13 +692,11 @@ func (s *System) AssignObjectRole(obj ObjectID, role RoleID) (err error) {
 	}
 	rec.roles[role] = true
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpAssignObjectRole, Object: obj, RoleID: role})
+	return s.recordLocked(Mutation{Op: OpAssignObjectRole, Object: obj, RoleID: role})
 }
 
 // RevokeObjectRole removes an object classification.
-func (s *System) RevokeObjectRole(obj ObjectID, role RoleID) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RevokeObjectRole(obj ObjectID, role RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.objects[obj]
@@ -732,7 +708,7 @@ func (s *System) RevokeObjectRole(obj ObjectID, role RoleID) (err error) {
 	}
 	delete(rec.roles, role)
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpRevokeObjectRole, Object: obj, RoleID: role})
+	return s.recordLocked(Mutation{Op: OpRevokeObjectRole, Object: obj, RoleID: role})
 }
 
 // ObjectRoles returns the object's directly assigned roles, sorted.
@@ -760,9 +736,7 @@ func (s *System) EffectiveObjectRoles(obj ObjectID) ([]RoleID, error) {
 // --- Transactions ---------------------------------------------------------
 
 // AddTransaction defines a transaction.
-func (s *System) AddTransaction(t Transaction) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AddTransaction(t Transaction) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := validateTransaction(t); err != nil {
@@ -774,7 +748,7 @@ func (s *System) AddTransaction(t Transaction) (err error) {
 	s.transactions[t.ID] = t.clone()
 	s.invalidateLocked()
 	tc := t.clone()
-	return s.recordLocked(&commit, Mutation{Op: OpAddTransaction, Transaction: &tc})
+	return s.recordLocked(Mutation{Op: OpAddTransaction, Transaction: &tc})
 }
 
 // Transaction returns a copy of the named transaction.
@@ -823,9 +797,7 @@ func (s *System) TransactionsForAction(a Action) []TransactionID {
 // Grant installs a permission after validating that each leg names an
 // existing role of the right kind (or the corresponding wildcard) and that
 // the transaction exists (or is AnyTransaction).
-func (s *System) Grant(p Permission) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) Grant(p Permission) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := validatePermission(p); err != nil {
@@ -854,13 +826,11 @@ func (s *System) Grant(p Permission) (err error) {
 	s.perms = append(s.perms, p)
 	s.invalidateLocked()
 	pc := p
-	return s.recordLocked(&commit, Mutation{Op: OpGrant, Permission: &pc})
+	return s.recordLocked(Mutation{Op: OpGrant, Permission: &pc})
 }
 
 // Revoke removes the first permission equal to p.
-func (s *System) Revoke(p Permission) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) Revoke(p Permission) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, q := range s.perms {
@@ -868,7 +838,7 @@ func (s *System) Revoke(p Permission) (err error) {
 			s.perms = append(s.perms[:i], s.perms[i+1:]...)
 			s.invalidateLocked()
 			pc := p
-			return s.recordLocked(&commit, Mutation{Op: OpRevoke, Permission: &pc})
+			return s.recordLocked(Mutation{Op: OpRevoke, Permission: &pc})
 		}
 	}
 	return fmt.Errorf("%w: no such permission", ErrNotFound)
@@ -886,9 +856,7 @@ func (s *System) Permissions() []Permission {
 // AddSoDConstraint installs a separation-of-duty constraint. Static
 // constraints are checked retroactively: installation fails if an existing
 // subject already violates the constraint.
-func (s *System) AddSoDConstraint(c SoDConstraint) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) AddSoDConstraint(c SoDConstraint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := validateSoD(c); err != nil {
@@ -916,20 +884,18 @@ func (s *System) AddSoDConstraint(c SoDConstraint) (err error) {
 	s.sods = append(s.sods, c.clone())
 	s.invalidateLocked()
 	cc := c.clone()
-	return s.recordLocked(&commit, Mutation{Op: OpAddSoD, SoD: &cc})
+	return s.recordLocked(Mutation{Op: OpAddSoD, SoD: &cc})
 }
 
 // RemoveSoDConstraint deletes the named constraint.
-func (s *System) RemoveSoDConstraint(name string) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) RemoveSoDConstraint(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, c := range s.sods {
 		if c.Name == name {
 			s.sods = append(s.sods[:i], s.sods[i+1:]...)
 			s.invalidateLocked()
-			return s.recordLocked(&commit, Mutation{Op: OpRemoveSoD, Name: name})
+			return s.recordLocked(Mutation{Op: OpRemoveSoD, Name: name})
 		}
 	}
 	return fmt.Errorf("%w: SoD constraint %q", ErrNotFound, name)
@@ -964,9 +930,7 @@ func (s *System) SetConflictStrategy(cs ConflictStrategy) {
 }
 
 // SetMinConfidence sets the system-wide authentication threshold.
-func (s *System) SetMinConfidence(t float64) (err error) {
-	var commit commitTicket
-	defer commit.settle(&err)
+func (s *System) SetMinConfidence(t float64) error {
 	if t < 0 || t > 1 {
 		return fmt.Errorf("%w: threshold %v outside [0,1]", ErrInvalid, t)
 	}
@@ -974,7 +938,7 @@ func (s *System) SetMinConfidence(t float64) (err error) {
 	defer s.mu.Unlock()
 	s.threshold = t
 	s.invalidateLocked()
-	return s.recordLocked(&commit, Mutation{Op: OpSetMinConfidence, Threshold: t})
+	return s.recordLocked(Mutation{Op: OpSetMinConfidence, Threshold: t})
 }
 
 // MinConfidence returns the system-wide authentication threshold.

@@ -27,8 +27,7 @@ type Repair struct {
 }
 
 // Log is an append-only file of newline-terminated records. Its methods
-// are safe for concurrent use, and Sync holds no lock across the fsync,
-// so a group-commit fsync never blocks appenders.
+// are safe for concurrent use.
 type Log struct {
 	f    *os.File
 	sync bool

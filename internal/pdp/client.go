@@ -273,11 +273,27 @@ func (c *Client) request(ctx context.Context, method, path string, in, out any) 
 // and hands a 2xx reply to read. A correlation ID on ctx (see
 // withCorrelation) rides along as the CorrelationHeader.
 func (c *Client) postDecide(ctx context.Context, path string, in *DecideRequest, read func(*http.Response) error) error {
-	raw, err := appendDecideRequest(nil, in)
+	raw, err := encodeDecideRequest(in)
 	if err != nil {
 		return fmt.Errorf("pdp: encode request: %w", err)
 	}
 	return c.do(ctx, http.MethodPost, path, raw, read)
+}
+
+// encodeDecideRequest encodes in into a buffer sized once for its fields,
+// so a decide body costs one allocation unless escaping outgrows the
+// estimate. The buffer is not pooled: every retry of the request re-reads
+// it. The constants cover each part's keys, quotes and separators, and a
+// credential's confidence at its longest.
+func encodeDecideRequest(in *DecideRequest) ([]byte, error) {
+	n := 96 + len(in.Subject) + len(in.Session) + len(in.Object) + len(in.Transaction)
+	for _, c := range in.Credentials {
+		n += 80 + len(c.Subject) + len(c.Role) + len(c.Source)
+	}
+	for _, e := range in.Environment {
+		n += 3 + len(e)
+	}
+	return appendDecideRequest(make([]byte, 0, n), in)
 }
 
 // decodeReply reads a 2xx decide or check reply into a pooled buffer and

@@ -332,3 +332,24 @@ func readBody(t *testing.T, rc io.ReadCloser) string {
 	}
 	return string(b)
 }
+
+// TestClientDecideBodyOneAlloc: the client sizes a decide body once, so
+// encoding one costs a single allocation, credentials included.
+func TestClientDecideBodyOneAlloc(t *testing.T) {
+	for _, in := range []*DecideRequest{
+		{Subject: "alice", Object: "entertainment-devices", Transaction: "use",
+			Environment: []string{"weekday-free-time", "home-occupied"}},
+		{Session: "sess-12-c0ffee", Object: "tv", Transaction: "use",
+			Credentials: []Credential{{Subject: "alice", Role: "parent", Confidence: 0.123456789012345678, Source: "face-recognizer"}},
+			Environment: []string{"weekday-free-time"}},
+	} {
+		raw, err := encodeDecideRequest(in)
+		want, _ := appendDecideRequest(nil, in)
+		if err != nil || !bytes.Equal(raw, want) {
+			t.Fatalf("encodeDecideRequest = %s, %v; want %s", raw, err, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = encodeDecideRequest(in) }); n != 1 {
+			t.Fatalf("encoding a %d-byte decide body made %v allocations, want 1", len(raw), n)
+		}
+	}
+}

@@ -76,11 +76,6 @@ type DurableStats struct {
 	// WALAppends and WALFsyncs count appends and fsyncs this process.
 	WALAppends uint64 `json:"wal_appends"`
 	WALFsyncs  uint64 `json:"wal_fsyncs"`
-	// GroupCommit reports whether fsync coalescing is active;
-	// WALCommitWaits counts mutators that blocked for a group fsync. The
-	// coalescing win under a burst is WALCommitWaits ≫ WALFsyncs.
-	GroupCommit    bool   `json:"group_commit,omitempty"`
-	WALCommitWaits uint64 `json:"wal_commit_waits,omitempty"`
 	// Checkpoints counts snapshot+truncate checkpoints this process.
 	Checkpoints uint64 `json:"checkpoints"`
 	// DeltaTailLen is the number of recent mutations held for delta sync.
@@ -104,7 +99,6 @@ type Durable struct {
 	dir             string
 	checkpointEvery int
 	deltaLogSize    int
-	group           bool
 	seed            *core.State
 	logger          *log.Logger
 
@@ -128,10 +122,6 @@ type Durable struct {
 	checkpoints uint64
 	replay      ReplayStats
 	closed      bool
-
-	// gc is the group-commit engine; non-nil only under WithGroupCommit.
-	// Set once in Open, immutable after — reads need no lock.
-	gc *committer
 
 	fsyncHist *obs.Histogram // nil until RegisterMetrics; nil-safe
 }
@@ -230,9 +220,6 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 	d.wal = wal
 	d.walRecords = stats.Records + stats.Skipped
 	d.lastGen = lastGen
-	if d.group {
-		d.gc = newCommitter(d.wal)
-	}
 
 	// Seed only a genuinely empty directory: durable state, even an empty
 	// snapshot, always wins.
@@ -254,11 +241,6 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 	}
 	sys.AdvanceGeneration(gen0)
 	d.maxSeen = gen0
-	if d.gc != nil {
-		// Everything replayed (or reserved) at boot is already on disk.
-		d.gc.noteAppend(gen0)
-		d.gc.noteDurable(gen0)
-	}
 	d.reserved = gen0 + genReserveChunk
 	if err := d.writeEpochLocked(); err != nil {
 		_ = d.wal.Close()
@@ -328,7 +310,12 @@ func (d *Durable) Epoch() string { return d.epoch }
 
 // Record implements core.Journal: write-ahead-log the mutation, fsync,
 // and checkpoint when the log is due. It runs under the System's write
-// lock, so the WAL order is exactly the generation order.
+// lock, so the WAL order is exactly the generation order, and no reader,
+// follower or SDK sees the mutation before its fsync has returned.
+//
+// Once Append succeeds the record is in the log and replays at the next
+// boot whatever the fsync does, so it is counted and joins the delta tail
+// before the fsync; only lastGen (the fsynced watermark) waits for it.
 func (d *Durable) Record(m core.Mutation, export func() core.State) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -348,31 +335,23 @@ func (d *Durable) Record(m core.Mutation, export func() core.State) error {
 	if err := d.wal.Append(line); err != nil {
 		return fmt.Errorf("store: wal: %w", err)
 	}
-	if d.gc != nil {
-		// Group commit: the fsync is owed, not issued. The mutator settles
-		// it via WaitDurable after releasing the System write lock, where
-		// concurrent mutators coalesce into one shared fsync. The fault
-		// point moves with the fsync (see committer.wait).
-		d.gc.noteAppend(m.Gen)
-	} else {
-		if err := faults.Inject(faults.WALFsync); err != nil {
-			return fmt.Errorf("store: wal fsync: %w", err)
-		}
-		start := time.Now()
-		if err := d.wal.Sync(); err != nil {
-			return fmt.Errorf("store: wal: %w", err)
-		}
-		d.fsyncHist.ObserveSince(start)
-		d.fsyncs++
-	}
 	d.appends++
 	d.walRecords++
-	d.lastGen = m.Gen
 	if m.Gen > d.maxSeen {
 		d.maxSeen = m.Gen
 	}
 	d.pushTailLocked(m)
 	d.ensureReservedLocked(m.Gen)
+	if err := faults.Inject(faults.WALFsync); err != nil {
+		return fmt.Errorf("store: wal fsync: %w", err)
+	}
+	start := time.Now()
+	if err := d.wal.Sync(); err != nil {
+		return fmt.Errorf("store: wal: %w", err)
+	}
+	d.fsyncHist.ObserveSince(start)
+	d.fsyncs++
+	d.lastGen = m.Gen
 	if d.walRecords >= d.checkpointEvery {
 		// The mutation is already durable in the WAL; a failed checkpoint
 		// only delays compaction, so it is logged, not returned.
@@ -426,11 +405,6 @@ func (d *Durable) checkpointLocked(st core.State, gen uint64) error {
 	}
 	d.baseGen = gen
 	d.checkpoints++
-	if d.gc != nil {
-		// The fsynced snapshot covers every generation it includes: waiters
-		// at or below gen are durable without a WAL fsync of their own.
-		d.gc.noteDurable(gen)
-	}
 	// From here the snapshot covers every logged record: a failed reset
 	// leaves stale records that replay will skip (gen <= baseGen), so it
 	// degrades space, not correctness.
@@ -493,13 +467,6 @@ func (d *Durable) Stats() DurableStats {
 	if err := d.wal.Err(); err != nil {
 		st.Failed = err.Error()
 	}
-	if d.gc != nil {
-		st.GroupCommit = true
-		_, durable, fsyncs, waits := d.gc.stats()
-		st.DurableGeneration = durable
-		st.WALFsyncs += fsyncs
-		st.WALCommitWaits = waits
-	}
 	return st
 }
 
@@ -512,15 +479,6 @@ func (d *Durable) RegisterMetrics(reg *obs.Registry) {
 	d.fsyncHist = reg.NewHistogram("grbac_wal_fsync_seconds",
 		"Latency of one WAL fsync.", nil)
 	d.mu.Unlock()
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		d.gc.hist = reg.NewHistogram("grbac_wal_group_fsync_seconds",
-			"Latency of one coalesced group-commit fsync.", nil)
-		d.gc.mu.Unlock()
-		reg.NewCounterFunc("grbac_wal_commit_waits_total",
-			"Mutators that blocked for a group-commit fsync.",
-			func() float64 { return float64(d.Stats().WALCommitWaits) })
-	}
 	reg.NewCounterFunc("grbac_wal_appends_total",
 		"Mutations appended to the write-ahead log.",
 		func() float64 { return float64(d.Stats().WALAppends) })
@@ -585,11 +543,6 @@ func (d *Durable) Close() error {
 		if err := d.checkpointLocked(st, gen); err != nil {
 			firstErr = err
 		}
-	}
-	if d.gc != nil {
-		// The final checkpoint (above) advanced the durable watermark past
-		// every journaled generation, so this releases no waiter early.
-		d.gc.shutdown()
 	}
 	if err := d.wal.Close(); err != nil && firstErr == nil {
 		firstErr = err

@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/faults"
+	"github.com/aware-home/grbac/internal/replica"
 )
 
 // TestDurableRoundTrip covers the plain lifecycle: seed a fresh dir,
@@ -151,6 +153,130 @@ func TestDurableJournalErrorSurfaces(t *testing.T) {
 	}
 }
 
+// TestDurableFsyncFaultKeepsRecordInFeed: a failed fsync comes after the
+// append, so the record is in the log and replays at the next boot. The
+// delta feed must carry it too, or a delta-synced follower never learns
+// a mutation the primary serves and keeps across a crash.
+func TestDurableFsyncFaultKeepsRecordInFeed(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, WithCheckpointEvery(1<<20), quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	sys := d.System()
+	src := replica.NewSource(sys, replica.WithSourceEpoch(d.Epoch()), replica.WithDeltaProvider(d))
+	g0 := sys.Generation()
+	faults.Activate(faults.NewPlan(1, faults.Rule{
+		Point: faults.WALFsync, Limit: 1,
+		Action: faults.Action{Err: errors.New("injected fsync failure")},
+	}))
+	defer faults.Deactivate()
+
+	if err := sys.AddSubject("a"); !errors.Is(err, core.ErrJournal) {
+		t.Fatalf("AddSubject during fsync fault = %v, want ErrJournal", err)
+	}
+	faults.Deactivate()
+	if err := sys.AddSubject("b"); err != nil {
+		t.Fatalf("store stuck after a transient fsync fault: %v", err)
+	}
+	st := d.Stats()
+	if st.Failed != "" {
+		t.Fatalf("injected fault must not be sticky: %q", st.Failed)
+	}
+	if st.WALAppends != 2 || st.WALRecords != 2 || st.DurableGeneration != sys.Generation() {
+		t.Fatalf("stats = %+v, want 2 appends and records, durable through %d", st, sys.Generation())
+	}
+
+	delta, ok := src.Delta(d.Epoch(), g0)
+	var got []core.SubjectID
+	for _, m := range delta.Mutations {
+		got = append(got, m.Subject)
+	}
+	if !ok || !reflect.DeepEqual(got, []core.SubjectID{"a", "b"}) {
+		t.Fatalf("Delta(g0) = %v (ok=%v), want the adds of a and b", got, ok)
+	}
+	// A crash here replays both records.
+	wal, err := os.ReadFile(filepath.Join(dir, WALFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := reopenWithWAL(t, dir, wal)
+	defer d2.Close()
+	if !d2.System().HasSubject("a") || !d2.System().HasSubject("b") {
+		t.Fatal("replay lost a journaled subject")
+	}
+}
+
+// TestDurableFeedWaitsForFsync pins the commit path's visibility rule:
+// a mutation reaches readers and the replication feed only once its WAL
+// fsync has returned. A delayed fsync holds the mutator; neither Snapshot
+// nor Delta may serve the mutation before that delay has run out, and
+// both serve it once the mutator returns.
+func TestDurableFeedWaitsForFsync(t *testing.T) {
+	d, err := Open(t.TempDir(), quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	sys := d.System()
+	src := replica.NewSource(sys, replica.WithSourceEpoch(d.Epoch()), replica.WithDeltaProvider(d))
+	g0 := sys.Generation()
+	const hold = 300 * time.Millisecond
+	plan := faults.NewPlan(1, faults.Rule{
+		Point: faults.WALFsync, Limit: 1,
+		Action: faults.Action{Delay: hold},
+	})
+	faults.Activate(plan)
+	defer faults.Deactivate()
+
+	// snapHas and deltaHas report whether each read serves the mutation.
+	snapHas := func() bool {
+		for _, s := range src.Snapshot().State.Subjects {
+			if s.ID == "slow" {
+				return true
+			}
+		}
+		return false
+	}
+	deltaHas := func() bool {
+		delta, ok := src.Delta(d.Epoch(), g0)
+		return ok && len(delta.Mutations) == 1 && delta.Mutations[0].Subject == "slow"
+	}
+	type read struct {
+		name string
+		has  bool
+		at   time.Time
+	}
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- sys.AddSubject("slow") }()
+	for plan.Fired(faults.WALFsync) == 0 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("mutator never reached its fsync")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The mutator is inside its fsync, which cannot end before start+hold.
+	reads := make(chan read, 2)
+	go func() { has := snapHas(); reads <- read{"Snapshot", has, time.Now()} }()
+	go func() { has := deltaHas(); reads <- read{"Delta", has, time.Now()} }()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		r := <-reads
+		if r.has && r.at.Sub(start) < hold {
+			t.Fatalf("%s served the mutation %v after the mutator started, inside its %v fsync",
+				r.name, r.at.Sub(start), hold)
+		}
+	}
+	if !snapHas() || !deltaHas() {
+		t.Fatal("acknowledged mutation missing from Snapshot or Delta")
+	}
+}
+
 // TestDurableClosedRefusesMutations: after Close, mutations fail loudly
 // instead of silently losing durability.
 func TestDurableClosedRefusesMutations(t *testing.T) {
@@ -161,8 +287,8 @@ func TestDurableClosedRefusesMutations(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.System().AddSubject("late"); err == nil {
-		t.Fatal("mutation accepted after Close")
+	if err := d.System().AddSubject("late"); !errors.Is(err, core.ErrJournal) {
+		t.Fatalf("mutation after Close = %v, want ErrJournal", err)
 	}
 }
 
