@@ -1,6 +1,6 @@
 # Standard developer entry points; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-test bench-e2e benchguard replication-smoke chaos-smoke crash-smoke sdk-smoke shard-smoke rebalance-smoke declog-smoke fuzz cover experiments fmt
+.PHONY: all build vet test race bench bench-test bench-e2e guards replication-smoke chaos-smoke crash-smoke sdk-smoke shard-smoke rebalance-smoke declog-smoke fuzz cover experiments fmt
 
 all: build vet test
 
@@ -34,7 +34,7 @@ bench-e2e:
 # The TestGuard… family: allocation, zero-cost-hook and lock-contention
 # guards that sit beside the code they pin. They skip under -race, so this
 # is their one run.
-benchguard:
+guards:
 	go test -count=1 -run '^TestGuard' ./...
 
 # End-to-end replication drill: boots a primary/follower grbacd pair on

@@ -43,7 +43,7 @@ func TestClientNon2xxMalformedErrorBody(t *testing.T) {
 }
 
 // TestClientNon2xxStructuredErrorBody: the error envelope's message is
-// carried through.
+// carried through, by a decide and by a metrics scrape alike.
 func TestClientNon2xxStructuredErrorBody(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadRequest)
@@ -59,6 +59,9 @@ func TestClientNon2xxStructuredErrorBody(t *testing.T) {
 	}
 	if !strings.Contains(re.Message, "not found") {
 		t.Fatalf("message %q lost the server's explanation", re.Message)
+	}
+	if _, err := client.Metrics(context.Background()); !errors.As(err, &re) || !strings.Contains(re.Message, "not found") {
+		t.Fatalf("Metrics err = %v, want RemoteError{400} with the server's explanation", err)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -176,20 +174,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // Metrics scrapes the server's GET /metrics exposition and parses it into
 // samples; `grbacctl top` renders them.
 func (c *Client) Metrics(ctx context.Context) ([]obs.Sample, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, fmt.Errorf("pdp: build request: %w", err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrTransport, err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return nil, &RemoteError{Status: resp.StatusCode}
-	}
-	return obs.ParseText(resp.Body)
+	var samples []obs.Sample
+	err := c.do(ctx, http.MethodGet, "/metrics", nil, func(resp *http.Response) (err error) {
+		samples, err = obs.ParseText(resp.Body)
+		return err
+	})
+	return samples, err
 }

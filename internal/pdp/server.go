@@ -86,9 +86,9 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 		s.registerMetrics()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc(decidePath, s.instrument(decidePath, s.limited(s.handleDecide)))
+	mux.HandleFunc(decidePath, s.instrument(decidePath, s.limited(s.handleDecision(decidePath))))
 	mux.HandleFunc(batchPath, s.instrument(batchPath, s.limited(s.handleDecideBatch)))
-	mux.HandleFunc(checkPath, s.instrument(checkPath, s.limited(s.handleCheck)))
+	mux.HandleFunc(checkPath, s.instrument(checkPath, s.limited(s.handleDecision(checkPath))))
 	mux.HandleFunc("/v1/state", s.instrument("/v1/state", s.handleState))
 	mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
 	mux.HandleFunc("/v1/statsz", s.instrument("/v1/statsz", s.handleStatsz))
@@ -169,35 +169,47 @@ func (s *Server) logDecision(req core.Request, d core.Decision, sv *audit.Served
 	}
 }
 
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	sv := audit.Served{CorrelationID: correlate(w, r), Route: decidePath}
-	t := time.Now()
-	buf := getBuf()
-	defer putBuf(buf)
-	req, ok := s.readDecideRequest(w, r, buf)
-	sv.Decode = time.Since(t)
-	if !ok {
-		return
+// handleDecision serves one decision on route, /v1/decide or /v1/check:
+// the two read, mediate and audit alike and differ only in the reply, the
+// full decision or just its allowed bit.
+func (s *Server) handleDecision(route string) http.HandlerFunc {
+	check := route == checkPath
+	return func(w http.ResponseWriter, r *http.Request) {
+		sv := audit.Served{CorrelationID: correlate(w, r), Route: route}
+		t := time.Now()
+		buf := getBuf()
+		defer putBuf(buf)
+		req, ok := s.readDecideRequest(w, r, buf)
+		sv.Decode = time.Since(t)
+		if !ok {
+			return
+		}
+		if s.migrateIntercept(w, r, req.Subject, req.Session, req) {
+			return
+		}
+		coreReq := req.toCore()
+		t = time.Now()
+		d, err := s.sys.Decide(coreReq)
+		sv.Mediate = time.Since(t)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		sv.Stale = s.stale()
+		s.logDecision(coreReq, d, &sv)
+		var out []byte
+		if check {
+			resp := CheckResponse{Allowed: d.Allowed, Stale: sv.Stale, CorrelationID: sv.CorrelationID}
+			out = appendCheckResponse((*buf)[:0], &resp)
+		} else {
+			resp := fromDecision(d)
+			resp.Stale = sv.Stale
+			resp.CorrelationID = sv.CorrelationID
+			out, err = appendDecideResponse((*buf)[:0], &resp)
+		}
+		*buf = out
+		s.writeEncoded(w, out, err)
 	}
-	if s.migrateIntercept(w, r, req.Subject, req.Session, req) {
-		return
-	}
-	coreReq := req.toCore()
-	t = time.Now()
-	d, err := s.sys.Decide(coreReq)
-	sv.Mediate = time.Since(t)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	sv.Stale = s.stale()
-	s.logDecision(coreReq, d, &sv)
-	resp := fromDecision(d)
-	resp.Stale = sv.Stale
-	resp.CorrelationID = sv.CorrelationID
-	out, err := appendDecideResponse((*buf)[:0], &resp)
-	*buf = out
-	s.writeEncoded(w, out, err)
 }
 
 func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
@@ -256,34 +268,6 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i].Decision = &d
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	sv := audit.Served{CorrelationID: correlate(w, r), Route: checkPath}
-	t := time.Now()
-	buf := getBuf()
-	defer putBuf(buf)
-	req, ok := s.readDecideRequest(w, r, buf)
-	sv.Decode = time.Since(t)
-	if !ok {
-		return
-	}
-	if s.migrateIntercept(w, r, req.Subject, req.Session, req) {
-		return
-	}
-	coreReq := req.toCore()
-	t = time.Now()
-	d, err := s.sys.Decide(coreReq)
-	sv.Mediate = time.Since(t)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	sv.Stale = s.stale()
-	s.logDecision(coreReq, d, &sv)
-	resp := CheckResponse{Allowed: d.Allowed, Stale: sv.Stale, CorrelationID: sv.CorrelationID}
-	*buf = appendCheckResponse((*buf)[:0], &resp)
-	s.writeEncoded(w, *buf, nil)
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {

@@ -55,6 +55,17 @@ func WithDeltaProvider(p DeltaProvider) SourceOption {
 // is what tells followers "this is a new primary incarnation, your
 // generation bookkeeping is void".
 func NewSource(sys *core.System, opts ...SourceOption) *Source {
+	s := &Source{sys: sys, epoch: NewEpoch()}
+	for _, opt := range opts {
+		opt(s)
+	}
+	return s
+}
+
+// NewEpoch mints a fresh epoch token: 16 hex characters from crypto/rand.
+// A durable store mints its persisted epoch here too, so every epoch a
+// follower compares has one format.
+func NewEpoch() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is a broken platform; fall back to the
@@ -63,11 +74,7 @@ func NewSource(sys *core.System, opts ...SourceOption) *Source {
 			b[i] = byte(time.Now().UnixNano() >> (8 * i))
 		}
 	}
-	s := &Source{sys: sys, epoch: hex.EncodeToString(b[:])}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
+	return hex.EncodeToString(b[:])
 }
 
 // Epoch returns the feed's epoch token.

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -15,6 +13,7 @@ import (
 	"github.com/aware-home/grbac/internal/disk"
 	"github.com/aware-home/grbac/internal/faults"
 	"github.com/aware-home/grbac/internal/obs"
+	"github.com/aware-home/grbac/internal/replica"
 )
 
 // On-disk layout of a durable data directory.
@@ -176,7 +175,7 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 	// because the epoch changed.
 	ep, haveEpoch := loadEpochRecord(filepath.Join(dir, EpochFile))
 	if !haveEpoch {
-		ep = epochRecord{Epoch: mintEpoch()}
+		ep = epochRecord{Epoch: replica.NewEpoch()}
 	}
 	d.epoch = ep.Epoch
 
@@ -264,18 +263,6 @@ func Open(dir string, opts ...DurableOption) (*Durable, error) {
 	}
 	sys.SetJournal(d)
 	return d, nil
-}
-
-// mintEpoch returns a fresh random epoch token (same format as the
-// replica package's in-memory epochs).
-func mintEpoch() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		for i := range b {
-			b[i] = byte(time.Now().UnixNano() >> (8 * i))
-		}
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // loadEpochRecord reads the epoch file, reporting ok=false for a missing
