@@ -1,6 +1,6 @@
 # Standard developer entry points; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-test bench-e2e guards replication-smoke chaos-smoke crash-smoke sdk-smoke shard-smoke rebalance-smoke declog-smoke fuzz cover experiments fmt
+.PHONY: all build vet test race bench bench-test bench-e2e guards replication-smoke chaos-smoke crash-smoke sdk-smoke shard-smoke rebalance-smoke declog-smoke fuzz cover fmt
 
 all: build vet test
 
@@ -94,9 +94,6 @@ fuzz:
 
 cover:
 	go test -cover ./...
-
-experiments:
-	go run ./cmd/grbac-bench
 
 fmt:
 	gofmt -w .

@@ -80,7 +80,6 @@ func main() {
 	walCheckpointEvery := flag.Int("wal-checkpoint-every", store.DefaultCheckpointEvery, "WAL records between checkpoint snapshots in -data-dir")
 	route := flag.String("route", "", "router mode: comma-separated shard list 'id=url,id=url' (or bare URLs for auto IDs); this node forwards requests to the shard owning each subject instead of deciding itself")
 	shardTimeout := flag.Duration("shard-timeout", pdp.DefaultShardTimeout, "router mode: per-shard call deadline — a down shard costs one deadline, not a hang")
-	vnodes := flag.Int("vnodes", shard.DefaultVNodes, "router mode: virtual nodes per shard on the consistent-hash ring")
 	probeInterval := flag.Duration("shard-probe-interval", 0, "router mode: background shard health-probe interval feeding /v1/healthz and grbac_shard_health (0 probes inline on /v1/healthz only)")
 	follow := flag.String("follow", "", "primary PDP base URL to replicate from (follower mode: read-only, policy comes from the primary)")
 	maxStaleness := flag.Duration("max-staleness", 30*time.Second, "follower mode: degrade health and mark decisions stale after this long without primary contact (0 disables)")
@@ -134,7 +133,7 @@ func main() {
 		if *bundlePath != "" {
 			log.Fatal("-bundle is exclusive with -route: a router activates no policy at boot; push bundles to POST /v1/bundle instead")
 		}
-		m, err := parseShardList(*route, *vnodes)
+		m, err := parseShardList(*route)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -260,7 +259,7 @@ func main() {
 			log.Fatal("-bundle is exclusive with -follow: a follower's boot policy comes from its primary (push bundles to POST /v1/bundle instead)")
 		}
 		sys = core.NewSystem()
-		follower := replica.NewFollower(sys, *follow,
+		follower := replica.NewPuller(sys, *follow,
 			replica.WithMaxStaleness(*maxStaleness))
 		go func() {
 			_ = follower.Run(ctx)
@@ -427,8 +426,10 @@ func serve(ctx context.Context, stop context.CancelFunc, addr string, handler ht
 // parseShardList parses the -route shard list: comma-separated entries,
 // each "id=url" or a bare URL (auto-assigned IDs s0, s1, … by position —
 // note that renaming or reordering auto-ID shards remaps subjects, so
-// production clusters should pin explicit IDs).
-func parseShardList(spec string, vnodes int) (*shard.Map, error) {
+// production clusters should pin explicit IDs). The ring has
+// shard.DefaultVNodes virtual nodes per shard; a persisted shard map
+// carries its own.
+func parseShardList(spec string) (*shard.Map, error) {
 	var infos []shard.Info
 	for i, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
@@ -441,7 +442,7 @@ func parseShardList(spec string, vnodes int) (*shard.Map, error) {
 			infos = append(infos, shard.Info{ID: fmt.Sprintf("s%d", i), Addr: entry})
 		}
 	}
-	return shard.New(vnodes, infos...)
+	return shard.New(shard.DefaultVNodes, infos...)
 }
 
 // loadSystem builds the system and, when the policy came from the policy

@@ -3,10 +3,12 @@ package grbac_test
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -427,6 +429,72 @@ func TestExamplesAreDriven(t *testing.T) {
 		built := regexp.MustCompile(`go build [^\n]*\./examples/` + regexp.QuoteMeta(d.Name()) + `\b`)
 		if d.IsDir() && !built.Match(drills) {
 			t.Errorf("examples/%s is built by no scripts/ drill that ci.yml runs: make it an Example function", d.Name())
+		}
+	}
+}
+
+// TestExperimentsCiteLiveChecks keeps EXPERIMENTS.md and DESIGN.md §4's
+// experiment index honest: every test, benchmark or example either one
+// names in backticks must be declared in a _test.go file of this
+// repository, so a claim cannot outlive the check that produced it. A name
+// ending in * or … stands for every function with that prefix, and must
+// match at least one.
+func TestExperimentsCiteLiveChecks(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Example)\w*)\(`)
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	experiments, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, ok := section(string(design), "## 4.")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4")
+	}
+	docs := map[string]string{
+		"EXPERIMENTS.md":       string(experiments),
+		"DESIGN.md §4's table": strings.Join(regexp.MustCompile(`(?m)^\|.*$`).FindAllString(index, -1), "\n"),
+	}
+	span := regexp.MustCompile("`([^`\n]+)`")
+	cited := regexp.MustCompile(`\b((?:Test|Benchmark|Example)[A-Z_]\w*)([*…]?)`)
+	for doc, text := range docs {
+		for _, s := range span.FindAllStringSubmatch(text, -1) {
+			for _, m := range cited.FindAllStringSubmatch(s[1], -1) {
+				name, prefix := m[1], m[2] != ""
+				found := declared[name]
+				for d := range declared {
+					found = found || prefix && strings.HasPrefix(d, name)
+				}
+				if !found {
+					t.Errorf("%s cites `%s`, which no _test.go file declares", doc, s[1])
+				}
+			}
 		}
 	}
 }

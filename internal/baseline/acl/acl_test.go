@@ -2,8 +2,11 @@ package acl
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"github.com/aware-home/grbac/internal/baseline/rbac"
 	"github.com/aware-home/grbac/internal/core"
 )
 
@@ -84,76 +87,103 @@ func TestEntriesSorted(t *testing.T) {
 	}
 }
 
-// TestPolicySizeVersusGRBAC quantifies the §5.1 expressiveness argument:
-// the entertainment policy takes children × devices ACL entries but one
-// GRBAC rule.
+// TestPolicySizeVersusGRBAC is experiment E13, §5.1's usability argument:
+// as the household grows, the entertainment policy takes children × devices
+// ACL entries and one traditional-RBAC transaction grant per device (RBAC
+// has no object grouping), but always one GRBAC rule. The ACL and GRBAC
+// policies decide alike everywhere.
 func TestPolicySizeVersusGRBAC(t *testing.T) {
-	children := []core.SubjectID{"alice", "bobby", "carol"}
-	devices := []core.ObjectID{"tv", "vcr", "stereo", "console"}
-
-	s := NewSystem()
-	for _, c := range children {
-		for _, d := range devices {
-			if err := s.Add(Entry{Subject: c, Action: "use", Object: d, Allow: true}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got, want := s.Len(), len(children)*len(devices); got != want {
-		t.Fatalf("ACL size = %d, want %d", got, want)
-	}
-
-	// The GRBAC equivalent: one rule.
-	g := core.NewSystem()
-	for _, r := range []core.Role{
-		{ID: "child", Kind: core.SubjectRole},
-		{ID: "entertainment-devices", Kind: core.ObjectRole},
+	for _, tt := range []struct {
+		children, devices             int
+		aclEntries, rbacGrants, rules int
+	}{
+		{2, 4, 8, 4, 1},
+		{3, 4, 12, 4, 1},
+		{10, 20, 200, 20, 1},
+		{50, 100, 5000, 100, 1},
 	} {
-		if err := g.AddRole(r); err != nil {
-			t.Fatal(err)
+		children := make([]core.SubjectID, tt.children)
+		for i := range children {
+			children[i] = core.SubjectID(fmt.Sprintf("child%d", i))
 		}
-	}
-	if err := g.AddTransaction(core.SimpleTransaction("use")); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range children {
-		if err := g.AddSubject(c); err != nil {
-			t.Fatal(err)
+		devices := make([]core.ObjectID, tt.devices)
+		for i := range devices {
+			devices[i] = core.ObjectID(fmt.Sprintf("dev%d", i))
 		}
-		if err := g.AssignSubjectRole(c, "child"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, d := range devices {
-		if err := g.AddObject(d); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AssignObjectRole(d, "entertainment-devices"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Grant(core.Permission{
-		Subject: "child", Object: "entertainment-devices",
-		Environment: core.AnyEnvironment, Transaction: "use", Effect: core.Permit,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(g.Permissions()); got != 1 {
-		t.Fatalf("GRBAC rules = %d, want 1", got)
-	}
 
-	// Same decisions.
-	for _, c := range children {
-		for _, d := range devices {
-			aclOK := s.Allowed(c, "use", d)
-			grbacOK, err := g.CheckAccess(core.Request{
-				Subject: c, Object: d, Transaction: "use", Environment: []core.RoleID{},
-			})
-			if err != nil {
+		s := NewSystem()
+		for _, c := range children {
+			for _, d := range devices {
+				if err := s.Add(Entry{Subject: c, Action: "use", Object: d, Allow: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		r := rbac.NewSystem()
+		for _, c := range children {
+			if err := r.AuthorizeRole(c, "child"); err != nil {
 				t.Fatal(err)
 			}
-			if aclOK != grbacOK {
-				t.Fatalf("divergence at (%s, %s): acl %v, grbac %v", c, d, aclOK, grbacOK)
+		}
+		for _, d := range devices {
+			if err := r.AuthorizeTransaction("child", core.TransactionID("use-"+d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		g := core.NewSystem()
+		for _, role := range []core.Role{
+			{ID: "child", Kind: core.SubjectRole},
+			{ID: "entertainment-devices", Kind: core.ObjectRole},
+		} {
+			if err := g.AddRole(role); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.AddTransaction(core.SimpleTransaction("use")); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range children {
+			if err := g.AddSubject(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AssignSubjectRole(c, "child"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range devices {
+			if err := g.AddObject(d); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AssignObjectRole(d, "entertainment-devices"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.Grant(core.Permission{
+			Subject: "child", Object: "entertainment-devices",
+			Environment: core.AnyEnvironment, Transaction: "use", Effect: core.Permit,
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		got := []int{s.Len(), len(r.AuthorizedTransactions("child")), len(g.Permissions())}
+		if want := []int{tt.aclEntries, tt.rbacGrants, tt.rules}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d children, %d devices: ACL entries, RBAC grants, GRBAC rules = %v, want %v",
+				tt.children, tt.devices, got, want)
+		}
+		for _, c := range children {
+			for _, d := range devices {
+				aclOK := s.Allowed(c, "use", d)
+				grbacOK, err := g.CheckAccess(core.Request{
+					Subject: c, Object: d, Transaction: "use", Environment: []core.RoleID{},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if aclOK != grbacOK {
+					t.Fatalf("divergence at (%s, %s): acl %v, grbac %v", c, d, aclOK, grbacOK)
+				}
 			}
 		}
 	}

@@ -84,27 +84,29 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// randomPeriods are the periods randomTBAC draws from.
+var randomPeriods = []temporal.Period{
+	temporal.Always{},
+	temporal.WorkWeek(),
+	temporal.MustParse("daily 09:00-17:00"),
+	temporal.MustParse("monthly 1st mon"),
+	temporal.Months(time.July),
+	temporal.MustParse("daily 22:00-06:00"),
+}
+
 // randomTBAC builds a random periodic policy.
 func randomTBAC(rng *rand.Rand) (*System, []core.SubjectID, []core.ObjectID, []core.Action) {
 	s := NewSystem()
 	subjects := []core.SubjectID{"s0", "s1", "s2"}
 	objects := []core.ObjectID{"o0", "o1"}
 	actions := []core.Action{"read", "write"}
-	periods := []temporal.Period{
-		temporal.Always{},
-		temporal.WorkWeek(),
-		temporal.MustParse("daily 09:00-17:00"),
-		temporal.MustParse("monthly 1st mon"),
-		temporal.Months(time.July),
-		temporal.MustParse("daily 22:00-06:00"),
-	}
 	n := 1 + rng.Intn(10)
 	for i := 0; i < n; i++ {
 		a := Authorization{
 			Subject: subjects[rng.Intn(len(subjects))],
 			Object:  objects[rng.Intn(len(objects))],
 			Action:  actions[rng.Intn(len(actions))],
-			Period:  periods[rng.Intn(len(periods))],
+			Period:  randomPeriods[rng.Intn(len(randomPeriods))],
 			Allow:   rng.Intn(4) != 0,
 		}
 		if err := s.Add(a); err != nil {
@@ -116,9 +118,26 @@ func randomTBAC(rng *rand.Rand) (*System, []core.SubjectID, []core.ObjectID, []c
 
 // TestEncodeGRBACEquivalence is experiment E8's core assertion: the GRBAC
 // encoding agrees with the temporal-authorization baseline at random probe
-// instants through a year.
+// instants through a year, and at every membership change of every period
+// randomTBAC draws from over the year 2000, probed at the change and 1 ns
+// either side of it.
 func TestEncodeGRBACEquivalence(t *testing.T) {
 	base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	end := base.AddDate(1, 0, 0)
+	var boundaries []time.Time
+	for _, p := range randomPeriods {
+		for at := base; ; {
+			next, ok := temporal.NextTransition(p, at, end.Sub(at))
+			if !ok {
+				break
+			}
+			boundaries = append(boundaries, next.Add(-time.Nanosecond), next, next.Add(time.Nanosecond))
+			at = next
+		}
+	}
+	if len(boundaries) == 0 {
+		t.Fatal("no period changes membership over the year")
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, subjects, objects, actions := randomTBAC(rng)
@@ -126,23 +145,28 @@ func TestEncodeGRBACEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := 0; i < 40; i++ {
-			at := base.Add(time.Duration(rng.Int63n(int64(366 * 24 * time.Hour))))
-			sub := subjects[rng.Intn(len(subjects))]
-			obj := objects[rng.Intn(len(objects))]
-			act := actions[rng.Intn(len(actions))]
+		agree := func(sub core.SubjectID, obj core.ObjectID, act core.Action, at time.Time) bool {
 			want := s.Allowed(sub, obj, act, at)
 			got, err := enc.Allowed(sub, obj, act, at)
 			if err != nil {
 				// Entities that appear in no authorization are absent
 				// from the encoding; the baseline denies them too.
-				if errors.Is(err, core.ErrNotFound) && !want {
-					continue
-				}
+				return errors.Is(err, core.ErrNotFound) && !want
+			}
+			return got == want
+		}
+		for i := 0; i < 40; i++ {
+			at := base.Add(time.Duration(rng.Int63n(int64(366 * 24 * time.Hour))))
+			if !agree(subjects[rng.Intn(len(subjects))], objects[rng.Intn(len(objects))],
+				actions[rng.Intn(len(actions))], at) {
 				return false
 			}
-			if got != want {
-				return false
+		}
+		for _, at := range boundaries {
+			for _, a := range s.auths {
+				if !agree(a.Subject, a.Object, a.Action, at) {
+					return false
+				}
 			}
 		}
 		return true

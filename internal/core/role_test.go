@@ -145,6 +145,39 @@ func TestFigure2Closure(t *testing.T) {
 	}
 }
 
+// TestFigure2RootGrantCoversHousehold is experiment E2's inheritance
+// check: one grant on Figure 2's root, home-user, reaches all five
+// household members through the hierarchy.
+func TestFigure2RootGrantCoversHousehold(t *testing.T) {
+	s := newHomeSystem(t)
+	for _, err := range []error{
+		s.AddRole(Role{ID: "house-facilities", Kind: ObjectRole}),
+		s.AddObject("front-door"),
+		s.AssignObjectRole("front-door", "house-facilities"),
+		s.AddTransaction(SimpleTransaction("open")),
+		s.Grant(Permission{Subject: "home-user", Object: "house-facilities",
+			Environment: AnyEnvironment, Transaction: "open", Effect: Permit}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	covered := 0
+	for _, sub := range s.Subjects() {
+		ok, err := s.CheckAccess(Request{Subject: sub, Object: "front-door",
+			Transaction: "open", Environment: []RoleID{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			covered++
+		}
+	}
+	if covered != 5 || len(s.Subjects()) != 5 {
+		t.Fatalf("one grant on home-user covers %d of %d subjects, want 5 of 5", covered, len(s.Subjects()))
+	}
+}
+
 func TestFigure2AncestorsDescendants(t *testing.T) {
 	g := figure2Graph(t)
 	if got, want := g.ancestors("child"), []RoleID{"family-member", "home-user"}; !reflect.DeepEqual(got, want) {

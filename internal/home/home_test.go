@@ -190,6 +190,40 @@ func TestSection51EndToEnd(t *testing.T) {
 	}
 }
 
+// TestEntertainmentWeekSweep is experiment E3: §5.1's one rule swept over
+// a week at one-minute resolution through the full stack grants alice the
+// TV for exactly the 180 minutes from 19:00 on each weekday, and never on
+// the weekend.
+func TestEntertainmentWeekSweep(t *testing.T) {
+	start := time.Date(2000, 1, 17, 0, 0, 0, 0, time.UTC) // Monday
+	hh := newHH(t, start)
+	for day := 0; day < 7; day++ {
+		dayStart := start.AddDate(0, 0, day)
+		granted, first := 0, -1
+		for m := 0; m < 24*60; m++ {
+			hh.Clock.Set(dayStart.Add(time.Duration(m) * time.Minute))
+			d, err := hh.Decide("alice", "tv", "use")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Allowed {
+				granted++
+				if first < 0 {
+					first = m
+				}
+			}
+		}
+		want, wantFirst := 180, 19*60
+		if wd := dayStart.Weekday(); wd == time.Saturday || wd == time.Sunday {
+			want, wantFirst = 0, -1
+		}
+		if granted != want || first != wantFirst {
+			t.Errorf("%s: %d granted minutes from minute %d, want %d from minute %d",
+				dayStart.Weekday(), granted, first, want, wantFirst)
+		}
+	}
+}
+
 // TestRepairmanScenario reproduces §3's repairman policy end to end:
 // access only on 2000-01-17 between 08:00 and 13:00, and only while
 // physically in the kitchen.
@@ -326,6 +360,46 @@ func TestAliceSmartFloorTV(t *testing.T) {
 	// confidence, not identity confidence.
 	if len(d.Matches) == 0 || d.Matches[0].Confidence < 0.90 {
 		t.Fatalf("matches = %+v", d.Matches)
+	}
+
+	// Experiment E4's threshold sweep: the identity path (0.75) holds up
+	// to a 0.75 threshold and the role path (0.98) up to 0.98, so every
+	// threshold in between denies the identity and grants the role.
+	for _, tt := range []struct {
+		threshold        float64
+		identity, byRole bool
+	}{
+		{0.50, true, true},
+		{0.75, true, true},
+		{0.76, false, true},
+		{0.90, false, true},
+		{0.98, false, true},
+		{0.99, false, false},
+		{1.00, false, false},
+	} {
+		hh := newHH(t, at)
+		if err := hh.System.SetMinConfidence(tt.threshold); err != nil {
+			t.Fatal(err)
+		}
+		idOnly, err := hh.System.Decide(core.Request{
+			Subject: "alice", Object: "tv", Transaction: "use",
+			Credentials: core.CredentialSet{core.IdentityCredential("alice", 0.75, "smart-floor")},
+			Environment: hh.Engine.ActiveRolesAt(at, "alice"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hh.Auth.Record(hh.Floor.Sense(94, at)...); err != nil {
+			t.Fatal(err)
+		}
+		withRole, err := hh.DecideWithCredentials("alice", "tv", "use")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idOnly.Allowed != tt.identity || withRole.Allowed != tt.byRole {
+			t.Errorf("threshold %.2f: identity-only %v, with role credential %v; want %v, %v",
+				tt.threshold, idOnly.Allowed, withRole.Allowed, tt.identity, tt.byRole)
+		}
 	}
 }
 

@@ -77,6 +77,10 @@ func TestRoutineWeekDailyRhythm(t *testing.T) {
 	if hh.Audit.Stats().Total != stats.Events {
 		t.Fatalf("audit %d != replay %d", hh.Audit.Stats().Total, stats.Events)
 	}
+	// The trusted event log's chain still verifies after the week.
+	if err := hh.Log.Verify(); err != nil {
+		t.Fatalf("trusted log after a week: %v", err)
+	}
 }
 
 // TestRoutineWeekendDeniesEntertainment: replaying the same routine on a

@@ -95,7 +95,7 @@ func (g *Gauge) Value() float64 {
 
 // funcCollector is a counter or gauge whose value is read at scrape time —
 // the cheapest way to export counters a subsystem already maintains
-// (System.Stats, Follower.Stats, the limiter's gauges): the hot path is
+// (System.Stats, Puller.Stats, the limiter's gauges): the hot path is
 // untouched and the cost is paid only when /metrics is scraped.
 type funcCollector struct {
 	metricMeta

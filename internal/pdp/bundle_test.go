@@ -161,7 +161,7 @@ func TestBundleOnFollower(t *testing.T) {
 	kit, mkVerifier := newBundleKit(t)
 	primarySrv, _ := newTestServerWithSource(t)
 	followerSys := core.NewSystem()
-	f := replica.NewFollower(followerSys, primarySrv.URL,
+	f := replica.NewPuller(followerSys, primarySrv.URL,
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)

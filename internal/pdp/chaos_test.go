@@ -109,7 +109,7 @@ func TestChaosPrimaryFollowerUnderFaults(t *testing.T) {
 
 	// --- follower: replicates the primary through the faulty transport.
 	followerSys := core.NewSystem()
-	follower := replica.NewFollower(followerSys, primarySrv.URL,
+	follower := replica.NewPuller(followerSys, primarySrv.URL,
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
 		replica.WithMaxStaleness(5*time.Second),
 		replica.WithFollowerLogger(quiet),

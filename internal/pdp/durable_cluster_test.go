@@ -184,7 +184,7 @@ func TestDurableClusterPrimaryRestartDeltaSync(t *testing.T) {
 	// next keepalive, not at the default cap.
 	feed := replica.NewClient(ts.URL, ts.Client())
 	feed.MaxWait = 100 * time.Millisecond
-	f := replica.NewFollower(core.NewSystem(), ts.URL,
+	f := replica.NewPuller(core.NewSystem(), ts.URL,
 		replica.WithFetcher(feed),
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())

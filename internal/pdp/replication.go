@@ -41,7 +41,7 @@ func WithDurableStore(d *store.Durable) ServerOption {
 //   - /v1/healthz reports 503 "degraded" while stale, letting load
 //     balancers shed the node without the node refusing traffic;
 //   - /v1/statsz gains a "replication" section with lag and sync counters.
-func WithFollower(f *replica.Follower) ServerOption {
+func WithFollower(f *replica.Puller) ServerOption {
 	return func(s *Server) { s.follower = f }
 }
 

@@ -85,7 +85,7 @@ func TestReplicaWatchLongPoll(t *testing.T) {
 // newFollowerServer builds a primary+follower pair over httptest, the
 // follower replicating into followerSys, and returns the follower's test
 // server plus its Follower.
-func newFollowerServer(t *testing.T, followerSys *core.System, opts ...replica.FollowerOption) (primary *core.System, follower *replica.Follower, followerURL string, hc *http.Client) {
+func newFollowerServer(t *testing.T, followerSys *core.System, opts ...replica.PullerOption) (primary *core.System, follower *replica.Puller, followerURL string, hc *http.Client) {
 	t.Helper()
 	primarySrv, primarySys := newTestServerWithSource(t)
 	f, fsrv := startFollower(t, primarySrv.URL, followerSys, opts...)
@@ -96,12 +96,12 @@ func newFollowerServer(t *testing.T, followerSys *core.System, opts ...replica.F
 // followerSys, behind a PDP server that also exposes its own replica feed
 // and audit trail, as grbacd wires every node, so further followers can
 // chain off it. It returns once the first sync has landed.
-func startFollower(t *testing.T, upstreamURL string, followerSys *core.System, opts ...replica.FollowerOption) (*replica.Follower, *httptest.Server) {
+func startFollower(t *testing.T, upstreamURL string, followerSys *core.System, opts ...replica.PullerOption) (*replica.Puller, *httptest.Server) {
 	t.Helper()
-	base := []replica.FollowerOption{
+	base := []replica.PullerOption{
 		replica.WithBackoff(time.Millisecond, 10*time.Millisecond),
 	}
-	f := replica.NewFollower(followerSys, upstreamURL, append(base, opts...)...)
+	f := replica.NewPuller(followerSys, upstreamURL, append(base, opts...)...)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() { _ = f.Run(ctx) }()

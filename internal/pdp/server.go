@@ -38,7 +38,7 @@ type Server struct {
 	mux          *http.ServeMux
 	adminEnabled bool
 	replicaSrc   *replica.Source
-	follower     *replica.Follower
+	follower     *replica.Puller
 	durable      *store.Durable
 	bundles      *bundle.Verifier
 	declog       *declog.Exporter

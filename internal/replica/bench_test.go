@@ -24,10 +24,10 @@ import (
 
 // startBenchFollower replicates a running primary into a fresh local
 // system and waits for convergence.
-func startBenchFollower(t testing.TB, primarySys *core.System, addr string) (*core.System, *replica.Follower) {
+func startBenchFollower(t testing.TB, primarySys *core.System, addr string) (*core.System, *replica.Puller) {
 	t.Helper()
 	followerSys := core.NewSystem()
-	f := replica.NewFollower(followerSys, "http://"+addr,
+	f := replica.NewPuller(followerSys, "http://"+addr,
 		replica.WithBackoff(time.Millisecond, 50*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)

@@ -27,7 +27,7 @@ var ErrDeltaUnavailable = errors.New("replica: delta unavailable")
 
 // Client is the follower's transport to a primary's replication feed. It
 // is deliberately single-shot — one request, one error — because the
-// Follower's sync loop owns retry policy (backoff, jitter, staleness);
+// Puller's sync loop owns retry policy (backoff, jitter, staleness);
 // layering retries here too would multiply delays.
 type Client struct {
 	base string

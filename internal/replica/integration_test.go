@@ -134,7 +134,7 @@ func TestFollowerFreshAgainstQuietSlowCappedPrimary(t *testing.T) {
 	defer slow.Close()
 
 	followerSys := core.NewSystem()
-	f := replica.NewFollower(followerSys, slow.URL,
+	f := replica.NewPuller(followerSys, slow.URL,
 		replica.WithBackoff(5*time.Millisecond, 100*time.Millisecond),
 		replica.WithMaxStaleness(500*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -163,7 +163,7 @@ func TestClusterReplicationEndToEnd(t *testing.T) {
 	primaryURL := "http://" + addr
 
 	followerSys := core.NewSystem()
-	f := replica.NewFollower(followerSys, primaryURL,
+	f := replica.NewPuller(followerSys, primaryURL,
 		replica.WithBackoff(5*time.Millisecond, 100*time.Millisecond),
 		replica.WithMaxStaleness(time.Second))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -111,7 +111,7 @@ type Stats struct {
 // replication feed: bootstrap snapshot, then watch long-polls with
 // delta-first catch-up whenever the feed position moves. It is the shared
 // sync engine behind both deployment shapes — a follower PDP serving
-// read-only HTTP traffic (see Follower) and an embedded SDK client
+// read-only HTTP traffic (see pdp.WithFollower) and an embedded SDK client
 // mediating in the application's own process (see package sdk).
 // Construct with NewPuller, start Run in a goroutine, and serve Decide
 // traffic from the system as usual; the consuming layer uses Stale and

@@ -171,7 +171,7 @@ func TestFollowerConvergesAndTracksMutations(t *testing.T) {
 	fetch.setSource(NewSource(primary))
 
 	followerSys := core.NewSystem()
-	f := NewFollower(followerSys, "", WithFetcher(fetch),
+	f := NewPuller(followerSys, "", WithFetcher(fetch),
 		WithBackoff(time.Millisecond, 10*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -220,7 +220,7 @@ func TestFollowerRetriesWithBackoffAndRecovers(t *testing.T) {
 	fetch.setFail(errors.New("connection refused"))
 	fetch.setSource(NewSource(primary))
 
-	f := NewFollower(core.NewSystem(), "", WithFetcher(fetch),
+	f := NewPuller(core.NewSystem(), "", WithFetcher(fetch),
 		WithBackoff(time.Millisecond, 5*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -242,7 +242,7 @@ func TestFollowerResyncsAcrossEpochChange(t *testing.T) {
 	fetch := &localFetcher{}
 	fetch.setSource(NewSource(primary))
 
-	f := NewFollower(core.NewSystem(), "", WithFetcher(fetch),
+	f := NewPuller(core.NewSystem(), "", WithFetcher(fetch),
 		WithBackoff(time.Millisecond, 5*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -311,7 +311,7 @@ func TestFollowerStaleness(t *testing.T) {
 	fetch.setSource(NewSource(primary))
 
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	f := NewFollower(core.NewSystem(core.WithClock(clk)), "", WithFetcher(fetch),
+	f := NewPuller(core.NewSystem(core.WithClock(clk)), "", WithFetcher(fetch),
 		WithMaxStaleness(time.Second))
 	if !f.Stale() {
 		t.Fatal("never-synced follower should be stale")
@@ -339,7 +339,7 @@ func TestFollowerStaleness(t *testing.T) {
 	}
 
 	// Disabled bound: never stale.
-	f2 := NewFollower(core.NewSystem(), "", WithFetcher(fetch), WithMaxStaleness(0))
+	f2 := NewPuller(core.NewSystem(), "", WithFetcher(fetch), WithMaxStaleness(0))
 	if f2.Stale() {
 		t.Fatal("staleness disabled but Stale() true")
 	}
@@ -355,7 +355,7 @@ func TestStalenessDeadline(t *testing.T) {
 
 	base := time.Unix(1_700_000_000, 0)
 	clk := clock.NewFake(base)
-	f := NewFollower(core.NewSystem(core.WithClock(clk)), "", WithFetcher(fetch),
+	f := NewPuller(core.NewSystem(core.WithClock(clk)), "", WithFetcher(fetch),
 		WithMaxStaleness(time.Second))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -489,7 +489,7 @@ func BenchmarkStaleFlipLateness(b *testing.B) {
 // hot retry loop or panic the jitter: zero and negative backoff bounds
 // fall back to defaults, and an inverted max is raised to min.
 func TestFollowerOptionClamps(t *testing.T) {
-	f := NewFollower(core.NewSystem(), "",
+	f := NewPuller(core.NewSystem(), "",
 		WithFetcher(&localFetcher{}),
 		WithBackoff(0, -time.Second))
 	if f.backoffMin != defaultBackoffMin {
@@ -499,7 +499,7 @@ func TestFollowerOptionClamps(t *testing.T) {
 		t.Fatalf("backoffMax = %v, want raised to min %v", f.backoffMax, defaultBackoffMin)
 	}
 	// Inverted but positive bounds: max raised to min, min kept.
-	f2 := NewFollower(core.NewSystem(), "",
+	f2 := NewPuller(core.NewSystem(), "",
 		WithFetcher(&localFetcher{}),
 		WithBackoff(2*time.Second, time.Second))
 	if f2.backoffMin != 2*time.Second || f2.backoffMax != 2*time.Second {
@@ -556,7 +556,7 @@ func TestFollowerCountsWatchReconnects(t *testing.T) {
 	fetch := &localFetcher{}
 	fetch.setSource(NewSource(primary))
 
-	f := NewFollower(core.NewSystem(), "", WithFetcher(fetch),
+	f := NewPuller(core.NewSystem(), "", WithFetcher(fetch),
 		WithBackoff(time.Millisecond, 5*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

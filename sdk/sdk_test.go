@@ -188,7 +188,7 @@ func TestGuardWarmEmbeddedCheckReadsNoClock(t *testing.T) {
 
 	fclk := &countingClock{}
 	fsys := grbac.NewSystem(grbac.WithClock(fclk))
-	f := replica.NewFollower(fsys, "", replica.WithFetcher(quietFeed{src}),
+	f := replica.NewPuller(fsys, "", replica.WithFetcher(quietFeed{src}),
 		replica.WithFollowerLogger(quiet))
 	runCtx, stop := context.WithCancel(ctx)
 	done := make(chan struct{})
