@@ -429,6 +429,39 @@ func TestSnapshotCompileCounter(t *testing.T) {
 	}
 }
 
+// TestSetMinConfidenceUnchangedIsNoOp: setting the threshold a system
+// already has bumps no generation, forces no recompile and journals
+// nothing, so a durable primary writes no WAL record for it.
+func TestSetMinConfidenceUnchangedIsNoOp(t *testing.T) {
+	s := newHomeSystem(t)
+	grantEntertainment(t, s)
+	j := &recordingJournal{}
+	s.SetJournal(j)
+	req := Request{Subject: "alice", Object: "tv", Transaction: "use", Environment: []RoleID{"weekday-free-time"}}
+	for _, threshold := range []float64{0, 0.5} {
+		if threshold != 0 {
+			mustOK(s.SetMinConfidence(threshold))
+		}
+		if _, err := s.Decide(req); err != nil {
+			t.Fatal(err)
+		}
+		gen, compiles, records := s.Generation(), s.Stats().SnapshotCompiles, len(j.records)
+		mustOK(s.SetMinConfidence(threshold))
+		if _, err := s.Decide(req); err != nil {
+			t.Fatal(err)
+		}
+		if g := s.Generation(); g != gen {
+			t.Errorf("SetMinConfidence(%v) at %v moved the generation %d -> %d", threshold, threshold, gen, g)
+		}
+		if c := s.Stats().SnapshotCompiles; c != compiles {
+			t.Errorf("SetMinConfidence(%v) at %v forced a recompile (%d -> %d)", threshold, threshold, compiles, c)
+		}
+		if len(j.records) != records || len(j.observed) != 0 {
+			t.Errorf("SetMinConfidence(%v) at %v reached the journal: %+v %v", threshold, threshold, j.records[records:], j.observed)
+		}
+	}
+}
+
 // TestPutReclaimsOnlyEntriesDeadAtTheSnapshot fills the one set of a
 // capacity-4 cache and checks which way a put takes under two stamps: an
 // entry is reclaimable exactly when it is stamped below what a lookup of

@@ -37,7 +37,7 @@ func (s *System) decideLocked(req Request) (Decision, error) {
 	}
 	subjRoles[AnySubject] = 1
 
-	objRoles := s.objectRoles.closure(setToSlice(obj.roles))
+	objRoles := s.objectRoles.closure(obj.roles)
 	objRoles[AnyObject] = true
 
 	envRoles, err := s.effectiveEnvironmentRoles(req)
@@ -87,7 +87,7 @@ func (s *System) effectiveSubjectRoles(req Request) (map[RoleID]float64, error) 
 		} else {
 			identityConf = req.Credentials.identityConfidence(req.Subject)
 		}
-		var usable map[RoleID]bool
+		var usable []RoleID
 		if req.Session != "" {
 			sess, ok := s.sessions[req.Session]
 			if !ok {
@@ -102,7 +102,7 @@ func (s *System) effectiveSubjectRoles(req Request) (map[RoleID]float64, error) 
 			usable = rec.roles
 		}
 		if identityConf > 0 {
-			for r := range usable {
+			for _, r := range usable {
 				if identityConf > seeds[r] {
 					seeds[r] = identityConf
 				}

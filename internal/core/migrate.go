@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -40,7 +40,7 @@ func (s *System) ExportSubject(id SubjectID) (SubjectBundle, error) {
 	if !ok {
 		return SubjectBundle{}, fmt.Errorf("%w: subject %q", ErrNotFound, id)
 	}
-	b := SubjectBundle{Subject: SubjectState{ID: id, Roles: sortedRoleIDs(rec.roles)}}
+	b := SubjectBundle{Subject: SubjectState{ID: id, Roles: copyRoles(rec.roles)}}
 	for _, sess := range s.sessions {
 		if sess.subject == id {
 			b.Sessions = append(b.Sessions, sessionInfo(sess))
@@ -89,7 +89,7 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 
 	rec, ok := s.subjects[id]
 	if !ok {
-		rec = &subjectRec{roles: make(map[RoleID]bool)}
+		rec = &subjectRec{}
 		s.subjects[id] = rec
 		s.invalidateLocked()
 		if err := s.recordLocked(Mutation{Op: OpAddSubject, Subject: id}); err != nil {
@@ -97,18 +97,13 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 		}
 	}
 
-	want := make(map[RoleID]bool, len(b.Subject.Roles))
-	for _, r := range b.Subject.Roles {
-		want[r] = true
-	}
 	// Assign missing roles in bundle order, re-running the static SoD
 	// check AssignSubjectRole would (replay-language consistency).
 	for _, r := range b.Subject.Roles {
-		if rec.roles[r] {
+		if hasRole(rec.roles, r) {
 			continue
 		}
-		next := append(setToSlice(rec.roles), r)
-		held := s.subjectRoles.closure(next)
+		held := s.subjectRoles.closure(append(slices.Clip(rec.roles), r))
 		for _, c := range s.sods {
 			if c.Kind != StaticSoD {
 				continue
@@ -118,7 +113,7 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 					ErrStaticSoD, c.Name, id, a, bRole)
 			}
 		}
-		rec.roles[r] = true
+		rec.roles = insertRole(rec.roles, r)
 		s.invalidateLocked()
 		if err := s.recordLocked(Mutation{Op: OpAssignSubjectRole, Subject: id, RoleID: r}); err != nil {
 			return err
@@ -126,15 +121,15 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 	}
 	// Revoke roles the target holds but the bundle does not, so a
 	// re-import of a newer bundle converges.
+	want := roleSetOf(b.Subject.Roles)
 	var stray []RoleID
-	for r := range rec.roles {
-		if !want[r] {
+	for _, r := range rec.roles {
+		if !hasRole(want, r) {
 			stray = append(stray, r)
 		}
 	}
-	sort.Slice(stray, func(i, j int) bool { return stray[i] < stray[j] })
 	for _, r := range stray {
-		delete(rec.roles, r)
+		rec.roles, _ = deleteRole(rec.roles, r)
 		s.invalidateLocked()
 		if err := s.recordLocked(Mutation{Op: OpRevokeSubjectRole, Subject: id, RoleID: r}); err != nil {
 			return err
@@ -150,14 +145,9 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 			changed = true
 		}
 	}
-	authorized := s.subjectRoles.closure(setToSlice(rec.roles))
+	authorized := s.subjectRoles.closure(rec.roles)
 	for _, si := range b.Sessions {
-		active := make(map[RoleID]bool, len(si.Active))
-		for _, r := range si.Active {
-			if authorized[r] {
-				active[r] = true
-			}
-		}
+		active := slices.DeleteFunc(roleSetOf(si.Active), func(r RoleID) bool { return !authorized[r] })
 		created := si.Created
 		if created.IsZero() {
 			created = s.Now()

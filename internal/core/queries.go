@@ -34,8 +34,8 @@ func (s *System) WhoCan(tx TransactionID, obj ObjectID, env []RoleID) ([]Subject
 	}
 	rs := roleSets{obj: ob, env: sn.effectiveEnvBits(env, nil)}
 	var out []SubjectID
-	for sub, sb := range sn.subjects {
-		rs.uniform = sb.bits
+	for sub, off := range sn.subjects {
+		rs.uniform = sn.subjectBits(off)
 		if _, _, effect := sn.mediate(bucket, &rs); effect == Permit {
 			out = append(out, sub)
 		}
@@ -49,17 +49,17 @@ func (s *System) WhoCan(tx TransactionID, obj ObjectID, env []RoleID) ([]Subject
 // one snapshot as WhoCan. The result is sorted by object, then transaction.
 func (s *System) WhatCan(sub SubjectID, env []RoleID) ([]Entitlement, error) {
 	sn := s.currentSnapshot()
-	sb, ok := sn.subjects[sub]
+	off, ok := sn.subjects[sub]
 	if !ok {
 		return nil, fmt.Errorf("%w: subject %q", ErrNotFound, sub)
 	}
 	if env == nil {
 		env = emptyEnv // a review query never consults the live source
 	}
-	rs := roleSets{uniform: sb.bits, env: sn.effectiveEnvBits(env, nil)}
+	rs := roleSets{uniform: sn.subjectBits(off), env: sn.effectiveEnvBits(env, nil)}
 	var out []Entitlement
-	for obj, ob := range sn.objects {
-		rs.obj = ob
+	for obj, off := range sn.objects {
+		rs.obj = sn.objectBits(off)
 		for tx, bucket := range sn.buckets {
 			if _, _, effect := sn.mediate(bucket, &rs); effect == Permit {
 				out = append(out, Entitlement{Object: obj, Transaction: tx})

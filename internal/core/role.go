@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -190,8 +191,8 @@ func (g *roleGraph) closure(seeds []RoleID) map[RoleID]bool {
 // closureContains reports whether target lies in the upward closure of any
 // seed, without materializing the closure. It is the allocation-free form
 // of closure(...)[target] used by the membership queries.
-func (g *roleGraph) closureContains(seeds map[RoleID]bool, target RoleID) bool {
-	for s := range seeds {
+func (g *roleGraph) closureContains(seeds []RoleID, target RoleID) bool {
+	for _, s := range seeds {
 		if s == target || g.closures[s][target] {
 			return true
 		}
@@ -305,4 +306,45 @@ func sortedRoleIDs(set map[RoleID]bool) []RoleID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// The role set of a subject, object or session record is a sorted,
+// duplicate-free []RoleID: membership is a binary search, and a compile
+// walks it as a slice.
+
+// hasRole reports whether the role set holds r.
+func hasRole(set []RoleID, r RoleID) bool {
+	_, ok := slices.BinarySearch(set, r)
+	return ok
+}
+
+// insertRole adds r to the role set unless it holds r already.
+func insertRole(set []RoleID, r RoleID) []RoleID {
+	if i, ok := slices.BinarySearch(set, r); !ok {
+		set = slices.Insert(set, i, r)
+	}
+	return set
+}
+
+// deleteRole removes r from the role set, reporting whether it held r.
+func deleteRole(set []RoleID, r RoleID) ([]RoleID, bool) {
+	i, ok := slices.BinarySearch(set, r)
+	if !ok {
+		return set, false
+	}
+	return slices.Delete(set, i, i+1), true
+}
+
+// roleSetOf returns the role set of roles, which may be unsorted and
+// repeat a role, in memory of its own.
+func roleSetOf(roles []RoleID) []RoleID {
+	set := slices.Clone(roles)
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// copyRoles returns a copy of a role set that shares no memory with it,
+// empty rather than nil when the set is empty.
+func copyRoles(set []RoleID) []RoleID {
+	return append(make([]RoleID, 0, len(set)), set...)
 }

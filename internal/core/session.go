@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -13,7 +14,7 @@ type SessionID string
 type session struct {
 	id      SessionID
 	subject SubjectID
-	active  map[RoleID]bool
+	active  []RoleID // a role set: sorted and duplicate-free
 	created time.Time
 }
 
@@ -42,7 +43,6 @@ func (s *System) CreateSession(subject SubjectID) (SessionID, error) {
 	s.sessions[id] = &session{
 		id:      id,
 		subject: subject,
-		active:  make(map[RoleID]bool),
 		created: s.Now(),
 	}
 	s.sessionChangedLocked()
@@ -78,19 +78,14 @@ func (s *System) ActivateRole(id SessionID, role RoleID) error {
 	if sub == nil {
 		return fmt.Errorf("%w: subject %q", ErrNotFound, sess.subject)
 	}
-	authorized := s.subjectRoles.closure(setToSlice(sub.roles))
+	authorized := s.subjectRoles.closure(sub.roles)
 	if !authorized[role] {
 		return fmt.Errorf("%w: subject %q cannot activate %q", ErrNotAuthorized, sess.subject, role)
 	}
-	if sess.active[role] {
+	if hasRole(sess.active, role) {
 		return nil
 	}
-	next := make([]RoleID, 0, len(sess.active)+1)
-	for r := range sess.active {
-		next = append(next, r)
-	}
-	next = append(next, role)
-	held := s.subjectRoles.closure(next)
+	held := s.subjectRoles.closure(append(slices.Clip(sess.active), role))
 	for _, c := range s.sods {
 		if c.Kind != DynamicSoD {
 			continue
@@ -100,7 +95,7 @@ func (s *System) ActivateRole(id SessionID, role RoleID) error {
 				ErrDynamicSoD, c.Name, a, b)
 		}
 	}
-	sess.active[role] = true
+	sess.active = insertRole(sess.active, role)
 	s.sessionChangedLocked()
 	return nil
 }
@@ -113,10 +108,11 @@ func (s *System) DeactivateRole(id SessionID, role RoleID) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
-	if !sess.active[role] {
+	active, ok := deleteRole(sess.active, role)
+	if !ok {
 		return fmt.Errorf("%w: role %q not active in session %q", ErrNotFound, role, id)
 	}
-	delete(sess.active, role)
+	sess.active = active
 	s.sessionChangedLocked()
 	return nil
 }
@@ -148,7 +144,7 @@ func sessionInfo(sess *session) SessionInfo {
 	return SessionInfo{
 		ID:      sess.id,
 		Subject: sess.subject,
-		Active:  sortedRoleIDs(sess.active),
+		Active:  copyRoles(sess.active),
 		Created: sess.created,
 	}
 }
@@ -159,12 +155,4 @@ func sortSessionInfos(s []SessionInfo) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-func setToSlice(set map[RoleID]bool) []RoleID {
-	out := make([]RoleID, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	return out
 }

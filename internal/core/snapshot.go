@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // This file is the compiled, immutable form of the policy store and the
@@ -19,15 +19,26 @@ import (
 //     word-wise OR;
 //   - the upward closure of every role (and of every subject's assigned
 //     set, session's active set, and object's classification) is
-//     precomputed as a bitset;
-//   - permissions are bucketed per transaction with the wildcard bucket
-//     pre-merged in grant order and the confidence threshold and
-//     subject-role depth baked into each entry.
+//     precomputed as a bitset, and the subjects', sessions' and objects'
+//     bitsets are cut from one arena per compile;
+//   - each permission is resolved once and bucketed per transaction, the
+//     AnyTransaction ones pre-merged into every bucket in grant order, with
+//     the confidence threshold and subject-role depth baked into each
+//     entry.
 
 // bitset is a fixed-width bit vector over interned role indices.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
+// bitsetWords is the width in words of a bitset over n indices.
+func bitsetWords(n int) int { return (n + 63) >> 6 }
+
+// cut returns the bitset of the given width at word offset off of an
+// arena. Its capacity ends where it does, so no bitset reaches into its
+// neighbour.
+func cut(arena []uint64, off uint32, words int) bitset {
+	end := int(off) + words
+	return bitset(arena[off:end:end])
+}
 
 func (b bitset) set(i uint32)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) has(i uint32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
@@ -67,6 +78,9 @@ type roleUniverse struct {
 	// yields sorted role lists for free.
 	names    []RoleID
 	closures []bitset
+	// depths holds the longest generalization chain above each role, 0
+	// for a wildcard.
+	depths []int
 	// graph marks the indices that are real graph roles (as opposed to
 	// interned wildcards): only those confer membership through hierarchy
 	// or credentials.
@@ -83,18 +97,22 @@ func newRoleUniverse(g *roleGraph, wildcards ...RoleID) *roleUniverse {
 			names = append(names, w)
 		}
 	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	slices.Sort(names)
+	words := bitsetWords(len(names))
+	arena := make([]uint64, (len(names)+1)*words)
 	u := &roleUniverse{
 		index:    make(map[RoleID]uint32, len(names)),
 		names:    names,
 		closures: make([]bitset, len(names)),
-		graph:    newBitset(len(names)),
+		depths:   make([]int, len(names)),
+		graph:    cut(arena, 0, words),
 	}
 	for i, id := range names {
 		u.index[id] = uint32(i)
+		u.depths[i] = g.depth(id)
 	}
 	for i, id := range names {
-		b := newBitset(len(names))
+		b := cut(arena, uint32((i+1)*words), words)
 		if cl, ok := g.closures[id]; ok {
 			u.graph.set(uint32(i))
 			for r := range cl {
@@ -119,7 +137,12 @@ func (u *roleUniverse) namesOf(b bitset) []RoleID {
 // indices, the effective confidence threshold (max of the permission's and
 // the system's) and the subject-role depth baked in.
 type compiledPerm struct {
-	p         Permission
+	p Permission
+	permLegs
+}
+
+// permLegs is what a compile resolves of one permission.
+type permLegs struct {
 	subj      uint32
 	obj       uint32
 	env       uint32
@@ -127,24 +150,11 @@ type compiledPerm struct {
 	depth     int
 }
 
-// subjectBits is a subject's assigned role set closed upward, plus
-// AnySubject.
-type subjectBits struct {
-	bits bitset
-}
-
-// sessionBits is a session's active role set closed upward, plus
-// AnySubject, with the owning subject for the ownership check.
+// sessionBits locates a session's bitset, its active role set closed
+// upward plus AnySubject, with the owning subject for the ownership check.
 type sessionBits struct {
 	subject SubjectID
-	bits    bitset
-}
-
-// objectBits is an object's classification closed upward, plus AnyObject,
-// with the sorted role list precomputed for Decision.ObjectRoles.
-type objectBits struct {
-	bits   bitset
-	sorted []RoleID
+	off     uint32
 }
 
 // snapshot is one immutable compiled policy version. Everything reachable
@@ -165,14 +175,28 @@ type snapshot struct {
 	anyObj  uint32
 	anyEnv  uint32
 
-	subjects map[SubjectID]subjectBits
-	sessions map[SessionID]sessionBits
-	objects  map[ObjectID]objectBits
+	// arena holds every subject, session and object bitset, each at the
+	// word offset its map names: a subject's assigned role set and a
+	// session's active set closed upward plus AnySubject, subjWords wide,
+	// and an object's classification closed upward plus AnyObject,
+	// objWords wide. One allocation per compile, however many entities.
+	arena     []uint64
+	subjWords int
+	objWords  int
+	subjects  map[SubjectID]uint32
+	sessions  map[SessionID]sessionBits
+	objects   map[ObjectID]uint32
 	// buckets holds, per registered transaction, the compiled permissions
 	// naming it or AnyTransaction, pre-merged in grant order. Membership in
 	// the map doubles as the transaction-existence check.
 	buckets map[TransactionID][]compiledPerm
 }
+
+// subjectBits returns the bitset at a subject or session offset.
+func (sn *snapshot) subjectBits(off uint32) bitset { return cut(sn.arena, off, sn.subjWords) }
+
+// objectBits returns the bitset at an object offset.
+func (sn *snapshot) objectBits(off uint32) bitset { return cut(sn.arena, off, sn.objWords) }
 
 // compileSnapshotLocked builds a snapshot of the current policy store. The
 // caller must hold s.mu (read or write).
@@ -193,53 +217,52 @@ func (s *System) compileSnapshotLocked() *snapshot {
 	sn.anyObj = sn.objU.index[AnyObject]
 	sn.anyEnv = sn.envU.index[AnyEnvironment]
 
-	sn.subjects = make(map[SubjectID]subjectBits, len(s.subjects))
-	for id, rec := range s.subjects {
-		b := newBitset(len(sn.subjU.names))
-		for r := range rec.roles {
-			b.or(sn.subjU.closures[sn.subjU.index[r]])
+	sn.subjWords = bitsetWords(len(sn.subjU.names))
+	sn.objWords = bitsetWords(len(sn.objU.names))
+	sn.arena = make([]uint64, (len(s.subjects)+len(s.sessions))*sn.subjWords+len(s.objects)*sn.objWords)
+	var off uint32
+	closed := func(u *roleUniverse, words int, roles []RoleID, any uint32) uint32 {
+		at := off
+		b := cut(sn.arena, at, words)
+		for _, r := range roles {
+			b.or(u.closures[u.index[r]])
 		}
-		b.set(sn.anySubj)
-		sn.subjects[id] = subjectBits{bits: b}
+		b.set(any)
+		off += uint32(words)
+		return at
 	}
 
+	sn.subjects = make(map[SubjectID]uint32, len(s.subjects))
+	for id, rec := range s.subjects {
+		sn.subjects[id] = closed(sn.subjU, sn.subjWords, rec.roles, sn.anySubj)
+	}
 	sn.sessions = make(map[SessionID]sessionBits, len(s.sessions))
 	for id, sess := range s.sessions {
-		b := newBitset(len(sn.subjU.names))
-		for r := range sess.active {
-			b.or(sn.subjU.closures[sn.subjU.index[r]])
-		}
-		b.set(sn.anySubj)
-		sn.sessions[id] = sessionBits{subject: sess.subject, bits: b}
+		sn.sessions[id] = sessionBits{subject: sess.subject, off: closed(sn.subjU, sn.subjWords, sess.active, sn.anySubj)}
 	}
-
-	sn.objects = make(map[ObjectID]objectBits, len(s.objects))
+	sn.objects = make(map[ObjectID]uint32, len(s.objects))
 	for id, rec := range s.objects {
-		b := newBitset(len(sn.objU.names))
-		for r := range rec.roles {
-			b.or(sn.objU.closures[sn.objU.index[r]])
-		}
-		b.set(sn.anyObj)
-		sn.objects[id] = objectBits{bits: b, sorted: sn.objU.namesOf(b)}
+		sn.objects[id] = closed(sn.objU, sn.objWords, rec.roles, sn.anyObj)
 	}
 
-	sn.buckets = make(map[TransactionID][]compiledPerm, len(s.transactions))
-	for tx := range s.transactions {
-		sn.buckets[tx] = s.compileBucketLocked(sn, tx)
-	}
+	s.compileBucketsLocked(sn)
 	return sn
 }
 
-// compileBucketLocked collects the compiled permissions applying to tx in
-// grant order. Permissions whose legs name roles that exist in no universe
-// (possible via Import, which validates shape but not leg existence) can
-// never match and are dropped here.
-func (s *System) compileBucketLocked(sn *snapshot, tx TransactionID) []compiledPerm {
-	var out []compiledPerm
-	for _, p := range s.perms {
-		if p.Transaction != AnyTransaction && p.Transaction != tx {
-			continue
-		}
+// compileBucketsLocked resolves every permission once and lays out each
+// registered transaction's bucket, in grant order, in one shared array.
+// Permissions whose legs name roles that exist in no universe, or whose
+// transaction is not registered (both possible via Import, which validates
+// shape but not reference existence), can never match and are dropped
+// here.
+func (s *System) compileBucketsLocked(sn *snapshot) {
+	type resolution struct {
+		permLegs
+		ok bool
+	}
+	resolved := make([]resolution, len(s.perms))
+	n := 0
+	for i, p := range s.perms {
 		si, ok := sn.subjU.index[p.Subject]
 		if !ok {
 			continue
@@ -252,20 +275,34 @@ func (s *System) compileBucketLocked(sn *snapshot, tx TransactionID) []compiledP
 		if !ok {
 			continue
 		}
+		if p.Transaction == AnyTransaction {
+			n += len(s.transactions)
+		} else if _, ok := s.transactions[p.Transaction]; ok {
+			n++
+		} else {
+			continue
+		}
 		threshold := p.MinConfidence
 		if s.threshold > threshold {
 			threshold = s.threshold
 		}
 		depth := -1
 		if p.Subject != AnySubject {
-			depth = s.subjectRoles.depth(p.Subject)
+			depth = sn.subjU.depths[si]
 		}
-		out = append(out, compiledPerm{
-			p: p, subj: si, obj: oi, env: ei,
-			threshold: threshold, depth: depth,
-		})
+		resolved[i] = resolution{permLegs{subj: si, obj: oi, env: ei, threshold: threshold, depth: depth}, true}
 	}
-	return out
+	all := make([]compiledPerm, 0, n)
+	sn.buckets = make(map[TransactionID][]compiledPerm, len(s.transactions))
+	for tx := range s.transactions {
+		start := len(all)
+		for i, p := range s.perms {
+			if r := &resolved[i]; r.ok && (p.Transaction == tx || p.Transaction == AnyTransaction) {
+				all = append(all, compiledPerm{p: p, permLegs: r.permLegs})
+			}
+		}
+		sn.buckets[tx] = all[start:len(all):len(all)]
+	}
 }
 
 // roleSets is one request's effective role sets against a snapshot: the
@@ -274,7 +311,7 @@ func (s *System) compileBucketLocked(sn *snapshot, tx TransactionID) []compiledP
 type roleSets struct {
 	uniform bitset
 	confs   []float64
-	obj     objectBits
+	obj     bitset
 	env     bitset
 }
 
@@ -351,29 +388,29 @@ func (sn *snapshot) decision(v verdict, matches []Match, rs *roleSets) Decision 
 		Strategy:         sn.strategyName,
 		Reason:           v.reason,
 		SubjectRoles:     sn.subjectRoleMap(rs.uniform, rs.confs),
-		ObjectRoles:      append([]RoleID(nil), rs.obj.sorted...),
+		ObjectRoles:      sn.objU.namesOf(rs.obj),
 		EnvironmentRoles: sn.envU.namesOf(rs.env),
 	}
 }
 
 // target resolves the permission bucket of a transaction and the role bits
 // of an object, rejecting an unnamed or unknown one of either.
-func (sn *snapshot) target(tx TransactionID, obj ObjectID) ([]compiledPerm, objectBits, error) {
+func (sn *snapshot) target(tx TransactionID, obj ObjectID) ([]compiledPerm, bitset, error) {
 	if tx == "" {
-		return nil, objectBits{}, fmt.Errorf("%w: request must name a transaction", ErrInvalid)
+		return nil, nil, fmt.Errorf("%w: request must name a transaction", ErrInvalid)
 	}
 	bucket, ok := sn.buckets[tx]
 	if !ok {
-		return nil, objectBits{}, fmt.Errorf("%w: transaction %q", ErrNotFound, tx)
+		return nil, nil, fmt.Errorf("%w: transaction %q", ErrNotFound, tx)
 	}
 	if obj == "" {
-		return nil, objectBits{}, fmt.Errorf("%w: request must name an object", ErrInvalid)
+		return nil, nil, fmt.Errorf("%w: request must name an object", ErrInvalid)
 	}
-	ob, ok := sn.objects[obj]
+	off, ok := sn.objects[obj]
 	if !ok {
-		return nil, objectBits{}, fmt.Errorf("%w: object %q", ErrNotFound, obj)
+		return nil, nil, fmt.Errorf("%w: object %q", ErrNotFound, obj)
 	}
-	return bucket, ob, nil
+	return bucket, sn.objectBits(off), nil
 }
 
 // mediate is the match-and-resolve step of the rule, shared by Decide and
@@ -388,7 +425,7 @@ func (sn *snapshot) mediate(bucket []compiledPerm, rs *roleSets) ([]uint32, []Ma
 		if conf := rs.conf(cp.subj); conf <= 0 || conf < cp.threshold {
 			continue
 		}
-		if rs.obj.bits.has(cp.obj) && rs.env.has(cp.env) {
+		if rs.obj.has(cp.obj) && rs.env.has(cp.env) {
 			matched = append(matched, uint32(i))
 		}
 	}
@@ -427,11 +464,11 @@ func matchesOf(bucket []compiledPerm, matched []uint32, rs *roleSets) []Match {
 // universe is returned.
 func (sn *snapshot) effectiveSubjectConfs(req Request) (bitset, []float64, error) {
 	if req.Subject != "" {
-		sb, ok := sn.subjects[req.Subject]
+		off, ok := sn.subjects[req.Subject]
 		if !ok {
 			return nil, nil, fmt.Errorf("%w: subject %q", ErrNotFound, req.Subject)
 		}
-		usable := sb.bits
+		usable := sn.subjectBits(off)
 		if req.Session != "" {
 			sess, ok := sn.sessions[req.Session]
 			if !ok {
@@ -441,7 +478,7 @@ func (sn *snapshot) effectiveSubjectConfs(req Request) (bitset, []float64, error
 				return nil, nil, fmt.Errorf("%w: session %q belongs to %q, not %q",
 					ErrInvalid, req.Session, sess.subject, req.Subject)
 			}
-			usable = sess.bits
+			usable = sn.subjectBits(sess.off)
 		}
 		if req.Credentials == nil {
 			return usable, nil, nil // identity fully trusted: confidence 1
@@ -504,11 +541,11 @@ func (sn *snapshot) activeEnv(env []RoleID) []RoleID {
 // and AnyEnvironment is always active.
 func (sn *snapshot) effectiveEnvBits(active []RoleID, buf bitset) bitset {
 	var b bitset
-	if n := (len(sn.envU.names) + 63) >> 6; n <= cap(buf) {
+	if n := bitsetWords(len(sn.envU.names)); n <= cap(buf) {
 		b = buf[:n]
 		clear(b)
 	} else {
-		b = newBitset(len(sn.envU.names))
+		b = make(bitset, n)
 	}
 	for _, r := range active {
 		idx, ok := sn.envU.index[r]

@@ -329,7 +329,7 @@ func TestSnapshotRecompileIsLazy(t *testing.T) {
 		t.Fatal("Decide did not publish a snapshot")
 	}
 	for i := 0; i < 10; i++ {
-		mustOK(s.SetMinConfidence(0))
+		mustOK(s.SetMinConfidence(float64(1+i%2) / 2))
 		if s.snap.Load() != nil {
 			t.Fatal("mutation left a stale snapshot published")
 		}

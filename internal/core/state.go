@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -64,11 +65,11 @@ func (s *System) exportLocked() State {
 	}
 	sort.Slice(st.Transactions, func(i, j int) bool { return st.Transactions[i].ID < st.Transactions[j].ID })
 	for id, rec := range s.subjects {
-		st.Subjects = append(st.Subjects, SubjectState{ID: id, Roles: sortedRoleIDs(rec.roles)})
+		st.Subjects = append(st.Subjects, SubjectState{ID: id, Roles: copyRoles(rec.roles)})
 	}
 	sort.Slice(st.Subjects, func(i, j int) bool { return st.Subjects[i].ID < st.Subjects[j].ID })
 	for id, rec := range s.objects {
-		st.Objects = append(st.Objects, ObjectState{ID: id, Roles: sortedRoleIDs(rec.roles)})
+		st.Objects = append(st.Objects, ObjectState{ID: id, Roles: copyRoles(rec.roles)})
 	}
 	sort.Slice(st.Objects, func(i, j int) bool { return st.Objects[i].ID < st.Objects[j].ID })
 	for _, c := range s.sods {
@@ -116,27 +117,23 @@ func (s *System) Import(st State) error {
 		if sub.ID == "" {
 			return fmt.Errorf("%w: empty subject ID in snapshot", ErrInvalid)
 		}
-		rec := &subjectRec{roles: make(map[RoleID]bool, len(sub.Roles))}
 		for _, r := range sub.Roles {
 			if _, ok := s.subjectRoles.get(r); !ok {
 				return fmt.Errorf("%w: subject %q assigned unknown role %q", ErrNotFound, sub.ID, r)
 			}
-			rec.roles[r] = true
 		}
-		s.subjects[sub.ID] = rec
+		s.subjects[sub.ID] = &subjectRec{roles: roleSetOf(sub.Roles)}
 	}
 	for _, obj := range st.Objects {
 		if obj.ID == "" {
 			return fmt.Errorf("%w: empty object ID in snapshot", ErrInvalid)
 		}
-		rec := &objectRec{roles: make(map[RoleID]bool, len(obj.Roles))}
 		for _, r := range obj.Roles {
 			if _, ok := s.objectRoles.get(r); !ok {
 				return fmt.Errorf("%w: object %q assigned unknown role %q", ErrNotFound, obj.ID, r)
 			}
-			rec.roles[r] = true
 		}
-		s.objects[obj.ID] = rec
+		s.objects[obj.ID] = &objectRec{roles: roleSetOf(obj.Roles)}
 	}
 	for _, p := range st.Permissions {
 		if err := validatePermission(p); err != nil {
@@ -192,12 +189,8 @@ func (s *System) Replace(st State) error {
 			delete(s.sessions, sid)
 			continue
 		}
-		authorized := s.subjectRoles.closure(setToSlice(rec.roles))
-		for active := range sess.active {
-			if !authorized[active] {
-				delete(sess.active, active)
-			}
-		}
+		authorized := s.subjectRoles.closure(rec.roles)
+		sess.active = slices.DeleteFunc(sess.active, func(r RoleID) bool { return !authorized[r] })
 	}
 	s.invalidateLocked()
 	exp := s.exportLocked()

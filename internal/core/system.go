@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,12 +39,13 @@ type ExpiringEnvironmentSource interface {
 }
 
 // subjectRec and objectRec hold per-entity role assignments.
+// Each roles field is a role set: sorted and duplicate-free.
 type subjectRec struct {
-	roles map[RoleID]bool
+	roles []RoleID
 }
 
 type objectRec struct {
-	roles map[RoleID]bool
+	roles []RoleID
 }
 
 // System is a complete GRBAC policy store and decision engine. It is safe
@@ -339,7 +341,7 @@ func (s *System) AddSubject(id SubjectID) error {
 	if _, ok := s.subjects[id]; ok {
 		return fmt.Errorf("%w: subject %q", ErrExists, id)
 	}
-	s.subjects[id] = &subjectRec{roles: make(map[RoleID]bool)}
+	s.subjects[id] = &subjectRec{}
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpAddSubject, Subject: id})
 }
@@ -392,7 +394,7 @@ func (s *System) AddObject(id ObjectID) error {
 	if _, ok := s.objects[id]; ok {
 		return fmt.Errorf("%w: object %q", ErrExists, id)
 	}
-	s.objects[id] = &objectRec{roles: make(map[RoleID]bool)}
+	s.objects[id] = &objectRec{}
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpAddObject, Object: id})
 }
@@ -499,14 +501,14 @@ func (s *System) RemoveRole(kind RoleKind, id RoleID) error {
 	switch kind {
 	case SubjectRole:
 		for _, rec := range s.subjects {
-			delete(rec.roles, id)
+			rec.roles, _ = deleteRole(rec.roles, id)
 		}
 		for _, sess := range s.sessions {
-			delete(sess.active, id)
+			sess.active, _ = deleteRole(sess.active, id)
 		}
 	case ObjectRole:
 		for _, rec := range s.objects {
-			delete(rec.roles, id)
+			rec.roles, _ = deleteRole(rec.roles, id)
 		}
 	}
 	kept := s.perms[:0]
@@ -609,10 +611,10 @@ func (s *System) AssignSubjectRole(sub SubjectID, role RoleID) error {
 	if _, ok := s.subjectRoles.get(role); !ok {
 		return fmt.Errorf("%w: subject role %q", ErrNotFound, role)
 	}
-	if rec.roles[role] {
+	if hasRole(rec.roles, role) {
 		return nil
 	}
-	next := append(setToSlice(rec.roles), role)
+	next := append(slices.Clip(rec.roles), role)
 	held := s.subjectRoles.closure(next)
 	for _, c := range s.sods {
 		if c.Kind != StaticSoD {
@@ -623,7 +625,7 @@ func (s *System) AssignSubjectRole(sub SubjectID, role RoleID) error {
 				ErrStaticSoD, c.Name, sub, a, b)
 		}
 	}
-	rec.roles[role] = true
+	rec.roles = insertRole(rec.roles, role)
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpAssignSubjectRole, Subject: sub, RoleID: role})
 }
@@ -637,19 +639,15 @@ func (s *System) RevokeSubjectRole(sub SubjectID, role RoleID) error {
 	if !ok {
 		return fmt.Errorf("%w: subject %q", ErrNotFound, sub)
 	}
-	if !rec.roles[role] {
+	roles, ok := deleteRole(rec.roles, role)
+	if !ok {
 		return fmt.Errorf("%w: subject %q does not hold role %q", ErrNotFound, sub, role)
 	}
-	delete(rec.roles, role)
-	authorized := s.subjectRoles.closure(setToSlice(rec.roles))
+	rec.roles = roles
+	authorized := s.subjectRoles.closure(rec.roles)
 	for _, sess := range s.sessions {
-		if sess.subject != sub {
-			continue
-		}
-		for active := range sess.active {
-			if !authorized[active] {
-				delete(sess.active, active)
-			}
+		if sess.subject == sub {
+			sess.active = slices.DeleteFunc(sess.active, func(r RoleID) bool { return !authorized[r] })
 		}
 	}
 	s.invalidateLocked()
@@ -664,7 +662,7 @@ func (s *System) AuthorizedRoles(sub SubjectID) ([]RoleID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: subject %q", ErrNotFound, sub)
 	}
-	return sortedRoleIDs(rec.roles), nil
+	return copyRoles(rec.roles), nil
 }
 
 // EffectiveSubjectRoles returns the subject's authorized roles closed
@@ -676,7 +674,7 @@ func (s *System) EffectiveSubjectRoles(sub SubjectID) ([]RoleID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: subject %q", ErrNotFound, sub)
 	}
-	return sortedRoleIDs(s.subjectRoles.closure(setToSlice(rec.roles))), nil
+	return sortedRoleIDs(s.subjectRoles.closure(rec.roles)), nil
 }
 
 // AssignObjectRole classifies an object into an object role.
@@ -690,7 +688,7 @@ func (s *System) AssignObjectRole(obj ObjectID, role RoleID) error {
 	if _, ok := s.objectRoles.get(role); !ok {
 		return fmt.Errorf("%w: object role %q", ErrNotFound, role)
 	}
-	rec.roles[role] = true
+	rec.roles = insertRole(rec.roles, role)
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpAssignObjectRole, Object: obj, RoleID: role})
 }
@@ -703,10 +701,11 @@ func (s *System) RevokeObjectRole(obj ObjectID, role RoleID) error {
 	if !ok {
 		return fmt.Errorf("%w: object %q", ErrNotFound, obj)
 	}
-	if !rec.roles[role] {
+	roles, ok := deleteRole(rec.roles, role)
+	if !ok {
 		return fmt.Errorf("%w: object %q does not hold role %q", ErrNotFound, obj, role)
 	}
-	delete(rec.roles, role)
+	rec.roles = roles
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpRevokeObjectRole, Object: obj, RoleID: role})
 }
@@ -719,7 +718,7 @@ func (s *System) ObjectRoles(obj ObjectID) ([]RoleID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: object %q", ErrNotFound, obj)
 	}
-	return sortedRoleIDs(rec.roles), nil
+	return copyRoles(rec.roles), nil
 }
 
 // EffectiveObjectRoles returns the object's roles closed upward.
@@ -730,7 +729,7 @@ func (s *System) EffectiveObjectRoles(obj ObjectID) ([]RoleID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: object %q", ErrNotFound, obj)
 	}
-	return sortedRoleIDs(s.objectRoles.closure(setToSlice(rec.roles))), nil
+	return sortedRoleIDs(s.objectRoles.closure(rec.roles)), nil
 }
 
 // --- Transactions ---------------------------------------------------------
@@ -874,7 +873,7 @@ func (s *System) AddSoDConstraint(c SoDConstraint) error {
 	}
 	if c.Kind == StaticSoD {
 		for sub, rec := range s.subjects {
-			held := s.subjectRoles.closure(setToSlice(rec.roles))
+			held := s.subjectRoles.closure(rec.roles)
 			if a, b, bad := c.violates(held); bad {
 				return fmt.Errorf("%w: subject %q already holds %q and %q",
 					ErrStaticSoD, sub, a, b)
@@ -929,13 +928,18 @@ func (s *System) SetConflictStrategy(cs ConflictStrategy) {
 	s.observeLocked()
 }
 
-// SetMinConfidence sets the system-wide authentication threshold.
+// SetMinConfidence sets the system-wide authentication threshold. Setting
+// the threshold it already has changes nothing: no generation bump, no
+// recompile, no journal record.
 func (s *System) SetMinConfidence(t float64) error {
 	if t < 0 || t > 1 {
 		return fmt.Errorf("%w: threshold %v outside [0,1]", ErrInvalid, t)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if t == s.threshold {
+		return nil
+	}
 	s.threshold = t
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpSetMinConfidence, Threshold: t})
