@@ -80,10 +80,7 @@ const (
 	// sheds past its bounds), a delay is a stalled sink.
 	DeclogUpload      = "declog.upload"
 	RebalanceJournal  = "rebalance.journal"
-	RebalanceExport   = "rebalance.export"
-	RebalanceImport   = "rebalance.import"
 	RebalanceHandoff  = "rebalance.handoff"
-	RebalanceDelta    = "rebalance.delta"
 	RebalanceCommit   = "rebalance.commit"
 	RebalanceComplete = "rebalance.complete"
 )

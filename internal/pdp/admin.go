@@ -160,9 +160,11 @@ func (s *Server) handleSubjects(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	if s.migrateIntercept(w, r, req.ID, "", req) {
+	release, handled := s.lockedIntercept(w, r, req.ID, "", req)
+	if handled {
 		return
 	}
+	defer release()
 	id := core.SubjectID(req.ID)
 	if !s.sys.HasSubject(id) {
 		if err := s.sys.AddSubject(id); err != nil {
@@ -294,9 +296,11 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost, http.MethodDelete) {
 		return
 	}
-	if s.migrateIntercept(w, r, req.Subject, req.Session, req) {
+	release, handled := s.lockedIntercept(w, r, req.Subject, req.Session, req)
+	if handled {
 		return
 	}
+	defer release()
 	switch r.Method {
 	case http.MethodPost:
 		sid, err := s.sys.CreateSession(core.SubjectID(req.Subject))
@@ -319,9 +323,11 @@ func (s *Server) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	if s.migrateIntercept(w, r, "", req.Session, req) {
+	release, handled := s.lockedIntercept(w, r, "", req.Session, req)
+	if handled {
 		return
 	}
+	defer release()
 	var err error
 	if req.Active {
 		err = s.sys.ActivateRole(core.SessionID(req.Session), core.RoleID(req.Role))

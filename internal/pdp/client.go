@@ -214,13 +214,6 @@ func (c *Client) State(ctx context.Context) (core.State, error) {
 	return st, err
 }
 
-// Stats fetches the server's decision-cache statistics.
-func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
-	var st core.Stats
-	err := c.get(ctx, "/v1/statsz", &st)
-	return st, err
-}
-
 // Statsz fetches the full statistics reply, including the replication
 // section follower PDPs expose.
 func (c *Client) Statsz(ctx context.Context) (StatszResponse, error) {

@@ -20,23 +20,26 @@ import (
 // these endpoints:
 //
 //	GET  /v1/migrate/subjects — list this shard's subject IDs
-//	POST /v1/migrate/export   — export one subject's bundle
-//	POST /v1/migrate/import   — idempotently restore a bundle
-//	POST /v1/migrate/handoff  — start forwarding for moved subjects
+//	POST /v1/migrate/handoff  — copy moving subjects to their new owners
+//	                            and start proxying them
+//	POST /v1/migrate/import   — idempotently restore a bundle (the new
+//	                            owner's half of a handoff)
 //	POST /v1/migrate/complete — drop moved subjects, switch to redirects
 //	GET  /v1/migrate/status   — current forwarding table
 //
-// Between handoff and complete the shard is in the dual-ownership
-// window: it still receives traffic from routers holding the old map,
-// but the moved subjects' state now lives on the new owner — so every
-// subject-scoped request is transparently proxied there, and the old
-// copy is never consulted again. After complete the subject is gone
-// locally and single-request callers get a typed 421 redirect carrying
-// the new owner and map version, which routers and SDK clients use to
-// refresh their map and retry.
+// Handoff is the whole per-subject move. The old owner holds its write
+// gate exclusively while it exports each subject, pushes the bundle to
+// the new owner's import and installs the proxy entry; the
+// subject-scoped mutating handlers hold the gate shared from their
+// forwarding-table check through their apply. So every acked mutation
+// either landed before the export, and travelled with the bundle, or
+// was proxied to the new owner after the import, and the old copy is
+// never consulted again. After complete the subject is gone locally
+// and single-request callers get a typed 421 redirect carrying the new
+// owner and map version, which routers and SDK clients use to refresh
+// their map and retry.
 const (
 	MigrateSubjectsPath = "/v1/migrate/subjects"
-	MigrateExportPath   = "/v1/migrate/export"
 	MigrateImportPath   = "/v1/migrate/import"
 	MigrateHandoffPath  = "/v1/migrate/handoff"
 	MigrateCompletePath = "/v1/migrate/complete"
@@ -55,14 +58,10 @@ type MigrateSubjectsResponse struct {
 	Subjects []string `json:"subjects"`
 }
 
-// MigrateExportRequest asks for one subject's migration bundle.
-type MigrateExportRequest struct {
-	Subject string `json:"subject"`
-}
-
-// MigrateHandoffRequest installs forwarding entries for subjects whose
-// state has been copied to their new owners (the dual-ownership window
-// opens). MapVersion is the version the in-flight rebalance is moving to.
+// MigrateHandoffRequest copies each moving subject to its new owner and
+// installs its forwarding entry (the proxy window opens). Subjects that
+// already have an entry are skipped, so a resumed run never copies
+// twice. MapVersion is the version the in-flight rebalance is moving to.
 type MigrateHandoffRequest struct {
 	MapVersion uint64        `json:"map_version"`
 	Moves      []MigrateMove `json:"moves"`
@@ -101,7 +100,7 @@ type MovedInfo struct {
 }
 
 // migrateEntry is one forwarding-table entry: where the subject went,
-// and whether we proxy (dual-ownership window) or redirect (post-move).
+// and whether we proxy (handoff window) or redirect (post-move).
 type migrateEntry struct {
 	target     shard.Info
 	redirect   bool
@@ -111,17 +110,21 @@ type migrateEntry struct {
 // migrateTable is the immutable forwarding table; writers copy-on-write
 // under migrationState.mu, readers do one atomic load. sessions maps
 // shard-local session IDs of migrated subjects back to their subject so
-// session-scoped requests keep routing after the local session records
-// are gone.
+// session-scoped requests keep routing when the local session record is
+// gone (after complete) or never existed (opened through the proxy).
 type migrateTable struct {
 	entries  map[string]migrateEntry
 	sessions map[string]string
 }
 
 // migrationState hangs off the Server; its zero value (no table, no
-// clients) costs the fast path a single nil-check atomic load.
+// clients) costs the fast path a single nil-check atomic load. gate
+// orders subject-scoped mutations against handoff: the mutating
+// handlers hold it shared (see lockedIntercept), handoff exclusively.
+// Decisions, batches and queries never take it.
 type migrationState struct {
 	table   atomic.Pointer[migrateTable]
+	gate    sync.RWMutex
 	mu      sync.Mutex
 	clients map[string]*Client
 }
@@ -184,12 +187,13 @@ func (s *Server) migrateFor(subject, session string) (string, migrateEntry, bool
 }
 
 // migrateForward proxies the (already decoded) request to the subject's
-// new owner and relays the reply verbatim. in is the decoded request
-// body to re-serialize (nil for GETs — the path+query carry everything).
-func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, e migrateEntry, in any) {
+// new owner and relays the reply verbatim, returning it (nil when the
+// forward failed). in is the decoded request body to re-serialize (nil
+// for GETs — the path+query carry everything).
+func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, e migrateEntry, in any) json.RawMessage {
 	if err := faults.Inject(faults.MigrateForward); err != nil {
 		s.writeStatus(w, http.StatusServiceUnavailable, "handoff forward failed: "+err.Error())
-		return
+		return nil
 	}
 	path := r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -199,9 +203,10 @@ func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, e migrat
 	err := s.migration.clientFor(e.target.Addr).Call(r.Context(), r.Method, path, in, &raw)
 	if err != nil {
 		s.relayMigrateError(w, err)
-		return
+		return nil
 	}
 	writeReply(w, raw)
+	return raw
 }
 
 // relayMigrateError maps a forwarding failure onto the reply: the new
@@ -235,8 +240,8 @@ func (s *Server) migrateRedirect(w http.ResponseWriter, subject string, e migrat
 	})
 }
 
-// migrateIntercept is the hook at the top of every subject-scoped
-// handler: not-moved subjects fall through at the cost of one atomic
+// migrateIntercept is the hook at the top of the subject-scoped read
+// handlers: not-moved subjects fall through at the cost of one atomic
 // load; moved subjects are proxied (handoff window) or redirected
 // (post-complete). It reports whether it wrote the response.
 func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) bool {
@@ -244,12 +249,46 @@ func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subjec
 	if !ok {
 		return false
 	}
+	s.migrateServe(w, r, sub, e, in)
+	return true
+}
+
+// lockedIntercept is migrateIntercept for the subject-scoped mutating
+// handlers, under the shared gate. When the subject has not moved it
+// returns with the gate still held, and the caller applies the mutation
+// and then calls release: a handoff, which takes the gate exclusively,
+// sees each mutation either applied before its export or arriving after
+// its proxy entry. A moved subject's mutation is proxied or redirected
+// with the gate already dropped, so no remote hop ever holds it.
+func (s *Server) lockedIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) (release func(), handled bool) {
+	s.migration.gate.RLock()
+	sub, e, ok := s.migrateFor(subject, session)
+	if !ok {
+		return s.migration.gate.RUnlock, false
+	}
+	s.migration.gate.RUnlock()
+	s.migrateServe(w, r, sub, e, in)
+	return nil, true
+}
+
+// migrateServe answers a request for a moved subject: the typed 421 once
+// complete has run, else a proxy to the new owner. A session opened
+// through the proxy lives only on the new owner, but its caller (the
+// router qualifies the ID with this shard) keeps addressing it here by
+// session alone, so its ID joins the session index.
+func (s *Server) migrateServe(w http.ResponseWriter, r *http.Request, sub string, e migrateEntry, in any) {
 	if e.redirect {
 		s.migrateRedirect(w, sub, e)
-		return true
+		return
 	}
-	s.migrateForward(w, r, e, in)
-	return true
+	raw := s.migrateForward(w, r, e, in)
+	if _, open := in.(SessionRequest); !open || r.Method != http.MethodPost || raw == nil {
+		return
+	}
+	var resp SessionResponse
+	if json.Unmarshal(raw, &resp) == nil && resp.Session != "" {
+		s.migration.update(func(t *migrateTable) { t.sessions[resp.Session] = sub })
+	}
 }
 
 // migrateBatch mediates the batch items that belong to migrated subjects
@@ -286,7 +325,6 @@ func (s *Server) migrateBatch(ctx context.Context, reqs []DecideRequest) []*Batc
 // plane (a shard without admin cannot be rebalanced into or out of).
 func (s *Server) registerMigrate(mux *http.ServeMux) {
 	mux.HandleFunc(MigrateSubjectsPath, s.handleMigrateSubjects)
-	mux.HandleFunc(MigrateExportPath, s.handleMigrateExport)
 	mux.HandleFunc(MigrateImportPath, s.handleMigrateImport)
 	mux.HandleFunc(MigrateHandoffPath, s.handleMigrateHandoff)
 	mux.HandleFunc(MigrateCompletePath, s.handleMigrateComplete)
@@ -304,19 +342,6 @@ func (s *Server) handleMigrateSubjects(w http.ResponseWriter, r *http.Request) {
 		resp.Subjects = append(resp.Subjects, string(id))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
-	var req MigrateExportRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
-		return
-	}
-	b, err := s.sys.ExportSubject(core.SubjectID(req.Subject))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, b)
 }
 
 func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
@@ -345,19 +370,34 @@ func (s *Server) handleMigrateHandoff(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	s.migration.update(func(t *migrateTable) {
-		for _, mv := range req.Moves {
-			// Re-running handoff after a crash must not demote an entry
-			// that already progressed to redirect.
-			if cur, ok := t.entries[mv.Subject]; ok && cur.redirect {
-				continue
-			}
+	s.migration.gate.Lock()
+	defer s.migration.gate.Unlock()
+	// Every subject-scoped write on this shard waits while the gate is
+	// held, so an unresponsive new owner fails the handoff instead.
+	ctx, cancel := context.WithTimeout(r.Context(), DefaultShardTimeout)
+	defer cancel()
+	for _, mv := range req.Moves {
+		// An entry means this subject was handed off already (a resumed
+		// run): the new owner's copy is live, and the local one stale.
+		if _, _, moved := s.migrateFor(mv.Subject, ""); moved {
+			continue
+		}
+		b, err := s.sys.ExportSubject(core.SubjectID(mv.Subject))
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		if err := s.migration.clientFor(mv.Addr).Call(ctx, http.MethodPost, MigrateImportPath, b, nil); err != nil {
+			s.relayMigrateError(w, err)
+			return
+		}
+		s.migration.update(func(t *migrateTable) {
 			t.entries[mv.Subject] = migrateEntry{
 				target:     shard.Info{ID: mv.Shard, Addr: mv.Addr},
 				mapVersion: req.MapVersion,
 			}
-		}
-	})
+		})
+	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
@@ -423,8 +463,8 @@ func sortMigrateEntries(es []MigrateStatusEntry) {
 }
 
 // MigrationNode adapts a Client into the coordinator's per-shard
-// interface (shard.NodeClient): subject bundles stay opaque JSON so the
-// shard package never imports core.
+// interface (shard.NodeClient). Subject bundles travel shard to shard,
+// never through the coordinator.
 type MigrationNode struct {
 	c *Client
 }
@@ -443,19 +483,8 @@ func (n *MigrationNode) Subjects(ctx context.Context) ([]string, error) {
 	return resp.Subjects, nil
 }
 
-// ExportSubject fetches one subject's bundle as opaque JSON.
-func (n *MigrationNode) ExportSubject(ctx context.Context, subject string) (json.RawMessage, error) {
-	var raw json.RawMessage
-	err := n.c.Call(ctx, http.MethodPost, MigrateExportPath, MigrateExportRequest{Subject: subject}, &raw)
-	return raw, err
-}
-
-// ImportSubject restores a bundle on the shard.
-func (n *MigrationNode) ImportSubject(ctx context.Context, bundle json.RawMessage) error {
-	return n.c.Call(ctx, http.MethodPost, MigrateImportPath, bundle, nil)
-}
-
-// Handoff opens the dual-ownership window for the given moves.
+// Handoff moves the given subjects: the shard copies each to its new
+// owner and proxies its traffic there from then on.
 func (n *MigrationNode) Handoff(ctx context.Context, mapVersion uint64, moves []shard.Move) error {
 	return n.c.Call(ctx, http.MethodPost, MigrateHandoffPath,
 		MigrateHandoffRequest{MapVersion: mapVersion, Moves: fromShardMoves(moves)}, nil)
@@ -465,12 +494,6 @@ func (n *MigrationNode) Handoff(ctx context.Context, mapVersion uint64, moves []
 func (n *MigrationNode) Complete(ctx context.Context, mapVersion uint64, moves []shard.Move) error {
 	return n.c.Call(ctx, http.MethodPost, MigrateCompletePath,
 		MigrateCompleteRequest{MapVersion: mapVersion, Moves: fromShardMoves(moves)}, nil)
-}
-
-// SetMap pushes a committed shard map to the shard's router surface; on
-// plain shards it is a no-op (404 tolerated) — routers are the consumers.
-func (n *MigrationNode) SetMap(ctx context.Context, w shard.Wire) error {
-	return n.c.Call(ctx, http.MethodPut, ShardMapPath, w, nil)
 }
 
 func fromShardMoves(moves []shard.Move) []MigrateMove {

@@ -274,9 +274,9 @@ func TestStatsz(t *testing.T) {
 			t.Fatalf("Decide: %v", err)
 		}
 	}
-	st, err := client.Stats(ctx)
+	st, err := client.Statsz(ctx)
 	if err != nil {
-		t.Fatalf("Stats: %v", err)
+		t.Fatalf("Statsz: %v", err)
 	}
 	if st.DecisionMisses < 1 || st.DecisionHits < 1 {
 		t.Fatalf("Stats = %+v, want at least one miss and one hit", st)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,7 +39,7 @@ func newShardServer(t *testing.T) (*core.System, *httptest.Server) {
 
 // TestMigrationForwardAndRedirect drives one subject through the
 // shard-side migration protocol by hand and pins both halves of the
-// dual-ownership window: after handoff the old owner transparently
+// move: after handoff the old owner transparently
 // proxies subject- and session-scoped requests to the new owner; after
 // complete it answers with the typed 421 carrying the new coordinates.
 func TestMigrationForwardAndRedirect(t *testing.T) {
@@ -60,16 +61,8 @@ func TestMigrationForwardAndRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Copy alice (record, roles, session) to the new owner, then open the
-	// handoff window on the old one.
+	// Hand alice (record, roles, session) off to the new owner.
 	node := NewMigrationNode(oldSrv.URL)
-	bundle, err := node.ExportSubject(ctx, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := NewMigrationNode(newSrv.URL).ImportSubject(ctx, bundle); err != nil {
-		t.Fatal(err)
-	}
 	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
 	if err := node.Handoff(ctx, 2, move); err != nil {
 		t.Fatal(err)
@@ -120,6 +113,77 @@ func TestMigrationForwardAndRedirect(t *testing.T) {
 	// The new owner carries alice's session under its original ID.
 	if _, err := newSys.Session(core.SessionID(sess.Session)); err != nil {
 		t.Fatalf("session %q missing on new owner: %v", sess.Session, err)
+	}
+}
+
+// TestMigrationHandoffKeepsWindowWrites pins that a handoff copies each
+// subject once: a role assignment and a session sent to the old owner
+// after the handoff are proxied to the new owner and still there after
+// complete, a re-run handoff copies nothing over them, and a session
+// opened through the proxy stays addressable by its ID alone on the old
+// owner: proxied during the window, a typed 421 naming the new owner
+// after complete.
+func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
+	ctx := context.Background()
+	_, oldSrv := newShardServer(t)
+	newSys, newSrv := newShardServer(t)
+	oldC := NewClient(oldSrv.URL, nil)
+	if err := oldC.UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"family-member"}}); err != nil {
+		t.Fatal(err)
+	}
+	node := NewMigrationNode(oldSrv.URL)
+	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
+	if err := node.Handoff(ctx, 2, move); err != nil {
+		t.Fatal(err)
+	}
+
+	// The window: every write goes to the old owner.
+	if err := oldC.UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"child"}}); err != nil {
+		t.Fatalf("role upsert in the window: %v", err)
+	}
+	var sess SessionResponse
+	if err := oldC.Call(ctx, http.MethodPost, "/v1/sessions", SessionRequest{Subject: "alice"}, &sess); err != nil {
+		t.Fatalf("session open in the window: %v", err)
+	}
+	if err := oldC.Call(ctx, http.MethodPost, "/v1/sessions/roles", SessionRoleRequest{Session: sess.Session, Role: "child", Active: true}, nil); err != nil {
+		t.Fatalf("activate by session alone in the window: %v", err)
+	}
+	// A resumed coordinator hands the subject off again.
+	if err := node.Handoff(ctx, 2, move); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Complete(ctx, 2, move); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := newSys.ExportSubject("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(b.Subject.Roles); got != "[child family-member]" {
+		t.Fatalf("alice's roles on the new owner = %s, want [child family-member]", got)
+	}
+	si, err := newSys.Session(core.SessionID(sess.Session))
+	if err != nil {
+		t.Fatalf("window session on the new owner: %v", err)
+	}
+	if got := fmt.Sprint(si.Active); got != "[child]" {
+		t.Fatalf("window session's active roles = %s, want [child]", got)
+	}
+
+	check := DecideRequest{Session: sess.Session, Object: "tv", Transaction: "use", Environment: []string{"weekday-free-time"}}
+	_, err = oldC.Check(ctx, check)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest || re.Moved == nil {
+		t.Fatalf("post-complete Check by window session = %v, want 421 with Moved", err)
+	}
+	if re.Moved.Shard != "new" || re.Moved.Addr != newSrv.URL || re.Moved.Subject != "alice" {
+		t.Fatalf("Moved = %+v, want alice on shard new @ %s", re.Moved, newSrv.URL)
+	}
+	// Mediation itself needs the subject beside the session.
+	check.Subject = "alice"
+	if allowed, err := NewClient(newSrv.URL, nil).Check(ctx, check); err != nil || !allowed {
+		t.Fatalf("Check by window session on the new owner = %v, %v; want permit", allowed, err)
 	}
 }
 
@@ -243,6 +307,153 @@ func TestRebalanceEndToEnd(t *testing.T) {
 		})
 		if err != nil || !allowed {
 			t.Fatalf("post-rebalance session Check(%s via %s) = %v, %v", sub, sess, allowed, err)
+		}
+	}
+}
+
+// TestRebalanceKeepsConcurrentWrites grows a live 2-shard cluster to 3
+// through the coordinator while four writers open sessions, activate
+// child in them and assign roles through the router, under continuous
+// decides. No decide or write may fail, and every acked write must be on
+// the subject's final owner: each acked session still takes a write
+// addressed by its ID alone and permits its subject, each acked role is
+// held. Every write assigns a (subject, role) pair of its own, so a lost
+// one cannot hide behind a later repeat.
+func TestRebalanceKeepsConcurrentWrites(t *testing.T) {
+	c := newRouterCluster(t, 2)
+	subs := c.addSubjects(t, 32)
+	ctx := context.Background()
+	newSys, newSrv := newShardServer(t)
+	const tags = 16
+	for i := 0; i < tags; i++ {
+		role := RoleRequest{ID: fmt.Sprintf("tag-%d", i), Kind: "subject"}
+		for _, api := range []*Client{c.client, NewClient(newSrv.URL, nil)} {
+			if err := api.Call(ctx, http.MethodPost, "/v1/admin/roles", role, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var (
+		stop     = make(chan struct{})
+		writes   atomic.Int64
+		decides  atomic.Int64
+		failures atomic.Int64
+		firstErr atomic.Value
+		mu       sync.Mutex
+		sessions [][2]string // subject, session
+		assigned [][2]string // subject, role
+	)
+	fail := func(err error) {
+		failures.Add(1)
+		firstErr.CompareAndSwap(nil, err)
+	}
+	var wg sync.WaitGroup
+	loop := func(step func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				step(i)
+			}
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		loop(func(int) {
+			k := int(writes.Add(1) - 1)
+			sub := subs[k%len(subs)]
+			var sess SessionResponse
+			if err := c.client.Call(ctx, http.MethodPost, "/v1/sessions", SessionRequest{Subject: sub}, &sess); err != nil {
+				fail(fmt.Errorf("open session for %s: %w", sub, err))
+				return
+			}
+			if err := c.client.Call(ctx, http.MethodPost, "/v1/sessions/roles", SessionRoleRequest{Session: sess.Session, Role: "child", Active: true}, nil); err != nil {
+				fail(fmt.Errorf("activate child in %s: %w", sess.Session, err))
+				return
+			}
+			mu.Lock()
+			sessions = append(sessions, [2]string{sub, sess.Session})
+			mu.Unlock()
+			if k >= len(subs)*tags {
+				return
+			}
+			role := fmt.Sprintf("tag-%d", k/len(subs))
+			if err := c.client.UpsertSubject(ctx, BindingRequest{ID: sub, Roles: []string{role}}); err != nil {
+				fail(fmt.Errorf("assign %s to %s: %w", role, sub, err))
+				return
+			}
+			mu.Lock()
+			assigned = append(assigned, [2]string{sub, role})
+			mu.Unlock()
+		})
+	}
+	for w := 0; w < 2; w++ {
+		loop(func(i int) {
+			sub := subs[(i*2+w)%len(subs)]
+			resp, err := c.client.Decide(ctx, permitReq(sub))
+			decides.Add(1)
+			if err != nil || !resp.Allowed {
+				fail(fmt.Errorf("Decide(%s) = %+v, %v", sub, resp, err))
+			}
+		})
+	}
+	// Writers run before, through and after the move.
+	waitWrites := func(n int64) {
+		for deadline := time.Now().Add(10 * time.Second); writes.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("writers stalled at %d writes", writes.Load())
+				return
+			}
+		}
+	}
+	waitWrites(32)
+
+	coord := shard.NewCoordinator(
+		filepath.Join(t.TempDir(), "rebalance.journal"),
+		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
+		t.Logf,
+	)
+	before := writes.Load()
+	next, err := coord.AddShard(ctx, c.m, shard.Info{ID: "s2", Addr: newSrv.URL})
+	during := writes.Load() - before
+	waitWrites(writes.Load() + 32)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("AddShard: %v", err)
+	}
+	if n := failures.Load(); n > 0 {
+		t.Fatalf("%d decides or writes failed across the rebalance; first: %v", n, firstErr.Load())
+	}
+	t.Logf("%d writes (%d during the move), %d decides", writes.Load(), during, decides.Load())
+
+	systems := map[string]*core.System{"s0": c.sys["s0"], "s1": c.sys["s1"], "s2": newSys}
+	for _, a := range assigned {
+		b, err := systems[next.Owner(a[0]).ID].ExportSubject(core.SubjectID(a[0]))
+		if err != nil {
+			t.Fatalf("subject %s on its owner: %v", a[0], err)
+		}
+		if !slices.Contains(b.Subject.Roles, core.RoleID(a[1])) {
+			t.Fatalf("acked role %s lost from %s: holds %v", a[1], a[0], b.Subject.Roles)
+		}
+	}
+	for _, ss := range sessions {
+		sub, sess := ss[0], ss[1]
+		if err := c.client.Call(ctx, http.MethodPost, "/v1/sessions/roles", SessionRoleRequest{Session: sess, Role: "child", Active: true}, nil); err != nil {
+			t.Fatalf("acked session %s after the rebalance: activate = %v", sess, err)
+		}
+		allowed, err := c.client.Check(ctx, DecideRequest{
+			Subject: sub, Session: sess, Object: "tv", Transaction: "use",
+			Environment: []string{"weekday-free-time"},
+		})
+		if err != nil || !allowed {
+			t.Fatalf("acked session %s after the rebalance: Check = %v, %v; want permit", sess, allowed, err)
 		}
 	}
 }

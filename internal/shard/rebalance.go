@@ -16,11 +16,9 @@ import (
 // their old owners to their new ones while the cluster keeps serving,
 // then commits the new map version. The protocol per subject:
 //
-//	copy     export from old owner → import on new owner
-//	handoff  old owner starts forwarding the subject's traffic to new
-//	delta    re-export → re-import; forwarding is already on, so this
-//	         second (idempotent) pass closes the race with mutations
-//	         that landed between the first copy and the handoff flip
+//	handoff  one call to the old owner: under its write gate it copies
+//	         the subject to the new owner and starts proxying the
+//	         subject's traffic there, so no acked write misses the copy
 //	moved    journaled — the subject's move is durable
 //
 // and for the run as a whole:
@@ -32,13 +30,13 @@ import (
 //	           proxy to typed 421 redirects
 //	done       journaled; the journal resets for the next run
 //
-// Every step is idempotent (imports upsert, handoff and complete
-// re-apply, the commit callback version-gates), so a coordinator crash
-// at ANY point resumes by replaying the journal: finished moves are
-// skipped, the in-flight one re-runs, and the run converges to the
-// committed map version. The journal is JSONL on disk.Log, the line
-// log the store WAL also uses, fsynced per record, one record per
-// transition.
+// Every step is idempotent (handoff skips subjects it already proxies,
+// complete re-applies, the commit callback version-gates), so a
+// coordinator crash at ANY point resumes by replaying the journal:
+// finished moves are skipped, the in-flight one re-runs, and the run
+// converges to the committed map version. The journal is JSONL on
+// disk.Log, the line log the store WAL also uses, fsynced per record,
+// one record per transition.
 
 // Move relocates one subject between shards.
 type Move struct {
@@ -48,18 +46,14 @@ type Move struct {
 }
 
 // NodeClient is the per-shard migration surface the coordinator drives.
-// Subject bundles stay opaque JSON: the coordinator streams them
-// old→new without understanding them. internal/pdp.MigrationNode is the
-// HTTP implementation.
+// Subject state moves shard to shard, never through the coordinator.
+// internal/pdp.MigrationNode is the HTTP implementation.
 type NodeClient interface {
 	// Subjects lists the shard's resident subject IDs.
 	Subjects(ctx context.Context) ([]string, error)
-	// ExportSubject fetches one subject's migration bundle.
-	ExportSubject(ctx context.Context, subject string) (json.RawMessage, error)
-	// ImportSubject idempotently restores a bundle on the shard.
-	ImportSubject(ctx context.Context, bundle json.RawMessage) error
-	// Handoff opens the dual-ownership window: the shard forwards
-	// traffic for the moved subjects to their new owners.
+	// Handoff copies each moved subject to its new owner and proxies
+	// the subject's traffic there from then on. A subject already
+	// proxied is skipped, so a re-run never copies it twice.
 	Handoff(ctx context.Context, mapVersion uint64, moves []Move) error
 	// Complete drops the moved subjects locally and switches the
 	// forwarding entries to typed 421 redirects.
@@ -317,7 +311,7 @@ func (c *Coordinator) Resume(ctx context.Context) (resumed bool, err error) {
 	return true, c.run(ctx, j, next, remaining, committed)
 }
 
-// run executes the copy/handoff/delta loop for the given moves, then
+// run executes the handoff loop for the given moves, then
 // commit + complete + done. committed short-circuits straight to the
 // commit phase on resume.
 func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Move, committed bool) error {
@@ -371,41 +365,13 @@ func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Mo
 	return j.reset()
 }
 
-// moveOne runs the copy → handoff → delta → moved sequence for one
-// subject. Every step re-runs cleanly: exports are reads, imports
-// upsert, handoff re-applies.
+// moveOne hands one subject off and journals it moved. A re-run after a
+// crash between the two finds the subject proxied and copies nothing.
 func (c *Coordinator) moveOne(ctx context.Context, j *journal, version uint64, mv Move) error {
-	from, to := c.dial(mv.From), c.dial(mv.To)
-
-	bundle, err := from.ExportSubject(ctx, mv.Subject)
-	if err != nil {
-		return fmt.Errorf("shard: export %q from %q: %w", mv.Subject, mv.From.ID, err)
-	}
-	if err := faults.Inject(faults.RebalanceExport); err != nil {
-		return err
-	}
-	if err := to.ImportSubject(ctx, bundle); err != nil {
-		return fmt.Errorf("shard: import %q to %q: %w", mv.Subject, mv.To.ID, err)
-	}
-	if err := faults.Inject(faults.RebalanceImport); err != nil {
-		return err
-	}
-	if err := from.Handoff(ctx, version, []Move{mv}); err != nil {
+	if err := c.dial(mv.From).Handoff(ctx, version, []Move{mv}); err != nil {
 		return fmt.Errorf("shard: handoff %q on %q: %w", mv.Subject, mv.From.ID, err)
 	}
 	if err := faults.Inject(faults.RebalanceHandoff); err != nil {
-		return err
-	}
-	// Forwarding is on: no further mutation can land on the old copy, so
-	// this second pass captures everything the first one raced with.
-	delta, err := from.ExportSubject(ctx, mv.Subject)
-	if err != nil {
-		return fmt.Errorf("shard: delta export %q from %q: %w", mv.Subject, mv.From.ID, err)
-	}
-	if err := to.ImportSubject(ctx, delta); err != nil {
-		return fmt.Errorf("shard: delta import %q to %q: %w", mv.Subject, mv.To.ID, err)
-	}
-	if err := faults.Inject(faults.RebalanceDelta); err != nil {
 		return err
 	}
 	return j.append(journalRecord{Op: "moved", Subject: mv.Subject})

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,15 +14,18 @@ import (
 )
 
 // fakeCluster is an in-memory shard fleet implementing the migration
-// protocol the coordinator drives: resident subject bundles plus the
-// per-shard forwarding table, with the same idempotence rules as the
-// real pdp endpoints (imports upsert and clear stale entries, handoff
-// never demotes a redirect, complete drops the local copy).
+// protocol the coordinator drives: resident subject copies plus the
+// per-shard forwarding table, with the same rules as the real pdp
+// endpoints (handoff copies a subject and installs its proxy entry
+// unless it has one already, the copy clears the new owner's stale
+// entry, complete drops the local copy). A copy is its write count, so
+// a copy taken from a stale owner shows as lost writes.
 type fakeCluster struct {
 	mu         sync.Mutex
-	resident   map[string]map[string]json.RawMessage // shard → subject → bundle
-	forwarding map[string]map[string]fakeEntry       // shard → subject → entry
-	active     *Map                                  // last committed map
+	resident   map[string]map[string]int       // shard → subject → writes applied
+	forwarding map[string]map[string]fakeEntry // shard → subject → entry
+	active     *Map                            // last committed map
+	writes     map[string]int                  // subject → writes acked
 }
 
 type fakeEntry struct {
@@ -33,20 +35,20 @@ type fakeEntry struct {
 
 func newFakeCluster(m *Map) *fakeCluster {
 	cl := &fakeCluster{
-		resident:   make(map[string]map[string]json.RawMessage),
+		resident:   make(map[string]map[string]int),
 		forwarding: make(map[string]map[string]fakeEntry),
 		active:     m,
+		writes:     make(map[string]int),
 	}
 	for _, s := range m.Shards() {
-		cl.resident[s.ID] = make(map[string]json.RawMessage)
-		cl.forwarding[s.ID] = make(map[string]fakeEntry)
+		cl.ensure(s.ID)
 	}
 	return cl
 }
 
 func (cl *fakeCluster) ensure(id string) {
 	if cl.resident[id] == nil {
-		cl.resident[id] = make(map[string]json.RawMessage)
+		cl.resident[id] = make(map[string]int)
 	}
 	if cl.forwarding[id] == nil {
 		cl.forwarding[id] = make(map[string]fakeEntry)
@@ -59,7 +61,7 @@ func (cl *fakeCluster) seed(m *Map, subjects []string) {
 	for _, sub := range subjects {
 		owner := m.Owner(sub).ID
 		cl.ensure(owner)
-		cl.resident[owner][sub] = json.RawMessage(fmt.Sprintf(`{"subject":%q}`, sub))
+		cl.resident[owner][sub] = 0
 	}
 }
 
@@ -85,6 +87,10 @@ func (cl *fakeCluster) commit(_ context.Context, m *Map) error {
 func (cl *fakeCluster) resolve(sub string) (string, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
+	return cl.resolveLocked(sub)
+}
+
+func (cl *fakeCluster) resolveLocked(sub string) (string, error) {
 	id := cl.active.Owner(sub).ID
 	for hops := 0; hops < 3; hops++ {
 		if e, ok := cl.forwarding[id][sub]; ok {
@@ -97,6 +103,38 @@ func (cl *fakeCluster) resolve(sub string) (string, error) {
 		return "", fmt.Errorf("subject %q not resident on %q (no forwarding entry)", sub, id)
 	}
 	return "", fmt.Errorf("subject %q: forwarding loop", sub)
+}
+
+// write applies one acked mutation to sub where the serving path would
+// route it: the resolved copy.
+func (cl *fakeCluster) write(sub string) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	id, err := cl.resolveLocked(sub)
+	if err != nil {
+		return err
+	}
+	cl.resident[id][sub]++
+	cl.writes[sub]++
+	return nil
+}
+
+// checkWrites asserts every subject resolves to its owner under the
+// active map, and that owner's copy holds every acked write.
+func (cl *fakeCluster) checkWrites(t *testing.T, subs []string) {
+	t.Helper()
+	for _, sub := range subs {
+		owner, err := cl.resolve(sub)
+		if err != nil {
+			t.Fatalf("resolve(%s): %v", sub, err)
+		}
+		if want := cl.active.Owner(sub).ID; owner != want {
+			t.Fatalf("subject %s resolves to %s, want %s", sub, owner, want)
+		}
+		if got, want := cl.resident[owner][sub], cl.writes[sub]; got != want {
+			t.Fatalf("subject %s on %s holds %d of %d acked writes", sub, owner, got, want)
+		}
+	}
 }
 
 type fakeNode struct {
@@ -115,38 +153,20 @@ func (n *fakeNode) Subjects(context.Context) ([]string, error) {
 	return out, nil
 }
 
-func (n *fakeNode) ExportSubject(_ context.Context, subject string) (json.RawMessage, error) {
-	n.cl.mu.Lock()
-	defer n.cl.mu.Unlock()
-	b, ok := n.cl.resident[n.id][subject]
-	if !ok {
-		return nil, fmt.Errorf("subject %q not on shard %q", subject, n.id)
-	}
-	return b, nil
-}
-
-func (n *fakeNode) ImportSubject(_ context.Context, bundle json.RawMessage) error {
-	var b struct {
-		Subject string `json:"subject"`
-	}
-	if err := json.Unmarshal(bundle, &b); err != nil {
-		return err
-	}
-	n.cl.mu.Lock()
-	defer n.cl.mu.Unlock()
-	n.cl.ensure(n.id)
-	n.cl.resident[n.id][b.Subject] = bundle
-	delete(n.cl.forwarding[n.id], b.Subject)
-	return nil
-}
-
 func (n *fakeNode) Handoff(_ context.Context, _ uint64, moves []Move) error {
 	n.cl.mu.Lock()
 	defer n.cl.mu.Unlock()
 	for _, mv := range moves {
-		if cur, ok := n.cl.forwarding[n.id][mv.Subject]; ok && cur.redirect {
+		if _, ok := n.cl.forwarding[n.id][mv.Subject]; ok {
 			continue
 		}
+		copied, ok := n.cl.resident[n.id][mv.Subject]
+		if !ok {
+			return fmt.Errorf("subject %q not on shard %q", mv.Subject, n.id)
+		}
+		n.cl.ensure(mv.To.ID)
+		n.cl.resident[mv.To.ID][mv.Subject] = copied
+		delete(n.cl.forwarding[mv.To.ID], mv.Subject)
 		n.cl.forwarding[n.id][mv.Subject] = fakeEntry{target: mv.To.ID}
 	}
 	return nil
@@ -261,8 +281,9 @@ func TestRebalanceRemoveShard(t *testing.T) {
 // TestRebalanceCrashMatrix is the migration crash matrix: a coordinator
 // crash (injected panic) at every kill point must leave each subject
 // decidable on exactly one owner via the active map, and a resumed run
-// must converge to the committed new map version. Kill points cover
-// every journaled transition: each remote step of a move, the journal
+// must converge to the committed new map version with every write acked
+// between the crash and the resume on the final owner. Kill points cover
+// every journaled transition: the handoff of a move, the journal
 // appends themselves, the commit, and the completion flip.
 func TestRebalanceCrashMatrix(t *testing.T) {
 	kills := []struct {
@@ -273,12 +294,8 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 		{"journal-begin", faults.RebalanceJournal, 0},
 		{"journal-first-moved", faults.RebalanceJournal, 1},
 		{"journal-committed", faults.RebalanceJournal, 0}, // resolved below
-		{"export", faults.RebalanceExport, 0},
-		{"export-later", faults.RebalanceExport, 3},
-		{"import", faults.RebalanceImport, 0},
 		{"handoff", faults.RebalanceHandoff, 0},
 		{"handoff-later", faults.RebalanceHandoff, 2},
-		{"delta", faults.RebalanceDelta, 0},
 		{"commit", faults.RebalanceCommit, 0},
 		{"complete", faults.RebalanceComplete, 0},
 	}
@@ -338,10 +355,11 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 			}
 
 			// Invariant at the crash: every subject still resolves through
-			// the active (possibly old) map to exactly one resident copy.
+			// the active (possibly old) map to exactly one resident copy,
+			// which takes a write before the coordinator comes back.
 			for _, sub := range subs {
-				if _, err := cl.resolve(sub); err != nil {
-					t.Fatalf("post-crash resolve(%s): %v", sub, err)
+				if err := cl.write(sub); err != nil {
+					t.Fatalf("post-crash write(%s): %v", sub, err)
 				}
 			}
 
@@ -360,19 +378,11 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 			}
 
 			// Convergence: committed version advanced and every subject
-			// resolves on its new-map owner.
+			// resolves on its new-map owner, with the post-crash write.
 			if want := base.Version() + 1; cl.active.Version() != want {
 				t.Fatalf("active map v%d after resume, want v%d", cl.active.Version(), want)
 			}
-			for _, sub := range subs {
-				owner, err := cl.resolve(sub)
-				if err != nil {
-					t.Fatalf("post-resume resolve(%s): %v", sub, err)
-				}
-				if want := cl.active.Owner(sub).ID; owner != want {
-					t.Fatalf("subject %s resolves to %s, want %s", sub, owner, want)
-				}
-			}
+			cl.checkWrites(t, subs)
 			// The finished run must have reset the journal.
 			if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
 				t.Fatalf("journal not reset after resume: err=%v size=%d", err, fi.Size())

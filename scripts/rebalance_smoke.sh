@@ -1,13 +1,17 @@
 #!/bin/sh
 # Online-rebalance smoke for CI: boot two grbacd shards and a
 # rebalance-capable routing tier (-route + -data-dir), put the cluster
-# under continuous decide load, then grow it to three shards with
-# `grbacctl rebalance add` and assert the online-rebalance contracts
-# end to end with the shipped binaries:
+# under continuous decide load and a session writer, then grow it to
+# three shards with `grbacctl rebalance add` and assert the
+# online-rebalance contracts end to end with the shipped binaries:
 #   1. the rebalance commits: status settles on "done", the router's
 #      map version bumps, and the new shard joins the map;
-#   2. zero decide failures while subjects migrated (dual-ownership
-#      handoff: old owners forward, then redirect);
+#   2. zero failed decides and zero failed writes while subjects
+#      migrated (one-step handoff: the old owner copies each subject
+#      under its write gate and proxies it, then redirects), and every
+#      session the writer got acked survives: addressed by its ID alone
+#      it still takes a role activation, and it still permits its
+#      subject;
 #   3. the post-state is balanced: every shard (including the new one)
 #      owns at least one subject, and the partitions sum exactly;
 #   4. the shard map converges on clients too: a shard-aware SDK
@@ -20,7 +24,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 smoke=rebalance_smoke
-smoke_pids="pid_a pid_b pid_c pid_r pid_load pid_watch"
+smoke_pids="pid_a pid_b pid_c pid_r pid_load pid_write pid_watch"
 wait_tries=150
 . scripts/lib.sh
 
@@ -84,6 +88,33 @@ touch "$workdir/load_on"
 ) &
 pid_load=$!
 
+# A writer through the router for the same window: for each subject it
+# opens a session and activates child in it, recording every acked
+# session as "subject session" and every failed write.
+: >"$workdir/write_failures"
+: >"$workdir/acked_sessions"
+(
+	while [ -f "$workdir/load_on" ]; do
+		for sub in $subjects; do
+			out=$(curl -s -X POST "$router/v1/sessions" \
+				-H 'Content-Type: application/json' -d "{\"subject\":\"$sub\"}" || echo curl-error)
+			sid=$(echo "$out" | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')
+			if [ -z "$sid" ]; then
+				echo "open $sub: $out" >>"$workdir/write_failures"
+				continue
+			fi
+			out=$(curl -s -X POST "$router/v1/sessions/roles" \
+				-H 'Content-Type: application/json' \
+				-d "{\"session\":\"$sid\",\"role\":\"child\",\"active\":true}" || echo curl-error)
+			case $out in
+			*'"status":"ok"'*) echo "$sub $sid" >>"$workdir/acked_sessions" ;;
+			*) echo "activate $sid: $out" >>"$workdir/write_failures" ;;
+			esac
+		done
+	done
+) &
+pid_write=$!
+
 # A shard-aware SDK rides the map watch in parallel: it must see the
 # committed v2 map and still decide every subject afterwards.
 "$workdir/shardwatch" -router "$router" -want-version 2 -timeout 60s \
@@ -125,14 +156,50 @@ sleep 1
 rm -f "$workdir/load_on"
 wait "$pid_load" 2>/dev/null || true
 pid_load=
+wait "$pid_write" 2>/dev/null || true
+pid_write=
 
-# Contract 2: zero failed decides across the whole window.
+# Contract 2: zero failed decides and writes across the whole window,
+# and every acked session survived the move.
 if [ -s "$workdir/decide_failures" ]; then
 	echo "rebalance_smoke: FAIL: decides failed during rebalance:" >&2
 	cat "$workdir/decide_failures" >&2
 	exit 1
 fi
 echo "rebalance_smoke: zero failed decides across $(cat "$workdir/load_rounds" 2>/dev/null || echo '?') load rounds"
+if [ -s "$workdir/write_failures" ]; then
+	echo "rebalance_smoke: FAIL: writes failed during rebalance:" >&2
+	cat "$workdir/write_failures" >&2
+	exit 1
+fi
+acked=0
+while read -r sub sid; do
+	out=$(curl -s -X POST "$router/v1/sessions/roles" \
+		-H 'Content-Type: application/json' \
+		-d "{\"session\":\"$sid\",\"role\":\"child\",\"active\":true}" || echo curl-error)
+	case $out in
+	*'"status":"ok"'*) ;;
+	*)
+		echo "rebalance_smoke: FAIL: acked session $sid is gone: $out" >&2
+		exit 1
+		;;
+	esac
+	body="{\"subject\":\"$sub\",\"session\":\"$sid\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
+	out=$(curl -s -X POST "$router/v1/check" -H 'Content-Type: application/json' -d "$body" || echo curl-error)
+	case $out in
+	*'"allowed":true'*) ;;
+	*)
+		echo "rebalance_smoke: FAIL: acked session $sid no longer permits $sub: $out" >&2
+		exit 1
+		;;
+	esac
+	acked=$((acked + 1))
+done <"$workdir/acked_sessions"
+if [ "$acked" -eq 0 ]; then
+	echo "rebalance_smoke: FAIL: the writer got no session acked" >&2
+	exit 1
+fi
+echo "rebalance_smoke: zero failed writes; all $acked acked sessions survived"
 
 # Contract 3: balanced post-state — every shard owns at least one
 # subject and the partitions sum exactly (residency, not hashing:

@@ -139,17 +139,15 @@ type Client struct {
 	puller *replica.Puller
 	remote *pdp.Client
 
-	fallback   FallbackMode
-	bundles    *bundle.Verifier
-	auditLog   *audit.Logger
-	logger     *log.Logger
-	httpClient *http.Client
+	fallback FallbackMode
+	bundles  *bundle.Verifier
+	auditLog *audit.Logger
+	logger   *log.Logger
 
-	bootstrapTimeout time.Duration
-	maxStaleness     time.Duration
-	offlineStart     bool
-	noRemote         bool
-	fetcher          replica.Fetcher
+	maxStaleness time.Duration
+	offlineStart bool
+	noRemote     bool
+	fetcher      replica.Fetcher
 
 	shardRouting bool
 	homeShard    string
@@ -169,12 +167,6 @@ type Client struct {
 // Option configures a Client under construction.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the http.Client used for both the
-// replication feed and remote fallback (default http.DefaultClient).
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.httpClient = h }
-}
-
 // WithMaxStaleness bounds how old the local snapshot may grow before the
 // Client degrades per its FallbackMode (default 30s; d <= 0 disables
 // staleness, trusting the local snapshot indefinitely).
@@ -186,12 +178,6 @@ func WithMaxStaleness(d time.Duration) Option {
 // FallbackRemote).
 func WithFallback(m FallbackMode) Option {
 	return func(c *Client) { c.fallback = m }
-}
-
-// WithRemote substitutes the remote-fallback PDP client (default: one
-// built for the primary URL with retries enabled).
-func WithRemote(r *pdp.Client) Option {
-	return func(c *Client) { c.remote = r }
 }
 
 // WithoutRemote disables remote fallback entirely: flows the local
@@ -223,12 +209,6 @@ func WithLogger(l *log.Logger) Option {
 	return func(c *Client) { c.logger = l }
 }
 
-// WithBootstrapTimeout bounds how long New blocks waiting for the first
-// snapshot (default 10s; d <= 0 waits on ctx alone).
-func WithBootstrapTimeout(d time.Duration) Option {
-	return func(c *Client) { c.bootstrapTimeout = d }
-}
-
 // WithOfflineStart lets New return before the first snapshot arrives.
 // Until the puller syncs, every request follows the stale path (remote
 // fallback or fail-safe deny), so a cold Client fails closed rather than
@@ -258,16 +238,19 @@ func WithShardRouting(homeShard string) Option {
 	}
 }
 
+// bootstrapTimeout bounds how long New waits for the shard map and the
+// first policy snapshot, each.
+const bootstrapTimeout = 10 * time.Second
+
 // New builds an embedded client for the primary at primaryURL, starts its
 // replication puller, and — unless WithOfflineStart — blocks until the
-// first policy snapshot is applied (bounded by WithBootstrapTimeout and
-// ctx). The returned Client mediates locally from then on; Close stops
-// the puller.
+// first policy snapshot is applied (bounded by bootstrapTimeout and ctx).
+// The returned Client mediates locally from then on; Close stops the
+// puller.
 func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error) {
 	c := &Client{
-		maxStaleness:     30 * time.Second,
-		bootstrapTimeout: 10 * time.Second,
-		logger:           log.Default(),
+		maxStaleness: 30 * time.Second,
+		logger:       log.Default(),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -298,18 +281,11 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 	}
 	if c.fetcher != nil {
 		pullerOpts = append(pullerOpts, replica.WithFetcher(c.fetcher))
-	} else if c.httpClient != nil {
-		cl := replica.NewClient(feedURL, c.httpClient)
-		cl.MaxWait = replica.KeepaliveWait(c.maxStaleness)
-		pullerOpts = append(pullerOpts, replica.WithFetcher(cl))
 	}
 	c.puller = replica.NewPuller(c.sys, feedURL, pullerOpts...)
 
-	if c.noRemote {
-		c.remote = nil
-	} else if c.remote == nil && primaryURL != "" {
-		c.remote = pdp.NewClient(primaryURL, c.httpClient,
-			pdp.WithRetry(3, 100*time.Millisecond))
+	if !c.noRemote && primaryURL != "" {
+		c.remote = pdp.NewClient(primaryURL, nil, pdp.WithRetry(3, 100*time.Millisecond))
 	}
 
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -331,12 +307,8 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 	}
 
 	if !c.offlineStart {
-		bctx := ctx
-		if c.bootstrapTimeout > 0 {
-			var bcancel context.CancelFunc
-			bctx, bcancel = context.WithTimeout(ctx, c.bootstrapTimeout)
-			defer bcancel()
-		}
+		bctx, bcancel := context.WithTimeout(ctx, bootstrapTimeout)
+		defer bcancel()
 		if err := c.puller.WaitSynced(bctx); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("sdk: bootstrap sync from %s: %w", primaryURL, err)

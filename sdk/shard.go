@@ -29,7 +29,7 @@ const sdkMapWatchWait = 20 * time.Second
 
 // newShardClient builds the per-shard remote used for direct routing.
 func (c *Client) newShardClient(addr string) *pdp.Client {
-	return pdp.NewClient(addr, c.httpClient, pdp.WithRetry(3, 100*time.Millisecond))
+	return pdp.NewClient(addr, nil, pdp.WithRetry(3, 100*time.Millisecond))
 }
 
 // installShardMap swaps in a strictly newer shard map; the new table
@@ -50,13 +50,9 @@ func (c *Client) installShardMap(m *shard.Map) bool {
 // initial view, and resolves the home shard this Client will replicate
 // from.
 func (c *Client) bootstrapShardMap(ctx context.Context, routerURL string) (shard.Info, error) {
-	mctx := ctx
-	if c.bootstrapTimeout > 0 {
-		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(ctx, c.bootstrapTimeout)
-		defer cancel()
-	}
-	c.router = pdp.NewClient(routerURL, c.httpClient)
+	mctx, cancel := context.WithTimeout(ctx, bootstrapTimeout)
+	defer cancel()
+	c.router = pdp.NewClient(routerURL, nil)
 	var w shard.Wire
 	if err := c.router.Call(mctx, http.MethodGet, pdp.ShardMapPath, nil, &w); err != nil {
 		return shard.Info{}, fmt.Errorf("sdk: fetch shard map from %s: %w", routerURL, err)

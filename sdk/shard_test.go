@@ -409,18 +409,10 @@ func TestSDKFollowsMovedRedirect(t *testing.T) {
 	}
 
 	// Migrate it out-of-band to a shard the map does not contain:
-	// export → import → handoff → complete, leaving s1 redirecting.
+	// handoff → complete, leaving s1 redirecting.
 	dest := cl.newShard(t, "x9")
 	oldInfo, _ := cl.m.Get("s1")
 	old := pdp.NewMigrationNode(oldInfo.Addr)
-	dst := pdp.NewMigrationNode(dest.Addr)
-	bundle, err := old.ExportSubject(ctx, sub)
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	if err := dst.ImportSubject(ctx, bundle); err != nil {
-		t.Fatalf("import: %v", err)
-	}
 	moves := []shard.Move{{Subject: sub, From: oldInfo, To: dest}}
 	if err := old.Handoff(ctx, cl.m.Version()+1, moves); err != nil {
 		t.Fatalf("handoff: %v", err)
