@@ -82,7 +82,10 @@ declog-smoke:
 # Run every native fuzz target for a short budget each. FuzzOpenLog checks
 # the shared line log under the WAL and the rebalance journal. The two pdp
 # targets are differential: whatever the decide wire codec accepts must
-# decode exactly as encoding/json decodes it.
+# decode exactly as encoding/json decodes it. FuzzSnapshotCodec holds the
+# replica's snapshot decoder to the same contract; its seeds include a
+# 40 KB policy snapshot, whose default minimisation (up to a minute per
+# new input) would spend the whole budget, so it minimises for 100 runs.
 fuzz:
 	go test -run '^$$' -fuzz FuzzDecide -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/temporal
@@ -91,6 +94,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzOpenLog -fuzztime 10s ./internal/disk
 	go test -run '^$$' -fuzz FuzzDecideRequestCodec -fuzztime 10s ./internal/pdp
 	go test -run '^$$' -fuzz FuzzDecideResponseCodec -fuzztime 10s ./internal/pdp
+	go test -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 10s -fuzzminimizetime 100x ./internal/replica
 
 cover:
 	go test -cover ./...

@@ -16,7 +16,8 @@ type Request struct {
 	Subject SubjectID
 	// Session, when set, restricts the usable subject roles to the
 	// session's active role set (role activation, §4.1.2). The session
-	// must belong to Subject.
+	// must belong to Subject; with Subject empty the request mediates as
+	// the session's owner, exactly as if it had named that subject.
 	Session SessionID
 	// Object is the target resource.
 	Object ObjectID

@@ -122,8 +122,10 @@ func TestDecideInputValidation(t *testing.T) {
 		{"unknown object", Request{Subject: "alice", Object: "ghost", Transaction: "use"}, ErrNotFound},
 		{"unknown subject", Request{Subject: "ghost", Object: "tv", Transaction: "use"}, ErrNotFound},
 		{"no subject or credentials", Request{Object: "tv", Transaction: "use"}, ErrInvalid},
+		// A session-only request mediates as the session's owner, so an
+		// unknown session is the error.
 		{"session without subject", Request{Session: "s", Object: "tv", Transaction: "use",
-			Credentials: CredentialSet{RoleCredential("child", 0.9, "floor")}}, ErrInvalid},
+			Credentials: CredentialSet{RoleCredential("child", 0.9, "floor")}}, ErrNoSession},
 		{"malformed credential", Request{Subject: "alice", Object: "tv", Transaction: "use",
 			Credentials: CredentialSet{{Confidence: 0.5}}}, ErrInvalid},
 		{"credential asserting both", Request{Subject: "alice", Object: "tv", Transaction: "use",

@@ -27,6 +27,13 @@ func (s *System) decideLocked(req Request) (Decision, error) {
 	if !ok {
 		return Decision{}, fmt.Errorf("%w: object %q", ErrNotFound, req.Object)
 	}
+	if req.Subject == "" && req.Session != "" {
+		sess, ok := s.sessions[req.Session]
+		if !ok {
+			return Decision{}, fmt.Errorf("%w: %q", ErrNoSession, req.Session)
+		}
+		req.Subject = sess.subject
+	}
 	if req.Subject == "" && len(req.Credentials) == 0 {
 		return Decision{}, fmt.Errorf("%w: request must carry a subject or credentials", ErrInvalid)
 	}
@@ -108,8 +115,6 @@ func (s *System) effectiveSubjectRoles(req Request) (map[RoleID]float64, error) 
 				}
 			}
 		}
-	} else if req.Session != "" {
-		return nil, fmt.Errorf("%w: session requires a subject", ErrInvalid)
 	}
 
 	for r, conf := range req.Credentials.roleConfidences() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -63,11 +64,8 @@ func (g *roleGraph) get(id RoleID) (*Role, bool) {
 // add inserts a role after validating that its parents exist and that the
 // new edges do not create a cycle.
 func (g *roleGraph) add(r Role) error {
-	if r.ID == "" {
-		return fmt.Errorf("%w: empty role ID", ErrInvalid)
-	}
-	if _, ok := g.roles[r.ID]; ok {
-		return fmt.Errorf("%w: %s role %q", ErrExists, g.kind, r.ID)
+	if err := g.checkNew(r.ID); err != nil {
+		return err
 	}
 	for _, p := range r.Parents {
 		if p == r.ID {
@@ -83,27 +81,46 @@ func (g *roleGraph) add(r Role) error {
 	return nil
 }
 
+// checkNew rejects an empty role ID and one the graph already holds.
+func (g *roleGraph) checkNew(id RoleID) error {
+	if id == "" {
+		return fmt.Errorf("%w: empty role ID", ErrInvalid)
+	}
+	if _, ok := g.roles[id]; ok {
+		return fmt.Errorf("%w: %s role %q", ErrExists, g.kind, id)
+	}
+	return nil
+}
+
 // addParent links child under parent, rejecting unknown roles and cycles.
 func (g *roleGraph) addParent(child, parent RoleID) error {
 	c, ok := g.roles[child]
 	if !ok {
 		return fmt.Errorf("%w: %s role %q", ErrNotFound, g.kind, child)
 	}
-	if _, ok := g.roles[parent]; !ok {
-		return fmt.Errorf("%w: %s role %q", ErrNotFound, g.kind, parent)
+	if added, err := g.link(c, parent); !added {
+		return err
 	}
-	for _, p := range c.Parents {
-		if p == parent {
-			return nil // edge already present
-		}
-	}
-	// Adding child→parent creates a cycle iff child is reachable from parent.
-	if g.reaches(parent, child) {
-		return fmt.Errorf("%w: %s role %q -> %q", ErrCycle, g.kind, child, parent)
-	}
-	c.Parents = append(c.Parents, parent)
 	g.refreshDerived()
 	return nil
+}
+
+// link appends the edge c→parent unless c has it already, rejecting an
+// unknown parent and an edge that would close a cycle. It reports whether
+// it added the edge and leaves the derived caches to its caller.
+func (g *roleGraph) link(c *Role, parent RoleID) (bool, error) {
+	if _, ok := g.roles[parent]; !ok {
+		return false, fmt.Errorf("%w: %s role %q", ErrNotFound, g.kind, parent)
+	}
+	if slices.Contains(c.Parents, parent) {
+		return false, nil
+	}
+	// Adding c→parent creates a cycle iff c is reachable from parent.
+	if g.reaches(parent, c.ID) {
+		return false, fmt.Errorf("%w: %s role %q -> %q", ErrCycle, g.kind, c.ID, parent)
+	}
+	c.Parents = append(c.Parents, parent)
+	return true, nil
 }
 
 // removeParent unlinks child from parent if the edge exists.
@@ -295,7 +312,7 @@ func (g *roleGraph) all() []Role {
 	for _, r := range g.roles {
 		out = append(out, r.clone())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Role) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -34,6 +35,55 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if _, err := s.Session(sid); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("Session(closed) error = %v, want ErrNoSession", err)
+	}
+}
+
+// TestSessionOnlyRequestMediatesAsOwner pins that a request naming a
+// session but no subject decides as the session's owner: the same
+// Decision, CheckAccess answer and error as the request that also names
+// the owner, for a session with an active role, an empty one and an
+// unknown one.
+func TestSessionOnlyRequestMediatesAsOwner(t *testing.T) {
+	s := populatedSystem(t)
+	active, err := s.CreateSession("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ActivateRole(active, "child"); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := s.CreateSession("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name    string
+		session SessionID
+		allowed bool
+		err     error
+	}{
+		{"active", active, true, nil},
+		{"empty", empty, false, nil},
+		{"unknown", "sess-99-alice", false, ErrNoSession},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			alone := Request{Session: tt.session, Object: "tv", Transaction: "use",
+				Environment: []RoleID{"weekday-free-time"}}
+			named := alone
+			named.Subject = "alice"
+			want, wantErr := s.Decide(named)
+			got, gotErr := s.Decide(alone)
+			if !errors.Is(gotErr, tt.err) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("Decide error = %v, want %v (as with the subject named)", gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) || got.Allowed != tt.allowed {
+				t.Fatalf("session-only Decide = %+v, want %+v (allowed %v)", got, want, tt.allowed)
+			}
+			ok, err := s.CheckAccess(alone)
+			if ok != tt.allowed || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("session-only CheckAccess = %v, %v, want %v, %v", ok, err, tt.allowed, wantErr)
+			}
+		})
 	}
 }
 

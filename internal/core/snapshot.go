@@ -338,6 +338,14 @@ func (sn *snapshot) roles(req Request, envBuf bitset) ([]compiledPerm, roleSets,
 	if err != nil {
 		return nil, roleSets{}, err
 	}
+	if req.Subject == "" && req.Session != "" {
+		// A session has exactly one owner: naming the session names it.
+		sess, ok := sn.sessions[req.Session]
+		if !ok {
+			return nil, roleSets{}, fmt.Errorf("%w: %q", ErrNoSession, req.Session)
+		}
+		req.Subject = sess.subject
+	}
 	if req.Subject == "" && len(req.Credentials) == 0 {
 		return nil, roleSets{}, fmt.Errorf("%w: request must carry a subject or credentials", ErrInvalid)
 	}
@@ -490,9 +498,6 @@ func (sn *snapshot) effectiveSubjectConfs(req Request) (bitset, []float64, error
 		sn.addRoleCredentials(confs, req.Credentials)
 		confs[sn.anySubj] = 1
 		return nil, confs, nil
-	}
-	if req.Session != "" {
-		return nil, nil, fmt.Errorf("%w: session requires a subject", ErrInvalid)
 	}
 	confs := make([]float64, len(sn.subjU.names))
 	sn.addRoleCredentials(confs, req.Credentials)

@@ -27,7 +27,8 @@ func walk(sn *snapshot, req Request) (Decision, error) {
 // expandProbes widens the base probe set with the request shapes the
 // snapshot path special-cases: identity and role credentials (including
 // unknown and wildcard asserted roles), subjectless credential-only
-// requests, sessions, wildcard/unknown/duplicate environment roles, and
+// requests, sessions with and without their subject, wildcard/unknown/
+// duplicate environment roles, and
 // every validation-error branch.
 func expandProbes(probes []Request, sid SessionID) []Request {
 	out := append([]Request(nil), probes...)
@@ -61,6 +62,10 @@ func expandProbes(probes []Request, sid SessionID) []Request {
 		sess := p
 		sess.Session = sid
 		out = append(out, sess)
+
+		sessOnly := sess
+		sessOnly.Subject = ""
+		out = append(out, sessOnly)
 	}
 	return append(out,
 		Request{Subject: "ghost", Object: "o0", Transaction: "use", Environment: []RoleID{}},
@@ -72,6 +77,9 @@ func expandProbes(probes []Request, sid SessionID) []Request {
 		Request{Subject: "", Session: "s", Object: "o0", Transaction: "use",
 			Credentials: CredentialSet{RoleCredential("sr0", 1, "x")}, Environment: []RoleID{}},
 		Request{Subject: "u0", Session: "no-such-session", Object: "o0", Transaction: "use", Environment: []RoleID{}},
+		Request{Session: "no-such-session", Object: "o0", Transaction: "use", Environment: []RoleID{}},
+		Request{Session: sid, Object: "o0", Transaction: "use",
+			Credentials: CredentialSet{IdentityCredential("u0", 0.6, "sensor")}, Environment: []RoleID{}},
 		Request{Subject: "u0", Object: "o0", Transaction: "use",
 			Credentials: CredentialSet{{Subject: "u0", Role: "sr0", Confidence: 1}}, Environment: []RoleID{}},
 	)

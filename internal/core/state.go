@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // SubjectState is the serializable record of one subject.
@@ -20,7 +20,9 @@ type ObjectState struct {
 
 // State is a complete serializable snapshot of a System's policy store
 // (sessions, which are ephemeral, are not included). internal/store encodes
-// it to JSON; internal/pdp ships it over the wire.
+// it to JSON for its checkpoints and WAL; replication carries it inside
+// replica.Snapshot, which the primary's server encodes with encoding/json
+// and replica.Client decodes by hand (internal/replica/codec.go).
 type State struct {
 	SubjectRoles     []Role          `json:"subject_roles,omitempty"`
 	ObjectRoles      []Role          `json:"object_roles,omitempty"`
@@ -63,23 +65,50 @@ func (s *System) exportLocked() State {
 	for _, t := range s.transactions {
 		st.Transactions = append(st.Transactions, t.clone())
 	}
-	sort.Slice(st.Transactions, func(i, j int) bool { return st.Transactions[i].ID < st.Transactions[j].ID })
-	for id, rec := range s.subjects {
-		st.Subjects = append(st.Subjects, SubjectState{ID: id, Roles: copyRoles(rec.roles)})
+	slices.SortFunc(st.Transactions, func(a, b Transaction) int { return cmp.Compare(a.ID, b.ID) })
+	// Every subject's and object's role copy is cut, capped, from one
+	// backing array, so the export makes one role allocation, not one per
+	// record.
+	held := 0
+	for _, rec := range s.subjects {
+		held += len(rec.roles)
 	}
-	sort.Slice(st.Subjects, func(i, j int) bool { return st.Subjects[i].ID < st.Subjects[j].ID })
-	for id, rec := range s.objects {
-		st.Objects = append(st.Objects, ObjectState{ID: id, Roles: copyRoles(rec.roles)})
+	for _, rec := range s.objects {
+		held += len(rec.roles)
 	}
-	sort.Slice(st.Objects, func(i, j int) bool { return st.Objects[i].ID < st.Objects[j].ID })
-	for _, c := range s.sods {
-		st.SoDConstraints = append(st.SoDConstraints, c.clone())
+	roles := make([]RoleID, 0, held)
+	cut := func(set []RoleID) []RoleID {
+		roles = append(roles, set...)
+		return roles[len(roles)-len(set) : len(roles) : len(roles)]
+	}
+	if len(s.subjects) > 0 {
+		st.Subjects = make([]SubjectState, 0, len(s.subjects))
+		for id, rec := range s.subjects {
+			st.Subjects = append(st.Subjects, SubjectState{ID: id, Roles: cut(rec.roles)})
+		}
+		slices.SortFunc(st.Subjects, func(a, b SubjectState) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	if len(s.objects) > 0 {
+		st.Objects = make([]ObjectState, 0, len(s.objects))
+		for id, rec := range s.objects {
+			st.Objects = append(st.Objects, ObjectState{ID: id, Roles: cut(rec.roles)})
+		}
+		slices.SortFunc(st.Objects, func(a, b ObjectState) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	if len(s.sods) > 0 {
+		st.SoDConstraints = make([]SoDConstraint, 0, len(s.sods))
+		for _, c := range s.sods {
+			st.SoDConstraints = append(st.SoDConstraints, c.clone())
+		}
 	}
 	return st
 }
 
 // Import rebuilds a System from a snapshot. The system must be freshly
 // constructed (empty); importing into a populated system returns ErrInvalid.
+// Each role hierarchy's closures and depths are derived once, after its
+// last edge. With a journal attached the import is recorded as an
+// OpReplace carrying a fresh export; without one nothing is exported.
 func (s *System) Import(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,9 +178,17 @@ func (s *System) Import(st State) error {
 	}
 	s.threshold = st.MinConfidence
 	s.invalidateLocked()
-	// Journaled as a wholesale replace: the record carries a fresh export
-	// (not the caller's State value) so the journal's copy shares no slices
-	// with memory the caller may later mutate.
+	return s.recordReplaceLocked()
+}
+
+// recordReplaceLocked journals a wholesale replace. The record carries a
+// fresh export (not the caller's State value), so the journal's copy
+// shares no slices with memory the caller may later mutate; without a
+// journal nobody would read it, so none is made.
+func (s *System) recordReplaceLocked() error {
+	if s.journal == nil {
+		return nil
+	}
 	exp := s.exportLocked()
 	return s.recordLocked(Mutation{Op: OpReplace, State: &exp})
 }
@@ -161,8 +198,10 @@ func (s *System) Import(st State) error {
 // policy or the new one, never a mix. It is the follower side of the
 // replication feed — unlike Import it works on a populated system.
 //
-// The snapshot is first validated by importing it into a scratch system;
-// on any error the receiver is left untouched. Sessions survive a Replace
+// The snapshot is first validated by importing it into a scratch system,
+// whose maps and graphs are then swapped in, so the policy is copied once;
+// on any error the receiver is left untouched. Like Import it exports the
+// new policy only for an attached journal. Sessions survive a Replace
 // (they are local, ephemeral state the snapshot does not carry) but are
 // pruned against the new policy: sessions whose subject vanished are
 // closed, and active roles no longer in the subject's authorized closure
@@ -193,26 +232,33 @@ func (s *System) Replace(st State) error {
 		sess.active = slices.DeleteFunc(sess.active, func(r RoleID) bool { return !authorized[r] })
 	}
 	s.invalidateLocked()
-	exp := s.exportLocked()
-	return s.recordLocked(Mutation{Op: OpReplace, State: &exp})
+	return s.recordReplaceLocked()
 }
 
-// importRoles inserts roles into an empty graph, deferring parent edges so
-// snapshot ordering does not matter.
+// importRoles inserts roles into an empty graph with the checks, in the
+// order, of add and addParent: every role first and then every parent
+// edge, so snapshot ordering does not matter. The derived caches are
+// rebuilt once, on the way out, not once per role and per edge.
 func importRoles(g *roleGraph, roles []Role, kind RoleKind) error {
+	defer g.refreshDerived()
 	for _, r := range roles {
 		if r.Kind != kind {
 			return fmt.Errorf("%w: role %q has kind %s, want %s", ErrKindMismatch, r.ID, r.Kind, kind)
 		}
-		bare := r
-		bare.Parents = nil
-		if err := g.add(bare); err != nil {
+		if err := g.checkNew(r.ID); err != nil {
 			return err
 		}
+		bare := r
+		bare.Parents = nil
+		if len(r.Parents) > 0 {
+			bare.Parents = make([]RoleID, 0, len(r.Parents))
+		}
+		g.roles[r.ID] = &bare
 	}
 	for _, r := range roles {
+		c := g.roles[r.ID]
 		for _, p := range r.Parents {
-			if err := g.addParent(r.ID, p); err != nil {
+			if _, err := g.link(c, p); err != nil {
 				return err
 			}
 		}

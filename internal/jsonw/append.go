@@ -1,5 +1,6 @@
 // Package jsonw holds the JSON primitives under the hand-written codecs of
-// the hot wire shapes: pdp's decide request and reply and audit's record.
+// the hot wire shapes: pdp's decide request and reply, audit's record, and
+// the replica's decode of a full policy snapshot.
 // encoding/json is the specification. Every Append function produces
 // exactly the bytes encoding/json produces for the same value, and the
 // Scanner accepts only input whose meaning it reproduces exactly; on

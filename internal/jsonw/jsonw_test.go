@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -176,5 +177,61 @@ func TestScannerFloatMatchesUnmarshal(t *testing.T) {
 		if ok != (werr == nil) || (werr == nil && got != want) {
 			t.Fatalf("Float(%s) = %v ok=%v; encoding/json %v, %v", lit, got, ok, want, werr)
 		}
+	}
+}
+
+func TestScannerIntMatchesUnmarshal(t *testing.T) {
+	lits := []string{"0", "-0", "1", "-1", "42", "007", "1.0", "1.5", "1e3", "1E0", "-1e0", "1.", "-", "+1", "0x10",
+		"127", "128", "-128", "-129", "255", "256", "9223372036854775807", "9223372036854775808",
+		"-9223372036854775808", "-9223372036854775809", "18446744073709551615", "18446744073709551616",
+		`"1"`, "true", "null", "nul"}
+	// Each check reads lit into a value of one integer type both ways.
+	checks := []struct {
+		name string
+		read func(*Scanner) any
+		want func() any
+	}{
+		{"int64", func(s *Scanner) any { return s.Int(64) }, func() any { return new(int64) }},
+		{"int8", func(s *Scanner) any { return int8(s.Int(8)) }, func() any { return new(int8) }},
+		{"uint64", func(s *Scanner) any { return s.Uint(64) }, func() any { return new(uint64) }},
+		{"uint8", func(s *Scanner) any { return uint8(s.Uint(8)) }, func() any { return new(uint8) }},
+	}
+	for _, c := range checks {
+		for _, lit := range lits {
+			s := NewScanner([]byte(lit))
+			got := c.read(&s)
+			// As for Float, a number followed by more input read only a
+			// prefix; the caller's next step declines on the rest.
+			ok := s.OK() && s.pos == len(lit)
+			want := c.want()
+			werr := json.Unmarshal([]byte(lit), want)
+			wantVal := reflect.ValueOf(want).Elem().Interface()
+			if ok && (werr != nil || got != wantVal) {
+				t.Fatalf("%s(%s) = %v accepted; encoding/json %v, %v", c.name, lit, got, wantVal, werr)
+			}
+			if !ok && werr == nil {
+				t.Fatalf("%s(%s) declined; encoding/json reads %v", c.name, lit, wantVal)
+			}
+		}
+	}
+}
+
+// TestScannerStringBytesMatchesString checks that StringBytes reads what
+// String reads and, for a literal unquoting leaves as it is, aliases the
+// scanned data.
+func TestScannerStringBytesMatchesString(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		lit := randomLiteral(rng)
+		s1, s2 := NewScanner([]byte(lit)), NewScanner([]byte(lit))
+		want, got := s1.String(), s2.StringBytes()
+		if s1.OK() != s2.OK() || string(got) != want || s1.pos != s2.pos {
+			t.Fatalf("StringBytes(%s) = %q ok=%v; String %q ok=%v", lit, got, s2.OK(), want, s1.OK())
+		}
+	}
+	data := []byte(`"plain-id"`)
+	s := NewScanner(data)
+	if b := s.StringBytes(); string(b) != "plain-id" || &b[0] != &data[1] {
+		t.Fatalf("StringBytes of a plain literal = %q, not the scanned bytes", b)
 	}
 }

@@ -1,6 +1,9 @@
 package jsonw
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -21,6 +24,27 @@ type Scanner struct {
 	pos      int
 	declined bool
 }
+
+// DecodeDeclined decodes what a hand-written decoder declined with
+// encoding/json, exactly as json.Decoder's Decode would have read it off
+// the wire: data is everything the body yielded and readErr what ended
+// the read (nil at EOF), so a body cut short or over its size bound fails
+// with the same error it always did. strict rejects unknown fields.
+func DecodeDeclined(data []byte, readErr error, v any, strict bool) error {
+	var r io.Reader = bytes.NewReader(data)
+	if readErr != nil {
+		r = io.MultiReader(r, errReader{readErr})
+	}
+	dec := json.NewDecoder(r)
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	return dec.Decode(v)
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // NewScanner returns a Scanner over data.
 func NewScanner(data []byte) Scanner { return Scanner{data: data} }
@@ -110,31 +134,37 @@ func (s *Scanner) Null() bool { return s.literal("null") }
 // String reads a string value, unquoted as encoding/json unquotes it:
 // escapes resolved, a \u surrogate that does not pair with the escape
 // right after it and every byte of invalid UTF-8 replaced by U+FFFD.
-func (s *Scanner) String() string {
+func (s *Scanner) String() string { return string(s.StringBytes()) }
+
+// StringBytes reads a string value as String does and returns its bytes:
+// the scanned data itself when unquoting changes nothing, so a caller that
+// only looks the value up allocates nothing. The bytes are valid while the
+// data is and must not be written.
+func (s *Scanner) StringBytes() []byte {
 	if s.declined || s.Null() {
-		return ""
+		return nil
 	}
 	if s.peek() != '"' {
 		s.declined = true
-		return ""
+		return nil
 	}
 	start := s.pos + 1
 	for i := start; i < len(s.data); i++ {
 		switch c := s.data[i]; {
 		case c == '"':
 			s.pos = i + 1
-			return string(s.data[start:i])
+			return s.data[start:i:i]
 		case c == '\\' || c < 0x20 || c >= utf8.RuneSelf:
 			return s.unquote(start, i)
 		}
 	}
 	s.declined = true
-	return ""
+	return nil
 }
 
 // unquote finishes a string from i, the first byte needing more than a
 // copy; start is the first byte after the opening quote.
-func (s *Scanner) unquote(start, i int) string {
+func (s *Scanner) unquote(start, i int) []byte {
 	d := s.data
 	b := make([]byte, 0, i-start+16)
 	b = append(b, d[start:i]...)
@@ -142,10 +172,10 @@ func (s *Scanner) unquote(start, i int) string {
 		switch c := d[i]; {
 		case c == '"':
 			s.pos = i + 1
-			return string(b)
+			return b
 		case c < 0x20:
 			s.declined = true
-			return ""
+			return nil
 		case c < utf8.RuneSelf && c != '\\':
 			b = append(b, c)
 			i++
@@ -156,7 +186,7 @@ func (s *Scanner) unquote(start, i int) string {
 		default: // a backslash escape
 			if i+1 >= len(d) {
 				s.declined = true
-				return ""
+				return nil
 			}
 			switch e := d[i+1]; e {
 			case '"', '\\', '/':
@@ -175,7 +205,7 @@ func (s *Scanner) unquote(start, i int) string {
 				r := hex4(d[i+2:])
 				if r < 0 {
 					s.declined = true
-					return ""
+					return nil
 				}
 				i += 6
 				if utf16.IsSurrogate(r) {
@@ -192,13 +222,13 @@ func (s *Scanner) unquote(start, i int) string {
 				continue
 			default:
 				s.declined = true
-				return ""
+				return nil
 			}
 			i += 2
 		}
 	}
 	s.declined = true
-	return ""
+	return nil
 }
 
 // escapedHex4 decodes a \uXXXX escape at the front of b, or returns -1.
@@ -289,6 +319,70 @@ func (s *Scanner) Float() float64 {
 	}
 	s.pos = i
 	return f
+}
+
+// Int reads a number into an int64 as encoding/json reads one into a
+// signed integer of bitSize bits, declining where encoding/json would
+// fail: a fraction, an exponent, or a value outside the type's range.
+func (s *Scanner) Int(bitSize int) int64 {
+	lit, ok := s.integer()
+	if !ok {
+		return 0
+	}
+	n, err := strconv.ParseInt(string(lit), 10, bitSize)
+	if err != nil {
+		s.declined = true
+		return 0
+	}
+	s.pos += len(lit)
+	return n
+}
+
+// Uint reads a number into a uint64 as encoding/json reads one into an
+// unsigned integer of bitSize bits, declining where encoding/json would
+// fail: a sign, a fraction, an exponent, or a value outside the type's
+// range.
+func (s *Scanner) Uint(bitSize int) uint64 {
+	lit, ok := s.integer()
+	if !ok {
+		return 0
+	}
+	n, err := strconv.ParseUint(string(lit), 10, bitSize)
+	if err != nil {
+		s.declined = true
+		return 0
+	}
+	s.pos += len(lit)
+	return n
+}
+
+// integer returns the integer literal next in the data, unconsumed. ok is
+// false, and the scan declined, for anything but a number without a
+// fraction or an exponent; it is also false, with the scan going on, for
+// a literal null.
+func (s *Scanner) integer() (lit []byte, ok bool) {
+	if s.declined || s.Null() {
+		return nil, false
+	}
+	d := s.data
+	i := s.pos
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(d) && d[i] == '0':
+		i++
+	case i < len(d) && '1' <= d[i] && d[i] <= '9':
+		i = digits(d, i)
+	default:
+		s.declined = true
+		return nil, false
+	}
+	if i < len(d) && (d[i] == '.' || d[i] == 'e' || d[i] == 'E') {
+		s.declined = true
+		return nil, false
+	}
+	return d[s.pos:i], true
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }

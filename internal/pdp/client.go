@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
+	"github.com/aware-home/grbac/internal/jsonw"
 	"github.com/aware-home/grbac/internal/retry"
 )
 
@@ -299,7 +300,7 @@ func decodeReply(out any, fast func([]byte) bool) func(*http.Response) error {
 		if fast(data) {
 			return nil
 		}
-		return decodeDeclined(data, rerr, out, false)
+		return jsonw.DecodeDeclined(data, rerr, out, false)
 	}
 }
 

@@ -1,7 +1,6 @@
 package pdp
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -310,27 +309,6 @@ func decodeCheckResponse(data []byte, r *CheckResponse) bool {
 	}
 }
 
-// decodeDeclined decodes what a codec decoder declined with encoding/json,
-// exactly as json.Decoder's Decode would have read it off the wire: data
-// is everything the body yielded and readErr what ended the read (nil at
-// EOF), so a body cut short or over its size bound fails with the same
-// error it always did. strict rejects unknown fields, as the server does.
-func decodeDeclined(data []byte, readErr error, v any, strict bool) error {
-	var r io.Reader = bytes.NewReader(data)
-	if readErr != nil {
-		r = io.MultiReader(r, errReader{readErr})
-	}
-	dec := json.NewDecoder(r)
-	if strict {
-		dec.DisallowUnknownFields()
-	}
-	return dec.Decode(v)
-}
-
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
-
 // maxPooledBuf caps the buffers bufPool keeps: a rare large body is
 // garbage-collected instead of pinning its memory in the pool.
 const maxPooledBuf = 64 << 10
@@ -380,7 +358,7 @@ func readDecide(w http.ResponseWriter, r *http.Request, buf *[]byte, req *Decide
 	if decodeDecideRequest(data, req) {
 		return nil
 	}
-	return decodeDeclined(data, err, req, strict)
+	return jsonw.DecodeDeclined(data, err, req, strict)
 }
 
 // writeEncoded sends a 200 reply whose body an encoder produced, with the

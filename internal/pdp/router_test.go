@@ -220,6 +220,35 @@ func TestRouterSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestRouterSessionOnlyCheck pins that a check or decide naming a session
+// and no subject routes by the session's shard qualifier and mediates as
+// the session's owner: deny while no role is active, permit once child is.
+func TestRouterSessionOnlyCheck(t *testing.T) {
+	c := newRouterCluster(t, 3)
+	ctx := context.Background()
+	for _, sub := range c.addSubjects(t, 3) {
+		sid, err := c.client.OpenSession(ctx, sub)
+		if err != nil {
+			t.Fatalf("OpenSession(%s): %v", sub, err)
+		}
+		req := DecideRequest{Session: sid, Object: "tv", Transaction: "use",
+			Environment: []string{"weekday-free-time"}}
+		if ok, err := c.client.Check(ctx, req); err != nil || ok {
+			t.Fatalf("session-only Check(%s), nothing active = %v, %v, want deny", sid, ok, err)
+		}
+		if err := c.client.SetSessionRole(ctx, sid, "child", true); err != nil {
+			t.Fatalf("SetSessionRole(%s): %v", sid, err)
+		}
+		if ok, err := c.client.Check(ctx, req); err != nil || !ok {
+			t.Fatalf("session-only Check(%s), child active = %v, %v, want permit", sid, ok, err)
+		}
+		d, err := c.client.Decide(ctx, req)
+		if err != nil || !d.Allowed {
+			t.Fatalf("session-only Decide(%s) = %+v, %v, want permit", sid, d, err)
+		}
+	}
+}
+
 // TestRouterBroadcastAdmin pins that shared-policy mutations reach every
 // shard: a role granted through the router is decidable on all shards.
 func TestRouterBroadcastAdmin(t *testing.T) {

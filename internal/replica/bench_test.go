@@ -12,8 +12,13 @@
 package replica_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
 	"testing"
 	"time"
 
@@ -121,5 +126,125 @@ func BenchmarkE16SyncLatency(b *testing.B) {
 		for f.Stats().AppliedGeneration < target {
 			time.Sleep(50 * time.Microsecond)
 		}
+	}
+}
+
+// benchShapedState is the shape of the repository benchmark's policy
+// (bench/gen.go) with n subjects: 32 subject roles in a depth-4
+// hierarchy, 16 object roles, 64 objects, 8 transactions, 8 environment
+// roles and 256 permissions, a tenth of them denials and an eighth for
+// any environment. Each subject holds one or two roles.
+func benchShapedState(n int) core.State {
+	rng := rand.New(rand.NewSource(1))
+	var st core.State
+	name := func(prefix string, i int) core.RoleID { return core.RoleID(fmt.Sprintf("%s%02d", prefix, i)) }
+	levels := []int{2, 4, 8, 8, 10}
+	for level, start := 0, 0; level < len(levels); start, level = start+levels[level], level+1 {
+		for k := 0; k < levels[level]; k++ {
+			r := core.Role{ID: name("sr", start+k), Kind: core.SubjectRole}
+			if level > 0 {
+				r.Parents = []core.RoleID{name("sr", start-levels[level-1]+k%levels[level-1])}
+			}
+			st.SubjectRoles = append(st.SubjectRoles, r)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		r := core.Role{ID: name("or", i), Kind: core.ObjectRole}
+		if i >= 4 {
+			r.Parents = []core.RoleID{name("or", i%4)}
+		}
+		st.ObjectRoles = append(st.ObjectRoles, r)
+	}
+	for i := 0; i < 8; i++ {
+		st.EnvironmentRoles = append(st.EnvironmentRoles, core.Role{ID: name("env", i), Kind: core.EnvironmentRole})
+		st.Transactions = append(st.Transactions, core.SimpleTransaction(fmt.Sprintf("tx%d", i)))
+	}
+	for i := 0; i < n; i++ {
+		sub := core.SubjectState{ID: core.SubjectID(fmt.Sprintf("u%04d", i)), Roles: []core.RoleID{name("sr", rng.Intn(32))}}
+		if r2 := name("sr", rng.Intn(32)); rng.Intn(10) < 3 && r2 != sub.Roles[0] {
+			sub.Roles = append(sub.Roles, r2)
+		}
+		st.Subjects = append(st.Subjects, sub)
+	}
+	for i := 0; i < 64; i++ {
+		st.Objects = append(st.Objects, core.ObjectState{ID: core.ObjectID(fmt.Sprintf("o%02d", i)), Roles: []core.RoleID{name("or", rng.Intn(16))}})
+	}
+	for i := 0; i < 256; i++ {
+		p := core.Permission{
+			Subject: name("sr", rng.Intn(32)), Object: name("or", rng.Intn(16)),
+			Environment: name("env", rng.Intn(8)), Transaction: core.TransactionID(fmt.Sprintf("tx%d", i%8)),
+			Effect: core.Permit,
+		}
+		if i%8 == 0 {
+			p.Environment = core.AnyEnvironment
+		}
+		if i%10 == 0 {
+			p.Effect = core.Deny
+		}
+		st.Permissions = append(st.Permissions, p)
+	}
+	return st
+}
+
+// bodyTransport answers every request with body, as a primary's
+// /v1/replica/snapshot would, without a network.
+type bodyTransport []byte
+
+func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: req,
+		Body: io.NopCloser(bytes.NewReader(b))}, nil
+}
+
+// BenchmarkSnapshotInstall times the three layers of one full snapshot
+// sync on the benchmark's policy shape, at 64 subjects and at the
+// benchmark's 4096: the primary's export and encode (what
+// /v1/replica/snapshot does), the follower's decode (replica.Client
+// reading the body from an in-memory transport) and its Replace on a
+// populated, journal-less System.
+func BenchmarkSnapshotInstall(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		primary := core.NewSystem()
+		if err := primary.Import(benchShapedState(n)); err != nil {
+			b.Fatal(err)
+		}
+		src := replica.NewSource(primary)
+		var body bytes.Buffer
+		if err := json.NewEncoder(&body).Encode(src.Snapshot()); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("encode/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var w bytes.Buffer
+				if err := json.NewEncoder(&w).Encode(src.Snapshot()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		cl := replica.NewClient("http://primary", &http.Client{Transport: bodyTransport(body.Bytes())})
+		var snap replica.Snapshot
+		b.Run(fmt.Sprintf("decode/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(body.Len()))
+			for i := 0; i < b.N; i++ {
+				var err error
+				if snap, err = cl.Snapshot(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("replace/%d", n), func(b *testing.B) {
+			follower := core.NewSystem()
+			if err := follower.Import(snap.State); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := follower.Replace(snap.State); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

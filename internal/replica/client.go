@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -84,7 +85,9 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient}
 }
 
-// Snapshot fetches the primary's current policy export.
+// Snapshot fetches the primary's current policy export, decoded by the
+// hand-written snapshot decoder (codec.go) or, where that declines, by
+// encoding/json.
 func (c *Client) Snapshot(ctx context.Context) (Snapshot, error) {
 	// Injected errors model a dropped resync; the follower's sync loop
 	// must absorb them with backoff.
@@ -92,7 +95,13 @@ func (c *Client) Snapshot(ctx context.Context) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("replica: %w", err)
 	}
 	var snap Snapshot
-	err := c.get(ctx, SnapshotPath, &snap)
+	err := c.fetch(ctx, SnapshotPath, func(body io.Reader) error {
+		// A Buffer doubles as it reads; io.ReadAll's quarter steps would
+		// allocate a 180 KB body about five times over.
+		var data bytes.Buffer
+		_, readErr := data.ReadFrom(body)
+		return decodeSnapshotBody(data.Bytes(), readErr, &snap)
+	})
 	return snap, err
 }
 
@@ -160,7 +169,14 @@ func (e *feedStatusError) Error() string {
 
 func (e *feedStatusError) Unwrap() error { return ErrFeed }
 
+// get fetches path and decodes the reply's body into out with
+// encoding/json.
 func (c *Client) get(ctx context.Context, path string, out any) error {
+	return c.fetch(ctx, path, func(body io.Reader) error { return json.NewDecoder(body).Decode(out) })
+}
+
+// fetch GETs path and hands a 2xx reply's body to decode.
+func (c *Client) fetch(ctx context.Context, path string, decode func(io.Reader) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return fmt.Errorf("replica: build request: %w", err)
@@ -176,7 +192,7 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	if resp.StatusCode/100 != 2 {
 		return &feedStatusError{path: path, status: resp.StatusCode}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decode(resp.Body); err != nil {
 		return fmt.Errorf("replica: decode %s: %w", path, err)
 	}
 	return nil

@@ -10,8 +10,8 @@
 #      migrated (one-step handoff: the old owner copies each subject
 #      under its write gate and proxies it, then redirects), and every
 #      session the writer got acked survives: addressed by its ID alone
-#      it still takes a role activation, and it still permits its
-#      subject;
+#      it still takes a role activation and a check permits, and named
+#      with its subject it still permits too;
 #   3. the post-state is balanced: every shard (including the new one)
 #      owns at least one subject, and the partitions sum exactly;
 #   4. the shard map converges on clients too: a shard-aware SDK
@@ -184,15 +184,17 @@ while read -r sub sid; do
 		exit 1
 		;;
 	esac
-	body="{\"subject\":\"$sub\",\"session\":\"$sid\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
-	out=$(curl -s -X POST "$router/v1/check" -H 'Content-Type: application/json' -d "$body" || echo curl-error)
-	case $out in
-	*'"allowed":true'*) ;;
-	*)
-		echo "rebalance_smoke: FAIL: acked session $sid no longer permits $sub: $out" >&2
-		exit 1
-		;;
-	esac
+	for named in "" "\"subject\":\"$sub\","; do
+		body="{$named\"session\":\"$sid\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
+		out=$(curl -s -X POST "$router/v1/check" -H 'Content-Type: application/json' -d "$body" || echo curl-error)
+		case $out in
+		*'"allowed":true'*) ;;
+		*)
+			echo "rebalance_smoke: FAIL: acked session $sid no longer permits $sub: $body: $out" >&2
+			exit 1
+			;;
+		esac
+	done
 	acked=$((acked + 1))
 done <"$workdir/acked_sessions"
 if [ "$acked" -eq 0 ]; then
