@@ -41,10 +41,6 @@ type RemoteError struct {
 	// MaxRetryAfter and RetryAfter carries the clamped value, not the
 	// server's.
 	RetryAfterClamped bool
-	// Moved carries the 421 redirect payload when the server reports the
-	// request's subject migrated to another shard: the new owner and the
-	// map version to catch up to. Nil on every other status.
-	Moved *MovedInfo
 }
 
 // MaxRetryAfter caps how far a server Retry-After hint can push out the
@@ -500,7 +496,6 @@ func (c *Client) doOnce(req *http.Request, decode func(*http.Response) error) er
 		var e ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil {
 			remote.Message = e.Error
-			remote.Moved = e.Moved
 		}
 		return remote
 	}

@@ -24,8 +24,7 @@ import (
 //	                            and start proxying them
 //	POST /v1/migrate/import   — idempotently restore a bundle (the new
 //	                            owner's half of a handoff)
-//	POST /v1/migrate/complete — drop moved subjects, switch to redirects
-//	GET  /v1/migrate/status   — current forwarding table
+//	POST /v1/migrate/complete — drop moved subjects, keep proxying them
 //
 // Handoff is the whole per-subject move. The old owner holds its write
 // gate exclusively while it exports each subject, pushes the bundle to
@@ -35,21 +34,18 @@ import (
 // either landed before the export, and travelled with the bundle, or
 // was proxied to the new owner after the import, and the old copy is
 // never consulted again. After complete the subject is gone locally
-// and single-request callers get a typed 421 redirect carrying the new
-// owner and map version, which routers and SDK clients use to refresh
-// their map and retry.
+// and its proxy entry stays: a caller whose map is stale, however many
+// moves behind, still gets the owner's answer, one proxied hop per move.
 const (
 	MigrateSubjectsPath = "/v1/migrate/subjects"
 	MigrateImportPath   = "/v1/migrate/import"
 	MigrateHandoffPath  = "/v1/migrate/handoff"
 	MigrateCompletePath = "/v1/migrate/complete"
-	MigrateStatusPath   = "/v1/migrate/status"
 )
 
-// MigrateMove names one subject's new owner.
+// MigrateMove names one subject's new owner by its address.
 type MigrateMove struct {
 	Subject string `json:"subject"`
-	Shard   string `json:"shard"`
 	Addr    string `json:"addr"`
 }
 
@@ -61,59 +57,26 @@ type MigrateSubjectsResponse struct {
 // MigrateHandoffRequest copies each moving subject to its new owner and
 // installs its forwarding entry (the proxy window opens). Subjects that
 // already have an entry are skipped, so a resumed run never copies
-// twice. MapVersion is the version the in-flight rebalance is moving to.
+// twice.
 type MigrateHandoffRequest struct {
-	MapVersion uint64        `json:"map_version"`
-	Moves      []MigrateMove `json:"moves"`
+	Moves []MigrateMove `json:"moves"`
 }
 
-// MigrateCompleteRequest removes moved subjects from this shard and
-// flips their forwarding entries to redirect mode. Idempotent: subjects
-// already removed are skipped, entries already redirecting stay so.
+// MigrateCompleteRequest removes moved subjects from this shard; their
+// forwarding entries stay, so the shard keeps proxying them. Idempotent:
+// subjects already removed are skipped.
 type MigrateCompleteRequest struct {
-	MapVersion uint64        `json:"map_version"`
-	Moves      []MigrateMove `json:"moves"`
-}
-
-// MigrateStatusEntry describes one forwarding-table entry.
-type MigrateStatusEntry struct {
-	Subject    string `json:"subject"`
-	Shard      string `json:"shard"`
-	Addr       string `json:"addr"`
-	Redirect   bool   `json:"redirect"`
-	MapVersion uint64 `json:"map_version"`
-}
-
-// MigrateStatusResponse is the forwarding-table summary.
-type MigrateStatusResponse struct {
-	Entries []MigrateStatusEntry `json:"entries,omitempty"`
-}
-
-// MovedInfo rides in a 421 ErrorResponse: the subject's current owner
-// and the map version that placed it there, so the caller can refresh
-// its shard map and re-route without a blind retry.
-type MovedInfo struct {
-	Subject    string `json:"subject,omitempty"`
-	Shard      string `json:"shard"`
-	Addr       string `json:"addr"`
-	MapVersion uint64 `json:"map_version"`
-}
-
-// migrateEntry is one forwarding-table entry: where the subject went,
-// and whether we proxy (handoff window) or redirect (post-move).
-type migrateEntry struct {
-	target     shard.Info
-	redirect   bool
-	mapVersion uint64
+	Moves []MigrateMove `json:"moves"`
 }
 
 // migrateTable is the immutable forwarding table; writers copy-on-write
-// under migrationState.mu, readers do one atomic load. sessions maps
-// shard-local session IDs of migrated subjects back to their subject so
+// under migrationState.mu, readers do one atomic load. entries maps each
+// moved subject to its new owner's address. sessions maps shard-local
+// session IDs of migrated subjects back to their subject so
 // session-scoped requests keep routing when the local session record is
 // gone (after complete) or never existed (opened through the proxy).
 type migrateTable struct {
-	entries  map[string]migrateEntry
+	entries  map[string]string
 	sessions map[string]string
 }
 
@@ -149,7 +112,7 @@ func (m *migrationState) update(mutate func(t *migrateTable)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	next := &migrateTable{
-		entries:  make(map[string]migrateEntry),
+		entries:  make(map[string]string),
 		sessions: make(map[string]string),
 	}
 	if cur := m.table.Load(); cur != nil {
@@ -165,12 +128,13 @@ func (m *migrationState) update(mutate func(t *migrateTable)) {
 }
 
 // migrateFor resolves a request's subject (directly, or via its session)
-// against the forwarding table. The common no-migration case is one
-// atomic load and a nil check.
-func (s *Server) migrateFor(subject, session string) (string, migrateEntry, bool) {
+// against the forwarding table, returning the subject and its new
+// owner's address. The common no-migration case is one atomic load and a
+// nil check.
+func (s *Server) migrateFor(subject, session string) (sub, addr string, moved bool) {
 	t := s.migration.table.Load()
 	if t == nil || len(t.entries) == 0 {
-		return "", migrateEntry{}, false
+		return "", "", false
 	}
 	if subject == "" && session != "" {
 		if sub, ok := t.sessions[session]; ok {
@@ -180,17 +144,17 @@ func (s *Server) migrateFor(subject, session string) (string, migrateEntry, bool
 		}
 	}
 	if subject == "" {
-		return "", migrateEntry{}, false
+		return "", "", false
 	}
-	e, ok := t.entries[subject]
-	return subject, e, ok
+	addr, moved = t.entries[subject]
+	return subject, addr, moved
 }
 
 // migrateForward proxies the (already decoded) request to the subject's
 // new owner and relays the reply verbatim, returning it (nil when the
 // forward failed). in is the decoded request body to re-serialize (nil
 // for GETs — the path+query carry everything).
-func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, e migrateEntry, in any) json.RawMessage {
+func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, addr string, in any) json.RawMessage {
 	if err := faults.Inject(faults.MigrateForward); err != nil {
 		s.writeStatus(w, http.StatusServiceUnavailable, "handoff forward failed: "+err.Error())
 		return nil
@@ -200,7 +164,7 @@ func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, e migrat
 		path += "?" + r.URL.RawQuery
 	}
 	var raw json.RawMessage
-	err := s.migration.clientFor(e.target.Addr).Call(r.Context(), r.Method, path, in, &raw)
+	err := s.migration.clientFor(addr).Call(r.Context(), r.Method, path, in, &raw)
 	if err != nil {
 		s.relayMigrateError(w, err)
 		return nil
@@ -216,7 +180,7 @@ func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, e migrat
 func (s *Server) relayMigrateError(w http.ResponseWriter, err error) {
 	var re *RemoteError
 	if errors.As(err, &re) {
-		body := ErrorResponse{Error: re.Message, Moved: re.Moved}
+		body := ErrorResponse{Error: re.Message}
 		if body.Error == "" {
 			body.Error = fmt.Sprintf("new owner replied %d", re.Status)
 		}
@@ -226,30 +190,16 @@ func (s *Server) relayMigrateError(w http.ResponseWriter, err error) {
 	s.writeStatus(w, http.StatusBadGateway, "handoff forward: "+err.Error())
 }
 
-// migrateRedirect answers a single-subject request with the typed 421:
-// the subject moved, here is its owner and the map version to catch up to.
-func (s *Server) migrateRedirect(w http.ResponseWriter, subject string, e migrateEntry) {
-	s.writeJSON(w, http.StatusMisdirectedRequest, ErrorResponse{
-		Error: fmt.Sprintf("subject %q moved to shard %q (map v%d)", subject, e.target.ID, e.mapVersion),
-		Moved: &MovedInfo{
-			Subject:    subject,
-			Shard:      e.target.ID,
-			Addr:       e.target.Addr,
-			MapVersion: e.mapVersion,
-		},
-	})
-}
-
 // migrateIntercept is the hook at the top of the subject-scoped read
 // handlers: not-moved subjects fall through at the cost of one atomic
-// load; moved subjects are proxied (handoff window) or redirected
-// (post-complete). It reports whether it wrote the response.
+// load; moved subjects are proxied to their new owner. It reports
+// whether it wrote the response.
 func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) bool {
-	sub, e, ok := s.migrateFor(subject, session)
+	sub, addr, ok := s.migrateFor(subject, session)
 	if !ok {
 		return false
 	}
-	s.migrateServe(w, r, sub, e, in)
+	s.migrateServe(w, r, sub, addr, in)
 	return true
 }
 
@@ -258,30 +208,26 @@ func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subjec
 // returns with the gate still held, and the caller applies the mutation
 // and then calls release: a handoff, which takes the gate exclusively,
 // sees each mutation either applied before its export or arriving after
-// its proxy entry. A moved subject's mutation is proxied or redirected
-// with the gate already dropped, so no remote hop ever holds it.
+// its proxy entry. A moved subject's mutation is proxied with the gate
+// already dropped, so no remote hop ever holds it.
 func (s *Server) lockedIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) (release func(), handled bool) {
 	s.migration.gate.RLock()
-	sub, e, ok := s.migrateFor(subject, session)
+	sub, addr, ok := s.migrateFor(subject, session)
 	if !ok {
 		return s.migration.gate.RUnlock, false
 	}
 	s.migration.gate.RUnlock()
-	s.migrateServe(w, r, sub, e, in)
+	s.migrateServe(w, r, sub, addr, in)
 	return nil, true
 }
 
-// migrateServe answers a request for a moved subject: the typed 421 once
-// complete has run, else a proxy to the new owner. A session opened
-// through the proxy lives only on the new owner, but its caller (the
-// router qualifies the ID with this shard) keeps addressing it here by
-// session alone, so its ID joins the session index.
-func (s *Server) migrateServe(w http.ResponseWriter, r *http.Request, sub string, e migrateEntry, in any) {
-	if e.redirect {
-		s.migrateRedirect(w, sub, e)
-		return
-	}
-	raw := s.migrateForward(w, r, e, in)
+// migrateServe answers a request for a moved subject by proxying it to
+// the new owner. A session opened through the proxy lives only on the
+// new owner, but its caller (the router qualifies the ID with this
+// shard) keeps addressing it here by session alone, so its ID joins the
+// session index.
+func (s *Server) migrateServe(w http.ResponseWriter, r *http.Request, sub, addr string, in any) {
+	raw := s.migrateForward(w, r, addr, in)
 	if _, open := in.(SessionRequest); !open || r.Method != http.MethodPost || raw == nil {
 		return
 	}
@@ -302,8 +248,8 @@ func (s *Server) migrateBatch(ctx context.Context, reqs []DecideRequest) []*Batc
 	}
 	out := make([]*BatchItem, len(reqs))
 	SplitBatch(reqs, func(_ int, dr *DecideRequest) (string, bool) {
-		_, e, ok := s.migrateFor(dr.Subject, dr.Session)
-		return e.target.Addr, ok
+		_, addr, ok := s.migrateFor(dr.Subject, dr.Session)
+		return addr, ok
 	}, func(addr string, sub []DecideRequest) (BatchDecideResponse, error) {
 		if err := faults.Inject(faults.MigrateForward); err != nil {
 			return BatchDecideResponse{}, err
@@ -328,7 +274,6 @@ func (s *Server) registerMigrate(mux *http.ServeMux) {
 	mux.HandleFunc(MigrateImportPath, s.handleMigrateImport)
 	mux.HandleFunc(MigrateHandoffPath, s.handleMigrateHandoff)
 	mux.HandleFunc(MigrateCompletePath, s.handleMigrateComplete)
-	mux.HandleFunc(MigrateStatusPath, s.handleMigrateStatus)
 }
 
 func (s *Server) handleMigrateSubjects(w http.ResponseWriter, r *http.Request) {
@@ -391,12 +336,7 @@ func (s *Server) handleMigrateHandoff(w http.ResponseWriter, r *http.Request) {
 			s.relayMigrateError(w, err)
 			return
 		}
-		s.migration.update(func(t *migrateTable) {
-			t.entries[mv.Subject] = migrateEntry{
-				target:     shard.Info{ID: mv.Shard, Addr: mv.Addr},
-				mapVersion: req.MapVersion,
-			}
-		})
+		s.migration.update(func(t *migrateTable) { t.entries[mv.Subject] = mv.Addr })
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -408,7 +348,7 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, mv := range req.Moves {
 		// Capture the subject's session IDs before RemoveSubject closes
-		// them, so session-scoped calls keep resolving to the redirect.
+		// them, so session-scoped calls keep resolving to the proxy.
 		var sids []string
 		if b, err := s.sys.ExportSubject(core.SubjectID(mv.Subject)); err == nil {
 			for _, si := range b.Sessions {
@@ -419,47 +359,17 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+		// Handoff installed the proxy entry and it stays. Writing it
+		// again covers an old owner restarted since handoff, which lost
+		// its in-memory table and now loses its stale copy too.
 		s.migration.update(func(t *migrateTable) {
-			t.entries[mv.Subject] = migrateEntry{
-				target:     shard.Info{ID: mv.Shard, Addr: mv.Addr},
-				redirect:   true,
-				mapVersion: req.MapVersion,
-			}
+			t.entries[mv.Subject] = mv.Addr
 			for _, sid := range sids {
 				t.sessions[sid] = mv.Subject
 			}
 		})
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleMigrateStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	var resp MigrateStatusResponse
-	if t := s.migration.table.Load(); t != nil {
-		for sub, e := range t.entries {
-			resp.Entries = append(resp.Entries, MigrateStatusEntry{
-				Subject:    sub,
-				Shard:      e.target.ID,
-				Addr:       e.target.Addr,
-				Redirect:   e.redirect,
-				MapVersion: e.mapVersion,
-			})
-		}
-	}
-	sortMigrateEntries(resp.Entries)
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func sortMigrateEntries(es []MigrateStatusEntry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Subject < es[j-1].Subject; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }
 
 // MigrationNode adapts a Client into the coordinator's per-shard
@@ -485,21 +395,21 @@ func (n *MigrationNode) Subjects(ctx context.Context) ([]string, error) {
 
 // Handoff moves the given subjects: the shard copies each to its new
 // owner and proxies its traffic there from then on.
-func (n *MigrationNode) Handoff(ctx context.Context, mapVersion uint64, moves []shard.Move) error {
+func (n *MigrationNode) Handoff(ctx context.Context, moves []shard.Move) error {
 	return n.c.Call(ctx, http.MethodPost, MigrateHandoffPath,
-		MigrateHandoffRequest{MapVersion: mapVersion, Moves: fromShardMoves(moves)}, nil)
+		MigrateHandoffRequest{Moves: fromShardMoves(moves)}, nil)
 }
 
-// Complete drops the moved subjects and switches to redirects.
-func (n *MigrationNode) Complete(ctx context.Context, mapVersion uint64, moves []shard.Move) error {
+// Complete drops the moved subjects; the shard keeps proxying them.
+func (n *MigrationNode) Complete(ctx context.Context, moves []shard.Move) error {
 	return n.c.Call(ctx, http.MethodPost, MigrateCompletePath,
-		MigrateCompleteRequest{MapVersion: mapVersion, Moves: fromShardMoves(moves)}, nil)
+		MigrateCompleteRequest{Moves: fromShardMoves(moves)}, nil)
 }
 
 func fromShardMoves(moves []shard.Move) []MigrateMove {
 	out := make([]MigrateMove, 0, len(moves))
 	for _, mv := range moves {
-		out = append(out, MigrateMove{Subject: mv.Subject, Shard: mv.To.ID, Addr: mv.To.Addr})
+		out = append(out, MigrateMove{Subject: mv.Subject, Addr: mv.To.Addr})
 	}
 	return out
 }

@@ -37,14 +37,67 @@ func newShardServer(t *testing.T) (*core.System, *httptest.Server) {
 	return sys, srv
 }
 
-// TestMigrationForwardAndRedirect drives one subject through the
-// shard-side migration protocol by hand and pins both halves of the
-// move: after handoff the old owner transparently
-// proxies subject- and session-scoped requests to the new owner; after
-// complete it answers with the typed 421 carrying the new coordinates.
-func TestMigrationForwardAndRedirect(t *testing.T) {
+// runRebalance runs cur→next with coord the way RebalanceHandler does,
+// with Start, waits for the run to settle and returns its error.
+func runRebalance(t *testing.T, coord *shard.Coordinator, cur, next *shard.Map) error {
+	t.Helper()
+	if _, err := coord.Start(context.Background(), cur, next); err != nil {
+		return err
+	}
+	for deadline := time.Now().Add(30 * time.Second); coord.Status().Active; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rebalance never settled: %+v", coord.Status())
+		}
+	}
+	if st := coord.Status(); st.Phase == "failed" {
+		return errors.New(st.Error)
+	}
+	return nil
+}
+
+// wantProxiedPermits asserts that a direct client to a subject's old
+// shard gets the new owner's permit for every request shape: decide,
+// check with the subject and its session, check by session alone, and a
+// batch mixing the moved subject with one still resident (resident
+// names a subject the old shard still owns, "" for none).
+func wantProxiedPermits(t *testing.T, old *Client, sub, session, resident string) {
+	t.Helper()
 	ctx := context.Background()
-	_, oldSrv := newShardServer(t)
+	if resp, err := old.Decide(ctx, permitReq(sub)); err != nil || !resp.Allowed {
+		t.Fatalf("Decide(%s) via the old shard = %+v, %v; want permit", sub, resp, err)
+	}
+	check := DecideRequest{Subject: sub, Session: session, Object: "tv", Transaction: "use", Environment: []string{"weekday-free-time"}}
+	if allowed, err := old.Check(ctx, check); err != nil || !allowed {
+		t.Fatalf("session Check(%s) via the old shard = %v, %v; want permit", sub, allowed, err)
+	}
+	check.Subject = ""
+	if allowed, err := old.Check(ctx, check); err != nil || !allowed {
+		t.Fatalf("session-only Check(%s) via the old shard = %v, %v; want permit", session, allowed, err)
+	}
+	reqs := []DecideRequest{permitReq(sub)}
+	if resident != "" {
+		reqs = append(reqs, permitReq(resident))
+	}
+	batch, err := old.DecideBatch(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, item := range batch.Results {
+		if item.Error != "" || item.Decision == nil || !item.Decision.Allowed {
+			t.Fatalf("batch item %d via the old shard = %+v, want permit", i, item)
+		}
+	}
+}
+
+// TestMigrationProxiesAfterComplete drives one subject through the
+// shard-side migration protocol by hand: after handoff, and still after
+// complete has dropped the local copy, the old owner answers subject-
+// and session-scoped requests, a session-only check and a batch by
+// proxying them to the new owner, and a subject that never moved is
+// still mediated locally.
+func TestMigrationProxiesAfterComplete(t *testing.T) {
+	ctx := context.Background()
+	oldSys, oldSrv := newShardServer(t)
 	newSys, newSrv := newShardServer(t)
 	oldC := NewClient(oldSrv.URL, nil)
 
@@ -64,48 +117,19 @@ func TestMigrationForwardAndRedirect(t *testing.T) {
 	// Hand alice (record, roles, session) off to the new owner.
 	node := NewMigrationNode(oldSrv.URL)
 	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
-	if err := node.Handoff(ctx, 2, move); err != nil {
+	if err := node.Handoff(ctx, move); err != nil {
 		t.Fatal(err)
 	}
+	wantProxiedPermits(t, oldC, "alice", sess.Session, "bob")
 
-	// Forward mode: the old owner answers for alice by proxying.
-	resp, err := oldC.Decide(ctx, permitReq("alice"))
-	if err != nil || !resp.Allowed {
-		t.Fatalf("forwarded Decide(alice) = %+v, %v; want permit", resp, err)
-	}
-	if allowed, err := oldC.Check(ctx, DecideRequest{Subject: "alice", Session: sess.Session, Object: "tv", Transaction: "use", Environment: []string{"weekday-free-time"}}); err != nil || !allowed {
-		t.Fatalf("forwarded session Check = %v, %v; want permit", allowed, err)
-	}
-	// A batch mixing a moved and a resident subject splits: alice's item
-	// is mediated on the new owner, bob's locally.
-	batch, err := oldC.DecideBatch(ctx, []DecideRequest{permitReq("alice"), permitReq("bob")})
-	if err != nil {
+	// Complete drops the local copy; the old owner keeps proxying.
+	if err := node.Complete(ctx, move); err != nil {
 		t.Fatal(err)
 	}
-	for i, item := range batch.Results {
-		if item.Error != "" || item.Decision == nil || !item.Decision.Allowed {
-			t.Fatalf("batch item %d during handoff = %+v, want permit", i, item)
-		}
+	if _, err := oldSys.ExportSubject("alice"); err == nil {
+		t.Fatal("alice still resident on the old owner after complete")
 	}
-
-	// Complete: the local copy is dropped and callers get the typed 421.
-	if err := node.Complete(ctx, 2, move); err != nil {
-		t.Fatal(err)
-	}
-	_, err = oldC.Decide(ctx, permitReq("alice"))
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest || re.Moved == nil {
-		t.Fatalf("post-complete Decide(alice) = %v, want 421 with Moved", err)
-	}
-	if re.Moved.Shard != "new" || re.Moved.Addr != newSrv.URL || re.Moved.MapVersion != 2 {
-		t.Fatalf("Moved = %+v, want shard new @ %s v2", re.Moved, newSrv.URL)
-	}
-	// Session-scoped calls resolve through the captured session index even
-	// when the request names no subject at routing time.
-	_, err = oldC.Check(ctx, DecideRequest{Session: sess.Session, Object: "tv", Transaction: "use"})
-	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest {
-		t.Fatalf("post-complete session Check = %v, want 421", err)
-	}
+	wantProxiedPermits(t, oldC, "alice", sess.Session, "bob")
 	// bob never moved and still answers locally.
 	if resp, err := oldC.Decide(ctx, permitReq("bob")); err != nil || !resp.Allowed {
 		t.Fatalf("Decide(bob) = %+v, %v; want permit", resp, err)
@@ -116,13 +140,56 @@ func TestMigrationForwardAndRedirect(t *testing.T) {
 	}
 }
 
+// TestMigrationProxiesTwoMoveChain moves alice A → B, then B → C, each
+// with handoff and complete, and decides through a router whose map
+// still names only A: A proxies to B, which proxies to C, so a caller
+// two rebalances behind still gets the owner's permit.
+func TestMigrationProxiesTwoMoveChain(t *testing.T) {
+	ctx := context.Background()
+	_, srvA := newShardServer(t)
+	_, srvB := newShardServer(t)
+	sysC, srvC := newShardServer(t)
+	if err := NewClient(srvA.URL, nil).UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"child"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, hop := range []struct {
+		from, to *httptest.Server
+		toID     string
+	}{{srvA, srvB, "b"}, {srvB, srvC, "c"}} {
+		node := NewMigrationNode(hop.from.URL)
+		move := []shard.Move{{Subject: "alice", To: shard.Info{ID: hop.toID, Addr: hop.to.URL}}}
+		if err := node.Handoff(ctx, move); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Complete(ctx, move); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sysC.ExportSubject("alice"); err != nil {
+		t.Fatalf("alice on C after two moves: %v", err)
+	}
+
+	m, err := shard.New(0, shard.Info{ID: "a", Addr: srvA.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	if resp, err := NewClient(front.URL, nil).Decide(ctx, permitReq("alice")); err != nil || !resp.Allowed {
+		t.Fatalf("Decide(alice) through a router on map {A} = %+v, %v; want permit", resp, err)
+	}
+}
+
 // TestMigrationHandoffKeepsWindowWrites pins that a handoff copies each
 // subject once: a role assignment and a session sent to the old owner
 // after the handoff are proxied to the new owner and still there after
 // complete, a re-run handoff copies nothing over them, and a session
 // opened through the proxy stays addressable by its ID alone on the old
-// owner: proxied during the window, a typed 421 naming the new owner
-// after complete.
+// owner, which keeps proxying it after complete.
 func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 	ctx := context.Background()
 	_, oldSrv := newShardServer(t)
@@ -133,7 +200,7 @@ func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 	}
 	node := NewMigrationNode(oldSrv.URL)
 	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
-	if err := node.Handoff(ctx, 2, move); err != nil {
+	if err := node.Handoff(ctx, move); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,10 +216,10 @@ func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 		t.Fatalf("activate by session alone in the window: %v", err)
 	}
 	// A resumed coordinator hands the subject off again.
-	if err := node.Handoff(ctx, 2, move); err != nil {
+	if err := node.Handoff(ctx, move); err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Complete(ctx, 2, move); err != nil {
+	if err := node.Complete(ctx, move); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,21 +237,7 @@ func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 	if got := fmt.Sprint(si.Active); got != "[child]" {
 		t.Fatalf("window session's active roles = %s, want [child]", got)
 	}
-
-	check := DecideRequest{Session: sess.Session, Object: "tv", Transaction: "use", Environment: []string{"weekday-free-time"}}
-	_, err = oldC.Check(ctx, check)
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest || re.Moved == nil {
-		t.Fatalf("post-complete Check by window session = %v, want 421 with Moved", err)
-	}
-	if re.Moved.Shard != "new" || re.Moved.Addr != newSrv.URL || re.Moved.Subject != "alice" {
-		t.Fatalf("Moved = %+v, want alice on shard new @ %s", re.Moved, newSrv.URL)
-	}
-	// Mediation itself needs the subject beside the session.
-	check.Subject = "alice"
-	if allowed, err := NewClient(newSrv.URL, nil).Check(ctx, check); err != nil || !allowed {
-		t.Fatalf("Check by window session on the new owner = %v, %v; want permit", allowed, err)
-	}
+	wantProxiedPermits(t, oldC, "alice", sess.Session, "")
 }
 
 // TestRebalanceEndToEnd is the tentpole integration: a live 2-shard
@@ -252,11 +305,15 @@ func TestRebalanceEndToEnd(t *testing.T) {
 		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
 		t.Logf,
 	)
-	next, err := coord.AddShard(ctx, c.m, grow)
+	next, err := c.m.Add(grow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runRebalance(t, coord, c.m, next)
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("AddShard: %v", err)
+		t.Fatalf("rebalance: %v", err)
 	}
 
 	if failures.Load() > 0 {
@@ -299,7 +356,7 @@ func TestRebalanceEndToEnd(t *testing.T) {
 		}
 	}
 	// Session-scoped decides survive the move: their qualifier still
-	// names the old shard, whose 421 the router follows transparently.
+	// names the old shard, which proxies them to the new owner.
 	for sub, sess := range sessions {
 		allowed, err := c.client.Check(ctx, DecideRequest{
 			Subject: sub, Session: sess, Object: "tv", Transaction: "use",
@@ -419,14 +476,18 @@ func TestRebalanceKeepsConcurrentWrites(t *testing.T) {
 		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
 		t.Logf,
 	)
+	next, err := c.m.Add(shard.Info{ID: "s2", Addr: newSrv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := writes.Load()
-	next, err := coord.AddShard(ctx, c.m, shard.Info{ID: "s2", Addr: newSrv.URL})
+	err = runRebalance(t, coord, c.m, next)
 	during := writes.Load() - before
 	waitWrites(writes.Load() + 32)
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("AddShard: %v", err)
+		t.Fatalf("rebalance: %v", err)
 	}
 	if n := failures.Load(); n > 0 {
 		t.Fatalf("%d decides or writes failed across the rebalance; first: %v", n, firstErr.Load())

@@ -24,9 +24,9 @@ import (
 // hash over the versioned shard map) and scatter-gathers the requests
 // that span subjects. It holds no policy and makes no decisions itself —
 // every byte of mediation happens on the shards — so routers scale out
-// independently and restart freely. The owner rule, the client table and
-// the 421 follow are the ShardTable's, shared with the SDK's shard-direct
-// routing; every scatter below runs on the one bounded fanOut.
+// independently and restart freely. The owner rule and the client table
+// are the ShardTable's, shared with the SDK's shard-direct routing; every
+// scatter below runs on the one bounded fanOut.
 //
 // Routing rules:
 //   - Decide/Check/what-can: forwarded to the owner of the request's
@@ -48,9 +48,9 @@ import (
 //     silently omit a partition); ?allow_partial=1 degrades to a 200
 //     with the reachable union plus per-shard errors.
 //
-// During a rebalance, a shard that no longer owns a subject answers 421
-// with the new owner's coordinates; the router follows the redirect once
-// within the same request, so clients never observe the handoff.
+// A shard that handed a subject off in a rebalance proxies every request
+// for it to the new owner, so a request routed on an older map still gets
+// the owner's answer and clients never observe the handoff.
 type Router struct {
 	mu    sync.Mutex // serializes SetMap
 	table atomic.Pointer[ShardTable]
@@ -350,28 +350,21 @@ func writeRouteError(w http.ResponseWriter, e *RouteError) {
 	writeJSON(w, e.Status, ErrorResponse{Error: e.Msg})
 }
 
-// callShard performs one single-shard call: bounded per-shard deadline,
-// one jittered retry when the call is an idempotent read that failed
-// transiently, and one follow of a 421 migration redirect. Returns the
-// ID of the shard that ultimately answered, for error attribution.
-func (rt *Router) callShard(r *http.Request, t *ShardTable, sh shard.Info, idempotent bool, call func(context.Context, *Client) error) (string, error) {
+// callShard performs one single-shard call: bounded per-shard deadline
+// and one jittered retry when the call is an idempotent read that failed
+// transiently.
+func (rt *Router) callShard(r *http.Request, t *ShardTable, sh shard.Info, idempotent bool, call func(context.Context, *Client) error) error {
 	c := t.Client(sh.ID)
 	rt.metrics.route(sh.ID)
 	ctx, cancel := rt.shardCtx(r)
 	defer cancel()
-	var err error
-	if idempotent {
-		_, err = retryRead(rt, ctx, sh.ID, func(ctx context.Context) (struct{}, error) {
-			return struct{}{}, call(ctx, c)
-		})
-	} else {
-		err = call(ctx, c)
+	if !idempotent {
+		return call(ctx, c)
 	}
-	if mc, movedID, moved := t.Moved(err); moved {
-		rt.metrics.route(movedID)
-		return movedID, call(ctx, mc)
-	}
-	return sh.ID, err
+	_, err := retryRead(rt, ctx, sh.ID, func(ctx context.Context) (struct{}, error) {
+		return struct{}{}, call(ctx, c)
+	})
+	return err
 }
 
 // callJSON is the call for callShard that forwards a JSON request through
@@ -415,11 +408,11 @@ func (rt *Router) forwardDecide(w http.ResponseWriter, r *http.Request) {
 		writeRouteError(w, rerr)
 		return
 	}
-	id, err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) error {
+	err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) error {
 		return c.decideRaw(withCorrelation(ctx, corr), r.URL.Path, &req, buf)
 	})
 	if err != nil {
-		rt.relayShardError(w, id, err)
+		rt.relayShardError(w, sh.ID, err)
 		return
 	}
 	writeReply(w, *buf)
@@ -491,12 +484,11 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 		}
 		sh := t.Map().Owner(req.Subject)
 		var resp SessionResponse
-		id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions", req, &resp))
-		if err != nil {
-			rt.relayShardError(w, id, err)
+		if err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions", req, &resp)); err != nil {
+			rt.relayShardError(w, sh.ID, err)
 			return
 		}
-		resp.Session = shard.QualifySession(id, resp.Session)
+		resp.Session = shard.QualifySession(sh.ID, resp.Session)
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodDelete:
 		sh, sid, rerr := t.SessionOwner(req.Session)
@@ -506,8 +498,8 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Session = sid
 		var out map[string]string
-		if id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodDelete, "/v1/sessions", req, &out)); err != nil {
-			rt.relayShardError(w, id, err)
+		if err := rt.callShard(r, t, sh, false, callJSON(http.MethodDelete, "/v1/sessions", req, &out)); err != nil {
+			rt.relayShardError(w, sh.ID, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, out)
@@ -527,8 +519,8 @@ func (rt *Router) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Session = sid
 	var out map[string]string
-	if id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions/roles", req, &out)); err != nil {
-		rt.relayShardError(w, id, err)
+	if err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions/roles", req, &out)); err != nil {
+		rt.relayShardError(w, sh.ID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -548,8 +540,8 @@ func (rt *Router) handleSubjectAdmin(w http.ResponseWriter, r *http.Request) {
 	t := rt.table.Load()
 	sh := t.Map().Owner(req.ID)
 	var out map[string]string
-	if id, err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/admin/subjects", req, &out)); err != nil {
-		rt.relayShardError(w, id, err)
+	if err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/admin/subjects", req, &out)); err != nil {
+		rt.relayShardError(w, sh.ID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -704,8 +696,8 @@ func (rt *Router) handleWhatCan(w http.ResponseWriter, r *http.Request) {
 	t := rt.table.Load()
 	sh := t.Map().Owner(subject)
 	var resp WhatCanResponse
-	if id, err := rt.callShard(r, t, sh, true, callJSON(http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp)); err != nil {
-		rt.relayShardError(w, id, err)
+	if err := rt.callShard(r, t, sh, true, callJSON(http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp)); err != nil {
+		rt.relayShardError(w, sh.ID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -16,17 +16,15 @@ import (
 // it once per request, so a concurrent map swap can never tear the map
 // away from its clients mid-scatter: in-flight fan-outs drain against the
 // table they started with. The table holds the one owner rule for
-// decide-style requests and the one follow of a 421 handoff redirect.
+// decide-style requests.
 type ShardTable struct {
 	m       *shard.Map
 	clients map[string]*Client
-	mk      func(addr string) *Client
 }
 
 // NewShardTable builds the table for m. It reuses prev's client for every
 // shard whose address is unchanged, so a map bump does not drop warm
-// connection pools, and builds the rest with mk, which also builds the
-// client for a redirect that is ahead of the map. prev may be nil; a map
+// connection pools, and builds the rest with mk. prev may be nil; a map
 // that is not strictly newer than prev's is refused with
 // ErrStaleShardMap, so concurrent updaters cannot roll a table back.
 func NewShardTable(prev *ShardTable, m *shard.Map, mk func(addr string) *Client) (*ShardTable, error) {
@@ -37,7 +35,7 @@ func NewShardTable(prev *ShardTable, m *shard.Map, mk func(addr string) *Client)
 		return nil, fmt.Errorf("%w: candidate %d, active %d",
 			ErrStaleShardMap, m.Version(), prev.m.Version())
 	}
-	t := &ShardTable{m: m, clients: make(map[string]*Client, m.Len()), mk: mk}
+	t := &ShardTable{m: m, clients: make(map[string]*Client, m.Len())}
 	for _, s := range m.Shards() {
 		if prev != nil {
 			if old, ok := prev.m.Get(s.ID); ok && old.Addr == s.Addr {
@@ -110,24 +108,6 @@ func (t *ShardTable) Route(req *DecideRequest) (shard.Info, *RouteError) {
 			"request names neither subject nor session"}
 	}
 	return t.m.Owner(req.Subject), nil
-}
-
-// Moved reads a 421 handoff redirect out of a shard call's error and
-// returns the client to follow it once with, and the shard it names: the
-// table's own client when the table knows that shard at that address,
-// else a fresh client for the redirect's address (during a rebalance the
-// redirect can be ahead of the map). ok is false for any other error.
-func (t *ShardTable) Moved(err error) (c *Client, shardID string, ok bool) {
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest ||
-		re.Moved == nil || re.Moved.Addr == "" {
-		return nil, "", false
-	}
-	mv := re.Moved
-	if info, known := t.m.Get(mv.Shard); known && info.Addr == mv.Addr {
-		return t.clients[mv.Shard], mv.Shard, true
-	}
-	return t.mk(mv.Addr), mv.Shard, true
 }
 
 // routerFanout bounds how many shard calls one fan-out (a broadcast,

@@ -111,11 +111,9 @@ type BatchDecideResponse struct {
 	CorrelationID string `json:"correlation_id,omitempty"`
 }
 
-// ErrorResponse is the body of every non-2xx reply. Moved is set only on
-// 421 replies for subjects that migrated to another shard (see MovedInfo).
+// ErrorResponse is the body of every non-2xx reply.
 type ErrorResponse struct {
-	Error string     `json:"error"`
-	Moved *MovedInfo `json:"moved,omitempty"`
+	Error string `json:"error"`
 }
 
 // FromCoreRequest converts a core request into its wire form — the

@@ -26,8 +26,7 @@ import (
 //	begin      journaled before any copy: old map, new map, move set
 //	committed  journaled when every move is acked; the commit callback
 //	           then installs + publishes the new map
-//	complete   old owners drop moved subjects, forwarding flips from
-//	           proxy to typed 421 redirects
+//	complete   old owners drop moved subjects and keep proxying them
 //	done       journaled; the journal resets for the next run
 //
 // Every step is idempotent (handoff skips subjects it already proxies,
@@ -54,10 +53,10 @@ type NodeClient interface {
 	// Handoff copies each moved subject to its new owner and proxies
 	// the subject's traffic there from then on. A subject already
 	// proxied is skipped, so a re-run never copies it twice.
-	Handoff(ctx context.Context, mapVersion uint64, moves []Move) error
-	// Complete drops the moved subjects locally and switches the
-	// forwarding entries to typed 421 redirects.
-	Complete(ctx context.Context, mapVersion uint64, moves []Move) error
+	Handoff(ctx context.Context, moves []Move) error
+	// Complete drops the moved subjects locally; their forwarding
+	// entries stay, so the shard keeps proxying them.
+	Complete(ctx context.Context, moves []Move) error
 }
 
 // Dialer returns the migration client for one shard.
@@ -183,39 +182,6 @@ func (c *Coordinator) Plan(ctx context.Context, cur, next *Map) ([]Move, error) 
 	return moves, nil
 }
 
-// AddShard plans and executes the rebalance that grows cur by s,
-// returning the committed map.
-func (c *Coordinator) AddShard(ctx context.Context, cur *Map, s Info) (*Map, error) {
-	next, err := cur.Add(s)
-	if err != nil {
-		return nil, err
-	}
-	return next, c.rebalance(ctx, cur, next)
-}
-
-// RemoveShard plans and executes the rebalance that drains shard id out
-// of cur, returning the committed map.
-func (c *Coordinator) RemoveShard(ctx context.Context, cur *Map, id string) (*Map, error) {
-	next, err := cur.Remove(id)
-	if err != nil {
-		return nil, err
-	}
-	return next, c.rebalance(ctx, cur, next)
-}
-
-// rebalance plans, journals, and executes one cur→next run.
-func (c *Coordinator) rebalance(ctx context.Context, cur, next *Map) (err error) {
-	moves, err := c.Plan(ctx, cur, next)
-	if err != nil {
-		return err
-	}
-	if err := c.acquire(cur, next, len(moves)); err != nil {
-		return err
-	}
-	defer func() { c.release(err) }()
-	return c.execute(ctx, cur, next, moves)
-}
-
 // Start plans the cur→next run, claims the coordinator's single-flight
 // slot synchronously — so concurrent callers get a clean
 // ErrRebalanceActive, never two runs — and executes the migration in
@@ -244,7 +210,7 @@ func (c *Coordinator) Start(ctx context.Context, cur, next *Map) (Status, error)
 }
 
 // execute journals and runs one already-planned, already-acquired
-// cur→next migration. Callers own acquire/release.
+// cur→next migration. The caller owns acquire/release.
 func (c *Coordinator) execute(ctx context.Context, cur, next *Map, moves []Move) error {
 	j, _, err := c.openJournal()
 	if err != nil {
@@ -318,7 +284,7 @@ func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Mo
 	version := next.Version()
 	if !committed {
 		for _, mv := range moves {
-			if err := c.moveOne(ctx, j, version, mv); err != nil {
+			if err := c.moveOne(ctx, j, mv); err != nil {
 				return err
 			}
 			c.setStatus(func(s *Status) { s.Moved++ })
@@ -351,7 +317,7 @@ func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Mo
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		if err := c.dial(fromInfo[id]).Complete(ctx, version, byFrom[id]); err != nil {
+		if err := c.dial(fromInfo[id]).Complete(ctx, byFrom[id]); err != nil {
 			return fmt.Errorf("shard: complete on %q: %w", id, err)
 		}
 	}
@@ -367,8 +333,8 @@ func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Mo
 
 // moveOne hands one subject off and journals it moved. A re-run after a
 // crash between the two finds the subject proxied and copies nothing.
-func (c *Coordinator) moveOne(ctx context.Context, j *journal, version uint64, mv Move) error {
-	if err := c.dial(mv.From).Handoff(ctx, version, []Move{mv}); err != nil {
+func (c *Coordinator) moveOne(ctx context.Context, j *journal, mv Move) error {
+	if err := c.dial(mv.From).Handoff(ctx, []Move{mv}); err != nil {
 		return fmt.Errorf("shard: handoff %q on %q: %w", mv.Subject, mv.From.ID, err)
 	}
 	if err := faults.Inject(faults.RebalanceHandoff); err != nil {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/aware-home/grbac/internal/faults"
 )
@@ -18,25 +20,21 @@ import (
 // per-shard forwarding table, with the same rules as the real pdp
 // endpoints (handoff copies a subject and installs its proxy entry
 // unless it has one already, the copy clears the new owner's stale
-// entry, complete drops the local copy). A copy is its write count, so
-// a copy taken from a stale owner shows as lost writes.
+// entry, complete drops the local copy and keeps the entry). A copy is
+// its write count, so a copy taken from a stale owner shows as lost
+// writes.
 type fakeCluster struct {
 	mu         sync.Mutex
-	resident   map[string]map[string]int       // shard → subject → writes applied
-	forwarding map[string]map[string]fakeEntry // shard → subject → entry
-	active     *Map                            // last committed map
-	writes     map[string]int                  // subject → writes acked
-}
-
-type fakeEntry struct {
-	target   string
-	redirect bool
+	resident   map[string]map[string]int    // shard → subject → writes applied
+	forwarding map[string]map[string]string // shard → subject → new owner
+	active     *Map                         // last committed map
+	writes     map[string]int               // subject → writes acked
 }
 
 func newFakeCluster(m *Map) *fakeCluster {
 	cl := &fakeCluster{
 		resident:   make(map[string]map[string]int),
-		forwarding: make(map[string]map[string]fakeEntry),
+		forwarding: make(map[string]map[string]string),
 		active:     m,
 		writes:     make(map[string]int),
 	}
@@ -51,7 +49,7 @@ func (cl *fakeCluster) ensure(id string) {
 		cl.resident[id] = make(map[string]int)
 	}
 	if cl.forwarding[id] == nil {
-		cl.forwarding[id] = make(map[string]fakeEntry)
+		cl.forwarding[id] = make(map[string]string)
 	}
 }
 
@@ -93,8 +91,8 @@ func (cl *fakeCluster) resolve(sub string) (string, error) {
 func (cl *fakeCluster) resolveLocked(sub string) (string, error) {
 	id := cl.active.Owner(sub).ID
 	for hops := 0; hops < 3; hops++ {
-		if e, ok := cl.forwarding[id][sub]; ok {
-			id = e.target
+		if target, ok := cl.forwarding[id][sub]; ok {
+			id = target
 			continue
 		}
 		if _, ok := cl.resident[id][sub]; ok {
@@ -153,7 +151,7 @@ func (n *fakeNode) Subjects(context.Context) ([]string, error) {
 	return out, nil
 }
 
-func (n *fakeNode) Handoff(_ context.Context, _ uint64, moves []Move) error {
+func (n *fakeNode) Handoff(_ context.Context, moves []Move) error {
 	n.cl.mu.Lock()
 	defer n.cl.mu.Unlock()
 	for _, mv := range moves {
@@ -167,17 +165,35 @@ func (n *fakeNode) Handoff(_ context.Context, _ uint64, moves []Move) error {
 		n.cl.ensure(mv.To.ID)
 		n.cl.resident[mv.To.ID][mv.Subject] = copied
 		delete(n.cl.forwarding[mv.To.ID], mv.Subject)
-		n.cl.forwarding[n.id][mv.Subject] = fakeEntry{target: mv.To.ID}
+		n.cl.forwarding[n.id][mv.Subject] = mv.To.ID
 	}
 	return nil
 }
 
-func (n *fakeNode) Complete(_ context.Context, _ uint64, moves []Move) error {
+func (n *fakeNode) Complete(_ context.Context, moves []Move) error {
 	n.cl.mu.Lock()
 	defer n.cl.mu.Unlock()
 	for _, mv := range moves {
 		delete(n.cl.resident[n.id], mv.Subject)
-		n.cl.forwarding[n.id][mv.Subject] = fakeEntry{target: mv.To.ID, redirect: true}
+		n.cl.forwarding[n.id][mv.Subject] = mv.To.ID
+	}
+	return nil
+}
+
+// runRebalance runs the cur→next rebalance the way RebalanceHandler
+// does, with Start, waits for it to settle and returns its error.
+func runRebalance(t *testing.T, coord *Coordinator, cur, next *Map) error {
+	t.Helper()
+	if _, err := coord.Start(context.Background(), cur, next); err != nil {
+		return err
+	}
+	for deadline := time.Now().Add(10 * time.Second); coord.Status().Active; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rebalance never settled: %+v", coord.Status())
+		}
+	}
+	if st := coord.Status(); st.Phase == "failed" {
+		return errors.New(st.Error)
 	}
 	return nil
 }
@@ -192,7 +208,7 @@ func testSubjects(n int) []string {
 
 // TestRebalanceAddShard pins the happy path: growing the map moves
 // exactly the displaced subjects, commits the new version, and leaves
-// every subject resolvable on its new owner with redirects behind.
+// every subject resolvable on its new owner with proxy entries behind.
 func TestRebalanceAddShard(t *testing.T) {
 	base, err := New(0, Info{ID: "a", Addr: "addr-a"}, Info{ID: "b", Addr: "addr-b"})
 	if err != nil {
@@ -204,8 +220,11 @@ func TestRebalanceAddShard(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "rebalance.journal")
 	coord := NewCoordinator(path, cl.dial, cl.commit, t.Logf)
-	next, err := coord.AddShard(context.Background(), base, Info{ID: "c", Addr: "addr-c"})
+	next, err := base.Add(Info{ID: "c", Addr: "addr-c"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runRebalance(t, coord, base, next); err != nil {
 		t.Fatal(err)
 	}
 	if next.Version() != base.Version()+1 {
@@ -257,8 +276,11 @@ func TestRebalanceRemoveShard(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "rebalance.journal")
 	coord := NewCoordinator(path, cl.dial, cl.commit, t.Logf)
-	next, err := coord.RemoveShard(context.Background(), base, "c")
+	next, err := base.Remove("c")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runRebalance(t, coord, base, next); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := next.Get("c"); ok {
@@ -279,7 +301,9 @@ func TestRebalanceRemoveShard(t *testing.T) {
 }
 
 // TestRebalanceCrashMatrix is the migration crash matrix: a coordinator
-// crash (injected panic) at every kill point must leave each subject
+// crash at every kill point (an injected fault that stops the run where
+// it fires; the run is in the background, where a panic would end the
+// test binary, not the coordinator) must leave each subject
 // decidable on exactly one owner via the active map, and a resumed run
 // must converge to the committed new map version with every write acked
 // between the crash and the resume on the final owner. Kill points cover
@@ -309,17 +333,16 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 			subs := testSubjects(24)
 			cl.seed(base, subs)
 			path := filepath.Join(t.TempDir(), "rebalance.journal")
-			grow := Info{ID: "c", Addr: "addr-c"}
+			next, err := base.Add(Info{ID: "c", Addr: "addr-c"})
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			after := kp.after
 			if kp.name == "journal-committed" {
 				// The committed append is the (moves+2)th journal write
 				// (begin + one per move); compute it from the plan.
 				coord := NewCoordinator(path, cl.dial, cl.commit, nil)
-				next, err := base.Add(grow)
-				if err != nil {
-					t.Fatal(err)
-				}
 				moves, err := coord.Plan(context.Background(), base, next)
 				if err != nil {
 					t.Fatal(err)
@@ -331,27 +354,15 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 				Point:  kp.point,
 				After:  after,
 				Limit:  1,
-				Action: faults.Action{Panic: "kill " + kp.name},
+				Action: faults.Action{Err: errors.New("kill " + kp.name)},
 			}))
-			coord := NewCoordinator(path, cl.dial, cl.commit, nil)
-			panicked := func() (p bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						p = true
-						if !strings.Contains(fmt.Sprint(r), "kill "+kp.name) {
-							t.Fatalf("unexpected panic: %v", r)
-						}
-					}
-				}()
-				_, err := coord.AddShard(context.Background(), base, grow)
-				if err != nil {
-					t.Fatalf("AddShard failed without panicking: %v", err)
-				}
-				return false
-			}()
+			err = runRebalance(t, NewCoordinator(path, cl.dial, cl.commit, nil), base, next)
 			faults.Deactivate()
-			if !panicked {
+			if err == nil {
 				t.Fatalf("kill point %s never fired", kp.name)
+			}
+			if !strings.Contains(err.Error(), "kill "+kp.name) {
+				t.Fatalf("run failed at another point: %v", err)
 			}
 
 			// Invariant at the crash: every subject still resolves through
@@ -372,7 +383,7 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 				t.Fatalf("Resume: %v", err)
 			}
 			if !didResume {
-				if _, err := resumed.AddShard(context.Background(), base, grow); err != nil {
+				if err := runRebalance(t, resumed, base, next); err != nil {
 					t.Fatalf("re-run after empty journal: %v", err)
 				}
 			}
@@ -438,7 +449,10 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grow := Info{ID: "c", Addr: "addr-c"}
+	next, err := base.Add(Info{ID: "c", Addr: "addr-c"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	subs := testSubjects(12)
 	// crashed returns a cluster and journal as the kill left them.
 	crashed := func(path string) *fakeCluster {
@@ -446,14 +460,12 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 		cl.seed(base, subs)
 		faults.Activate(faults.NewPlan(1, faults.Rule{
 			Point: faults.RebalanceJournal, After: 3, Limit: 1,
-			Action: faults.Action{Panic: "kill"},
+			Action: faults.Action{Err: errors.New("kill")},
 		}))
 		defer faults.Deactivate()
-		func() {
-			defer func() { _ = recover() }()
-			_, err := NewCoordinator(path, cl.dial, cl.commit, nil).AddShard(context.Background(), base, grow)
+		if err := runRebalance(t, NewCoordinator(path, cl.dial, cl.commit, nil), base, next); err == nil || !strings.Contains(err.Error(), "kill") {
 			t.Fatalf("coordinator survived its kill point: %v", err)
-		}()
+		}
 		return cl
 	}
 	dir := t.TempDir()
@@ -481,7 +493,7 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 			t.Fatalf("cut %d: Resume: %v", off, err)
 		}
 		if !didResume {
-			if _, err := coord.AddShard(context.Background(), base, grow); err != nil {
+			if err := runRebalance(t, coord, base, next); err != nil {
 				t.Fatalf("cut %d: re-run: %v", off, err)
 			}
 		}
@@ -522,7 +534,11 @@ func TestRebalanceSingleFlight(t *testing.T) {
 	if err := coord.acquire(base, base, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.AddShard(context.Background(), base, Info{ID: "c", Addr: "addr-c"}); err == nil || !strings.Contains(err.Error(), "already running") {
+	next, err := base.Add(Info{ID: "c", Addr: "addr-c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Start(context.Background(), base, next); !errors.Is(err, ErrRebalanceActive) {
 		t.Fatalf("second rebalance = %v, want ErrRebalanceActive", err)
 	}
 	coord.release(nil)

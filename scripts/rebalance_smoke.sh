@@ -8,12 +8,14 @@
 #      map version bumps, and the new shard joins the map;
 #   2. zero failed decides and zero failed writes while subjects
 #      migrated (one-step handoff: the old owner copies each subject
-#      under its write gate and proxies it, then redirects), and every
+#      under its write gate and proxies it from then on), and every
 #      session the writer got acked survives: addressed by its ID alone
 #      it still takes a role activation and a check permits, and named
 #      with its subject it still permits too;
 #   3. the post-state is balanced: every shard (including the new one)
-#      owns at least one subject, and the partitions sum exactly;
+#      owns at least one subject, and the partitions sum exactly; and
+#      shard A, asked directly, still permits every subject it handed
+#      to shard C (it proxies them);
 #   4. the shard map converges on clients too: a shard-aware SDK
 #      process (examples/shardwatch) sees the committed version via the
 #      map watch and can still decide every subject;
@@ -65,6 +67,10 @@ for i in 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23; do
 		-d "{\"id\":\"$sub\",\"roles\":[\"child\"]}" >/dev/null
 done
 echo "rebalance_smoke: 24 subjects registered through the router"
+
+# Shard A's residents before the move, read as count_on reads them
+# below, so contract 3 can ask A directly about the ones that leave it.
+held_by_a=$(curl -sf "$shard_a/v1/query/subjects-in-role?role=child")
 
 # Continuous decide load through the router for the whole rebalance
 # window; every non-permit is recorded.
@@ -227,6 +233,27 @@ if [ "$on_a" -eq 0 ] || [ "$on_b" -eq 0 ] || [ "$on_c" -eq 0 ]; then
 	echo "rebalance_smoke: FAIL: a shard owns no subjects — rebalance did not spread" >&2
 	exit 1
 fi
+held_by_c=$(curl -sf "$shard_c/v1/query/subjects-in-role?role=child")
+proxied=0
+for sub in $subjects; do
+	echo "$held_by_a" | grep -q "\"$sub\"" || continue
+	echo "$held_by_c" | grep -q "\"$sub\"" || continue
+	body="{\"subject\":\"$sub\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
+	out=$(curl -s -X POST "$shard_a/v1/check" -H 'Content-Type: application/json' -d "$body" || echo curl-error)
+	case $out in
+	*'"allowed":true'*) ;;
+	*)
+		echo "rebalance_smoke: FAIL: shard A, asked directly for $sub (moved to C): $out" >&2
+		exit 1
+		;;
+	esac
+	proxied=$((proxied + 1))
+done
+if [ "$proxied" -eq 0 ]; then
+	echo "rebalance_smoke: FAIL: no subject moved from shard A to shard C" >&2
+	exit 1
+fi
+echo "rebalance_smoke: shard A still permits all $proxied subjects it handed to C"
 
 # Contract 4: the SDK watcher converged and decided every subject.
 wait "$pid_watch" || {

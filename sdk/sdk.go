@@ -512,8 +512,7 @@ func (c *Client) decideStale(ctx context.Context, req grbac.Request) (Decision, 
 // fail-safe deny when no remote path exists or the call fails.
 func (c *Client) remoteDecide(ctx context.Context, req grbac.Request, why string) (Decision, error) {
 	wire := pdp.FromCoreRequest(req)
-	t := c.shards.Load()
-	target := c.remoteClientFor(t, &wire)
+	target := c.remoteClientFor(c.shards.Load(), &wire)
 	if target == nil {
 		return c.failSafe(req, why+"; no remote fallback configured"), nil
 	}
@@ -521,13 +520,6 @@ func (c *Client) remoteDecide(ctx context.Context, req grbac.Request, why string
 		return c.failSafe(req, why+"; remote fallback failed: "+err.Error()), nil
 	}
 	resp, err := target.Decide(ctx, wire)
-	if t != nil {
-		// A 421 means the subject migrated owners under us: follow the
-		// redirect once. The installed map converges via the watcher.
-		if moved, _, ok := t.Moved(err); ok {
-			resp, err = moved.Decide(ctx, wire)
-		}
-	}
 	if err != nil {
 		if definitive(err) {
 			// The primary answered and rejected the request itself (4xx):

@@ -14,13 +14,14 @@ import (
 )
 
 // Shard-aware routing state: a pdp.ShardTable, the type the router
-// routes with (one shard map and the client table built for it, the
-// owner rule and the 421 follow), behind an atomic pointer. Every request captures the table once, so a
-// concurrent map swap (a rebalance commit pushed through the watch) can
-// never tear the map away from the clients built for it. A background
-// watcher long-polls the router's /v1/shard/map/watch and installs newer
-// maps atomically; a 421 redirect from a shard that just handed a subject
-// off is followed once without waiting for the watch to catch up.
+// routes with (one shard map, the client table built for it and the
+// owner rule), behind an atomic pointer. Every request captures the
+// table once, so a concurrent map swap (a rebalance commit pushed
+// through the watch) can never tear the map away from the clients built
+// for it. A background watcher long-polls the router's
+// /v1/shard/map/watch and installs newer maps atomically; until it does,
+// a request sent to a subject's old shard is proxied by that shard to
+// the new owner.
 
 // sdkMapWatchWait is how long one SDK map watch parks on the router.
 // The router wakes parked watches on every map commit, so this bounds

@@ -275,9 +275,21 @@ func TestSDKShardMapWatchConvergence(t *testing.T) {
 		func(info shard.Info) shard.NodeClient { return pdp.NewMigrationNode(info.Addr) },
 		func(_ context.Context, m *shard.Map) error { return cl.rt.SetMap(m) },
 		t.Logf)
-	next, err := coord.AddShard(ctx, cl.rt.Map(), cl.newShard(t, "s2"))
+	cur := cl.rt.Map()
+	next, err := cur.Add(cl.newShard(t, "s2"))
 	if err != nil {
-		t.Fatalf("AddShard: %v", err)
+		t.Fatal(err)
+	}
+	if _, err := coord.Start(ctx, cur, next); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); coord.Status().Active; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rebalance never settled: %+v", coord.Status())
+		}
+	}
+	if st := coord.Status(); st.Phase != "done" {
+		t.Fatalf("rebalance status = %+v, want done", st)
 	}
 
 	// The watcher must install the committed map without any SDK-side
@@ -386,12 +398,12 @@ func (l *lineCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSDKFollowsMovedRedirect pins the 421 handoff path: a subject
-// migrates to a shard the SDK's installed map has never heard of (the
-// router map is deliberately left stale, so the watch cannot help), and
-// a shard-direct decide still succeeds by following the typed redirect
-// once.
-func TestSDKFollowsMovedRedirect(t *testing.T) {
+// TestSDKReachesMovedSubjectThroughOldShard pins the stale-map path: a
+// subject migrates to a shard the SDK's installed map has never heard of
+// (the router map is deliberately left stale, so the watch cannot help),
+// and a shard-direct decide and batch still succeed because the old
+// owner proxies them to the new one.
+func TestSDKReachesMovedSubjectThroughOldShard(t *testing.T) {
 	cl := bootShardedCluster(t, 2, 8)
 	c := newEmbedded(t, cl.front.URL, WithShardRouting("s0"))
 	ctx := context.Background()
@@ -409,15 +421,15 @@ func TestSDKFollowsMovedRedirect(t *testing.T) {
 	}
 
 	// Migrate it out-of-band to a shard the map does not contain:
-	// handoff → complete, leaving s1 redirecting.
+	// handoff → complete, leaving s1 proxying.
 	dest := cl.newShard(t, "x9")
 	oldInfo, _ := cl.m.Get("s1")
 	old := pdp.NewMigrationNode(oldInfo.Addr)
 	moves := []shard.Move{{Subject: sub, From: oldInfo, To: dest}}
-	if err := old.Handoff(ctx, cl.m.Version()+1, moves); err != nil {
+	if err := old.Handoff(ctx, moves); err != nil {
 		t.Fatalf("handoff: %v", err)
 	}
-	if err := old.Complete(ctx, cl.m.Version()+1, moves); err != nil {
+	if err := old.Complete(ctx, moves); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
 
@@ -426,11 +438,11 @@ func TestSDKFollowsMovedRedirect(t *testing.T) {
 		t.Fatalf("Decide after handoff: %v", err)
 	}
 	if !d.Allowed || d.Source != SourceRemote {
-		t.Fatalf("Decide after handoff = %+v, want remote permit via 421 follow", d)
+		t.Fatalf("Decide after handoff = %+v, want remote permit proxied by the old owner", d)
 	}
 
-	// No tier answers a batch with 421: the old owner proxies the batch
-	// item to the new one.
+	// A batch item takes the same path: the old owner proxies it to the
+	// new one.
 	out := c.DecideBatch(ctx, []grbac.Request{shardPermitReq(sub)})
 	if out[0].Err != nil || !out[0].Decision.Allowed {
 		t.Fatalf("batch after handoff = %+v, want permit proxied by the old owner", out[0])
