@@ -169,21 +169,38 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 	return nil
 }
 
-// parseSessionSeq extracts the sequence number from a locally-minted
-// session ID ("sess-<seq>-<subject>"). Foreign ID shapes report ok=false
-// and never advance the sequence.
-func parseSessionSeq(id SessionID) (uint64, bool) {
+// splitSessionID is the one parser of the session-ID format
+// CreateSession mints, "sess-<seq>-<subject>": it returns the sequence
+// number and the subject, whole even when it contains '-' or '/'. Foreign
+// ID shapes, and an ID with an empty subject, report ok=false.
+func splitSessionID(id SessionID) (seq uint64, subject SubjectID, ok bool) {
 	rest, ok := strings.CutPrefix(string(id), "sess-")
 	if !ok {
-		return 0, false
+		return 0, "", false
 	}
-	num, _, ok := strings.Cut(rest, "-")
-	if !ok {
-		return 0, false
+	num, sub, ok := strings.Cut(rest, "-")
+	if !ok || sub == "" {
+		return 0, "", false
 	}
 	seq, err := strconv.ParseUint(num, 10, 64)
 	if err != nil {
-		return 0, false
+		return 0, "", false
 	}
-	return seq, true
+	return seq, SubjectID(sub), true
+}
+
+// parseSessionSeq extracts the sequence number from a locally-minted
+// session ID. Foreign ID shapes report ok=false and never advance the
+// sequence.
+func parseSessionSeq(id SessionID) (uint64, bool) {
+	seq, _, ok := splitSessionID(id)
+	return seq, ok
+}
+
+// SessionSubject returns the subject a session ID names. A session
+// belongs to one subject and moves with it, so a sharded cluster routes
+// a session-scoped request to its subject's owner by the ID alone.
+func SessionSubject(id SessionID) (SubjectID, bool) {
+	_, sub, ok := splitSessionID(id)
+	return sub, ok
 }

@@ -295,3 +295,46 @@ func TestParseSessionSeq(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionSubject pins the subject a session ID names: the whole rest
+// after the sequence number, so subjects containing '-' or '/' come back
+// whole, and every ID CreateSession cannot mint names no subject.
+func TestSessionSubject(t *testing.T) {
+	cases := []struct {
+		id  SessionID
+		sub SubjectID
+		ok  bool
+	}{
+		{"sess-12-alice", "alice", true},
+		{"sess-1-a-b", "a-b", true},
+		{"sess-7-home/alice", "home/alice", true},
+		{"sess-3-subject-008", "subject-008", true},
+		{"sess-1-", "", false},
+		{"sess-x-a", "", false},
+		{"sess--a", "", false},
+		{"s2/sess-1-alice", "", false},
+		{"other-3-alice", "", false},
+		{"sess-3", "", false},
+		{"", "", false},
+	}
+	for _, tc := range cases {
+		sub, ok := SessionSubject(tc.id)
+		if sub != tc.sub || ok != tc.ok {
+			t.Errorf("SessionSubject(%q) = (%q, %v), want (%q, %v)", tc.id, sub, ok, tc.sub, tc.ok)
+		}
+	}
+	// Every ID the system mints names the subject it was opened for.
+	s := NewSystem()
+	for _, sub := range []SubjectID{"alice", "a-b", "home/alice"} {
+		if err := s.AddSubject(sub); err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.CreateSession(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := SessionSubject(id); !ok || got != sub {
+			t.Errorf("SessionSubject(%q) = (%q, %v), want (%q, true)", id, got, ok, sub)
+		}
+	}
+}

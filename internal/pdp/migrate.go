@@ -71,13 +71,11 @@ type MigrateCompleteRequest struct {
 
 // migrateTable is the immutable forwarding table; writers copy-on-write
 // under migrationState.mu, readers do one atomic load. entries maps each
-// moved subject to its new owner's address. sessions maps shard-local
-// session IDs of migrated subjects back to their subject so
-// session-scoped requests keep routing when the local session record is
-// gone (after complete) or never existed (opened through the proxy).
+// moved subject to its new owner's address. A request naming only a
+// session resolves through the subject its ID names, so sessions need no
+// entries of their own.
 type migrateTable struct {
-	entries  map[string]string
-	sessions map[string]string
+	entries map[string]string
 }
 
 // migrationState hangs off the Server; its zero value (no table, no
@@ -111,66 +109,58 @@ func (m *migrationState) clientFor(addr string) *Client {
 func (m *migrationState) update(mutate func(t *migrateTable)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next := &migrateTable{
-		entries:  make(map[string]string),
-		sessions: make(map[string]string),
-	}
+	next := &migrateTable{entries: make(map[string]string)}
 	if cur := m.table.Load(); cur != nil {
 		for k, v := range cur.entries {
 			next.entries[k] = v
-		}
-		for k, v := range cur.sessions {
-			next.sessions[k] = v
 		}
 	}
 	mutate(next)
 	m.table.Store(next)
 }
 
-// migrateFor resolves a request's subject (directly, or via its session)
-// against the forwarding table, returning the subject and its new
+// migrateFor resolves a request's subject (directly, or as the one its
+// session ID names) against the forwarding table, returning its new
 // owner's address. The common no-migration case is one atomic load and a
 // nil check.
-func (s *Server) migrateFor(subject, session string) (sub, addr string, moved bool) {
+func (s *Server) migrateFor(subject, session string) (addr string, moved bool) {
 	t := s.migration.table.Load()
 	if t == nil || len(t.entries) == 0 {
-		return "", "", false
-	}
-	if subject == "" && session != "" {
-		if sub, ok := t.sessions[session]; ok {
-			subject = sub
-		} else if si, err := s.sys.Session(core.SessionID(session)); err == nil {
-			subject = string(si.Subject)
-		}
+		return "", false
 	}
 	if subject == "" {
-		return "", "", false
+		sub, _ := core.SessionSubject(core.SessionID(session))
+		subject = string(sub)
 	}
 	addr, moved = t.entries[subject]
-	return subject, addr, moved
+	return addr, moved
 }
 
 // migrateForward proxies the (already decoded) request to the subject's
-// new owner and relays the reply verbatim, returning it (nil when the
-// forward failed). in is the decoded request body to re-serialize (nil
-// for GETs — the path+query carry everything).
-func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, addr string, in any) json.RawMessage {
+// new owner and relays the reply verbatim. in is the decoded request body
+// to re-serialize (nil for GETs — the path+query carry everything). A
+// decision's correlation ID, as correlate settled it on the reply, goes
+// with the request, so the new owner's audit record and reply body carry
+// the caller's ID.
+func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, addr string, in any) {
 	if err := faults.Inject(faults.MigrateForward); err != nil {
 		s.writeStatus(w, http.StatusServiceUnavailable, "handoff forward failed: "+err.Error())
-		return nil
+		return
 	}
 	path := r.URL.Path
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
+	ctx := r.Context()
+	if id := w.Header()[CorrelationHeader]; len(id) > 0 {
+		ctx = withCorrelation(ctx, id[0])
+	}
 	var raw json.RawMessage
-	err := s.migration.clientFor(addr).Call(r.Context(), r.Method, path, in, &raw)
-	if err != nil {
+	if err := s.migration.clientFor(addr).Call(ctx, r.Method, path, in, &raw); err != nil {
 		s.relayMigrateError(w, err)
-		return nil
+		return
 	}
 	writeReply(w, raw)
-	return raw
 }
 
 // relayMigrateError maps a forwarding failure onto the reply: the new
@@ -195,11 +185,11 @@ func (s *Server) relayMigrateError(w http.ResponseWriter, err error) {
 // load; moved subjects are proxied to their new owner. It reports
 // whether it wrote the response.
 func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) bool {
-	sub, addr, ok := s.migrateFor(subject, session)
+	addr, ok := s.migrateFor(subject, session)
 	if !ok {
 		return false
 	}
-	s.migrateServe(w, r, sub, addr, in)
+	s.migrateForward(w, r, addr, in)
 	return true
 }
 
@@ -212,44 +202,29 @@ func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subjec
 // already dropped, so no remote hop ever holds it.
 func (s *Server) lockedIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) (release func(), handled bool) {
 	s.migration.gate.RLock()
-	sub, addr, ok := s.migrateFor(subject, session)
+	addr, ok := s.migrateFor(subject, session)
 	if !ok {
 		return s.migration.gate.RUnlock, false
 	}
 	s.migration.gate.RUnlock()
-	s.migrateServe(w, r, sub, addr, in)
+	s.migrateForward(w, r, addr, in)
 	return nil, true
 }
 
-// migrateServe answers a request for a moved subject by proxying it to
-// the new owner. A session opened through the proxy lives only on the
-// new owner, but its caller (the router qualifies the ID with this
-// shard) keeps addressing it here by session alone, so its ID joins the
-// session index.
-func (s *Server) migrateServe(w http.ResponseWriter, r *http.Request, sub, addr string, in any) {
-	raw := s.migrateForward(w, r, addr, in)
-	if _, open := in.(SessionRequest); !open || r.Method != http.MethodPost || raw == nil {
-		return
-	}
-	var resp SessionResponse
-	if json.Unmarshal(raw, &resp) == nil && resp.Session != "" {
-		s.migration.update(func(t *migrateTable) { t.sessions[resp.Session] = sub })
-	}
-}
-
 // migrateBatch mediates the batch items that belong to migrated subjects
-// on their new owners, as one proxied sub-batch per owner. The returned
-// slice aligns with reqs: nil entries stay locally mediated. A shard with
-// no forwarding table returns nil outright (one atomic load).
-func (s *Server) migrateBatch(ctx context.Context, reqs []DecideRequest) []*BatchItem {
+// on their new owners, as one proxied sub-batch per owner sent under the
+// batch's correlation ID corr. The returned slice aligns with reqs: nil
+// entries stay locally mediated. A shard with no forwarding table returns
+// nil outright (one atomic load).
+func (s *Server) migrateBatch(ctx context.Context, corr string, reqs []DecideRequest) []*BatchItem {
 	t := s.migration.table.Load()
 	if t == nil || len(t.entries) == 0 {
 		return nil
 	}
+	ctx = withCorrelation(ctx, corr)
 	out := make([]*BatchItem, len(reqs))
 	SplitBatch(reqs, func(_ int, dr *DecideRequest) (string, bool) {
-		_, addr, ok := s.migrateFor(dr.Subject, dr.Session)
-		return addr, ok
+		return s.migrateFor(dr.Subject, dr.Session)
 	}, func(addr string, sub []DecideRequest) (BatchDecideResponse, error) {
 		if err := faults.Inject(faults.MigrateForward); err != nil {
 			return BatchDecideResponse{}, err
@@ -301,12 +276,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 	// An import means this shard is (becoming) the subject's owner: a
 	// stale forwarding entry from an earlier move in the other direction
 	// must not shadow the live copy.
-	s.migration.update(func(t *migrateTable) {
-		delete(t.entries, string(b.Subject.ID))
-		for _, si := range b.Sessions {
-			delete(t.sessions, string(si.ID))
-		}
-	})
+	s.migration.update(func(t *migrateTable) { delete(t.entries, string(b.Subject.ID)) })
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
@@ -324,7 +294,7 @@ func (s *Server) handleMigrateHandoff(w http.ResponseWriter, r *http.Request) {
 	for _, mv := range req.Moves {
 		// An entry means this subject was handed off already (a resumed
 		// run): the new owner's copy is live, and the local one stale.
-		if _, _, moved := s.migrateFor(mv.Subject, ""); moved {
+		if _, moved := s.migrateFor(mv.Subject, ""); moved {
 			continue
 		}
 		b, err := s.sys.ExportSubject(core.SubjectID(mv.Subject))
@@ -346,28 +316,21 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	for _, mv := range req.Moves {
-		// Capture the subject's session IDs before RemoveSubject closes
-		// them, so session-scoped calls keep resolving to the proxy.
-		var sids []string
-		if b, err := s.sys.ExportSubject(core.SubjectID(mv.Subject)); err == nil {
-			for _, si := range b.Sessions {
-				sids = append(sids, string(si.ID))
-			}
-			if err := s.sys.RemoveSubject(core.SubjectID(mv.Subject)); err != nil {
-				s.writeError(w, err)
-				return
-			}
-		}
-		// Handoff installed the proxy entry and it stays. Writing it
-		// again covers an old owner restarted since handoff, which lost
-		// its in-memory table and now loses its stale copy too.
-		s.migration.update(func(t *migrateTable) {
+	// Handoff installed the proxy entries and they stay. Writing them
+	// again, in one table copy for the whole request and before any local
+	// copy goes, covers an old owner restarted since handoff, which lost
+	// its in-memory table and now loses its stale copies too.
+	s.migration.update(func(t *migrateTable) {
+		for _, mv := range req.Moves {
 			t.entries[mv.Subject] = mv.Addr
-			for _, sid := range sids {
-				t.sessions[sid] = mv.Subject
-			}
-		})
+		}
+	})
+	for _, mv := range req.Moves {
+		err := s.sys.RemoveSubject(core.SubjectID(mv.Subject))
+		if err != nil && !errors.Is(err, core.ErrNotFound) {
+			s.writeError(w, err)
+			return
+		}
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -1,6 +1,7 @@
 package pdp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,19 +11,22 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/aware-home/grbac/internal/audit"
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/policy"
 	"github.com/aware-home/grbac/internal/shard"
 )
 
-// newShardServer builds one standalone shard: a full admin-enabled PDP
-// over a fresh system with the shared policy applied.
-func newShardServer(t *testing.T) (*core.System, *httptest.Server) {
+// newShardServer builds one standalone shard: a full admin-enabled PDP,
+// with opts, over a fresh system with the shared policy applied.
+func newShardServer(t *testing.T, opts ...ServerOption) (*core.System, *httptest.Server) {
 	t.Helper()
 	compiled, err := policy.Compile(sharedPolicy)
 	if err != nil {
@@ -32,7 +36,7 @@ func newShardServer(t *testing.T) (*core.System, *httptest.Server) {
 	if err := compiled.Apply(sys, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(sys, WithAdmin()))
+	srv := httptest.NewServer(NewServer(sys, append([]ServerOption{WithAdmin()}, opts...)...))
 	t.Cleanup(srv.Close)
 	return sys, srv
 }
@@ -137,6 +141,65 @@ func TestMigrationProxiesAfterComplete(t *testing.T) {
 	// The new owner carries alice's session under its original ID.
 	if _, err := newSys.Session(core.SessionID(sess.Session)); err != nil {
 		t.Fatalf("session %q missing on new owner: %v", sess.Session, err)
+	}
+}
+
+// TestMigrationProxyKeepsCorrelationID pins that the old shard proxies a
+// moved subject's decide, check and batch under the caller's correlation
+// ID: the new owner audits each under it, and each reply carries it in
+// its header and its body.
+func TestMigrationProxyKeepsCorrelationID(t *testing.T) {
+	ctx := context.Background()
+	_, oldSrv := newShardServer(t)
+	_, newSrv := newShardServer(t, WithAuditLogger(audit.NewLogger()))
+	if err := NewClient(oldSrv.URL, nil).UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"child"}}); err != nil {
+		t.Fatal(err)
+	}
+	node := NewMigrationNode(oldSrv.URL)
+	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
+	if err := node.Handoff(ctx, move); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Complete(ctx, move); err != nil {
+		t.Fatal(err)
+	}
+
+	decision := `{"subject":"alice","object":"tv","transaction":"use","environment":["weekday-free-time"]}`
+	newOwner := NewClient(newSrv.URL, nil)
+	for _, tc := range []struct{ route, body string }{
+		{decidePath, decision},
+		{checkPath, decision},
+		{batchPath, `{"requests":[` + decision + `]}`},
+	} {
+		corr := "corr-proxied" + strings.ReplaceAll(tc.route, "/", "-")
+		req, err := http.NewRequest(http.MethodPost, oldSrv.URL+tc.route, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(CorrelationHeader, corr)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			CorrelationID string `json:"correlation_id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s via the old shard = %d, %v", tc.route, resp.StatusCode, err)
+		}
+		if got := resp.Header.Get(CorrelationHeader); got != corr || body.CorrelationID != corr {
+			t.Fatalf("%s reply carries %q in its header and %q in its body, want %q in both",
+				tc.route, got, body.CorrelationID, corr)
+		}
+		recs, err := newOwner.Audit(ctx, AuditQuery{CorrelationID: corr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Route != tc.route || recs[0].Subject != "alice" {
+			t.Fatalf("new owner's audit for %s = %+v, want one %s record for alice", corr, recs, tc.route)
+		}
 	}
 }
 
@@ -245,7 +308,8 @@ func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 // coordinator. Not one decide may fail during the migration, the router
 // must converge to the committed map version, and the post-state must
 // be balanced (every shard holds exactly the subjects the new map
-// assigns it).
+// assigns it). A moved subject's sessions answer from its new owner
+// alone, with the old shards stopped.
 func TestRebalanceEndToEnd(t *testing.T) {
 	c := newRouterCluster(t, 2)
 	subs := c.addSubjects(t, 32)
@@ -254,7 +318,7 @@ func TestRebalanceEndToEnd(t *testing.T) {
 	// Sessions created before the rebalance must survive it, including
 	// for subjects that move.
 	sessions := make(map[string]string)
-	for _, sub := range subs[:8] {
+	for _, sub := range subs {
 		var sess SessionResponse
 		if err := c.client.Call(ctx, http.MethodPost, "/v1/sessions", SessionRequest{Subject: sub}, &sess); err != nil {
 			t.Fatal(err)
@@ -355,15 +419,101 @@ func TestRebalanceEndToEnd(t *testing.T) {
 			t.Fatalf("post-rebalance Decide(%s) = %+v, %v", sub, resp, err)
 		}
 	}
-	// Session-scoped decides survive the move: their qualifier still
-	// names the old shard, which proxies them to the new owner.
-	for sub, sess := range sessions {
-		allowed, err := c.client.Check(ctx, DecideRequest{
-			Subject: sub, Session: sess, Object: "tv", Transaction: "use",
-			Environment: []string{"weekday-free-time"},
-		})
-		if err != nil || !allowed {
-			t.Fatalf("post-rebalance session Check(%s via %s) = %v, %v", sub, sess, allowed, err)
+	// Session-scoped decides survive the move, with the subject and by
+	// the session alone.
+	wantSessions := func(moved bool) {
+		t.Helper()
+		for sub, sess := range sessions {
+			if moved && next.Owner(sub).ID != grow.ID {
+				continue
+			}
+			check := DecideRequest{Subject: sub, Session: sess, Object: "tv", Transaction: "use",
+				Environment: []string{"weekday-free-time"}}
+			for _, named := range []string{sub, ""} {
+				check.Subject = named
+				if allowed, err := c.client.Check(ctx, check); err != nil || !allowed {
+					t.Fatalf("post-rebalance session Check(%+v) = %v, %v", check, allowed, err)
+				}
+			}
+		}
+	}
+	wantSessions(false)
+	// They route to the new owner under the committed map, never through
+	// the old shard: every moved session answers with both old shards
+	// stopped.
+	c.shards["s0"].Close()
+	c.shards["s1"].Close()
+	wantSessions(true)
+}
+
+// TestRebalanceRemoveKeepsSessions drains shard s2 out of a 3-shard
+// cluster while its subjects hold sessions with child active, then stops
+// s2. Each session moved with its subject, and the router still serves it
+// by its ID alone on the map without s2: it checks with and without its
+// subject, takes a deactivation and an activation, and closes.
+func TestRebalanceRemoveKeepsSessions(t *testing.T) {
+	c := newRouterCluster(t, 3)
+	ctx := context.Background()
+	sessions := make(map[string]string)
+	for _, sub := range c.addSubjects(t, 24) {
+		if c.m.Owner(sub).ID != "s2" {
+			continue
+		}
+		sid, err := c.client.OpenSession(ctx, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.client.SetSessionRole(ctx, sid, "child", true); err != nil {
+			t.Fatal(err)
+		}
+		sessions[sub] = sid
+	}
+	if len(sessions) == 0 {
+		t.Fatal("no subject on s2 — grow the subject set")
+	}
+
+	coord := shard.NewCoordinator(
+		filepath.Join(t.TempDir(), "rebalance.journal"),
+		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
+		t.Logf,
+	)
+	next, err := c.m.Remove("s2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runRebalance(t, coord, c.m, next); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	c.shards["s2"].Close()
+
+	check := func(sub, sid string, want bool) {
+		t.Helper()
+		req := DecideRequest{Subject: sub, Session: sid, Object: "tv", Transaction: "use",
+			Environment: []string{"weekday-free-time"}}
+		for _, named := range []string{"", sub} {
+			req.Subject = named
+			if allowed, err := c.client.Check(ctx, req); err != nil || allowed != want {
+				t.Fatalf("Check(%+v) = %v, %v; want %v", req, allowed, err, want)
+			}
+		}
+	}
+	for sub, sid := range sessions {
+		check(sub, sid, true)
+		if err := c.client.SetSessionRole(ctx, sid, "child", false); err != nil {
+			t.Fatalf("deactivate child in %s: %v", sid, err)
+		}
+		check(sub, sid, false)
+		if err := c.client.SetSessionRole(ctx, sid, "child", true); err != nil {
+			t.Fatalf("activate child in %s: %v", sid, err)
+		}
+		check(sub, sid, true)
+		if err := c.client.CloseSession(ctx, sid); err != nil {
+			t.Fatalf("CloseSession(%s): %v", sid, err)
+		}
+		if _, err := c.client.Check(ctx, DecideRequest{Session: sid, Object: "tv", Transaction: "use"}); err == nil ||
+			!strings.Contains(err.Error(), "404") {
+			t.Fatalf("closed session %s checks: %v, want the owner's 404", sid, err)
 		}
 	}
 }
@@ -819,5 +969,42 @@ func TestRebalanceHandlerAPI(t *testing.T) {
 		if err != nil || !resp.Allowed {
 			t.Fatalf("post-rebalance Decide(%s) = %+v, %v", sub, resp, err)
 		}
+	}
+}
+
+// BenchmarkMigrateComplete times one POST /v1/migrate/complete for N
+// subjects, the coordinator's one call per old shard, and reports its
+// cost per subject, which stays flat in N while complete copies the
+// forwarding table once per request.
+func BenchmarkMigrateComplete(b *testing.B) {
+	for _, n := range []int{500, 4000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			req := MigrateCompleteRequest{Moves: make([]MigrateMove, n)}
+			for i := range req.Moves {
+				req.Moves[i] = MigrateMove{Subject: fmt.Sprintf("subject-%05d", i), Addr: "http://new-owner"}
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys := core.NewSystem()
+				for _, mv := range req.Moves {
+					if err := sys.AddSubject(core.SubjectID(mv.Subject)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				srv := NewServer(sys, WithAdmin())
+				w := httptest.NewRecorder()
+				r := httptest.NewRequest(http.MethodPost, MigrateCompletePath, bytes.NewReader(body))
+				b.StartTimer()
+				srv.ServeHTTP(w, r)
+				if w.Code != http.StatusOK {
+					b.Fatalf("complete = %d: %s", w.Code, w.Body)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/subject")
+		})
 	}
 }

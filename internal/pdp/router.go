@@ -30,14 +30,15 @@ import (
 //
 // Routing rules:
 //   - Decide/Check/what-can: forwarded to the owner of the request's
-//     subject. Session-scoped requests route by the shard qualifier the
-//     router stamped into the session ID at creation.
+//     subject. A request naming only a session goes to the owner of the
+//     subject its ID names (core.SessionSubject): a session moves with
+//     its subject, so it routes under the current map like one.
 //   - DecideBatch: split by owning shard with SplitBatch, merged back in
 //     request order. A failed shard, or one whose reply has the wrong
 //     length, fails only its own items (typed per-item errors), never the
 //     batch.
 //   - Subject admin (/v1/admin/subjects) and sessions: owner shard;
-//     session IDs come back qualified as "<shard>/<local-id>".
+//     session IDs come back as the shard minted them.
 //   - Shared-policy admin (roles, objects, transactions, permissions,
 //     sod): broadcast to every shard; any failure reports per-shard
 //     typed errors (the shards that applied it stay applied — the
@@ -346,10 +347,6 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, out any, methods ...st
 	return true
 }
 
-func writeRouteError(w http.ResponseWriter, e *RouteError) {
-	writeJSON(w, e.Status, ErrorResponse{Error: e.Msg})
-}
-
 // callShard performs one single-shard call: bounded per-shard deadline
 // and one jittered retry when the call is an idempotent read that failed
 // transiently.
@@ -403,12 +400,12 @@ func (rt *Router) forwardDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := rt.table.Load()
-	sh, rerr := t.Route(&req)
-	if rerr != nil {
-		writeRouteError(w, rerr)
+	sh, err := t.Route(req.Subject, req.Session)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	err := rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) error {
+	err = rt.callShard(r, t, sh, true, func(ctx context.Context, c *Client) error {
 		return c.decideRaw(withCorrelation(ctx, corr), r.URL.Path, &req, buf)
 	})
 	if err != nil {
@@ -437,9 +434,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var stale atomic.Bool
 	start := time.Now()
 	SplitBatch(req.Requests, func(i int, dr *DecideRequest) (string, bool) {
-		sh, rerr := t.Route(dr)
-		if rerr != nil {
-			merged[i] = BatchItem{Error: rerr.Msg}
+		sh, err := t.Route(dr.Subject, dr.Session)
+		if err != nil {
+			merged[i] = BatchItem{Error: err.Error()}
 			return "", false
 		}
 		return sh.ID, true
@@ -475,35 +472,11 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if !readJSONBody(w, r, &req, http.MethodPost, http.MethodDelete) {
 		return
 	}
-	t := rt.table.Load()
-	switch r.Method {
-	case http.MethodPost:
-		if req.Subject == "" {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject"})
-			return
-		}
-		sh := t.Map().Owner(req.Subject)
-		var resp SessionResponse
-		if err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions", req, &resp)); err != nil {
-			rt.relayShardError(w, sh.ID, err)
-			return
-		}
-		resp.Session = shard.QualifySession(sh.ID, resp.Session)
-		writeJSON(w, http.StatusOK, resp)
-	case http.MethodDelete:
-		sh, sid, rerr := t.SessionOwner(req.Session)
-		if rerr != nil {
-			writeRouteError(w, rerr)
-			return
-		}
-		req.Session = sid
-		var out map[string]string
-		if err := rt.callShard(r, t, sh, false, callJSON(http.MethodDelete, "/v1/sessions", req, &out)); err != nil {
-			rt.relayShardError(w, sh.ID, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, out)
+	if r.Method == http.MethodPost && req.Subject == "" {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject"})
+		return
 	}
+	rt.forwardSession(w, r, req.Subject, req.Session, req)
 }
 
 func (rt *Router) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
@@ -511,19 +484,25 @@ func (rt *Router) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	if !readJSONBody(w, r, &req, http.MethodPost) {
 		return
 	}
+	rt.forwardSession(w, r, "", req.Session, req)
+}
+
+// forwardSession sends a session open, close or role change to the shard
+// Route names and relays the shard's reply: a new session's ID comes
+// back as the shard minted it.
+func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request, subject, session string, in any) {
 	t := rt.table.Load()
-	sh, sid, rerr := t.SessionOwner(req.Session)
-	if rerr != nil {
-		writeRouteError(w, rerr)
+	sh, err := t.Route(subject, session)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	req.Session = sid
-	var out map[string]string
-	if err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/sessions/roles", req, &out)); err != nil {
+	var out json.RawMessage
+	if err := rt.callShard(r, t, sh, false, callJSON(r.Method, r.URL.Path, in, &out)); err != nil {
 		rt.relayShardError(w, sh.ID, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeReply(w, out)
 }
 
 // handleSubjectAdmin routes subject registration/role assignment to the

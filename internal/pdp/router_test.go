@@ -146,9 +146,9 @@ func TestRouterPartitionsSubjects(t *testing.T) {
 	}
 }
 
-// TestRouterSessionLifecycle pins the shard-qualified session contract:
-// the router returns "<shard>/<local>" IDs, and every session-scoped call
-// routes by the qualifier with the local ID restored.
+// TestRouterSessionLifecycle pins the session contract: the router
+// returns the ID the owner shard minted, core's "sess-<n>-<subject>", and
+// every session-scoped call routes to the owner of the subject it names.
 func TestRouterSessionLifecycle(t *testing.T) {
 	c := newRouterCluster(t, 3)
 	subs := c.addSubjects(t, 6)
@@ -159,15 +159,11 @@ func TestRouterSessionLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSession(%s): %v", sub, err)
 		}
-		shardID, local, ok := shard.SplitSession(sid)
-		if !ok {
-			t.Fatalf("session %q is not shard-qualified", sid)
+		if got, ok := core.SessionSubject(core.SessionID(sid)); !ok || string(got) != sub {
+			t.Fatalf("session ID %q is not core's sess-<n>-%s", sid, sub)
 		}
-		if want := c.m.Owner(sub).ID; shardID != want {
-			t.Fatalf("session %q qualified with %s, owner is %s", sid, shardID, want)
-		}
-		if !strings.HasPrefix(local, "sess-") {
-			t.Fatalf("local session ID %q lost its shard-local form", local)
+		if _, err := c.sys[c.m.Owner(sub).ID].Session(core.SessionID(sid)); err != nil {
+			t.Fatalf("session %q not on its subject's owner: %v", sid, err)
 		}
 
 		// Fresh session, no active roles: deny (§4.1.2 least privilege).
@@ -201,19 +197,18 @@ func TestRouterSessionLifecycle(t *testing.T) {
 		}
 	}
 
-	// Bad session IDs are typed client errors, not shard calls: no
-	// qualifier at all is a malformed request (400); an empty or unknown
-	// qualifier names a session that does not exist here (404), and must
-	// never fall through to hash routing.
+	// An ID naming no subject cannot be placed: a malformed request (400),
+	// never a shard call. An unknown session of a known subject reaches
+	// that subject's owner, which answers 404.
 	for _, bad := range []struct {
 		session string
 		status  string
 	}{
-		{"sess-1-alice", "400"},
-		{"ghost/sess-1-alice", "404"},
-		{"/sess-1-alice", "404"},
+		{"ghost", "400"},
+		{"s1/sess-1-" + subs[0], "400"},
+		{"sess-999-" + subs[0], "404"},
 	} {
-		_, err := c.client.Check(ctx, DecideRequest{Subject: subs[0], Session: bad.session, Object: "tv", Transaction: "use"})
+		_, err := c.client.Check(ctx, DecideRequest{Session: bad.session, Object: "tv", Transaction: "use"})
 		if err == nil || !strings.Contains(err.Error(), bad.status) {
 			t.Fatalf("Check(session %q) = %v, want %s", bad.session, err, bad.status)
 		}
@@ -221,8 +216,9 @@ func TestRouterSessionLifecycle(t *testing.T) {
 }
 
 // TestRouterSessionOnlyCheck pins that a check or decide naming a session
-// and no subject routes by the session's shard qualifier and mediates as
-// the session's owner: deny while no role is active, permit once child is.
+// and no subject routes to the owner of the subject its ID names and
+// mediates as that subject: deny while no role is active, permit once
+// child is.
 func TestRouterSessionOnlyCheck(t *testing.T) {
 	c := newRouterCluster(t, 3)
 	ctx := context.Background()

@@ -233,7 +233,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	// Items for migrated subjects are mediated by their new owners
 	// (proxied sub-batches); the local pass still runs the full batch and
 	// its answers for those items are overwritten below.
-	forwarded := s.migrateBatch(r.Context(), req.Requests)
+	forwarded := s.migrateBatch(r.Context(), sv.CorrelationID, req.Requests)
 	coreReqs := make([]core.Request, len(req.Requests))
 	for i, dr := range req.Requests {
 		coreReqs[i] = dr.toCore()

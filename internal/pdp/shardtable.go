@@ -3,10 +3,9 @@ package pdp
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"strings"
 	"sync"
 
+	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/shard"
 )
 
@@ -55,59 +54,24 @@ func (t *ShardTable) Map() *shard.Map { return t.m }
 // the map does not have.
 func (t *ShardTable) Client(id string) *Client { return t.clients[id] }
 
-// RouteError is a routing failure with the HTTP status it maps to: 400
-// for a request that cannot name a shard at all, 404 for a session
-// qualifier that names a shard the map does not have.
-type RouteError struct {
-	Status int
-	Msg    string
-}
-
-func (e *RouteError) Error() string { return e.Msg }
-
-// SessionOwner maps a shard-qualified session ID onto its owning shard
-// and the shard-local ID. An ID with no qualifier at all is the caller's
-// malformed request (400); an ID whose qualifier is empty ("/sid") or
-// names a shard absent from the map refers to something that does not
-// exist here (404). It must never fall through to hash routing, which
-// would silently ask an arbitrary shard.
-func (t *ShardTable) SessionOwner(qualified string) (shard.Info, string, *RouteError) {
-	if !strings.Contains(qualified, shard.SessionSep) {
-		return shard.Info{}, "", &RouteError{http.StatusBadRequest,
-			fmt.Sprintf("session %q is not shard-qualified (want <shard>%s<id>)", qualified, shard.SessionSep)}
-	}
-	shardID, sid, ok := shard.SplitSession(qualified)
-	if !ok {
-		return shard.Info{}, "", &RouteError{http.StatusNotFound,
-			fmt.Sprintf("session %q has an empty shard qualifier", qualified)}
-	}
-	info, found := t.m.Get(shardID)
-	if !found {
-		return shard.Info{}, "", &RouteError{http.StatusNotFound,
-			fmt.Sprintf("session %q names unknown shard %q", qualified, shardID)}
-	}
-	return info, sid, nil
-}
-
-// Route resolves the owning shard of a decide-style request: the session
-// qualifier when a session is named (sessions live where they were
-// created, surviving map changes), else the subject hash. It rewrites a
-// qualified session ID to the shard-local form in place, and leaves the
-// request unchanged when it returns an error.
-func (t *ShardTable) Route(req *DecideRequest) (shard.Info, *RouteError) {
-	if req.Session != "" {
-		info, sid, err := t.SessionOwner(req.Session)
-		if err != nil {
-			return shard.Info{}, err
+// Route resolves the shard that owns a request naming a subject, a
+// session or both, under the table's map: the owner of the subject, else
+// of the subject the session ID names. A session moves with its subject,
+// so this holds across every rebalance. A request that names no subject
+// either way has no owner, and the error says why; callers answer it
+// with 400.
+func (t *ShardTable) Route(subject, session string) (shard.Info, error) {
+	if subject == "" && session != "" {
+		sub, ok := core.SessionSubject(core.SessionID(session))
+		if !ok {
+			return shard.Info{}, fmt.Errorf("session %q names no subject", session)
 		}
-		req.Session = sid
-		return info, nil
+		subject = string(sub)
 	}
-	if req.Subject == "" {
-		return shard.Info{}, &RouteError{http.StatusBadRequest,
-			"request names neither subject nor session"}
+	if subject == "" {
+		return shard.Info{}, errors.New("request names neither subject nor session")
 	}
-	return t.m.Owner(req.Subject), nil
+	return t.m.Owner(subject), nil
 }
 
 // routerFanout bounds how many shard calls one fan-out (a broadcast,
@@ -134,8 +98,8 @@ func fanOut[T any](items []T, call func(T)) {
 }
 
 // SplitBatch sends a batch as one sub-batch per owner under the fan-out
-// bound. owner names the owner of reqs[i], and may rewrite the item to
-// the form that owner expects, or reports false to leave the item out.
+// bound. owner names the owner of reqs[i], or reports false to leave the
+// item out.
 // send makes one owner's call. done runs once per owner, concurrently
 // with the other owners, with the indices of that owner's items and
 // either the reply aligned with them or the error that fails them all. A

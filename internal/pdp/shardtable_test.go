@@ -1,16 +1,15 @@
 package pdp
 
 import (
-	"net/http"
 	"testing"
 
 	"github.com/aware-home/grbac/internal/shard"
 )
 
 // TestShardTableRoute pins the one owner rule the router and the SDK
-// share: a session qualifier first, with the session rewritten to its
-// local form, else the subject hash, and the 400/404 answers for what
-// cannot be placed. An error leaves the request unchanged.
+// share: the owner of the request's subject, else of the subject its
+// session ID names, and an error, which the router answers with 400, for
+// a request that names no subject either way.
 func TestShardTableRoute(t *testing.T) {
 	m, err := shard.New(0, shard.Info{ID: "s0", Addr: "http://s0"}, shard.Info{ID: "s1", Addr: "http://s1"})
 	if err != nil {
@@ -21,28 +20,22 @@ func TestShardTableRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name        string
-		req         DecideRequest
-		wantShard   string
-		wantSession string
-		wantStatus  int
+		name             string
+		subject, session string
+		wantShard        string // "" for no owner
 	}{
-		{"subject", DecideRequest{Subject: "alice"}, m.Owner("alice").ID, "", 0},
-		{"qualified session", DecideRequest{Subject: "alice", Session: "s1/abc"}, "s1", "abc", 0},
-		{"unqualified session", DecideRequest{Session: "abc"}, "", "abc", http.StatusBadRequest},
-		{"empty qualifier", DecideRequest{Session: "/abc"}, "", "/abc", http.StatusNotFound},
-		{"unknown shard", DecideRequest{Session: "zz/abc"}, "", "zz/abc", http.StatusNotFound},
-		{"neither", DecideRequest{Object: "tv"}, "", "", http.StatusBadRequest},
+		{"subject", "alice", "", m.Owner("alice").ID},
+		{"subject and session", "alice", "sess-3-bob", m.Owner("alice").ID},
+		{"session alone", "", "sess-3-bob", m.Owner("bob").ID},
+		{"session of a subject with separators", "", "sess-9-home/a-b", m.Owner("home/a-b").ID},
+		{"session naming no subject", "", "abc", ""},
+		{"legacy shard-qualified session", "", "s1/sess-1-alice", ""},
+		{"empty subject in session", "", "sess-1-", ""},
+		{"neither", "", "", ""},
 	} {
-		req := tc.req
-		sh, rerr := tab.Route(&req)
-		switch {
-		case tc.wantStatus != 0 && (rerr == nil || rerr.Status != tc.wantStatus):
-			t.Errorf("%s: Route error = %v, want status %d", tc.name, rerr, tc.wantStatus)
-		case tc.wantStatus == 0 && (rerr != nil || sh.ID != tc.wantShard):
-			t.Errorf("%s: Route = %s, %v; want %s", tc.name, sh.ID, rerr, tc.wantShard)
-		case req.Session != tc.wantSession:
-			t.Errorf("%s: session after Route = %q, want %q", tc.name, req.Session, tc.wantSession)
+		sh, err := tab.Route(tc.subject, tc.session)
+		if sh.ID != tc.wantShard || (err == nil) != (tc.wantShard != "") {
+			t.Errorf("%s: Route = %q, %v; want %q", tc.name, sh.ID, err, tc.wantShard)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Typed map-construction errors. A wire map arrives over the network
@@ -35,9 +34,6 @@ var (
 	ErrEmptyShardID = errors.New("shard: empty shard ID")
 	// ErrDuplicateShard reports two shards sharing one ID.
 	ErrDuplicateShard = errors.New("shard: duplicate shard ID")
-	// ErrReservedShardID reports a shard ID containing the session
-	// separator, which would make shard-qualified session IDs ambiguous.
-	ErrReservedShardID = errors.New("shard: shard ID contains reserved separator")
 	// ErrBadVersion reports a wire map with version 0 — versions start at
 	// 1, and 0 is the "never set" sentinel consumers gate on.
 	ErrBadVersion = errors.New("shard: wire map has version 0")
@@ -110,9 +106,6 @@ func build(version uint64, vnodes int, shards []Info) (*Map, error) {
 	for i, s := range m.shards {
 		if s.ID == "" {
 			return nil, ErrEmptyShardID
-		}
-		if strings.Contains(s.ID, SessionSep) {
-			return nil, fmt.Errorf("%w: %q contains %q", ErrReservedShardID, s.ID, SessionSep)
 		}
 		if _, dup := m.byID[s.ID]; dup {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateShard, s.ID)
@@ -211,25 +204,4 @@ func (m *Map) Remove(id string) (*Map, error) {
 // Wire returns the serializable form of the map.
 func (m *Map) Wire() Wire {
 	return Wire{Version: m.version, VNodes: m.vnodes, Shards: m.Shards()}
-}
-
-// SessionSep joins a shard ID and a shard-local session ID into the
-// cluster-wide session IDs the router hands out. Sessions are born on the
-// shard that owns their subject; qualifying the ID lets every later
-// session-scoped call route without a lookup.
-const SessionSep = "/"
-
-// QualifySession returns the cluster-wide form of a shard-local session ID.
-func QualifySession(shardID, sid string) string {
-	return shardID + SessionSep + sid
-}
-
-// SplitSession splits a cluster-wide session ID back into shard ID and
-// shard-local session ID; ok is false when qualifier or remainder is empty.
-func SplitSession(qualified string) (shardID, sid string, ok bool) {
-	i := strings.Index(qualified, SessionSep)
-	if i <= 0 || i == len(qualified)-1 {
-		return "", "", false
-	}
-	return qualified[:i], qualified[i+1:], true
 }

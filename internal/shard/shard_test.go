@@ -194,9 +194,6 @@ func TestValidation(t *testing.T) {
 	if _, err := New(8, Info{ID: "a", Addr: "x"}, Info{ID: "a", Addr: "y"}); err == nil {
 		t.Fatal("duplicate shard ID must be rejected")
 	}
-	if _, err := New(8, Info{ID: "a/b", Addr: "x"}); err == nil {
-		t.Fatal("shard ID with session separator must be rejected")
-	}
 	if _, err := FromWire(Wire{Version: 0, VNodes: 8, Shards: mkShards(1)}); err == nil {
 		t.Fatal("wire version 0 must be rejected")
 	}
@@ -212,26 +209,6 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := m.Remove("shard-00"); err != nil {
 		t.Fatalf("Remove of known shard: %v", err)
-	}
-}
-
-// TestSessionQualification covers the shard-qualified session ID format.
-func TestSessionQualification(t *testing.T) {
-	q := QualifySession("s1", "sess-42-alice")
-	shardID, sid, ok := SplitSession(q)
-	if !ok || shardID != "s1" || sid != "sess-42-alice" {
-		t.Fatalf("SplitSession(%q) = %q, %q, %v", q, shardID, sid, ok)
-	}
-	// Session IDs may themselves contain the separator (sess-1-alice/x);
-	// only the first one splits.
-	shardID, sid, ok = SplitSession("s2/sess-1-a/b")
-	if !ok || shardID != "s2" || sid != "sess-1-a/b" {
-		t.Fatalf("nested split = %q, %q, %v", shardID, sid, ok)
-	}
-	for _, bad := range []string{"", "nosep", "/leading", "trailing/"} {
-		if _, _, ok := SplitSession(bad); ok {
-			t.Fatalf("SplitSession(%q) should fail", bad)
-		}
 	}
 }
 
@@ -263,8 +240,6 @@ func TestFromWireValidation(t *testing.T) {
 		{"empty shard ID", Wire{Version: 1, Shards: []Info{{ID: "", Addr: "http://x"}}}, ErrEmptyShardID},
 		{"duplicate shard ID", Wire{Version: 1, Shards: []Info{
 			{ID: "a", Addr: "http://a1"}, {ID: "a", Addr: "http://a2"}}}, ErrDuplicateShard},
-		{"reserved separator in ID", Wire{Version: 1, Shards: []Info{
-			{ID: "a/b", Addr: "http://x"}}}, ErrReservedShardID},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,7 +20,12 @@
 #      process (examples/shardwatch) sees the committed version via the
 #      map watch and can still decide every subject;
 #   5. the committed map is durable: a restarted router boots with the
-#      rebalanced map, not the stale -route flag list.
+#      rebalanced map, not the stale -route flag list;
+#   6. removing a shard loses no session: `grbacctl rebalance remove`
+#      drains shard A under the same load and writer, A's process is
+#      stopped, and every session acked in either leg still takes an
+#      activation and permits by its ID alone (a session routes to the
+#      owner of the subject its ID names, under the current map).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -72,54 +77,113 @@ echo "rebalance_smoke: 24 subjects registered through the router"
 # below, so contract 3 can ask A directly about the ones that leave it.
 held_by_a=$(curl -sf "$shard_a/v1/query/subjects-in-role?role=child")
 
-# Continuous decide load through the router for the whole rebalance
-# window; every non-permit is recorded.
+# start_traffic puts the router under a continuous decide load and a
+# session writer until stop_traffic. The load records every non-permit;
+# the writer opens a session for each subject and activates child in it,
+# recording every acked session as "subject session" and every failed
+# write.
 : >"$workdir/decide_failures"
-touch "$workdir/load_on"
-(
-	rounds=0
-	while [ -f "$workdir/load_on" ]; do
-		for sub in $subjects; do
-			body="{\"subject\":\"$sub\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
-			out=$(curl -s -X POST "$router/v1/check" \
-				-H 'Content-Type: application/json' -d "$body" || echo curl-error)
-			case $out in
-			*'"allowed":true'*) ;;
-			*) echo "$sub: $out" >>"$workdir/decide_failures" ;;
-			esac
-		done
-		rounds=$((rounds + 1))
-		echo "$rounds" >"$workdir/load_rounds"
-	done
-) &
-pid_load=$!
-
-# A writer through the router for the same window: for each subject it
-# opens a session and activates child in it, recording every acked
-# session as "subject session" and every failed write.
 : >"$workdir/write_failures"
 : >"$workdir/acked_sessions"
-(
-	while [ -f "$workdir/load_on" ]; do
-		for sub in $subjects; do
-			out=$(curl -s -X POST "$router/v1/sessions" \
-				-H 'Content-Type: application/json' -d "{\"subject\":\"$sub\"}" || echo curl-error)
-			sid=$(echo "$out" | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')
-			if [ -z "$sid" ]; then
-				echo "open $sub: $out" >>"$workdir/write_failures"
-				continue
-			fi
-			out=$(curl -s -X POST "$router/v1/sessions/roles" \
-				-H 'Content-Type: application/json' \
-				-d "{\"session\":\"$sid\",\"role\":\"child\",\"active\":true}" || echo curl-error)
+start_traffic() {
+	touch "$workdir/load_on"
+	(
+		rounds=0
+		while [ -f "$workdir/load_on" ]; do
+			for sub in $subjects; do
+				body="{\"subject\":\"$sub\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
+				out=$(curl -s -X POST "$router/v1/check" \
+					-H 'Content-Type: application/json' -d "$body" || echo curl-error)
+				case $out in
+				*'"allowed":true'*) ;;
+				*) echo "$sub: $out" >>"$workdir/decide_failures" ;;
+				esac
+			done
+			rounds=$((rounds + 1))
+			echo "$rounds" >"$workdir/load_rounds"
+		done
+	) &
+	pid_load=$!
+	(
+		while [ -f "$workdir/load_on" ]; do
+			for sub in $subjects; do
+				out=$(curl -s -X POST "$router/v1/sessions" \
+					-H 'Content-Type: application/json' -d "{\"subject\":\"$sub\"}" || echo curl-error)
+				sid=$(echo "$out" | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')
+				if [ -z "$sid" ]; then
+					echo "open $sub: $out" >>"$workdir/write_failures"
+					continue
+				fi
+				out=$(curl -s -X POST "$router/v1/sessions/roles" \
+					-H 'Content-Type: application/json' \
+					-d "{\"session\":\"$sid\",\"role\":\"child\",\"active\":true}" || echo curl-error)
+				case $out in
+				*'"status":"ok"'*) echo "$sub $sid" >>"$workdir/acked_sessions" ;;
+				*) echo "activate $sid: $out" >>"$workdir/write_failures" ;;
+				esac
+			done
+		done
+	) &
+	pid_write=$!
+}
+
+stop_traffic() {
+	rm -f "$workdir/load_on"
+	wait "$pid_load" 2>/dev/null || true
+	pid_load=
+	wait "$pid_write" 2>/dev/null || true
+	pid_write=
+}
+
+# check_traffic <leg>: zero failed decides and writes across the window,
+# and every session acked so far survived: addressed by its ID alone it
+# takes a role activation, and it permits alone and named with its
+# subject.
+check_traffic() {
+	if [ -s "$workdir/decide_failures" ]; then
+		echo "rebalance_smoke: FAIL: decides failed during rebalance $1:" >&2
+		cat "$workdir/decide_failures" >&2
+		exit 1
+	fi
+	echo "rebalance_smoke: zero failed decides across $(cat "$workdir/load_rounds" 2>/dev/null || echo '?') load rounds of $1"
+	if [ -s "$workdir/write_failures" ]; then
+		echo "rebalance_smoke: FAIL: writes failed during rebalance $1:" >&2
+		cat "$workdir/write_failures" >&2
+		exit 1
+	fi
+	acked=0
+	while read -r sub sid; do
+		out=$(curl -s -X POST "$router/v1/sessions/roles" \
+			-H 'Content-Type: application/json' \
+			-d "{\"session\":\"$sid\",\"role\":\"child\",\"active\":true}" || echo curl-error)
+		case $out in
+		*'"status":"ok"'*) ;;
+		*)
+			echo "rebalance_smoke: FAIL: acked session $sid is gone after $1: $out" >&2
+			exit 1
+			;;
+		esac
+		for named in "" "\"subject\":\"$sub\","; do
+			body="{$named\"session\":\"$sid\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
+			out=$(curl -s -X POST "$router/v1/check" -H 'Content-Type: application/json' -d "$body" || echo curl-error)
 			case $out in
-			*'"status":"ok"'*) echo "$sub $sid" >>"$workdir/acked_sessions" ;;
-			*) echo "activate $sid: $out" >>"$workdir/write_failures" ;;
+			*'"allowed":true'*) ;;
+			*)
+				echo "rebalance_smoke: FAIL: acked session $sid no longer permits $sub after $1: $body: $out" >&2
+				exit 1
+				;;
 			esac
 		done
-	done
-) &
-pid_write=$!
+		acked=$((acked + 1))
+	done <"$workdir/acked_sessions"
+	if [ "$acked" -eq 0 ]; then
+		echo "rebalance_smoke: FAIL: the writer got no session acked" >&2
+		exit 1
+	fi
+	echo "rebalance_smoke: zero failed writes; all $acked acked sessions survived $1"
+}
+
+start_traffic
 
 # A shard-aware SDK rides the map watch in parallel: it must see the
 # committed v2 map and still decide every subject afterwards.
@@ -159,55 +223,11 @@ echo "$map" | grep -q '"c"' || {
 
 # Let the load run a little against the committed map, then stop it.
 sleep 1
-rm -f "$workdir/load_on"
-wait "$pid_load" 2>/dev/null || true
-pid_load=
-wait "$pid_write" 2>/dev/null || true
-pid_write=
+stop_traffic
 
 # Contract 2: zero failed decides and writes across the whole window,
 # and every acked session survived the move.
-if [ -s "$workdir/decide_failures" ]; then
-	echo "rebalance_smoke: FAIL: decides failed during rebalance:" >&2
-	cat "$workdir/decide_failures" >&2
-	exit 1
-fi
-echo "rebalance_smoke: zero failed decides across $(cat "$workdir/load_rounds" 2>/dev/null || echo '?') load rounds"
-if [ -s "$workdir/write_failures" ]; then
-	echo "rebalance_smoke: FAIL: writes failed during rebalance:" >&2
-	cat "$workdir/write_failures" >&2
-	exit 1
-fi
-acked=0
-while read -r sub sid; do
-	out=$(curl -s -X POST "$router/v1/sessions/roles" \
-		-H 'Content-Type: application/json' \
-		-d "{\"session\":\"$sid\",\"role\":\"child\",\"active\":true}" || echo curl-error)
-	case $out in
-	*'"status":"ok"'*) ;;
-	*)
-		echo "rebalance_smoke: FAIL: acked session $sid is gone: $out" >&2
-		exit 1
-		;;
-	esac
-	for named in "" "\"subject\":\"$sub\","; do
-		body="{$named\"session\":\"$sid\",\"object\":\"tv\",\"transaction\":\"use\",\"environment\":[\"weekday-free-time\"]}"
-		out=$(curl -s -X POST "$router/v1/check" -H 'Content-Type: application/json' -d "$body" || echo curl-error)
-		case $out in
-		*'"allowed":true'*) ;;
-		*)
-			echo "rebalance_smoke: FAIL: acked session $sid no longer permits $sub: $body: $out" >&2
-			exit 1
-			;;
-		esac
-	done
-	acked=$((acked + 1))
-done <"$workdir/acked_sessions"
-if [ "$acked" -eq 0 ]; then
-	echo "rebalance_smoke: FAIL: the writer got no session acked" >&2
-	exit 1
-fi
-echo "rebalance_smoke: zero failed writes; all $acked acked sessions survived"
+check_traffic add
 
 # Contract 3: balanced post-state — every shard owns at least one
 # subject and the partitions sum exactly (residency, not hashing:
@@ -286,4 +306,31 @@ echo "$map2" | grep -q '"version":2' || {
 	exit 1
 }
 echo "rebalance_smoke: committed map survived router restart"
+
+# Contract 6: drain shard A under the same load and writer, stop its
+# process, and every acked session of both legs still answers.
+start_traffic
+"$workdir/grbacctl" -server "$router" rebalance remove -id a -wait 60s \
+	>"$workdir/rebalance_remove.log" 2>&1 || {
+	echo "rebalance_smoke: FAIL: rebalance remove did not complete" >&2
+	cat "$workdir/rebalance_remove.log" >&2
+	exit 1
+}
+grep -q '"phase": "done"' "$workdir/rebalance_remove.log" || {
+	echo "rebalance_smoke: FAIL: rebalance remove never reached done" >&2
+	cat "$workdir/rebalance_remove.log" >&2
+	exit 1
+}
+map3=$(curl -sf "$router/v1/shard/map")
+if ! echo "$map3" | grep -q '"version":3' || echo "$map3" | grep -q '"a"'; then
+	echo "rebalance_smoke: FAIL: committed map is not v3 without shard a: $map3" >&2
+	exit 1
+fi
+kill "$pid_a" 2>/dev/null
+wait "$pid_a" 2>/dev/null || true
+pid_a=
+echo "rebalance_smoke: rebalance remove committed; shard A stopped"
+sleep 1
+stop_traffic
+check_traffic remove
 echo "rebalance_smoke: OK"

@@ -226,9 +226,9 @@ func WithFetcher(f replica.Fetcher) Option {
 // a grbacd -route node, whose shard map New fetches at bootstrap. The
 // Client then replicates policy from one "home" shard (homeShard by ID,
 // or the map's first shard when empty) and mediates locally only the
-// subjects that shard owns; every other subject — and every shard-
-// qualified session — is routed remotely straight to its owning shard,
-// skipping the router hop. Local decisions on a foreign shard's subject
+// subjects that shard owns; every other subject — and every session,
+// by the subject its ID names — is routed remotely straight to its owning
+// shard, skipping the router hop. Local decisions on a foreign shard's subject
 // would otherwise answer "unknown subject" for subjects that exist
 // elsewhere in the cluster.
 func WithShardRouting(homeShard string) Option {

@@ -142,15 +142,15 @@ func (c *Client) locallyOwned(req grbac.Request) bool {
 }
 
 // remoteClientFor resolves which remote PDP serves the wire request under
-// the shard table t (nil without shard routing): the owning shard's
-// client, with a shard-qualified session ID rewritten to its shard-local
-// form, or the configured remote (the primary, or the router in sharded
-// mode) without a table or for anything the table cannot place.
+// the shard table t (nil without shard routing): the client of the shard
+// owning its subject, or the subject its session ID names, or the
+// configured remote (the primary, or the router in sharded mode) without
+// a table or for anything the table cannot place.
 func (c *Client) remoteClientFor(t *pdp.ShardTable, req *pdp.DecideRequest) *pdp.Client {
 	if c.noRemote || t == nil {
 		return c.remote
 	}
-	if sh, err := t.Route(req); err == nil {
+	if sh, err := t.Route(req.Subject, req.Session); err == nil {
 		return t.Client(sh.ID)
 	}
 	return c.remote

@@ -36,12 +36,13 @@ grant child use entertainment-devices when weekday-free-time;
 
 // shardedCluster is a booted n-shard cluster behind a router, with the
 // handles SDK rebalance tests need: the router itself (to commit new
-// maps) and a factory for extra shard servers.
+// maps), a factory for extra shard servers and each shard's server by ID.
 type shardedCluster struct {
-	front *httptest.Server
-	rt    *pdp.Router
-	m     *shard.Map
-	subs  []string
+	front  *httptest.Server
+	rt     *pdp.Router
+	m      *shard.Map
+	subs   []string
+	shards map[string]*httptest.Server
 }
 
 // newShard boots one more shard server (admin + replication feed, same
@@ -60,6 +61,10 @@ func (c *shardedCluster) newShard(t *testing.T, id string) shard.Info {
 		pdp.WithAdmin(),
 		pdp.WithReplicaSource(replica.NewSource(sys))))
 	t.Cleanup(srv.Close)
+	if c.shards == nil {
+		c.shards = make(map[string]*httptest.Server)
+	}
+	c.shards[id] = srv
 	return shard.Info{ID: id, Addr: srv.URL}
 }
 
@@ -192,10 +197,9 @@ func TestSDKShardRoutingBatch(t *testing.T) {
 	}
 }
 
-// TestSDKShardRoutingSessions pins direct-to-shard session mediation: a
-// session minted by the router carries its shard qualifier, and the SDK
-// sends session-scoped requests straight to that shard with the local ID
-// restored.
+// TestSDKShardRoutingSessions pins direct-to-shard session mediation: the
+// SDK sends a session-scoped request straight to the owner of the
+// subject the router-minted session ID names.
 func TestSDKShardRoutingSessions(t *testing.T) {
 	routerURL, m, subs := newShardedCluster(t, 3, 8)
 	c := newEmbedded(t, routerURL, WithShardRouting(""))
@@ -449,6 +453,92 @@ func TestSDKReachesMovedSubjectThroughOldShard(t *testing.T) {
 	}
 }
 
+// TestSDKShardRebalanceRemoveKeepsSessions is the SDK half of draining a
+// shard that holds sessions: after s2 is removed and stopped, the SDK's
+// shard-direct routing sends each session, by its ID alone or with its
+// subject, to the subject's new owner, which answers for its active role
+// set as it changes.
+func TestSDKShardRebalanceRemoveKeepsSessions(t *testing.T) {
+	cl := bootShardedCluster(t, 3, 24)
+	c := newEmbedded(t, cl.front.URL, WithShardRouting("s0"))
+	ctx := context.Background()
+	router := pdp.NewClient(cl.front.URL, nil)
+	sessions := make(map[string]string)
+	for _, sub := range cl.subs {
+		if cl.m.Owner(sub).ID != "s2" {
+			continue
+		}
+		sid, err := router.OpenSession(ctx, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := router.SetSessionRole(ctx, sid, "child", true); err != nil {
+			t.Fatal(err)
+		}
+		sessions[sub] = sid
+	}
+	if len(sessions) == 0 {
+		t.Fatal("no subject on s2 — grow the subject set")
+	}
+
+	coord := shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
+		func(info shard.Info) shard.NodeClient { return pdp.NewMigrationNode(info.Addr) },
+		func(_ context.Context, m *shard.Map) error { return cl.rt.SetMap(m) },
+		t.Logf)
+	next, err := cl.m.Remove("s2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Start(ctx, cl.m, next); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); coord.Status().Active; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rebalance never settled: %+v", coord.Status())
+		}
+	}
+	if st := coord.Status(); st.Phase != "done" {
+		t.Fatalf("rebalance status = %+v, want done", st)
+	}
+	for deadline := time.Now().Add(5 * time.Second); c.ShardMap().Version() != next.Version(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SDK map v%d, want v%d", c.ShardMap().Version(), next.Version())
+		}
+	}
+	cl.shards["s2"].Close()
+
+	check := func(sub, sid string, want bool) {
+		t.Helper()
+		req := shardPermitReq(sub)
+		req.Session = grbac.SessionID(sid)
+		for _, named := range []grbac.SubjectID{"", grbac.SubjectID(sub)} {
+			req.Subject = named
+			if d, err := c.Decide(ctx, req); err != nil || d.Allowed != want || d.Source != SourceRemote {
+				t.Fatalf("Decide(%+v) = %+v, %v; want a remote allowed=%v", req, d, err, want)
+			}
+		}
+	}
+	for sub, sid := range sessions {
+		check(sub, sid, true)
+		if err := router.SetSessionRole(ctx, sid, "child", false); err != nil {
+			t.Fatalf("deactivate child in %s: %v", sid, err)
+		}
+		check(sub, sid, false)
+		if err := router.SetSessionRole(ctx, sid, "child", true); err != nil {
+			t.Fatalf("activate child in %s: %v", sid, err)
+		}
+		check(sub, sid, true)
+		if err := router.CloseSession(ctx, sid); err != nil {
+			t.Fatalf("CloseSession(%s): %v", sid, err)
+		}
+		req := shardPermitReq(sub)
+		req.Subject, req.Session = "", grbac.SessionID(sid)
+		if _, err := c.Decide(ctx, req); err == nil || !strings.Contains(err.Error(), "404") {
+			t.Fatalf("closed session %s decides: %v, want the owner's 404", sid, err)
+		}
+	}
+}
+
 // TestSDKShardBatchMisalignedReply pins the one rule for a sub-batch
 // reply of the wrong length on the shard-direct batch: one result too
 // many or too few fails every item of that shard's group safe.
@@ -496,9 +586,9 @@ func TestSDKShardBatchMisalignedReply(t *testing.T) {
 }
 
 // TestSDKShardRemoteClientFor pins what the SDK does with the owner
-// rule's answers: a placed request goes to its shard's client, with a
-// qualified session made local; every request the table cannot place
-// goes to the configured remote with its session ID unchanged.
+// rule's answers: a placed request, by its subject or by the subject its
+// session ID names, goes to its shard's client; every request the table
+// cannot place goes to the configured remote.
 func TestSDKShardRemoteClientFor(t *testing.T) {
 	m, err := shard.New(0, shard.Info{ID: "s0", Addr: "http://s0"}, shard.Info{ID: "s1", Addr: "http://s1"})
 	if err != nil {
@@ -510,21 +600,17 @@ func TestSDKShardRemoteClientFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		req         pdp.DecideRequest
-		want        *pdp.Client
-		wantSession string
+		req  pdp.DecideRequest
+		want *pdp.Client
 	}{
-		{pdp.DecideRequest{Subject: "alice"}, tab.Client(m.Owner("alice").ID), ""},
-		{pdp.DecideRequest{Session: "s1/abc"}, tab.Client("s1"), "abc"},
-		{pdp.DecideRequest{Session: "abc"}, c.remote, "abc"},
-		{pdp.DecideRequest{Session: "/abc"}, c.remote, "/abc"},
-		{pdp.DecideRequest{Session: "zz/abc"}, c.remote, "zz/abc"},
-		{pdp.DecideRequest{Object: "tv"}, c.remote, ""},
+		{pdp.DecideRequest{Subject: "alice"}, tab.Client(m.Owner("alice").ID)},
+		{pdp.DecideRequest{Session: "sess-4-bob"}, tab.Client(m.Owner("bob").ID)},
+		{pdp.DecideRequest{Session: "abc"}, c.remote},
+		{pdp.DecideRequest{Session: "s1/sess-4-bob"}, c.remote},
+		{pdp.DecideRequest{Object: "tv"}, c.remote},
 	} {
-		req := tc.req
-		if got := c.remoteClientFor(tab, &req); got != tc.want || req.Session != tc.wantSession {
-			t.Errorf("remoteClientFor(%+v) = %p with session %q, want %p with %q",
-				tc.req, got, req.Session, tc.want, tc.wantSession)
+		if got := c.remoteClientFor(tab, &tc.req); got != tc.want {
+			t.Errorf("remoteClientFor(%+v) = %p, want %p", tc.req, got, tc.want)
 		}
 	}
 }
