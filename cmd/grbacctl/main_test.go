@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/aware-home/grbac/internal/pdp"
@@ -37,5 +40,26 @@ func TestParseDecideFlagsMinimal(t *testing.T) {
 	}
 	if req.Credentials != nil {
 		t.Fatalf("credentials should be nil, got %v", req.Credentials)
+	}
+}
+
+// TestRebalanceError pins when a failed rebalance call carries the hint
+// that the node must be a rebalance-capable router: not for a refusal by
+// one that is.
+func TestRebalanceError(t *testing.T) {
+	const hint = "rebalance needs a grbacd -route node"
+	for _, tc := range []struct {
+		err  error
+		hint bool
+	}{
+		{&pdp.RemoteError{Status: http.StatusNotFound}, true},
+		{&pdp.RemoteError{Status: http.StatusMethodNotAllowed}, true},
+		{errors.New("dial tcp: connection refused"), true},
+		{&pdp.RemoteError{Status: http.StatusBadGateway, Message: "shard: not ready for a rebalance"}, false},
+		{&pdp.RemoteError{Status: http.StatusConflict, Message: "shard: a rebalance is already running"}, false},
+	} {
+		if got := strings.Contains(rebalanceError(tc.err), hint); got != tc.hint {
+			t.Errorf("rebalanceError(%v) hints = %v, want %v", tc.err, got, tc.hint)
+		}
 	}
 }

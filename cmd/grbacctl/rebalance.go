@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -44,10 +45,9 @@ func runRebalance(ctx context.Context, client *pdp.Client, args []string) {
 		var st shard.Status
 		req := pdp.RebalanceRequest{Action: sub, ID: *id, Addr: *addr}
 		if err := client.Call(ctx, http.MethodPost, pdp.ShardRebalancePath, req, &st); err != nil {
-			log.Fatalf("%v (rebalance needs a grbacd -route node started with -data-dir)", err)
+			log.Fatal(rebalanceError(err))
 		}
-		fmt.Printf("rebalance %s %s accepted (map v%d -> v%d, %d moves)\n",
-			sub, *id, st.FromVersion, st.ToVersion, st.TotalMoves)
+		fmt.Printf("rebalance %s %s accepted (map v%d -> v%d)\n", sub, *id, st.FromVersion, st.ToVersion)
 		if *wait > 0 {
 			waitRebalance(client, *wait)
 		}
@@ -83,7 +83,19 @@ func waitRebalance(client *pdp.Client, budget time.Duration) {
 func fetchRebalanceStatus(ctx context.Context, client *pdp.Client) shard.Status {
 	var st shard.Status
 	if err := client.Call(ctx, http.MethodGet, pdp.ShardRebalanceStatusPath, nil, &st); err != nil {
-		log.Fatalf("%v (rebalance needs a grbacd -route node started with -data-dir)", err)
+		log.Fatal(rebalanceError(err))
 	}
 	return st
+}
+
+// rebalanceError describes a failed rebalance call, naming what the node
+// needs when it may not serve the rebalance API at all; a refusal by a
+// node that serves it (a shard not ready, a run already active) stands
+// alone.
+func rebalanceError(err error) string {
+	var re *pdp.RemoteError
+	if errors.As(err, &re) && re.Status != http.StatusNotFound && re.Status != http.StatusMethodNotAllowed {
+		return err.Error()
+	}
+	return err.Error() + " (rebalance needs a grbacd -route node started with -data-dir)"
 }

@@ -26,9 +26,14 @@
 // consistent hash, each request is forwarded to the shard owning its
 // subject, and cross-subject queries scatter-gather across all shards:
 //
-//	grbacd -addr :8125 -admin &                              # shard a
-//	grbacd -addr :8126 -admin &                              # shard b
+//	grbacd -addr :8125 -admin -map-source a=http://localhost:8120 &  # shard a
+//	grbacd -addr :8126 -admin -map-source b=http://localhost:8120 &  # shard b
 //	grbacd -addr :8120 -route 'a=http://localhost:8125,b=http://localhost:8126' &
+//
+// With -map-source a shard follows the router's shard-map feed under its
+// ID in the map, and forwards a request for a subject it does not hold
+// to the subject's owner under the published maps; online rebalancing
+// (the router's -data-dir) needs every shard to follow it.
 //
 // With -data-dir the primary's policy is durable: every mutation is
 // written to a write-ahead log before it is acknowledged, periodic
@@ -81,6 +86,7 @@ func main() {
 	route := flag.String("route", "", "router mode: comma-separated shard list 'id=url,id=url' (or bare URLs for auto IDs); this node forwards requests to the shard owning each subject instead of deciding itself")
 	shardTimeout := flag.Duration("shard-timeout", pdp.DefaultShardTimeout, "router mode: per-shard call deadline — a down shard costs one deadline, not a hang")
 	probeInterval := flag.Duration("shard-probe-interval", 0, "router mode: background shard health-probe interval feeding /v1/healthz and grbac_shard_health (0 probes inline on /v1/healthz only)")
+	mapSource := flag.String("map-source", "", "shard mode: 'id=url' follows the shard-map feed of the router at url as shard id, forwarding requests for subjects this shard does not hold by the published maps (required for online rebalance)")
 	follow := flag.String("follow", "", "primary PDP base URL to replicate from (follower mode: read-only, policy comes from the primary)")
 	maxStaleness := flag.Duration("max-staleness", 30*time.Second, "follower mode: degrade health and mark decisions stale after this long without primary contact (0 disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "how long to let in-flight requests drain on SIGINT/SIGTERM")
@@ -127,8 +133,8 @@ func main() {
 	}
 
 	if *route != "" {
-		if *policyPath != "" || *snapshotPath != "" || *admin || *follow != "" {
-			log.Fatal("-route is exclusive with -policy, -snapshot, -admin, and -follow: a router holds no policy of its own")
+		if *policyPath != "" || *snapshotPath != "" || *admin || *follow != "" || *mapSource != "" {
+			log.Fatal("-route is exclusive with -policy, -snapshot, -admin, -follow, and -map-source: a router holds no policy of its own")
 		}
 		if *bundlePath != "" {
 			log.Fatal("-bundle is exclusive with -route: a router activates no policy at boot; push bundles to POST /v1/bundle instead")
@@ -176,6 +182,7 @@ func main() {
 		if *dataDir != "" {
 			coord := shard.NewCoordinator(journalPath,
 				func(info shard.Info) shard.NodeClient { return pdp.NewMigrationNode(info.Addr) },
+				func(_ context.Context, nm *shard.Map) error { return rt.SetPending(nm) },
 				func(_ context.Context, nm *shard.Map) error {
 					// Re-commits during resume may carry the already-active
 					// version; that is convergence, not an error.
@@ -186,8 +193,9 @@ func main() {
 				}, log.Printf)
 			go func() {
 				// Resume in the background so routing starts immediately:
-				// mid-migration subjects keep deciding via the old owners'
-				// forwarding until the resumed run commits.
+				// the resumed run republishes its pending map, and until it
+				// commits, moved subjects decide through their old owners'
+				// forwarding.
 				if resumed, err := coord.Resume(context.Background()); err != nil {
 					log.Printf("rebalance resume: %v", err)
 				} else if resumed {
@@ -252,8 +260,8 @@ func main() {
 	}
 
 	if *follow != "" {
-		if *policyPath != "" || *snapshotPath != "" || *admin || *dataDir != "" {
-			log.Fatal("-follow is exclusive with -policy, -snapshot, -admin, and -data-dir: a follower's policy comes from its primary")
+		if *policyPath != "" || *snapshotPath != "" || *admin || *dataDir != "" || *mapSource != "" {
+			log.Fatal("-follow is exclusive with -policy, -snapshot, -admin, -data-dir, and -map-source: a follower's policy comes from its primary")
 		}
 		if *bundlePath != "" {
 			log.Fatal("-bundle is exclusive with -follow: a follower's boot policy comes from its primary (push bundles to POST /v1/bundle instead)")
@@ -344,6 +352,16 @@ func main() {
 		serverOpts = append(serverOpts, pdp.WithDurableStore(dur))
 	}
 	serverOpts = append(serverOpts, pdp.WithReplicaSource(replica.NewSource(sys, srcOpts...)))
+	if *mapSource != "" {
+		id, url, ok := strings.Cut(*mapSource, "=")
+		if !ok || id == "" || url == "" {
+			log.Fatalf("-map-source %q: want id=url, the shard's ID in the router's map and the router's URL", *mapSource)
+		}
+		feed := pdp.NewMapFeed(url, log.Default(), nil)
+		go feed.Run(ctx)
+		serverOpts = append(serverOpts, pdp.WithMapFeed(id, feed))
+		log.Printf("shard %s follows the shard map feed of %s", id, url)
+	}
 	if *maxInflight > 0 {
 		serverOpts = append(serverOpts, pdp.WithMaxInflight(*maxInflight, *inflightWait))
 		log.Printf("admission control: %d in flight, %v wait", *maxInflight, *inflightWait)

@@ -41,10 +41,8 @@ func (s *System) ExportSubject(id SubjectID) (SubjectBundle, error) {
 		return SubjectBundle{}, fmt.Errorf("%w: subject %q", ErrNotFound, id)
 	}
 	b := SubjectBundle{Subject: SubjectState{ID: id, Roles: copyRoles(rec.roles)}}
-	for _, sess := range s.sessions {
-		if sess.subject == id {
-			b.Sessions = append(b.Sessions, sessionInfo(sess))
-		}
+	for _, sid := range rec.sessions {
+		b.Sessions = append(b.Sessions, sessionInfo(s.sessions[sid]))
 	}
 	sortSessionInfos(b.Sessions)
 	return b, nil
@@ -138,13 +136,11 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 
 	// Replace the subject's session set with the bundle's: a session
 	// change, observed and never journaled.
-	changed := false
-	for sid, sess := range s.sessions {
-		if sess.subject == id {
-			delete(s.sessions, sid)
-			changed = true
-		}
+	changed := len(rec.sessions) > 0
+	for _, sid := range rec.sessions {
+		delete(s.sessions, sid)
 	}
+	rec.sessions = rec.sessions[:0]
 	authorized := s.subjectRoles.closure(rec.roles)
 	for _, si := range b.Sessions {
 		active := slices.DeleteFunc(roleSetOf(si.Active), func(r RoleID) bool { return !authorized[r] })
@@ -152,6 +148,10 @@ func (s *System) RestoreSubject(b SubjectBundle) error {
 		if created.IsZero() {
 			created = s.Now()
 		}
+		if prev, dup := s.sessions[si.ID]; dup {
+			s.unlinkSessionLocked(prev)
+		}
+		rec.sessions = append(rec.sessions, si.ID)
 		s.sessions[si.ID] = &session{
 			id:      si.ID,
 			subject: id,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -336,5 +337,77 @@ func TestSessionSubject(t *testing.T) {
 		if got, ok := SessionSubject(id); !ok || got != sub {
 			t.Errorf("SessionSubject(%q) = (%q, %v), want (%q, true)", id, got, ok, sub)
 		}
+	}
+}
+
+// TestSubjectSessionIndex drives every call that opens, closes, moves or
+// prunes sessions and checks after each that every subject's session list
+// names exactly the open sessions whose subject it is.
+func TestSubjectSessionIndex(t *testing.T) {
+	s := migrateSystem(t)
+	check := func(step string) {
+		t.Helper()
+		want := make(map[SubjectID][]SessionID)
+		for _, si := range s.Sessions() {
+			want[si.Subject] = append(want[si.Subject], si.ID)
+		}
+		for id, rec := range s.subjects {
+			got := slices.Clone(rec.sessions)
+			slices.Sort(got)
+			if !slices.Equal(got, want[id]) {
+				t.Fatalf("%s: %s lists sessions %v, want %v", step, id, got, want[id])
+			}
+			delete(want, id)
+		}
+		if len(want) != 0 {
+			t.Fatalf("%s: sessions of unknown subjects: %v", step, want)
+		}
+	}
+	for _, sub := range []SubjectID{"alice", "bob"} {
+		if err := s.AddSubject(sub); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AssignSubjectRole(sub, "resident"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a1, _ := s.CreateSession("alice")
+	a2, _ := s.CreateSession("alice")
+	b1, _ := s.CreateSession("bob")
+	check("create")
+	if err := s.CloseSession(a1); err != nil {
+		t.Fatal(err)
+	}
+	check("close")
+	b, err := s.ExportSubject("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Sessions) != 1 || b.Sessions[0].ID != a2 {
+		t.Fatalf("export after close = %+v, want only %s", b.Sessions, a2)
+	}
+	b.Sessions = append(b.Sessions, SessionInfo{ID: "sess-90-alice", Subject: "alice"})
+	if err := s.RestoreSubject(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RestoreSubject(b); err != nil {
+		t.Fatal(err)
+	}
+	check("restore")
+	st := s.Export()
+	st.Subjects = slices.DeleteFunc(st.Subjects, func(sub SubjectState) bool { return sub.ID == "bob" })
+	if err := s.Replace(st); err != nil {
+		t.Fatal(err)
+	}
+	check("replace")
+	if _, err := s.Session(b1); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("bob's session after bob left = %v, want ErrNoSession", err)
+	}
+	if err := s.RemoveSubject("alice"); err != nil {
+		t.Fatal(err)
+	}
+	check("remove")
+	if n := len(s.Sessions()); n != 0 {
+		t.Fatalf("%d sessions left after the last subject went", n)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -35,11 +36,13 @@ type SessionInfo struct {
 func (s *System) CreateSession(subject SubjectID) (SessionID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.subjects[subject]; !ok {
+	rec, ok := s.subjects[subject]
+	if !ok {
 		return "", fmt.Errorf("%w: subject %q", ErrNotFound, subject)
 	}
 	s.sessionSeq++
 	id := SessionID(fmt.Sprintf("sess-%d-%s", s.sessionSeq, subject))
+	rec.sessions = append(rec.sessions, id)
 	s.sessions[id] = &session{
 		id:      id,
 		subject: subject,
@@ -53,12 +56,21 @@ func (s *System) CreateSession(subject SubjectID) (SessionID, error) {
 func (s *System) CloseSession(id SessionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.sessions[id]; !ok {
+	sess, ok := s.sessions[id]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
 	delete(s.sessions, id)
+	s.unlinkSessionLocked(sess)
 	s.sessionChangedLocked()
 	return nil
+}
+
+// unlinkSessionLocked drops sess from its subject's session list.
+func (s *System) unlinkSessionLocked(sess *session) {
+	if rec := s.subjects[sess.subject]; rec != nil {
+		rec.sessions = slices.DeleteFunc(rec.sessions, func(id SessionID) bool { return id == sess.id })
+	}
 }
 
 // ActivateRole adds role to the session's active role set. The role must be
@@ -150,9 +162,5 @@ func sessionInfo(sess *session) SessionInfo {
 }
 
 func sortSessionInfos(s []SessionInfo) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].ID < s[j-1].ID; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	slices.SortFunc(s, func(a, b SessionInfo) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -228,6 +228,7 @@ func (s *System) Replace(st State) error {
 			delete(s.sessions, sid)
 			continue
 		}
+		rec.sessions = append(rec.sessions, sid)
 		authorized := s.subjectRoles.closure(rec.roles)
 		sess.active = slices.DeleteFunc(sess.active, func(r RoleID) bool { return !authorized[r] })
 	}

@@ -39,9 +39,12 @@ type ExpiringEnvironmentSource interface {
 }
 
 // subjectRec and objectRec hold per-entity role assignments.
-// Each roles field is a role set: sorted and duplicate-free.
+// Each roles field is a role set: sorted and duplicate-free. A subject
+// also lists its open sessions' IDs, so the calls that act on one
+// subject's sessions never scan every session on the system.
 type subjectRec struct {
-	roles []RoleID
+	roles    []RoleID
+	sessions []SessionID
 }
 
 type objectRec struct {
@@ -351,14 +354,13 @@ func (s *System) AddSubject(id SubjectID) error {
 func (s *System) RemoveSubject(id SubjectID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.subjects[id]; !ok {
+	rec, ok := s.subjects[id]
+	if !ok {
 		return fmt.Errorf("%w: subject %q", ErrNotFound, id)
 	}
 	delete(s.subjects, id)
-	for sid, sess := range s.sessions {
-		if sess.subject == id {
-			delete(s.sessions, sid)
-		}
+	for _, sid := range rec.sessions {
+		delete(s.sessions, sid)
 	}
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpRemoveSubject, Subject: id})
@@ -645,10 +647,9 @@ func (s *System) RevokeSubjectRole(sub SubjectID, role RoleID) error {
 	}
 	rec.roles = roles
 	authorized := s.subjectRoles.closure(rec.roles)
-	for _, sess := range s.sessions {
-		if sess.subject == sub {
-			sess.active = slices.DeleteFunc(sess.active, func(r RoleID) bool { return !authorized[r] })
-		}
+	for _, sid := range rec.sessions {
+		sess := s.sessions[sid]
+		sess.active = slices.DeleteFunc(sess.active, func(r RoleID) bool { return !authorized[r] })
 	}
 	s.invalidateLocked()
 	return s.recordLocked(Mutation{Op: OpRevokeSubjectRole, Subject: sub, RoleID: role})

@@ -66,9 +66,9 @@ const (
 	// is a slow remote Decide. The SDK's resync transport shares
 	// ReplicaSnapshot and ReplicaWatch with the follower.
 	SDKFallback = "sdk.fallback"
-	// MigrateForward wraps the old owner's proxying of one request for a
-	// migrated subject during the handoff window: an error is a partition
-	// between old and new owner, a delay is a slow handoff hop.
+	// MigrateForward wraps a shard's forwarding of one request for a
+	// subject it does not hold to the owner the published shard map names:
+	// an error is a partition between the two shards, a delay a slow hop.
 	MigrateForward = "migrate.forward"
 	// The Rebalance* points bracket the shard-rebalance coordinator's
 	// steps, one kill point per journaled transition: a panic is a
@@ -78,11 +78,10 @@ const (
 	// DeclogUpload wraps one decision-log chunk upload attempt: an error
 	// is an unreachable collector (the pipeline retries with backoff and
 	// sheds past its bounds), a delay is a stalled sink.
-	DeclogUpload      = "declog.upload"
-	RebalanceJournal  = "rebalance.journal"
-	RebalanceHandoff  = "rebalance.handoff"
-	RebalanceCommit   = "rebalance.commit"
-	RebalanceComplete = "rebalance.complete"
+	DeclogUpload     = "declog.upload"
+	RebalanceJournal = "rebalance.journal"
+	RebalanceHandoff = "rebalance.handoff"
+	RebalanceCommit  = "rebalance.commit"
 )
 
 // Action is what a rule does when it fires. All set fields apply: the

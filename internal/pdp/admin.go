@@ -160,7 +160,7 @@ func (s *Server) handleSubjects(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	release, handled := s.lockedIntercept(w, r, req.ID, "", req)
+	release, handled := s.gated(w, r, req.ID, "", req)
 	if handled {
 		return
 	}
@@ -296,7 +296,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost, http.MethodDelete) {
 		return
 	}
-	release, handled := s.lockedIntercept(w, r, req.Subject, req.Session, req)
+	release, handled := s.gated(w, r, req.Subject, req.Session, req)
 	if handled {
 		return
 	}
@@ -323,7 +323,7 @@ func (s *Server) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	release, handled := s.lockedIntercept(w, r, "", req.Session, req)
+	release, handled := s.gated(w, r, "", req.Session, req)
 	if handled {
 		return
 	}
@@ -401,7 +401,7 @@ func (s *Server) handleWhatCan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	if s.migrateIntercept(w, r, q.Get("subject"), "", nil) {
+	if s.forward(w, r, q.Get("subject"), "", nil) {
 		return
 	}
 	ents, err := s.sys.WhatCan(core.SubjectID(q.Get("subject")), splitEnv(q.Get("env")))

@@ -351,6 +351,9 @@ func (c *Client) newRequest(ctx context.Context, method, path string, raw []byte
 	default:
 		h = http.Header{"Content-Type": {"application/json"}, CorrelationHeader: {id}}
 	}
+	if hop, ok := ctx.Value(hopKey{}).(string); ok {
+		h[HopHeader] = []string{hop}
+	}
 	p, q, hasQ := strings.Cut(path, "?")
 	if c.url == nil || !plainPath(p) || !plainQuery(q) {
 		var body io.Reader

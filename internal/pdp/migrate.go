@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/aware-home/grbac/internal/core"
@@ -15,247 +16,263 @@ import (
 	"github.com/aware-home/grbac/internal/shard"
 )
 
-// Shard-side subject migration. During an online rebalance the
-// coordinator (internal/shard.Coordinator) drives each shard through
-// these endpoints:
+// Subject ownership and migration. A shard answers every request for a
+// subject it holds. A shard that follows the router's map feed
+// (WithMapFeed) forwards a request for any other subject by the published
+// maps, under a hop count, so no shard keeps per-subject state:
 //
-//	GET  /v1/migrate/subjects — list this shard's subject IDs
-//	POST /v1/migrate/handoff  — copy moving subjects to their new owners
-//	                            and start proxying them
-//	POST /v1/migrate/import   — idempotently restore a bundle (the new
-//	                            owner's half of a handoff)
-//	POST /v1/migrate/complete — drop moved subjects, keep proxying them
+//	hop 0  to the committed owner, if another shard; else to the
+//	       pending owner, if another shard
+//	hop 1  to the pending owner, if another shard; with no pending map,
+//	       to the committed owner, if another shard
+//	else   answered here: 404, or a registration creates the subject
 //
-// Handoff is the whole per-subject move. The old owner holds its write
-// gate exclusively while it exports each subject, pushes the bundle to
-// the new owner's import and installs the proxy entry; the
-// subject-scoped mutating handlers hold the gate shared from their
-// forwarding-table check through their apply. So every acked mutation
-// either landed before the export, and travelled with the bundle, or
-// was proxied to the new owner after the import, and the old copy is
-// never consulted again. After complete the subject is gone locally
-// and its proxy entry stays: a caller whose map is stale, however many
-// moves behind, still gets the owner's answer, one proxied hop per move.
+// A forwarded request (hop 1 or 2) is ruled on by a view at least as new
+// as the one that sent it, which the shard waits for, and a shard that
+// neither of its maps names the subject's owner answers it 409 instead
+// of here. A session-only request is one for the subject its ID names. A
+// shard without a feed never forwards. An online rebalance (DESIGN §14)
+// drives the old owner's handoff: under its write gate it exports each
+// subject, pushes the bundle to the new owner's import, then deletes its
+// copy.
 const (
-	MigrateSubjectsPath = "/v1/migrate/subjects"
+	MigrateSubjectsPath = "/v1/migrate/subjects" // GET ?pending=N
 	MigrateImportPath   = "/v1/migrate/import"
 	MigrateHandoffPath  = "/v1/migrate/handoff"
-	MigrateCompletePath = "/v1/migrate/complete"
 )
 
-// MigrateMove names one subject's new owner by its address.
-type MigrateMove struct {
-	Subject string `json:"subject"`
-	Addr    string `json:"addr"`
-}
+// HopHeader counts the shards a forwarded request has passed, with the
+// feed sequence (shard.Wire.Seq) of the view that sent it on: "1 7".
+const HopHeader = "X-Grbac-Hop"
 
 // MigrateSubjectsResponse lists a shard's resident subject IDs.
 type MigrateSubjectsResponse struct {
 	Subjects []string `json:"subjects"`
 }
 
-// MigrateHandoffRequest copies each moving subject to its new owner and
-// installs its forwarding entry (the proxy window opens). Subjects that
-// already have an entry are skipped, so a resumed run never copies
-// twice.
+// MigrateHandoffRequest moves each subject the shard still holds to
+// Move.To: copy, then delete here. Subjects it no longer holds are
+// skipped, so a resumed run never copies twice.
 type MigrateHandoffRequest struct {
-	Moves []MigrateMove `json:"moves"`
+	Moves []shard.Move `json:"moves"`
 }
 
-// MigrateCompleteRequest removes moved subjects from this shard; their
-// forwarding entries stay, so the shard keeps proxying them. Idempotent:
-// subjects already removed are skipped.
-type MigrateCompleteRequest struct {
-	Moves []MigrateMove `json:"moves"`
-}
-
-// migrateTable is the immutable forwarding table; writers copy-on-write
-// under migrationState.mu, readers do one atomic load. entries maps each
-// moved subject to its new owner's address. A request naming only a
-// session resolves through the subject its ID names, so sessions need no
-// entries of their own.
-type migrateTable struct {
-	entries map[string]string
-}
-
-// migrationState hangs off the Server; its zero value (no table, no
-// clients) costs the fast path a single nil-check atomic load. gate
-// orders subject-scoped mutations against handoff: the mutating
-// handlers hold it shared (see lockedIntercept), handoff exclusively.
-// Decisions, batches and queries never take it.
-type migrationState struct {
-	table   atomic.Pointer[migrateTable]
+// ownership hangs off the Server: the feed it forwards by (nil: never),
+// its own ID in the feed's maps, the forwarding clients by address, and
+// the gate that orders subject-scoped mutations against handoff: the
+// mutating handlers hold it shared (see gated), handoff and the resident
+// listing exclusively. Decisions, batches and queries never take it.
+type ownership struct {
+	feed    *MapFeed
+	self    string
 	gate    sync.RWMutex
-	mu      sync.Mutex
-	clients map[string]*Client
+	clients sync.Map // addr → *Client
 }
 
-// clientFor returns the cached forwarding client for a new-owner addr.
-func (m *migrationState) clientFor(addr string) *Client {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.clients[addr]; ok {
-		return c
-	}
-	if m.clients == nil {
-		m.clients = make(map[string]*Client)
-	}
-	c := NewClient(addr, nil, WithRetry(2, 50*time.Millisecond))
-	m.clients[addr] = c
-	return c
+// WithMapFeed makes the server the shard named self in the maps of the
+// router's feed f (the caller runs f.Run): it forwards requests for
+// subjects it does not hold by the rule above and can take part in online
+// rebalances. Until f's first fetch it answers only what it holds.
+func WithMapFeed(self string, f *MapFeed) ServerOption {
+	return func(s *Server) { s.owners.feed, s.owners.self = f, self }
 }
 
-// update copy-on-writes the forwarding table.
-func (m *migrationState) update(mutate func(t *migrateTable)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next := &migrateTable{entries: make(map[string]string)}
-	if cur := m.table.Load(); cur != nil {
-		for k, v := range cur.entries {
-			next.entries[k] = v
-		}
+var (
+	errNoMapView = errors.New("this shard holds no such subject and has not fetched the shard map yet")
+	errNotOwner  = errors.New("this shard holds no such subject and no published shard map names it the owner")
+)
+
+type hopKey struct{} // a forwarded call's HopHeader, on its context
+
+// clientFor returns the cached forwarding client for a shard address.
+func (o *ownership) clientFor(addr string) *Client {
+	c, ok := o.clients.Load(addr)
+	if !ok {
+		c, _ = o.clients.LoadOrStore(addr, NewClient(addr, nil, WithRetry(2, 50*time.Millisecond)))
 	}
-	mutate(next)
-	m.table.Store(next)
+	return c.(*Client)
 }
 
-// migrateFor resolves a request's subject (directly, or as the one its
-// session ID names) against the forwarding table, returning its new
-// owner's address. The common no-migration case is one atomic load and a
-// nil check.
-func (s *Server) migrateFor(subject, session string) (addr string, moved bool) {
-	t := s.migration.table.Load()
-	if t == nil || len(t.entries) == 0 {
-		return "", false
+// owner applies the rule to a request for subject, or for the one
+// session's ID names: the shard to forward to, or nil to answer here.
+func (s *Server) owner(r *http.Request, subject, session string) (*shard.Info, error) {
+	f := s.owners.feed
+	if f == nil {
+		return nil, nil
 	}
 	if subject == "" {
 		sub, _ := core.SessionSubject(core.SessionID(session))
 		subject = string(sub)
 	}
-	addr, moved = t.entries[subject]
-	return addr, moved
+	if subject == "" || s.sys.HasSubject(core.SubjectID(subject)) {
+		return nil, nil
+	}
+	v := f.View()
+	if v == nil {
+		return nil, errNoMapView
+	}
+	hop, sent, _ := strings.Cut(r.Header.Get(HopHeader), " ")
+	if seq, _ := strconv.ParseUint(sent, 10, 64); hop != "" && v.seq < seq {
+		ctx, cancel := context.WithTimeout(r.Context(), DefaultShardTimeout)
+		err := f.await(ctx, func(v *MapView) bool { return v.seq >= seq })
+		cancel()
+		if err != nil {
+			return nil, fmt.Errorf("this shard's map feed is behind the shard that forwarded the request: %w", err)
+		}
+		v = f.View()
+	}
+	self := s.owners.self
+	to := v.Committed.Owner(subject)
+	if v.Pending != nil && (hop != "" || to.ID == self) {
+		to = v.Pending.Owner(subject)
+	}
+	switch {
+	case to.ID != self && hop != "2":
+		return &to, nil
+	case hop != "" && to.ID != self && v.Committed.Owner(subject).ID != self:
+		return nil, errNotOwner
+	}
+	return nil, nil
 }
 
-// migrateForward proxies the (already decoded) request to the subject's
-// new owner and relays the reply verbatim. in is the decoded request body
-// to re-serialize (nil for GETs — the path+query carry everything). A
-// decision's correlation ID, as correlate settled it on the reply, goes
-// with the request, so the new owner's audit record and reply body carry
-// the caller's ID.
-func (s *Server) migrateForward(w http.ResponseWriter, r *http.Request, addr string, in any) {
+// forward answers a request the rule does not leave to this shard, and
+// reports whether it did. in is the decoded body to re-serialize (nil
+// for GETs).
+func (s *Server) forward(w http.ResponseWriter, r *http.Request, subject, session string, in any) bool {
+	sh, err := s.owner(r, subject, session)
+	return s.forwardTo(w, r, sh, err, in)
+}
+
+// forwardTo relays the request to sh, the rule's answer (err when it had
+// none), one hop further, and the reply back verbatim. The correlation ID
+// correlate settled goes along, so the owner audits under the caller's ID.
+func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, sh *shard.Info, err error, in any) bool {
+	if err != nil {
+		status := http.StatusServiceUnavailable
+		if errors.Is(err, errNotOwner) {
+			status = http.StatusConflict
+		}
+		s.writeStatus(w, status, err.Error())
+		return true
+	}
+	if sh == nil {
+		return false
+	}
 	if err := faults.Inject(faults.MigrateForward); err != nil {
-		s.writeStatus(w, http.StatusServiceUnavailable, "handoff forward failed: "+err.Error())
-		return
+		s.writeStatus(w, http.StatusServiceUnavailable, "forward failed: "+err.Error())
+		return true
 	}
-	path := r.URL.Path
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	ctx := r.Context()
+	path := r.URL.RequestURI()
+	ctx := context.WithValue(r.Context(), hopKey{}, s.nextHop(r))
 	if id := w.Header()[CorrelationHeader]; len(id) > 0 {
 		ctx = withCorrelation(ctx, id[0])
 	}
 	var raw json.RawMessage
-	if err := s.migration.clientFor(addr).Call(ctx, r.Method, path, in, &raw); err != nil {
-		s.relayMigrateError(w, err)
-		return
+	if err := s.owners.clientFor(sh.Addr).Call(ctx, r.Method, path, in, &raw); err != nil {
+		relayShardError(w, sh.ID, err)
+		return true
 	}
 	writeReply(w, raw)
-}
-
-// relayMigrateError maps a forwarding failure onto the reply: the new
-// owner's own status and body pass through, transport failures become a
-// 502 so the caller can tell "new owner said no" from "could not reach
-// new owner".
-func (s *Server) relayMigrateError(w http.ResponseWriter, err error) {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		body := ErrorResponse{Error: re.Message}
-		if body.Error == "" {
-			body.Error = fmt.Sprintf("new owner replied %d", re.Status)
-		}
-		s.writeJSON(w, re.Status, body)
-		return
-	}
-	s.writeStatus(w, http.StatusBadGateway, "handoff forward: "+err.Error())
-}
-
-// migrateIntercept is the hook at the top of the subject-scoped read
-// handlers: not-moved subjects fall through at the cost of one atomic
-// load; moved subjects are proxied to their new owner. It reports
-// whether it wrote the response.
-func (s *Server) migrateIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) bool {
-	addr, ok := s.migrateFor(subject, session)
-	if !ok {
-		return false
-	}
-	s.migrateForward(w, r, addr, in)
 	return true
 }
 
-// lockedIntercept is migrateIntercept for the subject-scoped mutating
-// handlers, under the shared gate. When the subject has not moved it
-// returns with the gate still held, and the caller applies the mutation
-// and then calls release: a handoff, which takes the gate exclusively,
-// sees each mutation either applied before its export or arriving after
-// its proxy entry. A moved subject's mutation is proxied with the gate
-// already dropped, so no remote hop ever holds it.
-func (s *Server) lockedIntercept(w http.ResponseWriter, r *http.Request, subject, session string, in any) (release func(), handled bool) {
-	s.migration.gate.RLock()
-	addr, ok := s.migrateFor(subject, session)
-	if !ok {
-		return s.migration.gate.RUnlock, false
+// nextHop is the HopHeader a request forwarded from r carries: its hop
+// count and the sequence of the view that placed it.
+func (s *Server) nextHop(r *http.Request) string {
+	hop := "2 "
+	if r.Header.Get(HopHeader) == "" {
+		hop = "1 "
 	}
-	s.migration.gate.RUnlock()
-	s.migrateForward(w, r, addr, in)
-	return nil, true
+	return hop + strconv.FormatUint(s.owners.feed.View().seq, 10)
 }
 
-// migrateBatch mediates the batch items that belong to migrated subjects
-// on their new owners, as one proxied sub-batch per owner sent under the
-// batch's correlation ID corr. The returned slice aligns with reqs: nil
-// entries stay locally mediated. A shard with no forwarding table returns
-// nil outright (one atomic load).
-func (s *Server) migrateBatch(ctx context.Context, corr string, reqs []DecideRequest) []*BatchItem {
-	t := s.migration.table.Load()
-	if t == nil || len(t.entries) == 0 {
-		return nil
+// gated is forward for the subject-scoped mutating handlers, under the
+// shared gate. A request answered here returns with the gate held, and
+// the caller applies it and then calls release: a handoff sees each
+// mutation either applied before its export or arriving after its
+// delete. A forwarded mutation drops the gate first.
+func (s *Server) gated(w http.ResponseWriter, r *http.Request, subject, session string, in any) (release func(), handled bool) {
+	s.owners.gate.RLock()
+	sh, err := s.owner(r, subject, session)
+	if err == nil && sh == nil {
+		return s.owners.gate.RUnlock, false
 	}
-	ctx = withCorrelation(ctx, corr)
-	out := make([]*BatchItem, len(reqs))
-	SplitBatch(reqs, func(_ int, dr *DecideRequest) (string, bool) {
-		return s.migrateFor(dr.Subject, dr.Session)
+	s.owners.gate.RUnlock()
+	return nil, s.forwardTo(w, r, sh, err, in)
+}
+
+// forwardBatch has the batch items that failed here for a subject this
+// shard does not hold mediated by their owners, one sub-batch per owner
+// under the batch's correlation ID corr, over the local results.
+func (s *Server) forwardBatch(r *http.Request, corr string, reqs []DecideRequest, out []BatchItem) {
+	if s.owners.feed == nil {
+		return
+	}
+	SplitBatch(reqs, func(i int, dr *DecideRequest) (string, bool) {
+		if out[i].Error == "" {
+			return "", false
+		}
+		sh, err := s.owner(r, dr.Subject, dr.Session)
+		if err != nil {
+			out[i].Error = err.Error()
+		}
+		if sh == nil {
+			return "", false
+		}
+		return sh.Addr, true
 	}, func(addr string, sub []DecideRequest) (BatchDecideResponse, error) {
 		if err := faults.Inject(faults.MigrateForward); err != nil {
 			return BatchDecideResponse{}, err
 		}
-		return s.migration.clientFor(addr).DecideBatch(ctx, sub)
+		ctx := context.WithValue(withCorrelation(r.Context(), corr), hopKey{}, s.nextHop(r))
+		return s.owners.clientFor(addr).DecideBatch(ctx, sub)
 	}, func(_ string, idx []int, resp BatchDecideResponse, err error) {
 		for j, i := range idx {
 			if err != nil {
-				out[i] = &BatchItem{Error: "handoff forward failed: " + err.Error()}
+				out[i] = BatchItem{Error: "forward failed: " + err.Error()}
 				continue
 			}
-			out[i] = &resp.Results[j]
+			out[i] = resp.Results[j]
 		}
 	})
-	return out
 }
 
-// registerMigrate mounts the migration endpoints; they ride the admin
-// plane (a shard without admin cannot be rebalanced into or out of).
+// registerMigrate mounts the migration endpoints on the admin plane.
 func (s *Server) registerMigrate(mux *http.ServeMux) {
 	mux.HandleFunc(MigrateSubjectsPath, s.handleMigrateSubjects)
 	mux.HandleFunc(MigrateImportPath, s.handleMigrateImport)
 	mux.HandleFunc(MigrateHandoffPath, s.handleMigrateHandoff)
-	mux.HandleFunc(MigrateCompletePath, s.handleMigrateComplete)
 }
 
+// handleMigrateSubjects lists the resident subjects once the feed holds
+// a map, committed or pending, of version ?pending=N or later, under the
+// exclusive gate: every registration placed by an older map has landed,
+// and every later one is placed by N. The coordinator also asks it at the
+// committed version, to check that the shard is ready for a run.
 func (s *Server) handleMigrateSubjects(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
+	version, err := strconv.ParseUint(r.URL.Query().Get("pending"), 10, 64)
+	switch {
+	case r.Method != http.MethodGet:
 		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
 		return
+	case err != nil:
+		s.writeStatus(w, http.StatusBadRequest, "bad pending: want the pending map's version")
+		return
+	case s.owners.feed == nil:
+		s.writeStatus(w, http.StatusConflict, "this shard follows no shard-map feed, so it cannot take part in a rebalance")
+		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
+	defer cancel()
+	err = s.owners.feed.await(ctx, func(v *MapView) bool {
+		return v.Committed.Version() >= version || (v.Pending != nil && v.Pending.Version() >= version)
+	})
+	if err != nil {
+		s.writeStatus(w, http.StatusServiceUnavailable, fmt.Sprintf("shard-map feed has not delivered map v%d: %v", version, err))
+		return
+	}
+	s.owners.gate.Lock()
+	defer s.owners.gate.Unlock()
 	ids := s.sys.Subjects()
 	resp := MigrateSubjectsResponse{Subjects: make([]string, 0, len(ids))}
 	for _, id := range ids {
@@ -273,10 +290,6 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// An import means this shard is (becoming) the subject's owner: a
-	// stale forwarding entry from an earlier move in the other direction
-	// must not shadow the live copy.
-	s.migration.update(func(t *migrateTable) { delete(t.entries, string(b.Subject.ID)) })
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
@@ -285,49 +298,28 @@ func (s *Server) handleMigrateHandoff(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, &req, http.MethodPost) {
 		return
 	}
-	s.migration.gate.Lock()
-	defer s.migration.gate.Unlock()
-	// Every subject-scoped write on this shard waits while the gate is
-	// held, so an unresponsive new owner fails the handoff instead.
-	ctx, cancel := context.WithTimeout(r.Context(), DefaultShardTimeout)
-	defer cancel()
+	s.owners.gate.Lock()
+	defer s.owners.gate.Unlock()
 	for _, mv := range req.Moves {
-		// An entry means this subject was handed off already (a resumed
-		// run): the new owner's copy is live, and the local one stale.
-		if _, moved := s.migrateFor(mv.Subject, ""); moved {
-			continue
+		id := core.SubjectID(mv.Subject)
+		b, err := s.sys.ExportSubject(id)
+		if errors.Is(err, core.ErrNotFound) {
+			continue // handed off already: the copy's absence is the record
 		}
-		b, err := s.sys.ExportSubject(core.SubjectID(mv.Subject))
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-		if err := s.migration.clientFor(mv.Addr).Call(ctx, http.MethodPost, MigrateImportPath, b, nil); err != nil {
-			s.relayMigrateError(w, err)
+		// Every subject-scoped write on this shard waits while the gate
+		// is held, so an unresponsive new owner fails the handoff instead.
+		ctx, cancel := context.WithTimeout(r.Context(), DefaultShardTimeout)
+		err = s.owners.clientFor(mv.To.Addr).Call(ctx, http.MethodPost, MigrateImportPath, b, nil)
+		cancel()
+		if err != nil {
+			relayShardError(w, mv.To.ID, err)
 			return
 		}
-		s.migration.update(func(t *migrateTable) { t.entries[mv.Subject] = mv.Addr })
-	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
-	var req MigrateCompleteRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
-		return
-	}
-	// Handoff installed the proxy entries and they stay. Writing them
-	// again, in one table copy for the whole request and before any local
-	// copy goes, covers an old owner restarted since handoff, which lost
-	// its in-memory table and now loses its stale copies too.
-	s.migration.update(func(t *migrateTable) {
-		for _, mv := range req.Moves {
-			t.entries[mv.Subject] = mv.Addr
-		}
-	})
-	for _, mv := range req.Moves {
-		err := s.sys.RemoveSubject(core.SubjectID(mv.Subject))
-		if err != nil && !errors.Is(err, core.ErrNotFound) {
+		if err := s.sys.RemoveSubject(id); err != nil {
 			s.writeError(w, err)
 			return
 		}
@@ -336,8 +328,7 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // MigrationNode adapts a Client into the coordinator's per-shard
-// interface (shard.NodeClient). Subject bundles travel shard to shard,
-// never through the coordinator.
+// interface (shard.NodeClient).
 type MigrationNode struct {
 	c *Client
 }
@@ -347,32 +338,15 @@ func NewMigrationNode(addr string) *MigrationNode {
 	return &MigrationNode{c: NewClient(addr, nil, WithRetry(3, 100*time.Millisecond))}
 }
 
-// Subjects lists the shard's resident subjects.
-func (n *MigrationNode) Subjects(ctx context.Context) ([]string, error) {
+// Subjects lists the shard's residents once its feed holds a map of at
+// least the given version.
+func (n *MigrationNode) Subjects(ctx context.Context, version uint64) ([]string, error) {
 	var resp MigrateSubjectsResponse
-	if err := n.c.Call(ctx, http.MethodGet, MigrateSubjectsPath, nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Subjects, nil
+	err := n.c.Call(ctx, http.MethodGet, MigrateSubjectsPath+"?pending="+strconv.FormatUint(version, 10), nil, &resp)
+	return resp.Subjects, err
 }
 
-// Handoff moves the given subjects: the shard copies each to its new
-// owner and proxies its traffic there from then on.
+// Handoff moves the subjects the shard still holds to their new owners.
 func (n *MigrationNode) Handoff(ctx context.Context, moves []shard.Move) error {
-	return n.c.Call(ctx, http.MethodPost, MigrateHandoffPath,
-		MigrateHandoffRequest{Moves: fromShardMoves(moves)}, nil)
-}
-
-// Complete drops the moved subjects; the shard keeps proxying them.
-func (n *MigrationNode) Complete(ctx context.Context, moves []shard.Move) error {
-	return n.c.Call(ctx, http.MethodPost, MigrateCompletePath,
-		MigrateCompleteRequest{Moves: fromShardMoves(moves)}, nil)
-}
-
-func fromShardMoves(moves []shard.Move) []MigrateMove {
-	out := make([]MigrateMove, 0, len(moves))
-	for _, mv := range moves {
-		out = append(out, MigrateMove{Subject: mv.Subject, Addr: mv.To.Addr})
-	}
-	return out
+	return n.c.Call(ctx, http.MethodPost, MigrateHandoffPath, MigrateHandoffRequest{Moves: moves}, nil)
 }

@@ -13,8 +13,8 @@ import (
 // online. A rebalance is minutes of streaming work, so the POST is
 // asynchronous: it validates, kicks the coordinator in the background,
 // and answers 202 with the starting status; progress is polled from
-// the status endpoint, and the committed map reaches routers and SDK
-// clients through the map watch.
+// the status endpoint, and the pending and committed maps reach shards
+// and SDK clients through the map watch.
 
 // ShardRebalancePath starts a rebalance (POST {action,id,addr}).
 const ShardRebalancePath = "/v1/shard/rebalance"
@@ -43,8 +43,8 @@ type RebalanceHandler struct {
 
 // NewRebalanceHandler wires a coordinator to a router: the POSTed
 // action rebalances relative to the router's active map, and the
-// commit callback given to the coordinator (typically Router.SetMap
-// plus persistence) publishes the result.
+// callbacks given to the coordinator (typically Router.SetPending, and
+// Router.SetMap plus persistence) publish the run.
 func NewRebalanceHandler(rt *Router, coord *shard.Coordinator, logger *log.Logger) *RebalanceHandler {
 	if logger == nil {
 		logger = log.Default()
@@ -95,20 +95,19 @@ func (h *RebalanceHandler) handleStart(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	// Start plans synchronously (so the 202 carries the move count) and
-	// claims the single-flight slot before returning: concurrent POSTs
-	// race inside the coordinator, not here, and the loser gets 409.
+	// Start claims the single-flight slot, checks every shard of the run
+	// and journals it before returning: concurrent POSTs race inside the
+	// coordinator, not here, and the loser gets 409.
 	st, err := h.coord.Start(r.Context(), cur, next)
 	if err != nil {
-		status := http.StatusBadGateway // planning could not reach a shard
+		status := http.StatusBadGateway // a shard of the run is not ready
 		if errors.Is(err, shard.ErrRebalanceActive) {
 			status = http.StatusConflict
 		}
 		writeJSON(w, status, ErrorResponse{Error: err.Error()})
 		return
 	}
-	h.log.Printf("rebalance %s %s accepted: map v%d -> v%d, %d moves",
-		req.Action, req.ID, st.FromVersion, st.ToVersion, st.TotalMoves)
+	h.log.Printf("rebalance %s %s accepted: map v%d -> v%d", req.Action, req.ID, st.FromVersion, st.ToVersion)
 	writeJSON(w, http.StatusAccepted, st)
 }
 

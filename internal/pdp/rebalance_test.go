@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -22,6 +24,7 @@ import (
 	"github.com/aware-home/grbac/internal/core"
 	"github.com/aware-home/grbac/internal/policy"
 	"github.com/aware-home/grbac/internal/shard"
+	"github.com/aware-home/grbac/internal/store"
 )
 
 // newShardServer builds one standalone shard: a full admin-enabled PDP,
@@ -93,17 +96,52 @@ func wantProxiedPermits(t *testing.T, old *Client, sub, session, resident string
 	}
 }
 
-// TestMigrationProxiesAfterComplete drives one subject through the
-// shard-side migration protocol by hand: after handoff, and still after
-// complete has dropped the local copy, the old owner answers subject-
-// and session-scoped requests, a session-only check and a batch by
-// proxying them to the new owner, and a subject that never moved is
+// onlyMap is a map at version v that names only the given shards.
+func onlyMap(t *testing.T, v uint64, shards ...shard.Info) *shard.Map {
+	t.Helper()
+	m, err := shard.FromWire(shard.Wire{Version: v, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// publishPending publishes m as the cluster's pending map and waits until
+// the shards at addrs hold it, the barrier the coordinator's plan uses.
+func (c *routerCluster) publishPending(t *testing.T, m *shard.Map, addrs ...string) {
+	t.Helper()
+	if err := c.rt.SetPending(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range addrs {
+		if _, err := NewMigrationNode(addr).Subjects(context.Background(), m.Version()); err != nil {
+			t.Fatalf("shard %s never saw pending map v%d: %v", addr, m.Version(), err)
+		}
+	}
+}
+
+// awaitCommitted waits until the feed holds a committed map of version v.
+func awaitCommitted(t *testing.T, f *MapFeed, v uint64) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.await(ctx, func(mv *MapView) bool { return mv.Committed.Version() >= v && mv.Pending == nil }); err != nil {
+		t.Fatalf("feed never committed v%d: %v", v, err)
+	}
+}
+
+// TestMigrationProxiesAfterComplete drives one subject through a handoff
+// by hand on a cluster whose shards follow the router's map feed: after
+// the handoff has dropped the old owner's copy, while the move's map is
+// pending and again once it is committed, the old owner answers
+// subject- and session-scoped requests, a session-only check and a batch
+// by forwarding them to the new owner, and a subject that never moved is
 // still mediated locally.
 func TestMigrationProxiesAfterComplete(t *testing.T) {
 	ctx := context.Background()
-	oldSys, oldSrv := newShardServer(t)
-	newSys, newSrv := newShardServer(t)
-	oldC := NewClient(oldSrv.URL, nil)
+	c := newRouterCluster(t, 1)
+	oldSys, oldC := c.sys["s0"], NewClient(c.shards["s0"].URL, nil)
+	newSys, newSrv := newShardServer(t, c.follow(t, "s1"))
 
 	for _, sub := range []string{"alice", "bob"} {
 		if err := oldC.UpsertSubject(ctx, BindingRequest{ID: sub, Roles: []string{"child"}}); err != nil {
@@ -119,20 +157,22 @@ func TestMigrationProxiesAfterComplete(t *testing.T) {
 	}
 
 	// Hand alice (record, roles, session) off to the new owner.
-	node := NewMigrationNode(oldSrv.URL)
-	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
-	if err := node.Handoff(ctx, move); err != nil {
+	to := shard.Info{ID: "s1", Addr: newSrv.URL}
+	next := onlyMap(t, 2, to)
+	c.publishPending(t, next, c.shards["s0"].URL, newSrv.URL)
+	if err := NewMigrationNode(c.shards["s0"].URL).Handoff(ctx, []shard.Move{{Subject: "alice", To: to}}); err != nil {
 		t.Fatal(err)
+	}
+	if oldSys.HasSubject("alice") || len(oldSys.Sessions()) != 0 {
+		t.Fatalf("the old owner still holds alice or her session after handoff: %v", oldSys.Sessions())
 	}
 	wantProxiedPermits(t, oldC, "alice", sess.Session, "bob")
 
-	// Complete drops the local copy; the old owner keeps proxying.
-	if err := node.Complete(ctx, move); err != nil {
+	// Committed: the old owner forwards by the committed map.
+	if err := c.rt.SetMap(next); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oldSys.ExportSubject("alice"); err == nil {
-		t.Fatal("alice still resident on the old owner after complete")
-	}
+	awaitCommitted(t, c.feeds["s0"], next.Version())
 	wantProxiedPermits(t, oldC, "alice", sess.Session, "bob")
 	// bob never moved and still answers locally.
 	if resp, err := oldC.Decide(ctx, permitReq("bob")); err != nil || !resp.Allowed {
@@ -144,23 +184,21 @@ func TestMigrationProxiesAfterComplete(t *testing.T) {
 	}
 }
 
-// TestMigrationProxyKeepsCorrelationID pins that the old shard proxies a
+// TestMigrationProxyKeepsCorrelationID pins that the old shard forwards a
 // moved subject's decide, check and batch under the caller's correlation
 // ID: the new owner audits each under it, and each reply carries it in
 // its header and its body.
 func TestMigrationProxyKeepsCorrelationID(t *testing.T) {
 	ctx := context.Background()
-	_, oldSrv := newShardServer(t)
-	_, newSrv := newShardServer(t, WithAuditLogger(audit.NewLogger()))
+	c := newRouterCluster(t, 1)
+	oldSrv := c.shards["s0"]
+	_, newSrv := newShardServer(t, WithAuditLogger(audit.NewLogger()), c.follow(t, "s1"))
 	if err := NewClient(oldSrv.URL, nil).UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"child"}}); err != nil {
 		t.Fatal(err)
 	}
-	node := NewMigrationNode(oldSrv.URL)
-	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
-	if err := node.Handoff(ctx, move); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Complete(ctx, move); err != nil {
+	to := shard.Info{ID: "s1", Addr: newSrv.URL}
+	c.publishPending(t, onlyMap(t, 2, to), oldSrv.URL)
+	if err := NewMigrationNode(oldSrv.URL).Handoff(ctx, []shard.Move{{Subject: "alice", To: to}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,28 +241,30 @@ func TestMigrationProxyKeepsCorrelationID(t *testing.T) {
 	}
 }
 
-// TestMigrationProxiesTwoMoveChain moves alice A → B, then B → C, each
-// with handoff and complete, and decides through a router whose map
-// still names only A: A proxies to B, which proxies to C, so a caller
-// two rebalances behind still gets the owner's permit.
+// TestMigrationProxiesTwoMoveChain moves alice A → B, then B → C, each a
+// pending map, a handoff and a commit on the router the shards follow,
+// and decides through a second router whose map still names only A: A
+// forwards by the published maps, so a caller two rebalances behind still
+// gets the owner's permit.
 func TestMigrationProxiesTwoMoveChain(t *testing.T) {
 	ctx := context.Background()
-	_, srvA := newShardServer(t)
-	_, srvB := newShardServer(t)
-	sysC, srvC := newShardServer(t)
+	c := newRouterCluster(t, 1)
+	srvA := c.shards["s0"]
+	_, srvB := newShardServer(t, c.follow(t, "b"))
+	sysC, srvC := newShardServer(t, c.follow(t, "c"))
 	if err := NewClient(srvA.URL, nil).UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"child"}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, hop := range []struct {
-		from, to *httptest.Server
-		toID     string
-	}{{srvA, srvB, "b"}, {srvB, srvC, "c"}} {
-		node := NewMigrationNode(hop.from.URL)
-		move := []shard.Move{{Subject: "alice", To: shard.Info{ID: hop.toID, Addr: hop.to.URL}}}
-		if err := node.Handoff(ctx, move); err != nil {
+	for i, hop := range []struct {
+		from *httptest.Server
+		to   shard.Info
+	}{{srvA, shard.Info{ID: "b", Addr: srvB.URL}}, {srvB, shard.Info{ID: "c", Addr: srvC.URL}}} {
+		next := onlyMap(t, uint64(i)+2, hop.to)
+		c.publishPending(t, next, srvA.URL, srvB.URL, srvC.URL)
+		if err := NewMigrationNode(hop.from.URL).Handoff(ctx, []shard.Move{{Subject: "alice", To: hop.to}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := node.Complete(ctx, move); err != nil {
+		if err := c.rt.SetMap(next); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,15 +272,11 @@ func TestMigrationProxiesTwoMoveChain(t *testing.T) {
 		t.Fatalf("alice on C after two moves: %v", err)
 	}
 
-	m, err := shard.New(0, shard.Info{ID: "a", Addr: srvA.URL})
+	stale, err := NewRouter(c.m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt)
+	front := httptest.NewServer(stale)
 	t.Cleanup(front.Close)
 	if resp, err := NewClient(front.URL, nil).Decide(ctx, permitReq("alice")); err != nil || !resp.Allowed {
 		t.Fatalf("Decide(alice) through a router on map {A} = %+v, %v; want permit", resp, err)
@@ -249,20 +285,21 @@ func TestMigrationProxiesTwoMoveChain(t *testing.T) {
 
 // TestMigrationHandoffKeepsWindowWrites pins that a handoff copies each
 // subject once: a role assignment and a session sent to the old owner
-// after the handoff are proxied to the new owner and still there after
-// complete, a re-run handoff copies nothing over them, and a session
-// opened through the proxy stays addressable by its ID alone on the old
-// owner, which keeps proxying it after complete.
+// after the handoff are forwarded to the new owner, a re-run handoff
+// copies nothing over them, and a session opened through the forward
+// stays addressable by its ID alone on the old owner.
 func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 	ctx := context.Background()
-	_, oldSrv := newShardServer(t)
-	newSys, newSrv := newShardServer(t)
-	oldC := NewClient(oldSrv.URL, nil)
+	c := newRouterCluster(t, 1)
+	oldC := NewClient(c.shards["s0"].URL, nil)
+	newSys, newSrv := newShardServer(t, c.follow(t, "s1"))
 	if err := oldC.UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"family-member"}}); err != nil {
 		t.Fatal(err)
 	}
-	node := NewMigrationNode(oldSrv.URL)
-	move := []shard.Move{{Subject: "alice", To: shard.Info{ID: "new", Addr: newSrv.URL}}}
+	to := shard.Info{ID: "s1", Addr: newSrv.URL}
+	c.publishPending(t, onlyMap(t, 2, to), c.shards["s0"].URL)
+	node := NewMigrationNode(c.shards["s0"].URL)
+	move := []shard.Move{{Subject: "alice", To: to}}
 	if err := node.Handoff(ctx, move); err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +319,8 @@ func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 	if err := node.Handoff(ctx, move); err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Complete(ctx, move); err != nil {
-		t.Fatal(err)
+	if c.sys["s0"].HasSubject("alice") {
+		t.Fatal("the re-run handoff brought alice back to the old owner")
 	}
 
 	b, err := newSys.ExportSubject("alice")
@@ -301,6 +338,58 @@ func TestMigrationHandoffKeepsWindowWrites(t *testing.T) {
 		t.Fatalf("window session's active roles = %s, want [child]", got)
 	}
 	wantProxiedPermits(t, oldC, "alice", sess.Session, "")
+}
+
+// TestMigrationHandoffDropsEverySubject hands 10 000 subjects, each with
+// an open session, off in direct handoff calls within 10 s: afterwards the
+// old owner holds none of them, none of their sessions and no other
+// per-subject state, and the new owner holds them all.
+func TestMigrationHandoffDropsEverySubject(t *testing.T) {
+	const n = 10000
+	oldSys, newSys := core.NewSystem(), core.NewSystem()
+	moves := make([]shard.Move, n)
+	for i := range moves {
+		sub := core.SubjectID(fmt.Sprintf("subject-%05d", i))
+		if err := oldSys.AddSubject(sub); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := oldSys.CreateSession(sub); err != nil {
+			t.Fatal(err)
+		}
+		moves[i] = shard.Move{Subject: string(sub)}
+	}
+	oldSrv := NewServer(oldSys, WithAdmin())
+	oldHTTP := httptest.NewServer(oldSrv)
+	t.Cleanup(oldHTTP.Close)
+	newHTTP := httptest.NewServer(NewServer(newSys, WithAdmin()))
+	t.Cleanup(newHTTP.Close)
+	for i := range moves {
+		moves[i].To = shard.Info{ID: "new", Addr: newHTTP.URL}
+	}
+
+	start := time.Now()
+	node := NewMigrationNode(oldHTTP.URL)
+	for lo := 0; lo < n; lo += 1000 {
+		if err := node.Handoff(context.Background(), moves[lo:lo+1000]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	took := time.Since(start)
+	t.Logf("handed off %d subjects in %v (%v per subject)", n, took, took/n)
+	if took > 10*time.Second {
+		t.Fatalf("handoff of %d subjects took %v, want under 10s", n, took)
+	}
+	if s, ss := len(oldSys.Subjects()), len(oldSys.Sessions()); s != 0 || ss != 0 {
+		t.Fatalf("old owner still holds %d subjects and %d sessions", s, ss)
+	}
+	clients := 0
+	oldSrv.owners.clients.Range(func(any, any) bool { clients++; return true })
+	if clients != 1 {
+		t.Fatalf("old owner keeps %d forwarding clients, want the new owner's one", clients)
+	}
+	if s, ss := len(newSys.Subjects()), len(newSys.Sessions()); s != n || ss != n {
+		t.Fatalf("new owner holds %d subjects and %d sessions, want %d of each", s, ss, n)
+	}
 }
 
 // TestRebalanceEndToEnd is the tentpole integration: a live 2-shard
@@ -330,7 +419,7 @@ func TestRebalanceEndToEnd(t *testing.T) {
 	}
 
 	// Third shard joins empty.
-	newSys, newSrv := newShardServer(t)
+	newSys, newSrv := newShardServer(t, c.follow(t, "s2"))
 	grow := shard.Info{ID: "s2", Addr: newSrv.URL}
 
 	// Continuous load during the migration: every subject decides in a
@@ -363,12 +452,7 @@ func TestRebalanceEndToEnd(t *testing.T) {
 		}(w)
 	}
 
-	coord := shard.NewCoordinator(
-		filepath.Join(t.TempDir(), "rebalance.journal"),
-		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) },
-		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
-		t.Logf,
-	)
+	coord := c.coordinator(t)
 	next, err := c.m.Add(grow)
 	if err != nil {
 		t.Fatal(err)
@@ -472,12 +556,7 @@ func TestRebalanceRemoveKeepsSessions(t *testing.T) {
 		t.Fatal("no subject on s2 — grow the subject set")
 	}
 
-	coord := shard.NewCoordinator(
-		filepath.Join(t.TempDir(), "rebalance.journal"),
-		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) },
-		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
-		t.Logf,
-	)
+	coord := c.coordinator(t)
 	next, err := c.m.Remove("s2")
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +609,7 @@ func TestRebalanceKeepsConcurrentWrites(t *testing.T) {
 	c := newRouterCluster(t, 2)
 	subs := c.addSubjects(t, 32)
 	ctx := context.Background()
-	newSys, newSrv := newShardServer(t)
+	newSys, newSrv := newShardServer(t, c.follow(t, "s2"))
 	const tags = 16
 	for i := 0; i < tags; i++ {
 		role := RoleRequest{ID: fmt.Sprintf("tag-%d", i), Kind: "subject"}
@@ -620,12 +699,7 @@ func TestRebalanceKeepsConcurrentWrites(t *testing.T) {
 	}
 	waitWrites(32)
 
-	coord := shard.NewCoordinator(
-		filepath.Join(t.TempDir(), "rebalance.journal"),
-		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) },
-		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
-		t.Logf,
-	)
+	coord := c.coordinator(t)
 	next, err := c.m.Add(shard.Info{ID: "s2", Addr: newSrv.URL})
 	if err != nil {
 		t.Fatal(err)
@@ -893,10 +967,7 @@ func TestRebalanceHandlerAPI(t *testing.T) {
 	c := newRouterCluster(t, 2)
 	subs := c.addSubjects(t, 16)
 
-	coord := shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
-		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) },
-		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
-		t.Logf)
+	coord := c.coordinator(t)
 	h := NewRebalanceHandler(c.rt, coord, nil)
 	outer := http.NewServeMux()
 	outer.Handle(ShardRebalancePath, h)
@@ -933,7 +1004,7 @@ func TestRebalanceHandlerAPI(t *testing.T) {
 
 	// Start a real grow. The POST returns 202 before the run finishes.
 	base := c.rt.Map().Version()
-	_, dest := newShardServer(t)
+	_, dest := newShardServer(t, c.follow(t, "s2"))
 	req := RebalanceRequest{Action: "add", ID: "s2", Addr: dest.URL}
 	if err := api.Call(ctx, http.MethodPost, ShardRebalancePath, req, &st); err != nil {
 		t.Fatalf("POST add: %v", err)
@@ -972,39 +1043,415 @@ func TestRebalanceHandlerAPI(t *testing.T) {
 	}
 }
 
-// BenchmarkMigrateComplete times one POST /v1/migrate/complete for N
-// subjects, the coordinator's one call per old shard, and reports its
-// cost per subject, which stays flat in N while complete copies the
-// forwarding table once per request.
-func BenchmarkMigrateComplete(b *testing.B) {
+// TestRebalanceHandlerRefusesUnreadyShard adds a shard that cannot take
+// part in a run: one that is unreachable, then one that follows no map
+// feed. Each POST fails at once with 502, and nothing is published or
+// journaled, so the cluster keeps serving on its committed map and the
+// corrected POST runs to a commit.
+func TestRebalanceHandlerRefusesUnreadyShard(t *testing.T) {
+	c := newRouterCluster(t, 2)
+	subs := c.addSubjects(t, 8)
+	coord := c.coordinator(t)
+	outer := http.NewServeMux()
+	outer.Handle(ShardRebalancePath, NewRebalanceHandler(c.rt, coord, log.New(io.Discard, "", 0)))
+	front := httptest.NewServer(outer)
+	t.Cleanup(front.Close)
+	api := NewClient(front.URL, nil)
+	ctx := context.Background()
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	_, unfed := newShardServer(t)
+	seq := c.rt.feed.Load().Seq()
+	for name, addr := range map[string]string{"unreachable": gone.URL, "no map feed": unfed.URL} {
+		err := api.Call(ctx, http.MethodPost, ShardRebalancePath, RebalanceRequest{Action: "add", ID: "s2", Addr: addr}, nil)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Status != http.StatusBadGateway {
+			t.Fatalf("add %s shard = %v, want 502", name, err)
+		}
+		if w := c.rt.feed.Load(); w.Pending != nil || w.Seq() != seq {
+			t.Fatalf("add %s shard published %+v", name, w)
+		}
+		if st := coord.Status(); st.Active {
+			t.Fatalf("add %s shard left the coordinator busy: %+v", name, st)
+		}
+		if resumed, err := coord.Resume(ctx); resumed || err != nil {
+			t.Fatalf("Resume after the refused add of the %s shard = %v, %v; want nothing to resume", name, resumed, err)
+		}
+	}
+	late := "after-refusal"
+	if err := c.client.UpsertSubject(ctx, BindingRequest{ID: late, Roles: []string{"child"}}); err != nil {
+		t.Fatalf("register after the refusals: %v", err)
+	}
+	if !c.sys[c.m.Owner(late).ID].HasSubject(core.SubjectID(late)) {
+		t.Fatalf("%s is not on its committed owner", late)
+	}
+
+	_, dest := newShardServer(t, c.follow(t, "s2"))
+	if err := api.Call(ctx, http.MethodPost, ShardRebalancePath, RebalanceRequest{Action: "add", ID: "s2", Addr: dest.URL}, nil); err != nil {
+		t.Fatalf("corrected add: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); coord.Status().Active; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("corrected add never settled: %+v", coord.Status())
+		}
+	}
+	if st := coord.Status(); st.Phase != "done" {
+		t.Fatalf("corrected add = %+v, want done", st)
+	}
+	for _, sub := range append(subs, late) {
+		if resp, err := c.client.Decide(ctx, permitReq(sub)); err != nil || !resp.Allowed {
+			t.Fatalf("Decide(%s) after the corrected add = %+v, %v; want permit", sub, resp, err)
+		}
+	}
+}
+
+// BenchmarkMigrateHandoff times one POST /v1/migrate/handoff for N
+// subjects, each with one open session, into a live new owner, and
+// reports its cost per subject, which stays flat in N: no step of a
+// handoff scans every subject or every session.
+func BenchmarkMigrateHandoff(b *testing.B) {
 	for _, n := range []int{500, 4000} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			req := MigrateCompleteRequest{Moves: make([]MigrateMove, n)}
-			for i := range req.Moves {
-				req.Moves[i] = MigrateMove{Subject: fmt.Sprintf("subject-%05d", i), Addr: "http://new-owner"}
-			}
-			body, err := json.Marshal(req)
-			if err != nil {
-				b.Fatal(err)
-			}
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sys := core.NewSystem()
-				for _, mv := range req.Moves {
-					if err := sys.AddSubject(core.SubjectID(mv.Subject)); err != nil {
+				oldSys := core.NewSystem()
+				newOwner := httptest.NewServer(NewServer(core.NewSystem(), WithAdmin()))
+				req := MigrateHandoffRequest{Moves: make([]shard.Move, n)}
+				for j := range req.Moves {
+					sub := fmt.Sprintf("subject-%05d", j)
+					if err := oldSys.AddSubject(core.SubjectID(sub)); err != nil {
 						b.Fatal(err)
 					}
+					if _, err := oldSys.CreateSession(core.SubjectID(sub)); err != nil {
+						b.Fatal(err)
+					}
+					req.Moves[j] = shard.Move{Subject: sub, To: shard.Info{ID: "new", Addr: newOwner.URL}}
 				}
-				srv := NewServer(sys, WithAdmin())
+				body, err := json.Marshal(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				srv := NewServer(oldSys, WithAdmin())
 				w := httptest.NewRecorder()
-				r := httptest.NewRequest(http.MethodPost, MigrateCompletePath, bytes.NewReader(body))
+				r := httptest.NewRequest(http.MethodPost, MigrateHandoffPath, bytes.NewReader(body))
 				b.StartTimer()
 				srv.ServeHTTP(w, r)
+				b.StopTimer()
 				if w.Code != http.StatusOK {
-					b.Fatalf("complete = %d: %s", w.Code, w.Body)
+					b.Fatalf("handoff = %d: %s", w.Code, w.Body)
 				}
+				newOwner.Close()
+				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/subject")
 		})
+	}
+}
+
+// hookedNode runs before ahead of the first handoff of a run, after the
+// coordinator's plan has listed every shard.
+type hookedNode struct {
+	shard.NodeClient
+	before func()
+}
+
+func (n hookedNode) Handoff(ctx context.Context, moves []shard.Move) error {
+	n.before()
+	return n.NodeClient.Handoff(ctx, moves)
+}
+
+// TestRebalanceRegistersAfterPlanOnNewOwner registers subjects through
+// the router after the coordinator's plan has listed every shard's
+// residents. Each is born on its owner under the pending map, so after
+// the commit every one sits on its new owner alone and decides through
+// the router.
+func TestRebalanceRegistersAfterPlanOnNewOwner(t *testing.T) {
+	c := newRouterCluster(t, 2)
+	c.addSubjects(t, 16)
+	ctx := context.Background()
+	newSys, newSrv := newShardServer(t, c.follow(t, "s2"))
+	late := make([]string, 16)
+	var once sync.Once
+	register := func() {
+		once.Do(func() {
+			for i := range late {
+				late[i] = fmt.Sprintf("late-%02d", i)
+				if err := c.client.UpsertSubject(ctx, BindingRequest{ID: late[i], Roles: []string{"child"}}); err != nil {
+					t.Errorf("register %s after the plan: %v", late[i], err)
+				}
+			}
+		})
+	}
+	coord := shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
+		func(info shard.Info) shard.NodeClient { return hookedNode{NewMigrationNode(info.Addr), register} },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetPending(m) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
+		t.Logf)
+	next, err := c.m.Add(shard.Info{ID: "s2", Addr: newSrv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runRebalance(t, coord, c.m, next); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	if late[0] == "" {
+		t.Fatal("the run made no handoff — grow the subject set")
+	}
+	systems := map[string]*core.System{"s0": c.sys["s0"], "s1": c.sys["s1"], "s2": newSys}
+	onNew := 0
+	for _, sub := range late {
+		owner := next.Owner(sub).ID
+		if owner == "s2" {
+			onNew++
+		}
+		for id, sys := range systems {
+			if held := sys.HasSubject(core.SubjectID(sub)); held != (id == owner) {
+				t.Fatalf("%s registered after the plan: held by %s = %v, owner %s", sub, id, held, owner)
+			}
+		}
+		if resp, err := c.client.Decide(ctx, permitReq(sub)); err != nil || !resp.Allowed {
+			t.Fatalf("Decide(%s) after the commit = %+v, %v; want permit", sub, resp, err)
+		}
+	}
+	if onNew == 0 {
+		t.Fatal("no late subject belongs to the new shard — grow the late set")
+	}
+}
+
+// TestRebalanceRestartedOldOwnerServesNoStaleCopy restarts a durable old
+// owner between a handoff and the commit. Its delete of the handed-off
+// subject survives the restart, so it serves no stale copy: until its
+// feed delivers the map it answers 503, then it forwards, and every
+// write acked in the window, a role and a session, sits on the final
+// owner after the commit.
+func TestRebalanceRestartedOldOwnerServesNoStaleCopy(t *testing.T) {
+	ctx := context.Background()
+	compiled, err := policy.Compile(sharedPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSys := core.NewSystem()
+	if err := compiled.Apply(seedSys, nil); err != nil {
+		t.Fatal(err)
+	}
+	seed := seedSys.Export()
+	dir := t.TempDir()
+	front := httptest.NewUnstartedServer(nil)
+	t.Cleanup(front.Close)
+	c := &routerCluster{feed: "http://" + front.Listener.Addr().String(), feeds: make(map[string]*MapFeed)}
+
+	// The old owner keeps one URL across its restart: the test server
+	// serves whichever incarnation holds the pointer.
+	var current atomic.Pointer[Server]
+	boot := func() *store.Durable {
+		dur, err := store.Open(dir, store.WithSeedState(&seed), quietStore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		current.Store(NewServer(dur.System(), WithAdmin(), c.follow(t, "a")))
+		return dur
+	}
+	boot()
+	srvA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(srvA.Close)
+	sysB, srvB := newShardServer(t, c.follow(t, "b"))
+	rt, err := NewRouter(onlyMap(t, 1, shard.Info{ID: "a", Addr: srvA.URL}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.rt = rt
+	front.Config.Handler = rt
+	front.Start()
+	if _, err := NewMigrationNode(srvA.URL).Subjects(ctx, 1); err != nil {
+		t.Fatalf("A never fetched the map: %v", err)
+	}
+	router := NewClient(front.URL, nil)
+	if err := router.UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"family-member"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	to := shard.Info{ID: "b", Addr: srvB.URL}
+	next := onlyMap(t, 2, to)
+	c.publishPending(t, next, srvA.URL, srvB.URL)
+	if err := NewMigrationNode(srvA.URL).Handoff(ctx, []shard.Move{{Subject: "alice", To: to}}); err != nil {
+		t.Fatal(err)
+	}
+	// The window: the router still sends alice's writes to A.
+	if err := router.UpsertSubject(ctx, BindingRequest{ID: "alice", Roles: []string{"child"}}); err != nil {
+		t.Fatalf("role write in the window: %v", err)
+	}
+	sid, err := router.OpenSession(ctx, "alice")
+	if err != nil {
+		t.Fatalf("session open in the window: %v", err)
+	}
+	if err := router.SetSessionRole(ctx, sid, "child", true); err != nil {
+		t.Fatalf("activate in the window: %v", err)
+	}
+
+	// A dies without ceremony and comes back from its data directory.
+	dur := boot()
+	defer dur.Close()
+	if dur.System().HasSubject("alice") {
+		t.Fatal("the restarted old owner recovered its handed-off copy of alice")
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := router.Decide(ctx, permitReq("alice"))
+		if err == nil {
+			if !resp.Allowed {
+				t.Fatalf("the restarted old owner answered alice with %+v, a stale copy's deny", resp)
+			}
+			break
+		}
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Status != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("Decide(alice) via the restarted old owner: %v", err)
+		}
+	}
+
+	if err := rt.SetMap(next); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sysB.ExportSubject("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(b.Subject.Roles); got != "[child family-member]" {
+		t.Fatalf("alice's roles on the final owner = %s, want [child family-member]", got)
+	}
+	if len(b.Sessions) != 1 || b.Sessions[0].ID != core.SessionID(sid) || fmt.Sprint(b.Sessions[0].Active) != "[child]" {
+		t.Fatalf("alice's sessions on the final owner = %+v, want %s with child active", b.Sessions, sid)
+	}
+	if dur.System().HasSubject("alice") {
+		t.Fatal("the old owner holds alice again")
+	}
+	allowed, err := router.Check(ctx, DecideRequest{Session: sid, Object: "tv", Transaction: "use", Environment: []string{"weekday-free-time"}})
+	if err != nil || !allowed {
+		t.Fatalf("session check after the commit = %v, %v; want permit", allowed, err)
+	}
+}
+
+// TestMigrationRefusesForgedHop sends a registration straight to a
+// shard that does not own the subject, with a hop header claiming the
+// owner forwarded it there. The shard answers 409 and creates nothing,
+// and the subject registers on its owner through the router afterwards.
+func TestMigrationRefusesForgedHop(t *testing.T) {
+	c := newRouterCluster(t, 2)
+	ctx := context.Background()
+	sub := "forged"
+	owner := c.m.Owner(sub).ID
+	other := "s0"
+	if owner == other {
+		other = "s1"
+	}
+	seq := strconv.FormatUint(c.rt.feed.Load().Seq(), 10)
+	for _, hop := range []string{"2 " + seq, "1 " + seq} {
+		direct := NewClient(c.shards[other].URL, nil)
+		err := direct.Call(context.WithValue(ctx, hopKey{}, hop), http.MethodPost, "/v1/admin/subjects", BindingRequest{ID: sub, Roles: []string{"child"}}, nil)
+		var re *RemoteError
+		switch {
+		case hop[0] == '2' && (!errors.As(err, &re) || re.Status != http.StatusConflict):
+			t.Fatalf("registration on %s with hop %q = %v, want 409", other, hop, err)
+		case hop[0] == '1' && err != nil:
+			t.Fatalf("registration on %s with hop %q = %v, want it forwarded to %s", other, hop, err, owner)
+		}
+		if c.sys[other].HasSubject(core.SubjectID(sub)) {
+			t.Fatalf("hop %q created %s on %s, which no map names its owner", hop, sub, other)
+		}
+	}
+	if !c.sys[owner].HasSubject(core.SubjectID(sub)) {
+		t.Fatalf("the hop-1 registration did not reach the owner %s", owner)
+	}
+	if resp, err := c.client.Decide(ctx, permitReq(sub)); err != nil || !resp.Allowed {
+		t.Fatalf("Decide(%s) through the router = %+v, %v; want permit", sub, resp, err)
+	}
+}
+
+// TestMigrationOwnerRule pins the ownership rule's table on a shard "a"
+// that holds alice, over hand-made feed views: where a request for a
+// subject it does not hold goes at each hop, for views that lag or lead
+// the sender's, and that a forwarded request reaching a shard no map
+// names is refused.
+func TestMigrationOwnerRule(t *testing.T) {
+	sys := core.NewSystem()
+	if err := sys.AddSubject("alice"); err != nil {
+		t.Fatal(err)
+	}
+	feed := NewMapFeed("http://unused", log.New(io.Discard, "", 0), nil)
+	srv := NewServer(sys, WithAdmin(), WithMapFeed("a", feed))
+	only := func(v uint64, id string) *shard.Map { return onlyMap(t, v, shard.Info{ID: id, Addr: "http://" + id}) }
+	view := func(committed, pending *shard.Map) *MapView {
+		w := shard.Wire{Version: committed.Version()}
+		if pending != nil {
+			w.Pending = &shard.Wire{}
+		}
+		return &MapView{Committed: committed, Pending: pending, seq: w.Seq()}
+	}
+	for _, tc := range []struct {
+		name             string
+		view             *MapView
+		hop              string
+		subject, session string
+		want             string // "" answers here
+		err              error
+	}{
+		{"held", view(only(1, "b"), nil), "", "alice", "", "", nil},
+		{"hop 0 to the committed owner", view(only(1, "b"), nil), "", "bob", "", "b", nil},
+		{"hop 0 by the session's subject", view(only(1, "b"), nil), "", "", "sess-4-bob", "b", nil},
+		{"hop 0 on the committed owner to the pending one", view(only(1, "a"), only(2, "c")), "", "bob", "", "c", nil},
+		{"hop 0 with no other owner", view(only(1, "a"), nil), "", "bob", "", "", nil},
+		{"hop 1 to the pending owner", view(only(1, "b"), only(2, "c")), "1 3", "bob", "", "c", nil},
+		{"hop 1 on the pending owner", view(only(1, "b"), only(2, "a")), "1 3", "bob", "", "", nil},
+		{"hop 1 past the sender's commit", view(only(2, "c"), nil), "1 3", "bob", "", "c", nil},
+		{"hop 2 on the pending owner", view(only(1, "b"), only(2, "a")), "2 3", "bob", "", "", nil},
+		{"hop 2 on the committed owner", view(only(1, "a"), only(2, "c")), "2 3", "bob", "", "", nil},
+		{"hop 2 on a shard no map names", view(only(1, "b"), only(2, "c")), "2 3", "bob", "", "", errNotOwner},
+		{"hop 2 on a shard no map names, no pending", view(only(1, "b"), nil), "2 2", "bob", "", "", errNotOwner},
+	} {
+		feed.view.Store(tc.view)
+		r := httptest.NewRequest(http.MethodPost, decidePath, nil)
+		if tc.hop != "" {
+			r.Header.Set(HopHeader, tc.hop)
+		}
+		sh, err := srv.owner(r, tc.subject, tc.session)
+		got := ""
+		if sh != nil {
+			got = sh.ID
+		}
+		if err != tc.err || got != tc.want {
+			t.Errorf("%s: owner = %q, %v; want %q, %v", tc.name, got, err, tc.want, tc.err)
+		}
+	}
+
+	// A shard behind the sender's view waits for its feed to catch up,
+	// and answers 503 if it does not.
+	feed.view.Store(view(only(1, "b"), nil))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	r := httptest.NewRequest(http.MethodPost, decidePath, nil).WithContext(ctx)
+	r.Header.Set(HopHeader, "1 3")
+	if sh, err := srv.owner(r, "bob", ""); sh != nil || err == nil {
+		t.Errorf("owner behind the sender's view = %v, %v; want an error", sh, err)
+	}
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		feed.view.Store(view(only(1, "b"), only(2, "a")))
+		feed.changed.Publish(3)
+	}()
+	r = httptest.NewRequest(http.MethodPost, decidePath, nil)
+	r.Header.Set(HopHeader, "1 3")
+	if sh, err := srv.owner(r, "bob", ""); sh != nil || err != nil {
+		t.Errorf("owner once caught up to the sender's pending map = %v, %v; want here", sh, err)
+	}
+	// Before the feed's first fetch only held subjects are answered.
+	unfed := NewServer(sys, WithAdmin(), WithMapFeed("a", NewMapFeed("http://unused", log.New(io.Discard, "", 0), nil)))
+	r = httptest.NewRequest(http.MethodPost, decidePath, nil)
+	if sh, err := unfed.owner(r, "bob", ""); sh != nil || !errors.Is(err, errNoMapView) {
+		t.Errorf("owner before the first fetch = %v, %v; want errNoMapView", sh, err)
+	}
+	if sh, err := unfed.owner(r, "alice", ""); sh != nil || err != nil {
+		t.Errorf("owner of a held subject before the first fetch = %v, %v; want here", sh, err)
 	}
 }

@@ -49,13 +49,16 @@ import (
 //     silently omit a partition); ?allow_partial=1 degrades to a 200
 //     with the reachable union plus per-shard errors.
 //
-// A shard that handed a subject off in a rebalance proxies every request
-// for it to the new owner, so a request routed on an older map still gets
-// the owner's answer and clients never observe the handoff.
+// The router publishes its committed map, and a running rebalance's
+// pending map, as a feed. Shards follow it and forward a request for a
+// subject they do not hold by those maps, so a request routed on an older
+// map still gets the owner's answer.
 type Router struct {
-	mu    sync.Mutex // serializes SetMap
-	table atomic.Pointer[ShardTable]
-	maps  watch.Notifier // publishes the active map's version
+	mu      sync.Mutex // serializes SetMap and SetPending
+	table   atomic.Pointer[ShardTable]
+	pending *shard.Map                 // guarded by mu; nil outside a rebalance
+	feed    atomic.Pointer[shard.Wire] // the feed's current reply
+	maps    watch.Notifier             // publishes the feed's sequence
 
 	mux      *http.ServeMux
 	timeout  time.Duration
@@ -81,15 +84,13 @@ const DefaultShardTimeout = 5 * time.Second
 // idempotent read (jittered to 0.5x–1.5x).
 const readRetryBackoff = 25 * time.Millisecond
 
-// ShardMapPath serves the router's current shard map, consumed by
-// grbacctl and by SDK clients that route shard-direct.
+// ShardMapPath serves the router's shard map, with a running
+// rebalance's pending map.
 const ShardMapPath = "/v1/shard/map"
 
-// ShardMapWatchPath long-polls for shard map changes: the request parks
-// until the map version exceeds ?after (or the wait expires), then
-// returns the current wire map. It is internal/watch's long-poll, the
-// one the replica feed runs too. Routers push rebalance commits to SDK
-// clients through this edge so the fleet flips atomically.
+// ShardMapWatchPath long-polls the same reply until its sequence
+// (shard.Wire.Seq) exceeds ?after: internal/watch's long-poll, which a
+// MapFeed follows.
 const ShardMapWatchPath = "/v1/shard/map/watch"
 
 // ErrStaleShardMap is returned by SetMap when the candidate map's
@@ -222,10 +223,12 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 	mux.HandleFunc("/v1/query/who-can", rt.handleWhoCan)
 	mux.HandleFunc("/v1/query/subjects-in-role", rt.handleSubjectsInRole)
 	mux.HandleFunc("/v1/query/what-can", rt.handleWhatCan)
-	mux.HandleFunc(ShardMapPath, rt.handleShardMap)
-	mux.HandleFunc(ShardMapWatchPath, watch.Handler(
+	// With no ?after the watch answers at once: the map, and the feed.
+	feed := watch.Handler(
 		func(ctx context.Context, _ *http.Request, after uint64) uint64 { return rt.maps.Wait(ctx, after) },
-		func(uint64) any { return rt.Map().Wire() }))
+		func(uint64) any { return rt.feed.Load() })
+	mux.HandleFunc(ShardMapPath, feed)
+	mux.HandleFunc(ShardMapWatchPath, feed)
 	mux.HandleFunc("/v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("/v1/statsz", rt.handleStatsz)
 	if rt.bundles != nil {
@@ -251,17 +254,49 @@ func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 }
 
-// install swaps in a routing table and wakes every parked map watch.
-// Callers must hold rt.mu (or be the constructor, before the router is
-// shared).
+// install swaps in a routing table, clears a pending map it reaches and
+// publishes. Callers must hold rt.mu (or be the constructor, before the
+// router is shared).
 func (rt *Router) install(t *ShardTable) {
 	rt.table.Store(t)
 	rt.health.prune(t.Map())
-	rt.maps.Publish(t.Map().Version())
+	if rt.pending != nil && rt.pending.Version() <= t.Map().Version() {
+		rt.pending = nil
+	}
+	rt.publish()
 }
 
-// SetMap atomically replaces the shard map and wakes every parked map
-// watch. Only maps with a strictly higher version are accepted
+// publish makes the committed and pending maps the feed's reply and wakes
+// every parked map watch. Callers hold rt.mu.
+func (rt *Router) publish() {
+	w := rt.Map().Wire()
+	if rt.pending != nil {
+		p := rt.pending.Wire()
+		w.Pending = &p
+	}
+	rt.feed.Store(&w)
+	rt.maps.Publish(w.Seq())
+}
+
+// SetPending publishes m, a running rebalance's target, beside the
+// committed map until a SetMap reaches its version. m must be newer than
+// the committed map, and of the published pending map's version if any.
+func (rt *Router) SetPending(m *shard.Map) error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if cur := rt.Map().Version(); m.Version() <= cur {
+		return fmt.Errorf("%w: pending %d, active %d", ErrStaleShardMap, m.Version(), cur)
+	}
+	if rt.pending != nil && rt.pending.Version() != m.Version() {
+		return fmt.Errorf("pdp: pending map v%d already published, refusing v%d", rt.pending.Version(), m.Version())
+	}
+	rt.pending = m
+	rt.publish()
+	return nil
+}
+
+// SetMap atomically replaces the committed shard map and publishes it.
+// Only maps with a strictly higher version are accepted
 // (ErrStaleShardMap otherwise), so concurrent updaters cannot roll the
 // router back.
 func (rt *Router) SetMap(m *shard.Map) error {
@@ -307,11 +342,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// relayShardError maps one failed shard call onto the router's reply:
-// shard-side HTTP statuses pass through (a 404 on the shard is a 404
-// here), transport failures become 502 Bad Gateway.
-func (rt *Router) relayShardError(w http.ResponseWriter, shardID string, err error) {
-	rt.metrics.err(shardID)
+// relayShardError maps one failed call to a shard onto the reply, a
+// router's or a forwarding shard's: shard-side HTTP statuses pass
+// through, transport failures become 502 Bad Gateway.
+func relayShardError(w http.ResponseWriter, shardID string, err error) {
 	status := http.StatusBadGateway
 	msg := err.Error()
 	var re *RemoteError
@@ -349,18 +383,23 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, out any, methods ...st
 
 // callShard performs one single-shard call: bounded per-shard deadline
 // and one jittered retry when the call is an idempotent read that failed
-// transiently.
+// transiently. A failure counts against the shard.
 func (rt *Router) callShard(r *http.Request, t *ShardTable, sh shard.Info, idempotent bool, call func(context.Context, *Client) error) error {
 	c := t.Client(sh.ID)
 	rt.metrics.route(sh.ID)
 	ctx, cancel := rt.shardCtx(r)
 	defer cancel()
-	if !idempotent {
-		return call(ctx, c)
+	var err error
+	if idempotent {
+		_, err = retryRead(rt, ctx, sh.ID, func(ctx context.Context) (struct{}, error) {
+			return struct{}{}, call(ctx, c)
+		})
+	} else {
+		err = call(ctx, c)
 	}
-	_, err := retryRead(rt, ctx, sh.ID, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, call(ctx, c)
-	})
+	if err != nil {
+		rt.metrics.err(sh.ID)
+	}
 	return err
 }
 
@@ -409,7 +448,7 @@ func (rt *Router) forwardDecide(w http.ResponseWriter, r *http.Request) {
 		return c.decideRaw(withCorrelation(ctx, corr), r.URL.Path, &req, buf)
 	})
 	if err != nil {
-		rt.relayShardError(w, sh.ID, err)
+		relayShardError(w, sh.ID, err)
 		return
 	}
 	writeReply(w, *buf)
@@ -499,7 +538,7 @@ func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request, subject
 	}
 	var out json.RawMessage
 	if err := rt.callShard(r, t, sh, false, callJSON(r.Method, r.URL.Path, in, &out)); err != nil {
-		rt.relayShardError(w, sh.ID, err)
+		relayShardError(w, sh.ID, err)
 		return
 	}
 	writeReply(w, out)
@@ -520,7 +559,7 @@ func (rt *Router) handleSubjectAdmin(w http.ResponseWriter, r *http.Request) {
 	sh := t.Map().Owner(req.ID)
 	var out map[string]string
 	if err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/admin/subjects", req, &out)); err != nil {
-		rt.relayShardError(w, sh.ID, err)
+		relayShardError(w, sh.ID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -676,18 +715,10 @@ func (rt *Router) handleWhatCan(w http.ResponseWriter, r *http.Request) {
 	sh := t.Map().Owner(subject)
 	var resp WhatCanResponse
 	if err := rt.callShard(r, t, sh, true, callJSON(http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp)); err != nil {
-		rt.relayShardError(w, sh.ID, err)
+		relayShardError(w, sh.ID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleShardMap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
-	writeJSON(w, http.StatusOK, rt.Map().Wire())
 }
 
 // RouterHealthResponse aggregates per-shard liveness.

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -35,10 +37,13 @@ grant child use entertainment-devices when weekday-free-time;
 `
 
 // routerCluster is a router fronting n real shards, each a full
-// pdp.Server over its own core.System with the shared policy applied.
+// pdp.Server over its own core.System with the shared policy applied,
+// following the router's shard-map feed.
 type routerCluster struct {
 	rt     *Router
-	front  *httptest.Server // the router's HTTP face
+	front  *httptest.Server    // the router's HTTP face
+	feed   string              // the router's URL, known before it starts
+	feeds  map[string]*MapFeed // shard ID → the shard's map feed
 	m      *shard.Map
 	sys    map[string]*core.System     // shard ID → policy system
 	trails map[string]*audit.Logger    // shard ID → shard audit trail
@@ -53,10 +58,14 @@ func newRouterCluster(t *testing.T, n int, opts ...RouterOption) *routerCluster 
 		t.Fatal(err)
 	}
 	c := &routerCluster{
+		front:  httptest.NewUnstartedServer(nil),
 		sys:    make(map[string]*core.System, n),
 		trails: make(map[string]*audit.Logger, n),
 		shards: make(map[string]*httptest.Server, n),
+		feeds:  make(map[string]*MapFeed, n),
 	}
+	t.Cleanup(c.front.Close)
+	c.feed = "http://" + c.front.Listener.Addr().String()
 	infos := make([]shard.Info, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("s%d", i)
@@ -65,7 +74,7 @@ func newRouterCluster(t *testing.T, n int, opts ...RouterOption) *routerCluster 
 			t.Fatal(err)
 		}
 		c.trails[id] = audit.NewLogger()
-		srv := httptest.NewServer(NewServer(sys, WithAdmin(), WithAuditLogger(c.trails[id])))
+		srv := httptest.NewServer(NewServer(sys, WithAdmin(), WithAuditLogger(c.trails[id]), c.follow(t, id)))
 		t.Cleanup(srv.Close)
 		c.sys[id] = sys
 		c.shards[id] = srv
@@ -79,10 +88,49 @@ func newRouterCluster(t *testing.T, n int, opts ...RouterOption) *routerCluster 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.front = httptest.NewServer(c.rt)
-	t.Cleanup(c.front.Close)
+	c.front.Config.Handler = c.rt
+	c.front.Start()
 	c.client = NewClient(c.front.URL, nil)
+	// A following shard answers only for what it holds until its feed's
+	// first fetch.
+	for id, f := range c.feeds {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := f.await(ctx, func(*MapView) bool { return true })
+		cancel()
+		if err != nil {
+			t.Fatalf("shard %s never fetched the map: %v", id, err)
+		}
+	}
 	return c
+}
+
+// follow makes a shard follow the router's shard-map feed as the shard
+// named id, until the test ends.
+func (c *routerCluster) follow(t *testing.T, id string) ServerOption {
+	t.Helper()
+	f := NewMapFeed(c.feed, log.New(io.Discard, "", 0), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	c.feeds[id] = f
+	return WithMapFeed(id, f)
+}
+
+// coordinator builds a rebalance coordinator that publishes through the
+// cluster's router.
+func (c *routerCluster) coordinator(t *testing.T) *shard.Coordinator {
+	return shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
+		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetPending(m) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
+		t.Logf)
 }
 
 // addSubjects registers subjects through the router (which routes each to

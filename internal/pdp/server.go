@@ -43,7 +43,7 @@ type Server struct {
 	bundles      *bundle.Verifier
 	declog       *declog.Exporter
 	limiter      *limiter
-	migration    migrationState
+	owners       ownership
 	recovered    atomic.Uint64
 	metrics      *obs.Registry
 	httpDur      *obs.HistogramVec
@@ -184,15 +184,14 @@ func (s *Server) handleDecision(route string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		if s.migrateIntercept(w, r, req.Subject, req.Session, req) {
-			return
-		}
 		coreReq := req.toCore()
 		t = time.Now()
 		d, err := s.sys.Decide(coreReq)
 		sv.Mediate = time.Since(t)
 		if err != nil {
-			s.writeError(w, err)
+			if !s.forward(w, r, req.Subject, req.Session, req) {
+				s.writeError(w, err)
+			}
 			return
 		}
 		sv.Stale = s.stale()
@@ -230,10 +229,6 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), maxBatchSize))
 		return
 	}
-	// Items for migrated subjects are mediated by their new owners
-	// (proxied sub-batches); the local pass still runs the full batch and
-	// its answers for those items are overwritten below.
-	forwarded := s.migrateBatch(r.Context(), sv.CorrelationID, req.Requests)
 	coreReqs := make([]core.Request, len(req.Requests))
 	for i, dr := range req.Requests {
 		coreReqs[i] = dr.toCore()
@@ -242,31 +237,23 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	results := s.sys.DecideBatch(coreReqs)
 	sv.Mediate = time.Since(t)
 	sv.Stale = s.stale()
-	for i, res := range results {
-		if forwarded != nil && forwarded[i] != nil {
-			continue // audited by the new owner that mediated it
-		}
-		if res.Err == nil {
-			s.logDecision(coreReqs[i], res.Decision, &sv)
-		}
-	}
 	resp := BatchDecideResponse{
 		Results:       make([]BatchItem, len(results)),
 		Stale:         sv.Stale,
 		CorrelationID: sv.CorrelationID,
 	}
 	for i, res := range results {
-		if forwarded != nil && forwarded[i] != nil {
-			resp.Results[i] = *forwarded[i]
-			continue
-		}
 		if res.Err != nil {
 			resp.Results[i].Error = res.Err.Error()
 			continue
 		}
+		s.logDecision(coreReqs[i], res.Decision, &sv)
 		d := fromDecision(res.Decision)
 		resp.Results[i].Decision = &d
 	}
+	// Items that failed for a subject this shard does not hold are
+	// mediated, and audited, by their owners.
+	s.forwardBatch(r, sv.CorrelationID, req.Requests, resp.Results)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

@@ -77,7 +77,7 @@ func shardMapWatchFeed(t *testing.T) watchFeed {
 		name:    "shard-map",
 		handler: rt,
 		url:     ShardMapWatchPath + "?",
-		version: func() uint64 { return rt.Map().Version() },
+		version: func() uint64 { return rt.feed.Load().Seq() },
 		publish: func() error {
 			cur := rt.Map()
 			next, err := cur.Add(shard.Info{ID: fmt.Sprintf("s%d", cur.Len()), Addr: "http://127.0.0.1:1"})
@@ -89,7 +89,7 @@ func shardMapWatchFeed(t *testing.T) watchFeed {
 		decode: func(body []byte) (uint64, error) {
 			var w shard.Wire
 			err := json.Unmarshal(body, &w)
-			return w.Version, err
+			return w.Seq(), err
 		},
 	}
 }

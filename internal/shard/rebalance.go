@@ -14,28 +14,29 @@ import (
 
 // Rebalance coordinator: moves the subjects a map change displaces from
 // their old owners to their new ones while the cluster keeps serving,
-// then commits the new map version. The protocol per subject:
+// then commits the new map. A shard answers for the subjects it holds and
+// forwards the rest by the router's committed map, then its pending one
+// (internal/pdp), so a run is, in journal order (DESIGN §14):
 //
-//	handoff  one call to the old owner: under its write gate it copies
-//	         the subject to the new owner and starts proxying the
-//	         subject's traffic there, so no acked write misses the copy
-//	moved    journaled — the subject's move is durable
-//
-// and for the run as a whole:
-//
-//	begin      journaled before any copy: old map, new map, move set
-//	committed  journaled when every move is acked; the commit callback
-//	           then installs + publishes the new map
-//	complete   old owners drop moved subjects and keep proxying them
+//	ready      every shard of either map answers and follows the feed;
+//	           otherwise Start fails, and nothing is journaled or published
+//	begin      journaled: old map, new map
+//	pending    the new map is published beside the committed one
+//	plan       every shard of either map lists its residents once its
+//	           feed holds the pending map; journaled as planned
+//	handoff    per subject, the old owner copies it to the new owner
+//	           under its write gate, then deletes its own copy
+//	moved      journaled
+//	committed  journaled when every move is acked
+//	commit     the new map is committed and pending cleared at once
 //	done       journaled; the journal resets for the next run
 //
-// Every step is idempotent (handoff skips subjects it already proxies,
-// complete re-applies, the commit callback version-gates), so a
-// coordinator crash at ANY point resumes by replaying the journal:
-// finished moves are skipped, the in-flight one re-runs, and the run
-// converges to the committed map version. The journal is JSONL on
-// disk.Log, the line log the store WAL also uses, fsynced per record,
-// one record per transition.
+// Every step is idempotent, so a crash anywhere resumes from the journal:
+// a run with no plan republishes pending and plans again, one with a plan
+// republishes pending and hands off what is not yet moved, one that
+// reached committed commits. So a published pending map always reaches a
+// commit; that is why Start checks readiness first. The journal is JSONL
+// on disk.Log, fsynced per record.
 
 // Move relocates one subject between shards.
 type Move struct {
@@ -44,19 +45,15 @@ type Move struct {
 	To      Info   `json:"to"`
 }
 
-// NodeClient is the per-shard migration surface the coordinator drives.
-// Subject state moves shard to shard, never through the coordinator.
+// NodeClient is the per-shard migration surface the coordinator drives;
 // internal/pdp.MigrationNode is the HTTP implementation.
 type NodeClient interface {
-	// Subjects lists the shard's resident subject IDs.
-	Subjects(ctx context.Context) ([]string, error)
-	// Handoff copies each moved subject to its new owner and proxies
-	// the subject's traffic there from then on. A subject already
-	// proxied is skipped, so a re-run never copies it twice.
+	// Subjects lists the shard's residents once its map feed holds a
+	// map, committed or pending, of at least the given version.
+	Subjects(ctx context.Context, version uint64) ([]string, error)
+	// Handoff copies each subject the shard still holds to its new owner
+	// and then deletes it, so a re-run never copies twice.
 	Handoff(ctx context.Context, moves []Move) error
-	// Complete drops the moved subjects locally; their forwarding
-	// entries stay, so the shard keeps proxying them.
-	Complete(ctx context.Context, moves []Move) error
 }
 
 // Dialer returns the migration client for one shard.
@@ -64,6 +61,10 @@ type Dialer func(Info) NodeClient
 
 // ErrRebalanceActive reports a second rebalance starting while one runs.
 var ErrRebalanceActive = errors.New("shard: a rebalance is already running")
+
+// ErrShardNotReady reports a Start refused because a shard of the run
+// cannot be reached or follows no map feed.
+var ErrShardNotReady = errors.New("shard: not ready for a rebalance")
 
 // Status is a point-in-time snapshot of the coordinator.
 type Status struct {
@@ -78,7 +79,7 @@ type Status struct {
 
 // journalRecord is one line of the rebalance journal.
 type journalRecord struct {
-	Op      string `json:"op"` // begin | moved | committed | done
+	Op      string `json:"op"` // begin | planned | moved | committed | done
 	Old     *Wire  `json:"old,omitempty"`
 	New     *Wire  `json:"new,omitempty"`
 	Moves   []Move `json:"moves,omitempty"`
@@ -88,25 +89,26 @@ type journalRecord struct {
 // Coordinator runs online rebalances. One instance per routing process;
 // at most one rebalance runs at a time.
 type Coordinator struct {
-	path   string
-	dial   Dialer
-	commit func(ctx context.Context, m *Map) error
-	logf   func(format string, args ...any)
+	path    string
+	dial    Dialer
+	pending func(ctx context.Context, m *Map) error
+	commit  func(ctx context.Context, m *Map) error
+	logf    func(format string, args ...any)
 
-	mu      sync.Mutex
-	running bool
-	status  Status
+	mu     sync.Mutex
+	status Status // Active doubles as the single-flight slot
 }
 
 // NewCoordinator builds a coordinator journaling to path. dial opens
-// per-shard migration clients; commit installs a fully-acked new map
-// (router swap + persistence) and must tolerate being called again with
-// the same map on resume. logf may be nil.
-func NewCoordinator(path string, dial Dialer, commit func(ctx context.Context, m *Map) error, logf func(string, ...any)) *Coordinator {
+// per-shard migration clients. pending publishes a run's new map beside
+// the committed one; commit installs it and clears pending in one
+// publication (router swap + persistence). Both must take the same map
+// again on resume. logf may be nil.
+func NewCoordinator(path string, dial Dialer, pending, commit func(ctx context.Context, m *Map) error, logf func(string, ...any)) *Coordinator {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Coordinator{path: path, dial: dial, commit: commit, logf: logf}
+	return &Coordinator{path: path, dial: dial, pending: pending, commit: commit, logf: logf}
 }
 
 // Status returns the coordinator's current progress snapshot.
@@ -126,32 +128,16 @@ func (c *Coordinator) setStatus(mutate func(*Status)) {
 func (c *Coordinator) claim() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.running {
+	if c.status.Active {
 		return ErrRebalanceActive
 	}
-	c.running = true
+	c.status.Active = true
 	return nil
-}
-
-// acquire claims the slot for one run and resets its progress.
-func (c *Coordinator) acquire(from, to *Map, total int) error {
-	if err := c.claim(); err != nil {
-		return err
-	}
-	c.resetStatus(from, to, total)
-	return nil
-}
-
-func (c *Coordinator) resetStatus(from, to *Map, total int) {
-	c.setStatus(func(s *Status) {
-		*s = Status{Active: true, Phase: "copy", FromVersion: from.Version(), ToVersion: to.Version(), TotalMoves: total}
-	})
 }
 
 func (c *Coordinator) release(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.running = false
 	c.status.Active = false
 	if err != nil {
 		c.status.Phase = "failed"
@@ -161,19 +147,19 @@ func (c *Coordinator) release(err error) {
 	}
 }
 
-// Plan computes the move set a cur→next map change displaces: every
-// subject resident on a cur shard whose next owner differs. Shards
-// leaving the map contribute all their subjects.
-func (c *Coordinator) Plan(ctx context.Context, cur, next *Map) ([]Move, error) {
+// plan lists the residents of every shard of cur and next, each once its
+// feed holds next, and returns the move set: every subject whose next
+// owner is not the shard that holds it. A subject registered after the
+// listing is born on its next owner.
+func (c *Coordinator) plan(ctx context.Context, cur, next *Map) ([]Move, error) {
 	var moves []Move
-	for _, from := range cur.Shards() {
-		subjects, err := c.dial(from).Subjects(ctx)
+	for _, from := range participants(cur, next) {
+		subjects, err := c.dial(from).Subjects(ctx, next.Version())
 		if err != nil {
 			return nil, fmt.Errorf("shard: list subjects on %q: %w", from.ID, err)
 		}
 		for _, sub := range subjects {
-			to := next.Owner(sub)
-			if to.ID != from.ID {
+			if to := next.Owner(sub); to.ID != from.ID {
 				moves = append(moves, Move{Subject: sub, From: from, To: to})
 			}
 		}
@@ -182,47 +168,86 @@ func (c *Coordinator) Plan(ctx context.Context, cur, next *Map) ([]Move, error) 
 	return moves, nil
 }
 
-// Start plans the cur→next run, claims the coordinator's single-flight
-// slot synchronously — so concurrent callers get a clean
-// ErrRebalanceActive, never two runs — and executes the migration in
-// the background. The returned Status is the starting snapshot (with
-// the planned move count); progress is polled via Status.
-func (c *Coordinator) Start(ctx context.Context, cur, next *Map) (Status, error) {
-	moves, err := c.Plan(ctx, cur, next)
-	if err != nil {
-		return Status{}, err
-	}
-	if err := c.acquire(cur, next, len(moves)); err != nil {
-		return Status{}, err
-	}
-	st := c.Status()
-	go func() {
-		// Detached from the caller: a rebalance outlives the request
-		// that started it. The journal makes a crash mid-run resumable.
-		var runErr error
-		defer func() { c.release(runErr) }()
-		runErr = c.execute(context.Background(), cur, next, moves)
-		if runErr != nil {
-			c.logf("rebalance: %v", runErr)
+// ready checks that every shard of cur and next lists its residents at
+// cur's version: it is reachable, and its feed has fetched the committed
+// map (a shard that follows no feed refuses).
+func (c *Coordinator) ready(ctx context.Context, cur, next *Map) error {
+	for _, sh := range participants(cur, next) {
+		if _, err := c.dial(sh).Subjects(ctx, cur.Version()); err != nil {
+			return fmt.Errorf("%w: shard %q: %v", ErrShardNotReady, sh.ID, err)
 		}
-	}()
+	}
+	return nil
+}
+
+// participants returns every shard of cur and next, once each.
+func participants(cur, next *Map) []Info {
+	var out []Info
+	seen := make(map[string]bool)
+	for _, sh := range append(cur.Shards(), next.Shards()...) {
+		if !seen[sh.ID] {
+			seen[sh.ID] = true
+			out = append(out, sh)
+		}
+	}
+	return out
+}
+
+// Start claims the single-flight slot synchronously, so concurrent
+// callers get a clean ErrRebalanceActive, checks that every shard of the
+// run is ready (ErrShardNotReady otherwise), then journals the cur→next
+// run and executes it in the background; progress is polled via Status.
+// A journal holding an interrupted run owns the published pending map:
+// that run resumes instead, and Start reports ErrRebalanceActive.
+func (c *Coordinator) Start(ctx context.Context, cur, next *Map) (Status, error) {
+	if err := c.claim(); err != nil {
+		return Status{}, err
+	}
+	j, run, err := c.openJournal()
+	if err != nil {
+		c.setStatus(func(s *Status) { s.Active = false })
+		return Status{}, err
+	}
+	if run.begin != nil && !run.done {
+		c.background(j, run)
+		return Status{}, fmt.Errorf("%w: resuming the interrupted run to map v%d first", ErrRebalanceActive, run.begin.New.Version)
+	}
+	// Once its pending map is published a run must reach a commit, so a
+	// shard it could not plan on refuses it before anything is written.
+	err = c.ready(ctx, cur, next)
+	oldW, newW := cur.Wire(), next.Wire()
+	begin := journalRecord{Op: "begin", Old: &oldW, New: &newW}
+	if err == nil {
+		err = j.append(begin)
+	}
+	if err != nil {
+		j.close()
+		c.setStatus(func(s *Status) { s.Active = false })
+		return Status{}, err
+	}
+	c.resetStatus(cur, next)
+	st := c.Status()
+	c.background(j, journalRun{begin: &begin, moved: make(map[string]bool)})
 	return st, nil
 }
 
-// execute journals and runs one already-planned, already-acquired
-// cur→next migration. The caller owns acquire/release.
-func (c *Coordinator) execute(ctx context.Context, cur, next *Map, moves []Move) error {
-	j, _, err := c.openJournal()
-	if err != nil {
-		return err
-	}
-	defer j.close()
-	oldW, newW := cur.Wire(), next.Wire()
-	if err := j.append(journalRecord{Op: "begin", Old: &oldW, New: &newW, Moves: moves}); err != nil {
-		return err
-	}
-	c.logf("rebalance: v%d → v%d, %d subjects to move", cur.Version(), next.Version(), len(moves))
-	return c.run(ctx, j, next, moves, false)
+// background executes a claimed run detached from the caller, which it
+// outlives.
+func (c *Coordinator) background(j *journal, run journalRun) {
+	go func() {
+		defer j.close()
+		err := c.run(context.Background(), j, run)
+		if err != nil {
+			c.logf("rebalance: %v", err)
+		}
+		c.release(err)
+	}()
+}
+
+func (c *Coordinator) resetStatus(from, to *Map) {
+	c.setStatus(func(s *Status) {
+		*s = Status{Active: true, Phase: "plan", FromVersion: from.Version(), ToVersion: to.Version()}
+	})
 }
 
 // Resume replays an interrupted run from the journal, if one is
@@ -233,57 +258,59 @@ func (c *Coordinator) Resume(ctx context.Context) (resumed bool, err error) {
 	if err := c.claim(); err != nil {
 		return false, err
 	}
-	defer func() {
-		if resumed {
-			c.release(err)
-			return
-		}
-		c.mu.Lock()
-		c.running = false
-		c.mu.Unlock()
-	}()
-	j, recs, err := c.openJournal()
+	j, run, err := c.openJournal()
 	if err != nil {
+		c.setStatus(func(s *Status) { s.Active = false })
 		return false, err
 	}
 	defer j.close()
-	begin, movedSet, committed, done := foldJournal(recs)
-	if begin == nil {
-		return false, nil
-	}
-	if done {
-		// Crash landed between the done record and the journal reset:
-		// the run finished, only the cleanup is owed.
-		return false, j.reset()
-	}
-	cur, err := FromWire(*begin.Old)
-	if err != nil {
-		return false, fmt.Errorf("shard: journal old map: %w", err)
-	}
-	next, err := FromWire(*begin.New)
-	if err != nil {
-		return false, fmt.Errorf("shard: journal new map: %w", err)
-	}
-	remaining := make([]Move, 0, len(begin.Moves))
-	for _, mv := range begin.Moves {
-		if !movedSet[mv.Subject] {
-			remaining = append(remaining, mv)
+	if run.begin == nil || run.done {
+		// A done run crashed between its done record and the journal
+		// reset: only the cleanup is owed.
+		if run.done {
+			err = j.reset()
 		}
+		c.setStatus(func(s *Status) { s.Active = false })
+		return false, err
 	}
-	c.resetStatus(cur, next, len(begin.Moves))
-	c.setStatus(func(s *Status) { s.Moved = len(begin.Moves) - len(remaining) })
-	c.logf("rebalance: resuming v%d → v%d, %d of %d moves left (committed=%v)",
-		cur.Version(), next.Version(), len(remaining), len(begin.Moves), committed)
-	return true, c.run(ctx, j, next, remaining, committed)
+	err = c.run(ctx, j, run)
+	c.release(err)
+	return true, err
 }
 
-// run executes the handoff loop for the given moves, then
-// commit + complete + done. committed short-circuits straight to the
-// commit phase on resume.
-func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Move, committed bool) error {
-	version := next.Version()
-	if !committed {
+// run executes one journaled run from wherever its journal left it:
+// publish pending, plan, hand off, then commit and done.
+func (c *Coordinator) run(ctx context.Context, j *journal, run journalRun) error {
+	cur, err := FromWire(*run.begin.Old)
+	if err != nil {
+		return fmt.Errorf("shard: journal old map: %w", err)
+	}
+	next, err := FromWire(*run.begin.New)
+	if err != nil {
+		return fmt.Errorf("shard: journal new map: %w", err)
+	}
+	c.resetStatus(cur, next)
+	if !run.committed {
+		// Republished on every resume: a restarted router holds only its
+		// committed map.
+		if err := c.pending(ctx, next); err != nil {
+			return fmt.Errorf("shard: publish pending map v%d: %w", next.Version(), err)
+		}
+		moves := run.moves
+		if !run.planned {
+			if moves, err = c.plan(ctx, cur, next); err != nil {
+				return err
+			}
+			if err := j.append(journalRecord{Op: "planned", Moves: moves}); err != nil {
+				return err
+			}
+		}
+		c.setStatus(func(s *Status) { s.Phase, s.TotalMoves, s.Moved = "copy", len(moves), len(run.moved) })
+		c.logf("rebalance: v%d → v%d, %d subjects to move, %d moved", cur.Version(), next.Version(), len(moves), len(run.moved))
 		for _, mv := range moves {
+			if run.moved[mv.Subject] {
+				continue
+			}
 			if err := c.moveOne(ctx, j, mv); err != nil {
 				return err
 			}
@@ -298,31 +325,7 @@ func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Mo
 		return err
 	}
 	if err := c.commit(ctx, next); err != nil {
-		return fmt.Errorf("shard: commit map v%d: %w", version, err)
-	}
-
-	c.setStatus(func(s *Status) { s.Phase = "complete" })
-	// All moves from the run, not just this call's remainder: complete
-	// is idempotent and a resumed run must flip every old owner.
-	all := movesFromJournal(j, moves)
-	byFrom := make(map[string][]Move)
-	fromInfo := make(map[string]Info)
-	for _, mv := range all {
-		byFrom[mv.From.ID] = append(byFrom[mv.From.ID], mv)
-		fromInfo[mv.From.ID] = mv.From
-	}
-	ids := make([]string, 0, len(byFrom))
-	for id := range byFrom {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if err := c.dial(fromInfo[id]).Complete(ctx, byFrom[id]); err != nil {
-			return fmt.Errorf("shard: complete on %q: %w", id, err)
-		}
-	}
-	if err := faults.Inject(faults.RebalanceComplete); err != nil {
-		return err
+		return fmt.Errorf("shard: commit map v%d: %w", next.Version(), err)
 	}
 	if err := j.append(journalRecord{Op: "done"}); err != nil {
 		return err
@@ -332,7 +335,8 @@ func (c *Coordinator) run(ctx context.Context, j *journal, next *Map, moves []Mo
 }
 
 // moveOne hands one subject off and journals it moved. A re-run after a
-// crash between the two finds the subject proxied and copies nothing.
+// crash between the two finds the subject gone from its old owner and
+// copies nothing.
 func (c *Coordinator) moveOne(ctx context.Context, j *journal, mv Move) error {
 	if err := c.dial(mv.From).Handoff(ctx, []Move{mv}); err != nil {
 		return fmt.Errorf("shard: handoff %q on %q: %w", mv.Subject, mv.From.ID, err)
@@ -343,32 +347,32 @@ func (c *Coordinator) moveOne(ctx context.Context, j *journal, mv Move) error {
 	return j.append(journalRecord{Op: "moved", Subject: mv.Subject})
 }
 
-// movesFromJournal returns the full move set of the active run: the
-// begin record's moves when the journal has one (resume), else the
-// passed set (fresh run — moves IS the full set).
-func movesFromJournal(j *journal, fallback []Move) []Move {
-	if j.begin != nil {
-		return j.begin.Moves
-	}
-	return fallback
-}
-
 // --- journal --------------------------------------------------------------
 
 // journal is the rebalance run log: one JSON record per line on the
 // shared crash-safe line log, fsynced per record.
 type journal struct {
-	log   *disk.Log
-	begin *journalRecord
+	log *disk.Log
 }
 
-// openJournal opens the coordinator's journal and returns its records. A
+// journalRun is a journal folded to what a resume needs: the last begin
+// and what its run reached since.
+type journalRun struct {
+	begin     *journalRecord
+	planned   bool
+	moves     []Move
+	moved     map[string]bool
+	committed bool
+	done      bool
+}
+
+// openJournal opens the coordinator's journal and folds its records. A
 // torn tail left by a crash mid-append, or a line that does not decode,
 // ends the clean prefix; the rest is cut off (and the cut fsynced) before
 // anything is appended, since appending after the fragment would glue the
 // next record onto it and hide that record, and every later one, from the
 // next Resume. The repair is logged.
-func (c *Coordinator) openJournal() (*journal, []journalRecord, error) {
+func (c *Coordinator) openJournal() (*journal, journalRun, error) {
 	var recs []journalRecord
 	l, rep, err := disk.OpenLog(c.path, true, func(line []byte) error {
 		if len(line) == 0 {
@@ -382,13 +386,12 @@ func (c *Coordinator) openJournal() (*journal, []journalRecord, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("shard: rebalance journal: %w", err)
+		return nil, journalRun{}, fmt.Errorf("shard: rebalance journal: %w", err)
 	}
 	if rep.TruncatedBytes > 0 {
 		c.logf("rebalance: journal repair dropped %d-byte tail: %s", rep.TruncatedBytes, rep.Reason)
 	}
-	begin, _, _, _ := foldJournal(recs)
-	return &journal{log: l, begin: begin}, recs, nil
+	return &journal{log: l}, foldJournal(recs), nil
 }
 
 // append writes one record and fsyncs it — a record the coordinator
@@ -407,15 +410,11 @@ func (j *journal) append(rec journalRecord) error {
 	if err := j.log.Sync(); err != nil {
 		return fmt.Errorf("shard: journal: %w", err)
 	}
-	if rec.Op == "begin" {
-		j.begin = &rec
-	}
 	return nil
 }
 
-// reset empties the journal after a durable done record.
+// reset empties the journal.
 func (j *journal) reset() error {
-	j.begin = nil
 	if err := j.log.Reset(); err != nil {
 		return fmt.Errorf("shard: journal: %w", err)
 	}
@@ -424,24 +423,22 @@ func (j *journal) reset() error {
 
 func (j *journal) close() { _ = j.log.Close() }
 
-// foldJournal reduces a record sequence to the resume inputs: the last
-// begin, the subjects moved since it, and whether committed/done were
-// reached.
-func foldJournal(recs []journalRecord) (begin *journalRecord, moved map[string]bool, committed, done bool) {
-	moved = make(map[string]bool)
+// foldJournal reduces a record sequence to the last begin's run.
+func foldJournal(recs []journalRecord) journalRun {
+	run := journalRun{moved: make(map[string]bool)}
 	for i := range recs {
 		switch recs[i].Op {
 		case "begin":
-			begin = &recs[i]
-			moved = make(map[string]bool)
-			committed, done = false, false
+			run = journalRun{begin: &recs[i], moved: make(map[string]bool)}
+		case "planned":
+			run.planned, run.moves = true, recs[i].Moves
 		case "moved":
-			moved[recs[i].Subject] = true
+			run.moved[recs[i].Subject] = true
 		case "committed":
-			committed = true
+			run.committed = true
 		case "done":
-			done = true
+			run.done = true
 		}
 	}
-	return begin, moved, committed, done
+	return run
 }

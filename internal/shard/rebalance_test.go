@@ -16,27 +16,26 @@ import (
 )
 
 // fakeCluster is an in-memory shard fleet implementing the migration
-// protocol the coordinator drives: resident subject copies plus the
-// per-shard forwarding table, with the same rules as the real pdp
-// endpoints (handoff copies a subject and installs its proxy entry
-// unless it has one already, the copy clears the new owner's stale
-// entry, complete drops the local copy and keeps the entry). A copy is
-// its write count, so a copy taken from a stale owner shows as lost
-// writes.
+// protocol the coordinator drives, with the same rules as the real pdp
+// endpoints: a request goes to its committed owner, and a shard that
+// does not hold the subject forwards it by the committed map, then by
+// the pending one; handoff copies a subject the shard still holds and
+// deletes it there. A copy is its write count, so a copy taken from a
+// stale owner shows as lost writes.
 type fakeCluster struct {
-	mu         sync.Mutex
-	resident   map[string]map[string]int    // shard → subject → writes applied
-	forwarding map[string]map[string]string // shard → subject → new owner
-	active     *Map                         // last committed map
-	writes     map[string]int               // subject → writes acked
+	mu       sync.Mutex
+	resident map[string]map[string]int // shard → subject → writes applied
+	active   *Map                      // last committed map
+	pending  *Map                      // the running rebalance's map, if any
+	writes   map[string]int            // subject → writes acked
+	down     map[string]bool           // shards whose migration calls fail
 }
 
 func newFakeCluster(m *Map) *fakeCluster {
 	cl := &fakeCluster{
-		resident:   make(map[string]map[string]int),
-		forwarding: make(map[string]map[string]string),
-		active:     m,
-		writes:     make(map[string]int),
+		resident: make(map[string]map[string]int),
+		active:   m,
+		writes:   make(map[string]int),
 	}
 	for _, s := range m.Shards() {
 		cl.ensure(s.ID)
@@ -47,9 +46,6 @@ func newFakeCluster(m *Map) *fakeCluster {
 func (cl *fakeCluster) ensure(id string) {
 	if cl.resident[id] == nil {
 		cl.resident[id] = make(map[string]int)
-	}
-	if cl.forwarding[id] == nil {
-		cl.forwarding[id] = make(map[string]string)
 	}
 }
 
@@ -67,19 +63,38 @@ func (cl *fakeCluster) dial(info Info) NodeClient {
 	return &fakeNode{cl: cl, id: info.ID}
 }
 
+func (cl *fakeCluster) newCoordinator(path string, logf func(string, ...any)) *Coordinator {
+	return NewCoordinator(path, cl.dial, cl.publishPending, cl.commit, logf)
+}
+
+// publishPending is the router's pending publication: version-gated
+// like a commit, so a resume may publish the same map again.
+func (cl *fakeCluster) publishPending(_ context.Context, m *Map) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if m.Version() <= cl.active.Version() {
+		return fmt.Errorf("pending map v%d not past committed v%d", m.Version(), cl.active.Version())
+	}
+	cl.pending = m
+	return nil
+}
+
 func (cl *fakeCluster) commit(_ context.Context, m *Map) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	// Version-gated like the router: re-committing the same map on
 	// resume is fine, rolling back is not.
-	if cl.active == nil || m.Version() >= cl.active.Version() {
+	if m.Version() >= cl.active.Version() {
 		cl.active = m
+	}
+	if cl.pending != nil && cl.pending.Version() <= cl.active.Version() {
+		cl.pending = nil
 	}
 	return nil
 }
 
-// resolve routes one subject the way the serving path would: active-map
-// owner, then at most a couple of forwarding hops, ending at a resident
+// resolve routes one subject the way the serving path would: to its
+// committed owner, then by the ownership rule, ending at a resident
 // copy. It errors when the subject is unreachable — the invariant every
 // crash point must preserve.
 func (cl *fakeCluster) resolve(sub string) (string, error) {
@@ -90,17 +105,21 @@ func (cl *fakeCluster) resolve(sub string) (string, error) {
 
 func (cl *fakeCluster) resolveLocked(sub string) (string, error) {
 	id := cl.active.Owner(sub).ID
-	for hops := 0; hops < 3; hops++ {
-		if target, ok := cl.forwarding[id][sub]; ok {
-			id = target
-			continue
-		}
+	for hop := 0; ; hop++ {
 		if _, ok := cl.resident[id][sub]; ok {
 			return id, nil
 		}
-		return "", fmt.Errorf("subject %q not resident on %q (no forwarding entry)", sub, id)
+		next := ""
+		if c := cl.active.Owner(sub).ID; hop == 0 && c != id {
+			next = c
+		} else if cl.pending != nil && hop < 2 && cl.pending.Owner(sub).ID != id {
+			next = cl.pending.Owner(sub).ID
+		}
+		if next == "" {
+			return "", fmt.Errorf("subject %q not resident on %q after %d hops", sub, id, hop)
+		}
+		id = next
 	}
-	return "", fmt.Errorf("subject %q: forwarding loop", sub)
 }
 
 // write applies one acked mutation to sub where the serving path would
@@ -118,7 +137,8 @@ func (cl *fakeCluster) write(sub string) error {
 }
 
 // checkWrites asserts every subject resolves to its owner under the
-// active map, and that owner's copy holds every acked write.
+// active map, that owner's copy holds every acked write, and no other
+// shard holds a copy.
 func (cl *fakeCluster) checkWrites(t *testing.T, subs []string) {
 	t.Helper()
 	for _, sub := range subs {
@@ -132,6 +152,11 @@ func (cl *fakeCluster) checkWrites(t *testing.T, subs []string) {
 		if got, want := cl.resident[owner][sub], cl.writes[sub]; got != want {
 			t.Fatalf("subject %s on %s holds %d of %d acked writes", sub, owner, got, want)
 		}
+		for id, held := range cl.resident {
+			if _, ok := held[sub]; ok && id != owner {
+				t.Fatalf("subject %s still held by %s beside its owner %s", sub, id, owner)
+			}
+		}
 	}
 }
 
@@ -140,9 +165,15 @@ type fakeNode struct {
 	id string
 }
 
-func (n *fakeNode) Subjects(context.Context) ([]string, error) {
+func (n *fakeNode) Subjects(_ context.Context, version uint64) ([]string, error) {
 	n.cl.mu.Lock()
 	defer n.cl.mu.Unlock()
+	if n.cl.down[n.id] {
+		return nil, fmt.Errorf("shard %q unreachable", n.id)
+	}
+	if n.cl.active.Version() < version && (n.cl.pending == nil || n.cl.pending.Version() < version) {
+		return nil, fmt.Errorf("shard %q: map v%d not published", n.id, version)
+	}
 	out := make([]string, 0, len(n.cl.resident[n.id]))
 	for sub := range n.cl.resident[n.id] {
 		out = append(out, sub)
@@ -155,27 +186,13 @@ func (n *fakeNode) Handoff(_ context.Context, moves []Move) error {
 	n.cl.mu.Lock()
 	defer n.cl.mu.Unlock()
 	for _, mv := range moves {
-		if _, ok := n.cl.forwarding[n.id][mv.Subject]; ok {
-			continue
-		}
 		copied, ok := n.cl.resident[n.id][mv.Subject]
 		if !ok {
-			return fmt.Errorf("subject %q not on shard %q", mv.Subject, n.id)
+			continue
 		}
 		n.cl.ensure(mv.To.ID)
 		n.cl.resident[mv.To.ID][mv.Subject] = copied
-		delete(n.cl.forwarding[mv.To.ID], mv.Subject)
-		n.cl.forwarding[n.id][mv.Subject] = mv.To.ID
-	}
-	return nil
-}
-
-func (n *fakeNode) Complete(_ context.Context, moves []Move) error {
-	n.cl.mu.Lock()
-	defer n.cl.mu.Unlock()
-	for _, mv := range moves {
 		delete(n.cl.resident[n.id], mv.Subject)
-		n.cl.forwarding[n.id][mv.Subject] = mv.To.ID
 	}
 	return nil
 }
@@ -208,7 +225,7 @@ func testSubjects(n int) []string {
 
 // TestRebalanceAddShard pins the happy path: growing the map moves
 // exactly the displaced subjects, commits the new version, and leaves
-// every subject resolvable on its new owner with proxy entries behind.
+// every subject on its new owner alone.
 func TestRebalanceAddShard(t *testing.T) {
 	base, err := New(0, Info{ID: "a", Addr: "addr-a"}, Info{ID: "b", Addr: "addr-b"})
 	if err != nil {
@@ -219,7 +236,7 @@ func TestRebalanceAddShard(t *testing.T) {
 	cl.seed(base, subs)
 
 	path := filepath.Join(t.TempDir(), "rebalance.journal")
-	coord := NewCoordinator(path, cl.dial, cl.commit, t.Logf)
+	coord := cl.newCoordinator(path, t.Logf)
 	next, err := base.Add(Info{ID: "c", Addr: "addr-c"})
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +266,10 @@ func TestRebalanceAddShard(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("test map moved no subjects — pick more subjects or vnodes")
 	}
+	cl.checkWrites(t, subs)
+	if cl.pending != nil {
+		t.Fatalf("pending map v%d still published after the commit", cl.pending.Version())
+	}
 	st := coord.Status()
 	if st.Active || st.Phase != "done" || st.Moved != st.TotalMoves || st.TotalMoves != moved {
 		t.Fatalf("status = %+v, want done with %d/%d moves", st, moved, moved)
@@ -263,6 +284,48 @@ func TestRebalanceAddShard(t *testing.T) {
 	}
 }
 
+// TestRebalanceStartRefusesUnreadyShard pins the readiness check: a
+// Start naming a shard that cannot list its residents fails at once with
+// ErrShardNotReady, journals and publishes nothing, and leaves the
+// coordinator free, so the corrected run starts and commits.
+func TestRebalanceStartRefusesUnreadyShard(t *testing.T) {
+	base, err := New(0, Info{ID: "a", Addr: "addr-a"}, Info{ID: "b", Addr: "addr-b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := newFakeCluster(base)
+	subs := testSubjects(24)
+	cl.seed(base, subs)
+	path := filepath.Join(t.TempDir(), "rebalance.journal")
+	coord := cl.newCoordinator(path, t.Logf)
+	next, err := base.Add(Info{ID: "c", Addr: "addr-c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.down = map[string]bool{"c": true}
+	if _, err := coord.Start(context.Background(), base, next); !errors.Is(err, ErrShardNotReady) {
+		t.Fatalf("Start with shard c down = %v, want ErrShardNotReady", err)
+	}
+	if cl.pending != nil {
+		t.Fatalf("pending map v%d published by a refused Start", cl.pending.Version())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("journal after a refused Start: err=%v, want empty", err)
+	}
+	if st := coord.Status(); st.Active {
+		t.Fatalf("status after a refused Start = %+v, want inactive", st)
+	}
+	if resumed, err := coord.Resume(context.Background()); err != nil || resumed {
+		t.Fatalf("Resume after a refused Start = (%v, %v), want (false, nil)", resumed, err)
+	}
+
+	cl.down = nil
+	if err := runRebalance(t, coord, base, next); err != nil {
+		t.Fatalf("corrected run: %v", err)
+	}
+	cl.checkWrites(t, subs)
+}
+
 // TestRebalanceRemoveShard drains a leaving shard: every one of its
 // subjects must move and the committed map must no longer name it.
 func TestRebalanceRemoveShard(t *testing.T) {
@@ -275,7 +338,7 @@ func TestRebalanceRemoveShard(t *testing.T) {
 	cl.seed(base, subs)
 
 	path := filepath.Join(t.TempDir(), "rebalance.journal")
-	coord := NewCoordinator(path, cl.dial, cl.commit, t.Logf)
+	coord := cl.newCoordinator(path, t.Logf)
 	next, err := base.Remove("c")
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +371,7 @@ func TestRebalanceRemoveShard(t *testing.T) {
 // must converge to the committed new map version with every write acked
 // between the crash and the resume on the final owner. Kill points cover
 // every journaled transition: the handoff of a move, the journal
-// appends themselves, the commit, and the completion flip.
+// appends themselves and the commit.
 func TestRebalanceCrashMatrix(t *testing.T) {
 	kills := []struct {
 		name  string
@@ -316,12 +379,12 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 		after int // skip the first N hits, so later appends get killed too
 	}{
 		{"journal-begin", faults.RebalanceJournal, 0},
-		{"journal-first-moved", faults.RebalanceJournal, 1},
+		{"journal-planned", faults.RebalanceJournal, 1},
+		{"journal-first-moved", faults.RebalanceJournal, 2},
 		{"journal-committed", faults.RebalanceJournal, 0}, // resolved below
 		{"handoff", faults.RebalanceHandoff, 0},
 		{"handoff-later", faults.RebalanceHandoff, 2},
 		{"commit", faults.RebalanceCommit, 0},
-		{"complete", faults.RebalanceComplete, 0},
 	}
 	for _, kp := range kills {
 		t.Run(kp.name, func(t *testing.T) {
@@ -340,14 +403,14 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 
 			after := kp.after
 			if kp.name == "journal-committed" {
-				// The committed append is the (moves+2)th journal write
-				// (begin + one per move); compute it from the plan.
-				coord := NewCoordinator(path, cl.dial, cl.commit, nil)
-				moves, err := coord.Plan(context.Background(), base, next)
-				if err != nil {
-					t.Fatal(err)
+				// The committed append follows begin, planned and one
+				// moved record per move.
+				after = 2
+				for _, sub := range subs {
+					if base.Owner(sub).ID != next.Owner(sub).ID {
+						after++
+					}
 				}
-				after = 1 + len(moves)
 			}
 
 			faults.Activate(faults.NewPlan(1, faults.Rule{
@@ -356,7 +419,7 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 				Limit:  1,
 				Action: faults.Action{Err: errors.New("kill " + kp.name)},
 			}))
-			err = runRebalance(t, NewCoordinator(path, cl.dial, cl.commit, nil), base, next)
+			err = runRebalance(t, cl.newCoordinator(path, nil), base, next)
 			faults.Deactivate()
 			if err == nil {
 				t.Fatalf("kill point %s never fired", kp.name)
@@ -377,7 +440,7 @@ func TestRebalanceCrashMatrix(t *testing.T) {
 			// A fresh coordinator (the restarted process) resumes from the
 			// journal. A crash before the begin record is durable means
 			// nothing to resume — re-running the rebalance covers it.
-			resumed := NewCoordinator(path, cl.dial, cl.commit, t.Logf)
+			resumed := cl.newCoordinator(path, t.Logf)
 			didResume, err := resumed.Resume(context.Background())
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
@@ -411,7 +474,7 @@ func TestRebalanceResumeAfterDone(t *testing.T) {
 	}
 	w := base.Wire()
 	path := filepath.Join(t.TempDir(), "rebalance.journal")
-	j, _, err := NewCoordinator(path, nil, nil, nil).openJournal()
+	j, _, err := NewCoordinator(path, nil, nil, nil, nil).openJournal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +489,7 @@ func TestRebalanceResumeAfterDone(t *testing.T) {
 	}
 	j.close()
 
-	coord := NewCoordinator(path, func(Info) NodeClient { panic("must not dial") }, nil, nil)
+	coord := NewCoordinator(path, func(Info) NodeClient { panic("must not dial") }, nil, nil, nil)
 	resumed, err := coord.Resume(context.Background())
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
@@ -439,8 +502,8 @@ func TestRebalanceResumeAfterDone(t *testing.T) {
 	}
 }
 
-// TestRebalanceJournalTornTail cuts a begin+moved+moved journal, left by
-// a coordinator killed at its fourth append, at every byte offset. The
+// TestRebalanceJournalTornTail cuts a begin+planned+moved journal, left
+// by a coordinator killed at its fourth append, at every byte offset. The
 // open keeps the longest clean prefix, cuts the torn tail so the next
 // append lands on a line of its own, and logs the repair; Resume (or, with
 // no begin left, a re-run) then finishes the migration.
@@ -463,7 +526,7 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 			Action: faults.Action{Err: errors.New("kill")},
 		}))
 		defer faults.Deactivate()
-		if err := runRebalance(t, NewCoordinator(path, cl.dial, cl.commit, nil), base, next); err == nil || !strings.Contains(err.Error(), "kill") {
+		if err := runRebalance(t, cl.newCoordinator(path, nil), base, next); err == nil || !strings.Contains(err.Error(), "kill") {
 			t.Fatalf("coordinator survived its kill point: %v", err)
 		}
 		return cl
@@ -476,7 +539,7 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := strings.Count(string(full), "\n"); n != 3 {
-		t.Fatalf("killed run left %d journal records, want begin+moved+moved", n)
+		t.Fatalf("killed run left %d journal records, want begin+planned+moved", n)
 	}
 
 	path := filepath.Join(dir, "rebalance.journal")
@@ -487,7 +550,7 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 		}
 		var logged []string
 		logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
-		coord := NewCoordinator(path, cl.dial, cl.commit, logf)
+		coord := cl.newCoordinator(path, logf)
 		didResume, err := coord.Resume(context.Background())
 		if err != nil {
 			t.Fatalf("cut %d: Resume: %v", off, err)
@@ -507,15 +570,7 @@ func TestRebalanceJournalTornTail(t *testing.T) {
 		if want := base.Version() + 1; cl.active.Version() != want {
 			t.Fatalf("cut %d: active map v%d, want v%d", off, cl.active.Version(), want)
 		}
-		for _, sub := range subs {
-			owner, err := cl.resolve(sub)
-			if err != nil {
-				t.Fatalf("cut %d: resolve(%s): %v", off, sub, err)
-			}
-			if want := cl.active.Owner(sub).ID; owner != want {
-				t.Fatalf("cut %d: subject %s resolves to %s, want %s", off, sub, owner, want)
-			}
-		}
+		cl.checkWrites(t, subs)
 		if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
 			t.Fatalf("cut %d: journal not reset: err=%v", off, err)
 		}
@@ -530,8 +585,8 @@ func TestRebalanceSingleFlight(t *testing.T) {
 	}
 	cl := newFakeCluster(base)
 	cl.seed(base, testSubjects(8))
-	coord := NewCoordinator(filepath.Join(t.TempDir(), "j"), cl.dial, cl.commit, nil)
-	if err := coord.acquire(base, base, 0); err != nil {
+	coord := cl.newCoordinator(filepath.Join(t.TempDir(), "j"), nil)
+	if err := coord.claim(); err != nil {
 		t.Fatal(err)
 	}
 	next, err := base.Add(Info{ID: "c", Addr: "addr-c"})

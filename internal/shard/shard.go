@@ -52,11 +52,22 @@ type Info struct {
 }
 
 // Wire is the serialized form of a Map, served by routers at
-// /v1/shard/map and embedded in config files.
+// /v1/shard/map with a running rebalance's target map as Pending, and
+// embedded in config files. FromWire reads only the committed map.
 type Wire struct {
 	Version uint64 `json:"version"`
 	VNodes  int    `json:"vnodes"`
 	Shards  []Info `json:"shards"`
+	Pending *Wire  `json:"pending,omitempty"`
+}
+
+// Seq is a published wire map's feed sequence, moved by every commit and
+// pending set or clear, and resumed by a router that reloads its map.
+func (w Wire) Seq() uint64 {
+	if w.Pending != nil {
+		return 2*w.Version + 1
+	}
+	return 2 * w.Version
 }
 
 // point is one virtual node on the ring.

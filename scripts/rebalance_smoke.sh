@@ -1,21 +1,25 @@
 #!/bin/sh
-# Online-rebalance smoke for CI: boot two grbacd shards and a
-# rebalance-capable routing tier (-route + -data-dir), put the cluster
+# Online-rebalance smoke for CI: boot two grbacd shards that follow the
+# router's shard-map feed (-map-source) and a rebalance-capable routing
+# tier (-route + -data-dir), put the cluster
 # under continuous decide load and a session writer, then grow it to
 # three shards with `grbacctl rebalance add` and assert the
 # online-rebalance contracts end to end with the shipped binaries:
+#   0. a rebalance onto a shard that is not up is refused at once, and
+#      the router publishes no pending map for it;
 #   1. the rebalance commits: status settles on "done", the router's
 #      map version bumps, and the new shard joins the map;
 #   2. zero failed decides and zero failed writes while subjects
 #      migrated (one-step handoff: the old owner copies each subject
-#      under its write gate and proxies it from then on), and every
+#      under its write gate, deletes its copy, and from then on forwards
+#      the subject by the published maps), and every
 #      session the writer got acked survives: addressed by its ID alone
 #      it still takes a role activation and a check permits, and named
 #      with its subject it still permits too;
 #   3. the post-state is balanced: every shard (including the new one)
 #      owns at least one subject, and the partitions sum exactly; and
 #      shard A, asked directly, still permits every subject it handed
-#      to shard C (it proxies them);
+#      to shard C (it forwards them by the committed map);
 #   4. the shard map converges on clients too: a shard-aware SDK
 #      process (examples/shardwatch) sees the committed version via the
 #      map watch and can still decide every subject;
@@ -48,9 +52,9 @@ go build -o "$workdir/grbacd" ./cmd/grbacd
 go build -o "$workdir/grbacctl" ./cmd/grbacctl
 go build -o "$workdir/shardwatch" ./examples/shardwatch
 
-"$workdir/grbacd" -addr "127.0.0.1:$port_a" -admin >"$workdir/shard_a.log" 2>&1 &
+"$workdir/grbacd" -addr "127.0.0.1:$port_a" -admin -map-source "a=$router" >"$workdir/shard_a.log" 2>&1 &
 pid_a=$!
-"$workdir/grbacd" -addr "127.0.0.1:$port_b" -admin >"$workdir/shard_b.log" 2>&1 &
+"$workdir/grbacd" -addr "127.0.0.1:$port_b" -admin -map-source "b=$router" >"$workdir/shard_b.log" 2>&1 &
 pid_b=$!
 "$workdir/grbacd" -addr "127.0.0.1:$port_r" \
 	-route "a=$shard_a,b=$shard_b" -shard-timeout 2s \
@@ -61,6 +65,10 @@ pid_r=$!
 wait_until "shard A healthz" curl -sf "$shard_a/v1/healthz"
 wait_until "shard B healthz" curl -sf "$shard_b/v1/healthz"
 wait_until "router healthz" curl -sf "$router/v1/healthz"
+# A following shard answers only for what it holds until its first map
+# fetch; a listing at the committed version waits for that fetch.
+wait_until "shard A follows the map" curl -sf "$shard_a/v1/migrate/subjects?pending=1"
+wait_until "shard B follows the map" curl -sf "$shard_b/v1/migrate/subjects?pending=1"
 
 # Register subjects through the router (stock policy ships role child).
 subjects=""
@@ -191,9 +199,22 @@ start_traffic
 	-subjects "$(echo $subjects | tr ' ' ',')" >"$workdir/watch.log" 2>&1 &
 pid_watch=$!
 
+# Contract 0: before shard C is up, adding it is refused and nothing is
+# published; the real add below then runs.
+if "$workdir/grbacctl" -server "$router" rebalance add -id c -addr "$shard_c" >"$workdir/refused.log" 2>&1; then
+	echo "rebalance_smoke: FAIL: rebalance add onto a shard that is down was accepted" >&2
+	exit 1
+fi
+map=$(curl -sf "$router/v1/shard/map")
+if echo "$map" | grep -q '"pending"' || ! echo "$map" | grep -q '"version":1,'; then
+	echo "rebalance_smoke: FAIL: a refused add changed the published map: $map" >&2
+	exit 1
+fi
+echo "rebalance_smoke: add onto a down shard refused, map v1 unchanged"
+
 # Grow the cluster online: boot shard C, rebalance onto it, wait for
 # the run to finish.
-"$workdir/grbacd" -addr "127.0.0.1:$port_c" -admin >"$workdir/shard_c.log" 2>&1 &
+"$workdir/grbacd" -addr "127.0.0.1:$port_c" -admin -map-source "c=$router" >"$workdir/shard_c.log" 2>&1 &
 pid_c=$!
 wait_until "shard C healthz" curl -sf "$shard_c/v1/healthz"
 

@@ -151,7 +151,7 @@ type Client struct {
 
 	shardRouting bool
 	homeShard    string
-	router       *pdp.Client
+	feed         *pdp.MapFeed
 	shardMu      sync.Mutex
 	shards       atomic.Pointer[pdp.ShardTable]
 
@@ -296,13 +296,13 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 		_ = c.puller.Run(runCtx)
 	}()
 	if c.shardRouting {
-		// Ride the router's map watch so a rebalance commit flips this
+		// Ride the router's map feed so a rebalance commit flips this
 		// client's routing atomically — no polling interval to tune, no
 		// stale-map window beyond one push.
 		c.watchDone = make(chan struct{})
 		go func() {
 			defer close(c.watchDone)
-			c.watchShardMap(runCtx)
+			c.feed.Run(runCtx)
 		}()
 	}
 
@@ -376,6 +376,9 @@ func (c *Client) Decide(ctx context.Context, req grbac.Request) (Decision, error
 	}
 	d, err := c.sys.Decide(req)
 	if err != nil {
+		if c.missingHere(req, err) {
+			return c.decideMissing(ctx, req, err)
+		}
 		return Decision{}, err
 	}
 	return Decision{Decision: d, Source: SourceLocal}, nil
@@ -385,7 +388,10 @@ func (c *Client) Decide(ctx context.Context, req grbac.Request) (Decision, error
 // against the compiled snapshot — no Decision clone, zero allocations.
 func (c *Client) CheckAccess(ctx context.Context, req grbac.Request) (bool, error) {
 	if localEvaluable(req) && c.locallyOwned(req) && !c.puller.Stale() {
-		return c.sys.CheckAccess(req)
+		ok, err := c.sys.CheckAccess(req)
+		if err == nil || !c.missingHere(req, err) {
+			return ok, err
+		}
 	}
 	d, err := c.Decide(ctx, req)
 	if err != nil {
@@ -426,6 +432,10 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []grbac.Request) []BatchR
 			}
 			results := c.sys.DecideBatch(batch)
 			for j, i := range localIdx {
+				if err := results[j].Err; err != nil && c.missingHere(reqs[i], err) {
+					remoteIdx = append(remoteIdx, i)
+					continue
+				}
 				if results[j].Err != nil {
 					out[i].Err = results[j].Err
 					continue

@@ -2,14 +2,13 @@ package sdk
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	grbac "github.com/aware-home/grbac"
 	"github.com/aware-home/grbac/internal/pdp"
-	"github.com/aware-home/grbac/internal/retry"
 	"github.com/aware-home/grbac/internal/shard"
 )
 
@@ -17,16 +16,10 @@ import (
 // routes with (one shard map, the client table built for it and the
 // owner rule), behind an atomic pointer. Every request captures the
 // table once, so a concurrent map swap (a rebalance commit pushed
-// through the watch) can never tear the map away from the clients built
-// for it. A background watcher long-polls the router's
-// /v1/shard/map/watch and installs newer maps atomically; until it does,
-// a request sent to a subject's old shard is proxied by that shard to
-// the new owner.
-
-// sdkMapWatchWait is how long one SDK map watch parks on the router.
-// The router wakes parked watches on every map commit, so this bounds
-// only the idle re-poll cadence, not convergence latency.
-const sdkMapWatchWait = 20 * time.Second
+// through the feed) can never tear the map away from the clients built
+// for it. A pdp.MapFeed follows the router's shard-map feed and installs
+// each newer committed map; until it does, a request sent to a subject's
+// old shard is forwarded by that shard to the owner.
 
 // newShardClient builds the per-shard remote used for direct routing.
 func (c *Client) newShardClient(addr string) *pdp.Client {
@@ -34,17 +27,13 @@ func (c *Client) newShardClient(addr string) *pdp.Client {
 }
 
 // installShardMap swaps in a strictly newer shard map; the new table
-// reuses the clients of shards whose address is unchanged. Returns
-// whether the map was installed.
-func (c *Client) installShardMap(m *shard.Map) bool {
+// reuses the clients of shards whose address is unchanged.
+func (c *Client) installShardMap(m *shard.Map) {
 	c.shardMu.Lock()
 	defer c.shardMu.Unlock()
-	t, err := pdp.NewShardTable(c.shards.Load(), m, c.newShardClient)
-	if err != nil {
-		return false
+	if t, err := pdp.NewShardTable(c.shards.Load(), m, c.newShardClient); err == nil {
+		c.shards.Store(t)
 	}
-	c.shards.Store(t)
-	return true
 }
 
 // bootstrapShardMap fetches the routing tier's shard map, installs the
@@ -53,16 +42,11 @@ func (c *Client) installShardMap(m *shard.Map) bool {
 func (c *Client) bootstrapShardMap(ctx context.Context, routerURL string) (shard.Info, error) {
 	mctx, cancel := context.WithTimeout(ctx, bootstrapTimeout)
 	defer cancel()
-	c.router = pdp.NewClient(routerURL, nil)
-	var w shard.Wire
-	if err := c.router.Call(mctx, http.MethodGet, pdp.ShardMapPath, nil, &w); err != nil {
+	c.feed = pdp.NewMapFeed(routerURL, c.logger, func(v *pdp.MapView) { c.installShardMap(v.Committed) })
+	if err := c.feed.Poll(mctx); err != nil {
 		return shard.Info{}, fmt.Errorf("sdk: fetch shard map from %s: %w", routerURL, err)
 	}
-	m, err := shard.FromWire(w)
-	if err != nil {
-		return shard.Info{}, fmt.Errorf("sdk: shard map from %s: %w", routerURL, err)
-	}
-	c.installShardMap(m)
+	m := c.shards.Load().Map()
 	if c.homeShard == "" {
 		c.homeShard = m.Shards()[0].ID
 	}
@@ -71,50 +55,6 @@ func (c *Client) bootstrapShardMap(ctx context.Context, routerURL string) (shard
 		return shard.Info{}, fmt.Errorf("sdk: home shard %q not in shard map v%d", c.homeShard, m.Version())
 	}
 	return home, nil
-}
-
-// watchShardMap is the background map watcher: it long-polls the
-// router for a map newer than the installed one and swaps the view the
-// moment a rebalance commits. Router failures back off with jitter on
-// the shared retry policy and re-poll; the loop exits with ctx.
-func (c *Client) watchShardMap(ctx context.Context) {
-	bo := retry.Backoff{Min: 100 * time.Millisecond, Max: 5 * time.Second}
-	for {
-		err := c.pollShardMap(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-		if err == nil {
-			bo.Reset()
-			continue
-		}
-		c.logger.Printf("sdk: shard map watch: %v (retrying in ~%v)", err, bo.Current())
-		if !bo.Sleep(ctx) {
-			return
-		}
-	}
-}
-
-// pollShardMap parks one map watch on the router and installs the map it
-// answers with, if that map is newer than the installed one.
-func (c *Client) pollShardMap(ctx context.Context) error {
-	after := c.shards.Load().Map().Version()
-	path := pdp.ShardMapWatchPath + "?after=" + strconv.FormatUint(after, 10) +
-		"&wait=" + sdkMapWatchWait.String()
-	wctx, cancel := context.WithTimeout(ctx, sdkMapWatchWait+10*time.Second)
-	defer cancel()
-	var w shard.Wire
-	if err := c.router.Call(wctx, http.MethodGet, path, nil, &w); err != nil {
-		return err
-	}
-	m, err := shard.FromWire(w)
-	if err != nil {
-		return err
-	}
-	if c.installShardMap(m) {
-		c.logger.Printf("sdk: shard map v%d installed (%d shards)", m.Version(), m.Len())
-	}
-	return nil
 }
 
 // ShardMap returns the currently installed shard map (nil without
@@ -132,7 +72,8 @@ func (c *Client) ShardMap() *shard.Map {
 // it, only the home shard's partition is — a foreign subject evaluated
 // locally would be indistinguishable from an unknown one. A rebalance
 // that moves a subject off the home shard flips this answer the moment
-// the watcher installs the committed map.
+// the feed installs the committed map; before that, the subject leaves
+// the home replica at its handoff, and missingHere sends it remote.
 func (c *Client) locallyOwned(req grbac.Request) bool {
 	t := c.shards.Load()
 	if t == nil {
@@ -154,4 +95,26 @@ func (c *Client) remoteClientFor(t *pdp.ShardTable, req *pdp.DecideRequest) *pdp
 		return t.Client(sh.ID)
 	}
 	return c.remote
+}
+
+// missingHere reports whether a local answer failed because the home
+// replica does not hold the request's subject while shard routing and a
+// remote are on.
+// A rebalance's handoff deletes the home shard's copy before the commit
+// moves the subject off the home shard in the committed map, and this
+// client's map feed may not show that rebalance yet, so such a request is
+// asked remotely, where the old owner forwards it to the new one.
+func (c *Client) missingHere(req grbac.Request, err error) bool {
+	return c.feed != nil && !c.noRemote && errors.Is(err, grbac.ErrNotFound) && !c.sys.HasSubject(req.Subject)
+}
+
+// decideMissing asks remotely for a request that missingHere let through
+// after the local err; a remote not-found answers with err itself.
+func (c *Client) decideMissing(ctx context.Context, req grbac.Request, err error) (Decision, error) {
+	d, rerr := c.remoteDecide(ctx, req, "subject not on the home replica")
+	var re *pdp.RemoteError
+	if errors.As(rerr, &re) && re.Status == http.StatusNotFound {
+		return Decision{}, err
+	}
+	return d, rerr
 }

@@ -3,6 +3,7 @@ package sdk
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -35,10 +36,12 @@ grant child use entertainment-devices when weekday-free-time;
 `
 
 // shardedCluster is a booted n-shard cluster behind a router, with the
-// handles SDK rebalance tests need: the router itself (to commit new
-// maps), a factory for extra shard servers and each shard's server by ID.
+// handles SDK rebalance tests need: the router itself (to publish and
+// commit new maps), a factory for extra shard servers and each shard's
+// server by ID.
 type shardedCluster struct {
 	front  *httptest.Server
+	feed   string // the router's URL, which the shards follow
 	rt     *pdp.Router
 	m      *shard.Map
 	subs   []string
@@ -46,7 +49,9 @@ type shardedCluster struct {
 }
 
 // newShard boots one more shard server (admin + replication feed, same
-// policy) and returns its Info, without touching the active map.
+// policy, following the router's map feed when the cluster has one) and
+// returns its Info, without touching the active map. It returns once the
+// shard has fetched the map, if the router is up.
 func (c *shardedCluster) newShard(t *testing.T, id string) shard.Info {
 	t.Helper()
 	compiled, err := policy.Compile(shardedPolicy)
@@ -57,9 +62,29 @@ func (c *shardedCluster) newShard(t *testing.T, id string) shard.Info {
 	if err := compiled.Apply(sys, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(pdp.NewServer(sys,
-		pdp.WithAdmin(),
-		pdp.WithReplicaSource(replica.NewSource(sys))))
+	opts := []pdp.ServerOption{pdp.WithAdmin(), pdp.WithReplicaSource(replica.NewSource(sys))}
+	if c.feed != "" {
+		f := pdp.NewMapFeed(c.feed, quiet, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f.Run(ctx)
+		}()
+		t.Cleanup(func() {
+			cancel()
+			<-done
+		})
+		opts = append(opts, pdp.WithMapFeed(id, f))
+		if c.rt != nil {
+			for deadline := time.Now().Add(10 * time.Second); f.View() == nil; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("shard %s never fetched the map", id)
+				}
+			}
+		}
+	}
+	srv := httptest.NewServer(pdp.NewServer(sys, opts...))
 	t.Cleanup(srv.Close)
 	if c.shards == nil {
 		c.shards = make(map[string]*httptest.Server)
@@ -73,7 +98,9 @@ func (c *shardedCluster) newShard(t *testing.T, id string) shard.Info {
 // registers subjects through it.
 func bootShardedCluster(t *testing.T, n, subjects int) *shardedCluster {
 	t.Helper()
-	c := &shardedCluster{}
+	c := &shardedCluster{front: httptest.NewUnstartedServer(nil)}
+	t.Cleanup(c.front.Close)
+	c.feed = "http://" + c.front.Listener.Addr().String()
 	infos := make([]shard.Info, n)
 	for i := 0; i < n; i++ {
 		infos[i] = c.newShard(t, fmt.Sprintf("s%d", i))
@@ -87,8 +114,15 @@ func bootShardedCluster(t *testing.T, n, subjects int) *shardedCluster {
 		t.Fatal(err)
 	}
 	c.rt, c.m = rt, m
-	c.front = httptest.NewServer(rt)
-	t.Cleanup(c.front.Close)
+	c.front.Config.Handler = rt
+	c.front.Start()
+	// Each shard answers only for what it holds until its first fetch;
+	// a listing naming the committed version waits for it.
+	for _, info := range infos {
+		if _, err := pdp.NewMigrationNode(info.Addr).Subjects(context.Background(), m.Version()); err != nil {
+			t.Fatalf("shard %s never fetched the map: %v", info.ID, err)
+		}
+	}
 
 	router := pdp.NewClient(c.front.URL, nil)
 	c.subs = make([]string, subjects)
@@ -114,6 +148,40 @@ func shardPermitReq(sub string) grbac.Request {
 	return grbac.Request{
 		Subject: grbac.SubjectID(sub), Object: "tv", Transaction: "use",
 		Environment: []grbac.RoleID{"weekday-free-time"},
+	}
+}
+
+// coordinator builds a rebalance coordinator that publishes through the
+// cluster's router.
+func (c *shardedCluster) coordinator(t *testing.T) *shard.Coordinator {
+	return shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
+		func(info shard.Info) shard.NodeClient { return pdp.NewMigrationNode(info.Addr) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetPending(m) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
+		t.Logf)
+}
+
+// handOff publishes a pending map naming only dest, waits until the
+// shards at from and dest follow it, and hands sub off from the shard at
+// from to dest.
+func (c *shardedCluster) handOff(t *testing.T, sub string, from, dest shard.Info) {
+	t.Helper()
+	ctx := context.Background()
+	pending, err := shard.FromWire(shard.Wire{Version: c.rt.Map().Version() + 1, Shards: []shard.Info{dest}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.rt.SetPending(pending); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []string{from.Addr, dest.Addr} {
+		if _, err := pdp.NewMigrationNode(addr).Subjects(ctx, pending.Version()); err != nil {
+			t.Fatalf("shard %s never saw the pending map: %v", addr, err)
+		}
+	}
+	moves := []shard.Move{{Subject: sub, From: from, To: dest}}
+	if err := pdp.NewMigrationNode(from.Addr).Handoff(ctx, moves); err != nil {
+		t.Fatalf("handoff: %v", err)
 	}
 }
 
@@ -275,10 +343,7 @@ func TestSDKShardMapWatchConvergence(t *testing.T) {
 
 	// Grow the cluster: coordinator migrates subjects to a third shard
 	// and commits the new map on the router.
-	coord := shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
-		func(info shard.Info) shard.NodeClient { return pdp.NewMigrationNode(info.Addr) },
-		func(_ context.Context, m *shard.Map) error { return cl.rt.SetMap(m) },
-		t.Logf)
+	coord := cl.coordinator(t)
 	cur := cl.rt.Map()
 	next, err := cur.Add(cl.newShard(t, "s2"))
 	if err != nil {
@@ -403,10 +468,11 @@ func (l *lineCounter) Write(p []byte) (int, error) {
 }
 
 // TestSDKReachesMovedSubjectThroughOldShard pins the stale-map path: a
-// subject migrates to a shard the SDK's installed map has never heard of
-// (the router map is deliberately left stale, so the watch cannot help),
-// and a shard-direct decide and batch still succeed because the old
-// owner proxies them to the new one.
+// subject is handed off to a shard the SDK's installed map has never
+// heard of (the router publishes that shard only in a pending map it
+// never commits, so the SDK's committed map cannot help), and a
+// shard-direct decide and batch still succeed because the old owner
+// forwards them by the pending map.
 func TestSDKReachesMovedSubjectThroughOldShard(t *testing.T) {
 	cl := bootShardedCluster(t, 2, 8)
 	c := newEmbedded(t, cl.front.URL, WithShardRouting("s0"))
@@ -423,33 +489,153 @@ func TestSDKReachesMovedSubjectThroughOldShard(t *testing.T) {
 	if sub == "" {
 		t.Fatal("no subject owned by s1")
 	}
-
-	// Migrate it out-of-band to a shard the map does not contain:
-	// handoff → complete, leaving s1 proxying.
-	dest := cl.newShard(t, "x9")
 	oldInfo, _ := cl.m.Get("s1")
-	old := pdp.NewMigrationNode(oldInfo.Addr)
-	moves := []shard.Move{{Subject: sub, From: oldInfo, To: dest}}
-	if err := old.Handoff(ctx, moves); err != nil {
-		t.Fatalf("handoff: %v", err)
-	}
-	if err := old.Complete(ctx, moves); err != nil {
-		t.Fatalf("complete: %v", err)
-	}
+	cl.handOff(t, sub, oldInfo, cl.newShard(t, "x9"))
 
 	d, err := c.Decide(ctx, shardPermitReq(sub))
 	if err != nil {
 		t.Fatalf("Decide after handoff: %v", err)
 	}
 	if !d.Allowed || d.Source != SourceRemote {
-		t.Fatalf("Decide after handoff = %+v, want remote permit proxied by the old owner", d)
+		t.Fatalf("Decide after handoff = %+v, want remote permit forwarded by the old owner", d)
 	}
 
-	// A batch item takes the same path: the old owner proxies it to the
+	// A batch item takes the same path: the old owner forwards it to the
 	// new one.
 	out := c.DecideBatch(ctx, []grbac.Request{shardPermitReq(sub)})
 	if out[0].Err != nil || !out[0].Decision.Allowed {
-		t.Fatalf("batch after handoff = %+v, want permit proxied by the old owner", out[0])
+		t.Fatalf("batch after handoff = %+v, want permit forwarded by the old owner", out[0])
+	}
+}
+
+// TestSDKShardSeesWindowWrite hands a subject of the SDK's home shard off
+// to a new shard and writes to it through the router after the handoff
+// and before any commit. The SDK's home replica no longer holds the
+// subject while the rebalance's map is pending, so it asks remotely, by
+// the committed map, the old owner, which forwards to the new one: every
+// local entry point answers with the write. An unknown subject is still
+// ErrNotFound.
+func TestSDKShardSeesWindowWrite(t *testing.T) {
+	cl := bootShardedCluster(t, 2, 0)
+	c := newEmbedded(t, cl.front.URL, WithShardRouting("s0"))
+	ctx := context.Background()
+	router := pdp.NewClient(cl.front.URL, nil)
+	var sub string
+	for i := 0; sub == ""; i++ {
+		if s := fmt.Sprintf("window-%02d", i); cl.m.Owner(s).ID == "s0" {
+			sub = s
+		}
+	}
+	if err := router.UpsertSubject(ctx, pdp.BindingRequest{ID: sub, Roles: []string{"family-member"}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the home replica to hold "+sub, func() bool { return c.System().HasSubject(grbac.SubjectID(sub)) })
+	if d, err := c.Decide(ctx, shardPermitReq(sub)); err != nil || d.Allowed || d.Source != SourceLocal {
+		t.Fatalf("Decide(%s) before the move = %+v, %v; want a local deny", sub, d, err)
+	}
+	ghost := "ghost"
+	for i := 0; cl.m.Owner(ghost).ID != "s0"; i++ {
+		ghost = fmt.Sprintf("ghost-%02d", i)
+	}
+	if _, err := c.Decide(ctx, shardPermitReq(ghost)); !errors.Is(err, grbac.ErrNotFound) {
+		t.Fatalf("Decide(%s) of an unknown home subject = %v, want ErrNotFound", ghost, err)
+	}
+
+	home, _ := cl.m.Get("s0")
+	cl.handOff(t, sub, home, cl.newShard(t, "x9"))
+	waitFor("the SDK to see the pending map", func() bool { v := c.feed.View(); return v != nil && v.Pending != nil })
+	waitFor("the home replica to drop "+sub, func() bool { return !c.System().HasSubject(grbac.SubjectID(sub)) })
+	if err := router.UpsertSubject(ctx, pdp.BindingRequest{ID: sub, Roles: []string{"child"}}); err != nil {
+		t.Fatalf("write in the window: %v", err)
+	}
+
+	if d, err := c.Decide(ctx, shardPermitReq(sub)); err != nil || !d.Allowed || d.Source != SourceRemote {
+		t.Fatalf("Decide(%s) after the window write = %+v, %v; want a remote permit", sub, d, err)
+	}
+	if ok, err := c.CheckAccess(ctx, shardPermitReq(sub)); err != nil || !ok {
+		t.Fatalf("CheckAccess(%s) after the window write = %v, %v; want permit", sub, ok, err)
+	}
+	if out := c.DecideBatch(ctx, []grbac.Request{shardPermitReq(sub)}); out[0].Err != nil || !out[0].Decision.Allowed {
+		t.Fatalf("batch after the window write = %+v, want permit", out[0])
+	}
+}
+
+// TestSDKShardSeesHandoffBeforeItsFeed holds the SDK's map feed back
+// while a subject of its home shard is handed off and written to. The
+// SDK sees no pending map, yet the home replica has dropped the subject,
+// so it asks remotely and answers with the write.
+func TestSDKShardSeesHandoffBeforeItsFeed(t *testing.T) {
+	cl := bootShardedCluster(t, 2, 0)
+	// The SDK reaches the router through a front that, while held, keeps
+	// every map watch reply back until the test ends.
+	var held atomic.Bool
+	release := make(chan struct{})
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		cl.rt.ServeHTTP(rec, r)
+		if held.Load() && r.URL.Path == pdp.ShardMapWatchPath {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(front.Close)
+	t.Cleanup(func() { close(release) })
+	c := newEmbedded(t, front.URL, WithShardRouting("s0"))
+	ctx := context.Background()
+	router := pdp.NewClient(cl.front.URL, nil)
+	var sub string
+	for i := 0; sub == ""; i++ {
+		if s := fmt.Sprintf("lag-%02d", i); cl.m.Owner(s).ID == "s0" {
+			sub = s
+		}
+	}
+	if err := router.UpsertSubject(ctx, pdp.BindingRequest{ID: sub, Roles: []string{"family-member"}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the home replica to hold "+sub, func() bool { return c.System().HasSubject(grbac.SubjectID(sub)) })
+
+	held.Store(true)
+	home, _ := cl.m.Get("s0")
+	cl.handOff(t, sub, home, cl.newShard(t, "x9"))
+	waitFor("the home replica to drop "+sub, func() bool { return !c.System().HasSubject(grbac.SubjectID(sub)) })
+	if err := router.UpsertSubject(ctx, pdp.BindingRequest{ID: sub, Roles: []string{"child"}}); err != nil {
+		t.Fatalf("write after the handoff: %v", err)
+	}
+	if v := c.feed.View(); v.Pending != nil {
+		t.Fatal("the SDK's feed saw the pending map: the front did not hold it back")
+	}
+
+	if d, err := c.Decide(ctx, shardPermitReq(sub)); err != nil || !d.Allowed || d.Source != SourceRemote {
+		t.Fatalf("Decide(%s) = %+v, %v; want a remote permit", sub, d, err)
+	}
+	if ok, err := c.CheckAccess(ctx, shardPermitReq(sub)); err != nil || !ok {
+		t.Fatalf("CheckAccess(%s) = %v, %v; want permit", sub, ok, err)
+	}
+	if out := c.DecideBatch(ctx, []grbac.Request{shardPermitReq(sub)}); out[0].Err != nil || !out[0].Decision.Allowed {
+		t.Fatalf("batch = %+v, want permit", out[0])
 	}
 }
 
@@ -481,10 +667,7 @@ func TestSDKShardRebalanceRemoveKeepsSessions(t *testing.T) {
 		t.Fatal("no subject on s2 — grow the subject set")
 	}
 
-	coord := shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
-		func(info shard.Info) shard.NodeClient { return pdp.NewMigrationNode(info.Addr) },
-		func(_ context.Context, m *shard.Map) error { return cl.rt.SetMap(m) },
-		t.Logf)
+	coord := cl.coordinator(t)
 	next, err := cl.m.Remove("s2")
 	if err != nil {
 		t.Fatal(err)
