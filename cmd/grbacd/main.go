@@ -181,7 +181,11 @@ func main() {
 		handler := http.Handler(rt)
 		if *dataDir != "" {
 			coord := shard.NewCoordinator(journalPath,
-				func(info shard.Info) shard.NodeClient { return pdp.NewMigrationNode(info.Addr) },
+				func(info shard.Info) shard.NodeClient {
+					n := pdp.NewMigrationNode(info.Addr)
+					n.ID = info.ID
+					return n
+				},
 				func(_ context.Context, nm *shard.Map) error { return rt.SetPending(nm) },
 				func(_ context.Context, nm *shard.Map) error {
 					// Re-commits during resume may carry the already-active

@@ -498,3 +498,203 @@ func TestExperimentsCiteLiveChecks(t *testing.T) {
 		}
 	}
 }
+
+// TestCIRunRegexesSelectTests keeps CI's test selection live: every |
+// alternative of every -run regex in ci.yml and the Makefile must match a
+// Test, Fuzz, Benchmark or Example function in the packages its command
+// names, and every -fuzz target must name exactly one Fuzz function there,
+// so renaming a test cannot silently drop it from a repeat or fuzz step.
+// The one exemption is the match-nothing -run (XXX or ^$) of a -bench or
+// -fuzz step.
+func TestCIRunRegexesSelectTests(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
+	funcs := map[string][]string{} // package directory → its test functions
+	var modules []string           // directories holding a go.mod
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.Name() == "go.mod":
+			modules = append(modules, filepath.Dir(p))
+		case strings.HasSuffix(p, "_test.go"):
+			src, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllSubmatch(src, -1) {
+				funcs[filepath.Dir(p)] = append(funcs[filepath.Dir(p)], string(m[1]))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(dir, root string) bool {
+		return root == "." || dir == root || strings.HasPrefix(dir, root+"/")
+	}
+	moduleOf := func(dir string) (mod string) {
+		for _, m := range modules {
+			if within(dir, m) && len(m) >= len(mod) {
+				mod = m
+			}
+		}
+		return mod
+	}
+	// named returns the test functions of the packages a go test command
+	// run in base names, "./..." staying inside base's module.
+	named := func(base string, pkgs []string) []string {
+		var out []string
+		for dir, fns := range funcs {
+			for _, p := range pkgs {
+				p = filepath.Join(base, p)
+				if root, ok := strings.CutSuffix(p, "..."); ok {
+					root = filepath.Clean(root)
+					if within(dir, root) && moduleOf(dir) == moduleOf(root) {
+						out = append(out, fns...)
+						break
+					}
+				} else if dir == p {
+					out = append(out, fns...)
+					break
+				}
+			}
+		}
+		return out
+	}
+	matching := func(re string, fns []string) (n int) {
+		rx, err := regexp.Compile(re)
+		if err != nil {
+			t.Fatalf("regex %q: %v", re, err)
+		}
+		for _, fn := range fns {
+			if rx.MatchString(fn) {
+				n++
+			}
+		}
+		return n
+	}
+
+	cd := regexp.MustCompile(`cd (\S+) && go test`)
+	checked := 0
+	for _, file := range []string{filepath.Join(".github", "workflows", "ci.yml"), "Makefile"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(src)
+		if file == "Makefile" {
+			text = strings.ReplaceAll(text, "$$", "$")
+		}
+		for _, line := range strings.Split(text, "\n") {
+			_, cmd, ok := strings.Cut(line, "go test ")
+			if !ok {
+				continue
+			}
+			base := "."
+			if m := cd.FindStringSubmatch(line); m != nil {
+				base = m[1]
+			}
+			flags := map[string]string{}
+			var pkgs []string
+			args := shellFields(cmd)
+		args:
+			for i := 0; i < len(args); i++ {
+				switch a := args[i]; {
+				case a == "&&" || a == ";" || a == "|" || a == "#":
+					break args
+				case (a == "-run" || a == "-fuzz" || a == "-bench") && i+1 < len(args):
+					flags[a] = args[i+1]
+					i++
+				case strings.HasPrefix(a, "./"):
+					pkgs = append(pkgs, a)
+				}
+			}
+			run, fuzz, bench := flags["-run"], flags["-fuzz"], flags["-bench"]
+			if len(pkgs) == 0 {
+				pkgs = []string{"."}
+			}
+			fns := named(base, pkgs)
+			where := fmt.Sprintf("%s: go test %s", file, strings.TrimSpace(cmd))
+			if fuzz != "" {
+				checked++
+				var targets []string
+				for _, fn := range fns {
+					if strings.HasPrefix(fn, "Fuzz") {
+						targets = append(targets, fn)
+					}
+				}
+				if n := matching(fuzz, targets); n != 1 {
+					t.Errorf("%s: -fuzz %s matches %d Fuzz functions, want 1", where, fuzz, n)
+				}
+			}
+			if run == "" || (fuzz != "" || bench != "") && (run == "XXX" || run == "^$") {
+				continue
+			}
+			checked++
+			for _, alt := range alternatives(run) {
+				if matching(alt, fns) == 0 {
+					t.Errorf("%s: -run alternative %q matches no test function", where, alt)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run or -fuzz in ci.yml or the Makefile")
+	}
+}
+
+// shellFields splits a shell command line into words, honouring single
+// and double quotes.
+func shellFields(s string) []string {
+	var out []string
+	var word strings.Builder
+	inWord, quote := false, byte(0)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case quote != 0 && c == quote:
+			quote = 0
+		case quote != 0:
+			word.WriteByte(c)
+		case c == '\'' || c == '"':
+			quote, inWord = c, true
+		case c == ' ' || c == '\t':
+			if inWord {
+				out = append(out, word.String())
+				word.Reset()
+				inWord = false
+			}
+		default:
+			word.WriteByte(c)
+			inWord = true
+		}
+	}
+	if inWord {
+		out = append(out, word.String())
+	}
+	return out
+}
+
+// alternatives splits a regular expression at its top-level |.
+func alternatives(re string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i := 0; i < len(re); i++ {
+		switch re[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				out = append(out, re[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(out, re[start:])
+}

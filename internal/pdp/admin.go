@@ -99,18 +99,41 @@ func WithAdmin() ServerOption {
 	return func(s *Server) { s.adminEnabled = true }
 }
 
+// registerAdmin mounts the admin plane: each admin, session, query and
+// migration route once, with its methods and whether it is a policy
+// mutation. A follower mounts only the mutation rows, each as a 307
+// redirect to its primary: it serves no query and takes no part in a
+// rebalance.
 func (s *Server) registerAdmin(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/admin/roles", s.handleRoles)
-	mux.HandleFunc("/v1/admin/subjects", s.handleSubjects)
-	mux.HandleFunc("/v1/admin/objects", s.handleObjects)
-	mux.HandleFunc("/v1/admin/transactions", s.handleTransactions)
-	mux.HandleFunc("/v1/admin/permissions", s.handlePermissions)
-	mux.HandleFunc("/v1/admin/sod", s.handleSoD)
-	mux.HandleFunc("/v1/sessions", s.handleSessions)
-	mux.HandleFunc("/v1/sessions/roles", s.handleSessionRoles)
-	mux.HandleFunc("/v1/query/who-can", s.handleWhoCan)
-	mux.HandleFunc("/v1/query/what-can", s.handleWhatCan)
-	mux.HandleFunc("/v1/query/subjects-in-role", s.handleSubjectsInRole)
+	post, del, get := http.MethodPost, http.MethodDelete, http.MethodGet
+	for _, rt := range []struct {
+		path     string
+		h        http.HandlerFunc
+		mutation bool
+		methods  []string
+	}{
+		{"/v1/admin/roles", s.handleRoles, true, []string{post, del}},
+		{"/v1/admin/subjects", s.handleSubjects, true, []string{post}},
+		{"/v1/admin/objects", s.handleObjects, true, []string{post}},
+		{"/v1/admin/transactions", s.handleTransactions, true, []string{post}},
+		{"/v1/admin/permissions", s.handlePermissions, true, []string{post, del}},
+		{"/v1/admin/sod", s.handleSoD, true, []string{post}},
+		{"/v1/sessions", s.handleSessions, true, []string{post, del}},
+		{"/v1/sessions/roles", s.handleSessionRoles, true, []string{post}},
+		{"/v1/query/who-can", s.handleWhoCan, false, []string{get}},
+		{"/v1/query/what-can", s.handleWhatCan, false, []string{get}},
+		{"/v1/query/subjects-in-role", s.handleSubjectsInRole, false, []string{get}},
+		{MigrateSubjectsPath, s.handleMigrateSubjects, false, []string{get}},
+		{MigrateImportPath, s.handleMigrateImport, false, []string{post}},
+		{MigrateHandoffPath, s.handleMigrateHandoff, false, []string{post}},
+	} {
+		switch {
+		case s.follower == nil:
+			handle(mux, rt.path, rt.h, rt.methods...)
+		case rt.mutation:
+			handle(mux, rt.path, s.redirectToPrimary, rt.methods...)
+		}
+	}
 }
 
 func parseRoleKind(kind string) (core.RoleKind, error) {
@@ -128,7 +151,7 @@ func parseRoleKind(kind string) (core.RoleKind, error) {
 
 func (s *Server) handleRoles(w http.ResponseWriter, r *http.Request) {
 	var req RoleRequest
-	if !s.readBody(w, r, &req, http.MethodPost, http.MethodDelete) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	kind, err := parseRoleKind(req.Kind)
@@ -157,7 +180,7 @@ func (s *Server) handleRoles(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubjects(w http.ResponseWriter, r *http.Request) {
 	var req BindingRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	release, handled := s.gated(w, r, req.ID, "", req)
@@ -183,7 +206,7 @@ func (s *Server) handleSubjects(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	var req BindingRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	id := core.ObjectID(req.ID)
@@ -204,7 +227,7 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTransactions(w http.ResponseWriter, r *http.Request) {
 	var req TransactionRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	tx := core.Transaction{ID: core.TransactionID(req.ID)}
@@ -245,7 +268,7 @@ func (req PermissionRequest) toCore() (core.Permission, error) {
 
 func (s *Server) handlePermissions(w http.ResponseWriter, r *http.Request) {
 	var req PermissionRequest
-	if !s.readBody(w, r, &req, http.MethodPost, http.MethodDelete) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	perm, err := req.toCore()
@@ -267,7 +290,7 @@ func (s *Server) handlePermissions(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSoD(w http.ResponseWriter, r *http.Request) {
 	var req SoDRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	var kind core.SoDKind
@@ -293,7 +316,7 @@ func (s *Server) handleSoD(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if !s.readBody(w, r, &req, http.MethodPost, http.MethodDelete) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	release, handled := s.gated(w, r, req.Subject, req.Session, req)
@@ -320,7 +343,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	var req SessionRoleRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	release, handled := s.gated(w, r, "", req.Session, req)
@@ -356,10 +379,6 @@ func splitEnv(raw string) []core.RoleID {
 }
 
 func (s *Server) handleWhoCan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
 	subjects, err := s.sys.WhoCan(
 		core.TransactionID(q.Get("transaction")),
@@ -378,10 +397,6 @@ func (s *Server) handleWhoCan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubjectsInRole(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	role := r.URL.Query().Get("role")
 	if role == "" {
 		s.writeError(w, fmt.Errorf("%w: missing role parameter", core.ErrInvalid))
@@ -396,10 +411,6 @@ func (s *Server) handleSubjectsInRole(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWhatCan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
 	if s.forward(w, r, q.Get("subject"), "", nil) {
 		return

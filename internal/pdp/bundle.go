@@ -42,18 +42,8 @@ type BundleActivateResponse struct {
 }
 
 func (s *Server) handleBundlePush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBundleBytes))
-	if err != nil {
-		s.writeStatus(w, http.StatusRequestEntityTooLarge, "bundle too large or unreadable: "+err.Error())
-		return
-	}
-	b, err := s.bundles.Admit(raw)
-	if err != nil {
-		s.writeStatus(w, bundleErrorStatus(err), err.Error())
+	_, b, ok := admitPushed(w, r, s.bundles)
+	if !ok {
 		return
 	}
 	if err := s.sys.Replace(b.State); err != nil {
@@ -69,12 +59,26 @@ func (s *Server) handleBundlePush(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleBundleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
+// admitPushed is the bundle gate of both tiers: it reads a pushed bundle,
+// bounded by maxBundleBytes, and admits it through v, answering a refusal
+// itself. It returns the raw bytes with the admitted bundle.
+func admitPushed(w http.ResponseWriter, r *http.Request, v *bundle.Verifier) ([]byte, *bundle.Bundle, bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBundleBytes))
+	if err != nil {
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: "bundle too large or unreadable: " + err.Error()})
+		return nil, nil, false
 	}
-	s.writeJSON(w, http.StatusOK, s.bundles.Status())
+	b, err := v.Admit(raw)
+	if err != nil {
+		writeJSON(w, bundleErrorStatus(err), ErrorResponse{Error: err.Error()})
+		return nil, nil, false
+	}
+	return raw, b, true
+}
+
+// bundleStatus serves GET /v1/bundle/status on either tier.
+func bundleStatus(v *bundle.Verifier) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, http.StatusOK, v.Status()) }
 }
 
 // bundleErrorStatus maps the bundle package's typed verification errors
@@ -124,18 +128,8 @@ func WithRouterBundleVerifier(v *bundle.Verifier) RouterOption {
 }
 
 func (rt *Router) handleBundlePush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBundleBytes))
-	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: "bundle too large or unreadable: " + err.Error()})
-		return
-	}
-	b, err := rt.bundles.Admit(raw)
-	if err != nil {
-		writeJSON(w, bundleErrorStatus(err), ErrorResponse{Error: err.Error()})
+	raw, b, ok := admitPushed(w, r, rt.bundles)
+	if !ok {
 		return
 	}
 	t := rt.table.Load()
@@ -151,12 +145,4 @@ func (rt *Router) handleBundlePush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BundleActivateResponse{
 		Status: "activated", Revision: b.Manifest.Revision, KeyID: b.Manifest.KeyID,
 	})
-}
-
-func (rt *Router) handleBundleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
-	writeJSON(w, http.StatusOK, rt.bundles.Status())
 }

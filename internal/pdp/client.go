@@ -178,7 +178,13 @@ func (c *Client) Check(ctx context.Context, req DecideRequest) (bool, error) {
 // or not framed as one JSON object (see framedObject), is an error, so
 // the router never forwards a body its caller could not read as a reply.
 func (c *Client) decideRaw(ctx context.Context, path string, in *DecideRequest, buf *[]byte) error {
-	return c.postDecide(ctx, path, in, func(resp *http.Response) error {
+	return c.postDecide(ctx, path, in, readFramed(buf))
+}
+
+// readFramed reads a 2xx reply into *buf as it came, undecoded, and
+// fails one that is not framed as one JSON object (see framedObject).
+func readFramed(buf *[]byte) func(*http.Response) error {
+	return func(resp *http.Response) error {
 		data, err := readAll(buf, resp.Body)
 		if err != nil {
 			return err
@@ -187,7 +193,7 @@ func (c *Client) decideRaw(ctx context.Context, path string, in *DecideRequest, 
 			return errors.New("reply is not one JSON object")
 		}
 		return nil
-	})
+	}
 }
 
 // framedObject is the router's O(1) check on a reply it forwards unread:

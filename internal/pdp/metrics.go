@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"log"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -159,15 +160,14 @@ func newCorrelationID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// handleMetrics serves GET /metrics in the Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.WritePrometheus(w); err != nil {
-		s.logger.Printf("pdp: write metrics: %v", err)
+// metricsHandler serves reg at GET /metrics in the Prometheus text
+// format, on a shard server and on a router alike.
+func metricsHandler(reg *obs.Registry, logger *log.Logger) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := reg.WritePrometheus(w); err != nil {
+			logger.Printf("pdp: write metrics: %v", err)
+		}
 	}
 }
 

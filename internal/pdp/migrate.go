@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,7 +37,7 @@ import (
 // subject, pushes the bundle to the new owner's import, then deletes its
 // copy.
 const (
-	MigrateSubjectsPath = "/v1/migrate/subjects" // GET ?pending=N
+	MigrateSubjectsPath = "/v1/migrate/subjects" // GET ?pending=N[&shard=ID]
 	MigrateImportPath   = "/v1/migrate/import"
 	MigrateHandoffPath  = "/v1/migrate/handoff"
 )
@@ -237,29 +238,26 @@ func (s *Server) forwardBatch(r *http.Request, corr string, reqs []DecideRequest
 	})
 }
 
-// registerMigrate mounts the migration endpoints on the admin plane.
-func (s *Server) registerMigrate(mux *http.ServeMux) {
-	mux.HandleFunc(MigrateSubjectsPath, s.handleMigrateSubjects)
-	mux.HandleFunc(MigrateImportPath, s.handleMigrateImport)
-	mux.HandleFunc(MigrateHandoffPath, s.handleMigrateHandoff)
-}
-
 // handleMigrateSubjects lists the resident subjects once the feed holds
 // a map, committed or pending, of version ?pending=N or later, under the
 // exclusive gate: every registration placed by an older map has landed,
 // and every later one is placed by N. The coordinator also asks it at the
-// committed version, to check that the shard is ready for a run.
+// committed version, to check that the shard is ready for a run. A
+// ?shard=ID other than the one the shard follows the feed as is refused:
+// the shard would forward by another shard's identity.
 func (s *Server) handleMigrateSubjects(w http.ResponseWriter, r *http.Request) {
-	version, err := strconv.ParseUint(r.URL.Query().Get("pending"), 10, 64)
+	q := r.URL.Query()
+	version, err := strconv.ParseUint(q.Get("pending"), 10, 64)
+	id := q.Get("shard")
 	switch {
-	case r.Method != http.MethodGet:
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
 	case err != nil:
 		s.writeStatus(w, http.StatusBadRequest, "bad pending: want the pending map's version")
 		return
 	case s.owners.feed == nil:
 		s.writeStatus(w, http.StatusConflict, "this shard follows no shard-map feed, so it cannot take part in a rebalance")
+		return
+	case id != "" && id != s.owners.self:
+		s.writeStatus(w, http.StatusConflict, fmt.Sprintf("this shard follows the shard-map feed as %q, not %q", s.owners.self, id))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
@@ -283,7 +281,7 @@ func (s *Server) handleMigrateSubjects(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 	var b core.SubjectBundle
-	if !s.readBody(w, r, &b, http.MethodPost) {
+	if !readJSON(w, r, &b, true) {
 		return
 	}
 	if err := s.sys.RestoreSubject(b); err != nil {
@@ -295,7 +293,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMigrateHandoff(w http.ResponseWriter, r *http.Request) {
 	var req MigrateHandoffRequest
-	if !s.readBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	s.owners.gate.Lock()
@@ -330,7 +328,12 @@ func (s *Server) handleMigrateHandoff(w http.ResponseWriter, r *http.Request) {
 // MigrationNode adapts a Client into the coordinator's per-shard
 // interface (shard.NodeClient).
 type MigrationNode struct {
-	c *Client
+	// ID is the shard's ID in the map. Every resident listing carries it,
+	// and a shard that follows the feed as another ID refuses the listing,
+	// so the coordinator's readiness check fails on a misnamed shard.
+	// Empty skips the check.
+	ID string
+	c  *Client
 }
 
 // NewMigrationNode wraps the given addr's client for coordinator use.
@@ -341,8 +344,12 @@ func NewMigrationNode(addr string) *MigrationNode {
 // Subjects lists the shard's residents once its feed holds a map of at
 // least the given version.
 func (n *MigrationNode) Subjects(ctx context.Context, version uint64) ([]string, error) {
+	path := MigrateSubjectsPath + "?pending=" + strconv.FormatUint(version, 10)
+	if n.ID != "" {
+		path += "&shard=" + url.QueryEscape(n.ID)
+	}
 	var resp MigrateSubjectsResponse
-	err := n.c.Call(ctx, http.MethodGet, MigrateSubjectsPath+"?pending="+strconv.FormatUint(version, 10), nil, &resp)
+	err := n.c.Call(ctx, http.MethodGet, path, nil, &resp)
 	return resp.Subjects, err
 }
 

@@ -51,8 +51,8 @@ func NewRebalanceHandler(rt *Router, coord *shard.Coordinator, logger *log.Logge
 	}
 	h := &RebalanceHandler{rt: rt, coord: coord, log: logger}
 	h.mux = http.NewServeMux()
-	h.mux.HandleFunc(ShardRebalancePath, h.handleStart)
-	h.mux.HandleFunc(ShardRebalanceStatusPath, h.handleStatus)
+	handle(h.mux, ShardRebalancePath, h.handleStart, http.MethodPost)
+	handle(h.mux, ShardRebalanceStatusPath, h.handleStatus, http.MethodGet)
 	return h
 }
 
@@ -61,12 +61,8 @@ func (h *RebalanceHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *RebalanceHandler) handleStart(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
-		return
-	}
 	var req RebalanceRequest
-	if !readJSONBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, false) {
 		return
 	}
 	cur := h.rt.Map()
@@ -111,10 +107,6 @@ func (h *RebalanceHandler) handleStart(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, st)
 }
 
-func (h *RebalanceHandler) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
+func (h *RebalanceHandler) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, h.coord.Status())
 }

@@ -1106,6 +1106,64 @@ func TestRebalanceHandlerRefusesUnreadyShard(t *testing.T) {
 	}
 }
 
+// TestRebalanceRefusesMisnamedShard adds a shard that follows the map
+// feed under another shard's ID, s0, at the new shard s2's address. It
+// answers and follows the feed, but it would forward s2's subjects as s0
+// and answer s0's itself, so the readiness check, whose listing names the
+// ID the map gives the shard, refuses the run with 502 before anything is
+// published or journaled. Renamed, the shard joins.
+func TestRebalanceRefusesMisnamedShard(t *testing.T) {
+	c := newRouterCluster(t, 2)
+	subs := c.addSubjects(t, 8)
+	coord := shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
+		func(info shard.Info) shard.NodeClient {
+			n := NewMigrationNode(info.Addr)
+			n.ID = info.ID
+			return n
+		},
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetPending(m) },
+		func(_ context.Context, m *shard.Map) error { return c.rt.SetMap(m) },
+		t.Logf)
+	outer := http.NewServeMux()
+	outer.Handle(ShardRebalancePath, NewRebalanceHandler(c.rt, coord, log.New(io.Discard, "", 0)))
+	front := httptest.NewServer(outer)
+	t.Cleanup(front.Close)
+	api := NewClient(front.URL, nil)
+	ctx := context.Background()
+
+	seq := c.rt.feed.Load().Seq()
+	_, misnamed := newShardServer(t, c.follow(t, "s0"))
+	err := api.Call(ctx, http.MethodPost, ShardRebalancePath, RebalanceRequest{Action: "add", ID: "s2", Addr: misnamed.URL}, nil)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != http.StatusBadGateway || !strings.Contains(re.Message, `"s0"`) {
+		t.Fatalf("add of a shard that follows the feed as s0 = %v, want 502 naming s0", err)
+	}
+	if w := c.rt.feed.Load(); w.Pending != nil || w.Seq() != seq {
+		t.Fatalf("refused add published %+v", w)
+	}
+	if resumed, err := coord.Resume(ctx); resumed || err != nil {
+		t.Fatalf("Resume after the refused add = %v, %v; want nothing to resume", resumed, err)
+	}
+
+	_, dest := newShardServer(t, c.follow(t, "s2"))
+	if err := api.Call(ctx, http.MethodPost, ShardRebalancePath, RebalanceRequest{Action: "add", ID: "s2", Addr: dest.URL}, nil); err != nil {
+		t.Fatalf("add of the rightly named shard: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); coord.Status().Active; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("add never settled: %+v", coord.Status())
+		}
+	}
+	if st := coord.Status(); st.Phase != "done" {
+		t.Fatalf("add of the rightly named shard = %+v, want done", st)
+	}
+	for _, sub := range subs {
+		if resp, err := c.client.Decide(ctx, permitReq(sub)); err != nil || !resp.Allowed {
+			t.Fatalf("Decide(%s) after the add = %+v, %v; want permit", sub, resp, err)
+		}
+	}
+}
+
 // BenchmarkMigrateHandoff times one POST /v1/migrate/handoff for N
 // subjects, each with one open session, into a live new owner, and
 // reports its cost per subject, which stays flat in N: no step of a

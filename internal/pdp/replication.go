@@ -68,10 +68,6 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	s.writeJSON(w, http.StatusOK, s.replicaSrc.Snapshot())
 }
 
@@ -81,10 +77,6 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 // take a full snapshot; a source without a delta provider (an in-memory
 // primary) answers 410 to every position.
 func (s *Server) handleReplicaDelta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
 	var after uint64
 	if raw := q.Get("after"); raw != "" {
@@ -103,33 +95,13 @@ func (s *Server) handleReplicaDelta(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, delta)
 }
 
-// readOnlyPaths are the mutation endpoints a follower redirects to its
-// primary instead of serving.
-var readOnlyPaths = []string{
-	"/v1/admin/roles",
-	"/v1/admin/subjects",
-	"/v1/admin/objects",
-	"/v1/admin/transactions",
-	"/v1/admin/permissions",
-	"/v1/admin/sod",
-	"/v1/sessions",
-	"/v1/sessions/roles",
-}
-
-// registerFollower mounts the redirect handlers for mutation endpoints.
-// 307 preserves method and body, so well-behaved HTTP clients (including
-// this package's Client) transparently re-issue the mutation against the
-// primary.
-func (s *Server) registerFollower(mux *http.ServeMux) {
+// redirectToPrimary answers a follower's mutation routes: 307 preserves
+// method and body, so well-behaved HTTP clients (including this package's
+// Client) transparently re-issue the mutation against the primary.
+func (s *Server) redirectToPrimary(w http.ResponseWriter, r *http.Request) {
 	primary := s.follower.PrimaryURL()
-	for _, path := range readOnlyPaths {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Location", primary+r.URL.RequestURI())
-			s.writeJSON(w, http.StatusTemporaryRedirect, ErrorResponse{
-				Error: "read-only follower: apply mutations to the primary at " + primary,
-			})
-		})
-	}
+	w.Header().Set("Location", primary+r.URL.RequestURI())
+	s.writeStatus(w, http.StatusTemporaryRedirect, "read-only follower: apply mutations to the primary at "+primary)
 }
 
 // stale reports whether decisions served right now should carry the

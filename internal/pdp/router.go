@@ -210,36 +210,36 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 	rt.install(t)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/decide", rt.forwardDecide)
-	mux.HandleFunc("/v1/check", rt.forwardDecide)
-	mux.HandleFunc("/v1/decide/batch", rt.handleBatch)
-	mux.HandleFunc("/v1/sessions", rt.handleSessions)
-	mux.HandleFunc("/v1/sessions/roles", rt.handleSessionRoles)
-	mux.HandleFunc("/v1/admin/subjects", rt.handleSubjectAdmin)
-	for _, p := range []string{"/v1/admin/roles", "/v1/admin/objects",
-		"/v1/admin/transactions", "/v1/admin/permissions", "/v1/admin/sod"} {
-		mux.HandleFunc(p, rt.handleBroadcastAdmin)
+	post, del, get := http.MethodPost, http.MethodDelete, http.MethodGet
+	handle(mux, "/v1/decide", rt.forwardDecide, post)
+	handle(mux, "/v1/check", rt.forwardDecide, post)
+	handle(mux, "/v1/decide/batch", rt.handleBatch, post)
+	handle(mux, "/v1/sessions", rt.handleSessions, post, del)
+	handle(mux, "/v1/sessions/roles", rt.handleSessionRoles, post)
+	handle(mux, "/v1/admin/subjects", rt.handleSubjectAdmin, post)
+	for _, p := range []string{"/v1/admin/roles", "/v1/admin/permissions"} {
+		handle(mux, p, rt.handleBroadcastAdmin, post, del)
 	}
-	mux.HandleFunc("/v1/query/who-can", rt.handleWhoCan)
-	mux.HandleFunc("/v1/query/subjects-in-role", rt.handleSubjectsInRole)
-	mux.HandleFunc("/v1/query/what-can", rt.handleWhatCan)
+	for _, p := range []string{"/v1/admin/objects", "/v1/admin/transactions", "/v1/admin/sod"} {
+		handle(mux, p, rt.handleBroadcastAdmin, post)
+	}
+	handle(mux, "/v1/query/who-can", rt.handleWhoCan, get)
+	handle(mux, "/v1/query/subjects-in-role", rt.handleSubjectsInRole, get)
+	handle(mux, "/v1/query/what-can", rt.handleWhatCan, get)
 	// With no ?after the watch answers at once: the map, and the feed.
 	feed := watch.Handler(
 		func(ctx context.Context, _ *http.Request, after uint64) uint64 { return rt.maps.Wait(ctx, after) },
 		func(uint64) any { return rt.feed.Load() })
-	mux.HandleFunc(ShardMapPath, feed)
-	mux.HandleFunc(ShardMapWatchPath, feed)
-	mux.HandleFunc("/v1/healthz", rt.handleHealthz)
-	mux.HandleFunc("/v1/statsz", rt.handleStatsz)
+	handle(mux, ShardMapPath, feed, get)
+	handle(mux, ShardMapWatchPath, feed, get)
+	handle(mux, "/v1/healthz", rt.handleHealthz, get)
+	handle(mux, "/v1/statsz", rt.handleStatsz, get)
 	if rt.bundles != nil {
-		mux.HandleFunc(BundlePath, rt.handleBundlePush)
-		mux.HandleFunc(BundleStatusPath, rt.handleBundleStatus)
+		handle(mux, BundlePath, rt.handleBundlePush, post)
+		handle(mux, BundleStatusPath, bundleStatus(rt.bundles), get)
 	}
 	if rt.reg != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = rt.reg.WritePrometheus(w)
-		})
+		handle(mux, "/metrics", metricsHandler(rt.reg, rt.logger), get)
 	}
 	rt.mux = mux
 	if rt.probeEvery > 0 {
@@ -361,26 +361,6 @@ func relayShardError(w http.ResponseWriter, shardID string, err error) {
 	})
 }
 
-func readJSONBody(w http.ResponseWriter, r *http.Request, out any, methods ...string) bool {
-	allowed := false
-	for _, m := range methods {
-		if r.Method == m {
-			allowed = true
-			break
-		}
-	}
-	if !allowed {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "method not allowed"})
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(out); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request: " + err.Error()})
-		return false
-	}
-	return true
-}
-
 // callShard performs one single-shard call: bounded per-shard deadline
 // and one jittered retry when the call is an idempotent read that failed
 // transiently. A failure counts against the shard.
@@ -403,27 +383,6 @@ func (rt *Router) callShard(r *http.Request, t *ShardTable, sh shard.Info, idemp
 	return err
 }
 
-// callJSON is the call for callShard that forwards a JSON request through
-// Client.Call.
-func callJSON(method, path string, in, out any) func(context.Context, *Client) error {
-	return func(ctx context.Context, c *Client) error { return c.Call(ctx, method, path, in, out) }
-}
-
-// readRoutedDecide reads a decide or check body for forwarding. Unlike a
-// shard, the router has always ignored unknown fields.
-func readRoutedDecide(w http.ResponseWriter, r *http.Request, buf *[]byte) (DecideRequest, bool) {
-	var req DecideRequest
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "method not allowed"})
-		return req, false
-	}
-	if err := readDecide(w, r, buf, &req, false); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request: " + err.Error()})
-		return req, false
-	}
-	return req, true
-}
-
 // forwardDecide serves /v1/decide and /v1/check: it forwards the decision
 // to the same path on the subject's shard under the caller's correlation
 // ID (minted here when the caller sent none), so the shard's audit, declog
@@ -434,7 +393,7 @@ func (rt *Router) forwardDecide(w http.ResponseWriter, r *http.Request) {
 	corr := correlate(w, r)
 	buf := getBuf()
 	defer putBuf(buf)
-	req, ok := readRoutedDecide(w, r, buf)
+	req, ok := readDecideRequest(w, r, buf, false)
 	if !ok {
 		return
 	}
@@ -460,7 +419,7 @@ func (rt *Router) forwardDecide(w http.ResponseWriter, r *http.Request) {
 // of the batch still answers.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchDecideRequest
-	if !readJSONBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, false) {
 		return
 	}
 	if len(req.Requests) > maxBatchSize {
@@ -508,61 +467,63 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if !readJSONBody(w, r, &req, http.MethodPost, http.MethodDelete) {
+	if !readJSON(w, r, &req, false) {
 		return
 	}
 	if r.Method == http.MethodPost && req.Subject == "" {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject"})
 		return
 	}
-	rt.forwardSession(w, r, req.Subject, req.Session, req)
+	rt.forwardOwned(w, r, req.Subject, req.Session, req)
 }
 
 func (rt *Router) handleSessionRoles(w http.ResponseWriter, r *http.Request) {
 	var req SessionRoleRequest
-	if !readJSONBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, false) {
 		return
 	}
-	rt.forwardSession(w, r, "", req.Session, req)
+	rt.forwardOwned(w, r, "", req.Session, req)
 }
 
-// forwardSession sends a session open, close or role change to the shard
-// Route names and relays the shard's reply: a new session's ID comes
-// back as the shard minted it.
-func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request, subject, session string, in any) {
+// forwardOwned sends a request for one subject, or the one a session's ID
+// names, to the shard Route names and relays its 2xx reply as it came (a
+// new session's ID as the shard minted it). in is the decoded body to
+// re-encode, nil for a GET: the one idempotent read, retried once.
+func (rt *Router) forwardOwned(w http.ResponseWriter, r *http.Request, subject, session string, in any) {
 	t := rt.table.Load()
 	sh, err := t.Route(subject, session)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	var out json.RawMessage
-	if err := rt.callShard(r, t, sh, false, callJSON(r.Method, r.URL.Path, in, &out)); err != nil {
+	var body []byte
+	if in != nil {
+		body, _ = json.Marshal(in) // a wire struct, which always encodes
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	err = rt.callShard(r, t, sh, r.Method == http.MethodGet, func(ctx context.Context, c *Client) error {
+		return c.do(ctx, r.Method, r.URL.RequestURI(), body, readFramed(buf))
+	})
+	if err != nil {
 		relayShardError(w, sh.ID, err)
 		return
 	}
-	writeReply(w, out)
+	writeReply(w, *buf)
 }
 
 // handleSubjectAdmin routes subject registration/role assignment to the
 // shard that owns the subject.
 func (rt *Router) handleSubjectAdmin(w http.ResponseWriter, r *http.Request) {
 	var req BindingRequest
-	if !readJSONBody(w, r, &req, http.MethodPost) {
+	if !readJSON(w, r, &req, false) {
 		return
 	}
 	if req.ID == "" {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject id"})
 		return
 	}
-	t := rt.table.Load()
-	sh := t.Map().Owner(req.ID)
-	var out map[string]string
-	if err := rt.callShard(r, t, sh, false, callJSON(http.MethodPost, "/v1/admin/subjects", req, &out)); err != nil {
-		relayShardError(w, sh.ID, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	rt.forwardOwned(w, r, req.ID, "", req)
 }
 
 // handleBroadcastAdmin applies a shared-policy mutation on every shard.
@@ -573,7 +534,7 @@ func (rt *Router) handleSubjectAdmin(w http.ResponseWriter, r *http.Request) {
 // mutations are idempotent upserts or idempotent removals).
 func (rt *Router) handleBroadcastAdmin(w http.ResponseWriter, r *http.Request) {
 	var body json.RawMessage
-	if !readJSONBody(w, r, &body, http.MethodPost, http.MethodDelete) {
+	if !readJSON(w, r, &body, false) {
 		return
 	}
 	t := rt.table.Load()
@@ -670,10 +631,6 @@ type ScatterSubjectsResponse struct {
 }
 
 func (rt *Router) handleWhoCan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
 	q := r.URL.Query()
 	transaction, object := q.Get("transaction"), q.Get("object")
 	var env []string
@@ -686,10 +643,6 @@ func (rt *Router) handleWhoCan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleSubjectsInRole(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
 	role := r.URL.Query().Get("role")
 	if role == "" {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing role parameter"})
@@ -702,23 +655,12 @@ func (rt *Router) handleSubjectsInRole(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleWhatCan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
 	subject := r.URL.Query().Get("subject")
 	if subject == "" {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing subject parameter"})
 		return
 	}
-	t := rt.table.Load()
-	sh := t.Map().Owner(subject)
-	var resp WhatCanResponse
-	if err := rt.callShard(r, t, sh, true, callJSON(http.MethodGet, "/v1/query/what-can?"+r.URL.RawQuery, nil, &resp)); err != nil {
-		relayShardError(w, sh.ID, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	rt.forwardOwned(w, r, subject, "", nil)
 }
 
 // RouterHealthResponse aggregates per-shard liveness.

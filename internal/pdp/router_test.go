@@ -719,7 +719,8 @@ func TestRouterBatchMisalignedReply(t *testing.T) {
 }
 
 // fakeShardRouter fronts a one-shard map whose shard is handler, and
-// returns a function that posts body to path on the router.
+// returns a function that sends body to path on the router: a POST, or a
+// GET when body is empty.
 func fakeShardRouter(t *testing.T, handler http.HandlerFunc) func(path, body string) (*http.Response, []byte) {
 	t.Helper()
 	srv := httptest.NewServer(handler)
@@ -736,7 +737,15 @@ func fakeShardRouter(t *testing.T, handler http.HandlerFunc) func(path, body str
 	t.Cleanup(front.Close)
 	return func(path, body string) (*http.Response, []byte) {
 		t.Helper()
-		resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+		method := http.MethodPost
+		if body == "" {
+			method = http.MethodGet
+		}
+		req, err := http.NewRequest(method, front.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -756,7 +765,8 @@ const routedDecideBody = `{"subject":"alice","object":"tv","transaction":"use","
 // reply reaches the caller byte for byte, a field the router's codec does
 // not know and the shard's spacing included, so the router did not
 // decode and re-encode it. The shard sees the strict re-encoded request
-// under the caller's correlation ID.
+// under the caller's correlation ID. The other owner-routed replies, a
+// what-can and a subject upsert, come back as the shard sent them too.
 func TestRouterForwardsShardReplyVerbatim(t *testing.T) {
 	const reply = `{"allowed":true, "effect":"permit","from_a_newer_shard":{"x":[1,2]},"correlation_id":"corr-7"}` + "\n"
 	var gotBody, gotCorr atomic.Value
@@ -781,6 +791,14 @@ func TestRouterForwardsShardReplyVerbatim(t *testing.T) {
 		}
 		if corr := resp.Header.Get(CorrelationHeader); corr == "" || gotCorr.Load() != corr {
 			t.Fatalf("%s: shard saw correlation %q, caller got %q", path, gotCorr.Load(), corr)
+		}
+	}
+	for path, body := range map[string]string{
+		"/v1/query/what-can?subject=alice": "",
+		"/v1/admin/subjects":               `{"id":"alice","roles":["child"]}`,
+	} {
+		if resp, got := post(path, body); resp.StatusCode != http.StatusOK || string(got) != reply {
+			t.Fatalf("%s: %d %q, want 200 %q", path, resp.StatusCode, got, reply)
 		}
 	}
 }

@@ -86,35 +86,32 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 		s.registerMetrics()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc(decidePath, s.instrument(decidePath, s.limited(s.handleDecision(decidePath))))
-	mux.HandleFunc(batchPath, s.instrument(batchPath, s.limited(s.handleDecideBatch)))
-	mux.HandleFunc(checkPath, s.instrument(checkPath, s.limited(s.handleDecision(checkPath))))
-	mux.HandleFunc("/v1/state", s.instrument("/v1/state", s.handleState))
-	mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
-	mux.HandleFunc("/v1/statsz", s.instrument("/v1/statsz", s.handleStatsz))
+	post, get := http.MethodPost, http.MethodGet
+	handle(mux, decidePath, s.instrument(decidePath, s.limited(s.handleDecision(decidePath))), post)
+	handle(mux, batchPath, s.instrument(batchPath, s.limited(s.handleDecideBatch)), post)
+	handle(mux, checkPath, s.instrument(checkPath, s.limited(s.handleDecision(checkPath))), post)
+	handle(mux, "/v1/state", s.instrument("/v1/state", s.handleState), get)
+	handle(mux, "/v1/healthz", s.instrument("/v1/healthz", s.handleHealthz), get)
+	handle(mux, "/v1/statsz", s.instrument("/v1/statsz", s.handleStatsz), get)
 	if s.metrics != nil {
-		mux.HandleFunc("/metrics", s.handleMetrics)
+		handle(mux, "/metrics", metricsHandler(s.metrics, s.logger), get)
 	}
 	if s.trail != nil {
-		mux.HandleFunc("/v1/audit", s.handleAudit)
+		handle(mux, "/v1/audit", s.handleAudit, get)
 	}
 	if s.bundles != nil {
-		mux.HandleFunc(BundlePath, s.handleBundlePush)
-		mux.HandleFunc(BundleStatusPath, s.handleBundleStatus)
+		handle(mux, BundlePath, s.handleBundlePush, post)
+		handle(mux, BundleStatusPath, bundleStatus(s.bundles), get)
 	}
-	switch {
-	case s.follower != nil:
+	if s.follower != nil || s.adminEnabled {
 		// A follower never serves local mutations, whatever the admin
 		// setting: it redirects them to the cluster's single writer.
-		s.registerFollower(mux)
-	case s.adminEnabled:
 		s.registerAdmin(mux)
-		s.registerMigrate(mux)
 	}
 	if s.replicaSrc != nil {
-		mux.HandleFunc(replica.SnapshotPath, s.handleReplicaSnapshot)
-		mux.HandleFunc(replica.WatchPath, s.replicaSrc.WatchHandler())
-		mux.HandleFunc(replica.DeltaPath, s.handleReplicaDelta)
+		handle(mux, replica.SnapshotPath, s.handleReplicaSnapshot, get)
+		handle(mux, replica.WatchPath, s.replicaSrc.WatchHandler(), get)
+		handle(mux, replica.DeltaPath, s.handleReplicaDelta, get)
 	}
 	s.mux = mux
 	return s
@@ -179,7 +176,7 @@ func (s *Server) handleDecision(route string) http.HandlerFunc {
 		t := time.Now()
 		buf := getBuf()
 		defer putBuf(buf)
-		req, ok := s.readDecideRequest(w, r, buf)
+		req, ok := readDecideRequest(w, r, buf, true)
 		sv.Decode = time.Since(t)
 		if !ok {
 			return
@@ -215,7 +212,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	sv := audit.Served{CorrelationID: correlate(w, r), Route: batchPath}
 	t := time.Now()
 	var req BatchDecideRequest
-	ok := s.readBody(w, r, &req, http.MethodPost)
+	ok := readJSON(w, r, &req, true)
 	sv.Decode = time.Since(t)
 	if !ok {
 		return
@@ -258,10 +255,6 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	s.writeJSON(w, http.StatusOK, s.sys.Export())
 }
 
@@ -270,10 +263,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 // decision endpoint keeps serving (marked stale) — graceful degradation,
 // never an outage.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	if s.stale() {
 		st := s.follower.Stats()
 		s.writeJSON(w, http.StatusServiceUnavailable, HealthResponse{
@@ -290,10 +279,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // evictions, invalidations, generation) — the PDP's observability hook
 // for cache effectiveness — plus replication lag when following.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	srv := s.serverStats()
 	resp := StatszResponse{Stats: s.sys.Stats(), Server: &srv}
 	if s.follower != nil {
@@ -322,10 +307,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // handleAudit serves the decision trail, oldest first:
 // GET /v1/audit?subject=&object=&transaction=&correlation_id=&denies=true&since=&until=&limit=N.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeStatus(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
 	f := audit.Filter{
 		Subject:       core.SubjectID(q.Get("subject")),
@@ -361,48 +342,54 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.trail.Query(f))
 }
 
-// readDecideRequest reads a decide or check body into buf and decodes it
-// as strictly as readBody does.
-func (s *Server) readDecideRequest(w http.ResponseWriter, r *http.Request, buf *[]byte) (DecideRequest, bool) {
-	var req DecideRequest
-	if !s.allowMethods(w, r, http.MethodPost) {
-		return req, false
+// handle mounts h at path for the given methods only, as net/http method
+// patterns ("POST /v1/decide"; a GET route answers HEAD too), and the bare
+// path as the JSON 405 that names them in its Allow header. Every route of
+// the shard server, the router and the rebalance handler is mounted here,
+// so no handler checks its method.
+func handle(mux *http.ServeMux, path string, h http.HandlerFunc, methods ...string) {
+	allow := strings.Join(methods, ", ")
+	for _, m := range methods {
+		mux.HandleFunc(m+" "+path, h)
+		if m == http.MethodGet {
+			allow += ", " + http.MethodHead
+		}
 	}
-	if err := readDecide(w, r, buf, &req, true); err != nil {
-		s.writeStatus(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return req, false
-	}
-	return req, true
+	refusal := ErrorResponse{Error: strings.Join(methods, " or ") + " only"}
+	mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Allow", allow)
+		writeJSON(w, http.StatusMethodNotAllowed, refusal)
+	})
 }
 
-// readBody enforces the allowed methods, bounds the body, and decodes
-// strict JSON into out.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, out any, methods ...string) bool {
-	if !s.allowMethods(w, r, methods...) {
-		return false
-	}
+// readJSON decodes r's body, bounded by maxBodyBytes and drained, into
+// out, and answers 400 when it is malformed. A shard reads strictly,
+// refusing unknown fields; the router has always ignored them.
+func readJSON(w http.ResponseWriter, r *http.Request, out any, strict bool) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer func() {
 		_, _ = io.Copy(io.Discard, body)
 	}()
 	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
+	if strict {
+		dec.DisallowUnknownFields()
+	}
 	if err := dec.Decode(out); err != nil {
-		s.writeStatus(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request: " + err.Error()})
 		return false
 	}
 	return true
 }
 
-// allowMethods answers 405 unless the request uses one of methods.
-func (s *Server) allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	for _, m := range methods {
-		if r.Method == m {
-			return true
-		}
+// readDecideRequest reads a decide or check body into buf and decodes it,
+// as strictly as readJSON is told to.
+func readDecideRequest(w http.ResponseWriter, r *http.Request, buf *[]byte, strict bool) (DecideRequest, bool) {
+	var req DecideRequest
+	if err := readDecide(w, r, buf, &req, strict); err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request: " + err.Error()})
+		return req, false
 	}
-	s.writeStatus(w, http.StatusMethodNotAllowed, strings.Join(methods, " or ")+" only")
-	return false
+	return req, true
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) {

@@ -6,8 +6,8 @@
 //	GET <path>?after=N[&wait=D]
 //
 // which answers 200 with the feed's reply once the version exceeds N, the
-// smaller of D and MaxWait elapses, or the client leaves; 400 for a
-// malformed after or a non-positive wait; 405 for any method but GET. The
+// smaller of D and MaxWait elapses, or the client leaves, and 400 for a
+// malformed after or a non-positive wait. Its mounts are GET routes. The
 // capped "no change" reply doubles as a keepalive, so a follower can tell
 // an idle feed from a dead one.
 package watch
@@ -86,10 +86,6 @@ func (n *Notifier) Wait(ctx context.Context, after uint64) uint64 {
 // version (the replica feed's epoch). reply renders the 200 body.
 func Handler(wait func(ctx context.Context, r *http.Request, after uint64) uint64, reply func(v uint64) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET only"})
-			return
-		}
 		q := r.URL.Query()
 		var after uint64
 		if raw := q.Get("after"); raw != "" {
