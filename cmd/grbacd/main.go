@@ -71,6 +71,7 @@ import (
 	"github.com/aware-home/grbac/internal/replica"
 	"github.com/aware-home/grbac/internal/shard"
 	"github.com/aware-home/grbac/internal/store"
+	"github.com/aware-home/grbac/internal/watch"
 )
 
 func main() {
@@ -85,7 +86,6 @@ func main() {
 	walCheckpointEvery := flag.Int("wal-checkpoint-every", store.DefaultCheckpointEvery, "WAL records between checkpoint snapshots in -data-dir")
 	route := flag.String("route", "", "router mode: comma-separated shard list 'id=url,id=url' (or bare URLs for auto IDs); this node forwards requests to the shard owning each subject instead of deciding itself")
 	shardTimeout := flag.Duration("shard-timeout", pdp.DefaultShardTimeout, "router mode: per-shard call deadline — a down shard costs one deadline, not a hang")
-	probeInterval := flag.Duration("shard-probe-interval", 0, "router mode: background shard health-probe interval feeding /v1/healthz and grbac_shard_health (0 probes inline on /v1/healthz only)")
 	mapSource := flag.String("map-source", "", "shard mode: 'id=url' follows the shard-map feed of the router at url as shard id, forwarding requests for subjects this shard does not hold by the published maps (required for online rebalance)")
 	follow := flag.String("follow", "", "primary PDP base URL to replicate from (follower mode: read-only, policy comes from the primary)")
 	maxStaleness := flag.Duration("max-staleness", 30*time.Second, "follower mode: degrade health and mark decisions stale after this long without primary contact (0 disables)")
@@ -164,10 +164,6 @@ func main() {
 			}
 		}
 		routerOpts := []pdp.RouterOption{pdp.WithShardTimeout(*shardTimeout)}
-		if *probeInterval > 0 {
-			routerOpts = append(routerOpts, pdp.WithHealthProbes(*probeInterval))
-			log.Printf("shard health probes every %v", *probeInterval)
-		}
 		if verifier != nil {
 			routerOpts = append(routerOpts, pdp.WithRouterBundleVerifier(verifier))
 		}
@@ -219,7 +215,7 @@ func main() {
 		}
 		log.Printf("serving GRBAC routing tier on %s (%d shards, %d vnodes, shard timeout %v)",
 			*addr, rt.Map().Len(), rt.Map().VNodes(), *shardTimeout)
-		serve(ctx, stop, *addr, handler, *shutdownGrace, rt.Close)
+		serve(ctx, stop, *addr, handler, *shutdownGrace, nil)
 		return
 	}
 
@@ -361,7 +357,7 @@ func main() {
 		if !ok || id == "" || url == "" {
 			log.Fatalf("-map-source %q: want id=url, the shard's ID in the router's map and the router's URL", *mapSource)
 		}
-		feed := pdp.NewMapFeed(url, log.Default(), nil)
+		feed := pdp.NewMapFeed(url, log.Default())
 		go feed.Run(ctx)
 		serverOpts = append(serverOpts, pdp.WithMapFeed(id, feed))
 		log.Printf("shard %s follows the shard map feed of %s", id, url)
@@ -403,10 +399,9 @@ func main() {
 	})
 }
 
-// serve runs the HTTP server until the context is cancelled, then drains
-// in-flight requests and runs onDrain (when non-nil) before returning.
-func serve(ctx context.Context, stop context.CancelFunc, addr string, handler http.Handler, grace time.Duration, onDrain func()) {
-	httpServer := &http.Server{
+// newHTTPServer builds the HTTP server every mode serves from.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	srv := &http.Server{
 		Addr:    addr,
 		Handler: handler,
 		// Defense against slow or stuck clients. The long-poll watches
@@ -418,6 +413,16 @@ func serve(ctx context.Context, stop context.CancelFunc, addr string, handler ht
 		WriteTimeout:      15 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
+	// A parked watch answers "nothing new" when the drain starts, so the
+	// drain waits out decides and forwards, not park times past its grace.
+	watch.DrainOnShutdown(srv)
+	return srv
+}
+
+// serve runs the HTTP server until the context is cancelled, then drains
+// in-flight requests and runs onDrain (when non-nil) before returning.
+func serve(ctx context.Context, stop context.CancelFunc, addr string, handler http.Handler, grace time.Duration, onDrain func()) {
+	httpServer := newHTTPServer(addr, handler)
 
 	errCh := make(chan error, 1)
 	go func() {

@@ -100,17 +100,18 @@ func WithAdmin() ServerOption {
 }
 
 // registerAdmin mounts the admin plane: each admin, session, query and
-// migration route once, with its methods and whether it is a policy
-// mutation. A follower mounts only the mutation rows, each as a 307
-// redirect to its primary: it serves no query and takes no part in a
-// rebalance.
+// migration route once, with its methods and whether a follower's
+// primary answers it. A follower mounts those rows, the mutations and the
+// review queries, each as a 307 redirect to its primary: it takes no
+// writes, and its query replies would carry no staleness marker. It
+// takes no part in a rebalance, so it mounts no migration row.
 func (s *Server) registerAdmin(mux *http.ServeMux) {
 	post, del, get := http.MethodPost, http.MethodDelete, http.MethodGet
 	for _, rt := range []struct {
-		path     string
-		h        http.HandlerFunc
-		mutation bool
-		methods  []string
+		path      string
+		h         http.HandlerFunc
+		toPrimary bool
+		methods   []string
 	}{
 		{"/v1/admin/roles", s.handleRoles, true, []string{post, del}},
 		{"/v1/admin/subjects", s.handleSubjects, true, []string{post}},
@@ -120,9 +121,9 @@ func (s *Server) registerAdmin(mux *http.ServeMux) {
 		{"/v1/admin/sod", s.handleSoD, true, []string{post}},
 		{"/v1/sessions", s.handleSessions, true, []string{post, del}},
 		{"/v1/sessions/roles", s.handleSessionRoles, true, []string{post}},
-		{"/v1/query/who-can", s.handleWhoCan, false, []string{get}},
-		{"/v1/query/what-can", s.handleWhatCan, false, []string{get}},
-		{"/v1/query/subjects-in-role", s.handleSubjectsInRole, false, []string{get}},
+		{"/v1/query/who-can", s.handleWhoCan, true, []string{get}},
+		{"/v1/query/what-can", s.handleWhatCan, true, []string{get}},
+		{"/v1/query/subjects-in-role", s.handleSubjectsInRole, true, []string{get}},
 		{MigrateSubjectsPath, s.handleMigrateSubjects, false, []string{get}},
 		{MigrateImportPath, s.handleMigrateImport, false, []string{post}},
 		{MigrateHandoffPath, s.handleMigrateHandoff, false, []string{post}},
@@ -130,7 +131,7 @@ func (s *Server) registerAdmin(mux *http.ServeMux) {
 		switch {
 		case s.follower == nil:
 			handle(mux, rt.path, rt.h, rt.methods...)
-		case rt.mutation:
+		case rt.toPrimary:
 			handle(mux, rt.path, s.redirectToPrimary, rt.methods...)
 		}
 	}

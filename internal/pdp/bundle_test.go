@@ -225,7 +225,6 @@ func TestBundleOnRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt)
 	t.Cleanup(front.Close)
 	client := NewClient(front.URL, nil)

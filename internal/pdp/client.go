@@ -158,9 +158,14 @@ func (c *Client) Decide(ctx context.Context, req DecideRequest) (DecideResponse,
 // DecideBatch requests decisions for many requests in one round trip.
 // The server mediates every item against the same policy snapshot, so the
 // reply is internally consistent; results align index-for-index with reqs.
+// A reply with another number of results is an error: every caller fails
+// the whole batch, never a prefix of it.
 func (c *Client) DecideBatch(ctx context.Context, reqs []DecideRequest) (BatchDecideResponse, error) {
 	var resp BatchDecideResponse
 	err := c.post(ctx, "/v1/decide/batch", BatchDecideRequest{Requests: reqs}, &resp)
+	if err == nil && len(resp.Results) != len(reqs) {
+		err = fmt.Errorf("misaligned batch reply: %d results for %d requests", len(resp.Results), len(reqs))
+	}
 	return resp, err
 }
 

@@ -14,12 +14,11 @@ import (
 )
 
 // MapFeed follows a router's shard-map feed (ShardMapWatchPath): the
-// committed map and, while a rebalance runs, its pending map. The SDK's
-// shard-direct routing and a shard's ownership rule run this one loop.
+// committed map and, while a rebalance runs, its pending map. A shard's
+// ownership rule runs on it.
 type MapFeed struct {
 	router  *Client
 	logger  *log.Logger
-	onView  func(*MapView)
 	view    atomic.Pointer[MapView]
 	changed watch.Notifier
 }
@@ -35,9 +34,9 @@ type MapView struct {
 const mapWatchWait = 20 * time.Second
 
 // NewMapFeed builds a follower of the router at routerURL; Run follows
-// it. onView, when non-nil, runs after each newer view is installed.
-func NewMapFeed(routerURL string, logger *log.Logger, onView func(*MapView)) *MapFeed {
-	return &MapFeed{router: NewClient(routerURL, nil), logger: logger, onView: onView}
+// it.
+func NewMapFeed(routerURL string, logger *log.Logger) *MapFeed {
+	return &MapFeed{router: NewClient(routerURL, nil), logger: logger}
 }
 
 // View returns the installed view, nil before the first fetch.
@@ -89,9 +88,6 @@ func (f *MapFeed) Poll(ctx context.Context) error {
 	}
 	f.view.Store(v)
 	f.changed.Publish(v.seq)
-	if f.onView != nil {
-		f.onView(v)
-	}
 	f.logger.Printf("shard map v%d installed (%d shards, pending %v)", v.Committed.Version(), v.Committed.Len(), v.Pending != nil)
 	return nil
 }

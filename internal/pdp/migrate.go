@@ -209,7 +209,7 @@ func (s *Server) forwardBatch(r *http.Request, corr string, reqs []DecideRequest
 	if s.owners.feed == nil {
 		return
 	}
-	SplitBatch(reqs, func(i int, dr *DecideRequest) (string, bool) {
+	splitBatch(reqs, func(i int, dr *DecideRequest) (string, bool) {
 		if out[i].Error == "" {
 			return "", false
 		}

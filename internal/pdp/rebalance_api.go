@@ -50,7 +50,7 @@ func NewRebalanceHandler(rt *Router, coord *shard.Coordinator, logger *log.Logge
 		logger = log.Default()
 	}
 	h := &RebalanceHandler{rt: rt, coord: coord, log: logger}
-	h.mux = http.NewServeMux()
+	h.mux = newMux()
 	handle(h.mux, ShardRebalancePath, h.handleStart, http.MethodPost)
 	handle(h.mux, ShardRebalanceStatusPath, h.handleStatus, http.MethodGet)
 	return h

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -777,6 +778,91 @@ func TestShardMapWatch(t *testing.T) {
 	}
 }
 
+// TestMapFeedRidesRouterOutage takes the router down for several
+// map-watch backoffs, commits a newer map while it is gone, and brings it
+// back on the same address: a shard's feed must keep retrying through the
+// outage and install the newer map once the router answers.
+func TestMapFeedRidesRouterOutage(t *testing.T) {
+	m, err := shard.New(0, shard.Info{ID: "s0", Addr: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(addr string) (*http.Server, string) {
+		t.Helper()
+		// A restart races the old listener's teardown.
+		var ln net.Listener
+		var err error
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if ln, err = net.Listen("tcp", addr); err == nil || time.Now().After(deadline) {
+				break
+			}
+		}
+		if err != nil {
+			t.Fatalf("listen %s: %v", addr, err)
+		}
+		srv := &http.Server{Handler: rt}
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv, ln.Addr().String()
+	}
+	front, addr := serve("127.0.0.1:0")
+
+	watchErrs := &lineCounter{substr: "shard map watch:"}
+	f := NewMapFeed("http://"+addr, log.New(watchErrs, "", 0))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer wcancel()
+	if err := f.await(wctx, func(*MapView) bool { return true }); err != nil {
+		t.Fatalf("feed never fetched the map: %v", err)
+	}
+
+	_ = front.Close()
+	for deadline := time.Now().Add(10 * time.Second); watchErrs.n.Load() < 3; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("feed logged %d failed polls against a down router, want 3", watchErrs.n.Load())
+		}
+	}
+	grown, err := m.Add(shard.Info{ID: "s9", Addr: "http://127.0.0.1:2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.SetMap(grown); err != nil {
+		t.Fatal(err)
+	}
+	serve(addr)
+
+	if err := f.await(wctx, func(v *MapView) bool { return v.Committed.Version() == grown.Version() }); err != nil {
+		t.Fatalf("feed at map v%d after the router came back, want v%d: %v",
+			f.View().Committed.Version(), grown.Version(), err)
+	}
+}
+
+// lineCounter counts the log lines containing substr.
+type lineCounter struct {
+	substr string
+	n      atomic.Int64
+}
+
+func (l *lineCounter) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), l.substr) {
+		l.n.Add(1)
+	}
+	return len(p), nil
+}
+
 // TestSetMapStaleTyped pins the typed stale-map error.
 func TestSetMapStaleTyped(t *testing.T) {
 	c := newRouterCluster(t, 2)
@@ -912,50 +998,6 @@ func TestRouterRetriesTransientReads(t *testing.T) {
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("shard saw %d calls, want 2 (original + one retry)", n)
-	}
-}
-
-// TestRouterHealthProbes pins the probe state machine: a dead shard
-// degrades to suspect after one failed probe and to down (unreachable)
-// after three, and /v1/healthz answers from probe state.
-func TestRouterHealthProbes(t *testing.T) {
-	c := newRouterCluster(t, 2, WithHealthProbes(20*time.Millisecond))
-	t.Cleanup(c.rt.Close)
-
-	// Both shards healthy: probes mark everything ok.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if c.rt.health.stateOf("s0") == healthOK && c.rt.health.stateOf("s1") == healthOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("probes never marked healthy shards ok")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	c.shards["s1"].Close()
-	for state := healthOK; state != healthDown; state = c.rt.health.stateOf("s1") {
-		if time.Now().After(deadline) {
-			t.Fatalf("dead shard stuck in state %v, want down", c.rt.health.stateOf("s1"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	resp, err := http.Get(c.front.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health RouterHealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable || health.Status != "degraded" {
-		t.Fatalf("healthz = %d %q, want 503 degraded", resp.StatusCode, health.Status)
-	}
-	if health.Shards["s1"] != "unreachable" || health.Shards["s0"] != "ok" {
-		t.Fatalf("healthz shards = %v, want s1 unreachable, s0 ok", health.Shards)
 	}
 }
 
@@ -1437,7 +1479,7 @@ func TestMigrationOwnerRule(t *testing.T) {
 	if err := sys.AddSubject("alice"); err != nil {
 		t.Fatal(err)
 	}
-	feed := NewMapFeed("http://unused", log.New(io.Discard, "", 0), nil)
+	feed := NewMapFeed("http://unused", log.New(io.Discard, "", 0))
 	srv := NewServer(sys, WithAdmin(), WithMapFeed("a", feed))
 	only := func(v uint64, id string) *shard.Map { return onlyMap(t, v, shard.Info{ID: id, Addr: "http://" + id}) }
 	view := func(committed, pending *shard.Map) *MapView {
@@ -1504,7 +1546,7 @@ func TestMigrationOwnerRule(t *testing.T) {
 		t.Errorf("owner once caught up to the sender's pending map = %v, %v; want here", sh, err)
 	}
 	// Before the feed's first fetch only held subjects are answered.
-	unfed := NewServer(sys, WithAdmin(), WithMapFeed("a", NewMapFeed("http://unused", log.New(io.Discard, "", 0), nil)))
+	unfed := NewServer(sys, WithAdmin(), WithMapFeed("a", NewMapFeed("http://unused", log.New(io.Discard, "", 0))))
 	r = httptest.NewRequest(http.MethodPost, decidePath, nil)
 	if sh, err := unfed.owner(r, "bob", ""); sh != nil || !errors.Is(err, errNoMapView) {
 		t.Errorf("owner before the first fetch = %v, %v; want errNoMapView", sh, err)

@@ -95,13 +95,14 @@ func (s *Server) handleReplicaDelta(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, delta)
 }
 
-// redirectToPrimary answers a follower's mutation routes: 307 preserves
-// method and body, so well-behaved HTTP clients (including this package's
-// Client) transparently re-issue the mutation against the primary.
+// redirectToPrimary answers a follower's mutation and review-query
+// routes: 307 preserves method and body, so well-behaved HTTP clients
+// (including this package's Client) transparently re-issue the request
+// against the primary.
 func (s *Server) redirectToPrimary(w http.ResponseWriter, r *http.Request) {
 	primary := s.follower.PrimaryURL()
 	w.Header().Set("Location", primary+r.URL.RequestURI())
-	s.writeStatus(w, http.StatusTemporaryRedirect, "read-only follower: apply mutations to the primary at "+primary)
+	s.writeStatus(w, http.StatusTemporaryRedirect, "read-only follower: the primary at "+primary+" answers this")
 }
 
 // stale reports whether decisions served right now should carry the

@@ -15,6 +15,7 @@ import (
 
 	"github.com/aware-home/grbac/internal/bundle"
 	"github.com/aware-home/grbac/internal/obs"
+	"github.com/aware-home/grbac/internal/retry"
 	"github.com/aware-home/grbac/internal/shard"
 	"github.com/aware-home/grbac/internal/watch"
 )
@@ -25,15 +26,15 @@ import (
 // that span subjects. It holds no policy and makes no decisions itself —
 // every byte of mediation happens on the shards — so routers scale out
 // independently and restart freely. The owner rule and the client table
-// are the ShardTable's, shared with the SDK's shard-direct routing; every
-// scatter below runs on the one bounded fanOut.
+// are the ShardTable's; every scatter below runs on the one bounded
+// fanOut.
 //
 // Routing rules:
 //   - Decide/Check/what-can: forwarded to the owner of the request's
 //     subject. A request naming only a session goes to the owner of the
 //     subject its ID names (core.SessionSubject): a session moves with
 //     its subject, so it routes under the current map like one.
-//   - DecideBatch: split by owning shard with SplitBatch, merged back in
+//   - DecideBatch: split by owning shard with splitBatch, merged back in
 //     request order. A failed shard, or one whose reply has the wrong
 //     length, fails only its own items (typed per-item errors), never the
 //     batch.
@@ -48,6 +49,10 @@ import (
 //     default (a down shard fails the query — review answers must not
 //     silently omit a partition); ?allow_partial=1 degrades to a 200
 //     with the reachable union plus per-shard errors.
+//   - /v1/healthz: every shard's own /v1/healthz, asked on each call;
+//     the router keeps no liveness state of its own.
+//   - Idempotent reads (decides, batches, what-can, the scatter queries)
+//     get one bounded, jittered retry on a transient shard failure.
 //
 // The router publishes its committed map, and a running rebalance's
 // pending map, as a feed. Shards follow it and forward a request for a
@@ -64,12 +69,6 @@ type Router struct {
 	timeout  time.Duration
 	logger   *log.Logger
 	mkClient func(addr string) *Client
-
-	// Health probes (see router_resilience.go).
-	probeEvery time.Duration
-	health     *healthTracker
-	stop       chan struct{}
-	stopOnce   sync.Once
 
 	metrics *routerMetrics
 	reg     *obs.Registry
@@ -134,7 +133,6 @@ type routerMetrics struct {
 	routes  *obs.CounterVec
 	errs    *obs.CounterVec
 	scatter *obs.Histogram
-	health  *obs.GaugeVec
 	retries *obs.CounterVec
 }
 
@@ -162,19 +160,11 @@ func (m *routerMetrics) retry(shardID string) {
 	}
 }
 
-func (m *routerMetrics) setHealth(shardID string, v float64) {
-	if m != nil {
-		m.health.With(shardID).Set(v)
-	}
-}
-
 // NewRouter builds a routing tier over the shard map.
 func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 	rt := &Router{
 		timeout: DefaultShardTimeout,
 		logger:  log.Default(),
-		stop:    make(chan struct{}),
-		health:  newHealthTracker(),
 	}
 	for _, opt := range opts {
 		opt(rt)
@@ -195,8 +185,6 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 			scatter: rt.reg.NewHistogram("grbac_shard_fanout_seconds",
 				"Latency of one scatter-gather fan-out across shards.",
 				obs.DefLatencyBuckets),
-			health: rt.reg.NewGaugeVec("grbac_shard_health",
-				"Probed shard health: 1 healthy, 0.5 suspect, 0 down.", "shard"),
 			retries: rt.reg.NewCounterVec("grbac_shard_retry_total",
 				"Bounded retries of idempotent reads against a shard.", "shard"),
 		}
@@ -209,7 +197,7 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 	}
 	rt.install(t)
 
-	mux := http.NewServeMux()
+	mux := newMux()
 	post, del, get := http.MethodPost, http.MethodDelete, http.MethodGet
 	handle(mux, "/v1/decide", rt.forwardDecide, post)
 	handle(mux, "/v1/check", rt.forwardDecide, post)
@@ -242,24 +230,18 @@ func NewRouter(m *shard.Map, opts ...RouterOption) (*Router, error) {
 		handle(mux, "/metrics", metricsHandler(rt.reg, rt.logger), get)
 	}
 	rt.mux = mux
-	if rt.probeEvery > 0 {
-		go rt.prober()
-	}
 	return rt, nil
 }
 
-// Close stops the router's background health prober (if any). Safe to
-// call multiple times; in-flight requests are unaffected.
-func (rt *Router) Close() {
-	rt.stopOnce.Do(func() { close(rt.stop) })
-}
+// Close releases nothing: the router runs no goroutine of its own. It
+// stays for callers that close every tier they build.
+func (rt *Router) Close() {}
 
 // install swaps in a routing table, clears a pending map it reaches and
 // publishes. Callers must hold rt.mu (or be the constructor, before the
 // router is shared).
 func (rt *Router) install(t *ShardTable) {
 	rt.table.Store(t)
-	rt.health.prune(t.Map())
 	if rt.pending != nil && rt.pending.Version() <= t.Map().Version() {
 		rt.pending = nil
 	}
@@ -361,6 +343,27 @@ func relayShardError(w http.ResponseWriter, shardID string, err error) {
 	})
 }
 
+// retryRead runs one idempotent read with a single bounded retry: a
+// transient failure (transport error, 5xx, 429) is retried once after a
+// jittered backoff, anything else — including the caller's own deadline
+// expiring — returns immediately. Reused across single-shard forwards
+// and scatter fan-outs.
+func retryRead[T any](rt *Router, ctx context.Context, shardID string, fn func(context.Context) (T, error)) (T, error) {
+	v, err := fn(ctx)
+	if err == nil || !transient(err) || ctx.Err() != nil {
+		return v, err
+	}
+	rt.metrics.retry(shardID)
+	t := time.NewTimer(retry.Jitter(readRetryBackoff))
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+		return v, err
+	}
+	return fn(ctx)
+}
+
 // callShard performs one single-shard call: bounded per-shard deadline
 // and one jittered retry when the call is an idempotent read that failed
 // transiently. A failure counts against the shard.
@@ -431,7 +434,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	merged := make([]BatchItem, len(req.Requests))
 	var stale atomic.Bool
 	start := time.Now()
-	SplitBatch(req.Requests, func(i int, dr *DecideRequest) (string, bool) {
+	splitBatch(req.Requests, func(i int, dr *DecideRequest) (string, bool) {
 		sh, err := t.Route(dr.Subject, dr.Session)
 		if err != nil {
 			merged[i] = BatchItem{Error: err.Error()}
@@ -666,36 +669,31 @@ func (rt *Router) handleWhatCan(w http.ResponseWriter, r *http.Request) {
 // RouterHealthResponse aggregates per-shard liveness.
 type RouterHealthResponse struct {
 	Status string            `json:"status"` // "ok" | "degraded"
-	Shards map[string]string `json:"shards"` // shard ID → "ok" | "suspect" | "unreachable"
+	Shards map[string]string `json:"shards"` // shard ID → "ok" | "unreachable"
 }
 
+// handleHealthz asks every shard's /v1/healthz under the fan-out bound,
+// each within the per-shard deadline, and is degraded (503) while any
+// shard does not answer healthy.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	t := rt.table.Load()
 	resp := RouterHealthResponse{Status: "ok", Shards: make(map[string]string, t.Map().Len())}
-	if rt.probeEvery > 0 {
-		// Background probes are running: answer from their state machine
-		// instead of re-probing inline on every health check.
-		for _, s := range t.Map().Shards() {
-			resp.Shards[s.ID] = rt.health.stateOf(s.ID).String()
-		}
-	} else {
-		for id, alive := range rt.probe(r.Context(), t) {
-			state := healthOK
-			if !alive {
-				state = healthDown
-			}
-			resp.Shards[id] = state.String()
-		}
-	}
-	for _, state := range resp.Shards {
-		if state == healthDown.String() {
-			resp.Status = "degraded"
-		}
-	}
 	status := http.StatusOK
-	if resp.Status != "ok" {
-		status = http.StatusServiceUnavailable
-	}
+	var mu sync.Mutex
+	fanOut(t.Map().Shards(), func(s shard.Info) {
+		ctx, cancel := rt.shardCtx(r)
+		defer cancel()
+		state := "ok"
+		if !t.Client(s.ID).Healthy(ctx) {
+			state = "unreachable"
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		resp.Shards[s.ID] = state
+		if state != "ok" {
+			resp.Status, status = "degraded", http.StatusServiceUnavailable
+		}
+	})
 	writeJSON(w, status, resp)
 }
 
@@ -706,7 +704,6 @@ type RouterStatszResponse struct {
 	VNodes          int          `json:"vnodes"`
 	Fanout          int          `json:"fanout"`
 	ShardTimeoutMS  int64        `json:"shard_timeout_ms"`
-	ProbeIntervalMS int64        `json:"probe_interval_ms,omitempty"`
 	Shards          []shard.Info `json:"shards"`
 }
 
@@ -718,7 +715,6 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		VNodes:          m.VNodes(),
 		Fanout:          routerFanout,
 		ShardTimeoutMS:  rt.timeout.Milliseconds(),
-		ProbeIntervalMS: rt.probeEvery.Milliseconds(),
 		Shards:          m.Shards(),
 	}
 	writeJSON(w, http.StatusOK, resp)

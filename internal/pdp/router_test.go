@@ -108,7 +108,7 @@ func newRouterCluster(t *testing.T, n int, opts ...RouterOption) *routerCluster 
 // named id, until the test ends.
 func (c *routerCluster) follow(t *testing.T, id string) ServerOption {
 	t.Helper()
-	f := NewMapFeed(c.feed, log.New(io.Discard, "", 0), nil)
+	f := NewMapFeed(c.feed, log.New(io.Discard, "", 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -36,20 +36,25 @@ var mutationRoutes = routeMethods{
 	"/v1/sessions/roles":     {post},
 }
 
-// bothTiers are the routes a shard and the router both serve, besides
-// the mutations.
-var bothTiers = routeMethods{
-	"/v1/decide":                 {post},
-	"/v1/check":                  {post},
-	"/v1/decide/batch":           {post},
-	"/v1/healthz":                {get},
-	"/v1/statsz":                 {get},
-	"/metrics":                   {get},
-	BundlePath:                   {post},
-	BundleStatusPath:             {get},
+// queryRoutes are the review queries, as both tiers serve them and as a
+// follower redirects them.
+var queryRoutes = routeMethods{
 	"/v1/query/who-can":          {get},
 	"/v1/query/what-can":         {get},
 	"/v1/query/subjects-in-role": {get},
+}
+
+// bothTiers are the routes a shard and the router both serve, besides
+// the mutations and the queries.
+var bothTiers = routeMethods{
+	"/v1/decide":       {post},
+	"/v1/check":        {post},
+	"/v1/decide/batch": {post},
+	"/v1/healthz":      {get},
+	"/v1/statsz":       {get},
+	"/metrics":         {get},
+	BundlePath:         {post},
+	BundleStatusPath:   {get},
 }
 
 func (rm routeMethods) with(more ...routeMethods) routeMethods {
@@ -62,13 +67,21 @@ func (rm routeMethods) with(more ...routeMethods) routeMethods {
 	return out
 }
 
+// unrouted reports whether rec is the JSON 404 of a path no route names.
+func unrouted(rec *httptest.ResponseRecorder) bool {
+	var e ErrorResponse
+	return rec.Code == http.StatusNotFound && json.Unmarshal(rec.Body.Bytes(), &e) == nil &&
+		strings.HasPrefix(e.Error, "no route ")
+}
+
 // TestRouteTable walks every route of a shard server with every optional
 // route mounted, of a router with bundles and metrics, and of the
 // rebalance handler. Each answers every method it does not serve with
 // the JSON 405 whose Allow header lists exactly the methods it does (a
-// GET route serves HEAD too), and never refuses one it serves. A follower
-// answers each of its methods on every mutation route with a 307 to the
-// same URI on its primary.
+// GET route serves HEAD too), and never refuses one it serves; a path
+// none of them routes gets a JSON 404. A follower answers each of its
+// methods on every mutation and query route with a 307 to the same URI
+// on its primary, and a JSON 404 on the migration routes.
 func TestRouteTable(t *testing.T) {
 	_, mkVerifier := newBundleKit(t)
 	quiet := log.New(io.Discard, "", 0)
@@ -78,7 +91,7 @@ func TestRouteTable(t *testing.T) {
 		WithAuditLogger(audit.NewLogger()),
 		WithBundleVerifier(mkVerifier()),
 		WithReplicaSource(replica.NewSource(sys)),
-		WithMapFeed("s0", NewMapFeed("http://127.0.0.1:1", quiet, nil))))
+		WithMapFeed("s0", NewMapFeed("http://127.0.0.1:1", quiet))))
 	m, err := shard.New(0, shard.Info{ID: "s0", Addr: srv.URL})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +100,6 @@ func TestRouteTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rt.Close)
 	coord := shard.NewCoordinator(filepath.Join(t.TempDir(), "rebalance.journal"),
 		func(info shard.Info) shard.NodeClient { return NewMigrationNode(info.Addr) }, nil, nil, t.Logf)
 
@@ -96,7 +108,7 @@ func TestRouteTable(t *testing.T) {
 		h      http.Handler
 		routes routeMethods
 	}{
-		{"shard", srv.Config.Handler, mutationRoutes.with(bothTiers, routeMethods{
+		{"shard", srv.Config.Handler, mutationRoutes.with(queryRoutes, bothTiers, routeMethods{
 			"/v1/state":          {get},
 			"/v1/audit":          {get},
 			MigrateSubjectsPath:  {get},
@@ -106,7 +118,7 @@ func TestRouteTable(t *testing.T) {
 			replica.WatchPath:    {get},
 			replica.DeltaPath:    {get},
 		})},
-		{"router", rt, mutationRoutes.with(bothTiers, routeMethods{
+		{"router", rt, mutationRoutes.with(queryRoutes, bothTiers, routeMethods{
 			ShardMapPath:      {get},
 			ShardMapWatchPath: {get},
 		})},
@@ -125,7 +137,7 @@ func TestRouteTable(t *testing.T) {
 				rec := httptest.NewRecorder()
 				tier.h.ServeHTTP(rec, httptest.NewRequest(method, path+"?wait=10ms", nil))
 				if slices.Contains(methods, method) || method == http.MethodHead && slices.Contains(methods, get) {
-					if rec.Code == http.StatusMethodNotAllowed || rec.Body.String() == "404 page not found\n" {
+					if rec.Code == http.StatusMethodNotAllowed || unrouted(rec) {
 						t.Errorf("%s %s %s = %d, want it served", tier.name, method, path, rec.Code)
 					}
 					continue
@@ -139,18 +151,34 @@ func TestRouteTable(t *testing.T) {
 				}
 			}
 		}
+		for _, path := range []string{"/", "/v1/nope", "/v1/decide/nope", "/v1/shard/rebalance/nope"} {
+			for _, method := range []string{get, post} {
+				rec := httptest.NewRecorder()
+				tier.h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+				if !unrouted(rec) {
+					t.Errorf("%s %s %s = %d %q, want a JSON 404", tier.name, method, path, rec.Code, rec.Body)
+				}
+			}
+		}
 	}
 
 	const primary = "http://127.0.0.1:1"
 	followerSys := core.NewSystem()
 	follower := NewServer(followerSys, WithAdmin(), WithFollower(replica.NewPuller(followerSys, primary)))
-	for path, methods := range mutationRoutes {
+	for path, methods := range mutationRoutes.with(queryRoutes) {
 		for _, method := range methods {
 			rec := httptest.NewRecorder()
 			follower.ServeHTTP(rec, httptest.NewRequest(method, path+"?x=1", strings.NewReader("{}")))
 			if loc := rec.Header().Get("Location"); rec.Code != http.StatusTemporaryRedirect || loc != primary+path+"?x=1" {
 				t.Errorf("follower %s %s = %d to %q, want 307 to %s", method, path, rec.Code, loc, primary+path+"?x=1")
 			}
+		}
+	}
+	for _, path := range []string{MigrateSubjectsPath, MigrateImportPath, MigrateHandoffPath} {
+		rec := httptest.NewRecorder()
+		follower.ServeHTTP(rec, httptest.NewRequest(post, path, strings.NewReader("{}")))
+		if !unrouted(rec) {
+			t.Errorf("follower POST %s = %d %q, want a JSON 404", path, rec.Code, rec.Body)
 		}
 	}
 }

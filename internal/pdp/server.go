@@ -85,7 +85,7 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 	if s.metrics != nil {
 		s.registerMetrics()
 	}
-	mux := http.NewServeMux()
+	mux := newMux()
 	post, get := http.MethodPost, http.MethodGet
 	handle(mux, decidePath, s.instrument(decidePath, s.limited(s.handleDecision(decidePath))), post)
 	handle(mux, batchPath, s.instrument(batchPath, s.limited(s.handleDecideBatch)), post)
@@ -104,8 +104,9 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 		handle(mux, BundleStatusPath, bundleStatus(s.bundles), get)
 	}
 	if s.follower != nil || s.adminEnabled {
-		// A follower never serves local mutations, whatever the admin
-		// setting: it redirects them to the cluster's single writer.
+		// A follower never serves local mutations or review queries,
+		// whatever the admin setting: it redirects them to the cluster's
+		// single writer.
 		s.registerAdmin(mux)
 	}
 	if s.replicaSrc != nil {
@@ -340,6 +341,16 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		f.Limit = n
 	}
 	s.writeJSON(w, http.StatusOK, s.trail.Query(f))
+}
+
+// newMux is the mux of the shard server, the router and the rebalance
+// handler: a path none of them routes gets a JSON 404.
+func newMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no route " + r.URL.Path})
+	})
+	return mux
 }
 
 // handle mounts h at path for the given methods only, as net/http method

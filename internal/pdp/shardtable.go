@@ -10,11 +10,11 @@ import (
 )
 
 // ShardTable is one immutable snapshot of shard routing: a shard map and
-// the client table built for exactly that map. The router and the SDK's
-// shard-direct routing each keep one behind an atomic pointer and capture
-// it once per request, so a concurrent map swap can never tear the map
-// away from its clients mid-scatter: in-flight fan-outs drain against the
-// table they started with. The table holds the one owner rule for
+// the client table built for exactly that map. The router keeps one
+// behind an atomic pointer and captures it once per request, so a
+// concurrent map swap can never tear the map away from its clients
+// mid-scatter: in-flight fan-outs drain against the table they started
+// with. The table holds the one owner rule for
 // decide-style requests.
 type ShardTable struct {
 	m       *shard.Map
@@ -75,7 +75,7 @@ func (t *ShardTable) Route(subject, session string) (shard.Info, error) {
 }
 
 // routerFanout bounds how many shard calls one fan-out (a broadcast,
-// query scatter, batch split or health probe) has in flight at once.
+// query scatter, batch split or health check) has in flight at once.
 const routerFanout = 8
 
 // fanOut calls call once for each item, at most routerFanout at a time,
@@ -97,25 +97,25 @@ func fanOut[T any](items []T, call func(T)) {
 	wg.Wait()
 }
 
-// SplitBatch sends a batch as one sub-batch per owner under the fan-out
-// bound. owner names the owner of reqs[i], or reports false to leave the
-// item out.
-// send makes one owner's call. done runs once per owner, concurrently
-// with the other owners, with the indices of that owner's items and
-// either the reply aligned with them or the error that fails them all. A
-// reply of the wrong length is such an error: every tier fails the whole
-// group, never a prefix of it.
-func SplitBatch[K comparable](reqs []DecideRequest,
-	owner func(i int, req *DecideRequest) (K, bool),
-	send func(owner K, sub []DecideRequest) (BatchDecideResponse, error),
-	done func(owner K, idx []int, resp BatchDecideResponse, err error)) {
+// splitBatch sends a batch as one sub-batch per owner under the fan-out
+// bound. owner names the owner of reqs[i] (a shard ID on the router, an
+// address on a forwarding shard), or reports false to leave the item
+// out. send makes one owner's call, Client.DecideBatch for both callers,
+// which fails a reply of the wrong length. done runs once per owner,
+// concurrently with the other owners, with the indices of that owner's
+// items and either the reply aligned with them or the error that fails
+// them all.
+func splitBatch(reqs []DecideRequest,
+	owner func(i int, req *DecideRequest) (string, bool),
+	send func(owner string, sub []DecideRequest) (BatchDecideResponse, error),
+	done func(owner string, idx []int, resp BatchDecideResponse, err error)) {
 	type group struct {
-		owner K
+		owner string
 		idx   []int
 		sub   []DecideRequest
 	}
 	var groups []*group
-	byOwner := make(map[K]*group)
+	byOwner := make(map[string]*group)
 	for i := range reqs {
 		k, ok := owner(i, &reqs[i])
 		if !ok {
@@ -132,10 +132,6 @@ func SplitBatch[K comparable](reqs []DecideRequest,
 	}
 	fanOut(groups, func(g *group) {
 		resp, err := send(g.owner, g.sub)
-		if err == nil && len(resp.Results) != len(g.idx) {
-			err = fmt.Errorf("misaligned batch reply: %d results for %d requests",
-				len(resp.Results), len(g.idx))
-		}
 		done(g.owner, g.idx, resp, err)
 	})
 }

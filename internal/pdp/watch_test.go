@@ -72,7 +72,6 @@ func shardMapWatchFeed(t *testing.T) watchFeed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rt.Close)
 	return watchFeed{
 		name:    "shard-map",
 		handler: rt,

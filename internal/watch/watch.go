@@ -9,12 +9,14 @@
 // smaller of D and MaxWait elapses, or the client leaves, and 400 for a
 // malformed after or a non-positive wait. Its mounts are GET routes. The
 // capped "no change" reply doubles as a keepalive, so a follower can tell
-// an idle feed from a dead one.
+// an idle feed from a dead one; a server armed with DrainOnShutdown sends
+// it to every parked poll when its Shutdown starts.
 package watch
 
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -111,7 +113,24 @@ func Handler(wait func(ctx context.Context, r *http.Request, after uint64) uint6
 		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(d + 10*time.Second))
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
+		if drain, ok := r.Context().Value(drainKey{}).(context.Context); ok {
+			defer context.AfterFunc(drain, cancel)()
+		}
 		writeJSON(w, http.StatusOK, reply(wait(ctx, r, after)))
+	}
+}
+
+type drainKey struct{} // a DrainOnShutdown server's drain, on its requests' contexts
+
+// DrainOnShutdown makes srv's Shutdown end every long-poll it has parked
+// with the normal "nothing new" reply, so a drain waits out in-flight
+// requests and not parked ones. Every other request keeps its context.
+// It sets srv.BaseContext; call it before srv serves.
+func DrainOnShutdown(srv *http.Server) {
+	drain, start := context.WithCancel(context.Background())
+	srv.RegisterOnShutdown(start)
+	srv.BaseContext = func(net.Listener) context.Context {
+		return context.WithValue(context.Background(), drainKey{}, drain)
 	}
 }
 

@@ -20,10 +20,13 @@
 #      owns at least one subject, and the partitions sum exactly; and
 #      shard A, asked directly, still permits every subject it handed
 #      to shard C (it forwards them by the committed map);
-#   4. the shard map converges on clients too: a shard-aware SDK
-#      process (examples/shardwatch) sees the committed version via the
-#      map watch and can still decide every subject;
-#   5. the committed map is durable: a restarted router boots with the
+#   4. a shard-aware SDK process (examples/shardwatch) lives through the
+#      rebalance: bootstrapped before it, and following no shard map, it
+#      still decides every subject once the router publishes v2 (a
+#      subject its home replica lost goes to the router);
+#   5. the router drains at once though every shard parks a map watch on
+#      it: it exits 0 and logs "bye" within 3s of SIGTERM; and the
+#      committed map is durable: the restarted router boots with the
 #      rebalanced map, not the stale -route flag list;
 #   6. removing a shard loses no session: `grbacctl rebalance remove`
 #      drains shard A under the same load and writer, A's process is
@@ -58,7 +61,7 @@ pid_a=$!
 pid_b=$!
 "$workdir/grbacd" -addr "127.0.0.1:$port_r" \
 	-route "a=$shard_a,b=$shard_b" -shard-timeout 2s \
-	-data-dir "$workdir/router-data" -shard-probe-interval 250ms \
+	-data-dir "$workdir/router-data" \
 	>"$workdir/router.log" 2>&1 &
 pid_r=$!
 
@@ -193,8 +196,8 @@ check_traffic() {
 
 start_traffic
 
-# A shard-aware SDK rides the map watch in parallel: it must see the
-# committed v2 map and still decide every subject afterwards.
+# A shard-aware SDK bootstraps now and waits for the router to publish
+# the committed v2 map: it must still decide every subject afterwards.
 "$workdir/shardwatch" -router "$router" -want-version 2 -timeout 60s \
 	-subjects "$(echo $subjects | tr ' ' ',')" >"$workdir/watch.log" 2>&1 &
 pid_watch=$!
@@ -296,24 +299,43 @@ if [ "$proxied" -eq 0 ]; then
 fi
 echo "rebalance_smoke: shard A still permits all $proxied subjects it handed to C"
 
-# Contract 4: the SDK watcher converged and decided every subject.
+# Contract 4: the SDK lived through the rebalance and decided every
+# subject.
 wait "$pid_watch" || {
-	echo "rebalance_smoke: FAIL: SDK shardwatch did not converge or decide:" >&2
+	echo "rebalance_smoke: FAIL: SDK shardwatch did not decide every subject:" >&2
 	cat "$workdir/watch.log" >&2
 	exit 1
 }
 pid_watch=
-grep -q 'converged map v2' "$workdir/watch.log" || {
-	echo "rebalance_smoke: FAIL: SDK never reported map v2" >&2
+grep -q '24 subjects decidable through the SDK under map v2' "$workdir/watch.log" || {
+	echo "rebalance_smoke: FAIL: SDK never reported deciding every subject under map v2" >&2
 	cat "$workdir/watch.log" >&2
 	exit 1
 }
-echo "rebalance_smoke: SDK converged on map v2 and all 24 subjects decide"
+echo "rebalance_smoke: SDK lived through the rebalance: $(tail -n 1 "$workdir/watch.log")"
 
-# Contract 5: the committed map survives a router restart (the stale
-# -route flag list must NOT win over the persisted v2 map).
-kill "$pid_r" 2>/dev/null
-wait "$pid_r" 2>/dev/null || true
+# Contract 5: the router drains at once, parked map watches and all, and
+# the committed map survives its restart (the stale -route flag list
+# must NOT win over the persisted v2 map).
+kill "$pid_r"
+tries=0
+until grep -q 'bye' "$workdir/router.log"; do
+	tries=$((tries + 1))
+	if [ "$tries" -gt 30 ]; then
+		echo "rebalance_smoke: FAIL: router logged no \"bye\" within 3s of SIGTERM" >&2
+		cat "$workdir/router.log" >&2
+		exit 1
+	fi
+	sleep 0.1
+done
+status=0
+wait "$pid_r" || status=$?
+if [ "$status" -ne 0 ]; then
+	echo "rebalance_smoke: FAIL: router drain exited $status, want 0" >&2
+	cat "$workdir/router.log" >&2
+	exit 1
+fi
+echo "rebalance_smoke: router drained in under 3s and exited 0"
 "$workdir/grbacd" -addr "127.0.0.1:$port_r" \
 	-route "a=$shard_a,b=$shard_b" -shard-timeout 2s \
 	-data-dir "$workdir/router-data" \

@@ -26,15 +26,5 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	reg.NewGaugeFunc("grbac_sdk_policy_generation",
 		"Local policy generation (the primary's generation as of the last sync).",
 		func() float64 { return float64(c.sys.Generation()) })
-	if c.shardRouting {
-		reg.NewGaugeFunc("grbac_sdk_shard_map_version",
-			"Version of the installed shard map (advances as the watcher applies rebalance commits).",
-			func() float64 {
-				if m := c.ShardMap(); m != nil {
-					return float64(m.Version())
-				}
-				return 0
-			})
-	}
 	c.puller.RegisterMetrics(reg)
 }

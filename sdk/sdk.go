@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -151,13 +150,9 @@ type Client struct {
 
 	shardRouting bool
 	homeShard    string
-	feed         *pdp.MapFeed
-	shardMu      sync.Mutex
-	shards       atomic.Pointer[pdp.ShardTable]
 
-	cancel    context.CancelFunc
-	done      chan struct{}
-	watchDone chan struct{}
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	remoteFallbacks atomic.Uint64
 	failSafeDenies  atomic.Uint64
@@ -223,14 +218,16 @@ func WithFetcher(f replica.Fetcher) Option {
 }
 
 // WithShardRouting makes the Client shard-aware: primaryURL must point at
-// a grbacd -route node, whose shard map New fetches at bootstrap. The
-// Client then replicates policy from one "home" shard (homeShard by ID,
-// or the map's first shard when empty) and mediates locally only the
-// subjects that shard owns; every other subject — and every session,
-// by the subject its ID names — is routed remotely straight to its owning
-// shard, skipping the router hop. Local decisions on a foreign shard's subject
-// would otherwise answer "unknown subject" for subjects that exist
-// elsewhere in the cluster.
+// a grbacd -route node, whose shard map New fetches once at bootstrap,
+// only to find the address of the "home" shard (homeShard by ID, or the
+// map's first shard when empty). The Client replicates policy from that
+// shard and mediates locally the subjects its replica holds. A subject
+// the replica lacks — another shard's, one a rebalance moved away, or one
+// nobody registered — goes to the router, which routes it by the
+// published map, as does every session; a subject the router does not
+// know either is ErrNotFound, as a local one is. Whatever the staleness
+// of the snapshot, the home replica is the Client's only ownership
+// signal: it follows no shard map.
 func WithShardRouting(homeShard string) Option {
 	return func(c *Client) {
 		c.shardRouting = true
@@ -266,13 +263,12 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 
 	feedURL := primaryURL
 	if c.shardRouting {
-		home, err := c.bootstrapShardMap(ctx, primaryURL)
-		if err != nil {
-			return nil, err
-		}
 		// Replicate from the home shard directly: the router holds no
 		// policy and serves no replication feed.
-		feedURL = home.Addr
+		var err error
+		if feedURL, err = c.homeShardAddr(ctx, primaryURL); err != nil {
+			return nil, err
+		}
 	}
 
 	pullerOpts := []replica.PullerOption{
@@ -295,16 +291,6 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 		defer close(c.done)
 		_ = c.puller.Run(runCtx)
 	}()
-	if c.shardRouting {
-		// Ride the router's map feed so a rebalance commit flips this
-		// client's routing atomically — no polling interval to tune, no
-		// stale-map window beyond one push.
-		c.watchDone = make(chan struct{})
-		go func() {
-			defer close(c.watchDone)
-			c.feed.Run(runCtx)
-		}()
-	}
 
 	if !c.offlineStart {
 		bctx, bcancel := context.WithTimeout(ctx, bootstrapTimeout)
@@ -317,15 +303,12 @@ func New(ctx context.Context, primaryURL string, opts ...Option) (*Client, error
 	return c, nil
 }
 
-// Close stops the replication puller (and the shard map watcher, if
-// any) and waits for them to exit. The local snapshot remains readable,
-// but decisions degrade along the stale path as the policy ages.
+// Close stops the replication puller and waits for it to exit. The local
+// snapshot remains readable, but decisions degrade along the stale path
+// as the policy ages.
 func (c *Client) Close() {
 	c.cancel()
 	<-c.done
-	if c.watchDone != nil {
-		<-c.watchDone
-	}
 }
 
 // System exposes the local replicated decision engine for read-only use
@@ -368,10 +351,7 @@ func (c *Client) Decide(ctx context.Context, req grbac.Request) (Decision, error
 	if !localEvaluable(req) {
 		return c.remoteDecide(ctx, req, "flow requires primary state (session or live environment)")
 	}
-	if !c.locallyOwned(req) {
-		return c.remoteDecide(ctx, req, "subject owned by a foreign shard")
-	}
-	if c.puller.Stale() {
+	if c.puller.Stale() && !c.lacks(req) {
 		return c.decideStale(ctx, req)
 	}
 	d, err := c.sys.Decide(req)
@@ -387,7 +367,7 @@ func (c *Client) Decide(ctx context.Context, req grbac.Request) (Decision, error
 // CheckAccess is the boolean hot path: a warm local check is a cache read
 // against the compiled snapshot — no Decision clone, zero allocations.
 func (c *Client) CheckAccess(ctx context.Context, req grbac.Request) (bool, error) {
-	if localEvaluable(req) && c.locallyOwned(req) && !c.puller.Stale() {
+	if localEvaluable(req) && !c.puller.Stale() {
 		ok, err := c.sys.CheckAccess(req)
 		if err == nil || !c.missingHere(req, err) {
 			return ok, err
@@ -411,39 +391,33 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []grbac.Request) []BatchR
 	var localIdx, remoteIdx []int
 	for i, r := range reqs {
 		switch {
-		case !localEvaluable(r) || !c.locallyOwned(r):
+		case !localEvaluable(r), stale && c.fallback == FallbackRemote:
 			remoteIdx = append(remoteIdx, i)
-		case stale && c.fallback == FallbackRemote:
-			remoteIdx = append(remoteIdx, i)
+		case stale && c.fallback == FallbackDeny && !c.lacks(r):
+			out[i].Decision = c.failSafe(r, "policy snapshot stale beyond bound")
 		default:
 			localIdx = append(localIdx, i)
 		}
 	}
 
 	if len(localIdx) > 0 {
-		if stale && c.fallback == FallbackDeny {
-			for _, i := range localIdx {
-				out[i].Decision = c.failSafe(reqs[i], "policy snapshot stale beyond bound")
+		batch := make([]grbac.Request, len(localIdx))
+		for j, i := range localIdx {
+			batch[j] = reqs[i]
+		}
+		results := c.sys.DecideBatch(batch)
+		for j, i := range localIdx {
+			if err := results[j].Err; err != nil && c.missingHere(reqs[i], err) {
+				remoteIdx = append(remoteIdx, i)
+				continue
 			}
-		} else {
-			batch := make([]grbac.Request, len(localIdx))
-			for j, i := range localIdx {
-				batch[j] = reqs[i]
+			if results[j].Err != nil {
+				out[i].Err = results[j].Err
+				continue
 			}
-			results := c.sys.DecideBatch(batch)
-			for j, i := range localIdx {
-				if err := results[j].Err; err != nil && c.missingHere(reqs[i], err) {
-					remoteIdx = append(remoteIdx, i)
-					continue
-				}
-				if results[j].Err != nil {
-					out[i].Err = results[j].Err
-					continue
-				}
-				out[i].Decision = Decision{Decision: results[j].Decision, Source: SourceLocal}
-				if stale {
-					c.markStaleServed(reqs[i], &out[i].Decision)
-				}
+			out[i].Decision = Decision{Decision: results[j].Decision, Source: SourceLocal}
+			if stale {
+				c.markStaleServed(reqs[i], &out[i].Decision)
 			}
 		}
 	}
@@ -454,49 +428,44 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []grbac.Request) []BatchR
 	return out
 }
 
-// remoteBatch sends the remote-routed indices out as batch round trips,
-// one per owning remote (a single primary call normally; one sub-batch
-// per shard under WithShardRouting) under pdp.SplitBatch's fan-out bound.
-// A group whose remote fails, or answers with the wrong number of
-// results, gets per-request fail-safe denies; a group the remote rejects
-// outright gets the rejection.
+// remoteBatch sends the remote-routed indices out as one batch round
+// trip to the remote (the primary, or the router under WithShardRouting).
+// Without a remote, or when the call fails — a reply with the wrong
+// number of results included — every request gets a fail-safe deny; a
+// batch the remote rejects outright gets the rejection.
 func (c *Client) remoteBatch(ctx context.Context, reqs []grbac.Request, idx []int, out []BatchResult) {
-	t := c.shards.Load()
+	if c.remote == nil {
+		for _, i := range idx {
+			out[i].Decision = c.failSafe(reqs[i], "no remote fallback configured")
+		}
+		return
+	}
 	wire := make([]pdp.DecideRequest, len(idx))
 	for j, i := range idx {
 		wire[j] = pdp.FromCoreRequest(reqs[i])
 	}
-	pdp.SplitBatch(wire, func(j int, req *pdp.DecideRequest) (*pdp.Client, bool) {
-		cl := c.remoteClientFor(t, req)
-		if cl == nil {
-			out[idx[j]].Decision = c.failSafe(reqs[idx[j]], "no remote fallback configured")
-		}
-		return cl, cl != nil
-	}, func(cl *pdp.Client, sub []pdp.DecideRequest) (pdp.BatchDecideResponse, error) {
-		if err := faults.Inject(faults.SDKFallback); err != nil {
-			return pdp.BatchDecideResponse{}, err
-		}
-		return cl.DecideBatch(ctx, sub)
-	}, func(_ *pdp.Client, js []int, resp pdp.BatchDecideResponse, err error) {
-		for k, j := range js {
-			i := idx[j]
-			switch {
-			case err != nil && definitive(err):
-				out[i].Err = err
-			case err != nil:
-				out[i].Decision = c.failSafe(reqs[i], "remote fallback failed: "+err.Error())
-			case resp.Results[k].Error != "":
-				out[i].Err = fmt.Errorf("sdk: remote decide: %s", resp.Results[k].Error)
-			default:
-				c.remoteFallbacks.Add(1)
-				out[i].Decision = Decision{
-					Decision: resp.Results[k].Decision.ToCore(),
-					Stale:    resp.Stale,
-					Source:   SourceRemote,
-				}
+	var resp pdp.BatchDecideResponse
+	err := faults.Inject(faults.SDKFallback)
+	if err == nil {
+		resp, err = c.remote.DecideBatch(ctx, wire)
+	}
+	for j, i := range idx {
+		switch {
+		case err != nil && definitive(err):
+			out[i].Err = err
+		case err != nil:
+			out[i].Decision = c.failSafe(reqs[i], "remote fallback failed: "+err.Error())
+		case resp.Results[j].Error != "":
+			out[i].Err = fmt.Errorf("sdk: remote decide: %s", resp.Results[j].Error)
+		default:
+			c.remoteFallbacks.Add(1)
+			out[i].Decision = Decision{
+				Decision: resp.Results[j].Decision.ToCore(),
+				Stale:    resp.Stale,
+				Source:   SourceRemote,
 			}
 		}
-	})
+	}
 }
 
 // decideStale handles a locally-evaluable request whose snapshot is past
@@ -521,15 +490,13 @@ func (c *Client) decideStale(ctx context.Context, req grbac.Request) (Decision, 
 // remoteDecide routes one request to the primary, synthesizing a
 // fail-safe deny when no remote path exists or the call fails.
 func (c *Client) remoteDecide(ctx context.Context, req grbac.Request, why string) (Decision, error) {
-	wire := pdp.FromCoreRequest(req)
-	target := c.remoteClientFor(c.shards.Load(), &wire)
-	if target == nil {
+	if c.remote == nil {
 		return c.failSafe(req, why+"; no remote fallback configured"), nil
 	}
 	if err := faults.Inject(faults.SDKFallback); err != nil {
 		return c.failSafe(req, why+"; remote fallback failed: "+err.Error()), nil
 	}
-	resp, err := target.Decide(ctx, wire)
+	resp, err := c.remote.Decide(ctx, pdp.FromCoreRequest(req))
 	if err != nil {
 		if definitive(err) {
 			// The primary answered and rejected the request itself (4xx):
